@@ -13,7 +13,7 @@ convention: Z = f(X)/M over all N nodes, g = -grad restricted to train
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .aggregate import AlignmentConfig, FixedMatrix, InputInjection, Kta
 from .data import NodeDataset, one_hot
 from .graph import augmented_adjacency, normalized_adjacency
 from .losses import (DEFAULT_CLIP, errors, multiclass_surrogate_grad,
-                     sigmoid_ce, softmax, softmax_ce, surrogate_grad)
+                     sigmoid, sigmoid_ce, softmax, softmax_ce,
+                     surrogate_grad)
 from .mlp import (MlpParams, TrainConfig, _Optimizer, backward, fit_classifier,
                   fit_to_gradient, forward)
 
@@ -213,10 +214,10 @@ class _RepState:
         self.current = self.original
         self.injected = injected
 
-    def learner_input(self):
+    def learner_input(self, rows=slice(None)):
         if self.injected:
-            return np.hstack([self.current, self.original])
-        return self.current
+            return np.hstack([self.current[rows], self.original[rows]])
+        return self.current[rows]
 
     def advance(self, aggregator):
         self.current = aggregator.apply(self.current, x_initial=self.original)
@@ -477,40 +478,36 @@ def run_samme_r(dataset, cfg: SammeConfig):
 # ---------------------------------------------------------------------------
 # replay / prediction
 
-def stage_representations(model: EnsembleModel, dataset: NodeDataset):
+def stage_representations(model: EnsembleModel, dataset: NodeDataset,
+                          rows=slice(None)):
     """Learner-input matrix at every stage (the aggregated features the
-    transformation function saw)."""
+    transformation function saw), restricted to ``rows``."""
     injected = model.aggregator_kind == "input_injection"
     state = _RepState(dataset.features, injected)
     reps = []
     for s, stage in enumerate(model.stages):
         if s >= 1:
             state.advance(stage.aggregator)
-        reps.append(state.learner_input())
+        reps.append(state.learner_input(rows))
     return reps
 
 
-def _replay(model: EnsembleModel, dataset: NodeDataset):
-    """Recompute per-stage representations and raw learner outputs; a
+def _replay(model: EnsembleModel, reps):
+    """Raw learner outputs on the rows of the per-stage inputs ``reps``; a
     skipped stage yields None."""
-    outputs = []
-    for stage, rep in zip(model.stages,
-                          stage_representations(model, dataset)):
-        outputs.append(None if stage.learner is None
-                       else forward(stage.learner, rep)[0])
-    return outputs
+    return [None if stage.learner is None else forward(stage.learner, rep)[0]
+            for stage, rep in zip(model.stages, reps)]
 
 
-def replay_scores(model: EnsembleModel, dataset: NodeDataset):
-    """Score trajectory by stage: functional gives the running sum of
-    eta_s f_s; SAMME gives the running vote score; SAMME.R the running
-    contribution sum."""
-    outputs = _replay(model, dataset)
+def _scores(model: EnsembleModel, outputs, n_rows, soft=False):
+    """Running score by stage from raw learner outputs. ``soft`` replaces
+    SAMME's argmax votes by softmax votes, the differentiable head
+    fine-tuning trains through."""
     scores = []
     if model.mode == "functional":
-        acc = np.zeros(dataset.n)
+        acc = np.zeros(n_rows)
     else:
-        acc = np.zeros((dataset.n, model.n_classes))
+        acc = np.zeros((n_rows, model.n_classes))
     for stage, out in zip(model.stages, outputs):
         if out is None:
             scores.append(acc.copy())
@@ -518,8 +515,9 @@ def replay_scores(model: EnsembleModel, dataset: NodeDataset):
         if model.mode == "functional":
             acc = acc + stage.weight * out[:, 0]
         elif model.mode == "samme":
-            acc = acc + stage.weight * one_hot(np.argmax(out, axis=1),
-                                               model.n_classes)
+            vote = (softmax(out) if soft else
+                    one_hot(np.argmax(out, axis=1), model.n_classes))
+            acc = acc + stage.weight * vote
         else:
             proba = np.clip(softmax(out), model.clip, 1.0)
             acc = acc + samme_r_contribution(np.log(proba))
@@ -527,23 +525,36 @@ def replay_scores(model: EnsembleModel, dataset: NodeDataset):
     return scores
 
 
-def predict(model: EnsembleModel, dataset: NodeDataset):
+def replay_scores(model: EnsembleModel, dataset: NodeDataset, reps=None):
+    """Score trajectory by stage: functional gives the running sum of
+    eta_s f_s; SAMME gives the running vote score; SAMME.R the running
+    contribution sum. ``reps`` (from ``stage_representations`` with
+    ``rows``) scores those rows instead of the whole graph."""
+    if reps is None:
+        reps = stage_representations(model, dataset)
+    return _scores(model, _replay(model, reps), len(reps[0]))
+
+
+def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
     """Deterministic prediction; argmax ties break toward the lowest index.
 
-    Returns (score vector/matrix, class ids).
+    Returns (score vector/matrix, class ids), on the rows of ``reps`` when
+    given (see ``replay_scores``).
     """
-    scores = replay_scores(model, dataset)
+    scores = replay_scores(model, dataset, reps)
     if model.mode == "functional":
         final = scores[(model.t_star or len(scores)) - 1]
-        classes = (final > 0.0).astype(np.int64)
-    else:
-        final = scores[-1]
-        classes = np.argmax(final, axis=1)
-    return final, classes
+        return final, (final > 0.0).astype(np.int64)
+    return scores[-1], np.argmax(scores[-1], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # fine-tuning (end-to-end, manual backprop through the whole stack)
+#
+# The loss reads the train rows only and every learner is row-wise, so the
+# learners run on the train rows. Chains without learnable aggregation keep
+# their train and validation rows from one replay; KTA chains are replayed
+# after every step, and their pullback runs on full-length arrays.
 
 @dataclass
 class FineTuneConfig:
@@ -559,82 +570,74 @@ class FineTuneConfig:
             raise ValueError("epochs must be >= 0")
 
 
-def _stack_forward(model, dataset):
-    """Forward pass through the full stack with caches for backprop.
+def _stack_replay(model, dataset, rows):
+    """One replay of the stage chain: every stage's learner input on
+    ``rows`` and, for chains with learnable aggregation, the full-length
+    learner inputs (KTA chains carry no injected channels, so these are the
+    representations the pullback pairs with), else None."""
+    if not any(isinstance(st.aggregator, Kta) for st in model.stages):
+        return stage_representations(model, dataset, rows), None
+    chain = stage_representations(model, dataset)
+    return [rep[rows] for rep in chain], chain
 
-    Heads are softened: SAMME's argmax becomes softmax; functional stays
-    the identity. Returns (score, caches, curs, logits_list).
-    """
-    injected = model.aggregator_kind == "input_injection"
-    state = _RepState(dataset.features, injected)
-    k = model.n_classes
-    caches = []
-    curs = [state.current]
-    logits_list = []
-    score = (np.zeros(dataset.n) if model.mode == "functional"
-             else np.zeros((dataset.n, k)))
-    for s, stage in enumerate(model.stages):
-        if s >= 1:
-            state.advance(stage.aggregator)
-            curs.append(state.current)
-        if stage.learner is None:
-            caches.append(None)
-            logits_list.append(None)
-            continue
-        out, cache = forward(stage.learner, state.learner_input())
+
+def _stack_forward(model, inputs):
+    """Softened stack score on the rows of the per-stage learner inputs,
+    with the caches backprop needs. SAMME's argmax becomes softmax;
+    functional stays the identity. Returns (score, caches, logits_list)."""
+    caches, logits_list = [], []
+    for stage, x in zip(model.stages, inputs):
+        out, cache = ((None, None) if stage.learner is None
+                      else forward(stage.learner, x))
         caches.append(cache)
         logits_list.append(out)
-        if model.mode == "functional":
-            score = score + stage.weight * out[:, 0]
-        elif model.mode == "samme":
-            score = score + stage.weight * softmax(out)
-        else:
-            proba = np.clip(softmax(out), model.clip, 1.0)
-            score = score + samme_r_contribution(np.log(proba))
-    return score, caches, curs, logits_list
+    score = _scores(model, logits_list, len(inputs[0]), soft=True)[-1]
+    return score, caches, logits_list
 
 
-def _aggregator_pullback(aggregator, d):
-    if isinstance(aggregator, FixedMatrix):
-        return aggregator.operator.apply_transpose(d)
-    if isinstance(aggregator, InputInjection):
-        return aggregator.rho * aggregator.operator.apply_transpose(d)
-    if isinstance(aggregator, Kta):
-        acc = aggregator.weights[0] * d
-        cur = d
-        reached = 0
-        for kk in range(aggregator.n_deg + 1):
-            target = 2 ** kk
-            for _ in range(target - reached):
-                cur = aggregator.operator.apply_transpose(cur)
-            reached = target
-            acc = acc + aggregator.weights[1 + kk] * cur
-        return acc
-    raise TypeError(f"unknown aggregator {type(aggregator)}")
-
-
-def _stack_gradients(model, dataset, score, caches, curs, logits_list):
-    """Exact gradients of the train-set surrogate loss w.r.t. every MLP
-    weight and every learnable aggregation weight."""
-    split = dataset.split
-    y = dataset.labels
-    k = model.n_classes
+def _train_loss(model, score, y_train):
+    """Averaged surrogate over the train rows and its gradient in the
+    score."""
+    m = len(y_train)
     if model.mode == "functional":
-        dscore = surrogate_grad(score, y, split)
-    else:
-        dscore = multiclass_surrogate_grad(score, y, split)
+        loss = float(np.mean(sigmoid_ce(score, y_train, model.clip)))
+        return loss, (sigmoid(score) - y_train) / m
+    loss = float(np.mean(softmax_ce(score, y_train, model.clip)))
+    dscore = softmax(score)
+    dscore[np.arange(m), y_train] -= 1.0
+    return loss, dscore / m
 
-    n_stages = len(model.stages)
-    mlp_grads = [None] * n_stages
-    # adjoint of the current-representation chain
-    dcur = [np.zeros_like(c) for c in curs]
-    injected = model.aggregator_kind == "input_injection"
-    c_width = dataset.features.shape[1]
 
-    for s in range(n_stages):
-        stage = model.stages[s]
-        out = logits_list[s]
+def _kta_pullback(aggregator: Kta, d, x):
+    """Adjoint of x -> aggregator.apply(x) at ``d``, and the gradient of
+    <d, aggregator.apply(x)> in the aggregation weights, taken as
+    <(P^T)^{2^k} d, x> from the same transposed powers."""
+    acc = aggregator.weights[0] * d
+    grad = [float(np.vdot(d, x))]
+    cur = d
+    for kk in range(aggregator.n_deg + 1):
+        for _ in range(max(1, 2 ** (kk - 1))):  # power 2^(k-1) -> 2^k
+            cur = aggregator.operator.apply_transpose(cur)
+        acc = acc + aggregator.weights[1 + kk] * cur
+        grad.append(float(np.vdot(cur, x)))
+    return acc, np.array(grad)
+
+
+def _stack_gradients(model, dataset, dscore, caches, logits_list,
+                     chain=None):
+    """Exact gradients of the train loss w.r.t. every MLP weight and, given
+    the full-length ``chain``, every learnable aggregation weight.
+
+    ``dscore``, ``caches`` and ``logits_list`` cover the train rows in the
+    order of ``dataset.split.train``. Returns (per-stage MLP gradients,
+    {stage: KTA weight gradient}).
+    """
+    k = model.n_classes
+    mlp_grads, dxs = [], []
+    for stage, cache, out in zip(model.stages, caches, logits_list):
         if stage.learner is None:
+            mlp_grads.append(None)
+            dxs.append(None)
             continue
         if model.mode == "functional":
             dlogits = stage.weight * dscore[:, None]
@@ -648,20 +651,22 @@ def _stack_gradients(model, dataset, score, caches, curs, logits_list):
             dlogp = (k - 1.0) * (dscore - dscore.mean(axis=1, keepdims=True))
             dlogp[clipped] = 0.0
             dlogits = dlogp - proba_raw * dlogp.sum(axis=1, keepdims=True)
-        grads, dx = backward(stage.learner, caches[s], dlogits)
-        mlp_grads[s] = grads
-        dc = dx[:, :c_width] if injected else dx
-        dcur[s] = dcur[s] + dc
+        grads, dx = backward(stage.learner, cache, dlogits,
+                             input_grad=chain is not None)
+        mlp_grads.append(grads)
+        dxs.append(dx)
 
     kta_grads = {}
-    for s in range(n_stages - 1, 0, -1):
-        stage = model.stages[s]
-        total = dcur[s]
-        if isinstance(stage.aggregator, Kta):
-            basis = stage.aggregator.basis(curs[s - 1])
-            kta_grads[s] = np.array([float(np.vdot(total, b)) for b in basis])
-        dcur[s - 1] = dcur[s - 1] + _aggregator_pullback(stage.aggregator,
-                                                         total)
+    if chain is None:
+        return mlp_grads, kta_grads
+    # full-length adjoint of the chain; learners feed it on train rows only
+    train = dataset.split.train
+    d = np.zeros_like(chain[-1])
+    for s in range(len(model.stages) - 1, 0, -1):
+        if dxs[s] is not None:
+            d[train] += dxs[s]
+        d, kta_grads[s] = _kta_pullback(model.stages[s].aggregator, d,
+                                        chain[s - 1])
     return mlp_grads, kta_grads
 
 
@@ -670,92 +675,68 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     """End-to-end first-order training of the stacked composition.
 
     All MLP weights and learnable aggregation weights train; stage weights
-    (eta / lambda) and aggregator structure stay fixed. On divergence the
-    original model is returned, flagged. Returns
+    (eta / lambda) and aggregator structure stay fixed. On divergence a
+    flagged copy of the original model is returned; the input model is
+    never changed. Returns
     (model, {"train_err": (before, after), "val_err": (before, after)}).
     """
     if not model.stages:
         raise ValueError("model history is empty")
     split = dataset.split
-    y = dataset.labels
+    m = split.m
+    rows = np.concatenate([split.train, split.val])
+    y_rows = dataset.labels[rows]
 
-    def eval_errors(m):
-        _, classes = predict(m, dataset)
-        tr = float(np.mean(classes[split.train] != y[split.train]))
-        va = (float(np.mean(classes[split.val] != y[split.val]))
-              if len(split.val) else float("nan"))
-        return tr, va
+    def eval_errors(mdl, inputs):
+        wrong = predict(mdl, dataset, inputs)[1] != y_rows
+        return (float(np.mean(wrong[:m])),
+                float(np.mean(wrong[m:])) if len(split.val) else float("nan"))
 
-    before = eval_errors(model)
+    def report(after):
+        return {"train_err": (before[0], after[0]),
+                "val_err": (before[1], after[1])}
+
+    inputs, chain = _stack_replay(model, dataset, rows)
+    before = eval_errors(model, inputs)
     if cfg.epochs == 0:
-        return model, {"train_err": (before[0], before[0]),
-                       "val_err": (before[1], before[1])}
+        return model, report(before)
 
-    work = EnsembleModel(
-        mode=model.mode, n_classes=model.n_classes,
-        stages=[StageRecord(st.aggregator,
-                            st.learner.copy() if st.learner else None,
-                            st.weight, st.wlc) for st in model.stages],
-        t_star=model.t_star, base=model.base,
-        aggregator_kind=model.aggregator_kind, clip=model.clip,
-        flags=dict(model.flags))
+    def own(st):
+        # the copied KTA weight arrays are trained in place
+        agg = st.aggregator
+        if isinstance(agg, Kta):
+            agg = replace(agg, weights=agg.weights.astype(float))
+        return replace(st, aggregator=agg,
+                       learner=st.learner.copy() if st.learner else None)
 
-    # flat parameter list: (s, layer) for MLP weights, (s, None) for the
-    # learnable aggregation weights of KTA stages
-    refs = [(s, l) for s, st in enumerate(work.stages) if st.learner
-            for l in range(st.learner.n_layers)]
-    kta_stage_ids = [s for s, st in enumerate(work.stages)
-                     if isinstance(st.aggregator, Kta)]
-    kta_arrays = {s: work.stages[s].aggregator.weights.astype(float).copy()
-                  for s in kta_stage_ids}
-    refs += [(s, None) for s in kta_stage_ids]
-
-    def param_array(ref):
-        s, l = ref
-        return (kta_arrays[s] if l is None
-                else work.stages[s].learner.weights[l])
-
+    work = replace(model, stages=[own(st) for st in model.stages],
+                   flags=dict(model.flags))
+    kta_ids = [s for s, st in enumerate(work.stages)
+               if isinstance(st.aggregator, Kta)]
+    params = [w for st in work.stages if st.learner
+              for w in st.learner.weights]
+    params += [work.stages[s].aggregator.weights for s in kta_ids]
     opt = _Optimizer(TrainConfig(epochs=1, optimizer=cfg.optimizer,
                                  lr=cfg.lr, momentum=cfg.momentum,
                                  weight_decay=cfg.weight_decay),
-                     [param_array(r).shape for r in refs])
+                     [p.shape for p in params])
 
-    def sync_kta():
-        for s in kta_stage_ids:
-            st = work.stages[s]
-            st.aggregator = Kta(operator=st.aggregator.operator,
-                                weights=kta_arrays[s].copy(),
-                                n_deg=st.aggregator.n_deg)
-
-    diverged = False
     for _ in range(cfg.epochs):
-        sync_kta()
-        score, caches, curs, logits_list = _stack_forward(work, dataset)
-        if model.mode == "functional":
-            loss = float(np.mean(sigmoid_ce(score[split.train],
-                                            y[split.train], model.clip)))
-        else:
-            loss = float(np.mean(softmax_ce(score[split.train],
-                                            y[split.train], model.clip)))
+        score, caches, logits_list = _stack_forward(
+            work, [x[:m] for x in inputs])
+        loss, dscore = _train_loss(work, score, y_rows[:m])
         if not np.isfinite(loss):
-            diverged = True
-            break
-        mlp_grads, kta_grads = _stack_gradients(work, dataset, score, caches,
-                                                curs, logits_list)
-        flat_grads = [mlp_grads[s][l] if l is not None
-                      else kta_grads.get(s, np.zeros_like(kta_arrays[s]))
-                      for s, l in refs]
-        opt.step([param_array(r) for r in refs], flat_grads)
+            flags = {**model.flags, "fine_tune_diverged": True}
+            return (replace(model, stages=list(model.stages), flags=flags),
+                    report(before))
+        mlp_grads, kta_grads = _stack_gradients(work, dataset, dscore,
+                                                caches, logits_list, chain)
+        opt.step(params, [g for gs in mlp_grads if gs for g in gs]
+                 + [kta_grads[s] for s in kta_ids])
+        if kta_ids:
+            inputs, chain = _stack_replay(work, dataset, rows)
 
-    if diverged:
-        flagged = model
-        flagged.flags["fine_tune_diverged"] = True
-        return flagged, {"train_err": (before[0], before[0]),
-                         "val_err": (before[1], before[1])}
-    sync_kta()
-    after = eval_errors(work)
-    return work, {"train_err": (before[0], after[0]),
-                  "val_err": (before[1], after[1])}
+    return work, report(eval_errors(work, inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +824,10 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
 
 
 def save_model(model, path):
+    # one json.dumps call takes the C encoder; json.dump streams through
+    # the pure-Python one
     with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh)
+        fh.write(json.dumps(model_to_json(model)))
 
 
 def load_model(path, graph):

@@ -213,7 +213,13 @@ def cmd_train(config_path, out_root, jobs=1):
 def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
                delta=0.0, trace_path=None, eigen_cap=DENSE_EIGEN_CAP):
     out_dir = out_dir or os.path.dirname(os.path.abspath(model_path))
-    dataset = load_planetoid(data_dir)
+    # bounds are computed on the features the model was trained on: the
+    # run's config.json sits one level above seed_<s>/model.json
+    cfg_path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(model_path))), "config.json")
+    normalize = (load_config(cfg_path).normalize_features
+                 if os.path.exists(cfg_path) else True)
+    dataset = load_planetoid(data_dir, normalize=normalize)
     model = load_model(model_path, dataset.graph)
     trace_path = trace_path or os.path.join(os.path.dirname(model_path),
                                             "trace.csv")

@@ -148,23 +148,25 @@ def forward(p: MlpParams, x, train_mode=False, seed=0, dropout=False):
     return out, cache
 
 
-def backward(p: MlpParams, cache, upstream):
+def backward(p: MlpParams, cache, upstream, input_grad=True):
     """Exact gradients of the forward map.
 
     Returns (per-layer weight gradients, gradient w.r.t. the input x with
-    the bias column stripped).
+    the bias column stripped, or None when ``input_grad`` is off).
     """
     grads = [None] * p.n_layers
     hiddens, preacts, masks = cache["hiddens"], cache["preacts"], cache["masks"]
     d = np.asarray(upstream, dtype=float)
     grads[-1] = hiddens[-1].T @ d
-    d = d @ p.weights[-1].T
     for l in range(p.n_layers - 2, -1, -1):
+        d = d @ p.weights[l + 1].T
         if masks[l] is not None:
             d = d * masks[l]
         d = d * _activate_grad(p.activation, preacts[l])
         grads[l] = hiddens[l].T @ d
-        d = d @ p.weights[l].T
+    if not input_grad:
+        return grads, None
+    d = d @ p.weights[0].T
     if p.bias:
         d = d[:, :-1]
     return grads, d
@@ -258,7 +260,7 @@ def _fit_loop(params, cfg, x_train, loss_grad_fn, l1_bound):
                 raise TrainingDiverged(
                     f"loss became non-finite at step {step}", last_loss)
             last_loss = float(loss)
-            grads, _ = backward(params, cache, upstream)
+            grads, _ = backward(params, cache, upstream, input_grad=False)
             opt.step(params.weights, grads)
             if l1_bound is not None:
                 projected = project_l1_columns(params, l1_bound)

@@ -330,6 +330,7 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
     }
 
     loop_rows = [r for r in trace if r["t"] >= 2]
+    reps = stage_representations(model, dataset)
     if model.mode == "functional":
         gammas = [(st.wlc.gamma if st.wlc else 0.0)
                   for st in model.stages[1:]]
@@ -337,9 +338,9 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
         gamma_total = float(np.sum(gammas))
         l1_initial = trace[0]["train_loss"]
         from .boost import predict
-        yhat, _ = predict(model, dataset)
+        yhat, _ = predict(model, dataset, [r[split.train] for r in reps])
         realized = float(np.mean(margin_loss(
-            yhat[split.train], dataset.labels[split.train], delta)))
+            yhat, dataset.labels[split.train], delta)))
         section = {
             "gammas": gammas,
             "gamma_total": gamma_total,
@@ -358,7 +359,6 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
         report["optimization"] = section
 
     # complexity section: one entry per stage
-    reps = stage_representations(model, dataset)
     entries = []
     chain = []
     for idx, (stage, rep) in enumerate(zip(model.stages, reps)):

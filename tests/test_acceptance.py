@@ -15,7 +15,8 @@ import pytest
 from graphboost.aggregate import Kta, _alignment_value_grad
 from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
                               SammeConfig, _stack_forward, _stack_gradients,
-                              predict, run_functional_gb, run_samme,
+                              _stack_replay, _train_loss, predict,
+                              run_functional_gb, run_samme,
                               weighted_error_form, wlc_fit, write_trace_csv)
 from graphboost.cli import cmd_curves
 from graphboost.data import load_planetoid, one_hot, synthesize_two_block
@@ -301,12 +302,14 @@ def test_criterion_8_gradient_integrity():
     tr = ds.split.train
 
     def stack_loss(m):
-        s, *_ = _stack_forward(m, ds)
-        return float(np.mean(softmax_ce(s[tr], ds.labels[tr], m.clip)))
+        s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
+        return float(np.mean(softmax_ce(s, ds.labels[tr], m.clip)))
 
-    score, caches, curs, logits = _stack_forward(model, ds)
-    mlp_grads, kta_grads = _stack_gradients(model, ds, score, caches, curs,
-                                            logits)
+    inputs, chain = _stack_replay(model, ds, tr)
+    score, caches, logits = _stack_forward(model, inputs)
+    _, dscore = _train_loss(model, score, ds.labels[tr])
+    mlp_grads, kta_grads = _stack_gradients(model, ds, dscore, caches,
+                                            logits, chain)
     worst_stack = 0.0
     for si, stage in enumerate(model.stages):
         for li, w in enumerate(stage.learner.weights):

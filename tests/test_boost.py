@@ -395,8 +395,8 @@ class TestSammeRuns:
                           learner=TrainConfig(epochs=30, seed=12), seed=13)
         model, _ = run_samme_r(ds, cfg)
         scores = replay_scores(model, ds)
-        from graphboost.boost import _replay
-        outputs = _replay(model, ds)
+        from graphboost.boost import _replay, stage_representations
+        outputs = _replay(model, stage_representations(model, ds))
         logit_diff = sum(out[:, 1] - out[:, 0] for out in outputs)
         score_diff = scores[-1][:, 1] - scores[-1][:, 0]
         assert np.allclose(score_diff, logit_diff, atol=1e-8)
@@ -418,6 +418,43 @@ class TestSerialization:
         s1 = replay_scores(model, ds)[-1]
         s2 = replay_scores(rebuilt, ds)[-1]
         assert s1.tobytes() == s2.tobytes()
+
+    def test_saved_bytes_unchanged(self, tmp_path):
+        from graphboost.boost import save_model
+        from graphboost.graph import augmented_adjacency
+        from graphboost.mlp import MlpParams
+        ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
+        op = augmented_adjacency(ds.graph)
+        first = MlpParams(weights=[np.array(
+            [[0.5, -1.25], [0.1, 2.0], [1e-17, 1.0 / 3.0]])], head="argmax")
+        second = MlpParams(weights=[np.array([[1.5], [-0.2], [0.0]]),
+                                    np.array([[2.0 ** -30]])],
+                           activation="sigmoid", bias=False)
+        model = EnsembleModel(
+            mode="samme", n_classes=2, aggregator_kind="kta",
+            flags={"skipped": [3]},
+            stages=[StageRecord(None, first, 0.75),
+                    StageRecord(Kta(op, np.array(
+                        [1.0, 0.5, 0.25, 0.125, 1.0 / 7.0])), second, 1.5,
+                        WlcParams(alpha=2.0, beta=0.5)),
+                    StageRecord(Kta(op, np.ones(5)), None, 0.0)])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_text() == (
+            '{"mode": "samme", "n_classes": 2, "t_star": null, '
+            '"base": "augmented", "aggregator_kind": "kta", "clip": 1e-07, '
+            '"flags": {"skipped": [3]}, "stages": [{"aggregator": null, '
+            '"weight": 0.75, "wlc": null, "learner": {"shapes": [[3, 2]], '
+            '"weights": [[0.5, -1.25, 0.1, 2.0, 1e-17, 0.3333333333333333]]'
+            ', "activation": "relu", "head": "argmax", "bias": true}}, '
+            '{"aggregator": {"kind": "kta", "weights": [1.0, 0.5, 0.25, '
+            '0.125, 0.14285714285714285], "n_deg": 3}, "weight": 1.5, '
+            '"wlc": {"alpha": 2.0, "beta": 0.5}, "learner": {"shapes": '
+            '[[3, 1], [1, 1]], "weights": [[1.5, -0.2, 0.0], '
+            '[9.313225746154785e-10]], "activation": "sigmoid", '
+            '"head": "identity", "bias": false}}, {"aggregator": {"kind": '
+            '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
+            '"weight": 0.0, "wlc": null, "learner": null}]}')
 
     def test_trace_csv_round_trip(self, tmp_path):
         ds = synthesize_two_block(16, 0.8, 0.1, seed=3)
@@ -464,13 +501,13 @@ class TestFineTune:
         model, _ = run_samme(ds, SammeConfig(
             n_rounds=3, hidden=(6,), learner=TrainConfig(epochs=3, seed=6),
             seed=7))
-        from graphboost.boost import _stack_forward
+        from graphboost.boost import _stack_forward, _stack_replay
         from graphboost.losses import softmax_ce
         tr = ds.split.train
 
         def loss(m):
-            s, *_ = _stack_forward(m, ds)
-            return float(np.mean(softmax_ce(s[tr], ds.labels[tr], m.clip)))
+            s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
+            return float(np.mean(softmax_ce(s, ds.labels[tr], m.clip)))
 
         before = loss(model)
         tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=30, lr=1e-2))
@@ -479,7 +516,8 @@ class TestFineTune:
     def test_samme_r_stack_gradient_matches_fd(self):
         # the probability-head path has its own logits chain (clipped
         # log-softmax); check it end to end
-        from graphboost.boost import _stack_forward, _stack_gradients
+        from graphboost.boost import (_stack_forward, _stack_gradients,
+                                      _stack_replay, _train_loss)
         from graphboost.losses import softmax_ce
         ds = synthesize_two_block(10, 0.8, 0.1, seed=20, noise=0.5)
         model, _ = run_samme_r(ds, SammeConfig(
@@ -488,12 +526,14 @@ class TestFineTune:
         tr = ds.split.train
 
         def loss_of(m):
-            s, *_ = _stack_forward(m, ds)
-            return float(np.mean(softmax_ce(s[tr], ds.labels[tr], m.clip)))
+            s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
+            return float(np.mean(softmax_ce(s, ds.labels[tr], m.clip)))
 
-        score, caches, curs, logits = _stack_forward(model, ds)
-        mlp_grads, _ = _stack_gradients(model, ds, score, caches, curs,
-                                        logits)
+        inputs, chain = _stack_replay(model, ds, tr)
+        score, caches, logits = _stack_forward(model, inputs)
+        _, dscore = _train_loss(model, score, ds.labels[tr])
+        mlp_grads, _ = _stack_gradients(model, ds, dscore, caches, logits,
+                                        chain)
         eps = 1e-6
         for si, stage in enumerate(model.stages):
             for li, w in enumerate(stage.learner.weights):
@@ -506,6 +546,19 @@ class TestFineTune:
                     fd = (plus - minus) / (2 * eps)
                     an = mlp_grads[si][li][idx]
                     assert abs(an - fd) <= 1e-4 * max(abs(fd), 1e-6)
+
+    def test_divergence_leaves_input_untouched(self):
+        ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
+        model, _ = run_samme(ds, SammeConfig(
+            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=5, seed=1),
+            seed=2))
+        model.stages[0].learner.weights[0][0, 0] = np.nan
+        flags = dict(model.flags)
+        tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=2))
+        assert model.flags == flags
+        assert tuned is not model
+        assert tuned.flags == {**flags, "fine_tune_diverged": True}
+        assert info["train_err"][0] == info["train_err"][1]
 
     def test_kta_weights_actually_move(self):
         # needs an imperfectly fitted model: a saturated ensemble has
@@ -522,6 +575,138 @@ class TestFineTune:
                      if isinstance(st.aggregator, Kta)]
         assert kta_before and any(
             not np.allclose(a, b) for a, b in zip(kta_before, kta_after))
+
+
+def full_graph_sgd(model, ds, epochs, lr):
+    """Reference fine-tune: plain SGD on the softened train loss with every
+    learner on all N rows, the adjoint of the representation chain carried
+    through every stage, and the KTA weight gradients taken against the
+    power basis of each stage's input."""
+    from graphboost.aggregate import Kta
+    from graphboost.boost import (StageRecord, samme_r_contribution,
+                                  stage_representations)
+    from graphboost.losses import (multiclass_surrogate_grad, softmax,
+                                   surrogate_grad)
+    from graphboost.mlp import backward
+
+    stages = [StageRecord(st.aggregator,
+                          st.learner.copy() if st.learner else None,
+                          st.weight) for st in model.stages]
+    work = EnsembleModel(mode=model.mode, n_classes=model.n_classes,
+                         stages=stages, t_star=model.t_star,
+                         aggregator_kind=model.aggregator_kind,
+                         clip=model.clip)
+    k = model.n_classes
+    for _ in range(epochs):
+        reps = stage_representations(work, ds)
+        outs, caches = [], []
+        score = 0.0
+        for st, rep in zip(work.stages, reps):
+            out, cache = (forward(st.learner, rep) if st.learner
+                          else (None, None))
+            outs.append(out)
+            caches.append(cache)
+            if out is None:
+                continue
+            if work.mode == "functional":
+                score = score + st.weight * out[:, 0]
+            elif work.mode == "samme":
+                score = score + st.weight * softmax(out)
+            else:
+                score = score + samme_r_contribution(
+                    np.log(np.clip(softmax(out), work.clip, 1.0)))
+        if work.mode == "functional":
+            dscore = surrogate_grad(score, ds.labels, ds.split)
+        else:
+            dscore = multiclass_surrogate_grad(score, ds.labels, ds.split)
+        adjoint = [np.zeros((ds.n, ds.n_features)) for _ in reps]
+        updates = []
+        for s, (st, out) in enumerate(zip(work.stages, outs)):
+            if out is None:
+                continue
+            if work.mode == "functional":
+                dlogits = st.weight * dscore[:, None]
+            elif work.mode == "samme":
+                p = softmax(out)
+                dlogits = st.weight * p * (
+                    dscore - (dscore * p).sum(axis=1, keepdims=True))
+            else:
+                p = softmax(out)
+                dlogp = (k - 1.0) * (dscore
+                                     - dscore.mean(axis=1, keepdims=True))
+                dlogp[p < work.clip] = 0.0
+                dlogits = dlogp - p * dlogp.sum(axis=1, keepdims=True)
+            grads, dx = backward(st.learner, caches[s], dlogits)
+            updates += list(zip(st.learner.weights, grads))
+            adjoint[s] += dx[:, :ds.n_features]
+        for s in range(len(work.stages) - 1, 0, -1):
+            agg = work.stages[s].aggregator
+            if not isinstance(agg, Kta):
+                continue
+            basis = agg.basis(reps[s - 1])
+            grad = np.array([np.vdot(adjoint[s], b) for b in basis])
+            # the stage's aggregation as a dense matrix
+            p = agg.operator.apply(np.eye(ds.n))
+            a = agg.weights[0] * np.eye(ds.n) + sum(
+                w * np.linalg.matrix_power(p, 2 ** kk)
+                for kk, w in enumerate(agg.weights[1:]))
+            adjoint[s - 1] += a.T @ adjoint[s]
+            work.stages[s].aggregator = Kta(agg.operator,
+                                            agg.weights - lr * grad,
+                                            agg.n_deg)
+        for w, g in updates:
+            w -= lr * g
+    return work
+
+
+class TestFineTuneEquivalence:
+    """Fine-tuning on the train and validation rows gives the weights of a
+    full-graph reference, and the errors ``predict`` gives."""
+
+    @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
+    @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
+    def test_matches_full_graph_sgd(self, kind, mode):
+        from graphboost.data import NodeDataset, Split
+        base = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
+        ids = np.random.default_rng(0).permutation(base.n)
+        ds = NodeDataset(graph=base.graph, features=base.features,
+                         labels=base.labels, n_classes=2,
+                         split=Split(train=ids[:14], val=ids[14:24],
+                                     test=ids[24:]))
+        spec = AggregatorSpec(kind=kind)
+        learner = TrainConfig(epochs=4, seed=9)
+        if mode == "functional":
+            model, _ = run_functional_gb(ds, FunctionalGBConfig(
+                n_rounds=2, hidden=(6,), learner=learner, aggregator=spec,
+                seed=10))
+        else:
+            runner = run_samme if mode == "samme" else run_samme_r
+            model, _ = runner(ds, SammeConfig(
+                n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
+                seed=10))
+        epochs, lr = 3, 0.05
+        tuned, info = fine_tune(model, ds, FineTuneConfig(
+            epochs=epochs, optimizer="sgd", lr=lr))
+        ref = full_graph_sgd(model, ds, epochs, lr)
+
+        moved = 0.0
+        for orig, got, want in zip(model.stages, tuned.stages, ref.stages):
+            if got.learner:
+                for a, b, c in zip(orig.learner.weights, got.learner.weights,
+                                   want.learner.weights):
+                    np.testing.assert_allclose(b, c, rtol=0, atol=1e-12)
+                    moved = max(moved, float(np.abs(b - a).max()))
+            if isinstance(got.aggregator, Kta):
+                np.testing.assert_allclose(got.aggregator.weights,
+                                           want.aggregator.weights,
+                                           rtol=0, atol=1e-12)
+        assert moved > 1e-6
+
+        tr, va = ds.split.train, ds.split.val
+        for i, m in enumerate((model, tuned)):
+            _, classes = predict(m, ds)
+            assert info["train_err"][i] == np.mean(classes[tr] != ds.labels[tr])
+            assert info["val_err"][i] == np.mean(classes[va] != ds.labels[va])
 
 
 class TestPredict:

@@ -154,6 +154,23 @@ class TestTheoryCommand:
                             out_dir=str(run / "seed_1"))
         assert "optimization" in report
 
+    def test_theory_reads_features_as_trained(self, dataset_dir, tmp_path):
+        # the run trains on raw features (normalize_features: False); the
+        # spectral report at t = 0 is ||X||_F of the features theory loaded
+        from graphboost.data import load_planetoid
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        run = tmp_path / "run"
+        cmd_train(str(cfg_path), str(run))
+        cmd_theory(str(run / "seed_0" / "model.json"), dataset_dir,
+                   out_dir=str(run / "seed_0"))
+        rows = (run / "seed_0" / "spectral.csv").read_text().splitlines()
+        frob_0 = float(rows[1].split(",")[1])
+        raw = load_planetoid(dataset_dir, normalize=False).features
+        normalized = load_planetoid(dataset_dir).features
+        assert frob_0 == pytest.approx(np.linalg.norm(raw), rel=1e-12)
+        assert frob_0 != pytest.approx(np.linalg.norm(normalized), rel=1e-3)
+
     def test_spectral_skipped_above_cap(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))

@@ -128,6 +128,18 @@ class TestBackward:
             fd = (plus - minus) / (2 * eps)
             assert abs(dx[idx] - fd) < 1e-6 * max(abs(fd), 1.0)
 
+    @pytest.mark.parametrize("widths", [(3, 2), (3, 5, 2), (3, 5, 4, 2)])
+    def test_input_gradient_opt_out(self, widths):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((4, 3))
+        p = init_mlp(widths, seed=15)
+        out, cache = forward(p, x)
+        upstream = rng.standard_normal(out.shape)
+        full, _ = backward(p, cache, upstream)
+        grads, dx = backward(p, cache, upstream, input_grad=False)
+        assert dx is None
+        assert all(np.array_equal(a, b) for a, b in zip(full, grads))
+
 
 class TestFitToGradient:
     def test_zero_target_zero_init_stays_zero(self):
