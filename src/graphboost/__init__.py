@@ -2,8 +2,8 @@
 classification, with online weak-learning diagnostics and every matching
 optimization, complexity, and generalization bound."""
 
-from .aggregate import (AlignmentConfig, FixedMatrix, InputInjection, Kta,
-                        alignment, apply, fit_kta, gram)
+from .aggregate import (AlignmentConfig, Polynomial, alignment, fit_kta,
+                        fixed, gram, injection, kta)
 from .boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
                     FunctionalGBConfig, SammeConfig, StageRecord, WlcParams,
                     fine_tune, load_model, model_from_json, model_to_json,
@@ -11,12 +11,12 @@ from .boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
                     run_samme_r, save_model, stage_representations,
                     weighted_error_form, wlc_check, wlc_fit)
 from .data import (DataError, NodeDataset, Split, export_dataset,
-                   load_planetoid, one_hot, random_partition, row_normalize,
-                   synthesize_two_block)
+                   load_planetoid, one_hot, partition_constants,
+                   random_partition, row_normalize, synthesize_two_block)
 from .graph import (ConvergenceError, GraphError, PropagationMatrix,
                     SparseGraph, SpectralData, augmented_adjacency,
-                    eigendecompose, identity_operator, normalized_adjacency,
-                    operator_norm, propagate, read_edge_list)
+                    base_operator, eigendecompose, normalized_adjacency,
+                    operator_norm, read_edge_list)
 from .losses import (errors, margin_loss, multiclass_surrogate_grad, sigmoid,
                      sigmoid_ce, softmax, softmax_ce, surrogate_grad)
 from .mlp import (MlpParams, TrainConfig, TrainingDiverged, backward,

@@ -1,11 +1,12 @@
 """Node-aggregation function families and alignment-based selection.
 
-Three kinds: multiplication by a fixed operator, lazy input injection
-(rho * P x + (1 - rho) * x_init), and a learnable polynomial-in-powers model
-whose weights are trained by gradient ascent on the kernel target alignment
-between the training-block Gram matrix of the aggregated features and the
-Gram matrix of one-hot labels. All three are linear in the current
-representation.
+Every aggregator is a polynomial in one operator P plus an injected x0
+term. Three families are built from it: multiplication by P, input
+injection (rho * P x + (1 - rho) * x_init), and KTA, a learnable polynomial
+in the powers P^{2^k} whose weights are trained by gradient ascent on the
+kernel target alignment between the training-block Gram matrix of the
+aggregated features and the Gram matrix of one-hot labels. All three are
+linear in the current representation.
 """
 
 from __future__ import annotations
@@ -33,74 +34,102 @@ class AlignmentConfig:
 
 
 @dataclass(frozen=True)
-class FixedMatrix:
-    operator: PropagationMatrix
+class Polynomial:
+    """x -> sum_i coefs[i] P^{powers[i]} x + inject * x0 over one operator P.
 
-    def apply(self, x_t, x_initial=None):
-        return self.operator.apply(x_t)
-
-
-@dataclass(frozen=True)
-class InputInjection:
-    rho: float
-    operator: PropagationMatrix
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
-
-    def apply(self, x_t, x_initial=None):
-        if x_initial is None:
-            raise ValueError("input injection needs the initial features")
-        return self.rho * self.operator.apply(x_t) + (1.0 - self.rho) * x_initial
-
-
-@dataclass(frozen=True)
-class Kta:
-    """x -> w x + sum_k w_k P^{2^k} x with N_deg + 2 learnable weights.
-
-    ``weights[0]`` multiplies the identity term; ``weights[1 + k]``
-    multiplies the 2^k-th power, k = 0..n_deg.
+    ``powers`` strictly ascend; x0 is the chain's initial features. Every
+    operation is built on the cumulative power generator ``terms``.
     """
 
     operator: PropagationMatrix
-    weights: np.ndarray
-    n_deg: int = DEFAULT_N_DEG
+    powers: tuple
+    coefs: object  # sequence of floats; KTA holds a trainable array
+    inject: float = 0.0
 
     def __post_init__(self):
-        if len(self.weights) != self.n_deg + 2:
+        if len(self.coefs) != len(self.powers):
             raise ValueError(
-                f"need {self.n_deg + 2} weights, got {len(self.weights)}"
+                f"need {len(self.powers)} coefficients, got {len(self.coefs)}"
             )
+        if any(a >= b for a, b in zip(self.powers, self.powers[1:])):
+            raise ValueError("powers must strictly ascend")
 
-    @classmethod
-    def initial(cls, operator, n_deg=DEFAULT_N_DEG):
-        # weights start at 1 by protocol
-        return cls(operator=operator, weights=np.ones(n_deg + 2), n_deg=n_deg)
-
-    def basis(self, x):
-        """[x, P x, P^2 x, P^4 x, ...] via cumulative sparse matvecs."""
-        outs = [np.asarray(x, dtype=float)]
-        cur = outs[0]
+    def terms(self, x, transpose=False):
+        """Yield P^p x (or (P^T)^p x) for each power p, by repeated
+        sparse matvec."""
+        step = (self.operator.apply_transpose if transpose
+                else self.operator.apply)
         reached = 0
-        for k in range(self.n_deg + 1):
-            target = 2 ** k
-            for _ in range(target - reached):
-                cur = self.operator.apply(cur)
-            reached = target
-            outs.append(cur)
-        return outs
+        for p in self.powers:
+            for _ in range(p - reached):
+                x = step(x)
+            reached = p
+            yield x
 
-    def apply(self, x_t, x_initial=None):
-        outs = self.basis(x_t)
-        acc = self.weights[0] * outs[0]
-        for k in range(self.n_deg + 1):
-            acc = acc + self.weights[1 + k] * outs[1 + k]
+    def _combine(self, terms):
+        """sum_i coefs[i] terms[i] with no more arrays than the sum needs:
+        a unit coefficient is skipped, which is exact, and a term nothing
+        else reads (a product just made, or the last power when positive)
+        takes the product and the running sum in place."""
+        acc, last = None, len(self.powers) - 1
+        for i, (c, term) in enumerate(zip(self.coefs, terms)):
+            owned = i == last and self.powers[i] > 0
+            if c != 1.0:
+                term = np.multiply(c, term, out=term if owned else None)
+                owned = True
+            if acc is not None:
+                term = np.add(acc, term, out=term if owned else None)
+            acc = term
         return acc
 
+    def linear(self, x, transpose=False):
+        """The homogeneous part sum_i coefs[i] P^{powers[i]} x (or its
+        transpose)."""
+        return self._combine(self.terms(x, transpose))
 
-def apply(aggregator, x_t, x_initial=None):
-    return aggregator.apply(x_t, x_initial)
+    def apply(self, x, x0=None):
+        if not self.inject:
+            return self.linear(x)
+        if x0 is None:
+            raise ValueError("input injection needs the initial features")
+        # one expression, so that numpy adds into the fresh linear part
+        return self.linear(x) + self.inject * x0
+
+    def pullback(self, d, x):
+        """Adjoint of the linear part at ``d``, and the gradient of
+        <d, linear(x)> in the coefficients, <(P^T)^p d, x>, from the same
+        transposed powers."""
+        grad = []
+
+        def dotted(terms):
+            for term in terms:
+                grad.append(float(np.vdot(term, x)))
+                yield term
+        adjoint = self._combine(dotted(self.terms(d, transpose=True)))
+        return adjoint, np.array(grad)
+
+
+def fixed(operator):
+    """x -> P x."""
+    return Polynomial(operator, (1,), (1.0,))
+
+
+def injection(operator, rho):
+    """x -> rho P x + (1 - rho) x0."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    return Polynomial(operator, (1,), (rho,), inject=1.0 - rho)
+
+
+def kta(operator, n_deg=DEFAULT_N_DEG, weights=None):
+    """x -> w_0 x + sum_k w_{k+1} P^{2^k} x, k = 0..n_deg; the weights
+    start at 1 by protocol."""
+    if n_deg < 0:
+        raise ValueError("n_deg must be >= 0")
+    powers = (0,) + tuple(2 ** k for k in range(n_deg + 1))
+    if weights is None:
+        weights = np.ones(len(powers))
+    return Polynomial(operator, powers, np.asarray(weights, dtype=float))
 
 
 def gram(z, train_ids):
@@ -146,7 +175,7 @@ def _alignment_value_grad(basis_train, theta, k_target, eps=ALIGNMENT_EPS):
     return rho, grad
 
 
-def fit_kta(aggregator: Kta, x_t, labels_onehot_train, train_ids,
+def fit_kta(aggregator: Polynomial, x_t, labels_onehot_train, train_ids,
             cfg: AlignmentConfig):
     """Gradient ascent on the alignment between the aggregated features and
     the one-hot label Gram matrix; only train-restricted labels enter.
@@ -157,10 +186,9 @@ def fit_kta(aggregator: Kta, x_t, labels_onehot_train, train_ids,
     y = np.asarray(labels_onehot_train, dtype=float)
     if y.shape[0] != len(train_ids):
         raise ValueError("labels must be restricted to the train rows")
-    basis = aggregator.basis(x_t)
-    basis_train = [b[train_ids] for b in basis]
+    basis_train = [b[train_ids] for b in aggregator.terms(x_t)]
     k_target = y @ y.T
-    theta = aggregator.weights.astype(float).copy()
+    theta = aggregator.coefs.astype(float).copy()
     opt = _Optimizer(
         TrainConfig(epochs=1, optimizer=cfg.optimizer, lr=cfg.lr,
                     weight_decay=0.0),
@@ -171,4 +199,4 @@ def fit_kta(aggregator: Kta, x_t, labels_onehot_train, train_ids,
         rho, grad = _alignment_value_grad(basis_train, theta, k_target)
         opt.step([theta], [-grad])  # ascent
     rho_final, _ = _alignment_value_grad(basis_train, theta, k_target)
-    return replace(aggregator, weights=theta), float(rho_final)
+    return replace(aggregator, coefs=theta), float(rho_final)

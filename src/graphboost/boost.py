@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import aggregate as agg_mod
-from .aggregate import AlignmentConfig, FixedMatrix, InputInjection, Kta
+from .aggregate import AlignmentConfig, Polynomial
 from .data import NodeDataset, one_hot
-from .graph import augmented_adjacency, normalized_adjacency
+from .graph import base_operator
 from .losses import (DEFAULT_CLIP, errors, multiclass_surrogate_grad,
                      sigmoid, sigmoid_ce, softmax, softmax_ce,
                      surrogate_grad)
@@ -127,7 +127,7 @@ def weighted_error_form(z, g):
 
 @dataclass
 class StageRecord:
-    aggregator: object | None      # None at the first stage
+    aggregator: Polynomial | None  # None at the first stage
     learner: MlpParams | None      # None marks a skipped round
     weight: float                  # eta (functional) / lambda (SAMME)
     wlc: WlcParams | None = None
@@ -154,13 +154,6 @@ class AggregatorSpec:
     rho: float = 0.5
     n_deg: int = 3
     alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
-
-    def build_operator(self, graph):
-        if self.base == "augmented":
-            return augmented_adjacency(graph)
-        if self.base == "normalized":
-            return normalized_adjacency(graph)
-        raise ValueError(f"unknown base operator '{self.base}'")
 
 
 @dataclass
@@ -220,20 +213,20 @@ class _RepState:
         return self.current[rows]
 
     def advance(self, aggregator):
-        self.current = aggregator.apply(self.current, x_initial=self.original)
+        self.current = aggregator.apply(self.current, self.original)
 
 
 def _make_stage_aggregator(spec: AggregatorSpec, operator, state, dataset,
                            cfg_alignment=None):
     """Instantiate (and for the learnable family, fit) a stage aggregator."""
     if spec.kind == "fixed":
-        return FixedMatrix(operator)
+        return agg_mod.fixed(operator)
     if spec.kind == "input_injection":
-        return InputInjection(rho=spec.rho, operator=operator)
+        return agg_mod.injection(operator, spec.rho)
     if spec.kind == "kta":
         y_tr = one_hot(dataset.labels[dataset.split.train], dataset.n_classes)
         fitted, _ = agg_mod.fit_kta(
-            Kta.initial(operator, n_deg=spec.n_deg), state.current, y_tr,
+            agg_mod.kta(operator, spec.n_deg), state.current, y_tr,
             dataset.split.train, cfg_alignment or spec.alignment)
         return fitted
     raise ValueError(f"unknown aggregator kind '{spec.kind}'")
@@ -268,7 +261,7 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
     m = split.m
     rng = np.random.default_rng(cfg.seed)
     injected = cfg.aggregator.kind == "input_injection"
-    operator = cfg.aggregator.build_operator(dataset.graph)
+    operator = base_operator(dataset.graph, cfg.aggregator.base)
     state = _RepState(dataset.features, injected)
 
     def learner_cfg():
@@ -380,7 +373,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
         raise ValueError("need at least two classes")
     rng = np.random.default_rng(cfg.seed)
     injected = cfg.aggregator.kind == "input_injection"
-    operator = cfg.aggregator.build_operator(dataset.graph)
+    operator = base_operator(dataset.graph, cfg.aggregator.base)
     state = _RepState(dataset.features, injected)
     widths = _learner_widths(state.learner_input().shape[1], cfg.hidden, k)
 
@@ -575,7 +568,7 @@ def _stack_replay(model, dataset, rows):
     ``rows`` and, for chains with learnable aggregation, the full-length
     learner inputs (KTA chains carry no injected channels, so these are the
     representations the pullback pairs with), else None."""
-    if not any(isinstance(st.aggregator, Kta) for st in model.stages):
+    if model.aggregator_kind != "kta":
         return stage_representations(model, dataset, rows), None
     chain = stage_representations(model, dataset)
     return [rep[rows] for rep in chain], chain
@@ -606,21 +599,6 @@ def _train_loss(model, score, y_train):
     dscore = softmax(score)
     dscore[np.arange(m), y_train] -= 1.0
     return loss, dscore / m
-
-
-def _kta_pullback(aggregator: Kta, d, x):
-    """Adjoint of x -> aggregator.apply(x) at ``d``, and the gradient of
-    <d, aggregator.apply(x)> in the aggregation weights, taken as
-    <(P^T)^{2^k} d, x> from the same transposed powers."""
-    acc = aggregator.weights[0] * d
-    grad = [float(np.vdot(d, x))]
-    cur = d
-    for kk in range(aggregator.n_deg + 1):
-        for _ in range(max(1, 2 ** (kk - 1))):  # power 2^(k-1) -> 2^k
-            cur = aggregator.operator.apply_transpose(cur)
-        acc = acc + aggregator.weights[1 + kk] * cur
-        grad.append(float(np.vdot(cur, x)))
-    return acc, np.array(grad)
 
 
 def _stack_gradients(model, dataset, dscore, caches, logits_list,
@@ -665,8 +643,8 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     for s in range(len(model.stages) - 1, 0, -1):
         if dxs[s] is not None:
             d[train] += dxs[s]
-        d, kta_grads[s] = _kta_pullback(model.stages[s].aggregator, d,
-                                        chain[s - 1])
+        d, kta_grads[s] = model.stages[s].aggregator.pullback(d,
+                                                              chain[s - 1])
     return mlp_grads, kta_grads
 
 
@@ -701,21 +679,18 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     if cfg.epochs == 0:
         return model, report(before)
 
-    def own(st):
-        # the copied KTA weight arrays are trained in place
-        agg = st.aggregator
-        if isinstance(agg, Kta):
-            agg = replace(agg, weights=agg.weights.astype(float))
-        return replace(st, aggregator=agg,
-                       learner=st.learner.copy() if st.learner else None)
-
-    work = replace(model, stages=[own(st) for st in model.stages],
-                   flags=dict(model.flags))
-    kta_ids = [s for s, st in enumerate(work.stages)
-               if isinstance(st.aggregator, Kta)]
+    work = replace(model, flags=dict(model.flags), stages=[
+        replace(st, learner=st.learner.copy() if st.learner else None)
+        for st in model.stages])
+    kta_ids = (range(1, len(work.stages)) if work.aggregator_kind == "kta"
+               else ())
+    for s in kta_ids:
+        # the copied KTA coefficient arrays are trained in place
+        agg = work.stages[s].aggregator
+        work.stages[s].aggregator = replace(agg, coefs=agg.coefs.astype(float))
     params = [w for st in work.stages if st.learner
               for w in st.learner.weights]
-    params += [work.stages[s].aggregator.weights for s in kta_ids]
+    params += [work.stages[s].aggregator.coefs for s in kta_ids]
     opt = _Optimizer(TrainConfig(epochs=1, optimizer=cfg.optimizer,
                                  lr=cfg.lr, momentum=cfg.momentum,
                                  weight_decay=cfg.weight_decay),
@@ -742,29 +717,28 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _aggregator_to_json(aggregator):
+def _aggregator_to_json(aggregator, kind):
     if aggregator is None:
         return None
-    if isinstance(aggregator, FixedMatrix):
-        return {"kind": "fixed"}
-    if isinstance(aggregator, InputInjection):
-        return {"kind": "input_injection", "rho": aggregator.rho}
-    if isinstance(aggregator, Kta):
-        return {"kind": "kta", "weights": aggregator.weights.tolist(),
-                "n_deg": aggregator.n_deg}
-    raise TypeError(f"unknown aggregator {type(aggregator)}")
+    if kind == "fixed":
+        return {"kind": kind}
+    if kind == "input_injection":
+        return {"kind": kind, "rho": aggregator.coefs[0]}
+    if kind == "kta":
+        return {"kind": kind, "weights": aggregator.coefs.tolist(),
+                "n_deg": len(aggregator.powers) - 2}
+    raise ValueError(f"unknown aggregator kind {kind}")
 
 
 def _aggregator_from_json(blob, operator):
     if blob is None:
         return None
     if blob["kind"] == "fixed":
-        return FixedMatrix(operator)
+        return agg_mod.fixed(operator)
     if blob["kind"] == "input_injection":
-        return InputInjection(rho=blob["rho"], operator=operator)
+        return agg_mod.injection(operator, blob["rho"])
     if blob["kind"] == "kta":
-        return Kta(operator=operator, weights=np.asarray(blob["weights"]),
-                   n_deg=blob["n_deg"])
+        return agg_mod.kta(operator, blob["n_deg"], blob["weights"])
     raise ValueError(f"unknown aggregator kind {blob['kind']}")
 
 
@@ -781,7 +755,8 @@ def model_to_json(model: EnsembleModel) -> dict:
         "flags": model.flags,
         "stages": [
             {
-                "aggregator": _aggregator_to_json(st.aggregator),
+                "aggregator": _aggregator_to_json(st.aggregator,
+                                                  model.aggregator_kind),
                 "weight": st.weight,
                 "wlc": ({"alpha": st.wlc.alpha, "beta": st.wlc.beta}
                         if st.wlc else None),
@@ -801,8 +776,7 @@ def model_to_json(model: EnsembleModel) -> dict:
 
 def model_from_json(blob: dict, graph) -> EnsembleModel:
     base = blob["base"]
-    operator = (augmented_adjacency(graph) if base == "augmented"
-                else normalized_adjacency(graph))
+    operator = base_operator(graph, base)
     stages = []
     for st in blob["stages"]:
         lrn = st["learner"]

@@ -24,8 +24,7 @@ from .boost import (AggregatorSpec, FineTuneConfig, FunctionalGBConfig,
                     read_trace_csv, run_functional_gb, run_samme,
                     run_samme_r, save_model, write_trace_csv)
 from .data import DataError, load_planetoid
-from .graph import (DENSE_EIGEN_CAP, ConvergenceError, augmented_adjacency,
-                    normalized_adjacency)
+from .graph import DENSE_EIGEN_CAP, ConvergenceError, base_operator
 from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
@@ -66,6 +65,12 @@ class ExperimentConfig:
             raise ConfigError(f"mode: unknown boosting mode '{self.mode}'")
         if not 0 <= self.hidden_layers <= 4:
             raise ConfigError("hidden_layers: must be in 0..4")
+        if self.hidden_width < 1:
+            raise ConfigError("hidden_width: must be >= 1")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ConfigError("rho: must lie in [0, 1]")
+        if self.n_deg < 0:
+            raise ConfigError("n_deg: must be >= 0")
         if self.base not in ("augmented", "normalized"):
             raise ConfigError(f"base: unknown operator '{self.base}'")
         if self.n_rounds < 1:
@@ -227,9 +232,7 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     report = build_theory_report(model, trace, dataset, c0=c0,
                                  delta_prime=delta_prime, delta=delta)
 
-    operator = (augmented_adjacency(dataset.graph)
-                if model.base == "augmented"
-                else normalized_adjacency(dataset.graph))
+    operator = base_operator(dataset.graph, model.base)
     if dataset.n <= eigen_cap:
         trajectory = smoothing_report(operator, dataset.features,
                                       t_max=min(32, 2 * len(model.stages)),

@@ -53,22 +53,26 @@ class Split:
 
     @property
     def q(self):
-        # Q = 1/M + 1/U
-        return 1.0 / self.m + 1.0 / self.u
+        return partition_constants(self.m, self.u)[0]
 
     @property
     def s(self):
-        # S = 4(M+U)(M u U) / ((2(M+U)-1)(2(M u U)-1)), u = min; close to 1
-        # for large balanced splits
-        m, u = self.m, self.u
-        lo = min(m, u)
-        return 4.0 * (m + u) * lo / ((2.0 * (m + u) - 1.0) * (2.0 * lo - 1.0))
+        return partition_constants(self.m, self.u)[1]
 
     @property
     def p0(self):
-        # canonical three-valued sign probability M*U/(M+U)^2
-        m, u = self.m, self.u
-        return m * u / float(m + u) ** 2
+        return partition_constants(self.m, self.u)[2]
+
+
+def partition_constants(m, u):
+    """(Q, S, p0) of a random M/U partition: Q = 1/M + 1/U;
+    S = 4(M+U) min(M,U) / ((2(M+U)-1)(2 min(M,U)-1)), close to 1 for large
+    balanced splits; p0 = M U / (M+U)^2, the canonical three-valued sign
+    probability."""
+    lo = min(m, u)
+    return (1.0 / m + 1.0 / u,
+            4.0 * (m + u) * lo / ((2.0 * (m + u) - 1.0) * (2.0 * lo - 1.0)),
+            m * u / float(m + u) ** 2)
 
 
 @dataclass(frozen=True)
@@ -188,10 +192,17 @@ def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
 
     split = Split(train=split_raw["train"], val=split_raw.get("val", []),
                   test=split_raw["test"])
+    if not (split.m and split.u):
+        raise DataError("train and test splits must be non-empty")
     for part in ("train", "val", "test"):
         ids = getattr(split, part)
+        if ids.size and (ids.min() < 0 or ids.max() >= meta["n"]):
+            raise DataError(f"{part} split has node ids outside "
+                            f"[0, {meta['n']})")
         if ids.size and np.any(labels[ids] < 0):
             raise DataError(f"{part} split contains unlabeled nodes")
+    if not np.all(np.isfinite(features)):
+        raise DataError("features contain non-finite values")
     if normalize:
         features = row_normalize(features)
     return NodeDataset(graph=graph, features=features, labels=labels,

@@ -1,14 +1,15 @@
 """Undirected graphs and the node-mixing linear operators built on them.
 
-Operators are kept sparse; products of operators are stored as lazy factor
-lists and applied by repeated sparse matvec, never materialized densely.
-Spectral analysis (used by the over-smoothing diagnostics) densifies the
-operator, so it is gated behind a configurable size cap.
+An operator is one sparse matrix P; powers and polynomials of it are
+applied by repeated sparse matvec (see ``aggregate.Polynomial``), never
+materialized densely. Spectral analysis (used by the over-smoothing
+diagnostics) densifies the operator, so it is gated behind a configurable
+size cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,86 +101,28 @@ def write_edge_list(path, graph):
 
 @dataclass(frozen=True)
 class PropagationMatrix:
-    """Square node-mixing operator, possibly an ordered product of factors.
+    """Square sparse node-mixing operator P, applied by sparse matvec."""
 
-    ``factors`` are stored in application order: the first factor hits the
-    feature matrix first, so as a matrix the operator is the reversed
-    product of the list.
-    """
-
-    factors: tuple = field(default_factory=tuple)
+    matrix: sp.csr_matrix
     symmetric: bool = False
-
-    def __post_init__(self):
-        if not self.factors:
-            raise GraphError("operator needs at least one factor")
-        n = self.factors[0].shape[0]
-        for f in self.factors:
-            if f.shape != (n, n):
-                raise GraphError("all factors must be square of equal size")
-
-    @classmethod
-    def from_matrix(cls, mat, symmetric=None):
-        mat = sp.csr_matrix(mat)
-        if mat.shape[0] != mat.shape[1]:
-            raise GraphError("operator must be square")
-        if symmetric is None:
-            symmetric = (mat != mat.T).nnz == 0
-        return cls(factors=(mat,), symmetric=symmetric)
 
     @property
     def n(self):
-        return self.factors[0].shape[0]
+        return self.matrix.shape[0]
 
-    def compose(self, other):
-        """Operator applying ``self`` first, then ``other``."""
-        if other.n != self.n:
-            raise GraphError("dimension mismatch in composition")
-        factors = self.factors + other.factors
-        # a product of symmetric matrices is symmetric only when the factors
-        # commute; we certify it only for powers of one underlying matrix
-        same = all(f is factors[0] for f in factors)
-        return PropagationMatrix(
-            factors=factors,
-            symmetric=same and self.symmetric and other.symmetric,
-        )
-
-    def power(self, k):
-        if k < 1:
-            raise GraphError("power must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out.compose(self)
-        return out
+    def _check(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.n:
+            raise GraphError(
+                f"row count {x.shape[0]} does not match operator size {self.n}"
+            )
+        return x
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n:
-            raise GraphError(
-                f"row count {x.shape[0]} does not match operator size {self.n}"
-            )
-        for f in self.factors:
-            x = f @ x
-        return x
+        return self.matrix @ self._check(x)
 
     def apply_transpose(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n:
-            raise GraphError(
-                f"row count {x.shape[0]} does not match operator size {self.n}"
-            )
-        for f in reversed(self.factors):
-            x = f.T @ x
-        return x
-
-    def densify(self, cap=DENSE_EIGEN_CAP):
-        if self.n > cap:
-            raise GraphError(
-                f"dense materialization refused: N={self.n} exceeds cap {cap}"
-            )
-        out = np.eye(self.n)
-        out = self.apply(out)
-        return out
+        return self.matrix.T @ self._check(x)
 
 
 def normalized_adjacency(g: SparseGraph) -> PropagationMatrix:
@@ -194,7 +137,7 @@ def normalized_adjacency(g: SparseGraph) -> PropagationMatrix:
     w = 1.0 / np.sqrt(deg.astype(float))
     vals = a.data * w[a.row] * w[a.col]
     mat = sp.csr_matrix((vals, (a.row, a.col)), shape=a.shape)
-    return PropagationMatrix(factors=(mat,), symmetric=True)
+    return PropagationMatrix(matrix=mat, symmetric=True)
 
 
 def augmented_adjacency(g: SparseGraph) -> PropagationMatrix:
@@ -207,23 +150,24 @@ def augmented_adjacency(g: SparseGraph) -> PropagationMatrix:
     base = np.concatenate([a.data, np.ones(g.n_nodes)])
     vals = base * w[rows] * w[cols]
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
-    return PropagationMatrix(factors=(mat,), symmetric=True)
+    return PropagationMatrix(matrix=mat, symmetric=True)
 
 
-def identity_operator(n) -> PropagationMatrix:
-    return PropagationMatrix(factors=(sp.identity(n, format="csr"),),
-                             symmetric=True)
-
-
-def propagate(p: PropagationMatrix, x):
-    """Apply the operator to an N-by-C feature matrix (or N-vector)."""
-    return p.apply(x)
+def base_operator(g: SparseGraph, base) -> PropagationMatrix:
+    """The operator a model's ``base`` names: augmented | normalized."""
+    if base == "augmented":
+        return augmented_adjacency(g)
+    if base == "normalized":
+        return normalized_adjacency(g)
+    raise GraphError(f"unknown base operator '{base}'")
 
 
 def operator_norm(p: PropagationMatrix, tol=1e-8):
     """Largest singular value by power iteration on P^T P.
 
-    For symmetric P this equals max |lambda_n|. Deterministic start vector;
+    ``p`` is anything with ``n``, ``apply`` and ``apply_transpose``, such as
+    a chain of aggregation stages. For symmetric P this equals
+    max |lambda_n|. Deterministic start vector;
     raises ConvergenceError carrying the last estimate after 10*N iterations.
     """
     n = p.n
@@ -251,15 +195,11 @@ def operator_norm(p: PropagationMatrix, tol=1e-8):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Full symmetric eigendecomposition, eigenvalues sorted descending.
-
-    ``eigenvectors`` holds orthonormal eigenvectors as columns;
-    ``coefficients`` (when attached) expand feature columns in that basis.
-    """
+    """Full symmetric eigendecomposition, eigenvalues sorted descending;
+    ``eigenvectors`` holds orthonormal eigenvectors as columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    coefficients: np.ndarray | None = None
 
     def expand(self, x):
         """Coefficients a with x = eigenvectors @ a (columnwise)."""
@@ -268,20 +208,14 @@ class SpectralData:
             x = x.T
         return self.eigenvectors.T @ x
 
-    def with_coefficients(self, x):
-        return SpectralData(self.eigenvalues, self.eigenvectors,
-                            coefficients=self.expand(x))
-
 
 def eigendecompose(p: PropagationMatrix, cap=DENSE_EIGEN_CAP) -> SpectralData:
     """Dense symmetric eigendecomposition; refused above the size cap."""
     if not p.symmetric:
         raise GraphError("eigendecompose requires a symmetric operator")
     if p.n > cap:
-        raise GraphError(
-            f"eigendecompose refused: N={p.n} exceeds cap {cap}"
-        )
-    dense = p.densify(cap=cap)
+        raise GraphError(f"eigendecompose refused: N={p.n} exceeds cap {cap}")
+    dense = p.apply(np.eye(p.n))
     vals, vecs = np.linalg.eigh((dense + dense.T) / 2.0)
     order = np.argsort(vals)[::-1]
     return SpectralData(eigenvalues=vals[order], eigenvectors=vecs[:, order])

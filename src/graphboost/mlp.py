@@ -66,10 +66,6 @@ class MlpParams:
         return len(self.weights)
 
     @property
-    def input_width(self):
-        return self.weights[0].shape[0] - (1 if self.bias else 0)
-
-    @property
     def output_width(self):
         return self.weights[-1].shape[1]
 

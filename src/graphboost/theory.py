@@ -13,10 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .graph import ConvergenceError, PropagationMatrix, eigendecompose
+from .aggregate import Polynomial
+from .boost import predict, stage_representations
+from .data import partition_constants
+from .graph import (ConvergenceError, PropagationMatrix, eigendecompose,
+                    operator_norm)
+from .losses import margin_loss
+from .mlp import max_column_l1
 
 MC_DEFAULT_SAMPLES = 20000
 MC_BLOCK = 1000
@@ -49,20 +56,6 @@ class ComplexityConstants:
         for c in self.c_tildes:
             prod *= c
         return 2.0 * math.sqrt(2.0) * (2.0 * self.b_tilde) ** (self.n_layers - 1) * prod
-
-    @property
-    def q(self):
-        return 1.0 / self.m + 1.0 / self.u
-
-    @property
-    def s(self):
-        lo = min(self.m, self.u)
-        return (4.0 * (self.m + self.u) * lo
-                / ((2.0 * (self.m + self.u) - 1.0) * (2.0 * lo - 1.0)))
-
-    @property
-    def p0(self):
-        return self.m * self.u / float(self.m + self.u) ** 2
 
 
 def optimization_bound(l1, m, gammas, delta=0.0):
@@ -98,10 +91,10 @@ def generalization_bound(train_err, rad_terms, m, u, c0=1.0,
         raise ValueError("delta' must lie in (0, 1)")
     if c0 < 0.0:
         raise ValueError("c0 must be >= 0")
-    cc = ComplexityConstants(n_layers=1, b_tilde=1.0, m=m, u=u)
+    q, s, _ = partition_constants(m, u)
     complexity = float(np.sum(rad_terms))
-    slack = c0 * cc.q * math.sqrt(min(m, u))
-    confidence = math.sqrt(cc.s * cc.q / 2.0 * math.log(1.0 / delta_prime))
+    slack = c0 * q * math.sqrt(min(m, u))
+    confidence = math.sqrt(s * q / 2.0 * math.log(1.0 / delta_prime))
     breakdown = {
         "train_err": float(train_err),
         "complexity": complexity,
@@ -109,8 +102,8 @@ def generalization_bound(train_err, rad_terms, m, u, c0=1.0,
         "confidence": confidence,
         "c0": c0,
         "delta_prime": delta_prime,
-        "s": cc.s,
-        "q": cc.q,
+        "s": s,
+        "q": q,
     }
     return float(train_err) + complexity + slack + confidence, breakdown
 
@@ -134,11 +127,11 @@ def mc_transductive_rademacher(vectors, m, u, p=None,
     if vectors.size == 0:
         raise ValueError("vector set must be nonempty")
     n = vectors.shape[1]
+    q, _, p0 = partition_constants(m, u)
     if p is None:
-        p = m * u / float(m + u) ** 2
+        p = p0
     if not 0.0 <= p <= 0.5:
         raise ValueError("p must lie in [0, 1/2]")
-    q = 1.0 / m + 1.0 / u
     seeds = np.random.SeedSequence(seed).spawn(
         (n_samples + MC_BLOCK - 1) // MC_BLOCK)
     sups = []
@@ -221,10 +214,9 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
     cos_top = np.empty(t_max + 1)
     rank1 = np.empty(t_max + 1)
 
-    cur = x.copy()
-    for t in steps:
-        if t > 0:
-            cur = p.apply(cur)
+    # P^t X for t = 0..t_max are the terms of the polynomial sum_t P^t
+    powers = Polynomial(p, tuple(steps), np.ones(len(steps))).terms(x)
+    for t, cur in zip(steps, powers):
         direct[t] = np.linalg.norm(cur)
         decay = (1.0 - lam[1:] ** (2 * t)) @ tail_sq
         spectral[t] = math.sqrt(max(x_sq - decay, 0.0))
@@ -249,59 +241,17 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
 # ---------------------------------------------------------------------------
 # report assembly over a finished boosting run
 
-class _StageChainOperator:
-    """Homogeneous linear part of the stage-2..t aggregation chain, exposed
-    with the operator interface power iteration expects. Input injection
-    contributes its contraction part rho * P."""
-
-    def __init__(self, aggregators):
-        from .aggregate import FixedMatrix, InputInjection, Kta
-        self._steps = []
-        self.n = None
-        for a in aggregators:
-            if isinstance(a, FixedMatrix):
-                self._steps.append(("fixed", a.operator, None))
-                self.n = a.operator.n
-            elif isinstance(a, InputInjection):
-                self._steps.append(("scaled", a.operator, a.rho))
-                self.n = a.operator.n
-            elif isinstance(a, Kta):
-                self._steps.append(("kta", a, None))
-                self.n = a.operator.n
-            else:
-                raise TypeError(f"unknown aggregator {type(a)}")
-
-    def _one(self, kind, payload, rho, x, transpose):
-        if kind == "fixed":
-            return (payload.apply_transpose(x) if transpose
-                    else payload.apply(x))
-        if kind == "scaled":
-            return rho * (payload.apply_transpose(x) if transpose
-                          else payload.apply(x))
-        # kta polynomial: w0 I + sum w_k P^{2^k}; symmetric base, so the
-        # transpose applies the same polynomial with transposed factors
-        agg = payload
-        acc = agg.weights[0] * x
-        cur = x
-        reached = 0
-        for kk in range(agg.n_deg + 1):
-            target = 2 ** kk
-            for _ in range(target - reached):
-                cur = (agg.operator.apply_transpose(cur) if transpose
-                       else agg.operator.apply(cur))
-            reached = target
-            acc = acc + agg.weights[1 + kk] * cur
-        return acc
-
-    def apply(self, x):
-        for kind, payload, rho in self._steps:
-            x = self._one(kind, payload, rho, x, transpose=False)
+def _stage_chain(aggregators):
+    """Linear part of the stage-2..t aggregation chain, with the operator
+    interface power iteration expects. Input injection contributes its
+    contraction part rho * P."""
+    def run(x, transpose):
+        for a in (reversed(aggregators) if transpose else aggregators):
+            x = a.linear(x, transpose)
         return x
-
-    def apply_transpose(self, x):
-        for kind, payload, rho in reversed(self._steps):
-            x = self._one(kind, payload, rho, x, transpose=True)
-        return x
+    return SimpleNamespace(n=aggregators[0].operator.n,
+                           apply=lambda x: run(x, False),
+                           apply_transpose=lambda x: run(x, True))
 
 
 def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
@@ -315,11 +265,6 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
     each stage's learner is used (soft-constraint runs have no configured
     cap).
     """
-    from .boost import stage_representations
-    from .graph import operator_norm
-    from .losses import margin_loss
-    from .mlp import max_column_l1
-
     split = dataset.split
     m, u = split.m, split.u
     report = {
@@ -337,7 +282,6 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
         guaranteed = all(st.wlc is not None for st in model.stages[1:])
         gamma_total = float(np.sum(gammas))
         l1_initial = trace[0]["train_loss"]
-        from .boost import predict
         yhat, _ = predict(model, dataset, [r[split.train] for r in reps])
         realized = float(np.mean(margin_loss(
             yhat, dataset.labels[split.train], delta)))
@@ -384,7 +328,7 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
         if compute_op_norms and idx >= 1:
             chain.append(model.stages[idx].aggregator)
             try:
-                entry["op_norm"] = operator_norm(_StageChainOperator(chain))
+                entry["op_norm"] = operator_norm(_stage_chain(chain))
             except ConvergenceError as exc:
                 entry["op_norm"] = exc.last_estimate
                 entry["op_norm_converged"] = False

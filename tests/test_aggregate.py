@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from graphboost.aggregate import (AlignmentConfig, FixedMatrix,
-                                  InputInjection, Kta, _alignment_value_grad,
-                                  alignment, apply, fit_kta, gram)
+from graphboost.aggregate import (AlignmentConfig, Polynomial,
+                                  _alignment_value_grad, alignment, fit_kta,
+                                  fixed, gram, injection, kta)
 from graphboost.data import one_hot
 from graphboost.graph import SparseGraph, augmented_adjacency
 
@@ -19,44 +19,44 @@ class TestApply:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 3))
         x0 = rng.standard_normal((6, 3))
-        a = InputInjection(rho=1.0, operator=ring_operator)
-        b = FixedMatrix(ring_operator)
-        assert np.allclose(apply(a, x, x0), apply(b, x))
+        a = injection(ring_operator, 1.0)
+        b = fixed(ring_operator)
+        assert np.allclose(a.apply(x, x0), b.apply(x))
 
     def test_injection_rho_zero_returns_initial(self, ring_operator):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((6, 3))
         x0 = rng.standard_normal((6, 3))
-        a = InputInjection(rho=0.0, operator=ring_operator)
-        assert np.allclose(apply(a, x, x0), x0)
+        a = injection(ring_operator, 0.0)
+        assert np.allclose(a.apply(x, x0), x0)
 
     def test_injection_requires_initial(self, ring_operator):
-        a = InputInjection(rho=0.5, operator=ring_operator)
+        a = injection(ring_operator, 0.5)
         with pytest.raises(ValueError, match="initial"):
-            apply(a, np.ones((6, 2)))
+            a.apply(np.ones((6, 2)))
 
     def test_kta_identity_weights(self, ring_operator):
         x = np.random.default_rng(2).standard_normal((6, 3))
         weights = np.zeros(5)
         weights[0] = 1.0
-        a = Kta(operator=ring_operator, weights=weights, n_deg=3)
-        assert np.allclose(apply(a, x), x)
+        a = kta(ring_operator, 3, weights)
+        assert np.allclose(a.apply(x), x)
 
     def test_kta_weight_count_enforced(self, ring_operator):
         with pytest.raises(ValueError):
-            Kta(operator=ring_operator, weights=np.ones(3), n_deg=3)
+            kta(ring_operator, 3, np.ones(3))
 
     def test_kta_powers_match_dense_oracle(self, ring_operator):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((6, 2))
         w = rng.standard_normal(5)
-        a = Kta(operator=ring_operator, weights=w, n_deg=3)
-        dense = ring_operator.densify()
+        a = kta(ring_operator, 3, w)
+        dense = ring_operator.matrix.toarray()
         expected = w[0] * x
         for k in range(4):
             expected = expected + w[1 + k] * (
                 np.linalg.matrix_power(dense, 2 ** k) @ x)
-        assert np.max(np.abs(apply(a, x) - expected)) < 1e-10
+        assert np.max(np.abs(a.apply(x) - expected)) < 1e-10
 
     @pytest.mark.parametrize("kind", ["fixed", "injection", "kta"])
     def test_linearity_superposition(self, ring_operator, kind):
@@ -65,20 +65,78 @@ class TestApply:
         x2 = rng.standard_normal((6, 3))
         c1, c2 = 0.7, -1.3
         if kind == "fixed":
-            a = FixedMatrix(ring_operator)
-            f = lambda x: apply(a, x)
+            a = fixed(ring_operator)
+            f = lambda x: a.apply(x)
         elif kind == "injection":
             # linear in x_t for fixed x_initial = 0
-            a = InputInjection(rho=0.6, operator=ring_operator)
+            a = injection(ring_operator, 0.6)
             zero = np.zeros_like(x1)
-            f = lambda x: apply(a, x, zero)
+            f = lambda x: a.apply(x, zero)
         else:
-            a = Kta(operator=ring_operator,
-                    weights=rng.standard_normal(5), n_deg=3)
-            f = lambda x: apply(a, x)
+            a = kta(ring_operator, 3, rng.standard_normal(5))
+            f = lambda x: a.apply(x)
         lhs = f(c1 * x1 + c2 * x2)
         rhs = c1 * f(x1) + c2 * f(x2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+class TestPolynomial:
+    def test_pullback_matches_dense_adjoint(self, ring_operator):
+        # dense oracle: the adjoint is A^T d for A = sum_i w_i P^{p_i}, and
+        # the coefficient gradient is <d, P^{p_i} x>
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((6, 2))
+        d = rng.standard_normal((6, 2))
+        w = rng.standard_normal(5)
+        p = ring_operator.matrix.toarray()
+        powers = [np.linalg.matrix_power(p, k) for k in (0, 1, 2, 4, 8)]
+        adjoint, grad = kta(ring_operator, 3, w).pullback(d, x)
+        a = sum(wi * pk for wi, pk in zip(w, powers))
+        assert np.max(np.abs(adjoint - a.T @ d)) < 1e-10
+        assert np.allclose(grad, [np.vdot(d, pk @ x) for pk in powers],
+                           rtol=0, atol=1e-10)
+
+    def test_linear_drops_the_injected_term(self, ring_operator):
+        x = np.random.default_rng(14).standard_normal((6, 3))
+        a = injection(ring_operator, 0.25)
+        p = ring_operator.matrix.toarray()
+        assert np.allclose(a.linear(x), 0.25 * (p @ x))
+        assert np.allclose(a.linear(x, transpose=True), 0.25 * (p.T @ x))
+
+    @pytest.mark.parametrize("weights", [
+        [1.1, 0.5, -0.3, 2.0, 0.7], [1.0, 0.5, 1.0, 2.0, 1.0], [1.0] * 5])
+    def test_inputs_untouched_and_dense_exact(self, ring_operator, weights):
+        # products and sums are taken in place where no one else reads the
+        # array; the inputs must come back unchanged and the results equal
+        # the dense polynomial
+        rng = np.random.default_rng(15)
+        x, x0, d = (rng.standard_normal((6, 2)) for _ in range(3))
+        saved = [x.copy(), x0.copy(), d.copy()]
+        p = ring_operator.matrix.toarray()
+        powers = [np.linalg.matrix_power(p, k) for k in (0, 1, 2, 4, 8)]
+        a = sum(w * pk for w, pk in zip(weights, powers))
+        for agg, dense in ((kta(ring_operator, 3, weights), a),
+                           (fixed(ring_operator), p),
+                           (injection(ring_operator, 0.4), 0.4 * p)):
+            assert np.allclose(agg.apply(x, x0),
+                               dense @ x + agg.inject * x0, atol=1e-12)
+            assert np.allclose(agg.pullback(d, x)[0], dense.T @ d,
+                               atol=1e-12)
+            for before, after in zip(saved, (x, x0, d)):
+                assert np.array_equal(before, after)
+
+    def test_powers_must_ascend(self, ring_operator):
+        with pytest.raises(ValueError, match="ascend"):
+            Polynomial(ring_operator, (1, 1), (1.0, 2.0))
+
+    @pytest.mark.parametrize("rho", [-0.1, 1.5])
+    def test_injection_rho_validated(self, ring_operator, rho):
+        with pytest.raises(ValueError, match="rho"):
+            injection(ring_operator, rho)
+
+    def test_kta_degree_validated(self, ring_operator):
+        with pytest.raises(ValueError, match="n_deg"):
+            kta(ring_operator, -1)
 
 
 class TestGram:
@@ -151,8 +209,8 @@ class TestFitKta:
         x = rng.standard_normal((6, 3))
         y = one_hot([0, 1, 0, 1], 2)
         train = np.arange(4)
-        agg = Kta.initial(ring_operator)
-        basis = [b[train] for b in agg.basis(x)]
+        agg = kta(ring_operator)
+        basis = [b[train] for b in agg.terms(x)]
         k_target = y @ y.T
         theta = rng.standard_normal(5)
         rho, grad = _alignment_value_grad(basis, theta, k_target)
@@ -174,8 +232,8 @@ class TestFitKta:
         x = one_hot(labels, 2) + 0.05 * rng.standard_normal((6, 2))
         train = np.arange(6)
         y = one_hot(labels, 2)
-        agg = Kta.initial(ring_operator)
-        initial = alignment(apply(agg, x), y, train)
+        agg = kta(ring_operator)
+        initial = alignment(agg.apply(x), y, train)
         fitted, achieved = fit_kta(agg, x, y, train,
                                    AlignmentConfig(epochs=30, lr=0.05))
         assert achieved > initial
@@ -194,8 +252,8 @@ class TestFitKta:
             labels = rng.integers(0, 2, n)
             y = one_hot(labels, 2)
             train = np.arange(n)
-            agg = Kta.initial(op)
-            initial = alignment(apply(agg, x), y, train)
+            agg = kta(op)
+            initial = alignment(agg.apply(x), y, train)
             _, achieved = fit_kta(agg, x, y, train,
                                   AlignmentConfig(epochs=30, lr=1e-2))
             hits += (achieved - initial) < 0.05
@@ -207,9 +265,9 @@ class TestFitKta:
         x = np.random.default_rng(12).standard_normal((6, 2))
         y_full = one_hot([0, 1, 0, 1, 0, 1], 2)
         with pytest.raises(ValueError, match="train"):
-            fit_kta(Kta.initial(ring_operator), x, y_full, np.arange(4),
+            fit_kta(kta(ring_operator), x, y_full, np.arange(4),
                     AlignmentConfig(epochs=2))
 
     def test_initial_weights_are_ones(self, ring_operator):
-        agg = Kta.initial(ring_operator)
-        assert np.array_equal(agg.weights, np.ones(5))
+        agg = kta(ring_operator)
+        assert np.array_equal(agg.coefs, np.ones(5))

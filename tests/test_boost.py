@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphboost.aggregate import Kta
+from graphboost.aggregate import Polynomial, fixed, injection, kta
 from graphboost.boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
                               FunctionalGBConfig, SammeConfig, StageRecord,
                               WlcParams, fine_tune, model_from_json,
@@ -420,6 +420,8 @@ class TestSerialization:
         assert s1.tobytes() == s2.tobytes()
 
     def test_saved_bytes_unchanged(self, tmp_path):
+        # the expected bytes were written by the code before aggregators
+        # became one polynomial type
         from graphboost.boost import save_model
         from graphboost.graph import augmented_adjacency
         from graphboost.mlp import MlpParams
@@ -430,16 +432,52 @@ class TestSerialization:
         second = MlpParams(weights=[np.array([[1.5], [-0.2], [0.0]]),
                                     np.array([[2.0 ** -30]])],
                            activation="sigmoid", bias=False)
-        model = EnsembleModel(
+        third = MlpParams(weights=[np.array([[-0.5], [3.0], [0.25]])])
+        with_kta = EnsembleModel(
             mode="samme", n_classes=2, aggregator_kind="kta",
             flags={"skipped": [3]},
             stages=[StageRecord(None, first, 0.75),
-                    StageRecord(Kta(op, np.array(
+                    StageRecord(kta(op, 3, np.array(
                         [1.0, 0.5, 0.25, 0.125, 1.0 / 7.0])), second, 1.5,
                         WlcParams(alpha=2.0, beta=0.5)),
-                    StageRecord(Kta(op, np.ones(5)), None, 0.0)])
+                    StageRecord(kta(op), None, 0.0)])
+        with_fixed = EnsembleModel(
+            mode="samme", n_classes=2, aggregator_kind="fixed",
+            stages=[StageRecord(None, first, 0.75),
+                    StageRecord(fixed(op), None, 0.0)])
+        with_injection = EnsembleModel(
+            mode="functional", n_classes=2, t_star=2, base="normalized",
+            aggregator_kind="input_injection",
+            stages=[StageRecord(None, third, 1.0),
+                    StageRecord(injection(op, 0.3), third, 4.0 / 3.0,
+                                WlcParams(alpha=3.0, beta=1.0)),
+                    StageRecord(injection(op, 1), third, 2.5)])
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(with_fixed, path)
+        assert path.read_text() == (
+            '{"mode": "samme", "n_classes": 2, "t_star": null, '
+            '"base": "augmented", "aggregator_kind": "fixed", "clip": 1e-07, '
+            '"flags": {}, "stages": [{"aggregator": null, "weight": 0.75, '
+            '"wlc": null, "learner": {"shapes": [[3, 2]], "weights": '
+            '[[0.5, -1.25, 0.1, 2.0, 1e-17, 0.3333333333333333]], '
+            '"activation": "relu", "head": "argmax", "bias": true}}, '
+            '{"aggregator": {"kind": "fixed"}, "weight": 0.0, "wlc": null, '
+            '"learner": null}]}')
+        save_model(with_injection, path)
+        lrn = ('"learner": {"shapes": [[3, 1]], "weights": [[-0.5, 3.0, '
+               '0.25]], "activation": "relu", "head": "identity", '
+               '"bias": true}')
+        assert path.read_text() == (
+            '{"mode": "functional", "n_classes": 2, "t_star": 2, '
+            '"base": "normalized", "aggregator_kind": "input_injection", '
+            '"clip": 1e-07, "flags": {}, "stages": [{"aggregator": null, '
+            f'"weight": 1.0, "wlc": null, {lrn}}}, {{"aggregator": '
+            '{"kind": "input_injection", "rho": 0.3}, '
+            '"weight": 1.3333333333333333, "wlc": {"alpha": 3.0, '
+            f'"beta": 1.0}}, {lrn}}}, {{"aggregator": {{"kind": '
+            f'"input_injection", "rho": 1}}, "weight": 2.5, "wlc": null, '
+            f'{lrn}}}]}}')
+        save_model(with_kta, path)
         assert path.read_text() == (
             '{"mode": "samme", "n_classes": 2, "t_star": null, '
             '"base": "augmented", "aggregator_kind": "kta", "clip": 1e-07, '
@@ -568,11 +606,9 @@ class TestFineTune:
             n_rounds=3, hidden=(16,), learner=TrainConfig(epochs=8, seed=9),
             aggregator=AggregatorSpec(kind="kta"), seed=10))
         assert len(model.stages) == 3, model.flags
-        kta_before = [st.aggregator.weights.copy() for st in model.stages
-                      if isinstance(st.aggregator, Kta)]
+        kta_before = [st.aggregator.coefs.copy() for st in model.stages[1:]]
         tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=10, lr=1e-2))
-        kta_after = [st.aggregator.weights for st in tuned.stages
-                     if isinstance(st.aggregator, Kta)]
+        kta_after = [st.aggregator.coefs for st in tuned.stages[1:]]
         assert kta_before and any(
             not np.allclose(a, b) for a, b in zip(kta_before, kta_after))
 
@@ -580,9 +616,10 @@ class TestFineTune:
 def full_graph_sgd(model, ds, epochs, lr):
     """Reference fine-tune: plain SGD on the softened train loss with every
     learner on all N rows, the adjoint of the representation chain carried
-    through every stage, and the KTA weight gradients taken against the
-    power basis of each stage's input."""
-    from graphboost.aggregate import Kta
+    through every stage, and the KTA weight gradients taken against dense
+    powers of the operator applied to each stage's input."""
+    from dataclasses import replace
+
     from graphboost.boost import (StageRecord, samme_r_contribution,
                                   stage_representations)
     from graphboost.losses import (multiclass_surrogate_grad, softmax,
@@ -641,19 +678,18 @@ def full_graph_sgd(model, ds, epochs, lr):
             adjoint[s] += dx[:, :ds.n_features]
         for s in range(len(work.stages) - 1, 0, -1):
             agg = work.stages[s].aggregator
-            if not isinstance(agg, Kta):
+            if work.aggregator_kind != "kta":
                 continue
-            basis = agg.basis(reps[s - 1])
-            grad = np.array([np.vdot(adjoint[s], b) for b in basis])
             # the stage's aggregation as a dense matrix
-            p = agg.operator.apply(np.eye(ds.n))
-            a = agg.weights[0] * np.eye(ds.n) + sum(
-                w * np.linalg.matrix_power(p, 2 ** kk)
-                for kk, w in enumerate(agg.weights[1:]))
+            p = agg.operator.matrix.toarray()
+            powers = [np.eye(ds.n)] + [np.linalg.matrix_power(p, 2 ** kk)
+                                       for kk in range(len(agg.coefs) - 1)]
+            grad = np.array([np.vdot(adjoint[s], pk @ reps[s - 1])
+                             for pk in powers])
+            a = sum(w * pk for w, pk in zip(agg.coefs, powers))
             adjoint[s - 1] += a.T @ adjoint[s]
-            work.stages[s].aggregator = Kta(agg.operator,
-                                            agg.weights - lr * grad,
-                                            agg.n_deg)
+            work.stages[s].aggregator = replace(
+                agg, coefs=agg.coefs - lr * grad)
         for w, g in updates:
             w -= lr * g
     return work
@@ -696,9 +732,9 @@ class TestFineTuneEquivalence:
                                    want.learner.weights):
                     np.testing.assert_allclose(b, c, rtol=0, atol=1e-12)
                     moved = max(moved, float(np.abs(b - a).max()))
-            if isinstance(got.aggregator, Kta):
-                np.testing.assert_allclose(got.aggregator.weights,
-                                           want.aggregator.weights,
+            if kind == "kta" and got.aggregator is not None:
+                np.testing.assert_allclose(got.aggregator.coefs,
+                                           want.aggregator.coefs,
                                            rtol=0, atol=1e-12)
         assert moved > 1e-6
 
@@ -751,10 +787,35 @@ class TestPredict:
                                 seed=0),
             aggregator=AggregatorSpec(kind="kta"), seed=8)
         model, trace = run_functional_gb(ds, cfg)
-        assert all(isinstance(st.aggregator, Kta)
+        assert all(isinstance(st.aggregator, Polynomial)
+                   and st.aggregator.powers == (0, 1, 2, 4, 8)
                    for st in model.stages[1:])
         # fitted aggregation weights moved off their all-ones start
-        assert any(not np.allclose(st.aggregator.weights, 1.0)
+        assert any(not np.allclose(st.aggregator.coefs, 1.0)
                    for st in model.stages[1:])
         scores = replay_scores(model, ds)
         assert len(scores) == len(model.stages)
+
+    @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
+    @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
+    def test_reproduces_trace_errors(self, kind, mode):
+        # predict on a freshly trained model gives exactly the errors the
+        # trace recorded for the stage it predicts from: t* for functional,
+        # the last stage for SAMME and SAMME.R
+        ds = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
+        spec = AggregatorSpec(kind=kind, rho=0.3)
+        learner = TrainConfig(epochs=4, seed=9)
+        if mode == "functional":
+            model, trace = run_functional_gb(ds, FunctionalGBConfig(
+                n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
+                seed=10))
+        else:
+            runner = run_samme if mode == "samme" else run_samme_r
+            model, trace = runner(ds, SammeConfig(
+                n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
+                seed=10))
+        row = trace[(model.t_star or len(trace)) - 1]
+        _, classes = predict(model, ds)
+        wrong = classes != ds.labels
+        assert row["train_err"] == np.mean(wrong[ds.split.train])
+        assert row["test_err"] == np.mean(wrong[ds.split.test])

@@ -234,3 +234,47 @@ class TestExitCodes:
     def test_curves_without_matches_is_3(self, tmp_path):
         assert main(["curves", "--glob", str(tmp_path / "*.csv"),
                      "--out", str(tmp_path / "c.csv")]) == 3
+
+    @pytest.mark.parametrize("field", [
+        {"variant": "input_injection", "rho": 2.0},
+        {"variant": "kta", "n_deg": -1},
+        {"hidden_width": 0},
+    ], ids=["rho", "n_deg", "hidden_width"])
+    def test_bad_model_field_is_2(self, dataset_dir, tmp_path, capsys,
+                                  field):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0],
+                                                   **field)))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        name = next(k for k in field if k != "variant")
+        assert f"config error: {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "split_id_too_large", "split_id_negative", "empty_test",
+        "empty_train", "nan_feature"])
+    def test_malformed_dataset_is_3(self, dataset_dir, tmp_path, capsys,
+                                    case):
+        split_path = os.path.join(dataset_dir, "split.json")
+        with open(split_path) as fh:
+            split = json.load(fh)
+        if case == "split_id_too_large":
+            split["test"][-1] = 999
+        elif case == "split_id_negative":
+            split["test"][-1] = -1
+        elif case == "empty_test":
+            split["test"] = []
+        elif case == "empty_train":
+            split["train"] = []
+        else:
+            feat_path = os.path.join(dataset_dir, "features.tsv")
+            x = np.loadtxt(feat_path, delimiter="\t", ndmin=2)
+            x[3, 1] = np.nan
+            np.savetxt(feat_path, x, delimiter="\t", fmt="%.17g")
+        with open(split_path, "w") as fh:
+            json.dump(split, fh)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "data error" in capsys.readouterr().err

@@ -2,15 +2,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from graphboost.aggregate import fixed
 from graphboost.graph import (ConvergenceError, GraphError,
                               PropagationMatrix, SparseGraph,
                               augmented_adjacency, eigendecompose,
-                              identity_operator, normalized_adjacency,
-                              operator_norm, propagate, read_edge_list)
+                              normalized_adjacency, operator_norm,
+                              read_edge_list)
+from graphboost.theory import _stage_chain
 
 
 def dense(p):
-    return p.densify()
+    return p.matrix.toarray()
+
+
+def operator(mat, symmetric=True):
+    return PropagationMatrix(sp.csr_matrix(mat), symmetric)
+
+
+def identity(n):
+    return operator(sp.identity(n))
 
 
 def random_connected_graph(n, p_edge, seed):
@@ -79,7 +89,7 @@ class TestNormalizedAdjacency:
 
     def test_exact_symmetry(self):
         g = random_connected_graph(30, 0.1, seed=0)
-        m = normalized_adjacency(g).factors[0]
+        m = normalized_adjacency(g).matrix
         assert (m != m.T).nnz == 0
 
     def test_spectral_radius_at_most_one(self):
@@ -111,11 +121,11 @@ class TestAugmentedAdjacency:
 class TestPropagate:
     def test_identity(self):
         x = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(propagate(identity_operator(3), x), x)
+        assert np.array_equal(identity(3).apply(x), x)
 
     def test_two_node_averaging(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        out = propagate(augmented_adjacency(g), np.array([[1.0], [0.0]]))
+        out = augmented_adjacency(g).apply(np.array([[1.0], [0.0]]))
         assert np.allclose(out, [[0.5], [0.5]])
 
     def test_triangle_twice_uniform(self):
@@ -124,13 +134,13 @@ class TestPropagate:
         p = augmented_adjacency(g)
         x = np.array([[1.0], [0.0], [0.0]])
         expected = dense(p) @ (dense(p) @ x)
-        got = propagate(p, propagate(p, x))
+        got = p.apply(p.apply(x))
         assert np.allclose(got, expected)
         assert np.allclose(got, 1.0 / 3.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GraphError):
-            propagate(identity_operator(3), np.ones((4, 2)))
+            identity(3).apply(np.ones((4, 2)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composition_equals_sequential(self, seed):
@@ -138,7 +148,8 @@ class TestPropagate:
         g = random_connected_graph(15, 0.2, seed=seed)
         p = augmented_adjacency(g)
         q = normalized_adjacency(g)
-        comp = p.compose(q).compose(p)
+        # a chain of aggregation stages applies its first stage first
+        comp = _stage_chain([fixed(p), fixed(q), fixed(p)])
         x = rng.standard_normal((15, 4))
         seq = p.apply(q.apply(p.apply(x)))
         assert np.max(np.abs(comp.apply(x) - seq)) <= 1e-10 * np.linalg.norm(x)
@@ -146,28 +157,29 @@ class TestPropagate:
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert operator_norm(identity_operator(4)) == pytest.approx(1.0)
+        assert operator_norm(identity(4)) == pytest.approx(1.0)
 
     def test_two_node_augmented(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
         assert operator_norm(augmented_adjacency(g)) == pytest.approx(1.0)
 
     def test_diagonal_composition(self):
-        d = PropagationMatrix.from_matrix(sp.diags([0.3, -0.7]))
-        assert operator_norm(d.compose(d)) == pytest.approx(0.49, rel=1e-6)
+        d = operator(sp.diags([0.3, -0.7]))
+        chain = _stage_chain([fixed(d), fixed(d)])
+        assert operator_norm(chain) == pytest.approx(0.49, rel=1e-6)
 
     def test_square_of_psd_operator(self):
         # P = A^T A is PSD; ||P o P|| should equal ||P||^2
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
-        p = PropagationMatrix.from_matrix(sp.csr_matrix(a.T @ a))
+        p = operator(a.T @ a)
         single = operator_norm(p)
-        squared = operator_norm(p.compose(p))
+        squared = operator_norm(_stage_chain([fixed(p), fixed(p)]))
         assert squared == pytest.approx(single ** 2, rel=1e-6)
 
     def test_nonconvergence_reports_last_iterate(self):
         # a near-degenerate spectrum keeps the estimate moving past the cap
-        p = PropagationMatrix.from_matrix(sp.diags([1.0, 1.0 - 1e-5]))
+        p = operator(sp.diags([1.0, 1.0 - 1e-5]))
         with pytest.raises(ConvergenceError) as err:
             operator_norm(p, tol=0.0)
         assert err.value.last_estimate is not None
@@ -176,7 +188,7 @@ class TestOperatorNorm:
 
 class TestEigendecompose:
     def test_identity_all_ones(self):
-        sd = eigendecompose(identity_operator(3))
+        sd = eigendecompose(identity(3))
         assert np.allclose(sd.eigenvalues, 1.0)
 
     def test_two_node_augmented(self):
@@ -214,9 +226,7 @@ class TestEigendecompose:
         assert abs(abs(xi1 @ v) - 1.0) <= 1e-10
 
     def test_requires_symmetric(self):
-        m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        p = PropagationMatrix.from_matrix(m)
-        assert not p.symmetric
+        p = operator(np.array([[0.0, 1.0], [0.0, 0.0]]), symmetric=False)
         with pytest.raises(GraphError, match="symmetric"):
             eigendecompose(p)
 

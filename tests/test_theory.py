@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from graphboost.boost import (FunctionalGBConfig, SammeConfig,
-                              run_functional_gb, run_samme)
+from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
+                              SammeConfig, run_functional_gb, run_samme)
 from graphboost.data import synthesize_two_block
 from graphboost.graph import SparseGraph, augmented_adjacency
 from graphboost.mlp import TrainConfig, init_mlp, project_l1_columns
@@ -254,6 +254,31 @@ class TestTheoryReport:
             assert entry["eta_term"] == 0.0
             assert entry["rademacher_bound"] == 0.0
         assert np.isfinite(report["generalization"]["total"])
+
+    @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
+    def test_op_norm_matches_dense_chain(self, kind):
+        # dense oracle: the spectral norm of q_t(P) ... q_2(P), with
+        # q(P) = P, rho P or w_0 I + sum_k w_{k+1} P^{2^k}
+        ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
+        model, trace = run_samme(ds, SammeConfig(
+            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5, seed=4),
+            aggregator=AggregatorSpec(kind=kind, rho=0.3), seed=5))
+        report = build_theory_report(model, trace, ds)
+        p = augmented_adjacency(ds.graph).matrix.toarray()
+        powers = [np.eye(ds.n)] + [np.linalg.matrix_power(p, 2 ** k)
+                                   for k in range(4)]
+        product = np.eye(ds.n)
+        for stage, entry in zip(model.stages[1:], report["complexity"][1:]):
+            if kind == "fixed":
+                q = p
+            elif kind == "input_injection":
+                q = 0.3 * p
+            else:
+                q = sum(w * pk for w, pk in zip(stage.aggregator.coefs,
+                                               powers))
+            product = q @ product
+            assert entry["op_norm"] == pytest.approx(
+                np.linalg.norm(product, 2), rel=0, abs=1e-6)
 
     def test_hand_assembled_generalization_terms(self):
         # reproduce the four addends by hand from the report constants
