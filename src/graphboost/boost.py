@@ -232,6 +232,11 @@ def _make_stage_aggregator(spec: AggregatorSpec, operator, state, dataset,
     raise ValueError(f"unknown aggregator kind '{spec.kind}'")
 
 
+def _input_width(dataset, injected):
+    """Learner input width: injection carries the raw features alongside."""
+    return dataset.n_features * (2 if injected else 1)
+
+
 def _learner_widths(in_width, hidden, out_width):
     return (in_width, *hidden, out_width)
 
@@ -269,13 +274,14 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
         c.seed = int(rng.integers(2 ** 31))
         return c
 
-    widths = _learner_widths(state.learner_input().shape[1], cfg.hidden, 1)
+    widths = _learner_widths(_input_width(dataset, injected), cfg.hidden, 1)
 
     # stage 1: no aggregation, gradient taken at the zero score vector
     g = -surrogate_grad(np.zeros(dataset.n), y, split)
-    b1, _ = fit_to_gradient(widths, learner_cfg(), state.learner_input(),
-                            m * g, split.train, l1_bound=cfg.l1_bound)
-    f1 = forward(b1, state.learner_input())[0][:, 0]
+    rep = state.learner_input()
+    b1, _ = fit_to_gradient(widths, learner_cfg(), rep, m * g, split.train,
+                            l1_bound=cfg.l1_bound)
+    f1 = forward(b1, rep)[0][:, 0]
     yhat = cfg.eta1 * f1
     stages = [StageRecord(None, b1, cfg.eta1, None)]
     trace = []
@@ -301,6 +307,7 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
 
     for t in range(2, cfg.n_rounds + 2):
         g = -surrogate_grad(yhat, y, split)
+        rep = None  # the last stage's input is not held through advance
         aggregator = _make_stage_aggregator(cfg.aggregator, operator, state,
                                             dataset)
         state.advance(aggregator)
@@ -375,7 +382,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
     injected = cfg.aggregator.kind == "input_injection"
     operator = base_operator(dataset.graph, cfg.aggregator.base)
     state = _RepState(dataset.features, injected)
-    widths = _learner_widths(state.learner_input().shape[1], cfg.hidden, k)
+    widths = _learner_widths(_input_width(dataset, injected), cfg.hidden, k)
 
     weights = np.zeros(dataset.n)
     weights[split.train] = 1.0 / split.m
@@ -390,7 +397,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
         return c
 
     for t in range(1, cfg.n_rounds + 1):
-        aggregator = None
+        aggregator = rep = None  # the last stage's input is not held
         if t >= 2:
             aggregator = _make_stage_aggregator(cfg.aggregator, operator,
                                                 state, dataset)
@@ -471,25 +478,38 @@ def run_samme_r(dataset, cfg: SammeConfig):
 # ---------------------------------------------------------------------------
 # replay / prediction
 
-def stage_representations(model: EnsembleModel, dataset: NodeDataset,
-                          rows=slice(None)):
-    """Learner-input matrix at every stage (the aggregated features the
-    transformation function saw), restricted to ``rows``."""
+def stage_inputs(model: EnsembleModel, dataset: NodeDataset,
+                 rows=slice(None)):
+    """Yield every stage's learner input (the aggregated features the
+    transformation function saw), restricted to ``rows``, in stage order.
+    The one replay of the stage chain: the generator holds only the chain
+    state, so a consumer that drops each input before asking for the next
+    keeps one stage's input alive at a time."""
     injected = model.aggregator_kind == "input_injection"
     state = _RepState(dataset.features, injected)
-    reps = []
     for s, stage in enumerate(model.stages):
         if s >= 1:
             state.advance(stage.aggregator)
-        reps.append(state.learner_input(rows))
-    return reps
+        yield state.learner_input(rows)
+
+
+def stage_representations(model: EnsembleModel, dataset: NodeDataset,
+                          rows=slice(None)):
+    """Learner-input matrix at every stage, restricted to ``rows``."""
+    return list(stage_inputs(model, dataset, rows))
 
 
 def _replay(model: EnsembleModel, reps):
-    """Raw learner outputs on the rows of the per-stage inputs ``reps``; a
-    skipped stage yields None."""
-    return [None if stage.learner is None else forward(stage.learner, rep)[0]
-            for stage, rep in zip(model.stages, reps)]
+    """Raw learner outputs on the rows of the per-stage inputs ``reps``, a
+    list or a ``stage_inputs`` stream; a skipped stage yields None. Each
+    input is released before the next is drawn (a ``zip`` would hold the
+    last one while the stream advances)."""
+    outputs = []
+    for rep in reps:
+        learner = model.stages[len(outputs)].learner
+        outputs.append(None if learner is None else forward(learner, rep)[0])
+        del rep
+    return outputs
 
 
 def _scores(model: EnsembleModel, outputs, n_rows, soft=False):
@@ -522,9 +542,11 @@ def replay_scores(model: EnsembleModel, dataset: NodeDataset, reps=None):
     """Score trajectory by stage: functional gives the running sum of
     eta_s f_s; SAMME gives the running vote score; SAMME.R the running
     contribution sum. ``reps`` (from ``stage_representations`` with
-    ``rows``) scores those rows instead of the whole graph."""
+    ``rows``) scores those rows instead of the whole graph; without it the
+    stage chain is streamed and only the learner outputs are kept."""
     if reps is None:
-        reps = stage_representations(model, dataset)
+        return _scores(model, _replay(model, stage_inputs(model, dataset)),
+                       dataset.n)
     return _scores(model, _replay(model, reps), len(reps[0]))
 
 

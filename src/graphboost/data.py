@@ -190,6 +190,9 @@ def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
             "dataset does not match its manifest: " + "; ".join(mismatches)
         )
 
+    if labels.size and labels.min() < -1:
+        raise DataError(f"label {labels.min()} is neither a class id nor "
+                        "-1 (unlabeled)")
     split = Split(train=split_raw["train"], val=split_raw.get("val", []),
                   test=split_raw["test"])
     if not (split.m and split.u):

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .aggregate import Polynomial
-from .boost import predict, stage_representations
+from .boost import predict, stage_inputs
 from .data import partition_constants
 from .graph import (ConvergenceError, PropagationMatrix, eigendecompose,
                     operator_norm)
@@ -27,6 +27,9 @@ from .mlp import max_column_l1
 
 MC_DEFAULT_SAMPLES = 20000
 MC_BLOCK = 1000
+# eigenvalues this close to 1 span the top eigenspace: one per connected
+# component, the space repeated propagation collapses the features onto
+TOP_EIGEN_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -158,8 +161,10 @@ def wlc_complexity_lower_bound(alpha, beta):
 @dataclass(frozen=True)
 class SpectralTrajectory:
     """Per-step record of ||P^t X||_F computed two ways, the largest
-    per-column cosine with the top eigenvector, and the Frobenius distance
-    to the rank-one space spanned by it."""
+    per-column cosine with the top eigenspace (eigenvalue 1, one dimension
+    per connected component), and the Frobenius distance to that space.
+    The CSV keeps the names ``cos_xi1_max`` and ``rank1_dist``; on a
+    connected graph the space is the line of the top eigenvector xi_1."""
 
     steps: np.ndarray
     frobenius_direct: np.ndarray
@@ -195,8 +200,11 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
     The Frobenius norm is computed both by direct multiplication and by the
     eigenbasis identity ||X||_F^2 - sum_{n>=2} (1 - lambda_n^{2t}) a_nc^2
     (valid because the top eigenvalue of these operators is 1); a relative
-    gap above ``rtol`` raises. The rank-one distance is the residual of
-    projecting onto the top eigenvector.
+    gap above ``rtol`` raises. The top eigenspace V_1 is spanned by the
+    eigenvectors whose eigenvalues lie within ``TOP_EIGEN_TOL`` of 1, and
+    V_1^T P^t X = V_1^T X. So the squared distance of P^t X to V_1 is
+    sum_{n off V_1} lambda_n^{2t} a_nc^2, a sum of nonnegative terms, and
+    the cosine of column c is ||V_1^T X_c|| / ||P^t X_c||.
     """
     spect = (eigendecompose(p) if cap is None else eigendecompose(p, cap=cap))
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -204,9 +212,10 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
         x = x.T
     coeff = spect.expand(x)  # a_nc
     lam = spect.eigenvalues
-    xi1 = spect.eigenvectors[:, 0]
+    k = int(np.sum(np.abs(lam - 1.0) <= TOP_EIGEN_TOL))
+    top_col_norms = np.linalg.norm(coeff[:k], axis=0)
     x_sq = float(np.sum(x * x))
-    tail_sq = (coeff[1:] ** 2).sum(axis=1)  # per-eigenvector mass, n >= 2
+    mass = (coeff ** 2).sum(axis=1)  # per-eigenvector mass sum_c a_nc^2
 
     steps = np.arange(t_max + 1)
     direct = np.empty(t_max + 1)
@@ -218,13 +227,12 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
     powers = Polynomial(p, tuple(steps), np.ones(len(steps))).terms(x)
     for t, cur in zip(steps, powers):
         direct[t] = np.linalg.norm(cur)
-        decay = (1.0 - lam[1:] ** (2 * t)) @ tail_sq
+        decay = (1.0 - lam[1:] ** (2 * t)) @ mass[1:]
         spectral[t] = math.sqrt(max(x_sq - decay, 0.0))
-        proj = np.outer(xi1, xi1 @ cur)
-        rank1[t] = np.linalg.norm(cur - proj)
+        rank1[t] = math.sqrt(lam[k:] ** (2 * t) @ mass[k:])
         col_norms = np.linalg.norm(cur, axis=0)
         safe = np.where(col_norms == 0.0, 1.0, col_norms)
-        cos_top[t] = float(np.max(np.abs(xi1 @ cur) / safe))
+        cos_top[t] = float(np.max(top_col_norms / safe))
         # compare squared norms; mass below rtol ||X||^2 is numerically zero
         d2, s2 = direct[t] ** 2, spectral[t] ** 2
         gap = abs(d2 - s2) / max(d2, s2, rtol * x_sq, 1e-300)
@@ -275,14 +283,20 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
     }
 
     loop_rows = [r for r in trace if r["t"] >= 2]
-    reps = stage_representations(model, dataset)
+    # one streamed pass over the stage chain: each stage's ||P^(t) X||_F
+    # and its train rows
+    px_norms, train_reps = [], []
+    for rep in stage_inputs(model, dataset):
+        px_norms.append(float(np.linalg.norm(rep)))
+        train_reps.append(rep[split.train])
+        del rep
     if model.mode == "functional":
         gammas = [(st.wlc.gamma if st.wlc else 0.0)
                   for st in model.stages[1:]]
         guaranteed = all(st.wlc is not None for st in model.stages[1:])
         gamma_total = float(np.sum(gammas))
         l1_initial = trace[0]["train_loss"]
-        yhat, _ = predict(model, dataset, [r[split.train] for r in reps])
+        yhat, _ = predict(model, dataset, train_reps)
         realized = float(np.mean(margin_loss(
             yhat, dataset.labels[split.train], delta)))
         section = {
@@ -305,9 +319,8 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
     # complexity section: one entry per stage
     entries = []
     chain = []
-    for idx, (stage, rep) in enumerate(zip(model.stages, reps)):
+    for idx, (stage, px) in enumerate(zip(model.stages, px_norms)):
         t = idx + 1
-        px = float(np.linalg.norm(rep))
         if stage.learner is None:
             # skipped round: the stage contributes the zero function
             entry = {"t": t, "b_tilde": 0.0, "d_constant": 0.0,

@@ -745,6 +745,23 @@ class TestFineTuneEquivalence:
             assert info["val_err"][i] == np.mean(classes[va] != ds.labels[va])
 
 
+def noisy_run(kind, mode):
+    """(dataset, model, trace) of a short run on a noisy 40-node graph."""
+    ds = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
+    spec = AggregatorSpec(kind=kind, rho=0.3)
+    learner = TrainConfig(epochs=4, seed=9)
+    if mode == "functional":
+        model, trace = run_functional_gb(ds, FunctionalGBConfig(
+            n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
+            seed=10))
+    else:
+        runner = run_samme if mode == "samme" else run_samme_r
+        model, trace = runner(ds, SammeConfig(
+            n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
+            seed=10))
+    return ds, model, trace
+
+
 class TestPredict:
     def test_functional_tstar_one(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
@@ -802,20 +819,59 @@ class TestPredict:
         # predict on a freshly trained model gives exactly the errors the
         # trace recorded for the stage it predicts from: t* for functional,
         # the last stage for SAMME and SAMME.R
-        ds = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
-        spec = AggregatorSpec(kind=kind, rho=0.3)
-        learner = TrainConfig(epochs=4, seed=9)
-        if mode == "functional":
-            model, trace = run_functional_gb(ds, FunctionalGBConfig(
-                n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
-                seed=10))
-        else:
-            runner = run_samme if mode == "samme" else run_samme_r
-            model, trace = runner(ds, SammeConfig(
-                n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
-                seed=10))
+        ds, model, trace = noisy_run(kind, mode)
         row = trace[(model.t_star or len(trace)) - 1]
         _, classes = predict(model, ds)
         wrong = classes != ds.labels
         assert row["train_err"] == np.mean(wrong[ds.split.train])
         assert row["test_err"] == np.mean(wrong[ds.split.test])
+
+    @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
+    @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
+    def test_streamed_equals_materialised(self, kind, mode):
+        from graphboost.boost import stage_representations
+        ds, model, _ = noisy_run(kind, mode)
+        scores, classes = predict(model, ds)
+        reps = stage_representations(model, ds)
+        want_scores, want_classes = predict(model, ds, reps)
+        assert np.array_equal(scores, want_scores)
+        assert np.array_equal(classes, want_classes)
+        streamed = replay_scores(model, ds)
+        for a, b in zip(streamed, replay_scores(model, ds, reps)):
+            assert np.array_equal(a, b)
+
+    def test_streamed_predict_holds_one_stage_input(self):
+        # an injection chain of T = 8 stages: streamed, predict peaks below
+        # two learner inputs (N x 2C each); materialised, it holds all T
+        import tracemalloc
+
+        from graphboost.boost import stage_representations
+        from graphboost.data import NodeDataset, Split
+        from graphboost.graph import SparseGraph, augmented_adjacency
+        n, c, k, n_stages = 400, 200, 3, 8
+        rng = np.random.default_rng(0)
+        graph = SparseGraph.from_edges(
+            n, [p for p in rng.integers(0, n, size=(1200, 2)) if p[0] != p[1]])
+        ds = NodeDataset(graph=graph, features=rng.random((n, c)),
+                         labels=rng.integers(0, k, size=n), n_classes=k,
+                         split=Split(train=np.arange(30), val=[],
+                                     test=np.arange(30, n)))
+        op = augmented_adjacency(graph)
+        stages = [StageRecord(None if s == 0 else injection(op, 0.5),
+                              init_mlp((2 * c, 8, k), seed=s), 1.0)
+                  for s in range(n_stages)]
+        model = EnsembleModel(mode="samme", n_classes=k, stages=stages,
+                              aggregator_kind="input_injection")
+        stage_input = n * 2 * c * 8
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(lambda: predict(model, ds)) < 2 * stage_input
+        materialised = peak(
+            lambda: predict(model, ds, stage_representations(model, ds)))
+        assert materialised > (n_stages - 1) * stage_input

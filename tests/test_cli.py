@@ -252,7 +252,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         "split_id_too_large", "split_id_negative", "empty_test",
-        "empty_train", "nan_feature"])
+        "empty_train", "nan_feature", "label_below_minus_one"])
     def test_malformed_dataset_is_3(self, dataset_dir, tmp_path, capsys,
                                     case):
         split_path = os.path.join(dataset_dir, "split.json")
@@ -266,6 +266,13 @@ class TestExitCodes:
             split["test"] = []
         elif case == "empty_train":
             split["train"] = []
+        elif case == "label_below_minus_one":
+            # on a node outside every split, which no split check reads
+            node = split["test"].pop()
+            labels_path = os.path.join(dataset_dir, "labels.tsv")
+            labels = np.loadtxt(labels_path, dtype=np.int64)
+            labels[node] = -2
+            np.savetxt(labels_path, labels, fmt="%d")
         else:
             feat_path = os.path.join(dataset_dir, "features.tsv")
             x = np.loadtxt(feat_path, delimiter="\t", ndmin=2)

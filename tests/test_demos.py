@@ -13,9 +13,13 @@ DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path, tmp_path):
-    # the demos' scratch directories go under the test's own tmp_path
+    # the demos' working directories go under the test's own tmp_path, and
+    # a demo removes what it made there
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
-           "TMPDIR": str(tmp_path)}
+           "TMPDIR": str(tmpdir)}
     proc = subprocess.run([sys.executable, path], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmpdir.iterdir())

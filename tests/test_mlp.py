@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from graphboost.mlp import (MlpParams, TrainConfig, TrainingDiverged,
-                            backward, fit_classifier, fit_to_gradient,
-                            forward, init_mlp, max_column_l1, predict,
-                            project_l1_columns)
+from graphboost.mlp import (DROPOUT_RATIO, MlpParams, TrainConfig,
+                            TrainingDiverged, backward, fit_classifier,
+                            fit_to_gradient, forward, init_mlp,
+                            max_column_l1, predict, project_l1_columns)
 
 
 def fd_param_grads(params, x, upstream, eps=1e-4):
@@ -21,6 +21,62 @@ def fd_param_grads(params, x, upstream, eps=1e-4):
             g[idx] = (plus - minus) / (2 * eps)
         grads.append(g)
     return grads
+
+
+def augmented_reference(p, x, upstream, seed=0, dropout=False):
+    """Forward output, weight gradients and input gradient of the map with
+    the bias as an explicit constant-1 input column: h = [x, 1] @ W^(1)."""
+    h = np.hstack([x, np.ones((len(x), 1))]) if p.bias else x
+    rng = np.random.default_rng(seed) if dropout else None
+    hiddens, preacts, masks = [h], [], []
+    for w in p.weights[:-1]:
+        z = h @ w
+        preacts.append(z)
+        h = np.maximum(z, 0.0)
+        mask = (1.0 if rng is None else
+                (rng.random(h.shape) >= DROPOUT_RATIO) / (1 - DROPOUT_RATIO))
+        h = h * mask
+        masks.append(mask)
+        hiddens.append(h)
+    out = h @ p.weights[-1]
+    d = upstream
+    grads = [hiddens[-1].T @ d]
+    for l in range(p.n_layers - 2, -1, -1):
+        d = (d @ p.weights[l + 1].T) * masks[l] * (preacts[l] > 0.0)
+        grads.insert(0, hiddens[l].T @ d)
+    dx = d @ p.weights[0].T
+    return out, grads, dx[:, :-1] if p.bias else dx
+
+
+class TestFoldedBias:
+    """W^(1)'s last row added as the bias gives the map of the explicit
+    constant-1 column, with no copy of the input."""
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("hidden", [(), (5, 4)])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_matches_augmented_reference(self, bias, hidden, dropout):
+        rng = np.random.default_rng(len(hidden) + 2 * bias + 4 * dropout)
+        x = rng.standard_normal((9, 3))
+        p = init_mlp((3, *hidden, 2), bias=bias, seed=21)
+        out, cache = forward(p, x, train_mode=True, seed=5, dropout=dropout)
+        upstream = rng.standard_normal(out.shape)
+        grads, dx = backward(p, cache, upstream)
+        ref_out, ref_grads, ref_dx = augmented_reference(
+            p, x, upstream, seed=5, dropout=dropout)
+        assert cache["hiddens"][0] is x
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        for g, r in zip(grads, ref_grads):
+            assert g.shape == r.shape
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_width_mismatch(self, bias):
+        # W^(1) has 4 rows either way: 3 features and the bias, or 4
+        p = init_mlp((4 - bias, 2), bias=bias, seed=0)
+        with pytest.raises(ValueError, match="width"):
+            forward(p, np.ones((2, 4 if bias else 3)))
 
 
 class TestForward:

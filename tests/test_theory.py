@@ -195,6 +195,29 @@ class TestSmoothingReport:
         r = traj.rank_one_distance
         assert np.all(r[1:] <= r[:-1] + 1e-10)
 
+    def test_disconnected_graph_against_dense_projection(self):
+        # eigenvalue 1 has one eigenvector per component, sqrt(deg + 1) on
+        # it; the distance and the cosines are taken against all of them
+        g = SparseGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4),
+                                       (4, 5), (5, 6)])
+        p = augmented_adjacency(g)
+        x = np.random.default_rng(3).standard_normal((7, 4))
+        traj = smoothing_report(p, x, t_max=6)
+        proj = np.zeros((7, 7))
+        for comp in ([0, 1, 2], [3, 4, 5, 6]):
+            u = np.zeros(7)
+            u[comp] = np.sqrt(g.degrees[comp] + 1.0)
+            proj += np.outer(u, u) / (u @ u)
+        cur = x
+        for t in range(7):
+            top = proj @ cur
+            cos = np.linalg.norm(top, axis=0) / np.linalg.norm(cur, axis=0)
+            assert abs(traj.rank_one_distance[t]
+                       - np.linalg.norm(cur - top)) <= 1e-12
+            assert abs(traj.cos_top[t] - cos.max()) <= 1e-12
+            cur = p.matrix.toarray() @ cur
+        assert traj.rank_one_distance[-1] < 0.5 * traj.rank_one_distance[0]
+
     def test_csv_emission(self, tmp_path):
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         traj = smoothing_report(augmented_adjacency(g), np.eye(3), t_max=2)
