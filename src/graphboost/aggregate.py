@@ -20,6 +20,7 @@ from .mlp import TrainConfig, _Optimizer
 
 ALIGNMENT_EPS = 1e-12
 DEFAULT_N_DEG = 3
+INJECT_BLOCK = 1 << 16  # elements of the injection buffer: 512 KiB
 
 
 @dataclass
@@ -92,8 +93,20 @@ class Polynomial:
             return self.linear(x)
         if x0 is None:
             raise ValueError("input injection needs the initial features")
-        # one expression, so that numpy adds into the fresh linear part
-        return self.linear(x) + self.inject * x0
+        out = self.linear(x)
+        if out is x:  # the identity polynomial hands back its input
+            out = out.copy()
+        # inject * x0 goes through one bounded buffer, row block by row
+        # block: the sums are those of out + inject * x0 without an N x C
+        # temporary
+        width = max(1, int(np.prod(out.shape[1:])))
+        rows = max(1, INJECT_BLOCK // width)
+        buf = np.empty((min(rows, len(out)),) + out.shape[1:])
+        for start in range(0, len(out), rows):
+            part = out[start:start + rows]
+            part += np.multiply(self.inject, x0[start:start + rows],
+                                out=buf[:len(part)])
+        return out
 
     def pullback(self, d, x):
         """Adjoint of the linear part at ``d``, and the gradient of

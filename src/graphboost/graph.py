@@ -210,12 +210,25 @@ class SpectralData:
 
 
 def eigendecompose(p: PropagationMatrix, cap=DENSE_EIGEN_CAP) -> SpectralData:
-    """Dense symmetric eigendecomposition; refused above the size cap."""
+    """Dense symmetric eigendecomposition; refused above the size cap.
+
+    The operator is symmetrised while sparse (halving is exact, so the
+    entries equal those of (D + D^T) / 2 for the dense D) and densified
+    once. LAPACK's divide-and-conquer driver (dsyevd) then overwrites that
+    one N x N buffer with the eigenvectors, and the descending order is a
+    reversed view. The peak is about 3.4 N x N float64 arrays: the buffer
+    plus dsyevd's workspace of 1 + 6N + 2N^2 doubles.
+    """
     if not p.symmetric:
         raise GraphError("eigendecompose requires a symmetric operator")
     if p.n > cap:
         raise GraphError(f"eigendecompose refused: N={p.n} exceeds cap {cap}")
-    dense = p.apply(np.eye(p.n))
-    vals, vecs = np.linalg.eigh((dense + dense.T) / 2.0)
-    order = np.argsort(vals)[::-1]
-    return SpectralData(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+    # imported here: scipy.linalg adds about 80 ms to every CLI start, and
+    # only the spectral report needs it
+    from scipy.linalg import eigh
+
+    dense = ((p.matrix + p.matrix.T) * 0.5).toarray()
+    # dense.T is the Fortran-ordered view LAPACK can overwrite without a copy
+    vals, vecs = eigh(dense.T, overwrite_a=True, check_finite=False,
+                      driver="evd")
+    return SpectralData(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])

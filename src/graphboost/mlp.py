@@ -199,15 +199,19 @@ def predict(p: MlpParams, x):
 def project_l1_columns(p: MlpParams, bound) -> MlpParams:
     """Rescale every weight column with L1 norm > bound onto the ball's
     surface (radial projection; direction preserved)."""
+    out = p.copy()
+    _project_l1_in_place(out.weights, bound)
+    return out
+
+
+def _project_l1_in_place(weights, bound):
     if bound <= 0:
         raise ValueError("L1 bound must be > 0")
-    out = p.copy()
-    for w in out.weights:
+    for w in weights:
         norms = np.abs(w).sum(axis=0)
         over = norms > bound
         if np.any(over):
             w[:, over] *= bound / norms[over]
-    return out
 
 
 def max_column_l1(p: MlpParams):
@@ -216,13 +220,20 @@ def max_column_l1(p: MlpParams):
 
 
 class _Optimizer:
-    """First-order update rules; weight decay is coupled (L2 on the grad)."""
+    """First-order update rules; weight decay is coupled (L2 on the grad).
+
+    Every update is written in place through two scratch arrays per
+    parameter, with the operands in the order of the textbook formulas
+    (e.g. lr * mhat / (sqrt(shat) + eps)), so the results are those of the
+    allocating expressions bit for bit.
+    """
 
     def __init__(self, cfg: TrainConfig, shapes):
         self.cfg = cfg
+        moments = {"sgd": (), "momentum": ("v",), "adam": ("m", "s"),
+                   "rmsprop": ("s",)}[cfg.optimizer]
         self.state = [
-            {"v": np.zeros(s), "m": np.zeros(s), "s": np.zeros(s)}
-            for s in shapes
+            {k: np.zeros(s) for k in moments + ("a", "b")} for s in shapes
         ]
         self.t = 0
 
@@ -230,24 +241,41 @@ class _Optimizer:
         cfg = self.cfg
         self.t += 1
         for w, g, st in zip(weights, grads, self.state):
+            a, b = st["a"], st["b"]
             if cfg.weight_decay:
-                g = g + cfg.weight_decay * w
+                g = np.add(g, np.multiply(cfg.weight_decay, w, out=a), out=a)
             if cfg.optimizer == "sgd":
-                w -= cfg.lr * g
+                w -= np.multiply(cfg.lr, g, out=b)
             elif cfg.optimizer == "momentum":
-                st["v"] = cfg.momentum * st["v"] + g
-                w -= cfg.lr * st["v"]
+                v = st["v"]
+                v *= cfg.momentum
+                v += g
+                w -= np.multiply(cfg.lr, v, out=b)
             elif cfg.optimizer == "adam":
                 b1, b2, eps = 0.9, 0.999, 1e-8
-                st["m"] = b1 * st["m"] + (1 - b1) * g
-                st["s"] = b2 * st["s"] + (1 - b2) * g * g
-                mhat = st["m"] / (1 - b1 ** self.t)
-                shat = st["s"] / (1 - b2 ** self.t)
-                w -= cfg.lr * mhat / (np.sqrt(shat) + eps)
+                m, sq = st["m"], st["s"]
+                m *= b1
+                m += np.multiply(1 - b1, g, out=b)
+                sq *= b2
+                np.multiply(1 - b2, g, out=b)
+                sq += np.multiply(b, g, out=b)
+                # g is dead from here, so its scratch holds the denominator
+                np.divide(sq, 1 - b2 ** self.t, out=a)
+                np.sqrt(a, out=a)
+                a += eps
+                np.divide(m, 1 - b1 ** self.t, out=b)
+                np.multiply(cfg.lr, b, out=b)
+                w -= np.divide(b, a, out=b)
             elif cfg.optimizer == "rmsprop":
                 alpha, eps = 0.99, 1e-8
-                st["s"] = alpha * st["s"] + (1 - alpha) * g * g
-                w -= cfg.lr * g / (np.sqrt(st["s"]) + eps)
+                sq = st["s"]
+                sq *= alpha
+                np.multiply(1 - alpha, g, out=b)
+                sq += np.multiply(b, g, out=b)
+                np.multiply(cfg.lr, g, out=b)
+                np.sqrt(sq, out=a)
+                a += eps
+                w -= np.divide(b, a, out=b)
 
 
 def _fit_loop(params, cfg, x_train, loss_grad_fn, l1_bound):
@@ -275,8 +303,7 @@ def _fit_loop(params, cfg, x_train, loss_grad_fn, l1_bound):
             grads, _ = backward(params, cache, upstream, input_grad=False)
             opt.step(params.weights, grads)
             if l1_bound is not None:
-                projected = project_l1_columns(params, l1_bound)
-                params.weights = projected.weights
+                _project_l1_in_place(params.weights, l1_bound)
     return params
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphboost.aggregate import (AlignmentConfig, Polynomial,
+from graphboost.aggregate import (INJECT_BLOCK, AlignmentConfig, Polynomial,
                                   _alignment_value_grad, alignment, fit_kta,
                                   fixed, gram, injection, kta)
 from graphboost.data import one_hot
@@ -124,6 +124,30 @@ class TestPolynomial:
                                atol=1e-12)
             for before, after in zip(saved, (x, x0, d)):
                 assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (6,)], ids=["2d", "1d"])
+    def test_injection_bit_identical_to_allocating_sum(self, ring_operator,
+                                                       shape):
+        rng = np.random.default_rng(16)
+        x, x0 = rng.standard_normal(shape), rng.standard_normal(shape)
+        a = injection(ring_operator, 0.3)
+        assert np.array_equal(a.apply(x, x0), a.linear(x) + a.inject * x0)
+
+    def test_injection_spanning_row_blocks(self):
+        # more rows than one buffer block holds
+        n, c = 2 * INJECT_BLOCK // 8 + 3, 8
+        g = SparseGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        a = injection(augmented_adjacency(g), 0.7)
+        rng = np.random.default_rng(17)
+        x, x0 = rng.standard_normal((n, c)), rng.standard_normal((n, c))
+        assert np.array_equal(a.apply(x, x0), a.linear(x) + a.inject * x0)
+
+    def test_identity_with_injection_leaves_input(self, ring_operator):
+        x = np.random.default_rng(18).standard_normal((6, 2))
+        saved = x.copy()
+        a = Polynomial(ring_operator, (0,), (1.0,), inject=0.5)
+        assert np.array_equal(a.apply(x, x), saved + 0.5 * saved)
+        assert np.array_equal(x, saved)
 
     def test_powers_must_ascend(self, ring_operator):
         with pytest.raises(ValueError, match="ascend"):

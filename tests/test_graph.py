@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -186,6 +191,43 @@ class TestOperatorNorm:
         assert 0.0 < err.value.last_estimate <= 1.0 + 1e-9
 
 
+def two_component_graph(n, seed):
+    """Two random connected components, so that eigenvalue 1 is tied."""
+    half = n // 2
+    a = random_connected_graph(half, 0.15, seed)
+    b = random_connected_graph(n - half, 0.15, seed + 1)
+    return SparseGraph.from_edges(n, np.vstack([a.edges, b.edges + half]))
+
+
+def reference_eigendecompose(p):
+    """The dense path eigendecompose replaced: densify through apply,
+    symmetrise as (D + D^T) / 2, numpy's eigh, descending by argsort."""
+    dense = p.apply(np.eye(p.n))
+    vals, vecs = np.linalg.eigh((dense + dense.T) / 2.0)
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
+
+
+# peak resident growth of one eigendecompose in a fresh process, in N x N
+# float64 arrays
+_EIGEN_PEAK_SCRIPT = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from graphboost.graph import (SparseGraph, augmented_adjacency,
+                                  eigendecompose)
+    n = int(sys.argv[1])
+    rng = np.random.default_rng(0)
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    extra = rng.integers(0, n, size=(2 * n, 2))
+    extra = extra[extra[:, 0] != extra[:, 1]]
+    p = augmented_adjacency(SparseGraph.from_edges(n, np.vstack([path, extra])))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    eigendecompose(p)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print((after - before) * 1024 / (8.0 * n * n))
+""")
+
+
 class TestEigendecompose:
     def test_identity_all_ones(self):
         sd = eigendecompose(identity(3))
@@ -234,6 +276,33 @@ class TestEigendecompose:
         g = random_connected_graph(30, 0.1, seed=7)
         with pytest.raises(GraphError, match="cap"):
             eigendecompose(augmented_adjacency(g), cap=10)
+
+    @pytest.mark.parametrize("make", [
+        lambda: augmented_adjacency(random_connected_graph(40, 0.1, seed=11)),
+        lambda: augmented_adjacency(two_component_graph(41, seed=12)),
+        lambda: normalized_adjacency(random_connected_graph(40, 0.1, seed=13)),
+    ], ids=["connected", "disconnected", "normalized"])
+    def test_matches_dense_reference_bit_for_bit(self, make):
+        p = make()
+        vals, vecs = reference_eigendecompose(p)
+        sd = eigendecompose(p)
+        assert np.array_equal(sd.eigenvalues, vals)
+        assert np.array_equal(sd.eigenvectors, vecs)
+        x = np.random.default_rng(0).standard_normal((p.n, 3))
+        assert np.array_equal(sd.expand(x), vecs.T @ x)
+
+    def test_peak_memory_one_buffer_and_workspace(self):
+        # the buffer plus dsyevd's 2 N^2 workspace is about 3.4 N x N; the
+        # dense path with identity, product, symmetrised copy and reordered
+        # eigenvectors peaked at about 6.4
+        n = 1500
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", _EIGEN_PEAK_SCRIPT, str(n)], env=env,
+            capture_output=True, text=True, check=True, timeout=120)
+        assert float(out.stdout) < 4.5
 
     @pytest.mark.parametrize("seed", range(3))
     def test_connected_nonbipartite_spectrum(self, seed):

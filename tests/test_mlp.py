@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from graphboost.mlp import (DROPOUT_RATIO, MlpParams, TrainConfig,
-                            TrainingDiverged, backward, fit_classifier,
-                            fit_to_gradient, forward, init_mlp,
-                            max_column_l1, predict, project_l1_columns)
+                            TrainingDiverged, _Optimizer, backward,
+                            fit_classifier, fit_to_gradient, forward,
+                            init_mlp, max_column_l1, predict,
+                            project_l1_columns)
 
 
 def fd_param_grads(params, x, upstream, eps=1e-4):
@@ -317,6 +318,64 @@ class TestFitClassifier:
         with pytest.raises(ValueError):
             fit_classifier((2, 2), TrainConfig(epochs=1), np.ones((4, 2)),
                            np.zeros(4, dtype=int), np.zeros(4), np.arange(4))
+
+
+class AllocatingOptimizer:
+    """Reference: the update rules as allocating expressions, one fresh
+    array per operation."""
+
+    def __init__(self, cfg, shapes):
+        self.cfg = cfg
+        self.state = [
+            {"v": np.zeros(s), "m": np.zeros(s), "s": np.zeros(s)}
+            for s in shapes
+        ]
+        self.t = 0
+
+    def step(self, weights, grads):
+        cfg = self.cfg
+        self.t += 1
+        for w, g, st in zip(weights, grads, self.state):
+            if cfg.weight_decay:
+                g = g + cfg.weight_decay * w
+            if cfg.optimizer == "sgd":
+                w -= cfg.lr * g
+            elif cfg.optimizer == "momentum":
+                st["v"] = cfg.momentum * st["v"] + g
+                w -= cfg.lr * st["v"]
+            elif cfg.optimizer == "adam":
+                b1, b2, eps = 0.9, 0.999, 1e-8
+                st["m"] = b1 * st["m"] + (1 - b1) * g
+                st["s"] = b2 * st["s"] + (1 - b2) * g * g
+                mhat = st["m"] / (1 - b1 ** self.t)
+                shat = st["s"] / (1 - b2 ** self.t)
+                w -= cfg.lr * mhat / (np.sqrt(shat) + eps)
+            elif cfg.optimizer == "rmsprop":
+                alpha, eps = 0.99, 1e-8
+                st["s"] = alpha * st["s"] + (1 - alpha) * g * g
+                w -= cfg.lr * g / (np.sqrt(st["s"]) + eps)
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("opt", ["sgd", "momentum", "adam", "rmsprop"])
+    def test_in_place_step_matches_allocating_formulas(self, opt, decay):
+        rng = np.random.default_rng(21)
+        cfg = TrainConfig(optimizer=opt, lr=0.03, momentum=0.9,
+                          weight_decay=decay)
+        shapes = [(7, 5), (5,)]
+        got = [rng.standard_normal(s) for s in shapes]
+        want = [w.copy() for w in got]
+        fast, slow = _Optimizer(cfg, shapes), AllocatingOptimizer(cfg, shapes)
+        for _ in range(50):
+            grads = [rng.standard_normal(s) for s in shapes]
+            saved = [g.copy() for g in grads]
+            fast.step(got, grads)
+            slow.step(want, saved)
+            for g, before in zip(grads, saved):
+                assert np.array_equal(g, before)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 class TestProjectL1Columns:

@@ -228,6 +228,27 @@ class TestSmoothingReport:
         assert len(lines) == 4
 
 
+    def test_spectral_csv_bytes_unchanged(self, tmp_path):
+        # the expected bytes were written by the dense path that densified
+        # through apply(eye) and ran numpy's eigh; any rework of the
+        # spectral path must reproduce them
+        g = SparseGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4),
+                                       (4, 5), (5, 6)])
+        x = np.random.default_rng(3).standard_normal((7, 2))
+        path = tmp_path / "spectral.csv"
+        smoothing_report(augmented_adjacency(g), x, t_max=3).write_csv(path)
+        assert path.read_text() == (
+            "t,frob_direct,frob_spectral,cos_xi1_max,rank1_dist\n"
+            "0,5.298217601296804,5.298217601296804,0.5842815582515349,"
+            "4.428418294869634\n"
+            "1,3.3447927284979455,3.3447927284979446,0.8757587510998754,"
+            "1.6514894005889196\n"
+            "2,3.1203468865529596,3.1203468865529587,0.9403241861715008,"
+            "1.129753750188758\n"
+            "3,3.0216645349688602,3.0216645349688585,0.9675655373713867,"
+            "0.8186790613747182\n")
+
+
 class TestTheoryReport:
     def test_functional_report_asserts_bound(self):
         ds = synthesize_two_block(40, 0.8, 0.05, seed=0)
