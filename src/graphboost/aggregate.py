@@ -83,10 +83,9 @@ class Polynomial:
             acc = term
         return acc
 
-    def linear(self, x, transpose=False):
-        """The homogeneous part sum_i coefs[i] P^{powers[i]} x (or its
-        transpose)."""
-        return self._combine(self.terms(x, transpose))
+    def linear(self, x):
+        """The homogeneous part sum_i coefs[i] P^{powers[i]} x."""
+        return self._combine(self.terms(x))
 
     def apply(self, x, x0=None):
         if not self.inject:

@@ -499,16 +499,22 @@ def stage_representations(model: EnsembleModel, dataset: NodeDataset,
     return list(stage_inputs(model, dataset, rows))
 
 
-def _replay(model: EnsembleModel, reps):
+def _replay(model: EnsembleModel, reps, caches=None):
     """Raw learner outputs on the rows of the per-stage inputs ``reps``, a
-    list or a ``stage_inputs`` stream; a skipped stage yields None. Each
-    input is released before the next is drawn (a ``zip`` would hold the
-    last one while the stream advances)."""
+    list or a ``stage_inputs`` stream; a skipped stage yields None. Given a
+    ``caches`` list, each stage's forward cache (None when skipped) is
+    appended to it. Otherwise each input is released before the next is
+    drawn (a ``zip`` would hold the last one while the stream advances, and
+    a cache holds its input)."""
     outputs = []
     for rep in reps:
         learner = model.stages[len(outputs)].learner
-        outputs.append(None if learner is None else forward(learner, rep)[0])
-        del rep
+        out, cache = ((None, None) if learner is None
+                      else forward(learner, rep))
+        outputs.append(out)
+        if caches is not None:
+            caches.append(cache)
+        del rep, cache
     return outputs
 
 
@@ -600,12 +606,8 @@ def _stack_forward(model, inputs):
     """Softened stack score on the rows of the per-stage learner inputs,
     with the caches backprop needs. SAMME's argmax becomes softmax;
     functional stays the identity. Returns (score, caches, logits_list)."""
-    caches, logits_list = [], []
-    for stage, x in zip(model.stages, inputs):
-        out, cache = ((None, None) if stage.learner is None
-                      else forward(stage.learner, x))
-        caches.append(cache)
-        logits_list.append(out)
+    caches = []
+    logits_list = _replay(model, inputs, caches)
     score = _scores(model, logits_list, len(inputs[0]), soft=True)[-1]
     return score, caches, logits_list
 

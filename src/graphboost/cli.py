@@ -24,7 +24,7 @@ from .boost import (AggregatorSpec, FineTuneConfig, FunctionalGBConfig,
                     read_trace_csv, run_functional_gb, run_samme,
                     run_samme_r, save_model, write_trace_csv)
 from .data import DataError, load_planetoid
-from .graph import DENSE_EIGEN_CAP, ConvergenceError, base_operator
+from .graph import DENSE_EIGEN_CAP, base_operator
 from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
@@ -222,8 +222,12 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     # run's config.json sits one level above seed_<s>/model.json
     cfg_path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(model_path))), "config.json")
-    normalize = (load_config(cfg_path).normalize_features
-                 if os.path.exists(cfg_path) else True)
+    if os.path.exists(cfg_path):
+        normalize = load_config(cfg_path).normalize_features
+    else:
+        normalize = True
+        print(f"theory: no config.json at {cfg_path}; loading the data "
+              "with normalize_features=true", file=sys.stderr)
     dataset = load_planetoid(data_dir, normalize=normalize)
     model = load_model(model_path, dataset.graph)
     trace_path = trace_path or os.path.join(os.path.dirname(model_path),
@@ -315,8 +319,8 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, TrainingDiverged, ConvergenceError,
-            FloatingPointError, ArithmeticError) as exc:
+    except (NumericalError, TrainingDiverged, FloatingPointError,
+            ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -165,9 +165,8 @@ def base_operator(g: SparseGraph, base) -> PropagationMatrix:
 def operator_norm(p: PropagationMatrix, tol=1e-8):
     """Largest singular value by power iteration on P^T P.
 
-    ``p`` is anything with ``n``, ``apply`` and ``apply_transpose``, such as
-    a chain of aggregation stages. For symmetric P this equals
-    max |lambda_n|. Deterministic start vector;
+    ``p`` is anything with ``n``, ``apply`` and ``apply_transpose``. For
+    symmetric P this equals max |lambda_n|. Deterministic start vector;
     raises ConvergenceError carrying the last estimate after 10*N iterations.
     """
     n = p.n

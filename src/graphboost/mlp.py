@@ -184,18 +184,6 @@ def backward(p: MlpParams, cache, upstream, input_grad=True):
     return grads, d @ (w0[:-1] if p.bias else w0).T
 
 
-def predict(p: MlpParams, x):
-    """Forward in eval mode with the head applied (argmax ties break low)."""
-    out, _ = forward(p, x)
-    if p.head == "identity":
-        return out
-    if p.head == "softmax":
-        return softmax(out)
-    if p.head == "argmax":
-        return np.argmax(out, axis=1)
-    raise ValueError(f"unknown head '{p.head}'")
-
-
 def project_l1_columns(p: MlpParams, bound) -> MlpParams:
     """Rescale every weight column with L1 norm > bound onto the ball's
     surface (radial projection; direction preserved)."""

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from .aggregate import Polynomial
 from .boost import predict, stage_inputs
 from .data import partition_constants
-from .graph import (ConvergenceError, PropagationMatrix, eigendecompose,
-                    operator_norm)
+from .graph import PropagationMatrix, eigendecompose
 from .losses import margin_loss
 from .mlp import max_column_l1
 
@@ -249,21 +247,8 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
 # ---------------------------------------------------------------------------
 # report assembly over a finished boosting run
 
-def _stage_chain(aggregators):
-    """Linear part of the stage-2..t aggregation chain, with the operator
-    interface power iteration expects. Input injection contributes its
-    contraction part rho * P."""
-    def run(x, transpose):
-        for a in (reversed(aggregators) if transpose else aggregators):
-            x = a.linear(x, transpose)
-        return x
-    return SimpleNamespace(n=aggregators[0].operator.n,
-                           apply=lambda x: run(x, False),
-                           apply_transpose=lambda x: run(x, True))
-
-
 def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
-                        delta=0.0, b_tilde=None, compute_op_norms=True):
+                        delta=0.0, b_tilde=None):
     """Assemble every bound the run supports into one report dict.
 
     The optimization section applies to functional (binary) runs only;
@@ -318,9 +303,17 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
 
     # complexity section: one entry per stage
     entries = []
-    chain = []
+    # ||P^(t)||_op is max |prod_s q_s(lambda)| over P's spectrum, which lies
+    # in [-1, 1] and contains 1. With no negative coefficient the maximum
+    # sits at lambda = 1, so prod_s sum_i |c_si| is exact; otherwise it is
+    # an upper bound
+    op_norm, upper_bound = 1.0, False
     for idx, (stage, px) in enumerate(zip(model.stages, px_norms)):
         t = idx + 1
+        if idx >= 1:
+            coefs = np.asarray(stage.aggregator.coefs, dtype=float)
+            op_norm *= float(np.abs(coefs).sum())
+            upper_bound = upper_bound or bool(np.any(coefs < 0.0))
         if stage.learner is None:
             # skipped round: the stage contributes the zero function
             entry = {"t": t, "b_tilde": 0.0, "d_constant": 0.0,
@@ -338,15 +331,9 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
                      "px_frobenius": px, "rademacher_bound": bound,
                      "eta": stage.weight,
                      "eta_term": abs(stage.weight) * bound}
-        if compute_op_norms and idx >= 1:
-            chain.append(model.stages[idx].aggregator)
-            try:
-                entry["op_norm"] = operator_norm(_stage_chain(chain))
-            except ConvergenceError as exc:
-                entry["op_norm"] = exc.last_estimate
-                entry["op_norm_converged"] = False
-        elif idx == 0:
-            entry["op_norm"] = 1.0
+        entry["op_norm"] = op_norm
+        if upper_bound:
+            entry["op_norm_upper_bound"] = True
         entries.append(entry)
     report["complexity"] = entries
 
@@ -356,7 +343,7 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
     seq = []
     for entry in entries[1:]:
         a = alphas.get(entry["t"], float("nan"))
-        if (entry.get("op_norm") is not None and np.isfinite(a) and a > 0):
+        if np.isfinite(a) and a > 0:
             seq.append(entry["d_constant"] * entry["op_norm"] / a)
     ratios = [seq[i + 1] / seq[i] for i in range(len(seq) - 1)
               if seq[i] > 0]

@@ -101,7 +101,6 @@ class TestPolynomial:
         a = injection(ring_operator, 0.25)
         p = ring_operator.matrix.toarray()
         assert np.allclose(a.linear(x), 0.25 * (p @ x))
-        assert np.allclose(a.linear(x, transpose=True), 0.25 * (p.T @ x))
 
     @pytest.mark.parametrize("weights", [
         [1.1, 0.5, -0.3, 2.0, 0.7], [1.0, 0.5, 1.0, 2.0, 1.0], [1.0] * 5])

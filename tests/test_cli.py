@@ -171,6 +171,29 @@ class TestTheoryCommand:
         assert frob_0 == pytest.approx(np.linalg.norm(raw), rel=1e-12)
         assert frob_0 != pytest.approx(np.linalg.norm(normalized), rel=1e-3)
 
+    def test_missing_config_states_default(self, dataset_dir, tmp_path,
+                                           capsys):
+        # without a config.json above the model, theory says it normalizes
+        import shutil
+        from graphboost.data import load_planetoid
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        run = tmp_path / "run"
+        cmd_train(str(cfg_path), str(run))
+        cmd_theory(str(run / "seed_0" / "model.json"), dataset_dir,
+                   out_dir=str(run / "seed_0"))
+        assert capsys.readouterr().err == ""
+        loose = tmp_path / "loose" / "seed_0"
+        shutil.copytree(run / "seed_0", loose)
+        cmd_theory(str(loose / "model.json"), dataset_dir,
+                   out_dir=str(loose))
+        err = capsys.readouterr().err
+        assert "no config.json" in err and "normalize_features=true" in err
+        rows = (loose / "spectral.csv").read_text().splitlines()
+        normalized = load_planetoid(dataset_dir).features
+        assert float(rows[1].split(",")[1]) == pytest.approx(
+            np.linalg.norm(normalized), rel=1e-12)
+
     def test_spectral_skipped_above_cap(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphboost.aggregate import fixed
 from graphboost.graph import (ConvergenceError, GraphError,
                               PropagationMatrix, SparseGraph,
                               augmented_adjacency, eigendecompose,
                               normalized_adjacency, operator_norm,
                               read_edge_list)
-from graphboost.theory import _stage_chain
 
 
 def dense(p):
@@ -147,18 +145,6 @@ class TestPropagate:
         with pytest.raises(GraphError):
             identity(3).apply(np.ones((4, 2)))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_composition_equals_sequential(self, seed):
-        rng = np.random.default_rng(seed)
-        g = random_connected_graph(15, 0.2, seed=seed)
-        p = augmented_adjacency(g)
-        q = normalized_adjacency(g)
-        # a chain of aggregation stages applies its first stage first
-        comp = _stage_chain([fixed(p), fixed(q), fixed(p)])
-        x = rng.standard_normal((15, 4))
-        seq = p.apply(q.apply(p.apply(x)))
-        assert np.max(np.abs(comp.apply(x) - seq)) <= 1e-10 * np.linalg.norm(x)
-
 
 class TestOperatorNorm:
     def test_identity(self):
@@ -169,17 +155,17 @@ class TestOperatorNorm:
         assert operator_norm(augmented_adjacency(g)) == pytest.approx(1.0)
 
     def test_diagonal_composition(self):
-        d = operator(sp.diags([0.3, -0.7]))
-        chain = _stage_chain([fixed(d), fixed(d)])
-        assert operator_norm(chain) == pytest.approx(0.49, rel=1e-6)
+        d = sp.diags([0.3, -0.7])
+        assert operator_norm(operator(d @ d)) == pytest.approx(0.49,
+                                                               rel=1e-6)
 
     def test_square_of_psd_operator(self):
         # P = A^T A is PSD; ||P o P|| should equal ||P||^2
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
-        p = operator(a.T @ a)
-        single = operator_norm(p)
-        squared = operator_norm(_stage_chain([fixed(p), fixed(p)]))
+        p = a.T @ a
+        single = operator_norm(operator(p))
+        squared = operator_norm(operator(p @ p))
         assert squared == pytest.approx(single ** 2, rel=1e-6)
 
     def test_nonconvergence_reports_last_iterate(self):

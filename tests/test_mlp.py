@@ -4,8 +4,7 @@ import pytest
 from graphboost.mlp import (DROPOUT_RATIO, MlpParams, TrainConfig,
                             TrainingDiverged, _Optimizer, backward,
                             fit_classifier, fit_to_gradient, forward,
-                            init_mlp, max_column_l1, predict,
-                            project_l1_columns)
+                            init_mlp, max_column_l1, project_l1_columns)
 
 
 def fd_param_grads(params, x, upstream, eps=1e-4):
@@ -298,8 +297,7 @@ class TestFitClassifier:
         w[4] = 1.0
         cfg = TrainConfig(epochs=300, lr=0.1, weight_decay=0.0, seed=3)
         params, werr = fit_classifier((3, 3), cfg, x, y, w, np.arange(10))
-        pred = predict(MlpParams(params.weights, head="argmax",
-                                 bias=params.bias), x)
+        pred = np.argmax(forward(params, x)[0], axis=1)
         assert pred[4] == y[4]
         assert werr == 0.0
 

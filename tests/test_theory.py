@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,6 +324,43 @@ class TestTheoryReport:
             product = q @ product
             assert entry["op_norm"] == pytest.approx(
                 np.linalg.norm(product, 2), rel=0, abs=1e-6)
+
+    @pytest.mark.parametrize("kind,base", [
+        ("fixed", "augmented"), ("fixed", "normalized"),
+        ("input_injection", "augmented")])
+    def test_op_norm_in_closed_form(self, kind, base):
+        # both bases have spectrum in [-1, 1] containing 1: a fixed chain
+        # has norm 1, an injection chain (rho P)^(t-1) has norm rho^(t-1)
+        ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
+        model, trace = run_samme(ds, SammeConfig(
+            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5, seed=4),
+            aggregator=AggregatorSpec(kind=kind, base=base, rho=0.5),
+            seed=5))
+        report = build_theory_report(model, trace, ds)
+        rho = 1.0 if kind == "fixed" else 0.5
+        for entry in report["complexity"]:
+            assert entry["op_norm"] == rho ** (entry["t"] - 1)
+            assert "op_norm_upper_bound" not in entry
+
+    def test_negative_kta_coefficient_flags_upper_bound(self):
+        ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
+        model, trace = run_samme(ds, SammeConfig(
+            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5, seed=4),
+            aggregator=AggregatorSpec(kind="kta"), seed=5))
+        stage = model.stages[2]
+        coefs = stage.aggregator.coefs.copy()
+        coefs[1] = -0.5
+        stage.aggregator = replace(stage.aggregator, coefs=coefs)
+        report = build_theory_report(model, trace, ds)
+        p = augmented_adjacency(ds.graph).matrix.toarray()
+        powers = [np.eye(ds.n)] + [np.linalg.matrix_power(p, 2 ** k)
+                                   for k in range(4)]
+        product = np.eye(ds.n)
+        for stage, entry in zip(model.stages[1:], report["complexity"][1:]):
+            product = sum(w * pk for w, pk in zip(stage.aggregator.coefs,
+                                                  powers)) @ product
+            assert entry.get("op_norm_upper_bound", False) == (entry["t"] >= 3)
+            assert entry["op_norm"] >= np.linalg.norm(product, 2) * (1 - 1e-12)
 
     def test_hand_assembled_generalization_terms(self):
         # reproduce the four addends by hand from the report constants
