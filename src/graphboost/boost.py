@@ -198,47 +198,56 @@ def samme_r_contribution(logp):
     return (k - 1.0) * (logp - logp.mean(axis=1, keepdims=True))
 
 
-class _RepState:
-    """Representation chain state; input injection doubles the channels the
-    learners see by carrying the raw features alongside."""
-
-    def __init__(self, x, injected):
-        self.original = np.asarray(x, dtype=float)
-        self.current = self.original
-        self.injected = injected
-
-    def learner_input(self, rows=slice(None)):
-        if self.injected:
-            return np.hstack([self.current[rows], self.original[rows]])
-        return self.current[rows]
-
-    def advance(self, aggregator):
-        self.current = aggregator.apply(self.current, self.original)
+class AllRoundsRejected(RuntimeError):
+    """No round of a SAMME run produced a learner that beat chance."""
 
 
-def _make_stage_aggregator(spec: AggregatorSpec, operator, state, dataset,
-                           cfg_alignment=None):
-    """Instantiate (and for the learnable family, fit) a stage aggregator."""
-    if spec.kind == "fixed":
+def _aggregator(operator, kind, rho=None, n_deg=None, weights=None):
+    """The polynomial of one aggregation family over ``operator``; ``kind``
+    and its parameters are the fields of a stage's saved aggregator."""
+    if kind == "fixed":
         return agg_mod.fixed(operator)
-    if spec.kind == "input_injection":
-        return agg_mod.injection(operator, spec.rho)
-    if spec.kind == "kta":
-        y_tr = one_hot(dataset.labels[dataset.split.train], dataset.n_classes)
-        fitted, _ = agg_mod.fit_kta(
-            agg_mod.kta(operator, spec.n_deg), state.current, y_tr,
-            dataset.split.train, cfg_alignment or spec.alignment)
-        return fitted
-    raise ValueError(f"unknown aggregator kind '{spec.kind}'")
+    if kind == "input_injection":
+        return agg_mod.injection(operator, rho)
+    if kind == "kta":
+        return agg_mod.kta(operator, n_deg, weights)
+    raise ValueError(f"unknown aggregator kind '{kind}'")
 
 
-def _input_width(dataset, injected):
-    """Learner input width: injection carries the raw features alongside."""
-    return dataset.n_features * (2 if injected else 1)
+def _stage_chain(features, injected, advance_by, rows=slice(None)):
+    """The one walk of the stage chain, for training and replay: yields
+    (aggregator, learner input on ``rows``) stage by stage, the first with
+    no aggregator; ``advance_by(current)`` gives the aggregator that
+    advances the current representation. Input injection carries the raw
+    features alongside. Only the chain state is held, so a consumer that
+    drops each input before the next ``next()`` keeps one stage's input
+    alive at a time; ``for aggregator, rep in chain`` holds two."""
+    x0 = np.asarray(features, dtype=float)
+    current, aggregator = x0, None
+    while True:
+        yield aggregator, (np.hstack([current[rows], x0[rows]]) if injected
+                           else current[rows])
+        aggregator = advance_by(current)
+        current = aggregator.apply(current, x0)
 
 
-def _learner_widths(in_width, hidden, out_width):
-    return (in_width, *hidden, out_width)
+def _training_chain(dataset: NodeDataset, spec: AggregatorSpec):
+    """The stage chain a boosting driver grows: every stage draws its
+    aggregator from ``spec``, and a KTA aggregator is fitted on the
+    representation it advances."""
+    operator = base_operator(dataset.graph, spec.base)
+    train = dataset.split.train
+
+    def advance_by(current):
+        aggregator = _aggregator(operator, spec.kind, rho=spec.rho,
+                                 n_deg=spec.n_deg)
+        if spec.kind == "kta":
+            y_tr = one_hot(dataset.labels[train], dataset.n_classes)
+            aggregator, _ = agg_mod.fit_kta(aggregator, current, y_tr, train,
+                                            spec.alignment)
+        return aggregator
+    return _stage_chain(dataset.features, spec.kind == "input_injection",
+                        advance_by)
 
 
 def _cos(a, b):
@@ -248,6 +257,28 @@ def _cos(a, b):
     return float(np.vdot(a, b) / (na * nb))
 
 
+def _trace_row(t, dataset, score, cos_theta, fit, passed, clip, delta=0.0):
+    """Per-stage record: losses and errors of the updated score, the angle
+    and fitted w.l.c. of the stage's contribution against the negative
+    gradient taken before the update, and the L1 norm of the gradient at
+    the updated score. A score vector is binary, a matrix multiclass."""
+    y, split = dataset.labels, dataset.split
+    grad = surrogate_grad if score.ndim == 1 else multiclass_surrogate_grad
+    e = errors(score, y, split, delta=delta, clip=clip)
+    return {
+        "t": t,
+        "train_loss": e["surrogate"],
+        "train_err": e["train_err"],
+        "test_err": e["test_err"],
+        "cos_theta": cos_theta,
+        "alpha": fit.alpha if fit else float("nan"),
+        "beta": fit.beta if fit else float("nan"),
+        "gamma": fit.gamma if fit else float("nan"),
+        "grad_l1": float(np.abs(grad(score, y, split)).sum()),
+        "wlc_pass": passed,
+    }
+
+
 # ---------------------------------------------------------------------------
 # functional gradient boosting (binary)
 
@@ -255,9 +286,9 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
     """Binary functional gradient boosting with online w.l.c. verification.
 
     Returns (EnsembleModel, trace rows). The first stage fits the raw
-    features; each of the ``n_rounds`` loop iterations aggregates, fits the
-    scaled negative gradient, fits (alpha, beta), and steps with
-    eta = 4 / alpha.
+    features and steps with eta_1; each of the ``n_rounds`` further stages
+    aggregates, fits the scaled negative gradient, fits (alpha, beta), and
+    steps with eta = 4 / alpha.
     """
     if dataset.n_classes != 2:
         raise ValueError("functional boosting is binary-only")
@@ -265,70 +296,40 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
     split = dataset.split
     m = split.m
     rng = np.random.default_rng(cfg.seed)
-    injected = cfg.aggregator.kind == "input_injection"
-    operator = base_operator(dataset.graph, cfg.aggregator.base)
-    state = _RepState(dataset.features, injected)
-
-    def learner_cfg():
-        c = TrainConfig(**{**cfg.learner.__dict__})
-        c.seed = int(rng.integers(2 ** 31))
-        return c
-
-    widths = _learner_widths(_input_width(dataset, injected), cfg.hidden, 1)
-
-    # stage 1: no aggregation, gradient taken at the zero score vector
-    g = -surrogate_grad(np.zeros(dataset.n), y, split)
-    rep = state.learner_input()
-    b1, _ = fit_to_gradient(widths, learner_cfg(), rep, m * g, split.train,
-                            l1_bound=cfg.l1_bound)
-    f1 = forward(b1, rep)[0][:, 0]
-    yhat = cfg.eta1 * f1
-    stages = [StageRecord(None, b1, cfg.eta1, None)]
+    chain = _training_chain(dataset, cfg.aggregator)
+    yhat = np.zeros(dataset.n)
+    stages = []
     trace = []
     flags = {}
 
-    def record(t, yhat, cos_theta, wlc, passed):
-        e = errors(yhat, y, split, delta=cfg.delta, clip=cfg.clip)
-        row = {
-            "t": t,
-            "train_loss": e["surrogate"],
-            "train_err": e["train_err"],
-            "test_err": e["test_err"],
-            "cos_theta": cos_theta,
-            "alpha": wlc.alpha if wlc else float("nan"),
-            "beta": wlc.beta if wlc else float("nan"),
-            "gamma": wlc.gamma if wlc else float("nan"),
-            "grad_l1": float(np.abs(surrogate_grad(yhat, y, split)).sum()),
-            "wlc_pass": passed,
-        }
-        trace.append(row)
-
-    record(1, yhat, _cos(f1 / m, g), None, None)
-
-    for t in range(2, cfg.n_rounds + 2):
+    for t in range(1, cfg.n_rounds + 2):
         g = -surrogate_grad(yhat, y, split)
-        rep = None  # the last stage's input is not held through advance
-        aggregator = _make_stage_aggregator(cfg.aggregator, operator, state,
-                                            dataset)
-        state.advance(aggregator)
-        rep = state.learner_input()
-        b_t, _ = fit_to_gradient(widths, learner_cfg(), rep, m * g,
+        aggregator, rep = next(chain)
+        seed = int(rng.integers(2 ** 31))
+        b_t, _ = fit_to_gradient((rep.shape[1], *cfg.hidden, 1),
+                                 replace(cfg.learner, seed=seed), rep, m * g,
                                  split.train, l1_bound=cfg.l1_bound)
         f_t = forward(b_t, rep)[0][:, 0]
+        rep = None  # the stage's input is not held through the next advance
         z = f_t / m
-        fit = wlc_fit(z, g, r_policy=cfg.r_policy, root=cfg.root)
-        if fit is None:
-            if cfg.wlc_fallback == "stop":
-                flags["stopped_at"] = t
-                record(t, yhat, _cos(z, g), None, False)
-                break
-            eta_t = 4.0 / cfg.alpha0
-            flags.setdefault("wlc_failures", []).append(t)
+        if t == 1:
+            fit, passed, eta_t = None, None, cfg.eta1
         else:
-            eta_t = 4.0 / fit.alpha
-        yhat = yhat + eta_t * f_t
-        stages.append(StageRecord(aggregator, b_t, eta_t, fit))
-        record(t, yhat, _cos(z, g), fit, fit is not None)
+            fit = wlc_fit(z, g, r_policy=cfg.r_policy, root=cfg.root)
+            passed = fit is not None
+            eta_t = 4.0 / (fit.alpha if passed else cfg.alpha0)
+        stop = passed is False and cfg.wlc_fallback == "stop"
+        if stop:
+            flags["stopped_at"] = t
+        else:
+            if passed is False:
+                flags.setdefault("wlc_failures", []).append(t)
+            yhat = yhat + eta_t * f_t
+            stages.append(StageRecord(aggregator, b_t, eta_t, fit))
+        trace.append(_trace_row(t, dataset, yhat, _cos(z, g), fit, passed,
+                                cfg.clip, cfg.delta))
+        if stop:
+            break
 
     candidates = [r for r in trace if r["t"] <= len(stages)]
     if cfg.strict_tstar:
@@ -347,31 +348,6 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
 # ---------------------------------------------------------------------------
 # SAMME / SAMME.R (multiclass)
 
-def _multiclass_trace_row(t, score_prev, score, contrib, dataset, clip):
-    """Per-iteration record: losses/errors of the updated score, plus the
-    angle and fitted w.l.c. of the contribution against the negative
-    gradient taken before the update."""
-    y = dataset.labels
-    split = dataset.split
-    e = errors(score, y, split, clip=clip)
-    g = -multiclass_surrogate_grad(score_prev, y, split)
-    fit = (wlc_fit((contrib / split.m).ravel(), g.ravel())
-           if np.any(g) else None)
-    return {
-        "t": t,
-        "train_loss": e["surrogate"],
-        "train_err": e["train_err"],
-        "test_err": e["test_err"],
-        "cos_theta": _cos(contrib, g),
-        "alpha": fit.alpha if fit else float("nan"),
-        "beta": fit.beta if fit else float("nan"),
-        "gamma": fit.gamma if fit else float("nan"),
-        "grad_l1": float(np.abs(
-            multiclass_surrogate_grad(score, y, split)).sum()),
-        "wlc_pass": fit is not None,
-    }
-
-
 def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
     y = dataset.labels
     split = dataset.split
@@ -379,10 +355,8 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
     if k < 2:
         raise ValueError("need at least two classes")
     rng = np.random.default_rng(cfg.seed)
-    injected = cfg.aggregator.kind == "input_injection"
-    operator = base_operator(dataset.graph, cfg.aggregator.base)
-    state = _RepState(dataset.features, injected)
-    widths = _learner_widths(_input_width(dataset, injected), cfg.hidden, k)
+    chain = _training_chain(dataset, cfg.aggregator)
+    head = "softmax" if real_valued else "argmax"
 
     weights = np.zeros(dataset.n)
     weights[split.train] = 1.0 / split.m
@@ -391,66 +365,54 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
     trace = []
     flags = {}
 
-    def learner_cfg(extra=0):
-        c = TrainConfig(**{**cfg.learner.__dict__})
-        c.seed = int(rng.integers(2 ** 31)) + extra
-        return c
-
     for t in range(1, cfg.n_rounds + 1):
-        aggregator = rep = None  # the last stage's input is not held
-        if t >= 2:
-            aggregator = _make_stage_aggregator(cfg.aggregator, operator,
-                                                state, dataset)
-            state.advance(aggregator)
-        rep = state.learner_input()
-
-        head = "softmax" if real_valued else "argmax"
-        b_t = None
-        werr = None
+        aggregator, rep = next(chain)
         for attempt in range(2):
-            b_t, werr = fit_classifier(widths, learner_cfg(attempt), rep, y,
-                                       weights, split.train, head=head)
+            seed = int(rng.integers(2 ** 31)) + attempt
+            b_t, werr = fit_classifier(
+                (rep.shape[1], *cfg.hidden, k),
+                replace(cfg.learner, seed=seed), rep, y, weights,
+                split.train, head=head)
             if real_valued or werr < 1.0 - 1.0 / k:
                 break
-        if not real_valued and werr >= 1.0 - 1.0 / k:
+        rejected = not real_valued and werr >= 1.0 - 1.0 / k
+        logits = None if rejected else forward(b_t, rep)[0]
+        rep = None  # the stage's input is not held through the next advance
+        g = -multiclass_surrogate_grad(score, y, split)
+        if rejected:
             # rejected twice: this round contributes no member, but the
             # representation already advanced, so record a placeholder
             flags.setdefault("skipped", []).append(t)
             stages.append(StageRecord(aggregator, None, 0.0, None))
-            trace.append(_multiclass_trace_row(t, score, score,
-                                               np.zeros_like(score),
-                                               dataset, cfg.clip))
-            continue
-
-        logits = forward(b_t, rep)[0]
-        score_prev = score
-        if real_valued:
-            proba = np.clip(softmax(logits), cfg.clip, 1.0)
-            if not np.all(np.isfinite(proba)):
-                raise FloatingPointError("NaN class probabilities")
-            logp = np.log(proba)
-            contrib = samme_r_contribution(logp)
-            coding = np.full((dataset.n, k), -1.0 / (k - 1.0))
-            coding[np.arange(dataset.n), y.clip(min=0)] = 1.0
-            upd = np.exp(-((k - 1.0) / k) * (coding * logp).sum(axis=1))
-            weights[split.train] *= upd[split.train]
-            weights /= weights.sum()
-            score = score + contrib
-            stages.append(StageRecord(aggregator, b_t, 1.0, None))
+            contrib = np.zeros_like(score)
         else:
-            lam = samme_model_weight(werr, k)
-            pred = np.argmax(logits, axis=1)
-            contrib = lam * one_hot(pred, k)
-            bad = pred[split.train] != y[split.train]
-            weights[split.train] *= np.exp(lam * bad)
+            if real_valued:
+                proba = np.clip(softmax(logits), cfg.clip, 1.0)
+                if not np.all(np.isfinite(proba)):
+                    raise FloatingPointError("NaN class probabilities")
+                logp = np.log(proba)
+                contrib = samme_r_contribution(logp)
+                coding = np.full((dataset.n, k), -1.0 / (k - 1.0))
+                coding[np.arange(dataset.n), y.clip(min=0)] = 1.0
+                upd = np.exp(-((k - 1.0) / k) * (coding * logp).sum(axis=1))
+                weights[split.train] *= upd[split.train]
+                weight = 1.0
+            else:
+                weight = samme_model_weight(werr, k)
+                pred = np.argmax(logits, axis=1)
+                contrib = weight * one_hot(pred, k)
+                bad = pred[split.train] != y[split.train]
+                weights[split.train] *= np.exp(weight * bad)
             weights /= weights.sum()
             score = score + contrib
-            stages.append(StageRecord(aggregator, b_t, lam, None))
-        trace.append(_multiclass_trace_row(t, score_prev, score, contrib,
-                                           dataset, cfg.clip))
+            stages.append(StageRecord(aggregator, b_t, weight, None))
+        fit = (wlc_fit((contrib / split.m).ravel(), g.ravel())
+               if np.any(g) else None)
+        trace.append(_trace_row(t, dataset, score, _cos(contrib, g), fit,
+                                fit is not None, cfg.clip))
 
     if not any(st.learner is not None for st in stages):
-        raise RuntimeError(
+        raise AllRoundsRejected(
             "no weak learner beat chance in any round; nothing to predict "
             "with")
     mode = "samme_r" if real_valued else "samme"
@@ -481,16 +443,15 @@ def run_samme_r(dataset, cfg: SammeConfig):
 def stage_inputs(model: EnsembleModel, dataset: NodeDataset,
                  rows=slice(None)):
     """Yield every stage's learner input (the aggregated features the
-    transformation function saw), restricted to ``rows``, in stage order.
-    The one replay of the stage chain: the generator holds only the chain
-    state, so a consumer that drops each input before asking for the next
-    keeps one stage's input alive at a time."""
-    injected = model.aggregator_kind == "input_injection"
-    state = _RepState(dataset.features, injected)
-    for s, stage in enumerate(model.stages):
-        if s >= 1:
-            state.advance(stage.aggregator)
-        yield state.learner_input(rows)
+    transformation function saw), restricted to ``rows``, in stage order:
+    the model's aggregators drive the chain the trainers grew, and each
+    input is handed on without being held (see ``_stage_chain``)."""
+    aggregators = (st.aggregator for st in model.stages[1:])
+    chain = _stage_chain(dataset.features,
+                         model.aggregator_kind == "input_injection",
+                         lambda _: next(aggregators), rows)
+    for _ in model.stages:
+        yield next(chain)[1]
 
 
 def stage_representations(model: EnsembleModel, dataset: NodeDataset,
@@ -754,18 +715,6 @@ def _aggregator_to_json(aggregator, kind):
     raise ValueError(f"unknown aggregator kind {kind}")
 
 
-def _aggregator_from_json(blob, operator):
-    if blob is None:
-        return None
-    if blob["kind"] == "fixed":
-        return agg_mod.fixed(operator)
-    if blob["kind"] == "input_injection":
-        return agg_mod.injection(operator, blob["rho"])
-    if blob["kind"] == "kta":
-        return agg_mod.kta(operator, blob["n_deg"], blob["weights"])
-    raise ValueError(f"unknown aggregator kind {blob['kind']}")
-
-
 def model_to_json(model: EnsembleModel) -> dict:
     """JSON manifest: mode, K, t*, per-stage aggregator params, learner
     weights (row-major), and the eta/lambda sequence."""
@@ -812,9 +761,10 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
             params = MlpParams(weights=weights, activation=lrn["activation"],
                                head=lrn["head"], bias=lrn["bias"])
         wlc = (WlcParams(**st["wlc"]) if st["wlc"] else None)
-        stages.append(StageRecord(_aggregator_from_json(st["aggregator"],
-                                                        operator),
-                                  params, st["weight"], wlc))
+        agg = st["aggregator"]
+        stages.append(StageRecord(
+            None if agg is None else _aggregator(operator, **agg), params,
+            st["weight"], wlc))
     return EnsembleModel(mode=blob["mode"], n_classes=blob["n_classes"],
                          stages=stages, t_star=blob["t_star"], base=base,
                          aggregator_kind=blob["aggregator_kind"],

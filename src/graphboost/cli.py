@@ -19,11 +19,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .aggregate import AlignmentConfig
-from .boost import (AggregatorSpec, FineTuneConfig, FunctionalGBConfig,
-                    SammeConfig, fine_tune, load_model, predict,
-                    read_trace_csv, run_functional_gb, run_samme,
-                    run_samme_r, save_model, write_trace_csv)
-from .data import DataError, load_planetoid
+from .boost import (TRACE_COLUMNS, AggregatorSpec, AllRoundsRejected,
+                    FineTuneConfig, FunctionalGBConfig, SammeConfig,
+                    fine_tune, load_model, predict, read_trace_csv,
+                    run_functional_gb, run_samme, run_samme_r, save_model,
+                    write_trace_csv)
+from .data import DataError, load_planetoid, read_file
 from .graph import DENSE_EIGEN_CAP, base_operator
 from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
@@ -75,8 +76,11 @@ class ExperimentConfig:
             raise ConfigError(f"base: unknown operator '{self.base}'")
         if self.n_rounds < 1:
             raise ConfigError("n_rounds: must be >= 1")
-        if not self.seeds:
-            raise ConfigError("seeds: need at least one seed")
+        if not (isinstance(self.seeds, list) and self.seeds and all(
+                isinstance(s, (int, np.integer)) and s >= 0
+                for s in self.seeds)):
+            raise ConfigError(
+                "seeds: need a non-empty list of non-negative integers")
 
     @property
     def hidden(self):
@@ -95,6 +99,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
+    if not isinstance(blob, dict):
+        raise ConfigError("a config is a JSON object")
     blob = dict(blob)
     try:
         for key, cls in (("learner", TrainConfig), ("kta", AlignmentConfig),
@@ -218,10 +224,11 @@ def cmd_train(config_path, out_root, jobs=1):
 def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
                delta=0.0, trace_path=None, eigen_cap=DENSE_EIGEN_CAP):
     out_dir = out_dir or os.path.dirname(os.path.abspath(model_path))
-    # bounds are computed on the features the model was trained on: the
-    # run's config.json sits one level above seed_<s>/model.json
-    cfg_path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(model_path))), "config.json")
+    # bounds are computed on the data and features the model was trained
+    # on: the run's config.json and inputs.json sit one level above
+    # seed_<s>/model.json
+    run_dir = os.path.dirname(os.path.dirname(os.path.abspath(model_path)))
+    cfg_path = os.path.join(run_dir, "config.json")
     if os.path.exists(cfg_path):
         normalize = load_config(cfg_path).normalize_features
     else:
@@ -229,10 +236,21 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
         print(f"theory: no config.json at {cfg_path}; loading the data "
               "with normalize_features=true", file=sys.stderr)
     dataset = load_planetoid(data_dir, normalize=normalize)
-    model = load_model(model_path, dataset.graph)
+    inputs_path = os.path.join(run_dir, "inputs.json")
+    if os.path.exists(inputs_path):
+        recorded = read_file(inputs_path)
+        if not isinstance(recorded, dict):
+            raise DataError(f"{inputs_path} is not a JSON object")
+        found = _dataset_hashes(data_dir)
+        for fname in sorted(set(recorded) | set(found)):
+            if recorded.get(fname) != found.get(fname):
+                raise DataError(
+                    f"{os.path.join(data_dir, fname)} is not the file the "
+                    f"model was trained on (see {inputs_path})")
+    model = read_file(model_path, load_model, graph=dataset.graph)
     trace_path = trace_path or os.path.join(os.path.dirname(model_path),
                                             "trace.csv")
-    trace = read_trace_csv(trace_path)
+    trace = read_file(trace_path, read_trace_csv)
     report = build_theory_report(model, trace, dataset, c0=c0,
                                  delta_prime=delta_prime, delta=delta)
 
@@ -258,8 +276,7 @@ def cmd_curves(pattern, out_path):
     paths = sorted(globmod.glob(pattern))
     if not paths:
         raise DataError(f"no trace files match {pattern}")
-    metrics = ("train_loss", "train_err", "test_err", "cos_theta", "alpha",
-               "beta", "gamma", "grad_l1")
+    metrics = [c for c in TRACE_COLUMNS if c not in ("t", "wlc_pass")]
     rows = []
     by_key = {}
     for path in paths:
@@ -319,8 +336,8 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, TrainingDiverged, FloatingPointError,
-            ArithmeticError) as exc:
+    except (NumericalError, TrainingDiverged, AllRoundsRejected,
+            FloatingPointError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -148,6 +148,23 @@ def _read_matrix(path):
     return np.loadtxt(path, delimiter="\t", ndmin=2, dtype=float)
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_file(path, reader=_read_json, **kw):
+    """``reader(path, **kw)``, JSON by default; a file that cannot be
+    opened or parsed raises a DataError naming it."""
+    try:
+        return reader(path, **kw)
+    except DataError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(
+            f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
     """Load a converted citation-network directory.
 
@@ -160,17 +177,16 @@ def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
             raise DataError(f"missing dataset file: {p}")
         return p
 
-    with open(path("meta.json")) as fh:
-        meta = json.load(fh)
+    meta = read_file(path("meta.json"))
     for key in ("n", "c", "k"):
         if key not in meta:
             raise DataError(f"meta.json missing required field '{key}'")
 
-    features = _read_matrix(path("features.tsv"))
-    labels = np.loadtxt(path("labels.tsv"), dtype=np.int64, ndmin=1)
-    pairs = read_edge_list(path("edges.txt"))
-    with open(path("split.json")) as fh:
-        split_raw = json.load(fh)
+    features = read_file(path("features.tsv"), _read_matrix)
+    labels = read_file(path("labels.tsv"), np.loadtxt, dtype=np.int64,
+                       ndmin=1)
+    pairs = read_file(path("edges.txt"), read_edge_list)
+    split_raw = read_file(path("split.json"))
 
     mismatches = []
     if features.shape[0] != meta["n"]:

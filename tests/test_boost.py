@@ -506,6 +506,108 @@ class TestSerialization:
             assert b["wlc_pass"] == a["wlc_pass"]
 
 
+# SHA-256 of (model.json, trace.csv) as the trainers wrote them before both
+# drivers drew their stage inputs from one chain generator. Seed 2 stops at
+# t=3 under wlc_fallback="stop" on every kind; the last SAMME run skips
+# rounds 3-6.
+TRAINED_BYTES = {
+    "functional-fixed": (
+        "db6c33e2694b8ef7e19f1ba1f0b4105e51b49e8bf370cf07d78efbdcd0073c60",
+        "824d405e4757d0ff691ff84a5d06f5b4f7c03845bdf0fc4e5e560109b3d792ac"),
+    "samme-fixed": (
+        "818df0be8860c0137fe73a29d5ff94cfd47b90fbb89657fdce4a035d5fa73032",
+        "42e189aee1e6141e53df8040935a804207bd4665e7743dd369d59aa204d9665a"),
+    "samme_r-fixed": (
+        "a8a4c3f51796d60f4aac556a8c6599312dab53addd2411b158132cca8fbe9a52",
+        "d7c5dc0a81636ad1c146087b5e748afe7d2ae00bbd5c1c02903ff31844aa8871"),
+    "functional-fixed-wlc_fallback": (
+        "5a85400752369996a5eb60768aa8ee3762ed5bc70d03fd6a0cf4c123725363cd",
+        "d70802873b5b6e390a3af6156c9f8148caaada7e42b62e121542fa7457829d5c"),
+    "functional-fixed-strict_tstar": (
+        "2eeab3f1ad48a03f9308711ffe667e00580f2e508ab6e710bcf28f8edac1a92c",
+        "fc1991a38f87071d81311e817059606c01d82b2587295190d75a98e11f573c32"),
+    "functional-fixed-l1_bound": (
+        "ffdda47efff24f7d199e931b4b3d019c032aeae59ea4c9bc9984a23d81e08f84",
+        "fa1a4c77553a20665b784897fa51771561d835e34cd6f60b460c268cf6ac1e91"),
+    "functional-input_injection": (
+        "cbb19e48b6cc570b350b0d262997acdb9256ccb5cc439b51b2d2e9f55f39eef2",
+        "72f912310970e51049382d5d89f4889931d9dc847b39a746466cb61aceecede4"),
+    "samme-input_injection": (
+        "8ffd974dc0582e3ac652122e3b45245978d46f2c816f470efb362fac38863a49",
+        "4bd820c76fb0e0e97011d9cd8b64390bd60552532a0335e1c98daa2cbc9b9ef4"),
+    "samme_r-input_injection": (
+        "d4fb39993e36f7792135bc5becebf0b7a8006bc2c7e2354d709b1048bb5cb402",
+        "abe71f7cb4966a495f3c98110d5c3890ed3184b824a8604f0f2d999801fb079b"),
+    "functional-input_injection-wlc_fallback": (
+        "7a66f9b8ae33513a37319597d9094f1b8579e0ac3ae8a66e66b5aeb1fe6e5527",
+        "bdf7b8656f0980df49ce00b3f2fa793de3271e04923f459c06614f1d33c97ee1"),
+    "functional-input_injection-strict_tstar": (
+        "61d39a70e79e7b13fb590e8804ff1836745d7f98ae163782a896183ed8f5195d",
+        "78a2f2945772ab66fa462f498402793130e26f55443ed7ef0acf4514e38c4bea"),
+    "functional-input_injection-l1_bound": (
+        "37ff0ab8d92835e01b242b96907fa6c1ca6e813723aa2677f6a1273748a6b5c1",
+        "5d4dfac20a5085b34d7696ac592e3002fcdc2c2cf108e00666f986f8f5daaaa2"),
+    "functional-kta": (
+        "9a689d6408dedf93c112efdf8a3255b708c05dd070b794017b24a41042d42ca4",
+        "d94565f1f0cbc0b0c4ebe273ee11634754db32b4c8fa979157b22ef30fc63253"),
+    "samme-kta": (
+        "a84414dd3a69cc54b8fd54106e81660bce359e977ad3acc93d15eb5454b124be",
+        "959d8f667f91cd4adec65d88e4b224e0371c31d75ff156ab7317a06e2dbf2698"),
+    "samme_r-kta": (
+        "94249ab19224468bf7f2c8167d104b870a49d1b752ef55df89805ec9494f5313",
+        "d663a91e3e3ef81d59b88468592ef85765df7a2a21d83d4a24d03b01a58950af"),
+    "functional-kta-wlc_fallback": (
+        "1dd6eec4c53c8f5cc390edfa59c427c23835a0d137b98e1587d202249b0b8770",
+        "e90f95aef9af870d71b381eeea220450d613158c8d21b2333b11f471de4f6360"),
+    "functional-kta-strict_tstar": (
+        "0a008916f0a75f62d280e901110b90d29b920ff278ff4694d70b7bf89ede7bca",
+        "a0a90ee53a7292fd1f96220b2fcc6c4c79daed52c9a9a5c65aec6be37eb6f597"),
+    "functional-kta-l1_bound": (
+        "319e138d6692e1019dfded8d88c039f83119e365e2259fff17a5b57339c4b37a",
+        "2f79d1ba73da80f33dec40f8938d13b23d5993e3623e5ecdc6099aac0bd2f1fc"),
+    "samme-kta-skips": (
+        "3e1b5db9bb57a663fa649ea9dd183f94b95bc661f9eeab3497414cdb273e6f94",
+        "5ce44409a68492adf440f175d504cac24da65e0408ad519b6761c3b7a2f3dc05"),
+}
+
+
+def trained_bytes_cases():
+    for kind in ("fixed", "input_injection", "kta"):
+        for mode in ("functional", "samme", "samme_r"):
+            yield f"{mode}-{kind}", mode, kind, 5, 1, {}
+        for opt in ({"wlc_fallback": "stop"}, {"strict_tstar": True},
+                    {"l1_bound": 1.0}):
+            name = next(iter(opt))
+            yield f"functional-{kind}-{name}", "functional", kind, 5, 2, opt
+    yield "samme-kta-skips", "samme", "kta", 6, 1, {}
+
+
+class TestTrainedBytes:
+    @pytest.mark.parametrize("name,mode,kind,n_rounds,seed,opt",
+                             [pytest.param(*case, id=case[0])
+                              for case in trained_bytes_cases()])
+    def test_trainer_output_bytes_pinned(self, tmp_path, name, mode, kind,
+                                         n_rounds, seed, opt):
+        import hashlib
+
+        from graphboost.boost import save_model
+        ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
+        common = dict(n_rounds=n_rounds, hidden=(4,),
+                      learner=TrainConfig(epochs=5, seed=0),
+                      aggregator=AggregatorSpec(kind=kind), seed=seed)
+        if mode == "functional":
+            model, trace = run_functional_gb(
+                ds, FunctionalGBConfig(**common, **opt))
+        else:
+            runner = run_samme if mode == "samme" else run_samme_r
+            model, trace = runner(ds, SammeConfig(**common))
+        save_model(model, tmp_path / "model.json")
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("model.json", "trace.csv"))
+        assert got == TRAINED_BYTES[name]
+
+
 class TestFineTune:
     def test_zero_epochs_identity(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
@@ -875,3 +977,35 @@ class TestPredict:
         materialised = peak(
             lambda: predict(model, ds, stage_representations(model, ds)))
         assert materialised > (n_stages - 1) * stage_input
+
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
+    def test_training_drops_each_stage_input(self, mode):
+        # an injection chain of T = 8 stages over 30 train nodes, so the
+        # advance and not the learner fit sets the peak: dropping each
+        # stage's learner input before the chain advances peaks near 3.6
+        # feature matrices (N x C), holding it through the advance near 5.2
+        import tracemalloc
+
+        from graphboost.data import NodeDataset, Split
+        from graphboost.graph import SparseGraph
+        n, c, n_stages = 600, 200, 8
+        rng = np.random.default_rng(0)
+        graph = SparseGraph.from_edges(
+            n, [p for p in rng.integers(0, n, size=(1800, 2)) if p[0] != p[1]])
+        ds = NodeDataset(graph=graph, features=rng.random((n, c)),
+                         labels=rng.integers(0, 2, size=n), n_classes=2,
+                         split=Split(train=np.arange(30), val=[],
+                                     test=np.arange(30, n)))
+        common = dict(hidden=(4,), learner=TrainConfig(epochs=2, seed=0),
+                      aggregator=AggregatorSpec(kind="input_injection"))
+        tracemalloc.start()
+        try:
+            if mode == "functional":
+                run_functional_gb(ds, FunctionalGBConfig(
+                    n_rounds=n_stages - 1, **common))
+            else:
+                run_samme(ds, SammeConfig(n_rounds=n_stages, **common))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.4 * n * c * 8

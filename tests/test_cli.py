@@ -275,7 +275,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         "split_id_too_large", "split_id_negative", "empty_test",
-        "empty_train", "nan_feature", "label_below_minus_one"])
+        "empty_train", "nan_feature", "label_below_minus_one",
+        "edges_not_integer", "split_not_json", "ragged_features"])
     def test_malformed_dataset_is_3(self, dataset_dir, tmp_path, capsys,
                                     case):
         split_path = os.path.join(dataset_dir, "split.json")
@@ -296,15 +297,101 @@ class TestExitCodes:
             labels = np.loadtxt(labels_path, dtype=np.int64)
             labels[node] = -2
             np.savetxt(labels_path, labels, fmt="%d")
-        else:
+        elif case == "edges_not_integer":
+            with open(os.path.join(dataset_dir, "edges.txt"), "a") as fh:
+                fh.write("0 one\n")
+        elif case == "ragged_features":
+            feat_path = os.path.join(dataset_dir, "features.tsv")
+            with open(feat_path) as fh:
+                lines = fh.read().splitlines()
+            lines[3] = lines[3].rsplit("\t", 1)[0]
+            with open(feat_path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        elif case == "nan_feature":
             feat_path = os.path.join(dataset_dir, "features.tsv")
             x = np.loadtxt(feat_path, delimiter="\t", ndmin=2)
             x[3, 1] = np.nan
             np.savetxt(feat_path, x, delimiter="\t", fmt="%.17g")
         with open(split_path, "w") as fh:
             json.dump(split, fh)
+            if case == "split_not_json":
+                fh.write(",")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "model_missing", "model_not_json", "model_without_mode",
+        "trace_missing"])
+    def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
+                                      case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        args = ["theory", "--model", str(model), "--data", dataset_dir]
+        if case == "model_missing":
+            model.unlink()
+        elif case == "model_not_json":
+            model.write_text("not json")
+        elif case == "model_without_mode":
+            blob = json.loads(model.read_text())
+            del blob["mode"]
+            model.write_text(json.dumps(blob))
+        else:
+            args += ["--trace", str(tmp_path / "missing.csv")]
+        assert main(args) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_theory_on_other_data_is_3(self, dataset_dir, tmp_path, capsys):
+        import shutil
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        other = tmp_path / "other"
+        shutil.copytree(dataset_dir, other)
+        feat_path = other / "features.tsv"
+        x = np.loadtxt(feat_path, delimiter="\t", ndmin=2)
+        np.savetxt(feat_path, 2.0 * x, delimiter="\t", fmt="%.17g")
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        assert main(["theory", "--model", str(model),
+                     "--data", str(other)]) == 3
+        err = capsys.readouterr().err
+        assert "features.tsv is not the file the model was trained on" in err
+        assert not (model.parent / "theory.json").exists()
+
+    @pytest.mark.parametrize("blob", [
+        lambda d: [base_config(d)],
+        lambda d: base_config(d, seeds="abc"),
+    ], ids=["array", "seeds_string"])
+    def test_config_type_error_is_2(self, dataset_dir, tmp_path, capsys,
+                                    blob):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(blob(dataset_dir)))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_all_rounds_rejected_is_4(self, tmp_path, capsys):
+        # constant features on a ring, where every node has the same
+        # degree, stay constant through every aggregation; on a balanced
+        # train set every SAMME round has weighted error exactly 1/2 and
+        # is rejected
+        from graphboost.graph import SparseGraph
+        ring = SparseGraph.from_edges(20, [(i, (i + 1) % 20)
+                                           for i in range(20)])
+        split = Split(train=np.array([0, 1, 2, 3, 10, 11, 12, 13]), val=[],
+                      test=np.array([4, 5, 6, 7, 14, 15, 16, 17]))
+        flat = NodeDataset(graph=ring, features=np.ones((20, 2)),
+                           labels=np.repeat([0, 1], 10), split=split,
+                           n_classes=2)
+        export_dataset(flat, tmp_path / "flat")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            str(tmp_path / "flat"), seeds=[0], hidden_width=4,
+            learner={"epochs": 5, "seed": 0})))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "numeric failure" in capsys.readouterr().err
