@@ -12,7 +12,9 @@ convention: Z = f(X)/M over all N nodes, g = -grad restricted to train
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,6 +28,10 @@ from .losses import (DEFAULT_CLIP, errors, multiclass_surrogate_grad,
                      surrogate_grad)
 from .mlp import (MlpParams, TrainConfig, _Optimizer, backward, fit_classifier,
                   fit_to_gradient, forward)
+
+# model.json layout written by save_model; model_from_json also reads
+# version 1, whose weights are lists of numbers
+FORMAT_VERSION = 2
 
 TRACE_COLUMNS = ("t", "train_loss", "train_err", "test_err", "cos_theta",
                  "alpha", "beta", "gamma", "grad_l1", "wlc_pass")
@@ -356,7 +362,6 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
         raise ValueError("need at least two classes")
     rng = np.random.default_rng(cfg.seed)
     chain = _training_chain(dataset, cfg.aggregator)
-    head = "softmax" if real_valued else "argmax"
 
     weights = np.zeros(dataset.n)
     weights[split.train] = 1.0 / split.m
@@ -372,7 +377,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
             b_t, werr = fit_classifier(
                 (rep.shape[1], *cfg.hidden, k),
                 replace(cfg.learner, seed=seed), rep, y, weights,
-                split.train, head=head)
+                split.train)
             if real_valued or werr < 1.0 - 1.0 / k:
                 break
         rejected = not real_valued and werr >= 1.0 - 1.0 / k
@@ -715,10 +720,25 @@ def _aggregator_to_json(aggregator, kind):
     raise ValueError(f"unknown aggregator kind {kind}")
 
 
+def _encode_weight(w):
+    return base64.b64encode(np.asarray(w, dtype="<f8").tobytes()).decode()
+
+
+def _decode_weight(text, shape):
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"a weight of shape {shape} needs "
+                         f"{8 * math.prod(shape)} bytes, found {len(raw)}")
+    # astype copies into a writable, native-order array
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
 def model_to_json(model: EnsembleModel) -> dict:
-    """JSON manifest: mode, K, t*, per-stage aggregator params, learner
-    weights (row-major), and the eta/lambda sequence."""
+    """JSON manifest: format version, mode, K, t*, per-stage aggregator
+    params, learner weights (base64 of row-major little-endian float64
+    bytes) with their shapes, and the eta/lambda sequence."""
     return {
+        "format_version": FORMAT_VERSION,
         "mode": model.mode,
         "n_classes": model.n_classes,
         "t_star": model.t_star,
@@ -735,10 +755,9 @@ def model_to_json(model: EnsembleModel) -> dict:
                         if st.wlc else None),
                 "learner": None if st.learner is None else {
                     "shapes": [list(w.shape) for w in st.learner.weights],
-                    "weights": [w.ravel().tolist()
+                    "weights": [_encode_weight(w)
                                 for w in st.learner.weights],
                     "activation": st.learner.activation,
-                    "head": st.learner.head,
                     "bias": st.learner.bias,
                 },
             }
@@ -748,6 +767,12 @@ def model_to_json(model: EnsembleModel) -> dict:
 
 
 def model_from_json(blob: dict, graph) -> EnsembleModel:
+    """Read a manifest of either format version. Version 1, written
+    without a ``format_version`` key, holds each weight as a list of
+    numbers; version 2 as base64 ``'<f8'`` bytes."""
+    version = blob.get("format_version", 1)
+    if version not in (1, 2):
+        raise ValueError(f"unknown model format_version {version!r}")
     base = blob["base"]
     operator = base_operator(graph, base)
     stages = []
@@ -757,9 +782,10 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
             params = None
         else:
             weights = [np.asarray(w, dtype=float).reshape(shape)
+                       if version == 1 else _decode_weight(w, shape)
                        for w, shape in zip(lrn["weights"], lrn["shapes"])]
             params = MlpParams(weights=weights, activation=lrn["activation"],
-                               head=lrn["head"], bias=lrn["bias"])
+                               bias=lrn["bias"])
         wlc = (WlcParams(**st["wlc"]) if st["wlc"] else None)
         agg = st["aggregator"]
         stages.append(StageRecord(

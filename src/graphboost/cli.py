@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,18 @@ VARIANTS = ("adj", "kta", "input_injection", "samme_r")
 
 class ConfigError(ValueError):
     pass
+
+
+def _require_integers(cfg, prefix=""):
+    """A float or bool in a field annotated ``int`` is a ConfigError (the
+    config modules keep annotations as strings)."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise ConfigError(
+                    f"{prefix}{f.name}: must be an integer, got {value!r}")
 
 
 @dataclass
@@ -57,6 +69,10 @@ class ExperimentConfig:
     normalize_features: bool = True
 
     def __post_init__(self):
+        for cfg, prefix in ((self, ""), (self.learner, "learner."),
+                            (self.kta, "kta."),
+                            (self.fine_tune_cfg, "fine_tune_cfg.")):
+            _require_integers(cfg, prefix)
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant: '{self.variant}' not one of {VARIANTS}")
@@ -105,7 +121,9 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
     try:
         for key, cls in (("learner", TrainConfig), ("kta", AlignmentConfig),
                          ("fine_tune_cfg", FineTuneConfig)):
-            if key in blob and isinstance(blob[key], dict):
+            if key in blob:
+                if not isinstance(blob[key], dict):
+                    raise ConfigError(f"{key}: must be a JSON object")
                 blob[key] = cls(**blob[key])
         return ExperimentConfig(**blob)
     except ConfigError:
@@ -251,20 +269,24 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     trace_path = trace_path or os.path.join(os.path.dirname(model_path),
                                             "trace.csv")
     trace = read_file(trace_path, read_trace_csv)
+    # the dense eigendecomposition is theory's memory peak; running it
+    # before the bound report keeps the report's freed N x C temporaries,
+    # which the allocator may still hold, from adding to that peak
+    trajectory = None
+    if dataset.n <= eigen_cap:
+        trajectory = smoothing_report(
+            base_operator(dataset.graph, model.base), dataset.features,
+            t_max=min(32, 2 * len(model.stages)), cap=eigen_cap)
     report = build_theory_report(model, trace, dataset, c0=c0,
                                  delta_prime=delta_prime, delta=delta)
 
-    operator = base_operator(dataset.graph, model.base)
-    if dataset.n <= eigen_cap:
-        trajectory = smoothing_report(operator, dataset.features,
-                                      t_max=min(32, 2 * len(model.stages)),
-                                      cap=eigen_cap)
+    os.makedirs(out_dir, exist_ok=True)
+    if trajectory is not None:
         trajectory.write_csv(os.path.join(out_dir, "spectral.csv"))
         report["spectral"] = "written"
     else:
         report["spectral"] = f"skipped: N={dataset.n} over eigen cap"
 
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "theory.json"), "w") as fh:
         json.dump(report, fh, indent=1)
     return report

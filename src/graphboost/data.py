@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SparseGraph, read_edge_list, write_edge_list
+from .graph import GraphError, SparseGraph, read_edge_list, write_edge_list
 
 
 class DataError(ValueError):
@@ -178,9 +178,15 @@ def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
         return p
 
     meta = read_file(path("meta.json"))
+    if not isinstance(meta, dict):
+        raise DataError("meta.json is not a JSON object")
     for key in ("n", "c", "k"):
         if key not in meta:
             raise DataError(f"meta.json missing required field '{key}'")
+    for key in ("n", "c", "k", "e"):
+        if key in meta and type(meta[key]) is not int:
+            raise DataError(f"meta.json field '{key}' is not an integer: "
+                            f"{meta[key]!r}")
 
     features = read_file(path("features.tsv"), _read_matrix)
     labels = read_file(path("labels.tsv"), np.loadtxt, dtype=np.int64,
@@ -198,7 +204,10 @@ def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
     k_actual = int(labels.max()) + 1 if labels.size else 0
     if k_actual > meta["k"]:
         mismatches.append(f"classes: expected {meta['k']}, got {k_actual}")
-    graph = SparseGraph.from_edges(meta["n"], pairs)
+    try:
+        graph = SparseGraph.from_edges(meta["n"], pairs)
+    except GraphError as exc:
+        raise DataError(f"edges.txt: {exc}") from exc
     if "e" in meta and graph.n_edges != meta["e"]:
         mismatches.append(f"edges: expected {meta['e']}, got {graph.n_edges}")
     if mismatches:
@@ -209,8 +218,15 @@ def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
     if labels.size and labels.min() < -1:
         raise DataError(f"label {labels.min()} is neither a class id nor "
                         "-1 (unlabeled)")
-    split = Split(train=split_raw["train"], val=split_raw.get("val", []),
-                  test=split_raw["test"])
+    if not (isinstance(split_raw, dict) and "train" in split_raw
+            and "test" in split_raw):
+        raise DataError("split.json is not an object with 'train' and "
+                        "'test' lists")
+    try:
+        split = Split(train=split_raw["train"],
+                      val=split_raw.get("val", []), test=split_raw["test"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"split.json: {exc}") from exc
     if not (split.m and split.u):
         raise DataError("train and test splits must be non-empty")
     for part in ("train", "val", "test"):

@@ -60,7 +60,6 @@ class MlpParams:
 
     weights: list = field(default_factory=list)
     activation: str = "relu"   # relu | sigmoid
-    head: str = "identity"     # identity | argmax | softmax
     bias: bool = True
 
     @property
@@ -73,12 +72,11 @@ class MlpParams:
 
     def copy(self):
         return MlpParams(weights=[w.copy() for w in self.weights],
-                         activation=self.activation, head=self.head,
-                         bias=self.bias)
+                         activation=self.activation, bias=self.bias)
 
 
-def init_mlp(widths, activation="relu", head="identity", bias=True,
-             seed=0, scale=None) -> MlpParams:
+def init_mlp(widths, activation="relu", bias=True, seed=0,
+             scale=None) -> MlpParams:
     """Uniform init in +-1/sqrt(fan_in); ``scale=0.0`` gives zero weights."""
     rng = np.random.default_rng(seed)
     weights = []
@@ -86,8 +84,7 @@ def init_mlp(widths, activation="relu", head="identity", bias=True,
         fan_in = widths[l] + (1 if (bias and l == 0) else 0)
         bound = scale if scale is not None else 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, widths[l + 1])))
-    return MlpParams(weights=weights, activation=activation, head=head,
-                     bias=bias)
+    return MlpParams(weights=weights, activation=activation, bias=bias)
 
 
 def _activate(name, z):
@@ -305,7 +302,7 @@ def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids,
     target = np.asarray(target, dtype=float)
     x = np.asarray(x, dtype=float)
     params = init.copy() if init is not None else init_mlp(
-        widths, head="identity", seed=cfg.seed)
+        widths, seed=cfg.seed)
     if params.output_width != 1:
         raise ValueError("gradient fitting needs a single output column")
     xt = x[train_ids]
@@ -324,7 +321,7 @@ def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids,
 
 
 def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
-                   train_ids, head="argmax", l1_bound=None, init=None):
+                   train_ids, l1_bound=None, init=None):
     """Minimize weight-scaled multiclass cross-entropy on train nodes.
 
     Returns the fitted params and the weighted 0-1 train error.
@@ -337,7 +334,7 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
     if w[train_ids].sum() <= 0:
         raise ValueError("sample weights sum to zero on the train set")
     params = init.copy() if init is not None else init_mlp(
-        widths, head=head, seed=cfg.seed)
+        widths, seed=cfg.seed)
     xt = x[train_ids]
     yt = labels[train_ids]
     wt = w[train_ids]

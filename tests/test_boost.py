@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +8,16 @@ from hypothesis import strategies as st
 from graphboost.aggregate import Polynomial, fixed, injection, kta
 from graphboost.boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
                               FunctionalGBConfig, SammeConfig, StageRecord,
-                              WlcParams, fine_tune, model_from_json,
-                              model_to_json, predict, read_trace_csv,
-                              replay_scores, run_functional_gb, run_samme,
-                              run_samme_r, samme_model_weight,
-                              samme_r_contribution, weighted_error_form,
-                              wlc_check, wlc_fit, write_trace_csv)
+                              WlcParams, fine_tune, load_model,
+                              model_from_json, model_to_json, predict,
+                              read_trace_csv, replay_scores,
+                              run_functional_gb, run_samme, run_samme_r,
+                              samme_model_weight, samme_r_contribution,
+                              save_model, weighted_error_form, wlc_check,
+                              wlc_fit, write_trace_csv)
 from graphboost.data import synthesize_two_block
-from graphboost.mlp import TrainConfig, forward, init_mlp
+from graphboost.graph import augmented_adjacency
+from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
 
 
 class TestWlcCheck:
@@ -381,7 +385,6 @@ class TestSammeRuns:
     def test_samme_r_zero_logits_zero_score(self):
         ds = synthesize_two_block(8, 0.9, 0.1, seed=10)
         zero = init_mlp((2, 2), seed=0, scale=0.0)
-        zero.head = "softmax"
         model = EnsembleModel(mode="samme_r", n_classes=2,
                               stages=[StageRecord(None, zero, 1.0)])
         scores = replay_scores(model, ds)
@@ -402,6 +405,158 @@ class TestSammeRuns:
         assert np.allclose(score_diff, logit_diff, atol=1e-8)
 
 
+def hand_built_models():
+    """Three models whose saved bytes are pinned below, one per aggregator
+    kind, on an 8-node graph."""
+    ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
+    op = augmented_adjacency(ds.graph)
+    first = MlpParams(weights=[np.array(
+        [[0.5, -1.25], [0.1, 2.0], [1e-17, 1.0 / 3.0]])])
+    second = MlpParams(weights=[np.array([[1.5], [-0.2], [0.0]]),
+                                np.array([[2.0 ** -30]])],
+                       activation="sigmoid", bias=False)
+    third = MlpParams(weights=[np.array([[-0.5], [3.0], [0.25]])])
+    models = {
+        "fixed": EnsembleModel(
+            mode="samme", n_classes=2, aggregator_kind="fixed",
+            stages=[StageRecord(None, first, 0.75),
+                    StageRecord(fixed(op), None, 0.0)]),
+        "input_injection": EnsembleModel(
+            mode="functional", n_classes=2, t_star=2, base="normalized",
+            aggregator_kind="input_injection",
+            stages=[StageRecord(None, third, 1.0),
+                    StageRecord(injection(op, 0.3), third, 4.0 / 3.0,
+                                WlcParams(alpha=3.0, beta=1.0)),
+                    StageRecord(injection(op, 1), third, 2.5)]),
+        "kta": EnsembleModel(
+            mode="samme", n_classes=2, aggregator_kind="kta",
+            flags={"skipped": [3]},
+            stages=[StageRecord(None, first, 0.75),
+                    StageRecord(kta(op, 3, np.array(
+                        [1.0, 0.5, 0.25, 0.125, 1.0 / 7.0])), second, 1.5,
+                        WlcParams(alpha=2.0, beta=0.5)),
+                    StageRecord(kta(op), None, 0.0)]),
+    }
+    return ds, models
+
+
+def assert_same_model(got, want):
+    """Every field, aggregator coefficient and learner weight equal bit for
+    bit."""
+    for attr in ("mode", "n_classes", "t_star", "base", "aggregator_kind",
+                 "clip", "flags"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    assert len(got.stages) == len(want.stages)
+    for a, b in zip(got.stages, want.stages):
+        assert (a.weight, a.wlc) == (b.weight, b.wlc)
+        if b.aggregator is None:
+            assert a.aggregator is None
+        else:
+            assert a.aggregator.powers == b.aggregator.powers
+            assert a.aggregator.inject == b.aggregator.inject
+            assert (np.asarray(a.aggregator.coefs, dtype=float).tobytes()
+                    == np.asarray(b.aggregator.coefs, dtype=float).tobytes())
+        if b.learner is None:
+            assert a.learner is None
+            continue
+        assert (a.learner.activation, a.learner.bias) == (
+            b.learner.activation, b.learner.bias)
+        assert [w.shape for w in a.learner.weights] == [
+            w.shape for w in b.learner.weights]
+        for wa, wb in zip(a.learner.weights, b.learner.weights):
+            assert wa.dtype == wb.dtype == np.float64
+            assert wa.tobytes() == wb.tobytes()
+
+
+_V1_LEARNER = ('"learner": {"shapes": [[3, 1]], "weights": [[-0.5, 3.0, '
+               '0.25]], "activation": "relu", "head": "identity", '
+               '"bias": true}')
+
+# model.json bytes of hand_built_models() as format version 1 wrote them:
+# no format_version, weights as decimal lists, and a "head" key that
+# nothing reads
+VERSION_1_BYTES = {
+    "fixed": (
+        '{"mode": "samme", "n_classes": 2, "t_star": null, '
+        '"base": "augmented", "aggregator_kind": "fixed", "clip": 1e-07, '
+        '"flags": {}, "stages": [{"aggregator": null, "weight": 0.75, '
+        '"wlc": null, "learner": {"shapes": [[3, 2]], "weights": '
+        '[[0.5, -1.25, 0.1, 2.0, 1e-17, 0.3333333333333333]], '
+        '"activation": "relu", "head": "argmax", "bias": true}}, '
+        '{"aggregator": {"kind": "fixed"}, "weight": 0.0, "wlc": null, '
+        '"learner": null}]}'),
+    "input_injection": (
+        '{"mode": "functional", "n_classes": 2, "t_star": 2, '
+        '"base": "normalized", "aggregator_kind": "input_injection", '
+        '"clip": 1e-07, "flags": {}, "stages": [{"aggregator": null, '
+        f'"weight": 1.0, "wlc": null, {_V1_LEARNER}}}, {{"aggregator": '
+        '{"kind": "input_injection", "rho": 0.3}, '
+        '"weight": 1.3333333333333333, "wlc": {"alpha": 3.0, '
+        f'"beta": 1.0}}, {_V1_LEARNER}}}, {{"aggregator": {{"kind": '
+        f'"input_injection", "rho": 1}}, "weight": 2.5, "wlc": null, '
+        f'{_V1_LEARNER}}}]}}'),
+    "kta": (
+        '{"mode": "samme", "n_classes": 2, "t_star": null, '
+        '"base": "augmented", "aggregator_kind": "kta", "clip": 1e-07, '
+        '"flags": {"skipped": [3]}, "stages": [{"aggregator": null, '
+        '"weight": 0.75, "wlc": null, "learner": {"shapes": [[3, 2]], '
+        '"weights": [[0.5, -1.25, 0.1, 2.0, 1e-17, 0.3333333333333333]]'
+        ', "activation": "relu", "head": "argmax", "bias": true}}, '
+        '{"aggregator": {"kind": "kta", "weights": [1.0, 0.5, 0.25, '
+        '0.125, 0.14285714285714285], "n_deg": 3}, "weight": 1.5, '
+        '"wlc": {"alpha": 2.0, "beta": 0.5}, "learner": {"shapes": '
+        '[[3, 1], [1, 1]], "weights": [[1.5, -0.2, 0.0], '
+        '[9.313225746154785e-10]], "activation": "sigmoid", '
+        '"head": "identity", "bias": false}}, {"aggregator": {"kind": '
+        '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
+        '"weight": 0.0, "wlc": null, "learner": null}]}'),
+}
+
+_V2_LEARNER = ('"learner": {"shapes": [[3, 1]], "weights": '
+               '["AAAAAAAA4L8AAAAAAAAIQAAAAAAAANA/"], "activation": "relu", '
+               '"bias": true}')
+
+# the same models in format version 2: each weight is the base64 of its
+# row-major little-endian float64 bytes ("AAAAAAAA4D8" is 0.5)
+VERSION_2_BYTES = {
+    "fixed": (
+        '{"format_version": 2, "mode": "samme", "n_classes": 2, '
+        '"t_star": null, "base": "augmented", "aggregator_kind": "fixed", '
+        '"clip": 1e-07, "flags": {}, "stages": [{"aggregator": null, '
+        '"weight": 0.75, "wlc": null, "learner": {"shapes": [[3, 2]], '
+        '"weights": ["AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAAAECX1EZG9Q5nPF'
+        'VVVVVVVdU/"], "activation": "relu", "bias": true}}, '
+        '{"aggregator": {"kind": "fixed"}, "weight": 0.0, "wlc": null, '
+        '"learner": null}]}'),
+    "input_injection": (
+        '{"format_version": 2, "mode": "functional", "n_classes": 2, '
+        '"t_star": 2, "base": "normalized", '
+        '"aggregator_kind": "input_injection", "clip": 1e-07, "flags": {}, '
+        '"stages": [{"aggregator": null, '
+        f'"weight": 1.0, "wlc": null, {_V2_LEARNER}}}, {{"aggregator": '
+        '{"kind": "input_injection", "rho": 0.3}, '
+        '"weight": 1.3333333333333333, "wlc": {"alpha": 3.0, '
+        f'"beta": 1.0}}, {_V2_LEARNER}}}, {{"aggregator": {{"kind": '
+        f'"input_injection", "rho": 1}}, "weight": 2.5, "wlc": null, '
+        f'{_V2_LEARNER}}}]}}'),
+    "kta": (
+        '{"format_version": 2, "mode": "samme", "n_classes": 2, '
+        '"t_star": null, "base": "augmented", "aggregator_kind": "kta", '
+        '"clip": 1e-07, "flags": {"skipped": [3]}, "stages": '
+        '[{"aggregator": null, "weight": 0.75, "wlc": null, "learner": '
+        '{"shapes": [[3, 2]], "weights": ["AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/'
+        'AAAAAAAAAECX1EZG9Q5nPFVVVVVVVdU/"], "activation": "relu", '
+        '"bias": true}}, {"aggregator": {"kind": "kta", "weights": '
+        '[1.0, 0.5, 0.25, 0.125, 0.14285714285714285], "n_deg": 3}, '
+        '"weight": 1.5, "wlc": {"alpha": 2.0, "beta": 0.5}, "learner": '
+        '{"shapes": [[3, 1], [1, 1]], "weights": '
+        '["AAAAAAAA+D+amZmZmZnJvwAAAAAAAAAA", "AAAAAAAAED4="], '
+        '"activation": "sigmoid", "bias": false}}, {"aggregator": {"kind": '
+        '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
+        '"weight": 0.0, "wlc": null, "learner": null}]}'),
+}
+
+
 class TestSerialization:
     def test_model_round_trip_bit_for_bit(self, tmp_path):
         ds = synthesize_two_block(20, 0.8, 0.1, seed=0)
@@ -410,7 +565,6 @@ class TestSerialization:
                           aggregator=AggregatorSpec(kind="kta"), seed=2)
         model, _ = run_samme(ds, cfg)
         blob = model_to_json(model)
-        import json
         rebuilt = model_from_json(json.loads(json.dumps(blob)), ds.graph)
         _, direct = predict(model, ds)
         _, replayed = predict(rebuilt, ds)
@@ -420,79 +574,57 @@ class TestSerialization:
         assert s1.tobytes() == s2.tobytes()
 
     def test_saved_bytes_unchanged(self, tmp_path):
-        # the expected bytes were written by the code before aggregators
-        # became one polynomial type
-        from graphboost.boost import save_model
-        from graphboost.graph import augmented_adjacency
-        from graphboost.mlp import MlpParams
-        ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
-        op = augmented_adjacency(ds.graph)
-        first = MlpParams(weights=[np.array(
-            [[0.5, -1.25], [0.1, 2.0], [1e-17, 1.0 / 3.0]])], head="argmax")
-        second = MlpParams(weights=[np.array([[1.5], [-0.2], [0.0]]),
-                                    np.array([[2.0 ** -30]])],
-                           activation="sigmoid", bias=False)
-        third = MlpParams(weights=[np.array([[-0.5], [3.0], [0.25]])])
-        with_kta = EnsembleModel(
-            mode="samme", n_classes=2, aggregator_kind="kta",
-            flags={"skipped": [3]},
-            stages=[StageRecord(None, first, 0.75),
-                    StageRecord(kta(op, 3, np.array(
-                        [1.0, 0.5, 0.25, 0.125, 1.0 / 7.0])), second, 1.5,
-                        WlcParams(alpha=2.0, beta=0.5)),
-                    StageRecord(kta(op), None, 0.0)])
-        with_fixed = EnsembleModel(
-            mode="samme", n_classes=2, aggregator_kind="fixed",
-            stages=[StageRecord(None, first, 0.75),
-                    StageRecord(fixed(op), None, 0.0)])
-        with_injection = EnsembleModel(
-            mode="functional", n_classes=2, t_star=2, base="normalized",
-            aggregator_kind="input_injection",
-            stages=[StageRecord(None, third, 1.0),
-                    StageRecord(injection(op, 0.3), third, 4.0 / 3.0,
-                                WlcParams(alpha=3.0, beta=1.0)),
-                    StageRecord(injection(op, 1), third, 2.5)])
+        ds, models = hand_built_models()
         path = tmp_path / "model.json"
-        save_model(with_fixed, path)
-        assert path.read_text() == (
-            '{"mode": "samme", "n_classes": 2, "t_star": null, '
-            '"base": "augmented", "aggregator_kind": "fixed", "clip": 1e-07, '
-            '"flags": {}, "stages": [{"aggregator": null, "weight": 0.75, '
-            '"wlc": null, "learner": {"shapes": [[3, 2]], "weights": '
-            '[[0.5, -1.25, 0.1, 2.0, 1e-17, 0.3333333333333333]], '
-            '"activation": "relu", "head": "argmax", "bias": true}}, '
-            '{"aggregator": {"kind": "fixed"}, "weight": 0.0, "wlc": null, '
-            '"learner": null}]}')
-        save_model(with_injection, path)
-        lrn = ('"learner": {"shapes": [[3, 1]], "weights": [[-0.5, 3.0, '
-               '0.25]], "activation": "relu", "head": "identity", '
-               '"bias": true}')
-        assert path.read_text() == (
-            '{"mode": "functional", "n_classes": 2, "t_star": 2, '
-            '"base": "normalized", "aggregator_kind": "input_injection", '
-            '"clip": 1e-07, "flags": {}, "stages": [{"aggregator": null, '
-            f'"weight": 1.0, "wlc": null, {lrn}}}, {{"aggregator": '
-            '{"kind": "input_injection", "rho": 0.3}, '
-            '"weight": 1.3333333333333333, "wlc": {"alpha": 3.0, '
-            f'"beta": 1.0}}, {lrn}}}, {{"aggregator": {{"kind": '
-            f'"input_injection", "rho": 1}}, "weight": 2.5, "wlc": null, '
-            f'{lrn}}}]}}')
-        save_model(with_kta, path)
-        assert path.read_text() == (
-            '{"mode": "samme", "n_classes": 2, "t_star": null, '
-            '"base": "augmented", "aggregator_kind": "kta", "clip": 1e-07, '
-            '"flags": {"skipped": [3]}, "stages": [{"aggregator": null, '
-            '"weight": 0.75, "wlc": null, "learner": {"shapes": [[3, 2]], '
-            '"weights": [[0.5, -1.25, 0.1, 2.0, 1e-17, 0.3333333333333333]]'
-            ', "activation": "relu", "head": "argmax", "bias": true}}, '
-            '{"aggregator": {"kind": "kta", "weights": [1.0, 0.5, 0.25, '
-            '0.125, 0.14285714285714285], "n_deg": 3}, "weight": 1.5, '
-            '"wlc": {"alpha": 2.0, "beta": 0.5}, "learner": {"shapes": '
-            '[[3, 1], [1, 1]], "weights": [[1.5, -0.2, 0.0], '
-            '[9.313225746154785e-10]], "activation": "sigmoid", '
-            '"head": "identity", "bias": false}}, {"aggregator": {"kind": '
-            '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
-            '"weight": 0.0, "wlc": null, "learner": null}]}')
+        for name, model in models.items():
+            save_model(model, path)
+            assert path.read_text() == VERSION_2_BYTES[name], name
+
+    def test_version_1_files_read_bit_for_bit(self):
+        # the version-1 bytes were written by the code before aggregators
+        # became one polynomial type
+        ds, models = hand_built_models()
+        for name, model in models.items():
+            blob = json.loads(VERSION_1_BYTES[name])
+            assert "format_version" not in blob
+            assert_same_model(model_from_json(blob, ds.graph), model)
+
+    def test_round_trip_extreme_values(self, tmp_path):
+        ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
+        # a Fortran-ordered matrix checks that the bytes are row-major
+        first = np.asfortranarray(
+            [[-0.0, 5e-324], [1e308, 1.0 / 3.0], [-1e308, -5e-324]])
+        learner = MlpParams(weights=[first, np.array([[1.0 / 3.0], [-0.0]])])
+        model = EnsembleModel(mode="samme", n_classes=2,
+                              stages=[StageRecord(None, learner, 0.5)])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path, ds.graph)
+        for got, want in zip(loaded.stages[0].learner.weights,
+                             learner.weights):
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.signbit(loaded.stages[0].learner.weights[0][0, 0])
+
+    def test_two_saves_write_identical_bytes(self, tmp_path):
+        ds, models = hand_built_models()
+        save_model(models["kta"], tmp_path / "a.json")
+        save_model(models["kta"], tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (
+            tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_loaded_weights_writable(self, tmp_path, version):
+        ds, models = hand_built_models()
+        if version == 1:
+            blob = json.loads(VERSION_1_BYTES["kta"])
+        else:
+            blob = json.loads(json.dumps(model_to_json(models["kta"])))
+        loaded = model_from_json(blob, ds.graph)
+        for w in loaded.stages[1].learner.weights:
+            assert w.flags.writeable and w.flags.c_contiguous
+            assert w.dtype == np.float64
+            w += 1.0
 
     def test_trace_csv_round_trip(self, tmp_path):
         ds = synthesize_two_block(16, 0.8, 0.1, seed=3)
@@ -507,7 +639,8 @@ class TestSerialization:
 
 
 # SHA-256 of (model.json, trace.csv) as the trainers wrote them before both
-# drivers drew their stage inputs from one chain generator. Seed 2 stops at
+# drivers drew their stage inputs from one chain generator; model.json in
+# format version 1, which version_1_json renders. Seed 2 stops at
 # t=3 under wlc_fallback="stop" on every kind; the last SAMME run skips
 # rounds 3-6.
 TRAINED_BYTES = {
@@ -571,6 +704,26 @@ TRAINED_BYTES = {
 }
 
 
+def version_1_json(model):
+    """model.json as format version 1 wrote it: no format_version, each
+    weight a decimal list, and a learner head named by the mode."""
+    head = {"functional": "identity", "samme": "argmax",
+            "samme_r": "softmax"}[model.mode]
+    blob = model_to_json(model)
+    del blob["format_version"]
+    for st, record in zip(blob["stages"], model.stages):
+        if record.learner is not None:
+            st["learner"] = {
+                "shapes": [list(w.shape) for w in record.learner.weights],
+                "weights": [w.ravel().tolist()
+                            for w in record.learner.weights],
+                "activation": record.learner.activation,
+                "head": head,
+                "bias": record.learner.bias,
+            }
+    return json.dumps(blob)
+
+
 def trained_bytes_cases():
     for kind in ("fixed", "input_injection", "kta"):
         for mode in ("functional", "samme", "samme_r"):
@@ -590,7 +743,6 @@ class TestTrainedBytes:
                                          n_rounds, seed, opt):
         import hashlib
 
-        from graphboost.boost import save_model
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
         common = dict(n_rounds=n_rounds, hidden=(4,),
                       learner=TrainConfig(epochs=5, seed=0),
@@ -601,10 +753,13 @@ class TestTrainedBytes:
         else:
             runner = run_samme if mode == "samme" else run_samme_r
             model, trace = runner(ds, SammeConfig(**common))
+        # the pin sees the model through a version-2 save and load
         save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json", ds.graph)
         write_trace_csv(trace, tmp_path / "trace.csv")
-        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                    for f in ("model.json", "trace.csv"))
+        got = (hashlib.sha256(version_1_json(loaded).encode()).hexdigest(),
+               hashlib.sha256((tmp_path / "trace.csv").read_bytes())
+               .hexdigest())
         assert got == TRAINED_BYTES[name]
 
 

@@ -194,6 +194,40 @@ class TestTheoryCommand:
         assert float(rows[1].split(",")[1]) == pytest.approx(
             np.linalg.norm(normalized), rel=1e-12)
 
+    def test_out_directory_created(self, dataset_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        out = tmp_path / "reports" / "seed_0"
+        assert main(["theory", "--model",
+                     str(tmp_path / "run" / "seed_0" / "model.json"),
+                     "--data", dataset_dir, "--out", str(out)]) == 0
+        assert (out / "theory.json").exists()
+        assert (out / "spectral.csv").exists()
+
+    def test_version_1_run_directory(self, dataset_dir, tmp_path):
+        # a run directory whose model.json is format version 1 (decimal
+        # weight lists, no format_version) gives the same report
+        import base64
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        seed_dir = tmp_path / "run" / "seed_0"
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        cmd_theory(str(seed_dir / "model.json"), dataset_dir)
+        version_2 = (seed_dir / "theory.json").read_bytes()
+        blob = json.loads((seed_dir / "model.json").read_text())
+        assert blob.pop("format_version") == 2
+        for st in blob["stages"]:
+            lrn = st["learner"]
+            lrn["weights"] = [
+                np.frombuffer(base64.b64decode(w), "<f8").tolist()
+                for w in lrn["weights"]]
+            lrn["head"] = "argmax"
+        (seed_dir / "model.json").write_text(json.dumps(blob))
+        (seed_dir / "theory.json").unlink()
+        cmd_theory(str(seed_dir / "model.json"), dataset_dir)
+        assert (seed_dir / "theory.json").read_bytes() == version_2
+
     def test_spectral_skipped_above_cap(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
@@ -276,7 +310,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "split_id_too_large", "split_id_negative", "empty_test",
         "empty_train", "nan_feature", "label_below_minus_one",
-        "edges_not_integer", "split_not_json", "ragged_features"])
+        "edges_not_integer", "split_not_json", "ragged_features",
+        "split_array", "split_ids_string", "edge_out_of_range",
+        "meta_count_string"])
     def test_malformed_dataset_is_3(self, dataset_dir, tmp_path, capsys,
                                     case):
         split_path = os.path.join(dataset_dir, "split.json")
@@ -300,6 +336,20 @@ class TestExitCodes:
         elif case == "edges_not_integer":
             with open(os.path.join(dataset_dir, "edges.txt"), "a") as fh:
                 fh.write("0 one\n")
+        elif case == "edge_out_of_range":
+            with open(os.path.join(dataset_dir, "edges.txt"), "a") as fh:
+                fh.write("0 30\n")
+        elif case == "split_array":
+            split = [split["train"], split["val"], split["test"]]
+        elif case == "split_ids_string":
+            split["train"] = "abc"
+        elif case == "meta_count_string":
+            meta_path = os.path.join(dataset_dir, "meta.json")
+            with open(meta_path) as fh:
+                meta = json.load(fh)
+            meta["k"] = "2"
+            with open(meta_path, "w") as fh:
+                json.dump(meta, fh)
         elif case == "ragged_features":
             feat_path = os.path.join(dataset_dir, "features.tsv")
             with open(feat_path) as fh:
@@ -324,7 +374,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         "model_missing", "model_not_json", "model_without_mode",
-        "trace_missing"])
+        "trace_missing", "format_version_3", "weights_not_base64",
+        "weights_wrong_length"])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
         cfg_path = tmp_path / "cfg.json"
@@ -339,6 +390,16 @@ class TestExitCodes:
         elif case == "model_without_mode":
             blob = json.loads(model.read_text())
             del blob["mode"]
+            model.write_text(json.dumps(blob))
+        elif case.startswith(("format", "weights")):
+            blob = json.loads(model.read_text())
+            weights = blob["stages"][0]["learner"]["weights"]
+            if case == "format_version_3":
+                blob["format_version"] = 3
+            elif case == "weights_not_base64":
+                weights[0] = "%" + weights[0][1:]
+            else:
+                weights[0] = weights[0][:-12]  # 9 bytes short
             model.write_text(json.dumps(blob))
         else:
             args += ["--trace", str(tmp_path / "missing.csv")]
@@ -365,7 +426,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("blob", [
         lambda d: [base_config(d)],
         lambda d: base_config(d, seeds="abc"),
-    ], ids=["array", "seeds_string"])
+        lambda d: base_config(d, hidden_width=4.5),
+        lambda d: base_config(d, n_rounds=2.5),
+        lambda d: base_config(d, hidden_layers=1.0),
+        lambda d: base_config(d, variant="kta", n_deg=2.0),
+        lambda d: base_config(d, learner={"epochs": 2.5, "seed": 0}),
+    ], ids=["array", "seeds_string", "hidden_width_float",
+            "n_rounds_float", "hidden_layers_float", "n_deg_float",
+            "learner_epochs_float"])
     def test_config_type_error_is_2(self, dataset_dir, tmp_path, capsys,
                                     blob):
         cfg_path = tmp_path / "bad.json"
