@@ -18,8 +18,8 @@ from .graph import (ConvergenceError, GraphError, PropagationMatrix,
                     SparseGraph, SpectralData, augmented_adjacency,
                     base_operator, eigendecompose, normalized_adjacency,
                     operator_norm, read_edge_list)
-from .losses import (errors, margin_loss, multiclass_surrogate_grad, sigmoid,
-                     sigmoid_ce, softmax, softmax_ce, surrogate_grad)
+from .losses import (errors, margin_loss, sigmoid, sigmoid_ce, softmax,
+                     softmax_ce, surrogate, surrogate_grad)
 from .mlp import (MlpParams, TrainConfig, TrainingDiverged, backward,
                   fit_classifier, fit_to_gradient, forward, init_mlp,
                   max_column_l1, project_l1_columns)

@@ -32,6 +32,13 @@ class AlignmentConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("alignment epochs must be >= 1")
+        self.step_rule()
+
+    def step_rule(self) -> TrainConfig:
+        """The optimizer settings ``fit_kta`` steps by; building them checks
+        ``optimizer`` and ``lr``."""
+        return TrainConfig(epochs=1, optimizer=self.optimizer, lr=self.lr,
+                           weight_decay=0.0)
 
 
 @dataclass(frozen=True)
@@ -201,11 +208,7 @@ def fit_kta(aggregator: Polynomial, x_t, labels_onehot_train, train_ids,
     basis_train = [b[train_ids] for b in aggregator.terms(x_t)]
     k_target = y @ y.T
     theta = aggregator.coefs.astype(float).copy()
-    opt = _Optimizer(
-        TrainConfig(epochs=1, optimizer=cfg.optimizer, lr=cfg.lr,
-                    weight_decay=0.0),
-        [theta.shape],
-    )
+    opt = _Optimizer(cfg.step_rule(), [theta.shape])
     rho = None
     for _ in range(cfg.epochs):
         rho, grad = _alignment_value_grad(basis_train, theta, k_target)

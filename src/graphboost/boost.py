@@ -23,9 +23,7 @@ from . import aggregate as agg_mod
 from .aggregate import AlignmentConfig, Polynomial
 from .data import NodeDataset, one_hot
 from .graph import base_operator
-from .losses import (DEFAULT_CLIP, errors, multiclass_surrogate_grad,
-                     sigmoid, sigmoid_ce, softmax, softmax_ce,
-                     surrogate_grad)
+from .losses import DEFAULT_CLIP, errors, softmax, surrogate, surrogate_grad
 from .mlp import (MlpParams, TrainConfig, _Optimizer, backward, fit_classifier,
                   fit_to_gradient, forward)
 
@@ -169,12 +167,7 @@ class FunctionalGBConfig:
     learner: TrainConfig = field(default_factory=TrainConfig)
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
     delta: float = 0.0
-    clip: float = DEFAULT_CLIP
-    r_policy: str = "midpoint"
-    root: str = "minus"
     wlc_fallback: str = "continue"  # continue | stop
-    eta1: float = 1.0
-    alpha0: float = 1.0             # fallback alpha when no fit exists
     strict_tstar: bool = False
     l1_bound: float | None = None
     seed: int = 0
@@ -186,7 +179,6 @@ class SammeConfig:
     hidden: tuple = (64,)
     learner: TrainConfig = field(default_factory=TrainConfig)
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
-    clip: float = DEFAULT_CLIP
     seed: int = 0
 
 
@@ -263,14 +255,13 @@ def _cos(a, b):
     return float(np.vdot(a, b) / (na * nb))
 
 
-def _trace_row(t, dataset, score, cos_theta, fit, passed, clip, delta=0.0):
+def _trace_row(t, dataset, score, cos_theta, fit, passed, delta=0.0):
     """Per-stage record: losses and errors of the updated score, the angle
     and fitted w.l.c. of the stage's contribution against the negative
     gradient taken before the update, and the L1 norm of the gradient at
     the updated score. A score vector is binary, a matrix multiclass."""
     y, split = dataset.labels, dataset.split
-    grad = surrogate_grad if score.ndim == 1 else multiclass_surrogate_grad
-    e = errors(score, y, split, delta=delta, clip=clip)
+    e = errors(score, y, split, delta=delta)
     return {
         "t": t,
         "train_loss": e["surrogate"],
@@ -280,7 +271,7 @@ def _trace_row(t, dataset, score, cos_theta, fit, passed, clip, delta=0.0):
         "alpha": fit.alpha if fit else float("nan"),
         "beta": fit.beta if fit else float("nan"),
         "gamma": fit.gamma if fit else float("nan"),
-        "grad_l1": float(np.abs(grad(score, y, split)).sum()),
+        "grad_l1": float(np.abs(surrogate_grad(score, y, split)).sum()),
         "wlc_pass": passed,
     }
 
@@ -292,9 +283,10 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
     """Binary functional gradient boosting with online w.l.c. verification.
 
     Returns (EnsembleModel, trace rows). The first stage fits the raw
-    features and steps with eta_1; each of the ``n_rounds`` further stages
-    aggregates, fits the scaled negative gradient, fits (alpha, beta), and
-    steps with eta = 4 / alpha.
+    features and steps with eta_1 = 1; each of the ``n_rounds`` further
+    stages aggregates, fits the scaled negative gradient, fits (alpha, beta)
+    by ``wlc_fit``'s defaults, and steps with eta = 4 / alpha, or with
+    eta = 4 when no fit exists.
     """
     if dataset.n_classes != 2:
         raise ValueError("functional boosting is binary-only")
@@ -319,11 +311,11 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
         rep = None  # the stage's input is not held through the next advance
         z = f_t / m
         if t == 1:
-            fit, passed, eta_t = None, None, cfg.eta1
+            fit, passed, eta_t = None, None, 1.0
         else:
-            fit = wlc_fit(z, g, r_policy=cfg.r_policy, root=cfg.root)
+            fit = wlc_fit(z, g)
             passed = fit is not None
-            eta_t = 4.0 / (fit.alpha if passed else cfg.alpha0)
+            eta_t = 4.0 / fit.alpha if passed else 4.0
         stop = passed is False and cfg.wlc_fallback == "stop"
         if stop:
             flags["stopped_at"] = t
@@ -333,7 +325,7 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
             yhat = yhat + eta_t * f_t
             stages.append(StageRecord(aggregator, b_t, eta_t, fit))
         trace.append(_trace_row(t, dataset, yhat, _cos(z, g), fit, passed,
-                                cfg.clip, cfg.delta))
+                                cfg.delta))
         if stop:
             break
 
@@ -346,8 +338,7 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
 
     model = EnsembleModel(mode="functional", n_classes=2, stages=stages,
                           t_star=t_star, base=cfg.aggregator.base,
-                          aggregator_kind=cfg.aggregator.kind,
-                          clip=cfg.clip, flags=flags)
+                          aggregator_kind=cfg.aggregator.kind, flags=flags)
     return model, trace
 
 
@@ -383,7 +374,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
         rejected = not real_valued and werr >= 1.0 - 1.0 / k
         logits = None if rejected else forward(b_t, rep)[0]
         rep = None  # the stage's input is not held through the next advance
-        g = -multiclass_surrogate_grad(score, y, split)
+        g = -surrogate_grad(score, y, split)
         if rejected:
             # rejected twice: this round contributes no member, but the
             # representation already advanced, so record a placeholder
@@ -392,7 +383,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
             contrib = np.zeros_like(score)
         else:
             if real_valued:
-                proba = np.clip(softmax(logits), cfg.clip, 1.0)
+                proba = np.clip(softmax(logits), DEFAULT_CLIP, 1.0)
                 if not np.all(np.isfinite(proba)):
                     raise FloatingPointError("NaN class probabilities")
                 logp = np.log(proba)
@@ -414,7 +405,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
         fit = (wlc_fit((contrib / split.m).ravel(), g.ravel())
                if np.any(g) else None)
         trace.append(_trace_row(t, dataset, score, _cos(contrib, g), fit,
-                                fit is not None, cfg.clip))
+                                fit is not None))
 
     if not any(st.learner is not None for st in stages):
         raise AllRoundsRejected(
@@ -423,8 +414,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
     mode = "samme_r" if real_valued else "samme"
     model = EnsembleModel(mode=mode, n_classes=k, stages=stages, t_star=None,
                           base=cfg.aggregator.base,
-                          aggregator_kind=cfg.aggregator.kind,
-                          clip=cfg.clip, flags=flags)
+                          aggregator_kind=cfg.aggregator.kind, flags=flags)
     return model, trace
 
 
@@ -484,28 +474,42 @@ def _replay(model: EnsembleModel, reps, caches=None):
     return outputs
 
 
-def _scores(model: EnsembleModel, outputs, n_rows, soft=False):
-    """Running score by stage from raw learner outputs. ``soft`` replaces
-    SAMME's argmax votes by softmax votes, the differentiable head
-    fine-tuning trains through."""
-    scores = []
+def _vote(model: EnsembleModel, weight, out, soft=False):
+    """One stage's term of the score from its raw learner output ``out``:
+    eta f for functional, lambda times the argmax vote for SAMME (the
+    softmax vote when ``soft``, the differentiable head fine-tuning trains
+    through), and the clipped log-probability contribution for SAMME.R."""
     if model.mode == "functional":
-        acc = np.zeros(n_rows)
-    else:
-        acc = np.zeros((n_rows, model.n_classes))
+        return weight * out[:, 0]
+    if model.mode == "samme":
+        return weight * (softmax(out) if soft else
+                         one_hot(np.argmax(out, axis=1), model.n_classes))
+    return samme_r_contribution(np.log(np.clip(softmax(out), model.clip,
+                                               1.0)))
+
+
+def _vote_grad(model: EnsembleModel, weight, out, dscore):
+    """Gradient in ``out`` of <dscore, _vote(model, weight, out, soft=True)>.
+    SAMME.R's clipped probabilities pass no gradient."""
+    if model.mode == "functional":
+        return weight * dscore[:, None]
+    p = softmax(out)
+    if model.mode == "samme":
+        return weight * p * (dscore - (dscore * p).sum(axis=1, keepdims=True))
+    dlogp = (model.n_classes - 1.0) * (dscore
+                                       - dscore.mean(axis=1, keepdims=True))
+    dlogp[p < model.clip] = 0.0
+    return dlogp - p * dlogp.sum(axis=1, keepdims=True)
+
+
+def _scores(model: EnsembleModel, outputs, n_rows, soft=False):
+    """Running score by stage from raw learner outputs (see ``_vote``)."""
+    scores = []
+    acc = np.zeros(n_rows if model.mode == "functional"
+                   else (n_rows, model.n_classes))
     for stage, out in zip(model.stages, outputs):
-        if out is None:
-            scores.append(acc.copy())
-            continue
-        if model.mode == "functional":
-            acc = acc + stage.weight * out[:, 0]
-        elif model.mode == "samme":
-            vote = (softmax(out) if soft else
-                    one_hot(np.argmax(out, axis=1), model.n_classes))
-            acc = acc + stage.weight * vote
-        else:
-            proba = np.clip(softmax(out), model.clip, 1.0)
-            acc = acc + samme_r_contribution(np.log(proba))
+        if out is not None:
+            acc = acc + _vote(model, stage.weight, out, soft)
         scores.append(acc.copy())
     return scores
 
@@ -555,6 +559,14 @@ class FineTuneConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        self.step_rule()
+
+    def step_rule(self) -> TrainConfig:
+        """The optimizer settings every epoch steps by; building them checks
+        ``optimizer`` and ``lr``."""
+        return TrainConfig(epochs=1, optimizer=self.optimizer, lr=self.lr,
+                           momentum=self.momentum,
+                           weight_decay=self.weight_decay)
 
 
 def _stack_replay(model, dataset, rows):
@@ -578,19 +590,6 @@ def _stack_forward(model, inputs):
     return score, caches, logits_list
 
 
-def _train_loss(model, score, y_train):
-    """Averaged surrogate over the train rows and its gradient in the
-    score."""
-    m = len(y_train)
-    if model.mode == "functional":
-        loss = float(np.mean(sigmoid_ce(score, y_train, model.clip)))
-        return loss, (sigmoid(score) - y_train) / m
-    loss = float(np.mean(softmax_ce(score, y_train, model.clip)))
-    dscore = softmax(score)
-    dscore[np.arange(m), y_train] -= 1.0
-    return loss, dscore / m
-
-
 def _stack_gradients(model, dataset, dscore, caches, logits_list,
                      chain=None):
     """Exact gradients of the train loss w.r.t. every MLP weight and, given
@@ -600,27 +599,11 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     order of ``dataset.split.train``. Returns (per-stage MLP gradients,
     {stage: KTA weight gradient}).
     """
-    k = model.n_classes
     mlp_grads, dxs = [], []
     for stage, cache, out in zip(model.stages, caches, logits_list):
-        if stage.learner is None:
-            mlp_grads.append(None)
-            dxs.append(None)
-            continue
-        if model.mode == "functional":
-            dlogits = stage.weight * dscore[:, None]
-        elif model.mode == "samme":
-            p = softmax(out)
-            inner = (dscore * p).sum(axis=1, keepdims=True)
-            dlogits = stage.weight * p * (dscore - inner)
-        else:
-            proba_raw = softmax(out)
-            clipped = proba_raw < model.clip
-            dlogp = (k - 1.0) * (dscore - dscore.mean(axis=1, keepdims=True))
-            dlogp[clipped] = 0.0
-            dlogits = dlogp - proba_raw * dlogp.sum(axis=1, keepdims=True)
-        grads, dx = backward(stage.learner, cache, dlogits,
-                             input_grad=chain is not None)
+        grads, dx = ((None, None) if stage.learner is None else backward(
+            stage.learner, cache, _vote_grad(model, stage.weight, out, dscore),
+            input_grad=chain is not None))
         mlp_grads.append(grads)
         dxs.append(dx)
 
@@ -681,15 +664,12 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     params = [w for st in work.stages if st.learner
               for w in st.learner.weights]
     params += [work.stages[s].aggregator.coefs for s in kta_ids]
-    opt = _Optimizer(TrainConfig(epochs=1, optimizer=cfg.optimizer,
-                                 lr=cfg.lr, momentum=cfg.momentum,
-                                 weight_decay=cfg.weight_decay),
-                     [p.shape for p in params])
+    opt = _Optimizer(cfg.step_rule(), [p.shape for p in params])
 
     for _ in range(cfg.epochs):
         score, caches, logits_list = _stack_forward(
             work, [x[:m] for x in inputs])
-        loss, dscore = _train_loss(work, score, y_rows[:m])
+        loss, dscore = surrogate(score, y_rows[:m], work.clip)
         if not np.isfinite(loss):
             flags = {**model.flags, "fine_tune_diverged": True}
             return (replace(model, stages=list(model.stages), flags=flags),

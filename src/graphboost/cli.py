@@ -36,11 +36,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_integers(cfg, prefix=""):
-    """A float or bool in a field annotated ``int`` is a ConfigError (the
-    config modules keep annotations as strings)."""
+def _require_types(cfg, prefix=""):
+    """A float or bool in a field annotated ``int``, or anything but true or
+    false in one annotated ``bool``, is a ConfigError (the config modules
+    keep annotations as strings)."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ConfigError(
+                f"{prefix}{f.name}: must be true or false, got {value!r}")
         if f.type == "int" or (f.type == "int | None" and value is not None):
             if isinstance(value, bool) or not isinstance(
                     value, (int, np.integer)):
@@ -72,7 +76,7 @@ class ExperimentConfig:
         for cfg, prefix in ((self, ""), (self.learner, "learner."),
                             (self.kta, "kta."),
                             (self.fine_tune_cfg, "fine_tune_cfg.")):
-            _require_integers(cfg, prefix)
+            _require_types(cfg, prefix)
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant: '{self.variant}' not one of {VARIANTS}")
@@ -92,9 +96,11 @@ class ExperimentConfig:
             raise ConfigError(f"base: unknown operator '{self.base}'")
         if self.n_rounds < 1:
             raise ConfigError("n_rounds: must be >= 1")
+        if self.delta < 0:
+            raise ConfigError("delta: must be >= 0")
         if not (isinstance(self.seeds, list) and self.seeds and all(
-                isinstance(s, (int, np.integer)) and s >= 0
-                for s in self.seeds)):
+                isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                and s >= 0 for s in self.seeds)):
             raise ConfigError(
                 "seeds: need a non-empty list of non-negative integers")
 
@@ -241,6 +247,13 @@ def cmd_train(config_path, out_root, jobs=1):
 
 def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
                delta=0.0, trace_path=None, eigen_cap=DENSE_EIGEN_CAP):
+    # checked before any file is read: the bounds refuse these values only
+    # after the whole report has been computed
+    if not 0.0 < delta_prime < 1.0:
+        raise ConfigError(f"--delta-prime: must lie in (0, 1), got "
+                          f"{delta_prime}")
+    if c0 < 0.0 or delta < 0.0:
+        raise ConfigError(f"--c0, --delta: must be >= 0, got {c0}, {delta}")
     out_dir = out_dir or os.path.dirname(os.path.abspath(model_path))
     # bounds are computed on the data and features the model was trained
     # on: the run's config.json and inputs.json sit one level above

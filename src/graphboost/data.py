@@ -36,9 +36,8 @@ class Split:
     test: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "train", np.asarray(self.train, dtype=np.int64))
-        object.__setattr__(self, "val", np.asarray(self.val, dtype=np.int64))
-        object.__setattr__(self, "test", np.asarray(self.test, dtype=np.int64))
+        for part in ("train", "val", "test"):
+            object.__setattr__(self, part, _node_ids(getattr(self, part)))
         all_ids = np.concatenate([self.train, self.val, self.test])
         if len(np.unique(all_ids)) != len(all_ids):
             raise DataError("split index sets must be pairwise disjoint")
@@ -51,17 +50,16 @@ class Split:
     def u(self):
         return len(self.test)
 
-    @property
-    def q(self):
-        return partition_constants(self.m, self.u)[0]
 
-    @property
-    def s(self):
-        return partition_constants(self.m, self.u)[1]
-
-    @property
-    def p0(self):
-        return partition_constants(self.m, self.u)[2]
+def _node_ids(values):
+    """``values`` as a flat int64 array; a float or bool id is refused, not
+    cast to a node (an empty list, which numpy makes float64, is fine)."""
+    ids = np.asarray(values)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu") or (
+            isinstance(values, list)
+            and any(isinstance(v, bool) for v in values)):
+        raise DataError("split ids must be a flat list of integers")
+    return ids.astype(np.int64, copy=False)
 
 
 def partition_constants(m, u):

@@ -201,10 +201,11 @@ class SpectralData:
     eigenvectors: np.ndarray
 
     def expand(self, x):
-        """Coefficients a with x = eigenvectors @ a (columnwise)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[0] != self.eigenvectors.shape[0]:
-            x = x.T
+        """Coefficients a with x = eigenvectors @ a, for x of N rows."""
+        x = np.asarray(x, dtype=float)
+        n = self.eigenvectors.shape[0]
+        if x.shape[:1] != (n,):
+            raise ValueError(f"expand needs {n} rows, got shape {x.shape}")
         return self.eigenvectors.T @ x
 
 

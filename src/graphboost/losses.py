@@ -1,8 +1,9 @@
 """Binary margin loss, sigmoid cross-entropy surrogate, and error functionals.
 
 Score conventions: a binary score vector is a float array of shape (N,); a
-multiclass score matrix has shape (N, K). Gradients returned by
-``surrogate_grad`` live in R^N and are exactly zero off the training set.
+multiclass score matrix has shape (N, K). ``surrogate`` gives the loss and
+its gradient on the rows it is handed; ``surrogate_grad`` spreads that
+gradient over all N nodes, exactly zero off the training set.
 """
 
 from __future__ import annotations
@@ -55,37 +56,37 @@ def softmax_ce(scores, labels, clip=DEFAULT_CLIP):
     return -np.log(p[rows, np.asarray(labels, dtype=np.int64)])
 
 
-def surrogate_grad(yhat, labels, split):
-    """Gradient of the averaged sigmoid cross-entropy over train nodes.
+def surrogate(score, labels, clip=DEFAULT_CLIP):
+    """The surrogate averaged over the given rows, and its gradient in
+    ``score``: sigmoid cross-entropy of a binary score vector, with gradient
+    (1/M)(sigmoid(s) - y), or softmax cross-entropy of a multiclass score
+    matrix, with gradient (1/M)(softmax(S) - onehot(y)). ``clip`` bounds the
+    probabilities inside the logarithm only."""
+    score = np.asarray(score, dtype=float)
+    m = len(labels)
+    if score.ndim == 1:
+        loss = float(np.mean(sigmoid_ce(score, labels, clip)))
+        return loss, (sigmoid(score) - labels) / m
+    labels = np.asarray(labels, dtype=np.int64)
+    loss = float(np.mean(softmax_ce(score, labels, clip)))
+    grad = softmax(score)
+    grad[np.arange(m), labels] -= 1.0
+    return loss, grad / m
 
-    g_n = (1/M)(p_n - y_n) on the train set and exactly 0 elsewhere.
-    """
-    yhat = np.asarray(yhat, dtype=float)
-    if yhat.ndim != 1:
-        raise ValueError("surrogate_grad expects a binary score vector")
+
+def surrogate_grad(score, labels, split):
+    """Full-length gradient of the surrogate averaged over the train nodes:
+    ``surrogate``'s gradient on the train rows and exactly 0 elsewhere."""
+    score = np.asarray(score, dtype=float)
     if split.m == 0:
         raise ValueError("empty train set")
-    g = np.zeros_like(yhat)
+    g = np.zeros_like(score)
     tr = split.train
-    p = sigmoid(yhat[tr])
-    g[tr] = (p - np.asarray(labels, dtype=float)[tr]) / split.m
+    g[tr] = surrogate(score[tr], np.asarray(labels)[tr])[1]
     return g
 
 
-def multiclass_surrogate_grad(scores, labels, split):
-    """(1/M)(softmax(S) - onehot(y)) on train rows, zero elsewhere."""
-    scores = np.asarray(scores, dtype=float)
-    if split.m == 0:
-        raise ValueError("empty train set")
-    g = np.zeros_like(scores)
-    tr = split.train
-    p = softmax(scores[tr])
-    p[np.arange(len(tr)), np.asarray(labels, dtype=np.int64)[tr]] -= 1.0
-    g[tr] = p / split.m
-    return g
-
-
-def errors(yhat, labels, split, delta=0.0, clip=DEFAULT_CLIP):
+def errors(yhat, labels, split, delta=0.0):
     """Train error, test error, and train surrogate loss.
 
     Binary scores use the margin loss; multiclass scores use argmax-vs-label
@@ -98,12 +99,10 @@ def errors(yhat, labels, split, delta=0.0, clip=DEFAULT_CLIP):
     tr, te = split.train, split.test
     if yhat.ndim == 1:
         per_node = margin_loss(yhat, labels, delta)
-        surrogate = float(np.mean(sigmoid_ce(yhat[tr], labels[tr], clip)))
     else:
         per_node = (np.argmax(yhat, axis=1) != labels).astype(float)
-        surrogate = float(np.mean(softmax_ce(yhat[tr], labels[tr], clip)))
     return {
         "train_err": float(np.mean(per_node[tr])),
         "test_err": float(np.mean(per_node[te])),
-        "surrogate": surrogate,
+        "surrogate": surrogate(yhat[tr], labels[tr])[0],
     }

@@ -9,8 +9,9 @@ output rows identically.
 
 Trainers cover both uses in boosting: regression onto a gradient target
 (functional boosting) and weighted multiclass classification (SAMME-style).
-An optional L1 column-norm projection enforces the hard constraint used in
-theory mode; ``l1_bound=None`` is the soft (regularization-only) mode.
+``fit_to_gradient`` takes an optional L1 column-norm projection, the hard
+constraint used in theory mode; ``l1_bound=None`` is the soft
+(regularization-only) mode.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.lr <= 0:
             raise ValueError("learning rate must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight decay must be >= 0")
         if self.optimizer not in ("sgd", "momentum", "adam", "rmsprop"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
 
@@ -321,7 +324,7 @@ def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids,
 
 
 def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
-                   train_ids, l1_bound=None, init=None):
+                   train_ids):
     """Minimize weight-scaled multiclass cross-entropy on train nodes.
 
     Returns the fitted params and the weighted 0-1 train error.
@@ -333,8 +336,7 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
         raise ValueError("sample weights must be nonnegative")
     if w[train_ids].sum() <= 0:
         raise ValueError("sample weights sum to zero on the train set")
-    params = init.copy() if init is not None else init_mlp(
-        widths, seed=cfg.seed)
+    params = init_mlp(widths, seed=cfg.seed)
     xt = x[train_ids]
     yt = labels[train_ids]
     wt = w[train_ids]
@@ -354,7 +356,7 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
         upstream *= (wb / wsum)[:, None]
         return loss, upstream
 
-    params = _fit_loop(params, cfg, xt, loss_grad, l1_bound)
+    params = _fit_loop(params, cfg, xt, loss_grad, None)
     out, _ = forward(params, xt)
     pred = np.argmax(out, axis=1)
     werr = float((wt * (pred != yt)).sum() / wt.sum())

@@ -19,7 +19,7 @@ import numpy as np
 from .aggregate import Polynomial
 from .boost import predict, stage_inputs
 from .data import partition_constants
-from .graph import PropagationMatrix, eigendecompose
+from .graph import DENSE_EIGEN_CAP, PropagationMatrix, eigendecompose
 from .losses import margin_loss
 from .mlp import max_column_l1
 
@@ -192,7 +192,7 @@ class SpectralTrajectory:
 
 
 def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
-                     cap=None) -> SpectralTrajectory:
+                     cap=DENSE_EIGEN_CAP) -> SpectralTrajectory:
     """Trajectory of repeatedly propagated features for t = 0..t_max.
 
     The Frobenius norm is computed both by direct multiplication and by the
@@ -202,12 +202,13 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
     eigenvectors whose eigenvalues lie within ``TOP_EIGEN_TOL`` of 1, and
     V_1^T P^t X = V_1^T X. So the squared distance of P^t X to V_1 is
     sum_{n off V_1} lambda_n^{2t} a_nc^2, a sum of nonnegative terms, and
-    the cosine of column c is ||V_1^T X_c|| / ||P^t X_c||.
+    the cosine of column c is ||V_1^T X_c|| / ||P^t X_c||. ``x`` is N x C.
     """
-    spect = (eigendecompose(p) if cap is None else eigendecompose(p, cap=cap))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != p.n:
-        x = x.T
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != p.n:
+        raise ValueError(f"smoothing_report needs an N x C feature matrix "
+                         f"with N = {p.n}, got shape {x.shape}")
+    spect = eigendecompose(p, cap=cap)
     coeff = spect.expand(x)  # a_nc
     lam = spect.eigenvalues
     k = int(np.sum(np.abs(lam - 1.0) <= TOP_EIGEN_TOL))
@@ -260,11 +261,11 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
     """
     split = dataset.split
     m, u = split.m, split.u
+    q, s, p0 = partition_constants(m, u)
     report = {
         "mode": model.mode,
-        "constants": {"m": m, "u": u, "q": split.q, "s": split.s,
-                      "p0": split.p0, "c0": c0, "delta_prime": delta_prime,
-                      "delta": delta},
+        "constants": {"m": m, "u": u, "q": q, "s": s, "p0": p0, "c0": c0,
+                      "delta_prime": delta_prime, "delta": delta},
     }
 
     loop_rows = [r for r in trace if r["t"] >= 2]

@@ -16,13 +16,13 @@ import pytest
 from graphboost.aggregate import _alignment_value_grad, kta
 from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
                               SammeConfig, _stack_forward, _stack_gradients,
-                              _stack_replay, _train_loss, predict,
+                              _stack_replay, predict,
                               run_functional_gb, run_samme,
                               weighted_error_form, wlc_fit, write_trace_csv)
 from graphboost.cli import cmd_curves
 from graphboost.data import load_planetoid, one_hot, synthesize_two_block
 from graphboost.graph import augmented_adjacency
-from graphboost.losses import margin_loss, softmax_ce
+from graphboost.losses import margin_loss, softmax_ce, surrogate
 from graphboost.mlp import (TrainConfig, backward, forward, init_mlp,
                             project_l1_columns)
 from graphboost.theory import (ComplexityConstants, mc_transductive_rademacher,
@@ -310,7 +310,7 @@ def test_criterion_8_gradient_integrity():
 
     inputs, chain = _stack_replay(model, ds, tr)
     score, caches, logits = _stack_forward(model, inputs)
-    _, dscore = _train_loss(model, score, ds.labels[tr])
+    _, dscore = surrogate(score, ds.labels[tr], model.clip)
     mlp_grads, kta_grads = _stack_gradients(model, ds, dscore, caches,
                                             logits, chain)
     worst_stack, smallest_fd = 0.0, np.inf

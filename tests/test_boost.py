@@ -157,7 +157,8 @@ class TestFunctionalGB:
         assert trace[0]["t"] == 1
         first = replay_scores(model, ds)[0]
         b1_out = forward(model.stages[0].learner, ds.features)[0][:, 0]
-        assert np.allclose(first, cfg.eta1 * b1_out)
+        assert model.stages[0].weight == 1.0  # eta_1
+        assert np.allclose(first, model.stages[0].weight * b1_out)
 
     def test_binary_only(self):
         ds = synthesize_two_block(12, 0.9, 0.1, seed=1)
@@ -812,8 +813,8 @@ class TestFineTune:
         # the probability-head path has its own logits chain (clipped
         # log-softmax); check it end to end
         from graphboost.boost import (_stack_forward, _stack_gradients,
-                                      _stack_replay, _train_loss)
-        from graphboost.losses import softmax_ce
+                                      _stack_replay)
+        from graphboost.losses import softmax_ce, surrogate
         ds = synthesize_two_block(10, 0.8, 0.1, seed=20, noise=0.5)
         model, _ = run_samme_r(ds, SammeConfig(
             n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=8, seed=21),
@@ -826,7 +827,7 @@ class TestFineTune:
 
         inputs, chain = _stack_replay(model, ds, tr)
         score, caches, logits = _stack_forward(model, inputs)
-        _, dscore = _train_loss(model, score, ds.labels[tr])
+        _, dscore = surrogate(score, ds.labels[tr], model.clip)
         mlp_grads, _ = _stack_gradients(model, ds, dscore, caches, logits,
                                         chain)
         eps = 1e-6
@@ -879,8 +880,7 @@ def full_graph_sgd(model, ds, epochs, lr):
 
     from graphboost.boost import (StageRecord, samme_r_contribution,
                                   stage_representations)
-    from graphboost.losses import (multiclass_surrogate_grad, softmax,
-                                   surrogate_grad)
+    from graphboost.losses import softmax, surrogate_grad
     from graphboost.mlp import backward
 
     stages = [StageRecord(st.aggregator,
@@ -909,10 +909,7 @@ def full_graph_sgd(model, ds, epochs, lr):
             else:
                 score = score + samme_r_contribution(
                     np.log(np.clip(softmax(out), work.clip, 1.0)))
-        if work.mode == "functional":
-            dscore = surrogate_grad(score, ds.labels, ds.split)
-        else:
-            dscore = multiclass_surrogate_grad(score, ds.labels, ds.split)
+        dscore = surrogate_grad(score, ds.labels, ds.split)
         adjoint = [np.zeros((ds.n, ds.n_features)) for _ in reps]
         updates = []
         for s, (st, out) in enumerate(zip(work.stages, outs)):
@@ -952,6 +949,31 @@ def full_graph_sgd(model, ds, epochs, lr):
     return work
 
 
+def unsaturated_run(kind, mode):
+    """(dataset, model) of a short run on a noisy 40-node graph with a
+    validation split; its train loss has gradients large enough that
+    fine-tuning moves every weight."""
+    from graphboost.data import NodeDataset, Split
+    base = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
+    ids = np.random.default_rng(0).permutation(base.n)
+    ds = NodeDataset(graph=base.graph, features=base.features,
+                     labels=base.labels, n_classes=2,
+                     split=Split(train=ids[:14], val=ids[14:24],
+                                 test=ids[24:]))
+    spec = AggregatorSpec(kind=kind)
+    learner = TrainConfig(epochs=4, seed=9)
+    if mode == "functional":
+        model, _ = run_functional_gb(ds, FunctionalGBConfig(
+            n_rounds=2, hidden=(6,), learner=learner, aggregator=spec,
+            seed=10))
+    else:
+        runner = run_samme if mode == "samme" else run_samme_r
+        model, _ = runner(ds, SammeConfig(
+            n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
+            seed=10))
+    return ds, model
+
+
 class TestFineTuneEquivalence:
     """Fine-tuning on the train and validation rows gives the weights of a
     full-graph reference, and the errors ``predict`` gives."""
@@ -959,24 +981,7 @@ class TestFineTuneEquivalence:
     @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
     @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
     def test_matches_full_graph_sgd(self, kind, mode):
-        from graphboost.data import NodeDataset, Split
-        base = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
-        ids = np.random.default_rng(0).permutation(base.n)
-        ds = NodeDataset(graph=base.graph, features=base.features,
-                         labels=base.labels, n_classes=2,
-                         split=Split(train=ids[:14], val=ids[14:24],
-                                     test=ids[24:]))
-        spec = AggregatorSpec(kind=kind)
-        learner = TrainConfig(epochs=4, seed=9)
-        if mode == "functional":
-            model, _ = run_functional_gb(ds, FunctionalGBConfig(
-                n_rounds=2, hidden=(6,), learner=learner, aggregator=spec,
-                seed=10))
-        else:
-            runner = run_samme if mode == "samme" else run_samme_r
-            model, _ = runner(ds, SammeConfig(
-                n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
-                seed=10))
+        ds, model = unsaturated_run(kind, mode)
         epochs, lr = 3, 0.05
         tuned, info = fine_tune(model, ds, FineTuneConfig(
             epochs=epochs, optimizer="sgd", lr=lr))
@@ -1000,6 +1005,66 @@ class TestFineTuneEquivalence:
             _, classes = predict(m, ds)
             assert info["train_err"][i] == np.mean(classes[tr] != ds.labels[tr])
             assert info["val_err"][i] == np.mean(classes[va] != ds.labels[va])
+
+
+# SHA-256 of (the fine-tuned model's save_model bytes, the trained model's
+# predict scores, the fine-tuned model's predict scores) for each
+# unsaturated_run, recorded before the vote and its gradient were written
+# once per mode
+FINE_TUNE_BYTES = {
+    "functional-fixed": (
+        "6dde81575b714abf5c7a4ca262aee0b3ada7357fc1af23ab285f44e321b485c7",
+        "d5b71fec91577eddc51223aefb6a6cc55718d3b71135cc7c9b7b60b9bcbf0a28",
+        "bf28b99619d3574a267698c6d5890525ad2ab46d007952cbf6a76aa84bcfa9b5"),
+    "samme-fixed": (
+        "ed2a8756ae5a3be26c436932491253e6e760753d938fb7bcdfd79bdf6279919a",
+        "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
+        "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
+    "samme_r-fixed": (
+        "64c0b4e27d782c774d7127448a858462eb2baaa4b2b2e6b1a50e8a73b9774ea0",
+        "75796f29f15c0e13be6b1e9e1dc5b473e186dc9dd3bc771dc9e14c4143486710",
+        "ebdcc65b0d3ebd6432d694a5879abf3f05dc9c3ef0177c60da56373d57f203eb"),
+    "functional-input_injection": (
+        "a032275be134d46e9c2a46372c64a7ab1ed5ab38b8dc7e7b5c6ae1e7dc67b904",
+        "591f9723f94d27c5338d5d163c77d109f9bd018d8b682ee64bac67a6bcb0c33a",
+        "5a15d8d11fb7e0960b69cd6d091da5c5836399ab6c548101ebeb44da52a3b7da"),
+    "samme-input_injection": (
+        "e69e588805b4cbfefb6293439cc665fc17b1b3aead3162f7d870f4af9010a37b",
+        "75d87e4c07e4ae6a2383423bc77041e7ac31388f1c15792a9e8311c3fc0b00c0",
+        "70861760461fed59bbbcd5f5729dbfcf16fd5538fe435e9906e1795e3ad8c94e"),
+    "samme_r-input_injection": (
+        "c1c22005e0a6b8a064e2ce58afe2297fa2af39fb1ee4ae4774be645d957a8032",
+        "4d1be36868066581ab5df96971f50b9e5716b98605827e7a15cb0fb750475f37",
+        "1c18898c5cd1525480ac9dc59afab671b8183e76cd38b5b805ab09cea5d0ebe2"),
+    "functional-kta": (
+        "bdcb7498a1a69f7cfab3538908e30225de99de42b6b0234675b73f7de121d329",
+        "fea44b036e17a7e2b0282edac370784bdbc769dfe5fa957cf6ccd65cb743139c",
+        "91ee13215b2351e826132344055c6a587dd0b0cf21fdf2ded33b0310da392f8c"),
+    "samme-kta": (
+        "49a3716af8dce49f7acc391a80849b14bcec9fd96668d0c44fd6475a345da491",
+        "a707c9a3bc80239971dca8fad6da9ba7c6bd00c111a879f9e423a659adc3491e",
+        "1d0bd44676386c9375366769f722fa657f38c96561ea713e78f247f59b7267c7"),
+    "samme_r-kta": (
+        "8f96e3a0b739a66b16f05af3e8794a9b03c541013fbd61c3c86ecffbab4c52a6",
+        "d7d2467151c7fd45529ceea7670007724844ead2af5ddb664e54c3fc973746bd",
+        "7353407230f58e310fd9cc47efbb0f749f931a005e614babe9b2fdfc0b79ef57"),
+}
+
+
+class TestFineTuneBytes:
+    @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
+    @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
+    def test_fine_tune_and_predict_bytes_pinned(self, tmp_path, kind, mode):
+        import hashlib
+
+        ds, model = unsaturated_run(kind, mode)
+        tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=3, lr=1e-2))
+        save_model(tuned, tmp_path / "tuned.json")
+        got = tuple(hashlib.sha256(b).hexdigest() for b in (
+            (tmp_path / "tuned.json").read_bytes(),
+            predict(model, ds)[0].tobytes(),
+            predict(tuned, ds)[0].tobytes()))
+        assert got == FINE_TUNE_BYTES[f"{mode}-{kind}"]
 
 
 def noisy_run(kind, mode):

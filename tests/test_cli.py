@@ -312,7 +312,7 @@ class TestExitCodes:
         "empty_train", "nan_feature", "label_below_minus_one",
         "edges_not_integer", "split_not_json", "ragged_features",
         "split_array", "split_ids_string", "edge_out_of_range",
-        "meta_count_string"])
+        "meta_count_string", "split_ids_float", "split_ids_bool"])
     def test_malformed_dataset_is_3(self, dataset_dir, tmp_path, capsys,
                                     case):
         split_path = os.path.join(dataset_dir, "split.json")
@@ -343,6 +343,11 @@ class TestExitCodes:
             split = [split["train"], split["val"], split["test"]]
         elif case == "split_ids_string":
             split["train"] = "abc"
+        elif case == "split_ids_float":
+            split["train"] = [1.5, 2.7]  # numpy would read nodes 1 and 2
+        elif case == "split_ids_bool":
+            # True would be node 1, which no other train id repeats
+            split["train"] = [True] + split["train"][2:]
         elif case == "meta_count_string":
             meta_path = os.path.join(dataset_dir, "meta.json")
             with open(meta_path) as fh:
@@ -441,6 +446,47 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        {"kta": {"optimizer": "nope"}},
+        {"kta": {"lr": 0}},
+        {"fine_tune": True, "fine_tune_cfg": {"optimizer": "nope"}},
+        {"fine_tune": True, "fine_tune_cfg": {"lr": -1}},
+        {"mode": "functional", "delta": -1},
+        {"seeds": [True]},
+        {"learner": {"weight_decay": -1}},
+        {"fine_tune": True, "fine_tune_cfg": {"weight_decay": -1}},
+        {"normalize_features": "no"},
+        {"fine_tune": "false"},
+    ], ids=["kta_optimizer", "kta_lr", "fine_tune_optimizer", "fine_tune_lr",
+            "delta_negative", "seeds_bool", "learner_weight_decay",
+            "fine_tune_weight_decay", "normalize_features_string",
+            "fine_tune_string"])
+    def test_config_out_of_range_is_2(self, dataset_dir, tmp_path, capsys,
+                                      field):
+        # refused when the config loads, before a run directory exists
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(base_config(
+            dataset_dir, variant="kta", **field)))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [
+        "--delta-prime=2", "--delta-prime=0", "--c0=-1", "--delta=-1"])
+    def test_theory_flag_out_of_range_is_2(self, dataset_dir, tmp_path,
+                                           capsys, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            dataset_dir, seeds=[0], mode="functional")))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        assert main(["theory", "--model", str(model), "--data", dataset_dir,
+                     flag]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and flag.split("=")[0] in err
+        assert not (model.parent / "theory.json").exists()
 
     def test_all_rounds_rejected_is_4(self, tmp_path, capsys):
         # constant features on a ring, where every node has the same

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from graphboost.data import (DataError, NodeDataset, Split, export_dataset,
-                             load_planetoid, one_hot, random_partition,
-                             row_normalize, synthesize_two_block)
+                             load_planetoid, one_hot, partition_constants,
+                             random_partition, row_normalize,
+                             synthesize_two_block)
 from graphboost.graph import SparseGraph
 
 
@@ -17,17 +18,30 @@ class TestSplit:
 
     def test_q_and_s(self):
         sp = random_partition(4, 2, seed=0)
-        assert sp.q == pytest.approx(1.0)
-        assert sp.s == pytest.approx(32.0 / 21.0)
+        q, s, _ = partition_constants(sp.m, sp.u)
+        assert q == pytest.approx(1.0)
+        assert s == pytest.approx(32.0 / 21.0)
 
     def test_s_limit_near_one(self):
         sp = Split(train=np.arange(10000), val=[],
                    test=np.arange(10000, 20000))
-        assert abs(sp.s - 1.0) <= 1e-3
+        assert abs(partition_constants(sp.m, sp.u)[1] - 1.0) <= 1e-3
 
     def test_p0(self):
         sp = random_partition(4, 2, seed=1)
-        assert sp.p0 == pytest.approx(0.25)
+        assert partition_constants(sp.m, sp.u)[2] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("ids", [[1.5, 2.7], [True, 2], [[1, 2]], 3],
+                             ids=["float", "bool", "nested", "scalar"])
+    def test_non_integer_ids_refused(self, ids):
+        with pytest.raises(DataError, match="integers"):
+            Split(train=ids, val=[], test=[4])
+
+    def test_empty_and_integer_arrays_accepted(self):
+        sp = Split(train=np.array([0, 1], dtype=np.int32), val=[],
+                   test=np.array([2], dtype=np.uint8))
+        assert sp.train.dtype == sp.val.dtype == sp.test.dtype == np.int64
+        assert sp.val.size == 0
 
 
 class TestRandomPartition:

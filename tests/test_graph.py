@@ -237,6 +237,8 @@ class TestEigendecompose:
         assert np.max(np.abs(off)) <= 1e-8
         x = np.random.default_rng(0).standard_normal((20, 3))
         coeff = sd.expand(x)
+        with pytest.raises(ValueError, match=r"20 rows, got shape \(3, 20\)"):
+            sd.expand(x.T)
         recon = v @ coeff
         for c in range(3):
             assert (np.linalg.norm(recon[:, c] - x[:, c])

@@ -6,7 +6,7 @@ import pytest
 
 from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
                               SammeConfig, run_functional_gb, run_samme)
-from graphboost.data import synthesize_two_block
+from graphboost.data import partition_constants, synthesize_two_block
 from graphboost.graph import SparseGraph, augmented_adjacency
 from graphboost.mlp import TrainConfig, init_mlp, project_l1_columns
 from graphboost.theory import (ComplexityConstants,
@@ -219,6 +219,16 @@ class TestSmoothingReport:
             cur = p.matrix.toarray() @ cur
         assert traj.rank_one_distance[-1] < 0.5 * traj.rank_one_distance[0]
 
+    def test_requires_n_rows(self):
+        # a C x N input is refused, not transposed, before any
+        # eigendecomposition
+        g = random_connected_graph(6, 0.5, seed=1)
+        x = np.random.default_rng(1).standard_normal((6, 2))
+        with pytest.raises(ValueError, match=r"N = 6, got shape \(2, 6\)"):
+            smoothing_report(augmented_adjacency(g), x.T, t_max=2)
+        with pytest.raises(ValueError, match=r"got shape \(6,\)"):
+            smoothing_report(augmented_adjacency(g), x[:, 0], t_max=2)
+
     def test_csv_emission(self, tmp_path):
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         traj = smoothing_report(augmented_adjacency(g), np.eye(3), t_max=2)
@@ -375,7 +385,8 @@ class TestTheoryReport:
         q = 1 / m + 1 / u
         assert parts["partition_slack"] == pytest.approx(
             2.0 * q * np.sqrt(min(m, u)))
-        expected_conf = np.sqrt(ds.split.s * q / 2 * np.log(10.0))
+        s = partition_constants(m, u)[1]
+        expected_conf = np.sqrt(s * q / 2 * np.log(10.0))
         assert parts["confidence"] == pytest.approx(expected_conf)
         assert parts["total"] == pytest.approx(
             parts["train_err"] + parts["complexity"]
