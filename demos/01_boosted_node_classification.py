@@ -20,7 +20,7 @@ print(f"two-block graph: {dataset.n} nodes, {dataset.graph.n_edges} edges, "
 cfg = SammeConfig(
     n_rounds=8,
     hidden=(16,),
-    learner=TrainConfig(epochs=60, lr=1e-2, weight_decay=5e-4, seed=0),
+    learner=TrainConfig(epochs=60, lr=1e-2, weight_decay=5e-4),
     aggregator=AggregatorSpec(kind="fixed", base="augmented"),
     seed=0,
 )

@@ -2,10 +2,10 @@
 """Functional gradient boosting with online weak-learning verification.
 
 Each iteration regresses a learner onto the negative gradient of the
-training surrogate, then fits the tightest cone parameters (alpha, beta)
-with ||Z - alpha g|| = beta ||g||. Their quality gamma = (a^2-b^2)/a^2
-accumulates into Gamma_T, which drives a computable cap on the realized
-training error:
+training surrogate, then fits cone parameters (alpha, beta) with
+||Z - alpha g|| = beta ||g||, taking the midpoint of the feasible ratio
+beta / alpha. Their quality gamma = (a^2-b^2)/a^2 accumulates into
+Gamma_T, which drives a computable cap on the realized training error:
 
     train_err <= (1 + e^delta) * initial_loss / (2 M Gamma_T)
 
@@ -22,7 +22,7 @@ dataset = synthesize_two_block(n=60, p_in=0.8, p_out=0.05, seed=3)
 cfg = FunctionalGBConfig(
     n_rounds=10,
     hidden=(),  # linear learners are plenty for separable communities
-    learner=TrainConfig(epochs=60, lr=0.05, weight_decay=0.0, seed=0),
+    learner=TrainConfig(epochs=60, lr=0.05, weight_decay=0.0),
     delta=0.0,
     seed=1,
 )

@@ -40,7 +40,7 @@ with tempfile.TemporaryDirectory(prefix="graphboost_demo_") as tmp:
         "hidden_width": 16,
         "n_rounds": 6,
         "seeds": [0, 1, 2],
-        "learner": {"epochs": 40, "lr": 0.01, "seed": 0},
+        "learner": {"epochs": 40, "lr": 0.01},
         "kta": {"epochs": 10, "lr": 0.01},
         "normalize_features": False,
     }

@@ -62,14 +62,13 @@ def wlc_check(z, g, params: WlcParams) -> bool:
     return bool(np.linalg.norm(z - params.alpha * g) <= params.beta * gn)
 
 
-def wlc_fit(z, g, r_policy="midpoint", root="minus"):
+def wlc_fit(z, g):
     """Fit (alpha, beta) achieving equality in the condition, or None.
 
     A fit exists iff <z, g> > 0. With cos = <z,g>/(||z|| ||g||) the feasible
-    ratio range is r in [sin, 1); ``midpoint`` takes (1 + sin^2)/2 which
-    always lies in it, ``tightest`` hugs the lower end. alpha solves the
-    quadratic (1-r^2)||g||^2 a^2 - 2<z,g> a + ||z||^2 = 0; ``root`` picks
-    the branch, and beta = r * alpha.
+    ratio range is r in [sin, 1); the midpoint r = (1 + sin^2)/2 always lies
+    in it. alpha is the smaller root of the quadratic
+    (1-r^2)||g||^2 a^2 - 2<z,g> a + ||z||^2 = 0, and beta = r * alpha.
     """
     z = np.asarray(z, dtype=float).ravel()
     g = np.asarray(g, dtype=float).ravel()
@@ -81,28 +80,14 @@ def wlc_fit(z, g, r_policy="midpoint", root="minus"):
         return None
     zn2 = float(z @ z)
     cos2 = min(ip * ip / (zn2 * gn2), 1.0)
-    sin2 = max(1.0 - cos2, 0.0)
-    sin_t = np.sqrt(sin2)
     # 1 - r is kept in cancellation-free form so nearly-orthogonal pairs
     # (cos^2 near the float floor) still produce finite parameters; the
     # 1e-15 floor keeps beta = r * alpha strictly below alpha in float
-    if r_policy == "midpoint":
-        one_minus_r = cos2 / 2.0
-    elif r_policy == "tightest":
-        one_minus_r = max(cos2 / (1.0 + sin_t) - 1e-9, cos2 / 4.0)
-    else:
-        raise ValueError(f"unknown r policy '{r_policy}'")
-    one_minus_r = max(one_minus_r, 1e-15)
+    one_minus_r = max(cos2 / 2.0, 1e-15)
     r = 1.0 - one_minus_r
     u = one_minus_r * (1.0 + r)  # = 1 - r^2
     disc = max(cos2 - u, 0.0) * zn2 * gn2
-    sq = np.sqrt(disc)
-    if root == "minus":
-        alpha = (ip - sq) / (u * gn2)
-    elif root == "plus":
-        alpha = (ip + sq) / (u * gn2)
-    else:
-        raise ValueError(f"unknown root choice '{root}'")
+    alpha = (ip - np.sqrt(disc)) / (u * gn2)
     return WlcParams(alpha=float(alpha), beta=float(r * alpha))
 
 
@@ -167,9 +152,6 @@ class FunctionalGBConfig:
     learner: TrainConfig = field(default_factory=TrainConfig)
     aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
     delta: float = 0.0
-    wlc_fallback: str = "continue"  # continue | stop
-    strict_tstar: bool = False
-    l1_bound: float | None = None
     seed: int = 0
 
 
@@ -285,8 +267,10 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
     Returns (EnsembleModel, trace rows). The first stage fits the raw
     features and steps with eta_1 = 1; each of the ``n_rounds`` further
     stages aggregates, fits the scaled negative gradient, fits (alpha, beta)
-    by ``wlc_fit``'s defaults, and steps with eta = 4 / alpha, or with
-    eta = 4 when no fit exists.
+    by ``wlc_fit``, and steps with eta = 4 / alpha, or with eta = 4 when no
+    fit exists; such a stage is kept and its round listed in the
+    ``wlc_failures`` flag. t* is the stage whose score has the smallest
+    train-gradient L1 norm.
     """
     if dataset.n_classes != 2:
         raise ValueError("functional boosting is binary-only")
@@ -303,10 +287,9 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
     for t in range(1, cfg.n_rounds + 2):
         g = -surrogate_grad(yhat, y, split)
         aggregator, rep = next(chain)
-        seed = int(rng.integers(2 ** 31))
-        b_t, _ = fit_to_gradient((rep.shape[1], *cfg.hidden, 1),
-                                 replace(cfg.learner, seed=seed), rep, m * g,
-                                 split.train, l1_bound=cfg.l1_bound)
+        b_t, _ = fit_to_gradient((rep.shape[1], *cfg.hidden, 1), cfg.learner,
+                                 rep, m * g, split.train,
+                                 seed=int(rng.integers(2 ** 31)))
         f_t = forward(b_t, rep)[0][:, 0]
         rep = None  # the stage's input is not held through the next advance
         z = f_t / m
@@ -316,25 +299,14 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
             fit = wlc_fit(z, g)
             passed = fit is not None
             eta_t = 4.0 / fit.alpha if passed else 4.0
-        stop = passed is False and cfg.wlc_fallback == "stop"
-        if stop:
-            flags["stopped_at"] = t
-        else:
-            if passed is False:
+            if not passed:
                 flags.setdefault("wlc_failures", []).append(t)
-            yhat = yhat + eta_t * f_t
-            stages.append(StageRecord(aggregator, b_t, eta_t, fit))
+        yhat = yhat + eta_t * f_t
+        stages.append(StageRecord(aggregator, b_t, eta_t, fit))
         trace.append(_trace_row(t, dataset, yhat, _cos(z, g), fit, passed,
                                 cfg.delta))
-        if stop:
-            break
 
-    candidates = [r for r in trace if r["t"] <= len(stages)]
-    if cfg.strict_tstar:
-        candidates = [r for r in candidates if r["t"] <= cfg.n_rounds - 1]
-        if not candidates:
-            candidates = trace[:1]
-    t_star = min(candidates, key=lambda r: r["grad_l1"])["t"]
+    t_star = min(trace, key=lambda r: r["grad_l1"])["t"]
 
     model = EnsembleModel(mode="functional", n_classes=2, stages=stages,
                           t_star=t_star, base=cfg.aggregator.base,
@@ -364,11 +336,9 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
     for t in range(1, cfg.n_rounds + 1):
         aggregator, rep = next(chain)
         for attempt in range(2):
-            seed = int(rng.integers(2 ** 31)) + attempt
             b_t, werr = fit_classifier(
-                (rep.shape[1], *cfg.hidden, k),
-                replace(cfg.learner, seed=seed), rep, y, weights,
-                split.train)
+                (rep.shape[1], *cfg.hidden, k), cfg.learner, rep, y, weights,
+                split.train, seed=int(rng.integers(2 ** 31)) + attempt)
             if real_valued or werr < 1.0 - 1.0 / k:
                 break
         rejected = not real_valued and werr >= 1.0 - 1.0 / k
@@ -554,7 +524,6 @@ class FineTuneConfig:
     lr: float = 1e-3
     momentum: float = 0.9
     weight_decay: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:

@@ -30,6 +30,8 @@ from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
 VARIANTS = ("adj", "kta", "input_injection", "samme_r")
+# fields older config.json files carry that nothing reads: dropped on load
+RETIRED_FIELDS = ("dataset_name", "learner.seed", "fine_tune_cfg.seed")
 
 
 class ConfigError(ValueError):
@@ -55,7 +57,6 @@ def _require_types(cfg, prefix=""):
 @dataclass
 class ExperimentConfig:
     dataset: str = ""
-    dataset_name: str = ""
     variant: str = "adj"
     mode: str = ""                  # samme | samme_r | functional; derived
     hidden_layers: int = 1          # 0..4 hidden layers
@@ -123,7 +124,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_from_dict(blob: dict) -> ExperimentConfig:
     if not isinstance(blob, dict):
         raise ConfigError("a config is a JSON object")
-    blob = dict(blob)
+    blob = {k: dict(v) if isinstance(v, dict) else v for k, v in blob.items()}
+    for name in RETIRED_FIELDS:
+        outer, _, key = name.rpartition(".")
+        holder = blob.get(outer) if outer else blob
+        if isinstance(holder, dict) and key in holder:
+            del holder[key]
+            print(f"config: ignoring retired field {name}", file=sys.stderr)
     try:
         for key, cls in (("learner", TrainConfig), ("kta", AlignmentConfig),
                          ("fine_tune_cfg", FineTuneConfig)):
@@ -167,8 +174,7 @@ def _dataset_hashes(directory):
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     """Train one model; write model.json, trace.csv, summary.json."""
-    dataset = load_planetoid(cfg.dataset, name=cfg.dataset_name,
-                             normalize=cfg.normalize_features)
+    dataset = load_planetoid(cfg.dataset, normalize=cfg.normalize_features)
     spec = cfg.aggregator_spec()
     if cfg.mode == "functional":
         run_cfg = FunctionalGBConfig(

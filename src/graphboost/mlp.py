@@ -9,9 +9,8 @@ output rows identically.
 
 Trainers cover both uses in boosting: regression onto a gradient target
 (functional boosting) and weighted multiclass classification (SAMME-style).
-``fit_to_gradient`` takes an optional L1 column-norm projection, the hard
-constraint used in theory mode; ``l1_bound=None`` is the soft
-(regularization-only) mode.
+Training is soft-constrained (weight decay only); ``project_l1_columns``
+builds members of the hard-constrained class the complexity bound assumes.
 """
 
 from __future__ import annotations
@@ -40,11 +39,12 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     dropout: bool = False          # ratio fixed at 0.5 when on
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.lr <= 0:
@@ -69,17 +69,12 @@ class MlpParams:
     def n_layers(self):
         return len(self.weights)
 
-    @property
-    def output_width(self):
-        return self.weights[-1].shape[1]
-
     def copy(self):
         return MlpParams(weights=[w.copy() for w in self.weights],
                          activation=self.activation, bias=self.bias)
 
 
-def init_mlp(widths, activation="relu", bias=True, seed=0,
-             scale=None) -> MlpParams:
+def init_mlp(widths, bias=True, seed=0, scale=None) -> MlpParams:
     """Uniform init in +-1/sqrt(fan_in); ``scale=0.0`` gives zero weights."""
     rng = np.random.default_rng(seed)
     weights = []
@@ -87,7 +82,7 @@ def init_mlp(widths, activation="relu", bias=True, seed=0,
         fan_in = widths[l] + (1 if (bias and l == 0) else 0)
         bound = scale if scale is not None else 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, widths[l + 1])))
-    return MlpParams(weights=weights, activation=activation, bias=bias)
+    return MlpParams(weights=weights, bias=bias)
 
 
 def _activate(name, z):
@@ -187,19 +182,15 @@ def backward(p: MlpParams, cache, upstream, input_grad=True):
 def project_l1_columns(p: MlpParams, bound) -> MlpParams:
     """Rescale every weight column with L1 norm > bound onto the ball's
     surface (radial projection; direction preserved)."""
-    out = p.copy()
-    _project_l1_in_place(out.weights, bound)
-    return out
-
-
-def _project_l1_in_place(weights, bound):
     if bound <= 0:
         raise ValueError("L1 bound must be > 0")
-    for w in weights:
+    out = p.copy()
+    for w in out.weights:
         norms = np.abs(w).sum(axis=0)
         over = norms > bound
         if np.any(over):
             w[:, over] *= bound / norms[over]
+    return out
 
 
 def max_column_l1(p: MlpParams):
@@ -266,10 +257,11 @@ class _Optimizer:
                 w -= np.divide(b, a, out=b)
 
 
-def _fit_loop(params, cfg, x_train, loss_grad_fn, l1_bound):
+def _fit_loop(params, cfg, x_train, loss_grad_fn, seed):
     """Shared minibatch loop. ``loss_grad_fn(batch_ids, out)`` returns
-    (scalar loss, upstream gradient) for the forward output on that batch."""
-    rng = np.random.default_rng(cfg.seed + 1)
+    (scalar loss, upstream gradient) for the forward output on that batch;
+    ``seed`` draws the batch order and the dropout masks."""
+    rng = np.random.default_rng(seed + 1)
     n = x_train.shape[0]
     batch = min(cfg.batch_size or n, n)
     opt = _Optimizer(cfg, [w.shape for w in params.weights])
@@ -281,7 +273,7 @@ def _fit_loop(params, cfg, x_train, loss_grad_fn, l1_bound):
             ids = order[start:start + batch]
             step += 1
             out, cache = forward(params, x_train[ids], train_mode=True,
-                                 seed=cfg.seed + 7919 * step,
+                                 seed=seed + 7919 * step,
                                  dropout=cfg.dropout)
             loss, upstream = loss_grad_fn(ids, out)
             if not np.isfinite(loss):
@@ -290,24 +282,21 @@ def _fit_loop(params, cfg, x_train, loss_grad_fn, l1_bound):
             last_loss = float(loss)
             grads, _ = backward(params, cache, upstream, input_grad=False)
             opt.step(params.weights, grads)
-            if l1_bound is not None:
-                _project_l1_in_place(params.weights, l1_bound)
     return params
 
 
-def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids,
-                    l1_bound=None, init=None):
+def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids, seed=0):
     """Train an MLP to the gradient target by minibatch MSE on train nodes.
 
-    ``target`` is an N-vector supported on ``train_ids``. Returns the fitted
-    params and the final full-train MSE.
+    ``target`` is an N-vector supported on ``train_ids``; ``seed`` draws the
+    initial weights, the batch order and the dropout masks. Returns the
+    fitted params and the final full-train MSE.
     """
     target = np.asarray(target, dtype=float)
     x = np.asarray(x, dtype=float)
-    params = init.copy() if init is not None else init_mlp(
-        widths, seed=cfg.seed)
-    if params.output_width != 1:
+    if widths[-1] != 1:
         raise ValueError("gradient fitting needs a single output column")
+    params = init_mlp(widths, seed=seed)
     xt = x[train_ids]
     tt = target[train_ids]
 
@@ -317,17 +306,18 @@ def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids,
         upstream = (2.0 / len(ids)) * resid[:, None]
         return loss, upstream
 
-    params = _fit_loop(params, cfg, xt, loss_grad, l1_bound)
+    params = _fit_loop(params, cfg, xt, loss_grad, seed)
     final_out, _ = forward(params, xt)
     mse = float(np.mean((final_out[:, 0] - tt) ** 2))
     return params, mse
 
 
 def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
-                   train_ids):
+                   train_ids, seed=0):
     """Minimize weight-scaled multiclass cross-entropy on train nodes.
 
-    Returns the fitted params and the weighted 0-1 train error.
+    ``seed`` acts as in ``fit_to_gradient``. Returns the fitted params and
+    the weighted 0-1 train error.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
@@ -336,7 +326,7 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
         raise ValueError("sample weights must be nonnegative")
     if w[train_ids].sum() <= 0:
         raise ValueError("sample weights sum to zero on the train set")
-    params = init_mlp(widths, seed=cfg.seed)
+    params = init_mlp(widths, seed=seed)
     xt = x[train_ids]
     yt = labels[train_ids]
     wt = w[train_ids]
@@ -356,7 +346,7 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
         upstream *= (wb / wsum)[:, None]
         return loss, upstream
 
-    params = _fit_loop(params, cfg, xt, loss_grad, None)
+    params = _fit_loop(params, cfg, xt, loss_grad, seed)
     out, _ = forward(params, xt)
     pred = np.argmax(out, axis=1)
     werr = float((wt * (pred != yt)).sum() / wt.sum())

@@ -249,15 +249,14 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
 # report assembly over a finished boosting run
 
 def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
-                        delta=0.0, b_tilde=None):
+                        delta=0.0):
     """Assemble every bound the run supports into one report dict.
 
     The optimization section applies to functional (binary) runs only;
     gamma_t of iterations that failed the weak-learning check contribute 0
-    and mark the bound "not guaranteed". ``b_tilde`` overrides the
-    transformation-class cap; by default the observed max column L1 norm of
-    each stage's learner is used (soft-constraint runs have no configured
-    cap).
+    and mark the bound "not guaranteed". Training sets no cap on the
+    transformation class, so each stage's cap is the observed max column
+    L1 norm of its learner.
     """
     split = dataset.split
     m, u = split.m, split.u
@@ -321,8 +320,7 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
                      "px_frobenius": px, "rademacher_bound": 0.0,
                      "eta": 0.0, "eta_term": 0.0}
         else:
-            bt = (b_tilde if b_tilde is not None
-                  else max_column_l1(stage.learner))
+            bt = max_column_l1(stage.learner)
             constants = ComplexityConstants(
                 n_layers=stage.learner.n_layers, b_tilde=bt,
                 c_tildes=(1.0,) * idx, m=m, u=u)

@@ -59,7 +59,7 @@ def reference_run_config(hidden_layers=1, n_rounds=100, seed=0):
         n_rounds=n_rounds,
         hidden=(64,) * hidden_layers,
         learner=TrainConfig(epochs=100, optimizer="adam", lr=1e-2,
-                            weight_decay=5e-4, seed=0),
+                            weight_decay=5e-4),
         aggregator=AggregatorSpec(kind="fixed", base="augmented"),
         seed=seed)
 
@@ -125,8 +125,7 @@ def test_criterion_3_optimization_bound():
         ds = synthesize_two_block(40, 0.8, 0.05, seed=100 + seed)
         cfg = FunctionalGBConfig(
             n_rounds=8, hidden=(),
-            learner=TrainConfig(epochs=60, lr=0.05, weight_decay=0.0,
-                                seed=0),
+            learner=TrainConfig(epochs=60, lr=0.05, weight_decay=0.0),
             delta=0.0, seed=seed)
         model, trace = run_functional_gb(ds, cfg)
         assert len(model.stages) == 9 and all(
@@ -298,7 +297,7 @@ def test_criterion_8_gradient_integrity():
     # saturated and every checked gradient is far above the FD noise
     ds = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
     cfg = SammeConfig(n_rounds=3, hidden=(6,),
-                      learner=TrainConfig(epochs=4, seed=9),
+                      learner=TrainConfig(epochs=4),
                       aggregator=AggregatorSpec(kind="kta"), seed=10)
     model, _ = run_samme(ds, cfg)
     assert len(model.stages) == 3, model.flags

@@ -41,13 +41,6 @@ class TestWlcCheck:
 
 
 class TestWlcFit:
-    def test_aligned_tightest(self):
-        g = np.array([0.3, -1.2, 0.8])
-        fit = wlc_fit(g, g, r_policy="tightest")
-        assert fit.alpha == pytest.approx(1.0, rel=1e-6)
-        assert fit.beta <= 1e-8
-        assert fit.gamma == pytest.approx(1.0, rel=1e-6)
-
     def test_orthogonal_no_fit(self):
         assert wlc_fit(np.array([0.0, 1.0]), np.array([1.0, 0.0])) is None
 
@@ -56,27 +49,16 @@ class TestWlcFit:
         g = rng.standard_normal(5)
         assert wlc_fit(-g, g) is None
 
-    @pytest.mark.parametrize("policy", ["midpoint", "tightest"])
-    def test_equality_clause(self, policy):
+    def test_equality_clause(self):
         g = np.array([1.0, 1.0, 0.0, -1.0])
         perp = np.array([1.0, -1.0, 1.0, 0.0]) / np.sqrt(3.0)
         z = g + 0.1 * perp
-        fit = wlc_fit(z, g, r_policy=policy)
+        fit = wlc_fit(z, g)
         lhs = np.linalg.norm(z - fit.alpha * g)
         rhs = fit.beta * np.linalg.norm(g)
         assert abs(lhs - rhs) <= 1e-9 * rhs
         # a slightly slackened beta puts the pair strictly inside the cone
         assert wlc_check(z, g, WlcParams(fit.alpha, fit.beta * (1 + 1e-8)))
-
-    def test_minus_root_gives_smaller_alpha(self):
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal(6)
-        z = g + 0.4 * rng.standard_normal(6)
-        if z @ g <= 0:
-            z = -z
-        lo = wlc_fit(z, g, root="minus")
-        hi = wlc_fit(z, g, root="plus")
-        assert lo.alpha < hi.alpha
 
 
 class TestWeightedErrorForm:
@@ -144,7 +126,7 @@ class TestProp2Equivalence:
 def small_functional_cfg(n_rounds=3, seed=0, **kw):
     return FunctionalGBConfig(
         n_rounds=n_rounds, hidden=(8,),
-        learner=TrainConfig(epochs=30, lr=0.02, weight_decay=0.0, seed=0),
+        learner=TrainConfig(epochs=30, lr=0.02, weight_decay=0.0),
         seed=seed, **kw)
 
 
@@ -209,33 +191,11 @@ class TestFunctionalGB:
         for row in trace[1:]:
             assert (row["cos_theta"] > 0) == bool(row["wlc_pass"])
 
-    def test_stop_fallback_truncates(self):
-        # an adversarial learner config (zero epochs => near-random output)
-        # eventually misses; force a miss by tiny training budget
-        ds = synthesize_two_block(20, 0.55, 0.45, seed=10, noise=2.0)
-        cfg = FunctionalGBConfig(
-            n_rounds=40, hidden=(4,),
-            learner=TrainConfig(epochs=1, lr=1e-4, weight_decay=0.0, seed=0),
-            wlc_fallback="stop", seed=11)
-        model, trace = run_functional_gb(ds, cfg)
-        if "stopped_at" in model.flags:
-            assert len(model.stages) == model.flags["stopped_at"] - 1
-            assert trace[-1]["wlc_pass"] is not None
-        else:  # all passed; nothing to truncate
-            assert len(model.stages) == 41
-
-    def test_strict_tstar_respects_window(self):
-        ds = synthesize_two_block(24, 0.8, 0.1, seed=12)
-        cfg = small_functional_cfg(n_rounds=5, seed=13, strict_tstar=True)
-        model, _ = run_functional_gb(ds, cfg)
-        assert model.t_star <= cfg.n_rounds - 1
-
     def test_functional_with_input_injection(self):
         ds = synthesize_two_block(20, 0.8, 0.1, seed=14)
         cfg = FunctionalGBConfig(
             n_rounds=3, hidden=(8,),
-            learner=TrainConfig(epochs=25, lr=0.02, weight_decay=0.0,
-                                seed=0),
+            learner=TrainConfig(epochs=25, lr=0.02, weight_decay=0.0),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.6),
             seed=15)
         model, trace = run_functional_gb(ds, cfg)
@@ -252,7 +212,7 @@ class TestFunctionalGB:
         # (noisy enough that boosting takes several rounds to saturate)
         ds = synthesize_two_block(120, 0.14, 0.05, seed=16, noise=1.5)
         cfg = SammeConfig(n_rounds=10, hidden=(8,),
-                          learner=TrainConfig(epochs=10, seed=0), seed=17)
+                          learner=TrainConfig(epochs=10), seed=17)
         model, trace = run_samme(ds, cfg)
         write_trace_csv(trace, tmp_path / "trace.csv")
         back = read_trace_csv(tmp_path / "trace.csv")
@@ -294,7 +254,7 @@ class TestSammeRuns:
     def test_single_learner_predicts_like_it(self):
         ds = synthesize_two_block(20, 0.9, 0.1, seed=0)
         cfg = SammeConfig(n_rounds=1, hidden=(8,),
-                          learner=TrainConfig(epochs=50, seed=1), seed=2)
+                          learner=TrainConfig(epochs=50), seed=2)
         model, _ = run_samme(ds, cfg)
         assert len(model.stages) == 1
         _, classes = predict(model, ds)
@@ -320,7 +280,7 @@ class TestSammeRuns:
     def test_multiclass_run_improves_over_chance(self):
         ds = synthesize_two_block(40, 0.8, 0.05, seed=4)
         cfg = SammeConfig(n_rounds=5, hidden=(8,),
-                          learner=TrainConfig(epochs=40, seed=5), seed=6)
+                          learner=TrainConfig(epochs=40), seed=6)
         model, trace = run_samme(ds, cfg)
         assert trace[-1]["test_err"] < 0.5
 
@@ -328,7 +288,7 @@ class TestSammeRuns:
         ds = synthesize_two_block(16, 0.6, 0.4, seed=7, noise=3.0)
         cfg = SammeConfig(
             n_rounds=6, hidden=(2,),
-            learner=TrainConfig(epochs=1, lr=1e-9, seed=8), seed=9)
+            learner=TrainConfig(epochs=1, lr=1e-9), seed=9)
         try:
             model, trace = run_samme(ds, cfg)
         except RuntimeError:
@@ -352,7 +312,7 @@ class TestSammeRuns:
                            features=np.ones((16, 2)), labels=base.labels,
                            split=split, n_classes=2)
         cfg = SammeConfig(n_rounds=3, hidden=(4,),
-                          learner=TrainConfig(epochs=5, seed=0), seed=1)
+                          learner=TrainConfig(epochs=5), seed=1)
         with pytest.raises(RuntimeError, match="beat chance"):
             run_samme(flat, cfg)
 
@@ -377,7 +337,7 @@ class TestSammeRuns:
         for runner in (run_samme, run_samme_r):
             model, trace = runner(ds, SammeConfig(
                 n_rounds=4, hidden=(16,),
-                learner=TrainConfig(epochs=50, seed=2), seed=3))
+                learner=TrainConfig(epochs=50), seed=3))
             _, classes = predict(model, ds)
             acc = np.mean(classes[split.test] == labels[split.test])
             assert acc > 0.8, (runner.__name__, acc)
@@ -396,7 +356,7 @@ class TestSammeRuns:
         # h_1 - h_0 equals the logit difference exactly
         ds = synthesize_two_block(12, 0.9, 0.1, seed=11)
         cfg = SammeConfig(n_rounds=2, hidden=(4,),
-                          learner=TrainConfig(epochs=30, seed=12), seed=13)
+                          learner=TrainConfig(epochs=30), seed=13)
         model, _ = run_samme_r(ds, cfg)
         scores = replay_scores(model, ds)
         from graphboost.boost import _replay, stage_representations
@@ -562,7 +522,7 @@ class TestSerialization:
     def test_model_round_trip_bit_for_bit(self, tmp_path):
         ds = synthesize_two_block(20, 0.8, 0.1, seed=0)
         cfg = SammeConfig(n_rounds=3, hidden=(6,),
-                          learner=TrainConfig(epochs=20, seed=1),
+                          learner=TrainConfig(epochs=20),
                           aggregator=AggregatorSpec(kind="kta"), seed=2)
         model, _ = run_samme(ds, cfg)
         blob = model_to_json(model)
@@ -641,9 +601,8 @@ class TestSerialization:
 
 # SHA-256 of (model.json, trace.csv) as the trainers wrote them before both
 # drivers drew their stage inputs from one chain generator; model.json in
-# format version 1, which version_1_json renders. Seed 2 stops at
-# t=3 under wlc_fallback="stop" on every kind; the last SAMME run skips
-# rounds 3-6.
+# format version 1, which version_1_json renders. Every run uses seed 1;
+# the last SAMME run skips rounds 3-6.
 TRAINED_BYTES = {
     "functional-fixed": (
         "db6c33e2694b8ef7e19f1ba1f0b4105e51b49e8bf370cf07d78efbdcd0073c60",
@@ -654,15 +613,6 @@ TRAINED_BYTES = {
     "samme_r-fixed": (
         "a8a4c3f51796d60f4aac556a8c6599312dab53addd2411b158132cca8fbe9a52",
         "d7c5dc0a81636ad1c146087b5e748afe7d2ae00bbd5c1c02903ff31844aa8871"),
-    "functional-fixed-wlc_fallback": (
-        "5a85400752369996a5eb60768aa8ee3762ed5bc70d03fd6a0cf4c123725363cd",
-        "d70802873b5b6e390a3af6156c9f8148caaada7e42b62e121542fa7457829d5c"),
-    "functional-fixed-strict_tstar": (
-        "2eeab3f1ad48a03f9308711ffe667e00580f2e508ab6e710bcf28f8edac1a92c",
-        "fc1991a38f87071d81311e817059606c01d82b2587295190d75a98e11f573c32"),
-    "functional-fixed-l1_bound": (
-        "ffdda47efff24f7d199e931b4b3d019c032aeae59ea4c9bc9984a23d81e08f84",
-        "fa1a4c77553a20665b784897fa51771561d835e34cd6f60b460c268cf6ac1e91"),
     "functional-input_injection": (
         "cbb19e48b6cc570b350b0d262997acdb9256ccb5cc439b51b2d2e9f55f39eef2",
         "72f912310970e51049382d5d89f4889931d9dc847b39a746466cb61aceecede4"),
@@ -672,15 +622,6 @@ TRAINED_BYTES = {
     "samme_r-input_injection": (
         "d4fb39993e36f7792135bc5becebf0b7a8006bc2c7e2354d709b1048bb5cb402",
         "abe71f7cb4966a495f3c98110d5c3890ed3184b824a8604f0f2d999801fb079b"),
-    "functional-input_injection-wlc_fallback": (
-        "7a66f9b8ae33513a37319597d9094f1b8579e0ac3ae8a66e66b5aeb1fe6e5527",
-        "bdf7b8656f0980df49ce00b3f2fa793de3271e04923f459c06614f1d33c97ee1"),
-    "functional-input_injection-strict_tstar": (
-        "61d39a70e79e7b13fb590e8804ff1836745d7f98ae163782a896183ed8f5195d",
-        "78a2f2945772ab66fa462f498402793130e26f55443ed7ef0acf4514e38c4bea"),
-    "functional-input_injection-l1_bound": (
-        "37ff0ab8d92835e01b242b96907fa6c1ca6e813723aa2677f6a1273748a6b5c1",
-        "5d4dfac20a5085b34d7696ac592e3002fcdc2c2cf108e00666f986f8f5daaaa2"),
     "functional-kta": (
         "9a689d6408dedf93c112efdf8a3255b708c05dd070b794017b24a41042d42ca4",
         "d94565f1f0cbc0b0c4ebe273ee11634754db32b4c8fa979157b22ef30fc63253"),
@@ -690,15 +631,6 @@ TRAINED_BYTES = {
     "samme_r-kta": (
         "94249ab19224468bf7f2c8167d104b870a49d1b752ef55df89805ec9494f5313",
         "d663a91e3e3ef81d59b88468592ef85765df7a2a21d83d4a24d03b01a58950af"),
-    "functional-kta-wlc_fallback": (
-        "1dd6eec4c53c8f5cc390edfa59c427c23835a0d137b98e1587d202249b0b8770",
-        "e90f95aef9af870d71b381eeea220450d613158c8d21b2333b11f471de4f6360"),
-    "functional-kta-strict_tstar": (
-        "0a008916f0a75f62d280e901110b90d29b920ff278ff4694d70b7bf89ede7bca",
-        "a0a90ee53a7292fd1f96220b2fcc6c4c79daed52c9a9a5c65aec6be37eb6f597"),
-    "functional-kta-l1_bound": (
-        "319e138d6692e1019dfded8d88c039f83119e365e2259fff17a5b57339c4b37a",
-        "2f79d1ba73da80f33dec40f8938d13b23d5993e3623e5ecdc6099aac0bd2f1fc"),
     "samme-kta-skips": (
         "3e1b5db9bb57a663fa649ea9dd183f94b95bc661f9eeab3497414cdb273e6f94",
         "5ce44409a68492adf440f175d504cac24da65e0408ad519b6761c3b7a2f3dc05"),
@@ -728,29 +660,24 @@ def version_1_json(model):
 def trained_bytes_cases():
     for kind in ("fixed", "input_injection", "kta"):
         for mode in ("functional", "samme", "samme_r"):
-            yield f"{mode}-{kind}", mode, kind, 5, 1, {}
-        for opt in ({"wlc_fallback": "stop"}, {"strict_tstar": True},
-                    {"l1_bound": 1.0}):
-            name = next(iter(opt))
-            yield f"functional-{kind}-{name}", "functional", kind, 5, 2, opt
-    yield "samme-kta-skips", "samme", "kta", 6, 1, {}
+            yield f"{mode}-{kind}", mode, kind, 5
+    yield "samme-kta-skips", "samme", "kta", 6
 
 
 class TestTrainedBytes:
-    @pytest.mark.parametrize("name,mode,kind,n_rounds,seed,opt",
+    @pytest.mark.parametrize("name,mode,kind,n_rounds",
                              [pytest.param(*case, id=case[0])
                               for case in trained_bytes_cases()])
     def test_trainer_output_bytes_pinned(self, tmp_path, name, mode, kind,
-                                         n_rounds, seed, opt):
+                                         n_rounds):
         import hashlib
 
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
         common = dict(n_rounds=n_rounds, hidden=(4,),
-                      learner=TrainConfig(epochs=5, seed=0),
-                      aggregator=AggregatorSpec(kind=kind), seed=seed)
+                      learner=TrainConfig(epochs=5),
+                      aggregator=AggregatorSpec(kind=kind), seed=1)
         if mode == "functional":
-            model, trace = run_functional_gb(
-                ds, FunctionalGBConfig(**common, **opt))
+            model, trace = run_functional_gb(ds, FunctionalGBConfig(**common))
         else:
             runner = run_samme if mode == "samme" else run_samme_r
             model, trace = runner(ds, SammeConfig(**common))
@@ -768,7 +695,7 @@ class TestFineTune:
     def test_zero_epochs_identity(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
         model, _ = run_samme(ds, SammeConfig(
-            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=20, seed=1),
+            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=20),
             seed=2))
         tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=0))
         assert tuned is model
@@ -784,8 +711,8 @@ class TestFineTune:
         ds = synthesize_two_block(24, 1.0, 0.0, seed=2, noise=0.02)
         model, _ = run_samme(ds, SammeConfig(
             n_rounds=2, hidden=(8,),
-            learner=TrainConfig(epochs=150, lr=0.05, weight_decay=0.0,
-                                seed=3), seed=4))
+            learner=TrainConfig(epochs=150, lr=0.05, weight_decay=0.0),
+            seed=4))
         _, classes = predict(model, ds)
         assert np.mean(classes[ds.split.train] != ds.labels[ds.split.train]) == 0.0
         tuned, info = fine_tune(model, ds, FineTuneConfig(
@@ -795,7 +722,7 @@ class TestFineTune:
     def test_loss_decreases_on_underfit_model(self):
         ds = synthesize_two_block(30, 0.9, 0.05, seed=5)
         model, _ = run_samme(ds, SammeConfig(
-            n_rounds=3, hidden=(6,), learner=TrainConfig(epochs=3, seed=6),
+            n_rounds=3, hidden=(6,), learner=TrainConfig(epochs=3),
             seed=7))
         from graphboost.boost import _stack_forward, _stack_replay
         from graphboost.losses import softmax_ce
@@ -817,7 +744,7 @@ class TestFineTune:
         from graphboost.losses import softmax_ce, surrogate
         ds = synthesize_two_block(10, 0.8, 0.1, seed=20, noise=0.5)
         model, _ = run_samme_r(ds, SammeConfig(
-            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=8, seed=21),
+            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=8),
             seed=22))
         tr = ds.split.train
 
@@ -846,7 +773,7 @@ class TestFineTune:
     def test_divergence_leaves_input_untouched(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
         model, _ = run_samme(ds, SammeConfig(
-            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=5, seed=1),
+            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=5),
             seed=2))
         model.stages[0].learner.weights[0][0, 0] = np.nan
         flags = dict(model.flags)
@@ -861,7 +788,7 @@ class TestFineTune:
         # near-zero loss gradient and nothing for fine-tuning to do
         ds = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
         model, _ = run_samme(ds, SammeConfig(
-            n_rounds=3, hidden=(16,), learner=TrainConfig(epochs=8, seed=9),
+            n_rounds=3, hidden=(16,), learner=TrainConfig(epochs=8),
             aggregator=AggregatorSpec(kind="kta"), seed=10))
         assert len(model.stages) == 3, model.flags
         kta_before = [st.aggregator.coefs.copy() for st in model.stages[1:]]
@@ -961,7 +888,7 @@ def unsaturated_run(kind, mode):
                      split=Split(train=ids[:14], val=ids[14:24],
                                  test=ids[24:]))
     spec = AggregatorSpec(kind=kind)
-    learner = TrainConfig(epochs=4, seed=9)
+    learner = TrainConfig(epochs=4)
     if mode == "functional":
         model, _ = run_functional_gb(ds, FunctionalGBConfig(
             n_rounds=2, hidden=(6,), learner=learner, aggregator=spec,
@@ -1071,7 +998,7 @@ def noisy_run(kind, mode):
     """(dataset, model, trace) of a short run on a noisy 40-node graph."""
     ds = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
     spec = AggregatorSpec(kind=kind, rho=0.3)
-    learner = TrainConfig(epochs=4, seed=9)
+    learner = TrainConfig(epochs=4)
     if mode == "functional":
         model, trace = run_functional_gb(ds, FunctionalGBConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
@@ -1096,7 +1023,7 @@ class TestPredict:
     def test_input_injection_variant_runs_and_replays(self):
         ds = synthesize_two_block(20, 0.8, 0.1, seed=1)
         cfg = SammeConfig(
-            n_rounds=3, hidden=(4,), learner=TrainConfig(epochs=15, seed=2),
+            n_rounds=3, hidden=(4,), learner=TrainConfig(epochs=15),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.7),
             seed=3)
         model, trace = run_samme(ds, cfg)
@@ -1109,7 +1036,7 @@ class TestPredict:
         from graphboost.boost import stage_representations
         ds = synthesize_two_block(12, 0.9, 0.1, seed=4)
         cfg = SammeConfig(
-            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=10, seed=5),
+            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=10),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.5),
             seed=6)
         model, _ = run_samme(ds, cfg)
@@ -1122,8 +1049,7 @@ class TestPredict:
         ds = synthesize_two_block(30, 0.8, 0.1, seed=7)
         cfg = FunctionalGBConfig(
             n_rounds=3, hidden=(8,),
-            learner=TrainConfig(epochs=30, lr=0.02, weight_decay=0.0,
-                                seed=0),
+            learner=TrainConfig(epochs=30, lr=0.02, weight_decay=0.0),
             aggregator=AggregatorSpec(kind="kta"), seed=8)
         model, trace = run_functional_gb(ds, cfg)
         assert all(isinstance(st.aggregator, Polynomial)
@@ -1216,7 +1142,7 @@ class TestPredict:
                          labels=rng.integers(0, 2, size=n), n_classes=2,
                          split=Split(train=np.arange(30), val=[],
                                      test=np.arange(30, n)))
-        common = dict(hidden=(4,), learner=TrainConfig(epochs=2, seed=0),
+        common = dict(hidden=(4,), learner=TrainConfig(epochs=2),
                       aggregator=AggregatorSpec(kind="input_injection"))
         tracemalloc.start()
         try:

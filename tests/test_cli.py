@@ -31,7 +31,7 @@ def base_config(dataset_dir, **kw):
         "hidden_width": 8,
         "n_rounds": 3,
         "seeds": [0, 1],
-        "learner": {"epochs": 15, "seed": 0},
+        "learner": {"epochs": 15},
         "normalize_features": False,
     }
     blob.update(kw)
@@ -205,9 +205,10 @@ class TestTheoryCommand:
         assert (out / "theory.json").exists()
         assert (out / "spectral.csv").exists()
 
-    def test_version_1_run_directory(self, dataset_dir, tmp_path):
+    def test_version_1_run_directory(self, dataset_dir, tmp_path, capsys):
         # a run directory whose model.json is format version 1 (decimal
-        # weight lists, no format_version) gives the same report
+        # weight lists, no format_version) and whose config.json carries
+        # the retired fields gives the same report, with one note per field
         import base64
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
@@ -215,6 +216,13 @@ class TestTheoryCommand:
         cmd_train(str(cfg_path), str(tmp_path / "run"))
         cmd_theory(str(seed_dir / "model.json"), dataset_dir)
         version_2 = (seed_dir / "theory.json").read_bytes()
+        assert capsys.readouterr().err == ""
+        run_cfg = tmp_path / "run" / "config.json"
+        old = json.loads(run_cfg.read_text())
+        old["dataset_name"] = "toy"
+        old["learner"]["seed"] = 0
+        old["fine_tune_cfg"]["seed"] = 0
+        run_cfg.write_text(json.dumps(old, indent=1))
         blob = json.loads((seed_dir / "model.json").read_text())
         assert blob.pop("format_version") == 2
         for st in blob["stages"]:
@@ -227,6 +235,14 @@ class TestTheoryCommand:
         (seed_dir / "theory.json").unlink()
         cmd_theory(str(seed_dir / "model.json"), dataset_dir)
         assert (seed_dir / "theory.json").read_bytes() == version_2
+        notes = capsys.readouterr().err.splitlines()
+        assert notes == [f"config: ignoring retired field {name}" for name in
+                         ("dataset_name", "learner.seed",
+                          "fine_tune_cfg.seed")]
+        # and the old config still trains the same run
+        cmd_train(str(run_cfg), str(tmp_path / "again"))
+        assert ((tmp_path / "again" / "seed_0" / "trace.csv").read_bytes()
+                == (seed_dir / "trace.csv").read_bytes())
 
     def test_spectral_skipped_above_cap(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -435,7 +451,7 @@ class TestExitCodes:
         lambda d: base_config(d, n_rounds=2.5),
         lambda d: base_config(d, hidden_layers=1.0),
         lambda d: base_config(d, variant="kta", n_deg=2.0),
-        lambda d: base_config(d, learner={"epochs": 2.5, "seed": 0}),
+        lambda d: base_config(d, learner={"epochs": 2.5}),
     ], ids=["array", "seeds_string", "hidden_width_float",
             "n_rounds_float", "hidden_layers_float", "n_deg_float",
             "learner_epochs_float"])
@@ -458,10 +474,12 @@ class TestExitCodes:
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": -1}},
         {"normalize_features": "no"},
         {"fine_tune": "false"},
+        {"learner": {"momentum": -3}},
+        {"fine_tune": True, "fine_tune_cfg": {"momentum": 1}},
     ], ids=["kta_optimizer", "kta_lr", "fine_tune_optimizer", "fine_tune_lr",
             "delta_negative", "seeds_bool", "learner_weight_decay",
             "fine_tune_weight_decay", "normalize_features_string",
-            "fine_tune_string"])
+            "fine_tune_string", "learner_momentum", "fine_tune_momentum"])
     def test_config_out_of_range_is_2(self, dataset_dir, tmp_path, capsys,
                                       field):
         # refused when the config loads, before a run directory exists
@@ -505,7 +523,7 @@ class TestExitCodes:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(
             str(tmp_path / "flat"), seeds=[0], hidden_width=4,
-            learner={"epochs": 5, "seed": 0})))
+            learner={"epochs": 5})))
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 4
         assert "numeric failure" in capsys.readouterr().err

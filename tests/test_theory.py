@@ -265,8 +265,8 @@ class TestTheoryReport:
         ds = synthesize_two_block(40, 0.8, 0.05, seed=0)
         cfg = FunctionalGBConfig(
             n_rounds=4, hidden=(8,),
-            learner=TrainConfig(epochs=40, lr=0.02, weight_decay=0.0,
-                                seed=0), seed=1)
+            learner=TrainConfig(epochs=40, lr=0.02, weight_decay=0.0),
+            seed=1)
         model, trace = run_functional_gb(ds, cfg)
         report = build_theory_report(model, trace, ds)
         opt = report["optimization"]
@@ -278,7 +278,7 @@ class TestTheoryReport:
     def test_samme_report_omits_optimization_section(self):
         ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
         model, trace = run_samme(ds, SammeConfig(
-            n_rounds=2, hidden=(8,), learner=TrainConfig(epochs=30, seed=3),
+            n_rounds=2, hidden=(8,), learner=TrainConfig(epochs=30),
             seed=4))
         report = build_theory_report(model, trace, ds)
         assert "optimization" not in report
@@ -287,7 +287,7 @@ class TestTheoryReport:
     def test_two_node_toy_all_addends_finite(self):
         ds = synthesize_two_block(4, 1.0, 0.0, seed=5)
         cfg = FunctionalGBConfig(n_rounds=1, hidden=(),
-                                 learner=TrainConfig(epochs=10, seed=0),
+                                 learner=TrainConfig(epochs=10),
                                  seed=6)
         model, trace = run_functional_gb(ds, cfg)
         report = build_theory_report(model, trace, ds)
@@ -301,7 +301,7 @@ class TestTheoryReport:
         ds = synthesize_two_block(16, 0.6, 0.4, seed=7, noise=3.0)
         model, trace = run_samme(ds, SammeConfig(
             n_rounds=6, hidden=(2,),
-            learner=TrainConfig(epochs=1, lr=1e-9, seed=8), seed=9))
+            learner=TrainConfig(epochs=1, lr=1e-9), seed=9))
         assert model.flags.get("skipped"), "pilot seed should skip rounds"
         report = build_theory_report(model, trace, ds)
         for t in model.flags["skipped"]:
@@ -316,7 +316,7 @@ class TestTheoryReport:
         # q(P) = P, rho P or w_0 I + sum_k w_{k+1} P^{2^k}
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
         model, trace = run_samme(ds, SammeConfig(
-            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5, seed=4),
+            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind, rho=0.3), seed=5))
         report = build_theory_report(model, trace, ds)
         p = augmented_adjacency(ds.graph).matrix.toarray()
@@ -343,7 +343,7 @@ class TestTheoryReport:
         # has norm 1, an injection chain (rho P)^(t-1) has norm rho^(t-1)
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
         model, trace = run_samme(ds, SammeConfig(
-            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5, seed=4),
+            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind, base=base, rho=0.5),
             seed=5))
         report = build_theory_report(model, trace, ds)
@@ -355,7 +355,7 @@ class TestTheoryReport:
     def test_negative_kta_coefficient_flags_upper_bound(self):
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
         model, trace = run_samme(ds, SammeConfig(
-            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5, seed=4),
+            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind="kta"), seed=5))
         stage = model.stages[2]
         coefs = stage.aggregator.coefs.copy()
@@ -376,7 +376,7 @@ class TestTheoryReport:
         # reproduce the four addends by hand from the report constants
         ds = synthesize_two_block(8, 0.9, 0.1, seed=7)
         model, trace = run_samme(ds, SammeConfig(
-            n_rounds=1, hidden=(4,), learner=TrainConfig(epochs=10, seed=1),
+            n_rounds=1, hidden=(4,), learner=TrainConfig(epochs=10),
             seed=2))
         report = build_theory_report(model, trace, ds, c0=2.0,
                                      delta_prime=0.1)
