@@ -17,7 +17,7 @@ from graphboost import (ComplexityConstants, generalization_bound,
                         mc_transductive_rademacher, rademacher_bound,
                         synthesize_two_block, wlc_complexity_lower_bound)
 from graphboost.graph import augmented_adjacency
-from graphboost.mlp import init_mlp, project_l1_columns
+from graphboost.mlp import MlpParams, project_l1_columns
 
 rng = np.random.default_rng(0)
 
@@ -32,9 +32,10 @@ outputs = []
 for _ in range(300):
     w_agg = rng.standard_normal((3, 3))
     w_agg /= np.maximum(np.abs(w_agg).sum(axis=0) / c_cap, 1.0)
-    mlp = project_l1_columns(
-        init_mlp((3, 4, 1), bias=False, seed=int(rng.integers(2 ** 31)),
-                 scale=2.0), b_cap)
+    draw = np.random.default_rng(int(rng.integers(2 ** 31)))
+    mlp = project_l1_columns(MlpParams(weights=[
+        draw.uniform(-2.0, 2.0, (3, 4)), draw.uniform(-2.0, 2.0, (4, 1))]),
+        b_cap)
     h = np.maximum((px @ w_agg) @ mlp.weights[0], 0.0)
     outputs.append((h @ mlp.weights[1])[:, 0])
 

@@ -685,7 +685,9 @@ def _decode_weight(text, shape):
 def model_to_json(model: EnsembleModel) -> dict:
     """JSON manifest: format version, mode, K, t*, per-stage aggregator
     params, learner weights (base64 of row-major little-endian float64
-    bytes) with their shapes, and the eta/lambda sequence."""
+    bytes) with their shapes, and the eta/lambda sequence. Each learner
+    also carries the constant keys ``"activation": "relu"`` and
+    ``"bias": true``, which older releases read."""
     return {
         "format_version": FORMAT_VERSION,
         "mode": model.mode,
@@ -706,8 +708,8 @@ def model_to_json(model: EnsembleModel) -> dict:
                     "shapes": [list(w.shape) for w in st.learner.weights],
                     "weights": [_encode_weight(w)
                                 for w in st.learner.weights],
-                    "activation": st.learner.activation,
-                    "bias": st.learner.bias,
+                    "activation": "relu",
+                    "bias": True,
                 },
             }
             for st in model.stages
@@ -718,7 +720,8 @@ def model_to_json(model: EnsembleModel) -> dict:
 def model_from_json(blob: dict, graph) -> EnsembleModel:
     """Read a manifest of either format version. Version 1, written
     without a ``format_version`` key, holds each weight as a list of
-    numbers; version 2 as base64 ``'<f8'`` bytes."""
+    numbers; version 2 as base64 ``'<f8'`` bytes. A learner with another
+    activation or without a bias raises ValueError."""
     version = blob.get("format_version", 1)
     if version not in (1, 2):
         raise ValueError(f"unknown model format_version {version!r}")
@@ -733,8 +736,11 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
             weights = [np.asarray(w, dtype=float).reshape(shape)
                        if version == 1 else _decode_weight(w, shape)
                        for w, shape in zip(lrn["weights"], lrn["shapes"])]
-            params = MlpParams(weights=weights, activation=lrn["activation"],
-                               bias=lrn["bias"])
+            if (lrn["activation"], lrn["bias"]) != ("relu", True):
+                raise ValueError(
+                    f"learner activation {lrn['activation']!r} with bias "
+                    f"{lrn['bias']!r}: only 'relu' with bias true is read")
+            params = MlpParams(weights=weights)
         wlc = (WlcParams(**st["wlc"]) if st["wlc"] else None)
         agg = st["aggregator"]
         stages.append(StageRecord(

@@ -163,11 +163,12 @@ def read_file(path, reader=_read_json, **kw):
             f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
+def load_planetoid(directory, normalize=True) -> NodeDataset:
     """Load a converted citation-network directory.
 
     ``normalize`` row-normalizes features to unit L1 (the usual citation
-    network preprocessing); meta.json counts are enforced.
+    network preprocessing); meta.json counts are enforced and its
+    optional ``"name"`` names the dataset.
     """
     def path(fname):
         p = os.path.join(directory, fname)
@@ -240,7 +241,7 @@ def load_planetoid(directory, name=None, normalize=True) -> NodeDataset:
         features = row_normalize(features)
     return NodeDataset(graph=graph, features=features, labels=labels,
                        split=split, n_classes=int(meta["k"]),
-                       name=name or meta.get("name", ""))
+                       name=meta.get("name", ""))
 
 
 def export_dataset(dataset: NodeDataset, directory):

@@ -1,9 +1,8 @@
 """MLP transformation functions with hand-written forward/backward passes.
 
-The architecture is a chain of weight matrices with an elementwise
-activation between them and no activation on the output; the bias is the
-last row of W^(1), added to x @ W^(1)[:-1] with no copy of the input
-(hidden layers are bias-free).
+The one architecture is a chain of weight matrices with ReLU between them
+and no activation on the output; the bias is the last row of W^(1), added
+to x @ W^(1)[:-1] with no copy of the input (hidden layers are bias-free).
 The same map is broadcast to every row, so permuting input rows permutes
 output rows identically.
 
@@ -58,55 +57,34 @@ class TrainConfig:
 @dataclass
 class MlpParams:
     """Weight matrices W^(l) of shape (fan_in, fan_out), applied left to
-    right; with ``bias`` the last row of W^(1) is the bias, so the first
-    layer computes x @ W^(1)[:-1] + W^(1)[-1]."""
+    right with ReLU between them; the last row of W^(1) is the bias, so
+    the first layer computes x @ W^(1)[:-1] + W^(1)[-1]."""
 
     weights: list = field(default_factory=list)
-    activation: str = "relu"   # relu | sigmoid
-    bias: bool = True
 
     @property
     def n_layers(self):
         return len(self.weights)
 
     def copy(self):
-        return MlpParams(weights=[w.copy() for w in self.weights],
-                         activation=self.activation, bias=self.bias)
+        return MlpParams(weights=[w.copy() for w in self.weights])
 
 
-def init_mlp(widths, bias=True, seed=0, scale=None) -> MlpParams:
-    """Uniform init in +-1/sqrt(fan_in); ``scale=0.0`` gives zero weights."""
+def init_mlp(widths, seed=0) -> MlpParams:
+    """Uniform init in +-1/sqrt(fan_in), the bias row counted in fan_in."""
     rng = np.random.default_rng(seed)
     weights = []
     for l in range(len(widths) - 1):
-        fan_in = widths[l] + (1 if (bias and l == 0) else 0)
-        bound = scale if scale is not None else 1.0 / np.sqrt(fan_in)
+        fan_in = widths[l] + (l == 0)
+        bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, widths[l + 1])))
-    return MlpParams(weights=weights, bias=bias)
-
-
-def _activate(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-    raise ValueError(f"unknown activation '{name}'")
-
-
-def _activate_grad(name, z):
-    # ReLU subgradient at 0 is 0
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "sigmoid":
-        s = _activate("sigmoid", z)
-        return s * (1.0 - s)
-    raise ValueError(f"unknown activation '{name}'")
+    return MlpParams(weights=weights)
 
 
 def _layer(p, l, h):
     """h @ W^(l), plus the bias row when l is the first layer."""
     w = p.weights[l]
-    if l or not p.bias:
+    if l:
         return h @ w
     z = h @ w[:-1]
     z += w[-1]
@@ -115,9 +93,9 @@ def _layer(p, l, h):
 
 def _layer_grad(p, l, h, d):
     """Gradient of <d, _layer(p, l, h)> in W^(l): [h^T d ; sum of d's rows]
-    with the bias, written into one array; stacking two fresh arrays
+    for the first layer, written into one array; stacking two fresh arrays
     tripled the cost of a train-row backward pass."""
-    if l or not p.bias:
+    if l:
         return h.T @ d
     grad = np.empty((h.shape[1] + 1, d.shape[1]))
     np.matmul(h.T, d, out=grad[:-1])
@@ -125,26 +103,25 @@ def _layer_grad(p, l, h, d):
     return grad
 
 
-def forward(p: MlpParams, x, train_mode=False, seed=0, dropout=False):
+def forward(p: MlpParams, x, seed=0, dropout=False):
     """Full forward pass; returns (output, cache) with everything backward
-    needs. Dropout masks are drawn only in train mode, deterministically
-    from ``seed``."""
+    needs. With ``dropout`` every hidden layer's units are dropped at
+    ``DROPOUT_RATIO`` by masks drawn deterministically from ``seed``."""
     h = np.asarray(x, dtype=float)
-    if h.shape[1] + p.bias != p.weights[0].shape[0]:
+    if h.shape[1] + 1 != p.weights[0].shape[0]:
         raise ValueError(
-            f"input width {h.shape[1]} (+{int(p.bias)} bias) does not match "
+            f"input width {h.shape[1]} (+1 bias) does not match "
             f"W^(1) rows {p.weights[0].shape[0]}"
         )
-    use_dropout = train_mode and dropout
-    rng = np.random.default_rng(seed) if use_dropout else None
+    rng = np.random.default_rng(seed) if dropout else None
     hiddens = [h]
     preacts = []
     masks = []
     for l in range(p.n_layers - 1):
         z = _layer(p, l, h)
         preacts.append(z)
-        h = _activate(p.activation, z)
-        if use_dropout:
+        h = np.maximum(z, 0.0)
+        if dropout:
             mask = (rng.random(h.shape) >= DROPOUT_RATIO) / (1.0 - DROPOUT_RATIO)
             h = h * mask
             masks.append(mask)
@@ -157,7 +134,7 @@ def forward(p: MlpParams, x, train_mode=False, seed=0, dropout=False):
 
 
 def backward(p: MlpParams, cache, upstream, input_grad=True):
-    """Exact gradients of the forward map.
+    """Exact gradients of the forward map (the ReLU subgradient at 0 is 0).
 
     Returns (per-layer weight gradients, gradient w.r.t. the input x, or
     None when ``input_grad`` is off).
@@ -171,12 +148,11 @@ def backward(p: MlpParams, cache, upstream, input_grad=True):
         d = d @ p.weights[l + 1].T
         if masks[l] is not None:
             d = d * masks[l]
-        d = d * _activate_grad(p.activation, preacts[l])
+        d = d * (preacts[l] > 0.0).astype(float)
         grads[l] = _layer_grad(p, l, hiddens[l], d)
     if not input_grad:
         return grads, None
-    w0 = p.weights[0]
-    return grads, d @ (w0[:-1] if p.bias else w0).T
+    return grads, d @ p.weights[0][:-1].T
 
 
 def project_l1_columns(p: MlpParams, bound) -> MlpParams:
@@ -272,8 +248,7 @@ def _fit_loop(params, cfg, x_train, loss_grad_fn, seed):
         for start in range(0, n, batch):
             ids = order[start:start + batch]
             step += 1
-            out, cache = forward(params, x_train[ids], train_mode=True,
-                                 seed=seed + 7919 * step,
+            out, cache = forward(params, x_train[ids], seed=seed + 7919 * step,
                                  dropout=cfg.dropout)
             loss, upstream = loss_grad_fn(ids, out)
             if not np.isfinite(loss):

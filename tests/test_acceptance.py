@@ -23,8 +23,8 @@ from graphboost.cli import cmd_curves
 from graphboost.data import load_planetoid, one_hot, synthesize_two_block
 from graphboost.graph import augmented_adjacency
 from graphboost.losses import margin_loss, softmax_ce, surrogate
-from graphboost.mlp import (TrainConfig, backward, forward, init_mlp,
-                            project_l1_columns)
+from graphboost.mlp import (MlpParams, TrainConfig, backward, forward,
+                            init_mlp, project_l1_columns)
 from graphboost.theory import (ComplexityConstants, mc_transductive_rademacher,
                                rademacher_bound, smoothing_report,
                                wlc_complexity_lower_bound)
@@ -49,7 +49,7 @@ def dataset_or_skip(name):
     path = os.path.join(DATA_ROOT, name)
     if not os.path.isdir(path):
         pytest.skip(f"GRAPHBOOST_DATA set but '{path}' is missing")
-    return load_planetoid(path, name=name)
+    return load_planetoid(path)
 
 
 def reference_run_config(hidden_layers=1, n_rounds=100, seed=0):
@@ -184,9 +184,10 @@ def _sample_constrained_outputs(n_funcs, n_layers, b_tilde, c_tilde, x,
         w_agg = w_agg / np.maximum(np.abs(w_agg).sum(axis=0) / c_tilde, 1.0)
         rep = px @ w_agg
         widths = (c,) + (4,) * (n_layers - 1) + (1,)
-        mlp = project_l1_columns(
-            init_mlp(widths, bias=False, seed=int(rng.integers(2 ** 31)),
-                     scale=2.0), b_tilde)
+        draw = np.random.default_rng(int(rng.integers(2 ** 31)))
+        mlp = project_l1_columns(MlpParams(weights=[
+            draw.uniform(-2.0, 2.0, shape)
+            for shape in zip(widths, widths[1:])]), b_tilde)
         h = rep
         for wmat in mlp.weights[:-1]:
             h = np.maximum(h @ wmat, 0.0)

@@ -345,7 +345,7 @@ class TestSammeRuns:
 
     def test_samme_r_zero_logits_zero_score(self):
         ds = synthesize_two_block(8, 0.9, 0.1, seed=10)
-        zero = init_mlp((2, 2), seed=0, scale=0.0)
+        zero = MlpParams(weights=[np.zeros((3, 2))])
         model = EnsembleModel(mode="samme_r", n_classes=2,
                               stages=[StageRecord(None, zero, 1.0)])
         scores = replay_scores(model, ds)
@@ -374,8 +374,7 @@ def hand_built_models():
     first = MlpParams(weights=[np.array(
         [[0.5, -1.25], [0.1, 2.0], [1e-17, 1.0 / 3.0]])])
     second = MlpParams(weights=[np.array([[1.5], [-0.2], [0.0]]),
-                                np.array([[2.0 ** -30]])],
-                       activation="sigmoid", bias=False)
+                                np.array([[2.0 ** -30]])])
     third = MlpParams(weights=[np.array([[-0.5], [3.0], [0.25]])])
     models = {
         "fixed": EnsembleModel(
@@ -420,8 +419,6 @@ def assert_same_model(got, want):
         if b.learner is None:
             assert a.learner is None
             continue
-        assert (a.learner.activation, a.learner.bias) == (
-            b.learner.activation, b.learner.bias)
         assert [w.shape for w in a.learner.weights] == [
             w.shape for w in b.learner.weights]
         for wa, wb in zip(a.learner.weights, b.learner.weights):
@@ -467,8 +464,8 @@ VERSION_1_BYTES = {
         '0.125, 0.14285714285714285], "n_deg": 3}, "weight": 1.5, '
         '"wlc": {"alpha": 2.0, "beta": 0.5}, "learner": {"shapes": '
         '[[3, 1], [1, 1]], "weights": [[1.5, -0.2, 0.0], '
-        '[9.313225746154785e-10]], "activation": "sigmoid", '
-        '"head": "identity", "bias": false}}, {"aggregator": {"kind": '
+        '[9.313225746154785e-10]], "activation": "relu", '
+        '"head": "identity", "bias": true}}, {"aggregator": {"kind": '
         '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
         '"weight": 0.0, "wlc": null, "learner": null}]}'),
 }
@@ -512,7 +509,7 @@ VERSION_2_BYTES = {
         '"weight": 1.5, "wlc": {"alpha": 2.0, "beta": 0.5}, "learner": '
         '{"shapes": [[3, 1], [1, 1]], "weights": '
         '["AAAAAAAA+D+amZmZmZnJvwAAAAAAAAAA", "AAAAAAAAED4="], '
-        '"activation": "sigmoid", "bias": false}}, {"aggregator": {"kind": '
+        '"activation": "relu", "bias": true}}, {"aggregator": {"kind": '
         '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
         '"weight": 0.0, "wlc": null, "learner": null}]}'),
 }
@@ -549,6 +546,17 @@ class TestSerialization:
             blob = json.loads(VERSION_1_BYTES[name])
             assert "format_version" not in blob
             assert_same_model(model_from_json(blob, ds.graph), model)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_other_learner_refused(self, version):
+        # the kta model's second learner as pinned before the learner had
+        # one architecture: sigmoid, with no bias row
+        ds, _ = hand_built_models()
+        blob = json.loads(
+            (VERSION_1_BYTES if version == 1 else VERSION_2_BYTES)["kta"])
+        blob["stages"][1]["learner"].update(activation="sigmoid", bias=False)
+        with pytest.raises(ValueError, match="'sigmoid' with bias False"):
+            model_from_json(blob, ds.graph)
 
     def test_round_trip_extreme_values(self, tmp_path):
         ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
@@ -650,9 +658,9 @@ def version_1_json(model):
                 "shapes": [list(w.shape) for w in record.learner.weights],
                 "weights": [w.ravel().tolist()
                             for w in record.learner.weights],
-                "activation": record.learner.activation,
+                "activation": "relu",
                 "head": head,
-                "bias": record.learner.bias,
+                "bias": True,
             }
     return json.dumps(blob)
 

@@ -396,7 +396,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "model_missing", "model_not_json", "model_without_mode",
         "trace_missing", "format_version_3", "weights_not_base64",
-        "weights_wrong_length"])
+        "weights_wrong_length", "activation_sigmoid", "bias_false"])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
         cfg_path = tmp_path / "cfg.json"
@@ -412,15 +412,20 @@ class TestExitCodes:
             blob = json.loads(model.read_text())
             del blob["mode"]
             model.write_text(json.dumps(blob))
-        elif case.startswith(("format", "weights")):
+        elif case != "trace_missing":
             blob = json.loads(model.read_text())
-            weights = blob["stages"][0]["learner"]["weights"]
+            learner = blob["stages"][0]["learner"]
+            weights = learner["weights"]
             if case == "format_version_3":
                 blob["format_version"] = 3
             elif case == "weights_not_base64":
                 weights[0] = "%" + weights[0][1:]
-            else:
+            elif case == "weights_wrong_length":
                 weights[0] = weights[0][:-12]  # 9 bytes short
+            elif case == "activation_sigmoid":
+                learner["activation"] = "sigmoid"
+            else:
+                learner["bias"] = False
             model.write_text(json.dumps(blob))
         else:
             args += ["--trace", str(tmp_path / "missing.csv")]

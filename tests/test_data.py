@@ -230,7 +230,7 @@ def test_citation_dataset_counts(name):
     path = os.path.join(os.environ["GRAPHBOOST_DATA"], name)
     if not os.path.isdir(path):
         pytest.skip(f"{path} missing")
-    ds = load_planetoid(path, name=name)
+    ds = load_planetoid(path)
     n, c, k = REFERENCE_COUNTS[name]
     assert ds.n == n
     assert ds.n_features == c

@@ -26,7 +26,7 @@ def fd_param_grads(params, x, upstream, eps=1e-4):
 def augmented_reference(p, x, upstream, seed=0, dropout=False):
     """Forward output, weight gradients and input gradient of the map with
     the bias as an explicit constant-1 input column: h = [x, 1] @ W^(1)."""
-    h = np.hstack([x, np.ones((len(x), 1))]) if p.bias else x
+    h = np.hstack([x, np.ones((len(x), 1))])
     rng = np.random.default_rng(seed) if dropout else None
     hiddens, preacts, masks = [h], [], []
     for w in p.weights[:-1]:
@@ -45,23 +45,23 @@ def augmented_reference(p, x, upstream, seed=0, dropout=False):
         d = (d @ p.weights[l + 1].T) * masks[l] * (preacts[l] > 0.0)
         grads.insert(0, hiddens[l].T @ d)
     dx = d @ p.weights[0].T
-    return out, grads, dx[:, :-1] if p.bias else dx
+    return out, grads, dx[:, :-1]
 
 
 class TestFoldedBias:
     """W^(1)'s last row added as the bias gives the map of the explicit
     constant-1 column, with no copy of the input."""
 
-    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("input_grad", [True, False])
     @pytest.mark.parametrize("hidden", [(), (5, 4)])
     @pytest.mark.parametrize("dropout", [False, True])
-    def test_matches_augmented_reference(self, bias, hidden, dropout):
-        rng = np.random.default_rng(len(hidden) + 2 * bias + 4 * dropout)
+    def test_matches_augmented_reference(self, input_grad, hidden, dropout):
+        rng = np.random.default_rng(len(hidden) + 2 * input_grad + 4 * dropout)
         x = rng.standard_normal((9, 3))
-        p = init_mlp((3, *hidden, 2), bias=bias, seed=21)
-        out, cache = forward(p, x, train_mode=True, seed=5, dropout=dropout)
+        p = init_mlp((3, *hidden, 2), seed=21)
+        out, cache = forward(p, x, seed=5, dropout=dropout)
         upstream = rng.standard_normal(out.shape)
-        grads, dx = backward(p, cache, upstream)
+        grads, dx = backward(p, cache, upstream, input_grad=input_grad)
         ref_out, ref_grads, ref_dx = augmented_reference(
             p, x, upstream, seed=5, dropout=dropout)
         assert cache["hiddens"][0] is x
@@ -69,14 +69,18 @@ class TestFoldedBias:
         for g, r in zip(grads, ref_grads):
             assert g.shape == r.shape
             np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+        if input_grad:
+            np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+        else:
+            assert dx is None
 
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_width_mismatch(self, bias):
-        # W^(1) has 4 rows either way: 3 features and the bias, or 4
-        p = init_mlp((4 - bias, 2), bias=bias, seed=0)
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_width_mismatch(self, wide):
+        # W^(1) has 4 rows, 3 features and the bias: neither the bias row
+        # counted as a feature (4 columns) nor one feature short (2) fits
+        p = init_mlp((3, 2), seed=0)
         with pytest.raises(ValueError, match="width"):
-            forward(p, np.ones((2, 4 if bias else 3)))
+            forward(p, np.ones((2, 4 if wide else 2)))
 
 
 class TestForward:
@@ -84,13 +88,13 @@ class TestForward:
         # (C+1) x C weight: identity on features, zero row for the bias
         x = np.random.default_rng(0).standard_normal((5, 3))
         w = np.vstack([np.eye(3), np.zeros((1, 3))])
-        p = MlpParams(weights=[w], bias=True)
+        p = MlpParams(weights=[w])
         out, _ = forward(p, x)
         assert np.array_equal(out, x)
 
     def test_zero_weights_zero_output(self):
         x = np.random.default_rng(1).standard_normal((4, 2))
-        p = init_mlp((2, 3, 1), seed=0, scale=0.0)
+        p = MlpParams(weights=[np.zeros((3, 3)), np.zeros((3, 1))])
         out, _ = forward(p, x)
         assert np.all(out == 0.0)
 
@@ -121,13 +125,13 @@ class TestForward:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 3))
         p = init_mlp((3, 16, 1), seed=7)
-        a, _ = forward(p, x, train_mode=True, seed=42, dropout=True)
-        b, _ = forward(p, x, train_mode=True, seed=42, dropout=True)
-        c, _ = forward(p, x, train_mode=True, seed=43, dropout=True)
+        a, _ = forward(p, x, seed=42, dropout=True)
+        b, _ = forward(p, x, seed=42, dropout=True)
+        c, _ = forward(p, x, seed=43, dropout=True)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-        eval_out, _ = forward(p, x, train_mode=False, seed=42, dropout=True)
-        assert not np.array_equal(a, eval_out)
+        plain, _ = forward(p, x)
+        assert not np.array_equal(a, plain)
 
 
 class TestBackward:
@@ -370,21 +374,20 @@ class TestOptimizer:
 
 class TestProjectL1Columns:
     def test_scales_to_surface(self):
-        p = MlpParams(weights=[np.array([[3.0], [0.0]])], bias=False)
+        p = MlpParams(weights=[np.array([[3.0], [0.0]])])
         out = project_l1_columns(p, 1.0)
         assert np.allclose(out.weights[0], [[1.0], [0.0]])
 
     def test_inside_ball_untouched(self):
-        p = MlpParams(weights=[np.array([[0.2], [-0.3]])], bias=False)
+        p = MlpParams(weights=[np.array([[0.2], [-0.3]])])
         out = project_l1_columns(p, 1.0)
         assert np.array_equal(out.weights[0], p.weights[0])
 
     def test_three_entry_column(self):
-        p = MlpParams(weights=[np.array([[1.0], [-1.0], [2.0]])], bias=False)
+        p = MlpParams(weights=[np.array([[1.0], [-1.0], [2.0]])])
         out = project_l1_columns(p, 2.0)
         assert np.allclose(out.weights[0], [[0.5], [-0.5], [1.0]])
 
     def test_max_column_l1(self):
-        p = MlpParams(weights=[np.array([[1.0, -2.0], [0.5, 1.0]])],
-                      bias=False)
+        p = MlpParams(weights=[np.array([[1.0, -2.0], [0.5, 1.0]])])
         assert max_column_l1(p) == pytest.approx(3.0)

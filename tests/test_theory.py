@@ -8,7 +8,7 @@ from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
                               SammeConfig, run_functional_gb, run_samme)
 from graphboost.data import partition_constants, synthesize_two_block
 from graphboost.graph import SparseGraph, augmented_adjacency
-from graphboost.mlp import TrainConfig, init_mlp, project_l1_columns
+from graphboost.mlp import MlpParams, TrainConfig, project_l1_columns
 from graphboost.theory import (ComplexityConstants,
                                build_theory_report, generalization_bound,
                                mc_transductive_rademacher,
@@ -372,6 +372,24 @@ class TestTheoryReport:
             assert entry.get("op_norm_upper_bound", False) == (entry["t"] >= 3)
             assert entry["op_norm"] >= np.linalg.norm(product, 2) * (1 - 1e-12)
 
+    @pytest.mark.parametrize("runner,config", [
+        (run_functional_gb, FunctionalGBConfig), (run_samme, SammeConfig)],
+        ids=["functional", "samme"])
+    def test_learner_bound_reads_the_bias_column(self, runner, config):
+        # every learner's first layer ends in a bias row, so the bound
+        # reads [P^(t) X, 1], of norm sqrt(||P^(t) X||_F^2 + N)
+        ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
+        model, trace = runner(ds, config(
+            n_rounds=3, hidden=(8,), learner=TrainConfig(epochs=30),
+            seed=4))
+        report = build_theory_report(model, trace, ds)
+        root_mu = np.sqrt(ds.split.m * ds.split.u)
+        for entry, stage in zip(report["complexity"], model.stages):
+            assert stage.learner is not None
+            augmented = np.sqrt(entry["px_frobenius"] ** 2 + ds.n)
+            assert entry["rademacher_bound"] == pytest.approx(
+                entry["d_constant"] * augmented / root_mu, rel=1e-12)
+
     def test_hand_assembled_generalization_terms(self):
         # reproduce the four addends by hand from the report constants
         ds = synthesize_two_block(8, 0.9, 0.1, seed=7)
@@ -395,10 +413,11 @@ class TestTheoryReport:
 
 class TestProp4MonteCarloVsClosedForm:
     def sample_constrained_outputs(self, n_funcs, n_layers, b_tilde, c_tilde,
-                                   x, operator, seed):
+                                   x, operator, seed, bias=False):
         """Random members of the constrained two-stage class: aggregation
-        X -> P X W (columns of W capped at c_tilde) followed by a bias-free
-        MLP with column caps b_tilde."""
+        X -> P X W (columns of W capped at c_tilde) followed by an MLP with
+        column caps b_tilde, bias-free or, with ``bias``, reading
+        [P X W, 1] as the trained learners do."""
         rng = np.random.default_rng(seed)
         px = operator.apply(x)
         c = x.shape[1]
@@ -408,10 +427,13 @@ class TestProp4MonteCarloVsClosedForm:
             scale = np.abs(w_agg).sum(axis=0)
             w_agg = w_agg / np.maximum(scale / c_tilde, 1.0)
             rep = px @ w_agg
-            widths = (c,) + (4,) * (n_layers - 1) + (1,)
-            mlp = init_mlp(widths, bias=False,
-                           seed=int(rng.integers(2 ** 31)), scale=2.0)
-            mlp = project_l1_columns(mlp, b_tilde)
+            if bias:
+                rep = np.hstack([rep, np.ones((len(rep), 1))])
+            widths = (rep.shape[1],) + (4,) * (n_layers - 1) + (1,)
+            draw = np.random.default_rng(int(rng.integers(2 ** 31)))
+            mlp = project_l1_columns(MlpParams(weights=[
+                draw.uniform(-2.0, 2.0, shape)
+                for shape in zip(widths, widths[1:])]), b_tilde)
             h = rep
             for wmat in mlp.weights[:-1]:
                 h = np.maximum(h @ wmat, 0.0)
@@ -433,3 +455,21 @@ class TestProp4MonteCarloVsClosedForm:
         est, se = mc_transductive_rademacher(outs, m, u, seed=3)
         assert est <= bound
         assert est + 3 * se <= bound
+
+    def test_mc_with_bias_below_bound_on_augmented_input(self):
+        # on small features the bias row dominates the members' outputs:
+        # the closed form on ||P X||_F falls below them, the one on the
+        # learner's real input [P X, 1] stays above
+        ds = synthesize_two_block(12, 0.7, 0.2, seed=0)
+        operator = augmented_adjacency(ds.graph)
+        x = 0.01 * np.random.default_rng(1).standard_normal((12, 3))
+        b_tilde, c_tilde = 1.5, 1.0
+        m = u = 6
+        outs, px_frob = self.sample_constrained_outputs(
+            200, 1, b_tilde, c_tilde, x, operator, seed=2, bias=True)
+        constants = ComplexityConstants(n_layers=1, b_tilde=b_tilde,
+                                        c_tildes=(c_tilde,), m=m, u=u)
+        est, se = mc_transductive_rademacher(outs, m, u, seed=3)
+        assert est - 3 * se > rademacher_bound(constants, px_frob)
+        assert est + 3 * se <= rademacher_bound(
+            constants, np.sqrt(px_frob ** 2 + 12))
