@@ -11,14 +11,14 @@ that rank-one space.
 
 import numpy as np
 
-from graphboost import (augmented_adjacency, eigendecompose,
-                        smoothing_report, synthesize_two_block)
+from graphboost import (base_operator, eigendecompose, smoothing_report,
+                        synthesize_two_block)
 
 dataset = synthesize_two_block(n=80, p_in=0.25, p_out=0.02, seed=11,
                                noise=0.3)
-operator = augmented_adjacency(dataset.graph)
+operator = base_operator(dataset.graph, "augmented")
 
-spectrum = eigendecompose(operator).eigenvalues
+spectrum, _ = eigendecompose(operator)
 print("top of the spectrum:", np.array2string(spectrum[:5], precision=4))
 print("the gap below 1.0 sets how fast information decays\n")
 

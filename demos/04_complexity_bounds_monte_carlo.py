@@ -16,14 +16,14 @@ import numpy as np
 from graphboost import (ComplexityConstants, generalization_bound,
                         mc_transductive_rademacher, rademacher_bound,
                         synthesize_two_block, wlc_complexity_lower_bound)
-from graphboost.graph import augmented_adjacency
+from graphboost.graph import base_operator
 from graphboost.mlp import MlpParams, project_l1_columns
 
 rng = np.random.default_rng(0)
 
 # --- 1. sampled constrained learners stay below the closed form ----------
 dataset = synthesize_two_block(12, 0.7, 0.2, seed=0)
-operator = augmented_adjacency(dataset.graph)
+operator = base_operator(dataset.graph, "augmented")
 x = rng.standard_normal((12, 3))
 px = operator.apply(x)
 b_cap, c_cap = 1.5, 1.0

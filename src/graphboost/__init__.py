@@ -15,8 +15,7 @@ from .data import (DataError, NodeDataset, Split, export_dataset,
                    load_planetoid, one_hot, partition_constants,
                    random_partition, row_normalize, synthesize_two_block)
 from .graph import (ConvergenceError, GraphError, PropagationMatrix,
-                    SparseGraph, SpectralData, augmented_adjacency,
-                    base_operator, eigendecompose, normalized_adjacency,
+                    SparseGraph, base_operator, eigendecompose,
                     operator_norm, read_edge_list)
 from .losses import (errors, margin_loss, sigmoid, sigmoid_ce, softmax,
                      softmax_ce, surrogate, surrogate_grad)

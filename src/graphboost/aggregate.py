@@ -1,12 +1,12 @@
 """Node-aggregation function families and alignment-based selection.
 
-Every aggregator is a polynomial in one operator P plus an injected x0
-term. Three families are built from it: multiplication by P, input
-injection (rho * P x + (1 - rho) * x_init), and KTA, a learnable polynomial
-in the powers P^{2^k} whose weights are trained by gradient ascent on the
-kernel target alignment between the training-block Gram matrix of the
-aggregated features and the Gram matrix of one-hot labels. All three are
-linear in the current representation.
+Every aggregator is a polynomial in one symmetric operator P plus an
+injected x0 term. Three families are built from it: multiplication by P,
+input injection (rho * P x + (1 - rho) * x_init), and KTA, a learnable
+polynomial in the powers P^{2^k} whose weights are trained by gradient
+ascent on the kernel target alignment between the training-block Gram
+matrix of the aggregated features and the Gram matrix of one-hot labels.
+All three are linear in the current representation.
 """
 
 from __future__ import annotations
@@ -62,15 +62,12 @@ class Polynomial:
         if any(a >= b for a, b in zip(self.powers, self.powers[1:])):
             raise ValueError("powers must strictly ascend")
 
-    def terms(self, x, transpose=False):
-        """Yield P^p x (or (P^T)^p x) for each power p, by repeated
-        sparse matvec."""
-        step = (self.operator.apply_transpose if transpose
-                else self.operator.apply)
+    def terms(self, x):
+        """Yield P^p x for each power p, by repeated sparse matvec."""
         reached = 0
         for p in self.powers:
             for _ in range(p - reached):
-                x = step(x)
+                x = self.operator.apply(x)
             reached = p
             yield x
 
@@ -116,15 +113,15 @@ class Polynomial:
 
     def pullback(self, d, x):
         """Adjoint of the linear part at ``d``, and the gradient of
-        <d, linear(x)> in the coefficients, <(P^T)^p d, x>, from the same
-        transposed powers."""
+        <d, linear(x)> in the coefficients, <P^p d, x>, from the same
+        powers: P is symmetric, so the linear part is its own adjoint."""
         grad = []
 
         def dotted(terms):
             for term in terms:
                 grad.append(float(np.vdot(term, x)))
                 yield term
-        adjoint = self._combine(dotted(self.terms(d, transpose=True)))
+        adjoint = self._combine(dotted(self.terms(d)))
         return adjoint, np.array(grad)
 
 

@@ -391,8 +391,9 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
 def run_samme(dataset, cfg: SammeConfig):
     """Multiclass boosting with hard class votes: model weight
     lambda_t = log((1-e_t)/e_t) + log(K-1), multiplicative reweighting.
-    Weak learners with weighted error >= 1 - 1/K are retrained once, then
-    the ensemble is truncated."""
+    A weak learner with weighted error >= 1 - 1/K is retrained once; a
+    second failure records a zero-weight placeholder stage, lists the round
+    in ``flags["skipped"]`` and boosting goes on."""
     return _run_samme_family(dataset, cfg, real_valued=False)
 
 

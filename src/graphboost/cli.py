@@ -25,7 +25,7 @@ from .boost import (TRACE_COLUMNS, AggregatorSpec, AllRoundsRejected,
                     run_functional_gb, run_samme, run_samme_r, save_model,
                     write_trace_csv)
 from .data import DataError, load_planetoid, read_file
-from .graph import DENSE_EIGEN_CAP, base_operator
+from .graph import BASE_LOOPS, DENSE_EIGEN_CAP, GraphError, base_operator
 from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
@@ -93,7 +93,7 @@ class ExperimentConfig:
             raise ConfigError("rho: must lie in [0, 1]")
         if self.n_deg < 0:
             raise ConfigError("n_deg: must be >= 0")
-        if self.base not in ("augmented", "normalized"):
+        if self.base not in BASE_LOOPS:
             raise ConfigError(f"base: unknown operator '{self.base}'")
         if self.n_rounds < 1:
             raise ConfigError("n_rounds: must be >= 1")
@@ -175,6 +175,10 @@ def _dataset_hashes(directory):
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     """Train one model; write model.json, trace.csv, summary.json."""
     dataset = load_planetoid(cfg.dataset, normalize=cfg.normalize_features)
+    try:  # the graph must admit the configured operator (see base_operator)
+        base_operator(dataset.graph, cfg.base)
+    except GraphError as exc:
+        raise DataError(f"{cfg.dataset}: {exc}") from exc
     spec = cfg.aggregator_spec()
     if cfg.mode == "functional":
         run_cfg = FunctionalGBConfig(

@@ -101,10 +101,16 @@ def write_edge_list(path, graph):
 
 @dataclass(frozen=True)
 class PropagationMatrix:
-    """Square sparse node-mixing operator P, applied by sparse matvec."""
+    """Sparse node-mixing operator P, applied by sparse matvec. P must be
+    square and exactly symmetric, so P^T x is P x."""
 
     matrix: sp.csr_matrix
-    symmetric: bool = False
+
+    def __post_init__(self):
+        m = self.matrix
+        if m.shape[0] != m.shape[1] or (m != m.T).nnz:
+            raise GraphError(
+                f"operator is not square and symmetric: {m.shape}")
 
     @property
     def n(self):
@@ -125,49 +131,36 @@ class PropagationMatrix:
         return self.matrix.T @ self._check(x)
 
 
-def normalized_adjacency(g: SparseGraph) -> PropagationMatrix:
-    """D^{-1/2} A D^{-1/2}; requires every node to have degree >= 1."""
-    deg = g.degrees
-    if np.any(deg == 0):
-        bad = int(np.flatnonzero(deg == 0)[0])
-        raise GraphError(
-            f"node {bad} is isolated; normalized adjacency undefined"
-        )
-    a = g.adjacency().tocoo()
-    w = 1.0 / np.sqrt(deg.astype(float))
-    vals = a.data * w[a.row] * w[a.col]
-    mat = sp.csr_matrix((vals, (a.row, a.col)), shape=a.shape)
-    return PropagationMatrix(matrix=mat, symmetric=True)
-
-
-def augmented_adjacency(g: SparseGraph) -> PropagationMatrix:
-    """D̃^{-1/2} (A + I) D̃^{-1/2} with D̃ = D + I; eigenvalues in (-1, 1]."""
-    deg = g.degrees
-    a = g.adjacency().tocoo()
-    w = 1.0 / np.sqrt(deg.astype(float) + 1.0)
-    rows = np.concatenate([a.row, np.arange(g.n_nodes)])
-    cols = np.concatenate([a.col, np.arange(g.n_nodes)])
-    base = np.concatenate([a.data, np.ones(g.n_nodes)])
-    vals = base * w[rows] * w[cols]
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
-    return PropagationMatrix(matrix=mat, symmetric=True)
+# self-loop weight s of each base operator D~^{-1/2} (A + sI) D~^{-1/2}
+BASE_LOOPS = {"augmented": 1.0, "normalized": 0.0}
 
 
 def base_operator(g: SparseGraph, base) -> PropagationMatrix:
-    """The operator a model's ``base`` names: augmented | normalized."""
-    if base == "augmented":
-        return augmented_adjacency(g)
-    if base == "normalized":
-        return normalized_adjacency(g)
-    raise GraphError(f"unknown base operator '{base}'")
+    """D~^{-1/2} (A + sI) D~^{-1/2} with D~ = D + sI, for the ``base`` a
+    model names: s = 1 for ``augmented`` (eigenvalues in (-1, 1]) and s = 0
+    for ``normalized`` (D^{-1/2} A D^{-1/2}), which needs every node to have
+    degree >= 1."""
+    if base not in BASE_LOOPS:
+        raise GraphError(f"unknown base operator '{base}'")
+    loops = BASE_LOOPS[base]
+    deg = g.degrees + loops
+    if not deg.all():
+        raise GraphError(f"node {int(np.argmin(deg))} is isolated; the "
+                         f"{base} operator is undefined")
+    # adding the zero identity stores no entry
+    a = (g.adjacency() + loops * sp.identity(g.n_nodes, format="csr")).tocoo()
+    w = 1.0 / np.sqrt(deg)
+    return PropagationMatrix(matrix=sp.csr_matrix(
+        (a.data * w[a.row] * w[a.col], (a.row, a.col)), shape=a.shape))
 
 
 def operator_norm(p: PropagationMatrix, tol=1e-8):
     """Largest singular value by power iteration on P^T P.
 
     ``p`` is anything with ``n``, ``apply`` and ``apply_transpose``. For
-    symmetric P this equals max |lambda_n|. Deterministic start vector;
-    raises ConvergenceError carrying the last estimate after 10*N iterations.
+    a PropagationMatrix, which is symmetric, this equals max |lambda_n|.
+    Deterministic start vector; raises ConvergenceError carrying the last
+    estimate after 10*N iterations.
     """
     n = p.n
     rng = np.random.default_rng(0)
@@ -192,43 +185,24 @@ def operator_norm(p: PropagationMatrix, tol=1e-8):
     )
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Full symmetric eigendecomposition, eigenvalues sorted descending;
-    ``eigenvectors`` holds orthonormal eigenvectors as columns."""
+def eigendecompose(p: PropagationMatrix, cap=DENSE_EIGEN_CAP):
+    """Dense eigendecomposition of the symmetric P, refused above the size
+    cap: (eigenvalues in descending order, orthonormal eigenvectors as
+    columns).
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def expand(self, x):
-        """Coefficients a with x = eigenvectors @ a, for x of N rows."""
-        x = np.asarray(x, dtype=float)
-        n = self.eigenvectors.shape[0]
-        if x.shape[:1] != (n,):
-            raise ValueError(f"expand needs {n} rows, got shape {x.shape}")
-        return self.eigenvectors.T @ x
-
-
-def eigendecompose(p: PropagationMatrix, cap=DENSE_EIGEN_CAP) -> SpectralData:
-    """Dense symmetric eigendecomposition; refused above the size cap.
-
-    The operator is symmetrised while sparse (halving is exact, so the
-    entries equal those of (D + D^T) / 2 for the dense D) and densified
-    once. LAPACK's divide-and-conquer driver (dsyevd) then overwrites that
-    one N x N buffer with the eigenvectors, and the descending order is a
-    reversed view. The peak is about 3.4 N x N float64 arrays: the buffer
-    plus dsyevd's workspace of 1 + 6N + 2N^2 doubles.
+    P is densified once, and LAPACK's divide-and-conquer driver (dsyevd)
+    overwrites that one N x N buffer with the eigenvectors; the descending
+    order is a reversed view. The peak is about 3.4 N x N float64 arrays:
+    the buffer plus dsyevd's workspace of 1 + 6N + 2N^2 doubles.
     """
-    if not p.symmetric:
-        raise GraphError("eigendecompose requires a symmetric operator")
     if p.n > cap:
         raise GraphError(f"eigendecompose refused: N={p.n} exceeds cap {cap}")
     # imported here: scipy.linalg adds about 80 ms to every CLI start, and
     # only the spectral report needs it
     from scipy.linalg import eigh
 
-    dense = ((p.matrix + p.matrix.T) * 0.5).toarray()
+    dense = p.matrix.toarray()
     # dense.T is the Fortran-ordered view LAPACK can overwrite without a copy
     vals, vecs = eigh(dense.T, overwrite_a=True, check_finite=False,
                       driver="evd")
-    return SpectralData(eigenvalues=vals[::-1], eigenvectors=vecs[:, ::-1])
+    return vals[::-1], vecs[:, ::-1]

@@ -208,9 +208,8 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
     if x.ndim != 2 or x.shape[0] != p.n:
         raise ValueError(f"smoothing_report needs an N x C feature matrix "
                          f"with N = {p.n}, got shape {x.shape}")
-    spect = eigendecompose(p, cap=cap)
-    coeff = spect.expand(x)  # a_nc
-    lam = spect.eigenvalues
+    lam, vecs = eigendecompose(p, cap=cap)
+    coeff = vecs.T @ x  # a_nc, with x = vecs @ coeff
     k = int(np.sum(np.abs(lam - 1.0) <= TOP_EIGEN_TOL))
     top_col_norms = np.linalg.norm(coeff[:k], axis=0)
     x_sq = float(np.sum(x * x))
@@ -303,16 +302,20 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
 
     # complexity section: one entry per stage
     entries = []
-    # ||P^(t)||_op is max |prod_s q_s(lambda)| over P's spectrum, which lies
-    # in [-1, 1] and contains 1. With no negative coefficient the maximum
-    # sits at lambda = 1, so prod_s sum_i |c_si| is exact; otherwise it is
-    # an upper bound
-    op_norm, upper_bound = 1.0, False
+    # op_norm is ||X -> learner input||: ||Q_t||, or ||[Q_t, I]|| =
+    # sqrt(1 + ||Q_t||^2) under injection, where the learner reads [Q_t X,
+    # X]; Q_1 = I, Q_t = q_t(P) Q_{t-1} + inject_t I. ||Q_t|| is max
+    # |Q_t(lambda)| over P's spectrum, in [-1, 1] and containing 1: with no
+    # negative coefficient it is a_t, the value at lambda = 1; otherwise a_t
+    # is an upper bound
+    injected = model.aggregator_kind == "input_injection"
+    a_t, upper_bound = 1.0, False
     for idx, (stage, px) in enumerate(zip(model.stages, px_norms)):
         t = idx + 1
         if idx >= 1:
             coefs = np.asarray(stage.aggregator.coefs, dtype=float)
-            op_norm *= float(np.abs(coefs).sum())
+            a_t = (float(np.abs(coefs).sum()) * a_t
+                   + abs(stage.aggregator.inject))
             upper_bound = upper_bound or bool(np.any(coefs < 0.0))
         if stage.learner is None:
             # skipped round: the stage contributes the zero function
@@ -330,7 +333,7 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
                      "px_frobenius": px, "rademacher_bound": bound,
                      "eta": stage.weight,
                      "eta_term": abs(stage.weight) * bound}
-        entry["op_norm"] = op_norm
+        entry["op_norm"] = math.sqrt(1.0 + a_t * a_t) if injected else a_t
         if upper_bound:
             entry["op_norm_upper_bound"] = True
         entries.append(entry)

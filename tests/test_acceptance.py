@@ -21,7 +21,7 @@ from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
                               weighted_error_form, wlc_fit, write_trace_csv)
 from graphboost.cli import cmd_curves
 from graphboost.data import load_planetoid, one_hot, synthesize_two_block
-from graphboost.graph import augmented_adjacency
+from graphboost.graph import base_operator
 from graphboost.losses import margin_loss, softmax_ce, surrogate
 from graphboost.mlp import (MlpParams, TrainConfig, backward, forward,
                             init_mlp, project_l1_columns)
@@ -198,7 +198,7 @@ def _sample_constrained_outputs(n_funcs, n_layers, b_tilde, c_tilde, x,
 @pytest.mark.acceptance
 def test_criterion_5_complexity_bound_dominates_mc():
     ds = synthesize_two_block(12, 0.7, 0.2, seed=0)
-    operator = augmented_adjacency(ds.graph)
+    operator = base_operator(ds.graph, "augmented")
     x = np.random.default_rng(1).standard_normal((12, 3))
     b_tilde, c_tilde = 1.5, 1.0
     m = u = 6
@@ -236,7 +236,7 @@ def test_criterion_7_spectral_identity():
         n = int(np.random.default_rng(seed).integers(10, 51))
         g = random_connected_graph(n, 0.1, seed=seed)
         x = np.random.default_rng(1000 + seed).standard_normal((n, 4))
-        traj = smoothing_report(augmented_adjacency(g), x, t_max=16,
+        traj = smoothing_report(base_operator(g, "augmented"), x, t_max=16,
                                 rtol=1e-6)
         for d, s in zip(traj.frobenius_direct, traj.frobenius_spectral):
             assert abs(d ** 2 - s ** 2) <= 1e-6 * max(
@@ -273,7 +273,7 @@ def test_criterion_8_gradient_integrity():
 
     # alignment-ascent gradient
     g = random_connected_graph(8, 0.3, seed=2)
-    operator = augmented_adjacency(g)
+    operator = base_operator(g, "augmented")
     agg = kta(operator)
     x8 = rng.standard_normal((8, 3))
     train = np.arange(5)

@@ -5,13 +5,13 @@ from graphboost.aggregate import (INJECT_BLOCK, AlignmentConfig, Polynomial,
                                   _alignment_value_grad, alignment, fit_kta,
                                   fixed, gram, injection, kta)
 from graphboost.data import one_hot
-from graphboost.graph import SparseGraph, augmented_adjacency
+from graphboost.graph import SparseGraph, base_operator
 
 
 @pytest.fixture
 def ring_operator():
     g = SparseGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    return augmented_adjacency(g)
+    return base_operator(g, "augmented")
 
 
 class TestApply:
@@ -96,6 +96,18 @@ class TestPolynomial:
         assert np.allclose(grad, [np.vdot(d, pk @ x) for pk in powers],
                            rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("make", [
+        fixed, lambda op: injection(op, 0.4),
+        lambda op: kta(op, 3, [1.1, 0.5, -0.3, 2.0, 0.7])],
+        ids=["fixed", "injection", "kta"])
+    def test_pullback_is_the_linear_part(self, ring_operator, make):
+        # P is symmetric, so the adjoint of the linear part is the linear
+        # part itself, bit for bit
+        rng = np.random.default_rng(18)
+        x, d = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+        agg = make(ring_operator)
+        assert np.array_equal(agg.pullback(d, x)[0], agg.linear(d))
+
     def test_linear_drops_the_injected_term(self, ring_operator):
         x = np.random.default_rng(14).standard_normal((6, 3))
         a = injection(ring_operator, 0.25)
@@ -136,7 +148,7 @@ class TestPolynomial:
         # more rows than one buffer block holds
         n, c = 2 * INJECT_BLOCK // 8 + 3, 8
         g = SparseGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        a = injection(augmented_adjacency(g), 0.7)
+        a = injection(base_operator(g, "augmented"), 0.7)
         rng = np.random.default_rng(17)
         x, x0 = rng.standard_normal((n, c)), rng.standard_normal((n, c))
         assert np.array_equal(a.apply(x, x0), a.linear(x) + a.inject * x0)
@@ -267,7 +279,7 @@ class TestFitKta:
         # observed 94/100, mean improvement 0.027)
         n = 20
         g = SparseGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-        op = augmented_adjacency(g)
+        op = base_operator(g, "augmented")
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(2000 + seed)

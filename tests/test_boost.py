@@ -16,7 +16,7 @@ from graphboost.boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
                               save_model, weighted_error_form, wlc_check,
                               wlc_fit, write_trace_csv)
 from graphboost.data import synthesize_two_block
-from graphboost.graph import augmented_adjacency
+from graphboost.graph import base_operator
 from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
 
 
@@ -370,7 +370,7 @@ def hand_built_models():
     """Three models whose saved bytes are pinned below, one per aggregator
     kind, on an 8-node graph."""
     ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
-    op = augmented_adjacency(ds.graph)
+    op = base_operator(ds.graph, "augmented")
     first = MlpParams(weights=[np.array(
         [[0.5, -1.25], [0.1, 2.0], [1e-17, 1.0 / 3.0]])])
     second = MlpParams(weights=[np.array([[1.5], [-0.2], [0.0]]),
@@ -1103,7 +1103,7 @@ class TestPredict:
 
         from graphboost.boost import stage_representations
         from graphboost.data import NodeDataset, Split
-        from graphboost.graph import SparseGraph, augmented_adjacency
+        from graphboost.graph import SparseGraph, base_operator
         n, c, k, n_stages = 400, 200, 3, 8
         rng = np.random.default_rng(0)
         graph = SparseGraph.from_edges(
@@ -1112,7 +1112,7 @@ class TestPredict:
                          labels=rng.integers(0, k, size=n), n_classes=k,
                          split=Split(train=np.arange(30), val=[],
                                      test=np.arange(30, n)))
-        op = augmented_adjacency(graph)
+        op = base_operator(graph, "augmented")
         stages = [StageRecord(None if s == 0 else injection(op, 0.5),
                               init_mlp((2 * c, 8, k), seed=s), 1.0)
                   for s in range(n_stages)]

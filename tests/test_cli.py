@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from graphboost.cli import (ConfigError, cmd_curves, cmd_theory,
                             cmd_train, config_from_dict, config_to_dict,
                             main)
 from graphboost.data import NodeDataset, Split, export_dataset, synthesize_two_block
+from graphboost.graph import SparseGraph
 
 
 @pytest.fixture
@@ -393,6 +395,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_isolated_node_under_normalized_base_is_3(self, tmp_path,
+                                                      capsys):
+        # D^{-1/2} A D^{-1/2} is undefined on a node of degree 0
+        ds = synthesize_two_block(30, 0.8, 0.1, seed=0)
+        edges = ds.graph.edges[~np.any(ds.graph.edges == 7, axis=1)]
+        split = Split(train=np.arange(0, 10), val=np.arange(10, 16),
+                      test=np.arange(16, ds.n))
+        lone = replace(ds, graph=SparseGraph.from_edges(ds.n, edges),
+                       split=split)
+        export_dataset(lone, tmp_path / "lone")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            str(tmp_path / "lone"), seeds=[0], base="normalized")))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "node 7 is isolated" in err
+
     @pytest.mark.parametrize("case", [
         "model_missing", "model_not_json", "model_without_mode",
         "trace_missing", "format_version_3", "weights_not_base64",
@@ -516,7 +536,6 @@ class TestExitCodes:
         # degree, stay constant through every aggregation; on a balanced
         # train set every SAMME round has weighted error exactly 1/2 and
         # is rejected
-        from graphboost.graph import SparseGraph
         ring = SparseGraph.from_edges(20, [(i, (i + 1) % 20)
                                            for i in range(20)])
         split = Split(train=np.array([0, 1, 2, 3, 10, 11, 12, 13]), val=[],

@@ -8,19 +8,16 @@ import pytest
 import scipy.sparse as sp
 
 from graphboost.graph import (ConvergenceError, GraphError,
-                              PropagationMatrix, SparseGraph,
-                              augmented_adjacency, eigendecompose,
-                              normalized_adjacency, operator_norm,
-                              read_edge_list)
+                              PropagationMatrix, SparseGraph, base_operator,
+                              eigendecompose, operator_norm, read_edge_list)
 
 
 def dense(p):
     return p.matrix.toarray()
 
 
-def operator(mat, symmetric=True):
-    return PropagationMatrix(sp.csr_matrix(mat), symmetric)
-
+def operator(mat):
+    return PropagationMatrix(sp.csr_matrix(mat))
 
 def identity(n):
     return operator(sp.identity(n))
@@ -64,13 +61,13 @@ class TestSparseGraph:
 class TestNormalizedAdjacency:
     def test_two_node_path(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        assert np.allclose(dense(normalized_adjacency(g)),
+        assert np.allclose(dense(base_operator(g, "normalized")),
                            [[0, 1], [1, 0]])
 
     def test_triangle(self):
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         expected = (np.ones((3, 3)) - np.eye(3)) / 2.0
-        assert np.allclose(dense(normalized_adjacency(g)), expected)
+        assert np.allclose(dense(base_operator(g, "normalized")), expected)
 
     def test_star_matches_dense_formula(self):
         # independent oracle: build D^{-1/2} A D^{-1/2} densely by hand
@@ -80,7 +77,7 @@ class TestNormalizedAdjacency:
             a[i, j] = a[j, i] = 1.0
         d_inv_sqrt = np.diag(1.0 / np.sqrt(a.sum(axis=1)))
         expected = d_inv_sqrt @ a @ d_inv_sqrt
-        got = dense(normalized_adjacency(g))
+        got = dense(base_operator(g, "normalized"))
         assert np.allclose(got, expected)
         assert got[0, 1] == pytest.approx(1 / np.sqrt(3))
         assert got[1, 2] == 0.0
@@ -88,37 +85,69 @@ class TestNormalizedAdjacency:
     def test_isolated_node_rejected(self):
         g = SparseGraph.from_edges(3, [(0, 1)])
         with pytest.raises(GraphError, match="node 2"):
-            normalized_adjacency(g)
+            base_operator(g, "normalized")
 
     def test_exact_symmetry(self):
         g = random_connected_graph(30, 0.1, seed=0)
-        m = normalized_adjacency(g).matrix
+        m = base_operator(g, "normalized").matrix
         assert (m != m.T).nnz == 0
 
     def test_spectral_radius_at_most_one(self):
         g = random_connected_graph(25, 0.15, seed=1)
-        assert operator_norm(normalized_adjacency(g)) <= 1.0 + 1e-9
+        assert operator_norm(base_operator(g, "normalized")) <= 1.0 + 1e-9
 
 
 class TestAugmentedAdjacency:
     def test_two_node_path(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        assert np.allclose(dense(augmented_adjacency(g)),
+        assert np.allclose(dense(base_operator(g, "augmented")),
                            [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_node(self):
         g = SparseGraph.from_edges(1, [])
-        assert np.allclose(dense(augmented_adjacency(g)), [[1.0]])
+        assert np.allclose(dense(base_operator(g, "augmented")), [[1.0]])
 
     def test_triangle(self):
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert np.allclose(dense(augmented_adjacency(g)), np.ones((3, 3)) / 3)
+        assert np.allclose(dense(base_operator(g, "augmented")),
+                           np.ones((3, 3)) / 3)
 
     def test_eigenvalues_in_range(self):
         g = random_connected_graph(20, 0.1, seed=2)
-        vals = eigendecompose(augmented_adjacency(g)).eigenvalues
+        vals, _ = eigendecompose(base_operator(g, "augmented"))
         assert vals[0] == pytest.approx(1.0, abs=1e-10)
         assert vals[-1] > -1.0
+
+
+class TestPropagationMatrix:
+    @pytest.mark.parametrize("make", [
+        lambda: base_operator(random_connected_graph(40, 0.1, seed=21),
+                              "augmented"),
+        lambda: base_operator(two_component_graph(41, seed=22), "augmented"),
+        lambda: base_operator(random_connected_graph(40, 0.1, seed=23),
+                              "normalized"),
+    ], ids=["random", "disconnected", "normalized"])
+    def test_base_operator_exactly_symmetric(self, make):
+        # so P^T x is P x bit for bit, which pullback relies on
+        p = make()
+        assert (p.matrix != p.matrix.T).nnz == 0
+        rng = np.random.default_rng(0)
+        for width in (64, 1):
+            x = rng.standard_normal((p.n, width))
+            assert np.array_equal(p.apply(x), p.apply_transpose(x))
+
+    def test_refuses_non_symmetric(self):
+        with pytest.raises(GraphError, match="symmetric"):
+            operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_refuses_non_square(self):
+        with pytest.raises(GraphError, match=r"\(2, 3\)"):
+            operator(np.ones((2, 3)))
+
+    def test_unknown_base_refused(self):
+        g = SparseGraph.from_edges(2, [(0, 1)])
+        with pytest.raises(GraphError, match="unknown base operator"):
+            base_operator(g, "laplacian")
 
 
 class TestPropagate:
@@ -128,13 +157,13 @@ class TestPropagate:
 
     def test_two_node_averaging(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        out = augmented_adjacency(g).apply(np.array([[1.0], [0.0]]))
+        out = base_operator(g, "augmented").apply(np.array([[1.0], [0.0]]))
         assert np.allclose(out, [[0.5], [0.5]])
 
     def test_triangle_twice_uniform(self):
         # dense multiply oracle
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        p = augmented_adjacency(g)
+        p = base_operator(g, "augmented")
         x = np.array([[1.0], [0.0], [0.0]])
         expected = dense(p) @ (dense(p) @ x)
         got = p.apply(p.apply(x))
@@ -152,7 +181,8 @@ class TestOperatorNorm:
 
     def test_two_node_augmented(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        assert operator_norm(augmented_adjacency(g)) == pytest.approx(1.0)
+        assert operator_norm(base_operator(g, "augmented")) == pytest.approx(
+            1.0)
 
     def test_diagonal_composition(self):
         d = sp.diags([0.3, -0.7])
@@ -199,14 +229,14 @@ def reference_eigendecompose(p):
 _EIGEN_PEAK_SCRIPT = textwrap.dedent("""
     import resource, sys
     import numpy as np
-    from graphboost.graph import (SparseGraph, augmented_adjacency,
-                                  eigendecompose)
+    from graphboost.graph import SparseGraph, base_operator, eigendecompose
     n = int(sys.argv[1])
     rng = np.random.default_rng(0)
     path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     extra = rng.integers(0, n, size=(2 * n, 2))
     extra = extra[extra[:, 0] != extra[:, 1]]
-    p = augmented_adjacency(SparseGraph.from_edges(n, np.vstack([path, extra])))
+    p = base_operator(SparseGraph.from_edges(n, np.vstack([path, extra])),
+                      "augmented")
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     eigendecompose(p)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -216,29 +246,26 @@ _EIGEN_PEAK_SCRIPT = textwrap.dedent("""
 
 class TestEigendecompose:
     def test_identity_all_ones(self):
-        sd = eigendecompose(identity(3))
-        assert np.allclose(sd.eigenvalues, 1.0)
+        vals, _ = eigendecompose(identity(3))
+        assert np.allclose(vals, 1.0)
 
     def test_two_node_augmented(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        sd = eigendecompose(augmented_adjacency(g))
-        assert np.allclose(sd.eigenvalues, [1.0, 0.0], atol=1e-12)
-        xi1 = sd.eigenvectors[:, 0]
+        vals, vecs = eigendecompose(base_operator(g, "augmented"))
+        assert np.allclose(vals, [1.0, 0.0], atol=1e-12)
+        xi1 = vecs[:, 0]
         assert np.allclose(np.abs(xi1), 1.0 / np.sqrt(2))
 
     def test_invariants_orthonormal_and_reconstruction(self):
         g = random_connected_graph(20, 0.15, seed=5)
-        p = augmented_adjacency(g)
-        sd = eigendecompose(p)
-        v = sd.eigenvectors
+        p = base_operator(g, "augmented")
+        _, v = eigendecompose(p)
         gram = v.T @ v
         assert np.max(np.abs(np.diag(gram) - 1.0)) <= 1e-8
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) <= 1e-8
         x = np.random.default_rng(0).standard_normal((20, 3))
-        coeff = sd.expand(x)
-        with pytest.raises(ValueError, match=r"20 rows, got shape \(3, 20\)"):
-            sd.expand(x.T)
+        coeff = v.T @ x
         recon = v @ coeff
         for c in range(3):
             assert (np.linalg.norm(recon[:, c] - x[:, c])
@@ -247,37 +274,35 @@ class TestEigendecompose:
     def test_top_eigenvector_proportional_to_sqrt_degree(self):
         # the augmented operator fixes sqrt(deg + 1)
         g = random_connected_graph(25, 0.1, seed=6)
-        p = augmented_adjacency(g)
+        p = base_operator(g, "augmented")
         v = np.sqrt(g.degrees + 1.0)
         v /= np.linalg.norm(v)
         assert np.allclose(p.apply(v), v, atol=1e-10)
-        sd = eigendecompose(p)
-        xi1 = sd.eigenvectors[:, 0]
+        _, vecs = eigendecompose(p)
+        xi1 = vecs[:, 0]
         assert abs(abs(xi1 @ v) - 1.0) <= 1e-10
-
-    def test_requires_symmetric(self):
-        p = operator(np.array([[0.0, 1.0], [0.0, 0.0]]), symmetric=False)
-        with pytest.raises(GraphError, match="symmetric"):
-            eigendecompose(p)
 
     def test_cap_refusal(self):
         g = random_connected_graph(30, 0.1, seed=7)
         with pytest.raises(GraphError, match="cap"):
-            eigendecompose(augmented_adjacency(g), cap=10)
+            eigendecompose(base_operator(g, "augmented"), cap=10)
 
     @pytest.mark.parametrize("make", [
-        lambda: augmented_adjacency(random_connected_graph(40, 0.1, seed=11)),
-        lambda: augmented_adjacency(two_component_graph(41, seed=12)),
-        lambda: normalized_adjacency(random_connected_graph(40, 0.1, seed=13)),
+        lambda: base_operator(random_connected_graph(40, 0.1, seed=11),
+                              "augmented"),
+        lambda: base_operator(two_component_graph(41, seed=12), "augmented"),
+        lambda: base_operator(random_connected_graph(40, 0.1, seed=13),
+                              "normalized"),
     ], ids=["connected", "disconnected", "normalized"])
     def test_matches_dense_reference_bit_for_bit(self, make):
         p = make()
         vals, vecs = reference_eigendecompose(p)
-        sd = eigendecompose(p)
-        assert np.array_equal(sd.eigenvalues, vals)
-        assert np.array_equal(sd.eigenvectors, vecs)
+        got_vals, got_vecs = eigendecompose(p)
+        assert np.array_equal(got_vals, vals)
+        assert np.array_equal(got_vecs, vecs)
+        # smoothing_report's coefficients, taken on the reversed view
         x = np.random.default_rng(0).standard_normal((p.n, 3))
-        assert np.array_equal(sd.expand(x), vecs.T @ x)
+        assert np.array_equal(got_vecs.T @ x, vecs.T @ x)
 
     def test_peak_memory_one_buffer_and_workspace(self):
         # the buffer plus dsyevd's 2 N^2 workspace is about 3.4 N x N; the
@@ -295,8 +320,7 @@ class TestEigendecompose:
     @pytest.mark.parametrize("seed", range(3))
     def test_connected_nonbipartite_spectrum(self, seed):
         g = random_connected_graph(20, 0.1, seed=seed)
-        sd = eigendecompose(normalized_adjacency(g))
-        vals = sd.eigenvalues
+        vals, _ = eigendecompose(base_operator(g, "normalized"))
         assert vals[0] == pytest.approx(1.0, abs=1e-10)
         assert vals[1] < 1.0 - 1e-10
         assert vals[-1] > -1.0 + 1e-10
