@@ -148,26 +148,6 @@ def kta(operator, n_deg=DEFAULT_N_DEG, weights=None):
     return Polynomial(operator, powers, np.asarray(weights, dtype=float))
 
 
-def gram(z, train_ids):
-    """Gram matrix of training rows: K_ij = <z_i, z_j>, symmetric PSD."""
-    train_ids = np.asarray(train_ids)
-    if len(train_ids) < 2:
-        raise ValueError("gram needs at least two training rows")
-    zt = np.asarray(z, dtype=float)[train_ids]
-    return zt @ zt.T
-
-
-def alignment(z, z_prime, train_ids, eps=ALIGNMENT_EPS):
-    """Cosine of the flattened training-block Gram matrices, in [-1, 1]."""
-    k1 = gram(z, train_ids)
-    k2 = gram(z_prime, train_ids)
-    n1 = np.linalg.norm(k1)
-    n2 = np.linalg.norm(k2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("alignment undefined for an all-zero Gram matrix")
-    return float(np.vdot(k1, k2) / (n1 * n2 + eps))
-
-
 def _alignment_value_grad(basis_train, theta, k_target, eps=ALIGNMENT_EPS):
     """Alignment of sum_i theta_i B_i against a fixed target Gram matrix,
     plus its exact gradient in theta.

@@ -52,16 +52,6 @@ class WlcParams:
         return (self.alpha ** 2 - self.beta ** 2) / self.alpha ** 2
 
 
-def wlc_check(z, g, params: WlcParams) -> bool:
-    """Literal norm test ||z - alpha g||_2 <= beta ||g||_2."""
-    z = np.asarray(z, dtype=float).ravel()
-    g = np.asarray(g, dtype=float).ravel()
-    gn = np.linalg.norm(g)
-    if gn == 0.0:
-        raise ValueError("gradient vector must be nonzero")
-    return bool(np.linalg.norm(z - params.alpha * g) <= params.beta * gn)
-
-
 def wlc_fit(z, g):
     """Fit (alpha, beta) achieving equality in the condition, or None.
 
@@ -91,26 +81,6 @@ def wlc_fit(z, g):
     return WlcParams(alpha=float(alpha), beta=float(r * alpha))
 
 
-def weighted_error_form(z, g):
-    """Weighted-classification reformulation for sign-valued learners.
-
-    Weights w_n = |g_n| / ||g||_1; returns (weighted error, largest margin
-    delta in (0, 1] satisfied, or None when the error is >= 1/2).
-    """
-    z = np.asarray(z, dtype=float).ravel()
-    g = np.asarray(g, dtype=float).ravel()
-    if not np.all(np.isin(z, (-1.0, 1.0))):
-        raise ValueError("z must be a sign vector")
-    l1 = np.abs(g).sum()
-    if l1 == 0.0:
-        raise ValueError("gradient vector must be nonzero")
-    w = np.abs(g) / l1
-    signs = np.where(g >= 0.0, 1.0, -1.0)
-    err = float(w[signs != z].sum())
-    delta = 1.0 - 2.0 * err
-    return err, (delta if delta > 0.0 else None)
-
-
 # ---------------------------------------------------------------------------
 # model containers
 
@@ -119,6 +89,8 @@ class StageRecord:
     aggregator: Polynomial | None  # None at the first stage
     learner: MlpParams | None      # None marks a skipped round
     weight: float                  # eta (functional) / lambda (SAMME)
+    # (alpha, beta) fitted to the stage's contribution against the negative
+    # gradient before it, in every mode; None where no fit exists
     wlc: WlcParams | None = None
 
 
@@ -349,7 +321,7 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
             # rejected twice: this round contributes no member, but the
             # representation already advanced, so record a placeholder
             flags.setdefault("skipped", []).append(t)
-            stages.append(StageRecord(aggregator, None, 0.0, None))
+            b_t, weight = None, 0.0
             contrib = np.zeros_like(score)
         else:
             if real_valued:
@@ -371,9 +343,9 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
                 weights[split.train] *= np.exp(weight * bad)
             weights /= weights.sum()
             score = score + contrib
-            stages.append(StageRecord(aggregator, b_t, weight, None))
         fit = (wlc_fit((contrib / split.m).ravel(), g.ravel())
                if np.any(g) else None)
+        stages.append(StageRecord(aggregator, b_t, weight, fit))
         trace.append(_trace_row(t, dataset, score, _cos(contrib, g), fit,
                                 fit is not None))
 
@@ -784,11 +756,20 @@ def write_trace_csv(trace, path):
 
 
 def read_trace_csv(path):
+    """Rows of a trace written by ``write_trace_csv``; a header without
+    every ``TRACE_COLUMNS`` column, a row whose field count differs from
+    the header's, or a value that does not parse raises ValueError."""
     rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        missing = [col for col in TRACE_COLUMNS if col not in header]
+        if missing:
+            raise ValueError(f"header lacks columns {missing}")
         for line in fh:
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"a row has {len(parts)} fields, the "
+                                 f"header {len(header)}")
             row = {}
             for col, val in zip(header, parts):
                 if col == "t":

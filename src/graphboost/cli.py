@@ -256,7 +256,7 @@ def cmd_train(config_path, out_root, jobs=1):
 
 
 def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
-               delta=0.0, trace_path=None, eigen_cap=DENSE_EIGEN_CAP):
+               delta=0.0, eigen_cap=DENSE_EIGEN_CAP):
     # checked before any file is read: the bounds refuse these values only
     # after the whole report has been computed
     if not 0.0 < delta_prime < 1.0:
@@ -289,9 +289,16 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
                     f"{os.path.join(data_dir, fname)} is not the file the "
                     f"model was trained on (see {inputs_path})")
     model = read_file(model_path, load_model, graph=dataset.graph)
-    trace_path = trace_path or os.path.join(os.path.dirname(model_path),
-                                            "trace.csv")
-    trace = read_file(trace_path, read_trace_csv)
+    # without inputs.json nothing above ties the data to the model, so
+    # check that its learners can read the data's features
+    width = dataset.features.shape[1] * (
+        2 if model.aggregator_kind == "input_injection" else 1)
+    for stage in model.stages:
+        if stage.learner and stage.learner.weights[0].shape[0] != 1 + width:
+            raise DataError(
+                f"{model_path} has learners that read "
+                f"{stage.learner.weights[0].shape[0] - 1} input columns, "
+                f"but the features in {data_dir} give {width}")
     # the dense eigendecomposition is theory's memory peak; running it
     # before the bound report keeps the report's freed N x C temporaries,
     # which the allocator may still hold, from adding to that peak
@@ -300,7 +307,7 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
         trajectory = smoothing_report(
             base_operator(dataset.graph, model.base), dataset.features,
             t_max=min(32, 2 * len(model.stages)), cap=eigen_cap)
-    report = build_theory_report(model, trace, dataset, c0=c0,
+    report = build_theory_report(model, dataset, c0=c0,
                                  delta_prime=delta_prime, delta=delta)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -326,7 +333,7 @@ def cmd_curves(pattern, out_path):
     by_key = {}
     for path in paths:
         seed = os.path.basename(os.path.dirname(path)) or path
-        for row in read_trace_csv(path):
+        for row in read_file(path, read_trace_csv):
             for metric in metrics:
                 val = row[metric]
                 rows.append((seed, row["t"], metric, val))
@@ -356,7 +363,6 @@ def main(argv=None):
     p_theory.add_argument("--model", required=True)
     p_theory.add_argument("--data", required=True)
     p_theory.add_argument("--out", default=None)
-    p_theory.add_argument("--trace", default=None)
     p_theory.add_argument("--c0", type=float, default=1.0)
     p_theory.add_argument("--delta-prime", type=float, default=0.05)
     p_theory.add_argument("--delta", type=float, default=0.0)
@@ -372,7 +378,7 @@ def main(argv=None):
         elif args.command == "theory":
             cmd_theory(args.model, args.data, out_dir=args.out,
                        c0=args.c0, delta_prime=args.delta_prime,
-                       delta=args.delta, trace_path=args.trace)
+                       delta=args.delta)
         elif args.command == "curves":
             cmd_curves(args.glob, args.out)
     except ConfigError as exc:

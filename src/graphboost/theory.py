@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import Polynomial
-from .boost import predict, stage_inputs
+from .boost import replay_scores, stage_inputs
 from .data import partition_constants
 from .graph import DENSE_EIGEN_CAP, PropagationMatrix, eigendecompose
-from .losses import margin_loss
+from .losses import margin_loss, surrogate
 from .mlp import max_column_l1
 
 MC_DEFAULT_SAMPLES = 20000
@@ -246,9 +246,17 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
 # ---------------------------------------------------------------------------
 # report assembly over a finished boosting run
 
-def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
+def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
                         delta=0.0):
     """Assemble every bound the run supports into one report dict.
+
+    Every term is read from ``model`` and ``dataset`` alone: one replay of
+    the stage chain on the train rows gives the initial surrogate L(1) (of
+    the stage-1 score) and the train error the generalization bound adds
+    (the margin bound's right-hand side for functional runs, the 0-1 error
+    of the final score for SAMME and SAMME.R), so both describe the model
+    whose complexity the bound counts; the per-stage (alpha, beta) are the
+    stages' stored w.l.c. fits.
 
     The optimization section applies to functional (binary) runs only;
     gamma_t of iterations that failed the weak-learning check contribute 0
@@ -266,23 +274,23 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
                       "delta_prime": delta_prime, "delta": delta},
     }
 
-    loop_rows = [r for r in trace if r["t"] >= 2]
     # one streamed pass over the stage chain: each stage's ||P^(t) X||_F
-    # and its train rows
+    # and its train rows, then the score by stage on those rows
     px_norms, train_reps = [], []
     for rep in stage_inputs(model, dataset):
         px_norms.append(float(np.linalg.norm(rep)))
         train_reps.append(rep[split.train])
         del rep
+    scores = replay_scores(model, dataset, train_reps)
+    y_train = dataset.labels[split.train]
     if model.mode == "functional":
         gammas = [(st.wlc.gamma if st.wlc else 0.0)
                   for st in model.stages[1:]]
         guaranteed = all(st.wlc is not None for st in model.stages[1:])
         gamma_total = float(np.sum(gammas))
-        l1_initial = trace[0]["train_loss"]
-        yhat, _ = predict(model, dataset, train_reps)
+        l1_initial = surrogate(scores[0], y_train)[0]
         realized = float(np.mean(margin_loss(
-            yhat, dataset.labels[split.train], delta)))
+            scores[(model.t_star or len(scores)) - 1], y_train, delta)))
         section = {
             "gammas": gammas,
             "gamma_total": gamma_total,
@@ -341,12 +349,9 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
 
     # spectral trade-off condition: is D^(t) ||P^(t)||_op / alpha_t
     # empirically geometric?
-    alphas = {r["t"]: r["alpha"] for r in loop_rows}
-    seq = []
-    for entry in entries[1:]:
-        a = alphas.get(entry["t"], float("nan"))
-        if np.isfinite(a) and a > 0:
-            seq.append(entry["d_constant"] * entry["op_norm"] / a)
+    seq = [entry["d_constant"] * entry["op_norm"] / stage.wlc.alpha
+           for stage, entry in zip(model.stages[1:], entries[1:])
+           if stage.wlc is not None]
     ratios = [seq[i + 1] / seq[i] for i in range(len(seq) - 1)
               if seq[i] > 0]
     report["spectral_condition"] = {
@@ -358,7 +363,8 @@ def build_theory_report(model, trace, dataset, *, c0=1.0, delta_prime=0.05,
     # generalization assembly
     train_term = (report["optimization"]["rhs"]
                   if model.mode == "functional"
-                  else trace[-1]["train_err"])
+                  else float(np.mean(np.argmax(scores[-1], axis=1)
+                                     != y_train)))
     rad_terms = [e["eta_term"] for e in entries]
     total, breakdown = generalization_bound(train_term, rad_terms, m, u,
                                             c0=c0, delta_prime=delta_prime)

@@ -17,8 +17,8 @@ from graphboost.aggregate import _alignment_value_grad, kta
 from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
                               SammeConfig, _stack_forward, _stack_gradients,
                               _stack_replay, predict,
-                              run_functional_gb, run_samme,
-                              weighted_error_form, wlc_fit, write_trace_csv)
+                              run_functional_gb, run_samme, wlc_fit,
+                              write_trace_csv)
 from graphboost.cli import cmd_curves
 from graphboost.data import load_planetoid, one_hot, synthesize_two_block
 from graphboost.graph import base_operator
@@ -28,6 +28,7 @@ from graphboost.mlp import (MlpParams, TrainConfig, backward, forward,
 from graphboost.theory import (ComplexityConstants, mc_transductive_rademacher,
                                rademacher_bound, smoothing_report,
                                wlc_complexity_lower_bound)
+from reference import weighted_error_form
 from test_graph import random_connected_graph
 
 DATA_ROOT = os.environ.get("GRAPHBOOST_DATA", "")

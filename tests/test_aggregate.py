@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from graphboost.aggregate import (INJECT_BLOCK, AlignmentConfig, Polynomial,
-                                  _alignment_value_grad, alignment, fit_kta,
-                                  fixed, gram, injection, kta)
+                                  _alignment_value_grad, fit_kta, fixed,
+                                  injection, kta)
 from graphboost.data import one_hot
 from graphboost.graph import SparseGraph, base_operator
+from reference import alignment, gram
 
 
 @pytest.fixture

@@ -13,11 +13,11 @@ from graphboost.boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
                               read_trace_csv, replay_scores,
                               run_functional_gb, run_samme, run_samme_r,
                               samme_model_weight, samme_r_contribution,
-                              save_model, weighted_error_form, wlc_check,
-                              wlc_fit, write_trace_csv)
+                              save_model, wlc_fit, write_trace_csv)
 from graphboost.data import synthesize_two_block
 from graphboost.graph import base_operator
 from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
+from reference import weighted_error_form, wlc_check
 
 
 class TestWlcCheck:
@@ -610,37 +610,39 @@ class TestSerialization:
 # SHA-256 of (model.json, trace.csv) as the trainers wrote them before both
 # drivers drew their stage inputs from one chain generator; model.json in
 # format version 1, which version_1_json renders. Every run uses seed 1;
-# the last SAMME run skips rounds 3-6.
+# the last SAMME run skips rounds 3-6. The SAMME and SAMME.R model hashes
+# were taken again when those drivers began to keep each stage's w.l.c.
+# fit in ``wlc``; nothing else in those files changed.
 TRAINED_BYTES = {
     "functional-fixed": (
         "db6c33e2694b8ef7e19f1ba1f0b4105e51b49e8bf370cf07d78efbdcd0073c60",
         "824d405e4757d0ff691ff84a5d06f5b4f7c03845bdf0fc4e5e560109b3d792ac"),
     "samme-fixed": (
-        "818df0be8860c0137fe73a29d5ff94cfd47b90fbb89657fdce4a035d5fa73032",
+        "8257daf64e34cd06d0f20f6c4fa4314df29cf6f98762d53d59b5c64c3b85458a",
         "42e189aee1e6141e53df8040935a804207bd4665e7743dd369d59aa204d9665a"),
     "samme_r-fixed": (
-        "a8a4c3f51796d60f4aac556a8c6599312dab53addd2411b158132cca8fbe9a52",
+        "60f66e8b6d0fa281b8545bfe7124121b9f95e0391ab973b3a5d817fd25a62353",
         "d7c5dc0a81636ad1c146087b5e748afe7d2ae00bbd5c1c02903ff31844aa8871"),
     "functional-input_injection": (
         "cbb19e48b6cc570b350b0d262997acdb9256ccb5cc439b51b2d2e9f55f39eef2",
         "72f912310970e51049382d5d89f4889931d9dc847b39a746466cb61aceecede4"),
     "samme-input_injection": (
-        "8ffd974dc0582e3ac652122e3b45245978d46f2c816f470efb362fac38863a49",
+        "35b63ebc6f86ea8c897d209f56496a6a81d3fd1a23b3d52f06c58cc5353a1339",
         "4bd820c76fb0e0e97011d9cd8b64390bd60552532a0335e1c98daa2cbc9b9ef4"),
     "samme_r-input_injection": (
-        "d4fb39993e36f7792135bc5becebf0b7a8006bc2c7e2354d709b1048bb5cb402",
+        "1ea6c6c9e31057146d9c00f5ef7a4ab4bbf64267da9634097fbff8b2d26026c0",
         "abe71f7cb4966a495f3c98110d5c3890ed3184b824a8604f0f2d999801fb079b"),
     "functional-kta": (
         "9a689d6408dedf93c112efdf8a3255b708c05dd070b794017b24a41042d42ca4",
         "d94565f1f0cbc0b0c4ebe273ee11634754db32b4c8fa979157b22ef30fc63253"),
     "samme-kta": (
-        "a84414dd3a69cc54b8fd54106e81660bce359e977ad3acc93d15eb5454b124be",
+        "217394abca2cc5b405545215df5ff6133c3b08001d5f42d0372cbe7f407c14aa",
         "959d8f667f91cd4adec65d88e4b224e0371c31d75ff156ab7317a06e2dbf2698"),
     "samme_r-kta": (
-        "94249ab19224468bf7f2c8167d104b870a49d1b752ef55df89805ec9494f5313",
+        "0beec9c4a5dc9c8eef42dd33d76f2a85a9671f5ad27fd965cbfab59b85fef96f",
         "d663a91e3e3ef81d59b88468592ef85765df7a2a21d83d4a24d03b01a58950af"),
     "samme-kta-skips": (
-        "3e1b5db9bb57a663fa649ea9dd183f94b95bc661f9eeab3497414cdb273e6f94",
+        "59a17fb18af3686a638f61656826455ba44e0bf99a1f501780c2e37de31e0679",
         "5ce44409a68492adf440f175d504cac24da65e0408ad519b6761c3b7a2f3dc05"),
 }
 
@@ -697,6 +699,32 @@ class TestTrainedBytes:
                hashlib.sha256((tmp_path / "trace.csv").read_bytes())
                .hexdigest())
         assert got == TRAINED_BYTES[name]
+
+    @pytest.mark.parametrize("name,mode,kind,n_rounds",
+                             [pytest.param(*case, id=case[0])
+                              for case in trained_bytes_cases()
+                              if case[1] != "functional"])
+    def test_samme_stage_wlc_is_the_trace_fit(self, tmp_path, name, mode,
+                                              kind, n_rounds):
+        # model.json keeps each stage's (alpha, beta) as trace.csv records
+        # it, and null where the trace has no fit
+        ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
+        runner = run_samme if mode == "samme" else run_samme_r
+        model, trace = runner(ds, SammeConfig(
+            n_rounds=n_rounds, hidden=(4,), learner=TrainConfig(epochs=5),
+            aggregator=AggregatorSpec(kind=kind), seed=1))
+        save_model(model, tmp_path / "model.json")
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        stages = json.loads((tmp_path / "model.json").read_text())["stages"]
+        rows = read_trace_csv(tmp_path / "trace.csv")
+        assert len(stages) == len(rows)
+        for stage, row in zip(stages, rows):
+            if np.isnan(row["alpha"]):
+                assert stage["wlc"] is None and np.isnan(row["beta"])
+            else:
+                assert stage["wlc"] == {"alpha": row["alpha"],
+                                        "beta": row["beta"]}
+        assert any(stage["wlc"] for stage in stages)
 
 
 class TestFineTune:
@@ -945,18 +973,19 @@ class TestFineTuneEquivalence:
 # SHA-256 of (the fine-tuned model's save_model bytes, the trained model's
 # predict scores, the fine-tuned model's predict scores) for each
 # unsaturated_run, recorded before the vote and its gradient were written
-# once per mode
+# once per mode; the SAMME and SAMME.R save hashes were taken again when
+# those drivers began to keep each stage's w.l.c. fit in ``wlc``
 FINE_TUNE_BYTES = {
     "functional-fixed": (
         "6dde81575b714abf5c7a4ca262aee0b3ada7357fc1af23ab285f44e321b485c7",
         "d5b71fec91577eddc51223aefb6a6cc55718d3b71135cc7c9b7b60b9bcbf0a28",
         "bf28b99619d3574a267698c6d5890525ad2ab46d007952cbf6a76aa84bcfa9b5"),
     "samme-fixed": (
-        "ed2a8756ae5a3be26c436932491253e6e760753d938fb7bcdfd79bdf6279919a",
+        "015b4d4d75bc0094d5535cf1bf5dc5eff55f654afb8c437f4eca6a3a7e4e4d07",
         "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
         "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
     "samme_r-fixed": (
-        "64c0b4e27d782c774d7127448a858462eb2baaa4b2b2e6b1a50e8a73b9774ea0",
+        "af5992aff2d61538dcdb6237dfa5212e1a5ab60e876aa7f77bd32df038ca445e",
         "75796f29f15c0e13be6b1e9e1dc5b473e186dc9dd3bc771dc9e14c4143486710",
         "ebdcc65b0d3ebd6432d694a5879abf3f05dc9c3ef0177c60da56373d57f203eb"),
     "functional-input_injection": (
@@ -964,11 +993,11 @@ FINE_TUNE_BYTES = {
         "591f9723f94d27c5338d5d163c77d109f9bd018d8b682ee64bac67a6bcb0c33a",
         "5a15d8d11fb7e0960b69cd6d091da5c5836399ab6c548101ebeb44da52a3b7da"),
     "samme-input_injection": (
-        "e69e588805b4cbfefb6293439cc665fc17b1b3aead3162f7d870f4af9010a37b",
+        "e23fad710960d722e200ae394fe3dff59aa6015377c5df09f8d75a4c592ca30b",
         "75d87e4c07e4ae6a2383423bc77041e7ac31388f1c15792a9e8311c3fc0b00c0",
         "70861760461fed59bbbcd5f5729dbfcf16fd5538fe435e9906e1795e3ad8c94e"),
     "samme_r-input_injection": (
-        "c1c22005e0a6b8a064e2ce58afe2297fa2af39fb1ee4ae4774be645d957a8032",
+        "95328899d9a65d87246ddec866534be7749d0cbf08312644601e2306c809545d",
         "4d1be36868066581ab5df96971f50b9e5716b98605827e7a15cb0fb750475f37",
         "1c18898c5cd1525480ac9dc59afab671b8183e76cd38b5b805ab09cea5d0ebe2"),
     "functional-kta": (
@@ -976,7 +1005,7 @@ FINE_TUNE_BYTES = {
         "fea44b036e17a7e2b0282edac370784bdbc769dfe5fa957cf6ccd65cb743139c",
         "91ee13215b2351e826132344055c6a587dd0b0cf21fdf2ded33b0310da392f8c"),
     "samme-kta": (
-        "49a3716af8dce49f7acc391a80849b14bcec9fd96668d0c44fd6475a345da491",
+        "573f939dd58359dd02fbaa0d19ec2df96bd63db2764314cc5ca86815d8656086",
         "a707c9a3bc80239971dca8fad6da9ba7c6bd00c111a879f9e423a659adc3491e",
         "1d0bd44676386c9375366769f722fa657f38c96561ea713e78f247f59b7267c7"),
     "samme_r-kta": (

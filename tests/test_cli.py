@@ -246,6 +246,47 @@ class TestTheoryCommand:
         assert ((tmp_path / "again" / "seed_0" / "trace.csv").read_bytes()
                 == (seed_dir / "trace.csv").read_bytes())
 
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
+    @pytest.mark.parametrize("case", ["deleted", "garbled"])
+    def test_report_reads_no_trace(self, dataset_dir, tmp_path, mode, case):
+        # every train term comes from the model: theory.json is the same
+        # whatever became of trace.csv
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0],
+                                                   mode=mode)))
+        seed_dir = tmp_path / "run" / "seed_0"
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        args = ["theory", "--model", str(seed_dir / "model.json"),
+                "--data", dataset_dir]
+        assert main(args) == 0
+        before = (seed_dir / "theory.json").read_bytes()
+        (seed_dir / "theory.json").unlink()
+        if case == "deleted":
+            (seed_dir / "trace.csv").unlink()
+        else:
+            (seed_dir / "trace.csv").write_text("t\n1\n2\n3\n")
+        assert main(args) == 0
+        assert (seed_dir / "theory.json").read_bytes() == before
+
+    def test_fine_tuned_samme_train_term_is_the_tuned_models(self, tmp_path):
+        # the bound adds the train error of the model whose complexity it
+        # counts: after fine-tuning, that is the tuned model's
+        ds = synthesize_two_block(60, 0.3, 0.1, seed=3, noise=1.5)
+        export_dataset(ds, tmp_path / "data")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": str(tmp_path / "data"), "variant": "adj",
+            "mode": "samme", "n_rounds": 3, "hidden_width": 4,
+            "seeds": [0], "learner": {"epochs": 3, "lr": 0.01},
+            "fine_tune": True, "fine_tune_cfg": {"epochs": 60, "lr": 0.05}}))
+        seed_dir = tmp_path / "run" / "seed_0"
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        report = cmd_theory(str(seed_dir / "model.json"),
+                            str(tmp_path / "data"))
+        summary = json.loads((seed_dir / "summary.json").read_text())
+        assert report["generalization"]["train_err"] == pytest.approx(
+            1.0 - summary["train_acc"], rel=0, abs=1e-12)
+
     def test_spectral_skipped_above_cap(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
@@ -415,8 +456,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         "model_missing", "model_not_json", "model_without_mode",
-        "trace_missing", "format_version_3", "weights_not_base64",
-        "weights_wrong_length", "activation_sigmoid", "bias_false"])
+        "format_version_3", "weights_not_base64", "weights_wrong_length",
+        "activation_sigmoid", "bias_false"])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
         cfg_path = tmp_path / "cfg.json"
@@ -432,7 +473,7 @@ class TestExitCodes:
             blob = json.loads(model.read_text())
             del blob["mode"]
             model.write_text(json.dumps(blob))
-        elif case != "trace_missing":
+        else:
             blob = json.loads(model.read_text())
             learner = blob["stages"][0]["learner"]
             weights = learner["weights"]
@@ -447,10 +488,68 @@ class TestExitCodes:
             else:
                 learner["bias"] = False
             model.write_text(json.dumps(blob))
-        else:
-            args += ["--trace", str(tmp_path / "missing.csv")]
         assert main(args) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_trace_flag_is_2(self, dataset_dir, tmp_path, capsys):
+        # theory reads no trace, so --trace is an unknown flag
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--model", str(model), "--data", dataset_dir,
+                  "--trace", str(tmp_path / "missing.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant,mode", [
+        ("adj", "samme"), ("input_injection", "functional")])
+    def test_theory_on_data_of_another_width_is_3(self, dataset_dir, tmp_path,
+                                                  capsys, variant, mode):
+        # without inputs.json only the learners' input width ties the data
+        # to the model
+        from graphboost.data import load_planetoid
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            dataset_dir, seeds=[0], variant=variant, mode=mode)))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        (tmp_path / "run" / "inputs.json").unlink()
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        assert main(["theory", "--model", str(model),
+                     "--data", dataset_dir]) == 0
+        ds = load_planetoid(dataset_dir, normalize=False)
+        narrow = tmp_path / "narrow"
+        export_dataset(replace(ds, features=ds.features[:, :-1]), narrow)
+        assert main(["theory", "--model", str(model),
+                     "--data", str(narrow)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert str(model) in err and str(narrow) in err
+
+    @pytest.mark.parametrize("case", ["t_not_integer", "short_row",
+                                      "column_missing"])
+    def test_curves_on_malformed_trace_is_3(self, dataset_dir, tmp_path,
+                                            capsys, case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        trace = tmp_path / "run" / "seed_0" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        assert lines[1].startswith("1,")
+        if case == "t_not_integer":
+            lines[1] = "x" + lines[1][1:]
+        elif case == "short_row":
+            lines[1] = ",".join(lines[1].split(",")[:2])
+        else:  # drop the alpha column
+            lines = [",".join(f for i, f in enumerate(line.split(","))
+                              if i != 5) for line in lines]
+            assert "alpha" not in lines[0]
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["curves", "--glob", str(trace),
+                     "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(trace) in err
 
     def test_theory_on_other_data_is_3(self, dataset_dir, tmp_path, capsys):
         import shutil

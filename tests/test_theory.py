@@ -277,8 +277,8 @@ class TestTheoryReport:
             n_rounds=4, hidden=(8,),
             learner=TrainConfig(epochs=40, lr=0.02, weight_decay=0.0),
             seed=1)
-        model, trace = run_functional_gb(ds, cfg)
-        report = build_theory_report(model, trace, ds)
+        model, _ = run_functional_gb(ds, cfg)
+        report = build_theory_report(model, ds)
         opt = report["optimization"]
         if opt["guaranteed"]:
             assert opt["holds"]
@@ -287,10 +287,10 @@ class TestTheoryReport:
 
     def test_samme_report_omits_optimization_section(self):
         ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
-        model, trace = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, SammeConfig(
             n_rounds=2, hidden=(8,), learner=TrainConfig(epochs=30),
             seed=4))
-        report = build_theory_report(model, trace, ds)
+        report = build_theory_report(model, ds)
         assert "optimization" not in report
         assert report["complexity"]
 
@@ -299,8 +299,8 @@ class TestTheoryReport:
         cfg = FunctionalGBConfig(n_rounds=1, hidden=(),
                                  learner=TrainConfig(epochs=10),
                                  seed=6)
-        model, trace = run_functional_gb(ds, cfg)
-        report = build_theory_report(model, trace, ds)
+        model, _ = run_functional_gb(ds, cfg)
+        report = build_theory_report(model, ds)
         parts = report["generalization"]
         for key in ("train_err", "complexity", "partition_slack",
                     "confidence"):
@@ -309,11 +309,11 @@ class TestTheoryReport:
     def test_report_over_skipped_rounds(self):
         # placeholder stages contribute the zero function: zero complexity
         ds = synthesize_two_block(16, 0.6, 0.4, seed=7, noise=3.0)
-        model, trace = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, SammeConfig(
             n_rounds=6, hidden=(2,),
             learner=TrainConfig(epochs=1, lr=1e-9), seed=9))
         assert model.flags.get("skipped"), "pilot seed should skip rounds"
-        report = build_theory_report(model, trace, ds)
+        report = build_theory_report(model, ds)
         for t in model.flags["skipped"]:
             entry = report["complexity"][t - 1]
             assert entry["eta_term"] == 0.0
@@ -326,10 +326,10 @@ class TestTheoryReport:
         # read off the chain applied to the identity; under injection the
         # learner reads [Q_t X, X]
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, trace = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, SammeConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind, rho=0.3), seed=5))
-        report = build_theory_report(model, trace, ds)
+        report = build_theory_report(model, ds)
         for entry, dense in zip(report["complexity"],
                                 dense_stage_maps(model, ds)):
             assert entry["op_norm"] == pytest.approx(
@@ -343,11 +343,11 @@ class TestTheoryReport:
         # has norm 1; an injection chain has ||Q_t|| = 1 at every t, so
         # its learner's input [Q_t X, X] has norm sqrt(2)
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, trace = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, SammeConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind, base=base, rho=0.5),
             seed=5))
-        report = build_theory_report(model, trace, ds)
+        report = build_theory_report(model, ds)
         closed = math.sqrt(2.0) if kind == "input_injection" else 1.0
         for entry, dense in zip(report["complexity"],
                                 dense_stage_maps(model, ds)):
@@ -358,14 +358,14 @@ class TestTheoryReport:
 
     def test_negative_kta_coefficient_flags_upper_bound(self):
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, trace = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, SammeConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind="kta"), seed=5))
         stage = model.stages[2]
         coefs = stage.aggregator.coefs.copy()
         coefs[1] = -0.5
         stage.aggregator = replace(stage.aggregator, coefs=coefs)
-        report = build_theory_report(model, trace, ds)
+        report = build_theory_report(model, ds)
         p = base_operator(ds.graph, "augmented").matrix.toarray()
         powers = [np.eye(ds.n)] + [np.linalg.matrix_power(p, 2 ** k)
                                    for k in range(4)]
@@ -383,10 +383,10 @@ class TestTheoryReport:
         # every learner's first layer ends in a bias row, so the bound
         # reads [P^(t) X, 1], of norm sqrt(||P^(t) X||_F^2 + N)
         ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
-        model, trace = runner(ds, config(
+        model, _ = runner(ds, config(
             n_rounds=3, hidden=(8,), learner=TrainConfig(epochs=30),
             seed=4))
-        report = build_theory_report(model, trace, ds)
+        report = build_theory_report(model, ds)
         root_mu = np.sqrt(ds.split.m * ds.split.u)
         for entry, stage in zip(report["complexity"], model.stages):
             assert stage.learner is not None
@@ -397,11 +397,10 @@ class TestTheoryReport:
     def test_hand_assembled_generalization_terms(self):
         # reproduce the four addends by hand from the report constants
         ds = synthesize_two_block(8, 0.9, 0.1, seed=7)
-        model, trace = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, SammeConfig(
             n_rounds=1, hidden=(4,), learner=TrainConfig(epochs=10),
             seed=2))
-        report = build_theory_report(model, trace, ds, c0=2.0,
-                                     delta_prime=0.1)
+        report = build_theory_report(model, ds, c0=2.0, delta_prime=0.1)
         parts = report["generalization"]
         m, u = ds.split.m, ds.split.u
         q = 1 / m + 1 / u
