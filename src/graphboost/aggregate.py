@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import PropagationMatrix
-from .mlp import TrainConfig, _Optimizer
+from .mlp import _Adam, check_step
 
 ALIGNMENT_EPS = 1e-12
 DEFAULT_N_DEG = 3
@@ -25,20 +25,15 @@ INJECT_BLOCK = 1 << 16  # elements of the injection buffer: 512 KiB
 
 @dataclass
 class AlignmentConfig:
+    """``fit_kta``'s ascent: ``epochs`` Adam steps at step size ``lr``."""
+
     epochs: int = 20
-    optimizer: str = "adam"
     lr: float = 1e-2
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("alignment epochs must be >= 1")
-        self.step_rule()
-
-    def step_rule(self) -> TrainConfig:
-        """The optimizer settings ``fit_kta`` steps by; building them checks
-        ``optimizer`` and ``lr``."""
-        return TrainConfig(epochs=1, optimizer=self.optimizer, lr=self.lr,
-                           weight_decay=0.0)
+        check_step(self.lr)
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,7 @@ def fit_kta(aggregator: Polynomial, x_t, labels_onehot_train, train_ids,
     basis_train = [b[train_ids] for b in aggregator.terms(x_t)]
     k_target = y @ y.T
     theta = aggregator.coefs.astype(float).copy()
-    opt = _Optimizer(cfg.step_rule(), [theta.shape])
+    opt = _Adam(cfg.lr, 0.0, [theta.shape])
     rho = None
     for _ in range(cfg.epochs):
         rho, grad = _alignment_value_grad(basis_train, theta, k_target)

@@ -24,8 +24,8 @@ from .aggregate import AlignmentConfig, Polynomial
 from .data import NodeDataset, one_hot
 from .graph import base_operator
 from .losses import DEFAULT_CLIP, errors, softmax, surrogate, surrogate_grad
-from .mlp import (MlpParams, TrainConfig, _Optimizer, backward, fit_classifier,
-                  fit_to_gradient, forward)
+from .mlp import (MlpParams, TrainConfig, _Adam, backward, check_step,
+                  fit_classifier, fit_to_gradient, forward)
 
 # model.json layout written by save_model; model_from_json also reads
 # version 1, whose weights are lists of numbers
@@ -492,23 +492,16 @@ def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
 
 @dataclass
 class FineTuneConfig:
+    """``epochs`` full-batch Adam steps of the whole stack."""
+
     epochs: int = 50
-    optimizer: str = "adam"
     lr: float = 1e-3
-    momentum: float = 0.9
     weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        self.step_rule()
-
-    def step_rule(self) -> TrainConfig:
-        """The optimizer settings every epoch steps by; building them checks
-        ``optimizer`` and ``lr``."""
-        return TrainConfig(epochs=1, optimizer=self.optimizer, lr=self.lr,
-                           momentum=self.momentum,
-                           weight_decay=self.weight_decay)
+        check_step(self.lr, self.weight_decay)
 
 
 def _stack_replay(model, dataset, rows):
@@ -565,7 +558,7 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
 
 def fine_tune(model: EnsembleModel, dataset: NodeDataset,
               cfg: FineTuneConfig):
-    """End-to-end first-order training of the stacked composition.
+    """End-to-end full-batch Adam training of the stacked composition.
 
     All MLP weights and learnable aggregation weights train; stage weights
     (eta / lambda) and aggregator structure stay fixed. On divergence a
@@ -606,7 +599,7 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     params = [w for st in work.stages if st.learner
               for w in st.learner.weights]
     params += [work.stages[s].aggregator.coefs for s in kta_ids]
-    opt = _Optimizer(cfg.step_rule(), [p.shape for p in params])
+    opt = _Adam(cfg.lr, cfg.weight_decay, [p.shape for p in params])
 
     for _ in range(cfg.epochs):
         score, caches, logits_list = _stack_forward(

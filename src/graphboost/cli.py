@@ -11,6 +11,7 @@ import argparse
 import glob as globmod
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,8 +31,16 @@ from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
 VARIANTS = ("adj", "kta", "input_injection", "samme_r")
-# fields older config.json files carry that nothing reads: dropped on load
-RETIRED_FIELDS = ("dataset_name", "learner.seed", "fine_tune_cfg.seed")
+_ANY = object()
+# fields older config.json files carry, each with the one value training
+# now always uses (_ANY: no value was read): dropped on load at that value,
+# refused at any other, which would ask for a different model
+RETIRED_FIELDS = {
+    "dataset_name": _ANY, "learner.seed": _ANY, "fine_tune_cfg.seed": _ANY,
+    "learner.momentum": _ANY, "fine_tune_cfg.momentum": _ANY,
+    "learner.batch_size": None, "learner.dropout": False,
+    "learner.optimizer": "adam", "kta.optimizer": "adam",
+    "fine_tune_cfg.optimizer": "adam"}
 
 
 class ConfigError(ValueError):
@@ -47,11 +56,10 @@ def _require_types(cfg, prefix=""):
         if f.type == "bool" and not isinstance(value, bool):
             raise ConfigError(
                 f"{prefix}{f.name}: must be true or false, got {value!r}")
-        if f.type == "int" or (f.type == "int | None" and value is not None):
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, np.integer)):
-                raise ConfigError(
-                    f"{prefix}{f.name}: must be an integer, got {value!r}")
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(
+                value, (int, np.integer))):
+            raise ConfigError(
+                f"{prefix}{f.name}: must be an integer, got {value!r}")
 
 
 @dataclass
@@ -97,8 +105,9 @@ class ExperimentConfig:
             raise ConfigError(f"base: unknown operator '{self.base}'")
         if self.n_rounds < 1:
             raise ConfigError("n_rounds: must be >= 1")
-        if self.delta < 0:
-            raise ConfigError("delta: must be >= 0")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ConfigError(f"delta: must be finite and >= 0, got "
+                              f"{self.delta}")
         if not (isinstance(self.seeds, list) and self.seeds and all(
                 isinstance(s, (int, np.integer)) and not isinstance(s, bool)
                 and s >= 0 for s in self.seeds)):
@@ -125,11 +134,16 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
     if not isinstance(blob, dict):
         raise ConfigError("a config is a JSON object")
     blob = {k: dict(v) if isinstance(v, dict) else v for k, v in blob.items()}
-    for name in RETIRED_FIELDS:
+    for name, kept in RETIRED_FIELDS.items():
         outer, _, key = name.rpartition(".")
         holder = blob.get(outer) if outer else blob
         if isinstance(holder, dict) and key in holder:
-            del holder[key]
+            value = holder.pop(key)
+            if kept is not _ANY and (type(value) is not type(kept)
+                                    or value != kept):
+                raise ConfigError(
+                    f"{name}: retired; training always uses {kept!r}, "
+                    f"got {value!r}")
             print(f"config: ignoring retired field {name}", file=sys.stderr)
     try:
         for key, cls in (("learner", TrainConfig), ("kta", AlignmentConfig),
@@ -175,22 +189,22 @@ def _dataset_hashes(directory):
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     """Train one model; write model.json, trace.csv, summary.json."""
     dataset = load_planetoid(cfg.dataset, normalize=cfg.normalize_features)
-    try:  # the graph must admit the configured operator (see base_operator)
-        base_operator(dataset.graph, cfg.base)
-    except GraphError as exc:
-        raise DataError(f"{cfg.dataset}: {exc}") from exc
     spec = cfg.aggregator_spec()
     if cfg.mode == "functional":
-        run_cfg = FunctionalGBConfig(
+        runner, run_cfg = run_functional_gb, FunctionalGBConfig(
             n_rounds=cfg.n_rounds, hidden=cfg.hidden, learner=cfg.learner,
             aggregator=spec, delta=cfg.delta, seed=seed)
-        model, trace = run_functional_gb(dataset, run_cfg)
     else:
+        runner = run_samme_r if cfg.mode == "samme_r" else run_samme
         run_cfg = SammeConfig(n_rounds=cfg.n_rounds, hidden=cfg.hidden,
                               learner=cfg.learner, aggregator=spec,
                               seed=seed)
-        runner = run_samme_r if cfg.mode == "samme_r" else run_samme
+    try:
         model, trace = runner(dataset, run_cfg)
+    except GraphError as exc:
+        # raised by the driver's base_operator before any fit: the graph
+        # does not admit the configured operator
+        raise DataError(f"{cfg.dataset}: {exc}") from exc
     if cfg.fine_tune:
         model, _ = fine_tune(model, dataset, cfg.fine_tune_cfg)
 
@@ -262,8 +276,9 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     if not 0.0 < delta_prime < 1.0:
         raise ConfigError(f"--delta-prime: must lie in (0, 1), got "
                           f"{delta_prime}")
-    if c0 < 0.0 or delta < 0.0:
-        raise ConfigError(f"--c0, --delta: must be >= 0, got {c0}, {delta}")
+    if not all(math.isfinite(v) and v >= 0.0 for v in (c0, delta)):
+        raise ConfigError(f"--c0, --delta: must be finite and >= 0, got "
+                          f"{c0}, {delta}")
     out_dir = out_dir or os.path.dirname(os.path.abspath(model_path))
     # bounds are computed on the data and features the model was trained
     # on: the run's config.json and inputs.json sit one level above
@@ -290,7 +305,8 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
                     f"model was trained on (see {inputs_path})")
     model = read_file(model_path, load_model, graph=dataset.graph)
     # without inputs.json nothing above ties the data to the model, so
-    # check that its learners can read the data's features
+    # check that its learners can read the data's features and that it
+    # scores every class the train and test labels name
     width = dataset.features.shape[1] * (
         2 if model.aggregator_kind == "input_injection" else 1)
     for stage in model.stages:
@@ -299,6 +315,12 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
                 f"{model_path} has learners that read "
                 f"{stage.learner.weights[0].shape[0] - 1} input columns, "
                 f"but the features in {data_dir} give {width}")
+    split = dataset.split
+    top = int(dataset.labels[np.concatenate([split.train, split.test])].max())
+    if top >= model.n_classes:
+        raise DataError(
+            f"{model_path} scores {model.n_classes} classes, but the train "
+            f"or test labels in {data_dir} reach {top}")
     # the dense eigendecomposition is theory's memory peak; running it
     # before the bound report keeps the report's freed N x C temporaries,
     # which the allocator may still hold, from adding to that peak

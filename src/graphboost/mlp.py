@@ -8,19 +8,20 @@ output rows identically.
 
 Trainers cover both uses in boosting: regression onto a gradient target
 (functional boosting) and weighted multiclass classification (SAMME-style).
-Training is soft-constrained (weight decay only); ``project_l1_columns``
-builds members of the hard-constrained class the complexity bound assumes.
+Both step every weight by full-batch Adam with coupled weight decay, the
+one update rule in the package. Training is soft-constrained (weight decay
+only); ``project_l1_columns`` builds members of the hard-constrained class
+the complexity bound assumes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .losses import softmax
-
-DROPOUT_RATIO = 0.5
 
 
 class TrainingDiverged(RuntimeError):
@@ -29,29 +30,29 @@ class TrainingDiverged(RuntimeError):
         self.last_loss = last_loss
 
 
+def check_step(lr, weight_decay=0.0):
+    """Refuse a non-finite or non-positive lr, or a non-finite or negative
+    weight decay."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(
+            f"weight decay must be finite and >= 0, got {weight_decay}")
+
+
 @dataclass
 class TrainConfig:
+    """A learner's fit: ``epochs`` full-batch Adam steps at step size
+    ``lr`` with coupled weight decay."""
+
     epochs: int = 100
-    batch_size: int | None = None  # None = all train nodes
-    optimizer: str = "adam"        # sgd | momentum | adam | rmsprop
     lr: float = 1e-2
-    momentum: float = 0.9
     weight_decay: float = 5e-4
-    dropout: bool = False          # ratio fixed at 0.5 when on
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be > 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be >= 0")
-        if self.optimizer not in ("sgd", "momentum", "adam", "rmsprop"):
-            raise ValueError(f"unknown optimizer '{self.optimizer}'")
+        check_step(self.lr, self.weight_decay)
 
 
 @dataclass
@@ -103,34 +104,24 @@ def _layer_grad(p, l, h, d):
     return grad
 
 
-def forward(p: MlpParams, x, seed=0, dropout=False):
+def forward(p: MlpParams, x):
     """Full forward pass; returns (output, cache) with everything backward
-    needs. With ``dropout`` every hidden layer's units are dropped at
-    ``DROPOUT_RATIO`` by masks drawn deterministically from ``seed``."""
+    needs."""
     h = np.asarray(x, dtype=float)
     if h.shape[1] + 1 != p.weights[0].shape[0]:
         raise ValueError(
             f"input width {h.shape[1]} (+1 bias) does not match "
             f"W^(1) rows {p.weights[0].shape[0]}"
         )
-    rng = np.random.default_rng(seed) if dropout else None
     hiddens = [h]
     preacts = []
-    masks = []
     for l in range(p.n_layers - 1):
         z = _layer(p, l, h)
         preacts.append(z)
         h = np.maximum(z, 0.0)
-        if dropout:
-            mask = (rng.random(h.shape) >= DROPOUT_RATIO) / (1.0 - DROPOUT_RATIO)
-            h = h * mask
-            masks.append(mask)
-        else:
-            masks.append(None)
         hiddens.append(h)
     out = _layer(p, p.n_layers - 1, h)
-    cache = {"hiddens": hiddens, "preacts": preacts, "masks": masks}
-    return out, cache
+    return out, {"hiddens": hiddens, "preacts": preacts}
 
 
 def backward(p: MlpParams, cache, upstream, input_grad=True):
@@ -140,14 +131,12 @@ def backward(p: MlpParams, cache, upstream, input_grad=True):
     None when ``input_grad`` is off).
     """
     grads = [None] * p.n_layers
-    hiddens, preacts, masks = cache["hiddens"], cache["preacts"], cache["masks"]
+    hiddens, preacts = cache["hiddens"], cache["preacts"]
     d = np.asarray(upstream, dtype=float)
     last = p.n_layers - 1
     grads[last] = _layer_grad(p, last, hiddens[last], d)
     for l in range(last - 1, -1, -1):
         d = d @ p.weights[l + 1].T
-        if masks[l] is not None:
-            d = d * masks[l]
         d = d * (preacts[l] > 0.0).astype(float)
         grads[l] = _layer_grad(p, l, hiddens[l], d)
     if not input_grad:
@@ -174,98 +163,65 @@ def max_column_l1(p: MlpParams):
     return max(float(np.abs(w).sum(axis=0).max()) for w in p.weights)
 
 
-class _Optimizer:
-    """First-order update rules; weight decay is coupled (L2 on the grad).
+class _Adam:
+    """Adam with coupled weight decay (L2 on the gradient), written in
+    place through two scratch arrays per parameter with the operands in the
+    order of the textbook formulas, lr * mhat / (sqrt(shat) + eps), so the
+    results are those of the allocating expressions bit for bit."""
 
-    Every update is written in place through two scratch arrays per
-    parameter, with the operands in the order of the textbook formulas
-    (e.g. lr * mhat / (sqrt(shat) + eps)), so the results are those of the
-    allocating expressions bit for bit.
-    """
-
-    def __init__(self, cfg: TrainConfig, shapes):
-        self.cfg = cfg
-        moments = {"sgd": (), "momentum": ("v",), "adam": ("m", "s"),
-                   "rmsprop": ("s",)}[cfg.optimizer]
-        self.state = [
-            {k: np.zeros(s) for k in moments + ("a", "b")} for s in shapes
-        ]
+    def __init__(self, lr, weight_decay, shapes):
+        self.lr, self.weight_decay = lr, weight_decay
+        self.state = [{k: np.zeros(s) for k in "msab"} for s in shapes]
         self.t = 0
 
     def step(self, weights, grads):
-        cfg = self.cfg
+        b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
         for w, g, st in zip(weights, grads, self.state):
-            a, b = st["a"], st["b"]
-            if cfg.weight_decay:
-                g = np.add(g, np.multiply(cfg.weight_decay, w, out=a), out=a)
-            if cfg.optimizer == "sgd":
-                w -= np.multiply(cfg.lr, g, out=b)
-            elif cfg.optimizer == "momentum":
-                v = st["v"]
-                v *= cfg.momentum
-                v += g
-                w -= np.multiply(cfg.lr, v, out=b)
-            elif cfg.optimizer == "adam":
-                b1, b2, eps = 0.9, 0.999, 1e-8
-                m, sq = st["m"], st["s"]
-                m *= b1
-                m += np.multiply(1 - b1, g, out=b)
-                sq *= b2
-                np.multiply(1 - b2, g, out=b)
-                sq += np.multiply(b, g, out=b)
-                # g is dead from here, so its scratch holds the denominator
-                np.divide(sq, 1 - b2 ** self.t, out=a)
-                np.sqrt(a, out=a)
-                a += eps
-                np.divide(m, 1 - b1 ** self.t, out=b)
-                np.multiply(cfg.lr, b, out=b)
-                w -= np.divide(b, a, out=b)
-            elif cfg.optimizer == "rmsprop":
-                alpha, eps = 0.99, 1e-8
-                sq = st["s"]
-                sq *= alpha
-                np.multiply(1 - alpha, g, out=b)
-                sq += np.multiply(b, g, out=b)
-                np.multiply(cfg.lr, g, out=b)
-                np.sqrt(sq, out=a)
-                a += eps
-                w -= np.divide(b, a, out=b)
+            a, b, m, sq = st["a"], st["b"], st["m"], st["s"]
+            if self.weight_decay:
+                g = np.add(g, np.multiply(self.weight_decay, w, out=a), out=a)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=b)
+            sq *= b2
+            np.multiply(1 - b2, g, out=b)
+            sq += np.multiply(b, g, out=b)
+            # g is dead from here, so its scratch holds the denominator
+            np.divide(sq, 1 - b2 ** self.t, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, 1 - b1 ** self.t, out=b)
+            np.multiply(self.lr, b, out=b)
+            w -= np.divide(b, a, out=b)
 
 
 def _fit_loop(params, cfg, x_train, loss_grad_fn, seed):
-    """Shared minibatch loop. ``loss_grad_fn(batch_ids, out)`` returns
-    (scalar loss, upstream gradient) for the forward output on that batch;
-    ``seed`` draws the batch order and the dropout masks."""
+    """``cfg.epochs`` full-batch Adam steps; ``loss_grad_fn(ids, out)`` gives
+    (loss, upstream gradient) of the forward output on train rows ``ids``."""
     rng = np.random.default_rng(seed + 1)
     n = x_train.shape[0]
-    batch = min(cfg.batch_size or n, n)
-    opt = _Optimizer(cfg, [w.shape for w in params.weights])
+    opt = _Adam(cfg.lr, cfg.weight_decay, [w.shape for w in params.weights])
     last_loss = None
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            ids = order[start:start + batch]
-            step += 1
-            out, cache = forward(params, x_train[ids], seed=seed + 7919 * step,
-                                 dropout=cfg.dropout)
-            loss, upstream = loss_grad_fn(ids, out)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"loss became non-finite at step {step}", last_loss)
-            last_loss = float(loss)
-            grads, _ = backward(params, cache, upstream, input_grad=False)
-            opt.step(params.weights, grads)
+    for epoch in range(1, cfg.epochs + 1):
+        # full batch, but the row order fixes the gradients' summation order
+        ids = rng.permutation(n)
+        out, cache = forward(params, x_train[ids])
+        loss, upstream = loss_grad_fn(ids, out)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(
+                f"loss became non-finite at step {epoch}", last_loss)
+        last_loss = float(loss)
+        grads, _ = backward(params, cache, upstream, input_grad=False)
+        opt.step(params.weights, grads)
     return params
 
 
 def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids, seed=0):
-    """Train an MLP to the gradient target by minibatch MSE on train nodes.
+    """Train an MLP to the gradient target by full-batch MSE on train nodes.
 
     ``target`` is an N-vector supported on ``train_ids``; ``seed`` draws the
-    initial weights, the batch order and the dropout masks. Returns the
-    fitted params and the final full-train MSE.
+    initial weights and each epoch's row order. Returns the fitted params
+    and the final full-train MSE.
     """
     target = np.asarray(target, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -311,8 +267,6 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
         rows = np.arange(len(ids))
         wb = wt[ids]
         wsum = wb.sum()
-        if wsum == 0.0:
-            return 0.0, np.zeros_like(out)
         logp = out - out.max(axis=1, keepdims=True)
         logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
         loss = float(-(wb * logp[rows, yt[ids]]).sum() / wsum)

@@ -1,7 +1,8 @@
 """Reference forms that the tests check the program against and no program
 path calls: the literal weak-learning norm test, its weighted-classification
-reformulation for sign-valued learners, and the training-block Gram matrix
-and the kernel-target alignment that ``fit_kta`` ascends."""
+reformulation for sign-valued learners, the training-block Gram matrix and
+the kernel-target alignment that ``fit_kta`` ascends, and the textbook Adam
+step that every weight is trained by."""
 
 import numpy as np
 
@@ -57,3 +58,25 @@ def alignment(z, z_prime, train_ids, eps=ALIGNMENT_EPS):
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("alignment undefined for an all-zero Gram matrix")
     return float(np.vdot(k1, k2) / (n1 * n2 + eps))
+
+
+class AllocatingAdam:
+    """Adam with coupled weight decay as allocating expressions, one fresh
+    array per operation."""
+
+    def __init__(self, lr, weight_decay, shapes):
+        self.lr, self.weight_decay = lr, weight_decay
+        self.state = [{"m": np.zeros(s), "s": np.zeros(s)} for s in shapes]
+        self.t = 0
+
+    def step(self, weights, grads):
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        self.t += 1
+        for w, g, st in zip(weights, grads, self.state):
+            if self.weight_decay:
+                g = g + self.weight_decay * w
+            st["m"] = b1 * st["m"] + (1 - b1) * g
+            st["s"] = b2 * st["s"] + (1 - b2) * g * g
+            mhat = st["m"] / (1 - b1 ** self.t)
+            shat = st["s"] / (1 - b2 ** self.t)
+            w -= self.lr * mhat / (np.sqrt(shat) + eps)

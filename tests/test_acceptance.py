@@ -59,8 +59,7 @@ def reference_run_config(hidden_layers=1, n_rounds=100, seed=0):
     return SammeConfig(
         n_rounds=n_rounds,
         hidden=(64,) * hidden_layers,
-        learner=TrainConfig(epochs=100, optimizer="adam", lr=1e-2,
-                            weight_decay=5e-4),
+        learner=TrainConfig(epochs=100, lr=1e-2, weight_decay=5e-4),
         aggregator=AggregatorSpec(kind="fixed", base="augmented"),
         seed=seed)
 

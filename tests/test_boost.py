@@ -17,7 +17,7 @@ from graphboost.boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
 from graphboost.data import synthesize_two_block
 from graphboost.graph import base_operator
 from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
-from reference import weighted_error_form, wlc_check
+from reference import AllocatingAdam, weighted_error_form, wlc_check
 
 
 class TestWlcCheck:
@@ -834,11 +834,11 @@ class TestFineTune:
             not np.allclose(a, b) for a, b in zip(kta_before, kta_after))
 
 
-def full_graph_sgd(model, ds, epochs, lr):
-    """Reference fine-tune: plain SGD on the softened train loss with every
-    learner on all N rows, the adjoint of the representation chain carried
-    through every stage, and the KTA weight gradients taken against dense
-    powers of the operator applied to each stage's input."""
+def full_graph_adam(model, ds, epochs, lr):
+    """Reference fine-tune: textbook Adam on the softened train loss with
+    every learner on all N rows, the adjoint of the representation chain
+    carried through every stage, and the KTA weight gradients taken against
+    dense powers of the operator applied to each stage's input."""
     from dataclasses import replace
 
     from graphboost.boost import (StageRecord, samme_r_contribution,
@@ -853,6 +853,14 @@ def full_graph_sgd(model, ds, epochs, lr):
                          stages=stages, t_star=model.t_star,
                          aggregator_kind=model.aggregator_kind,
                          clip=model.clip)
+    kta_ids = (range(1, len(stages)) if model.aggregator_kind == "kta"
+               else ())
+    for s in kta_ids:  # Adam steps the copied coefficients in place
+        agg = stages[s].aggregator
+        stages[s].aggregator = replace(agg, coefs=agg.coefs.astype(float))
+    params = [w for st in stages if st.learner for w in st.learner.weights]
+    params += [stages[s].aggregator.coefs for s in kta_ids]
+    opt = AllocatingAdam(lr, 0.0, [p.shape for p in params])
     k = model.n_classes
     for _ in range(epochs):
         reps = stage_representations(work, ds)
@@ -874,7 +882,7 @@ def full_graph_sgd(model, ds, epochs, lr):
                     np.log(np.clip(softmax(out), work.clip, 1.0)))
         dscore = surrogate_grad(score, ds.labels, ds.split)
         adjoint = [np.zeros((ds.n, ds.n_features)) for _ in reps]
-        updates = []
+        grads = []
         for s, (st, out) in enumerate(zip(work.stages, outs)):
             if out is None:
                 continue
@@ -890,25 +898,21 @@ def full_graph_sgd(model, ds, epochs, lr):
                                      - dscore.mean(axis=1, keepdims=True))
                 dlogp[p < work.clip] = 0.0
                 dlogits = dlogp - p * dlogp.sum(axis=1, keepdims=True)
-            grads, dx = backward(st.learner, caches[s], dlogits)
-            updates += list(zip(st.learner.weights, grads))
+            stage_grads, dx = backward(st.learner, caches[s], dlogits)
+            grads += stage_grads
             adjoint[s] += dx[:, :ds.n_features]
-        for s in range(len(work.stages) - 1, 0, -1):
+        kta_grads = {}
+        for s in reversed(kta_ids):
             agg = work.stages[s].aggregator
-            if work.aggregator_kind != "kta":
-                continue
             # the stage's aggregation as a dense matrix
             p = agg.operator.matrix.toarray()
             powers = [np.eye(ds.n)] + [np.linalg.matrix_power(p, 2 ** kk)
                                        for kk in range(len(agg.coefs) - 1)]
-            grad = np.array([np.vdot(adjoint[s], pk @ reps[s - 1])
-                             for pk in powers])
+            kta_grads[s] = np.array([np.vdot(adjoint[s], pk @ reps[s - 1])
+                                     for pk in powers])
             a = sum(w * pk for w, pk in zip(agg.coefs, powers))
             adjoint[s - 1] += a.T @ adjoint[s]
-            work.stages[s].aggregator = replace(
-                agg, coefs=agg.coefs - lr * grad)
-        for w, g in updates:
-            w -= lr * g
+        opt.step(params, grads + [kta_grads[s] for s in kta_ids])
     return work
 
 
@@ -947,8 +951,8 @@ class TestFineTuneEquivalence:
         ds, model = unsaturated_run(kind, mode)
         epochs, lr = 3, 0.05
         tuned, info = fine_tune(model, ds, FineTuneConfig(
-            epochs=epochs, optimizer="sgd", lr=lr))
-        ref = full_graph_sgd(model, ds, epochs, lr)
+            epochs=epochs, lr=lr))
+        ref = full_graph_adam(model, ds, epochs, lr)
 
         moved = 0.0
         for orig, got, want in zip(model.stages, tuned.stages, ref.stages):

@@ -63,6 +63,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="hidden_layers"):
             config_from_dict(base_config(dataset_dir, hidden_layers=5))
 
+    @pytest.mark.parametrize("outer,key,value", [
+        ("learner", "optimizer", "sgd"), ("learner", "dropout", 0),
+        ("learner", "batch_size", 32),
+        ("kta", "optimizer", "rmsprop"),
+        ("fine_tune_cfg", "optimizer", "momentum")])
+    def test_retired_field_at_another_value_is_named(self, dataset_dir,
+                                                     outer, key, value):
+        # training always steps by full-batch Adam without dropout, so a
+        # retired field asking for anything else would change the model
+        with pytest.raises(ConfigError, match=f"^{outer}.{key}: retired"):
+            config_from_dict(base_config(dataset_dir, **{outer: {key: value}}))
+
 
 class TestTrain:
     def test_artifacts_and_aggregate(self, dataset_dir, tmp_path):
@@ -224,6 +236,12 @@ class TestTheoryCommand:
         old["dataset_name"] = "toy"
         old["learner"]["seed"] = 0
         old["fine_tune_cfg"]["seed"] = 0
+        # the training recipe's switches, at the defaults they were written
+        # with before full-batch Adam became the only recipe
+        old["learner"].update(optimizer="adam", momentum=0.9,
+                              batch_size=None, dropout=False)
+        old["kta"]["optimizer"] = "adam"
+        old["fine_tune_cfg"].update(optimizer="adam", momentum=0.9)
         run_cfg.write_text(json.dumps(old, indent=1))
         blob = json.loads((seed_dir / "model.json").read_text())
         assert blob.pop("format_version") == 2
@@ -240,7 +258,10 @@ class TestTheoryCommand:
         notes = capsys.readouterr().err.splitlines()
         assert notes == [f"config: ignoring retired field {name}" for name in
                          ("dataset_name", "learner.seed",
-                          "fine_tune_cfg.seed")]
+                          "fine_tune_cfg.seed", "learner.momentum",
+                          "fine_tune_cfg.momentum", "learner.batch_size",
+                          "learner.dropout", "learner.optimizer",
+                          "kta.optimizer", "fine_tune_cfg.optimizer")]
         # and the old config still trains the same run
         cmd_train(str(run_cfg), str(tmp_path / "again"))
         assert ((tmp_path / "again" / "seed_0" / "trace.csv").read_bytes()
@@ -527,6 +548,28 @@ class TestExitCodes:
         assert err.startswith("data error:")
         assert str(model) in err and str(narrow) in err
 
+    def test_theory_on_labels_beyond_the_models_classes_is_3(
+            self, dataset_dir, tmp_path, capsys):
+        # without inputs.json nothing else ties the data's labels to the
+        # classes the model scores
+        from graphboost.data import load_planetoid
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        (tmp_path / "run" / "inputs.json").unlink()
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        ds = load_planetoid(dataset_dir, normalize=False)
+        labels = ds.labels.copy()
+        labels[ds.split.train[:3]] = 2
+        three = tmp_path / "three"
+        export_dataset(replace(ds, labels=labels, n_classes=3), three)
+        assert main(["theory", "--model", str(model),
+                     "--data", str(three)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert str(model) in err and str(three) in err
+        assert not (model.parent / "theory.json").exists()
+
     @pytest.mark.parametrize("case", ["t_not_integer", "short_row",
                                       "column_missing"])
     def test_curves_on_malformed_trace_is_3(self, dataset_dir, tmp_path,
@@ -588,9 +631,9 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", [
-        {"kta": {"optimizer": "nope"}},
+        {"kta": {"optimizer": "sgd"}},
         {"kta": {"lr": 0}},
-        {"fine_tune": True, "fine_tune_cfg": {"optimizer": "nope"}},
+        {"fine_tune": True, "fine_tune_cfg": {"optimizer": "sgd"}},
         {"fine_tune": True, "fine_tune_cfg": {"lr": -1}},
         {"mode": "functional", "delta": -1},
         {"seeds": [True]},
@@ -598,12 +641,22 @@ class TestExitCodes:
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": -1}},
         {"normalize_features": "no"},
         {"fine_tune": "false"},
-        {"learner": {"momentum": -3}},
-        {"fine_tune": True, "fine_tune_cfg": {"momentum": 1}},
+        {"learner": {"optimizer": "sgd"}},
+        {"learner": {"dropout": True}},
+        {"learner": {"batch_size": 32}},
+        {"learner": {"lr": float("nan")}},
+        {"learner": {"weight_decay": float("inf")}},
+        {"kta": {"lr": float("inf")}},
+        {"fine_tune": True, "fine_tune_cfg": {"lr": float("nan")}},
+        {"fine_tune": True, "fine_tune_cfg": {"weight_decay": float("nan")}},
+        {"mode": "functional", "delta": float("nan")},
     ], ids=["kta_optimizer", "kta_lr", "fine_tune_optimizer", "fine_tune_lr",
             "delta_negative", "seeds_bool", "learner_weight_decay",
             "fine_tune_weight_decay", "normalize_features_string",
-            "fine_tune_string", "learner_momentum", "fine_tune_momentum"])
+            "fine_tune_string", "learner_optimizer", "learner_dropout",
+            "learner_batch_size", "learner_lr_nan",
+            "learner_weight_decay_inf", "kta_lr_inf", "fine_tune_lr_nan",
+            "fine_tune_weight_decay_nan", "delta_nan"])
     def test_config_out_of_range_is_2(self, dataset_dir, tmp_path, capsys,
                                       field):
         # refused when the config loads, before a run directory exists
@@ -616,7 +669,8 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", [
-        "--delta-prime=2", "--delta-prime=0", "--c0=-1", "--delta=-1"])
+        "--delta-prime=2", "--delta-prime=0", "--c0=-1", "--delta=-1",
+        "--c0=nan", "--c0=inf", "--delta=nan"])
     def test_theory_flag_out_of_range_is_2(self, dataset_dir, tmp_path,
                                            capsys, flag):
         cfg_path = tmp_path / "cfg.json"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from graphboost.mlp import (DROPOUT_RATIO, MlpParams, TrainConfig,
-                            TrainingDiverged, _Optimizer, backward,
-                            fit_classifier, fit_to_gradient, forward,
-                            init_mlp, max_column_l1, project_l1_columns)
+from graphboost.mlp import (MlpParams, TrainConfig, TrainingDiverged,
+                            _Adam, backward, fit_classifier,
+                            fit_to_gradient, forward, init_mlp,
+                            max_column_l1, project_l1_columns)
+from reference import AllocatingAdam
 
 
 def fd_param_grads(params, x, upstream, eps=1e-4):
@@ -23,26 +24,21 @@ def fd_param_grads(params, x, upstream, eps=1e-4):
     return grads
 
 
-def augmented_reference(p, x, upstream, seed=0, dropout=False):
+def augmented_reference(p, x, upstream):
     """Forward output, weight gradients and input gradient of the map with
     the bias as an explicit constant-1 input column: h = [x, 1] @ W^(1)."""
     h = np.hstack([x, np.ones((len(x), 1))])
-    rng = np.random.default_rng(seed) if dropout else None
-    hiddens, preacts, masks = [h], [], []
+    hiddens, preacts = [h], []
     for w in p.weights[:-1]:
         z = h @ w
         preacts.append(z)
         h = np.maximum(z, 0.0)
-        mask = (1.0 if rng is None else
-                (rng.random(h.shape) >= DROPOUT_RATIO) / (1 - DROPOUT_RATIO))
-        h = h * mask
-        masks.append(mask)
         hiddens.append(h)
     out = h @ p.weights[-1]
     d = upstream
     grads = [hiddens[-1].T @ d]
     for l in range(p.n_layers - 2, -1, -1):
-        d = (d @ p.weights[l + 1].T) * masks[l] * (preacts[l] > 0.0)
+        d = (d @ p.weights[l + 1].T) * (preacts[l] > 0.0)
         grads.insert(0, hiddens[l].T @ d)
     dx = d @ p.weights[0].T
     return out, grads, dx[:, :-1]
@@ -54,16 +50,14 @@ class TestFoldedBias:
 
     @pytest.mark.parametrize("input_grad", [True, False])
     @pytest.mark.parametrize("hidden", [(), (5, 4)])
-    @pytest.mark.parametrize("dropout", [False, True])
-    def test_matches_augmented_reference(self, input_grad, hidden, dropout):
-        rng = np.random.default_rng(len(hidden) + 2 * input_grad + 4 * dropout)
+    def test_matches_augmented_reference(self, input_grad, hidden):
+        rng = np.random.default_rng(len(hidden) + 2 * input_grad)
         x = rng.standard_normal((9, 3))
         p = init_mlp((3, *hidden, 2), seed=21)
-        out, cache = forward(p, x, seed=5, dropout=dropout)
+        out, cache = forward(p, x)
         upstream = rng.standard_normal(out.shape)
         grads, dx = backward(p, cache, upstream, input_grad=input_grad)
-        ref_out, ref_grads, ref_dx = augmented_reference(
-            p, x, upstream, seed=5, dropout=dropout)
+        ref_out, ref_grads, ref_dx = augmented_reference(p, x, upstream)
         assert cache["hiddens"][0] is x
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
         for g, r in zip(grads, ref_grads):
@@ -120,18 +114,6 @@ class TestForward:
         out, _ = forward(p, x)
         out_perm, _ = forward(p, x[perm])
         assert np.array_equal(out[perm], out_perm)
-
-    def test_dropout_deterministic_under_seed(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((8, 3))
-        p = init_mlp((3, 16, 1), seed=7)
-        a, _ = forward(p, x, seed=42, dropout=True)
-        b, _ = forward(p, x, seed=42, dropout=True)
-        c, _ = forward(p, x, seed=43, dropout=True)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        plain, _ = forward(p, x)
-        assert not np.array_equal(a, plain)
 
 
 class TestBackward:
@@ -207,8 +189,7 @@ class TestFitToGradient:
         x = rng.standard_normal((30, 4))
         w_true = rng.standard_normal(4)
         target = x @ w_true + 0.3
-        cfg = TrainConfig(epochs=400, optimizer="adam", lr=0.05,
-                          weight_decay=0.0)
+        cfg = TrainConfig(epochs=400, lr=0.05, weight_decay=0.0)
         params, mse = fit_to_gradient((4, 1), cfg, x, target, np.arange(30),
                                       seed=2)
         assert mse < 1e-6
@@ -218,8 +199,7 @@ class TestFitToGradient:
         rng = np.random.default_rng(3)
         x = 1e3 * rng.standard_normal((10, 2))
         target = 1e3 * rng.standard_normal(10)
-        cfg = TrainConfig(epochs=200, optimizer="sgd", lr=1e6,
-                          weight_decay=0.0)
+        cfg = TrainConfig(epochs=200, lr=1e100, weight_decay=0.0)
         with pytest.raises(TrainingDiverged) as err:
             fit_to_gradient((2, 8, 1), cfg, x, target, np.arange(10), seed=4)
         assert err.value.last_loss is None or np.isfinite(err.value.last_loss)
@@ -228,7 +208,7 @@ class TestFitToGradient:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 3))
         target = rng.standard_normal(20)
-        cfg = TrainConfig(epochs=10, batch_size=7, dropout=True)
+        cfg = TrainConfig(epochs=10)
         a, _ = fit_to_gradient((3, 8, 1), cfg, x, target, np.arange(15),
                                seed=6)
         b, _ = fit_to_gradient((3, 8, 1), cfg, x, target, np.arange(15),
@@ -239,14 +219,11 @@ class TestFitToGradient:
                    for wa, wb in zip(a.weights, b.weights))
         assert not np.array_equal(a.weights[0], c.weights[0])
 
-    @pytest.mark.parametrize("opt", ["sgd", "momentum", "adam", "rmsprop"])
-    def test_every_optimizer_reduces_loss(self, opt):
+    def test_reduces_loss(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((30, 4))
         target = x @ rng.standard_normal(4)
-        lr = 0.05 if opt in ("adam", "rmsprop") else 0.01
-        cfg = TrainConfig(epochs=80, optimizer=opt, lr=lr, momentum=0.9,
-                          weight_decay=0.0)
+        cfg = TrainConfig(epochs=80, lr=0.05, weight_decay=0.0)
         params, mse = fit_to_gradient((4, 1), cfg, x, target, np.arange(30),
                                       seed=10)
         baseline = float(np.mean(target ** 2))
@@ -314,53 +291,15 @@ class TestFitClassifier:
                            np.zeros(4, dtype=int), np.zeros(4), np.arange(4))
 
 
-class AllocatingOptimizer:
-    """Reference: the update rules as allocating expressions, one fresh
-    array per operation."""
-
-    def __init__(self, cfg, shapes):
-        self.cfg = cfg
-        self.state = [
-            {"v": np.zeros(s), "m": np.zeros(s), "s": np.zeros(s)}
-            for s in shapes
-        ]
-        self.t = 0
-
-    def step(self, weights, grads):
-        cfg = self.cfg
-        self.t += 1
-        for w, g, st in zip(weights, grads, self.state):
-            if cfg.weight_decay:
-                g = g + cfg.weight_decay * w
-            if cfg.optimizer == "sgd":
-                w -= cfg.lr * g
-            elif cfg.optimizer == "momentum":
-                st["v"] = cfg.momentum * st["v"] + g
-                w -= cfg.lr * st["v"]
-            elif cfg.optimizer == "adam":
-                b1, b2, eps = 0.9, 0.999, 1e-8
-                st["m"] = b1 * st["m"] + (1 - b1) * g
-                st["s"] = b2 * st["s"] + (1 - b2) * g * g
-                mhat = st["m"] / (1 - b1 ** self.t)
-                shat = st["s"] / (1 - b2 ** self.t)
-                w -= cfg.lr * mhat / (np.sqrt(shat) + eps)
-            elif cfg.optimizer == "rmsprop":
-                alpha, eps = 0.99, 1e-8
-                st["s"] = alpha * st["s"] + (1 - alpha) * g * g
-                w -= cfg.lr * g / (np.sqrt(st["s"]) + eps)
-
-
 class TestOptimizer:
     @pytest.mark.parametrize("decay", [0.0, 5e-4])
-    @pytest.mark.parametrize("opt", ["sgd", "momentum", "adam", "rmsprop"])
-    def test_in_place_step_matches_allocating_formulas(self, opt, decay):
+    def test_in_place_step_matches_allocating_formulas(self, decay):
         rng = np.random.default_rng(21)
-        cfg = TrainConfig(optimizer=opt, lr=0.03, momentum=0.9,
-                          weight_decay=decay)
         shapes = [(7, 5), (5,)]
         got = [rng.standard_normal(s) for s in shapes]
         want = [w.copy() for w in got]
-        fast, slow = _Optimizer(cfg, shapes), AllocatingOptimizer(cfg, shapes)
+        fast = _Adam(0.03, decay, shapes)
+        slow = AllocatingAdam(0.03, decay, shapes)
         for _ in range(50):
             grads = [rng.standard_normal(s) for s in shapes]
             saved = [g.copy() for g in grads]

@@ -1,7 +1,9 @@
-"""The README's Library tour names only what its modules define."""
+"""The README's Library tour names only what its modules define, and its
+config example is one the loader takes as it stands."""
 
 import importlib
 import inspect
+import json
 import os
 import re
 
@@ -50,3 +52,19 @@ def test_tour_identifiers_resolve():
         missing += [f"{mod_name}.{n}" for n in names
                     if not resolves(module, n)]
     assert not missing, f"README Library tour names undefined: {missing}"
+
+
+def test_config_example_loads_without_notes(tmp_path, capsys):
+    # the README's config example is a current config: it loads with no
+    # retired field and no other note on stderr
+    from graphboost.cli import config_from_dict
+    from graphboost.data import export_dataset, synthesize_two_block
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    blob = json.loads(block)
+    export_dataset(synthesize_two_block(30, 0.8, 0.1, seed=0),
+                   tmp_path / "toy")
+    blob["dataset"] = str(tmp_path / "toy")
+    config_from_dict(blob)
+    assert capsys.readouterr().err == ""
