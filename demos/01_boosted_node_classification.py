@@ -21,7 +21,7 @@ cfg = SammeConfig(
     n_rounds=8,
     hidden=(16,),
     learner=TrainConfig(epochs=60, lr=1e-2, weight_decay=5e-4),
-    aggregator=AggregatorSpec(kind="fixed", base="augmented"),
+    aggregator=AggregatorSpec(kind="fixed"),
     seed=0,
 )
 model, trace = run_samme(dataset, cfg)

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Why stacking propagation steps destroys node-level information.
 
-Repeatedly applying the normalized operator shrinks every eigencomponent
-except the top one, so the features collapse toward the rank-one space
-spanned by the top eigenvector (whose entries follow sqrt(degree + 1)).
+Repeatedly applying the GCN operator D~^{-1/2}(A + I)D~^{-1/2} shrinks every
+eigencomponent except the top one, so the features collapse toward the
+rank-one space spanned by the top eigenvector (whose entries follow
+sqrt(degree + 1)).
 The trajectory below tracks the feature norm two independent ways (direct
 multiplication vs the eigenvalue identity) together with the distance to
 that rank-one space.
@@ -16,7 +17,7 @@ from graphboost import (base_operator, eigendecompose, smoothing_report,
 
 dataset = synthesize_two_block(n=80, p_in=0.25, p_out=0.02, seed=11,
                                noise=0.3)
-operator = base_operator(dataset.graph, "augmented")
+operator = base_operator(dataset.graph)
 
 spectrum, _ = eigendecompose(operator)
 print("top of the spectrum:", np.array2string(spectrum[:5], precision=4))

@@ -23,7 +23,7 @@ rng = np.random.default_rng(0)
 
 # --- 1. sampled constrained learners stay below the closed form ----------
 dataset = synthesize_two_block(12, 0.7, 0.2, seed=0)
-operator = base_operator(dataset.graph, "augmented")
+operator = base_operator(dataset.graph)
 x = rng.standard_normal((12, 3))
 px = operator.apply(x)
 b_cap, c_cap = 1.5, 1.0

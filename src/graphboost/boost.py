@@ -100,9 +100,7 @@ class EnsembleModel:
     n_classes: int
     stages: list
     t_star: int | None = None      # 1-based stage index (functional only)
-    base: str = "augmented"
     aggregator_kind: str = "fixed"
-    clip: float = DEFAULT_CLIP
     flags: dict = field(default_factory=dict)
 
 
@@ -111,7 +109,6 @@ class AggregatorSpec:
     """Which aggregation family each stage draws from."""
 
     kind: str = "fixed"            # fixed | input_injection | kta
-    base: str = "augmented"        # augmented | normalized
     rho: float = 0.5
     n_deg: int = 3
     alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
@@ -187,7 +184,7 @@ def _training_chain(dataset: NodeDataset, spec: AggregatorSpec):
     """The stage chain a boosting driver grows: every stage draws its
     aggregator from ``spec``, and a KTA aggregator is fitted on the
     representation it advances."""
-    operator = base_operator(dataset.graph, spec.base)
+    operator = base_operator(dataset.graph)
     train = dataset.split.train
 
     def advance_by(current):
@@ -281,8 +278,8 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
     t_star = min(trace, key=lambda r: r["grad_l1"])["t"]
 
     model = EnsembleModel(mode="functional", n_classes=2, stages=stages,
-                          t_star=t_star, base=cfg.aggregator.base,
-                          aggregator_kind=cfg.aggregator.kind, flags=flags)
+                          t_star=t_star, aggregator_kind=cfg.aggregator.kind,
+                          flags=flags)
     return model, trace
 
 
@@ -355,7 +352,6 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
             "with")
     mode = "samme_r" if real_valued else "samme"
     model = EnsembleModel(mode=mode, n_classes=k, stages=stages, t_star=None,
-                          base=cfg.aggregator.base,
                           aggregator_kind=cfg.aggregator.kind, flags=flags)
     return model, trace
 
@@ -427,7 +423,7 @@ def _vote(model: EnsembleModel, weight, out, soft=False):
     if model.mode == "samme":
         return weight * (softmax(out) if soft else
                          one_hot(np.argmax(out, axis=1), model.n_classes))
-    return samme_r_contribution(np.log(np.clip(softmax(out), model.clip,
+    return samme_r_contribution(np.log(np.clip(softmax(out), DEFAULT_CLIP,
                                                1.0)))
 
 
@@ -441,7 +437,7 @@ def _vote_grad(model: EnsembleModel, weight, out, dscore):
         return weight * p * (dscore - (dscore * p).sum(axis=1, keepdims=True))
     dlogp = (model.n_classes - 1.0) * (dscore
                                        - dscore.mean(axis=1, keepdims=True))
-    dlogp[p < model.clip] = 0.0
+    dlogp[p < DEFAULT_CLIP] = 0.0
     return dlogp - p * dlogp.sum(axis=1, keepdims=True)
 
 
@@ -604,7 +600,7 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     for _ in range(cfg.epochs):
         score, caches, logits_list = _stack_forward(
             work, [x[:m] for x in inputs])
-        loss, dscore = surrogate(score, y_rows[:m], work.clip)
+        loss, dscore = surrogate(score, y_rows[:m])
         if not np.isfinite(loss):
             flags = {**model.flags, "fine_tune_diverged": True}
             return (replace(model, stages=list(model.stages), flags=flags),
@@ -651,17 +647,18 @@ def _decode_weight(text, shape):
 def model_to_json(model: EnsembleModel) -> dict:
     """JSON manifest: format version, mode, K, t*, per-stage aggregator
     params, learner weights (base64 of row-major little-endian float64
-    bytes) with their shapes, and the eta/lambda sequence. Each learner
-    also carries the constant keys ``"activation": "relu"`` and
-    ``"bias": true``, which older releases read."""
+    bytes) with their shapes, and the eta/lambda sequence. The constant
+    keys ``"base": "augmented"`` and ``"clip": 1e-07`` (``DEFAULT_CLIP``),
+    and each learner's ``"activation": "relu"`` and ``"bias": true``, are
+    ones older releases read."""
     return {
         "format_version": FORMAT_VERSION,
         "mode": model.mode,
         "n_classes": model.n_classes,
         "t_star": model.t_star,
-        "base": model.base,
+        "base": "augmented",
         "aggregator_kind": model.aggregator_kind,
-        "clip": model.clip,
+        "clip": DEFAULT_CLIP,
         "flags": model.flags,
         "stages": [
             {
@@ -686,13 +683,17 @@ def model_to_json(model: EnsembleModel) -> dict:
 def model_from_json(blob: dict, graph) -> EnsembleModel:
     """Read a manifest of either format version. Version 1, written
     without a ``format_version`` key, holds each weight as a list of
-    numbers; version 2 as base64 ``'<f8'`` bytes. A learner with another
-    activation or without a bias raises ValueError."""
+    numbers; version 2 as base64 ``'<f8'`` bytes. A model with another
+    base or clip, or a learner with another activation or without a bias,
+    raises ValueError."""
     version = blob.get("format_version", 1)
     if version not in (1, 2):
         raise ValueError(f"unknown model format_version {version!r}")
-    base = blob["base"]
-    operator = base_operator(graph, base)
+    if (blob["base"], blob["clip"]) != ("augmented", DEFAULT_CLIP):
+        raise ValueError(
+            f"base {blob['base']!r} with clip {blob['clip']!r}: only "
+            f"'augmented' with clip {DEFAULT_CLIP!r} is read")
+    operator = base_operator(graph)
     stages = []
     for st in blob["stages"]:
         lrn = st["learner"]
@@ -713,9 +714,9 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
             None if agg is None else _aggregator(operator, **agg), params,
             st["weight"], wlc))
     return EnsembleModel(mode=blob["mode"], n_classes=blob["n_classes"],
-                         stages=stages, t_star=blob["t_star"], base=base,
+                         stages=stages, t_star=blob["t_star"],
                          aggregator_kind=blob["aggregator_kind"],
-                         clip=blob["clip"], flags=blob.get("flags", {}))
+                         flags=blob.get("flags", {}))
 
 
 def save_model(model, path):

@@ -26,7 +26,7 @@ from .boost import (TRACE_COLUMNS, AggregatorSpec, AllRoundsRejected,
                     run_functional_gb, run_samme, run_samme_r, save_model,
                     write_trace_csv)
 from .data import DataError, load_planetoid, read_file
-from .graph import BASE_LOOPS, DENSE_EIGEN_CAP, GraphError, base_operator
+from .graph import DENSE_EIGEN_CAP, base_operator
 from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
@@ -40,7 +40,7 @@ RETIRED_FIELDS = {
     "learner.momentum": _ANY, "fine_tune_cfg.momentum": _ANY,
     "learner.batch_size": None, "learner.dropout": False,
     "learner.optimizer": "adam", "kta.optimizer": "adam",
-    "fine_tune_cfg.optimizer": "adam"}
+    "fine_tune_cfg.optimizer": "adam", "base": "augmented"}
 
 
 class ConfigError(ValueError):
@@ -48,9 +48,10 @@ class ConfigError(ValueError):
 
 
 def _require_types(cfg, prefix=""):
-    """A float or bool in a field annotated ``int``, or anything but true or
-    false in one annotated ``bool``, is a ConfigError (the config modules
-    keep annotations as strings)."""
+    """A float or bool in a field annotated ``int``, a bool or non-number in
+    one annotated ``float``, or anything but true or false in one annotated
+    ``bool``, is a ConfigError (the config modules keep annotations as
+    strings)."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "bool" and not isinstance(value, bool):
@@ -60,6 +61,10 @@ def _require_types(cfg, prefix=""):
                 value, (int, np.integer))):
             raise ConfigError(
                 f"{prefix}{f.name}: must be an integer, got {value!r}")
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating))):
+            raise ConfigError(
+                f"{prefix}{f.name}: must be a number, got {value!r}")
 
 
 @dataclass
@@ -69,7 +74,6 @@ class ExperimentConfig:
     mode: str = ""                  # samme | samme_r | functional; derived
     hidden_layers: int = 1          # 0..4 hidden layers
     hidden_width: int = 64
-    base: str = "augmented"
     n_rounds: int = 100
     rho: float = 0.5
     n_deg: int = 3
@@ -101,8 +105,6 @@ class ExperimentConfig:
             raise ConfigError("rho: must lie in [0, 1]")
         if self.n_deg < 0:
             raise ConfigError("n_deg: must be >= 0")
-        if self.base not in BASE_LOOPS:
-            raise ConfigError(f"base: unknown operator '{self.base}'")
         if self.n_rounds < 1:
             raise ConfigError("n_rounds: must be >= 1")
         if not (math.isfinite(self.delta) and self.delta >= 0):
@@ -113,6 +115,9 @@ class ExperimentConfig:
                 and s >= 0 for s in self.seeds)):
             raise ConfigError(
                 "seeds: need a non-empty list of non-negative integers")
+        if len(set(self.seeds)) < len(self.seeds):
+            # each seed trains into its own seed_<s> directory
+            raise ConfigError(f"seeds: repeated seed in {self.seeds}")
 
     @property
     def hidden(self):
@@ -122,8 +127,8 @@ class ExperimentConfig:
         kind = {"adj": "fixed", "kta": "kta",
                 "input_injection": "input_injection",
                 "samme_r": "fixed"}[self.variant]
-        return AggregatorSpec(kind=kind, base=self.base, rho=self.rho,
-                              n_deg=self.n_deg, alignment=self.kta)
+        return AggregatorSpec(kind=kind, rho=self.rho, n_deg=self.n_deg,
+                              alignment=self.kta)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -199,12 +204,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
         run_cfg = SammeConfig(n_rounds=cfg.n_rounds, hidden=cfg.hidden,
                               learner=cfg.learner, aggregator=spec,
                               seed=seed)
-    try:
-        model, trace = runner(dataset, run_cfg)
-    except GraphError as exc:
-        # raised by the driver's base_operator before any fit: the graph
-        # does not admit the configured operator
-        raise DataError(f"{cfg.dataset}: {exc}") from exc
+    model, trace = runner(dataset, run_cfg)
     if cfg.fine_tune:
         model, _ = fine_tune(model, dataset, cfg.fine_tune_cfg)
 
@@ -327,7 +327,7 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     trajectory = None
     if dataset.n <= eigen_cap:
         trajectory = smoothing_report(
-            base_operator(dataset.graph, model.base), dataset.features,
+            base_operator(dataset.graph), dataset.features,
             t_max=min(32, 2 * len(model.stages)), cap=eigen_cap)
     report = build_theory_report(model, dataset, c0=c0,
                                  delta_prime=delta_prime, delta=delta)

@@ -131,24 +131,13 @@ class PropagationMatrix:
         return self.matrix.T @ self._check(x)
 
 
-# self-loop weight s of each base operator D~^{-1/2} (A + sI) D~^{-1/2}
-BASE_LOOPS = {"augmented": 1.0, "normalized": 0.0}
-
-
-def base_operator(g: SparseGraph, base) -> PropagationMatrix:
-    """D~^{-1/2} (A + sI) D~^{-1/2} with D~ = D + sI, for the ``base`` a
-    model names: s = 1 for ``augmented`` (eigenvalues in (-1, 1]) and s = 0
-    for ``normalized`` (D^{-1/2} A D^{-1/2}), which needs every node to have
-    degree >= 1."""
-    if base not in BASE_LOOPS:
-        raise GraphError(f"unknown base operator '{base}'")
-    loops = BASE_LOOPS[base]
-    deg = g.degrees + loops
-    if not deg.all():
-        raise GraphError(f"node {int(np.argmin(deg))} is isolated; the "
-                         f"{base} operator is undefined")
-    # adding the zero identity stores no entry
-    a = (g.adjacency() + loops * sp.identity(g.n_nodes, format="csr")).tocoo()
+def base_operator(g: SparseGraph) -> PropagationMatrix:
+    """The GCN operator D~^{-1/2} (A + I) D~^{-1/2} with D~ = D + I, the one
+    P every aggregator is a polynomial in. It is defined on every graph (an
+    isolated node gets P_ii = 1), its eigenvalues lie in (-1, 1], and its
+    top eigenvalue is 1, with eigenvector sqrt(deg + 1)."""
+    deg = g.degrees + 1.0
+    a = (g.adjacency() + sp.identity(g.n_nodes, format="csr")).tocoo()
     w = 1.0 / np.sqrt(deg)
     return PropagationMatrix(matrix=sp.csr_matrix(
         (a.data * w[a.row] * w[a.col], (a.row, a.col)), shape=a.shape))

@@ -197,12 +197,13 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
 
     The Frobenius norm is computed both by direct multiplication and by the
     eigenbasis identity ||X||_F^2 - sum_{n>=2} (1 - lambda_n^{2t}) a_nc^2
-    (valid because the top eigenvalue of these operators is 1); a relative
-    gap above ``rtol`` raises. The top eigenspace V_1 is spanned by the
-    eigenvectors whose eigenvalues lie within ``TOP_EIGEN_TOL`` of 1, and
-    V_1^T P^t X = V_1^T X. So the squared distance of P^t X to V_1 is
-    sum_{n off V_1} lambda_n^{2t} a_nc^2, a sum of nonnegative terms, and
-    the cosine of column c is ||V_1^T X_c|| / ||P^t X_c||. ``x`` is N x C.
+    (valid for ``base_operator(g)``, whose top eigenvalue is 1 on every
+    graph by construction); a relative gap above ``rtol`` raises. The top
+    eigenspace V_1 is spanned by the eigenvectors whose eigenvalues lie
+    within ``TOP_EIGEN_TOL`` of 1, and V_1^T P^t X = V_1^T X. So the
+    squared distance of P^t X to V_1 is sum_{n off V_1} lambda_n^{2t}
+    a_nc^2, a sum of nonnegative terms, and the cosine of column c is
+    ||V_1^T X_c|| / ||P^t X_c||. ``x`` is N x C.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != p.n:

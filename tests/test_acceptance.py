@@ -60,7 +60,7 @@ def reference_run_config(hidden_layers=1, n_rounds=100, seed=0):
         n_rounds=n_rounds,
         hidden=(64,) * hidden_layers,
         learner=TrainConfig(epochs=100, lr=1e-2, weight_decay=5e-4),
-        aggregator=AggregatorSpec(kind="fixed", base="augmented"),
+        aggregator=AggregatorSpec(kind="fixed"),
         seed=seed)
 
 
@@ -198,7 +198,7 @@ def _sample_constrained_outputs(n_funcs, n_layers, b_tilde, c_tilde, x,
 @pytest.mark.acceptance
 def test_criterion_5_complexity_bound_dominates_mc():
     ds = synthesize_two_block(12, 0.7, 0.2, seed=0)
-    operator = base_operator(ds.graph, "augmented")
+    operator = base_operator(ds.graph)
     x = np.random.default_rng(1).standard_normal((12, 3))
     b_tilde, c_tilde = 1.5, 1.0
     m = u = 6
@@ -236,7 +236,7 @@ def test_criterion_7_spectral_identity():
         n = int(np.random.default_rng(seed).integers(10, 51))
         g = random_connected_graph(n, 0.1, seed=seed)
         x = np.random.default_rng(1000 + seed).standard_normal((n, 4))
-        traj = smoothing_report(base_operator(g, "augmented"), x, t_max=16,
+        traj = smoothing_report(base_operator(g), x, t_max=16,
                                 rtol=1e-6)
         for d, s in zip(traj.frobenius_direct, traj.frobenius_spectral):
             assert abs(d ** 2 - s ** 2) <= 1e-6 * max(
@@ -273,7 +273,7 @@ def test_criterion_8_gradient_integrity():
 
     # alignment-ascent gradient
     g = random_connected_graph(8, 0.3, seed=2)
-    operator = base_operator(g, "augmented")
+    operator = base_operator(g)
     agg = kta(operator)
     x8 = rng.standard_normal((8, 3))
     train = np.arange(5)
@@ -306,11 +306,11 @@ def test_criterion_8_gradient_integrity():
 
     def stack_loss(m):
         s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
-        return float(np.mean(softmax_ce(s, ds.labels[tr], m.clip)))
+        return float(np.mean(softmax_ce(s, ds.labels[tr])))
 
     inputs, chain = _stack_replay(model, ds, tr)
     score, caches, logits = _stack_forward(model, inputs)
-    _, dscore = surrogate(score, ds.labels[tr], model.clip)
+    _, dscore = surrogate(score, ds.labels[tr])
     mlp_grads, kta_grads = _stack_gradients(model, ds, dscore, caches,
                                             logits, chain)
     worst_stack, smallest_fd = 0.0, np.inf

@@ -12,7 +12,7 @@ from reference import alignment, gram
 @pytest.fixture
 def ring_operator():
     g = SparseGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    return base_operator(g, "augmented")
+    return base_operator(g)
 
 
 class TestApply:
@@ -149,7 +149,7 @@ class TestPolynomial:
         # more rows than one buffer block holds
         n, c = 2 * INJECT_BLOCK // 8 + 3, 8
         g = SparseGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        a = injection(base_operator(g, "augmented"), 0.7)
+        a = injection(base_operator(g), 0.7)
         rng = np.random.default_rng(17)
         x, x0 = rng.standard_normal((n, c)), rng.standard_normal((n, c))
         assert np.array_equal(a.apply(x, x0), a.linear(x) + a.inject * x0)
@@ -280,7 +280,7 @@ class TestFitKta:
         # observed 94/100, mean improvement 0.027)
         n = 20
         g = SparseGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-        op = base_operator(g, "augmented")
+        op = base_operator(g)
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(2000 + seed)

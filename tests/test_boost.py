@@ -370,7 +370,7 @@ def hand_built_models():
     """Three models whose saved bytes are pinned below, one per aggregator
     kind, on an 8-node graph."""
     ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
-    op = base_operator(ds.graph, "augmented")
+    op = base_operator(ds.graph)
     first = MlpParams(weights=[np.array(
         [[0.5, -1.25], [0.1, 2.0], [1e-17, 1.0 / 3.0]])])
     second = MlpParams(weights=[np.array([[1.5], [-0.2], [0.0]]),
@@ -382,7 +382,7 @@ def hand_built_models():
             stages=[StageRecord(None, first, 0.75),
                     StageRecord(fixed(op), None, 0.0)]),
         "input_injection": EnsembleModel(
-            mode="functional", n_classes=2, t_star=2, base="normalized",
+            mode="functional", n_classes=2, t_star=2,
             aggregator_kind="input_injection",
             stages=[StageRecord(None, third, 1.0),
                     StageRecord(injection(op, 0.3), third, 4.0 / 3.0,
@@ -403,8 +403,7 @@ def hand_built_models():
 def assert_same_model(got, want):
     """Every field, aggregator coefficient and learner weight equal bit for
     bit."""
-    for attr in ("mode", "n_classes", "t_star", "base", "aggregator_kind",
-                 "clip", "flags"):
+    for attr in ("mode", "n_classes", "t_star", "aggregator_kind", "flags"):
         assert getattr(got, attr) == getattr(want, attr), attr
     assert len(got.stages) == len(want.stages)
     for a, b in zip(got.stages, want.stages):
@@ -445,7 +444,7 @@ VERSION_1_BYTES = {
         '"learner": null}]}'),
     "input_injection": (
         '{"mode": "functional", "n_classes": 2, "t_star": 2, '
-        '"base": "normalized", "aggregator_kind": "input_injection", '
+        '"base": "augmented", "aggregator_kind": "input_injection", '
         '"clip": 1e-07, "flags": {}, "stages": [{"aggregator": null, '
         f'"weight": 1.0, "wlc": null, {_V1_LEARNER}}}, {{"aggregator": '
         '{"kind": "input_injection", "rho": 0.3}, '
@@ -488,7 +487,7 @@ VERSION_2_BYTES = {
         '"learner": null}]}'),
     "input_injection": (
         '{"format_version": 2, "mode": "functional", "n_classes": 2, '
-        '"t_star": 2, "base": "normalized", '
+        '"t_star": 2, "base": "augmented", '
         '"aggregator_kind": "input_injection", "clip": 1e-07, "flags": {}, '
         '"stages": [{"aggregator": null, '
         f'"weight": 1.0, "wlc": null, {_V2_LEARNER}}}, {{"aggregator": '
@@ -556,6 +555,19 @@ class TestSerialization:
             (VERSION_1_BYTES if version == 1 else VERSION_2_BYTES)["kta"])
         blob["stages"][1]["learner"].update(activation="sigmoid", bias=False)
         with pytest.raises(ValueError, match="'sigmoid' with bias False"):
+            model_from_json(blob, ds.graph)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("key,value", [("base", "normalized"),
+                                           ("clip", 1e-6)])
+    def test_other_base_or_clip_refused(self, version, key, value):
+        # the input-injection model as older releases could write it: on
+        # the normalized base, or with another probability floor
+        ds, _ = hand_built_models()
+        blob = json.loads((VERSION_1_BYTES if version == 1
+                           else VERSION_2_BYTES)["input_injection"])
+        blob[key] = value
+        with pytest.raises(ValueError, match=f"{value!r}"):
             model_from_json(blob, ds.graph)
 
     def test_round_trip_extreme_values(self, tmp_path):
@@ -766,7 +778,7 @@ class TestFineTune:
 
         def loss(m):
             s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
-            return float(np.mean(softmax_ce(s, ds.labels[tr], m.clip)))
+            return float(np.mean(softmax_ce(s, ds.labels[tr])))
 
         before = loss(model)
         tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=30, lr=1e-2))
@@ -786,11 +798,11 @@ class TestFineTune:
 
         def loss_of(m):
             s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
-            return float(np.mean(softmax_ce(s, ds.labels[tr], m.clip)))
+            return float(np.mean(softmax_ce(s, ds.labels[tr])))
 
         inputs, chain = _stack_replay(model, ds, tr)
         score, caches, logits = _stack_forward(model, inputs)
-        _, dscore = surrogate(score, ds.labels[tr], model.clip)
+        _, dscore = surrogate(score, ds.labels[tr])
         mlp_grads, _ = _stack_gradients(model, ds, dscore, caches, logits,
                                         chain)
         eps = 1e-6
@@ -843,7 +855,7 @@ def full_graph_adam(model, ds, epochs, lr):
 
     from graphboost.boost import (StageRecord, samme_r_contribution,
                                   stage_representations)
-    from graphboost.losses import softmax, surrogate_grad
+    from graphboost.losses import DEFAULT_CLIP, softmax, surrogate_grad
     from graphboost.mlp import backward
 
     stages = [StageRecord(st.aggregator,
@@ -851,8 +863,7 @@ def full_graph_adam(model, ds, epochs, lr):
                           st.weight) for st in model.stages]
     work = EnsembleModel(mode=model.mode, n_classes=model.n_classes,
                          stages=stages, t_star=model.t_star,
-                         aggregator_kind=model.aggregator_kind,
-                         clip=model.clip)
+                         aggregator_kind=model.aggregator_kind)
     kta_ids = (range(1, len(stages)) if model.aggregator_kind == "kta"
                else ())
     for s in kta_ids:  # Adam steps the copied coefficients in place
@@ -879,7 +890,7 @@ def full_graph_adam(model, ds, epochs, lr):
                 score = score + st.weight * softmax(out)
             else:
                 score = score + samme_r_contribution(
-                    np.log(np.clip(softmax(out), work.clip, 1.0)))
+                    np.log(np.clip(softmax(out), DEFAULT_CLIP, 1.0)))
         dscore = surrogate_grad(score, ds.labels, ds.split)
         adjoint = [np.zeros((ds.n, ds.n_features)) for _ in reps]
         grads = []
@@ -896,7 +907,7 @@ def full_graph_adam(model, ds, epochs, lr):
                 p = softmax(out)
                 dlogp = (k - 1.0) * (dscore
                                      - dscore.mean(axis=1, keepdims=True))
-                dlogp[p < work.clip] = 0.0
+                dlogp[p < DEFAULT_CLIP] = 0.0
                 dlogits = dlogp - p * dlogp.sum(axis=1, keepdims=True)
             stage_grads, dx = backward(st.learner, caches[s], dlogits)
             grads += stage_grads
@@ -1145,7 +1156,7 @@ class TestPredict:
                          labels=rng.integers(0, k, size=n), n_classes=k,
                          split=Split(train=np.arange(30), val=[],
                                      test=np.arange(30, n)))
-        op = base_operator(graph, "augmented")
+        op = base_operator(graph)
         stages = [StageRecord(None if s == 0 else injection(op, 0.5),
                               init_mlp((2 * c, 8, k), seed=s), 1.0)
                   for s in range(n_stages)]

@@ -75,6 +75,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{outer}.{key}: retired"):
             config_from_dict(base_config(dataset_dir, **{outer: {key: value}}))
 
+    @pytest.mark.parametrize("name,field", [
+        ("rho", {"rho": True}), ("delta", {"delta": False}),
+        ("learner.lr", {"learner": {"lr": True}}),
+        ("kta.lr", {"kta": {"lr": True}}),
+        ("fine_tune_cfg.weight_decay",
+         {"fine_tune_cfg": {"weight_decay": False}})])
+    def test_bool_for_float_field_is_named(self, dataset_dir, name, field):
+        with pytest.raises(ConfigError, match=f"^{name}: must be a number"):
+            config_from_dict(base_config(dataset_dir, **field))
+
 
 class TestTrain:
     def test_artifacts_and_aggregate(self, dataset_dir, tmp_path):
@@ -242,6 +252,8 @@ class TestTheoryCommand:
                               batch_size=None, dropout=False)
         old["kta"]["optimizer"] = "adam"
         old["fine_tune_cfg"].update(optimizer="adam", momentum=0.9)
+        # and the base operator, before the augmented one became the only P
+        old["base"] = "augmented"
         run_cfg.write_text(json.dumps(old, indent=1))
         blob = json.loads((seed_dir / "model.json").read_text())
         assert blob.pop("format_version") == 2
@@ -261,7 +273,8 @@ class TestTheoryCommand:
                           "fine_tune_cfg.seed", "learner.momentum",
                           "fine_tune_cfg.momentum", "learner.batch_size",
                           "learner.dropout", "learner.optimizer",
-                          "kta.optimizer", "fine_tune_cfg.optimizer")]
+                          "kta.optimizer", "fine_tune_cfg.optimizer",
+                          "base")]
         # and the old config still trains the same run
         cmd_train(str(run_cfg), str(tmp_path / "again"))
         assert ((tmp_path / "again" / "seed_0" / "trace.csv").read_bytes()
@@ -457,9 +470,10 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
 
-    def test_isolated_node_under_normalized_base_is_3(self, tmp_path,
-                                                      capsys):
-        # D^{-1/2} A D^{-1/2} is undefined on a node of degree 0
+    def test_isolated_node_trains_and_normalized_base_is_2(self, tmp_path,
+                                                           capsys):
+        # D~^{-1/2} (A + I) D~^{-1/2} is defined on a node of degree 0; the
+        # retired normalized base D^{-1/2} A D^{-1/2} was not
         ds = synthesize_two_block(30, 0.8, 0.1, seed=0)
         edges = ds.graph.edges[~np.any(ds.graph.edges == 7, axis=1)]
         split = Split(train=np.arange(0, 10), val=np.arange(10, 16),
@@ -469,16 +483,22 @@ class TestExitCodes:
         export_dataset(lone, tmp_path / "lone")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(
+            str(tmp_path / "lone"), seeds=[0])))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        cfg_path.write_text(json.dumps(base_config(
             str(tmp_path / "lone"), seeds=[0], base="normalized")))
         assert main(["train", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "o")]) == 3
+                     "--out", str(tmp_path / "n")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "node 7 is isolated" in err
+        assert err.startswith("config error: base: retired")
+        assert not (tmp_path / "n").exists()
 
     @pytest.mark.parametrize("case", [
         "model_missing", "model_not_json", "model_without_mode",
         "format_version_3", "weights_not_base64", "weights_wrong_length",
-        "activation_sigmoid", "bias_false"])
+        "activation_sigmoid", "bias_false", "base_normalized", "clip_other"])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
         cfg_path = tmp_path / "cfg.json"
@@ -506,6 +526,10 @@ class TestExitCodes:
                 weights[0] = weights[0][:-12]  # 9 bytes short
             elif case == "activation_sigmoid":
                 learner["activation"] = "sigmoid"
+            elif case == "base_normalized":
+                blob["base"] = "normalized"
+            elif case == "clip_other":
+                blob["clip"] = 1e-6
             else:
                 learner["bias"] = False
             model.write_text(json.dumps(blob))
@@ -650,13 +674,20 @@ class TestExitCodes:
         {"fine_tune": True, "fine_tune_cfg": {"lr": float("nan")}},
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": float("nan")}},
         {"mode": "functional", "delta": float("nan")},
+        {"rho": True},
+        {"mode": "functional", "delta": True},
+        {"learner": {"lr": True}},
+        {"fine_tune": True, "fine_tune_cfg": {"weight_decay": True}},
+        {"seeds": [0, 0]},
     ], ids=["kta_optimizer", "kta_lr", "fine_tune_optimizer", "fine_tune_lr",
             "delta_negative", "seeds_bool", "learner_weight_decay",
             "fine_tune_weight_decay", "normalize_features_string",
             "fine_tune_string", "learner_optimizer", "learner_dropout",
             "learner_batch_size", "learner_lr_nan",
             "learner_weight_decay_inf", "kta_lr_inf", "fine_tune_lr_nan",
-            "fine_tune_weight_decay_nan", "delta_nan"])
+            "fine_tune_weight_decay_nan", "delta_nan", "rho_true",
+            "delta_true", "learner_lr_true", "fine_tune_weight_decay_true",
+            "seeds_repeated"])
     def test_config_out_of_range_is_2(self, dataset_dir, tmp_path, capsys,
                                       field):
         # refused when the config loads, before a run directory exists

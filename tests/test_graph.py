@@ -58,75 +58,49 @@ class TestSparseGraph:
         assert pairs == [(0, 1), (1, 2)]
 
 
-class TestNormalizedAdjacency:
-    def test_two_node_path(self):
-        g = SparseGraph.from_edges(2, [(0, 1)])
-        assert np.allclose(dense(base_operator(g, "normalized")),
-                           [[0, 1], [1, 0]])
-
-    def test_triangle(self):
-        g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        expected = (np.ones((3, 3)) - np.eye(3)) / 2.0
-        assert np.allclose(dense(base_operator(g, "normalized")), expected)
-
-    def test_star_matches_dense_formula(self):
-        # independent oracle: build D^{-1/2} A D^{-1/2} densely by hand
-        g = SparseGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        a = np.zeros((4, 4))
-        for i, j in [(0, 1), (0, 2), (0, 3)]:
-            a[i, j] = a[j, i] = 1.0
-        d_inv_sqrt = np.diag(1.0 / np.sqrt(a.sum(axis=1)))
-        expected = d_inv_sqrt @ a @ d_inv_sqrt
-        got = dense(base_operator(g, "normalized"))
-        assert np.allclose(got, expected)
-        assert got[0, 1] == pytest.approx(1 / np.sqrt(3))
-        assert got[1, 2] == 0.0
-
-    def test_isolated_node_rejected(self):
-        g = SparseGraph.from_edges(3, [(0, 1)])
-        with pytest.raises(GraphError, match="node 2"):
-            base_operator(g, "normalized")
-
-    def test_exact_symmetry(self):
-        g = random_connected_graph(30, 0.1, seed=0)
-        m = base_operator(g, "normalized").matrix
-        assert (m != m.T).nnz == 0
-
-    def test_spectral_radius_at_most_one(self):
-        g = random_connected_graph(25, 0.15, seed=1)
-        assert operator_norm(base_operator(g, "normalized")) <= 1.0 + 1e-9
-
-
 class TestAugmentedAdjacency:
     def test_two_node_path(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        assert np.allclose(dense(base_operator(g, "augmented")),
+        assert np.allclose(dense(base_operator(g)),
                            [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_node(self):
         g = SparseGraph.from_edges(1, [])
-        assert np.allclose(dense(base_operator(g, "augmented")), [[1.0]])
+        assert np.allclose(dense(base_operator(g)), [[1.0]])
 
     def test_triangle(self):
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert np.allclose(dense(base_operator(g, "augmented")),
+        assert np.allclose(dense(base_operator(g)),
                            np.ones((3, 3)) / 3)
 
     def test_eigenvalues_in_range(self):
         g = random_connected_graph(20, 0.1, seed=2)
-        vals, _ = eigendecompose(base_operator(g, "augmented"))
+        vals, _ = eigendecompose(base_operator(g))
         assert vals[0] == pytest.approx(1.0, abs=1e-10)
         assert vals[-1] > -1.0
+
+    def test_star_matches_dense_formula(self):
+        # independent oracle: build D~^{-1/2} (A + I) D~^{-1/2} densely by
+        # hand on a star plus one isolated node
+        g = SparseGraph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
+        a = np.eye(5)
+        for i, j in [(0, 1), (0, 2), (0, 3)]:
+            a[i, j] = a[j, i] = 1.0
+        d_inv_sqrt = np.diag(1.0 / np.sqrt(a.sum(axis=1)))
+        expected = d_inv_sqrt @ a @ d_inv_sqrt
+        got = dense(base_operator(g))
+        assert np.allclose(got, expected)
+        assert got[0, 1] == pytest.approx(1 / np.sqrt(8))
+        assert got[1, 2] == 0.0
+        assert got[4, 4] == 1.0
+        assert not got[4, :4].any() and not got[:4, 4].any()
 
 
 class TestPropagationMatrix:
     @pytest.mark.parametrize("make", [
-        lambda: base_operator(random_connected_graph(40, 0.1, seed=21),
-                              "augmented"),
-        lambda: base_operator(two_component_graph(41, seed=22), "augmented"),
-        lambda: base_operator(random_connected_graph(40, 0.1, seed=23),
-                              "normalized"),
-    ], ids=["random", "disconnected", "normalized"])
+        lambda: base_operator(random_connected_graph(40, 0.1, seed=21)),
+        lambda: base_operator(two_component_graph(41, seed=22)),
+    ], ids=["random", "disconnected"])
     def test_base_operator_exactly_symmetric(self, make):
         # so P^T x is P x bit for bit, which pullback relies on
         p = make()
@@ -144,11 +118,6 @@ class TestPropagationMatrix:
         with pytest.raises(GraphError, match=r"\(2, 3\)"):
             operator(np.ones((2, 3)))
 
-    def test_unknown_base_refused(self):
-        g = SparseGraph.from_edges(2, [(0, 1)])
-        with pytest.raises(GraphError, match="unknown base operator"):
-            base_operator(g, "laplacian")
-
 
 class TestPropagate:
     def test_identity(self):
@@ -157,13 +126,13 @@ class TestPropagate:
 
     def test_two_node_averaging(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        out = base_operator(g, "augmented").apply(np.array([[1.0], [0.0]]))
+        out = base_operator(g).apply(np.array([[1.0], [0.0]]))
         assert np.allclose(out, [[0.5], [0.5]])
 
     def test_triangle_twice_uniform(self):
         # dense multiply oracle
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        p = base_operator(g, "augmented")
+        p = base_operator(g)
         x = np.array([[1.0], [0.0], [0.0]])
         expected = dense(p) @ (dense(p) @ x)
         got = p.apply(p.apply(x))
@@ -181,8 +150,7 @@ class TestOperatorNorm:
 
     def test_two_node_augmented(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        assert operator_norm(base_operator(g, "augmented")) == pytest.approx(
-            1.0)
+        assert operator_norm(base_operator(g)) == pytest.approx(1.0)
 
     def test_diagonal_composition(self):
         d = sp.diags([0.3, -0.7])
@@ -235,8 +203,7 @@ _EIGEN_PEAK_SCRIPT = textwrap.dedent("""
     path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     extra = rng.integers(0, n, size=(2 * n, 2))
     extra = extra[extra[:, 0] != extra[:, 1]]
-    p = base_operator(SparseGraph.from_edges(n, np.vstack([path, extra])),
-                      "augmented")
+    p = base_operator(SparseGraph.from_edges(n, np.vstack([path, extra])))
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     eigendecompose(p)
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -251,14 +218,14 @@ class TestEigendecompose:
 
     def test_two_node_augmented(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        vals, vecs = eigendecompose(base_operator(g, "augmented"))
+        vals, vecs = eigendecompose(base_operator(g))
         assert np.allclose(vals, [1.0, 0.0], atol=1e-12)
         xi1 = vecs[:, 0]
         assert np.allclose(np.abs(xi1), 1.0 / np.sqrt(2))
 
     def test_invariants_orthonormal_and_reconstruction(self):
         g = random_connected_graph(20, 0.15, seed=5)
-        p = base_operator(g, "augmented")
+        p = base_operator(g)
         _, v = eigendecompose(p)
         gram = v.T @ v
         assert np.max(np.abs(np.diag(gram) - 1.0)) <= 1e-8
@@ -274,7 +241,7 @@ class TestEigendecompose:
     def test_top_eigenvector_proportional_to_sqrt_degree(self):
         # the augmented operator fixes sqrt(deg + 1)
         g = random_connected_graph(25, 0.1, seed=6)
-        p = base_operator(g, "augmented")
+        p = base_operator(g)
         v = np.sqrt(g.degrees + 1.0)
         v /= np.linalg.norm(v)
         assert np.allclose(p.apply(v), v, atol=1e-10)
@@ -285,15 +252,12 @@ class TestEigendecompose:
     def test_cap_refusal(self):
         g = random_connected_graph(30, 0.1, seed=7)
         with pytest.raises(GraphError, match="cap"):
-            eigendecompose(base_operator(g, "augmented"), cap=10)
+            eigendecompose(base_operator(g), cap=10)
 
     @pytest.mark.parametrize("make", [
-        lambda: base_operator(random_connected_graph(40, 0.1, seed=11),
-                              "augmented"),
-        lambda: base_operator(two_component_graph(41, seed=12), "augmented"),
-        lambda: base_operator(random_connected_graph(40, 0.1, seed=13),
-                              "normalized"),
-    ], ids=["connected", "disconnected", "normalized"])
+        lambda: base_operator(random_connected_graph(40, 0.1, seed=11)),
+        lambda: base_operator(two_component_graph(41, seed=12)),
+    ], ids=["connected", "disconnected"])
     def test_matches_dense_reference_bit_for_bit(self, make):
         p = make()
         vals, vecs = reference_eigendecompose(p)
@@ -320,7 +284,7 @@ class TestEigendecompose:
     @pytest.mark.parametrize("seed", range(3))
     def test_connected_nonbipartite_spectrum(self, seed):
         g = random_connected_graph(20, 0.1, seed=seed)
-        vals, _ = eigendecompose(base_operator(g, "normalized"))
+        vals, _ = eigendecompose(base_operator(g))
         assert vals[0] == pytest.approx(1.0, abs=1e-10)
         assert vals[1] < 1.0 - 1e-10
         assert vals[-1] > -1.0 + 1e-10

@@ -176,7 +176,7 @@ class TestWlcComplexityLowerBound:
 class TestSmoothingReport:
     def test_component_orthogonal_to_top_dies(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
-        traj = smoothing_report(base_operator(g, "augmented"),
+        traj = smoothing_report(base_operator(g),
                                 np.array([[1.0], [-1.0]]), t_max=3)
         assert traj.frobenius_direct[0] == pytest.approx(np.sqrt(2))
         assert np.allclose(traj.frobenius_direct[1:], 0.0, atol=1e-12)
@@ -184,7 +184,7 @@ class TestSmoothingReport:
     def test_top_eigenvector_is_fixed_point(self):
         g = SparseGraph.from_edges(2, [(0, 1)])
         xi1 = np.array([[1.0], [1.0]]) / np.sqrt(2)
-        traj = smoothing_report(base_operator(g, "augmented"), xi1, t_max=5)
+        traj = smoothing_report(base_operator(g), xi1, t_max=5)
         assert np.allclose(traj.frobenius_direct, 1.0)
         assert np.allclose(traj.rank_one_distance, 0.0, atol=1e-10)
 
@@ -192,7 +192,7 @@ class TestSmoothingReport:
     def test_dual_computation_agrees_on_random_graphs(self, seed):
         g = random_connected_graph(30, 0.12, seed=seed)
         x = np.random.default_rng(seed).standard_normal((30, 5))
-        traj = smoothing_report(base_operator(g, "augmented"), x, t_max=16)
+        traj = smoothing_report(base_operator(g), x, t_max=16)
         # construction raises if they disagree; double-check the arrays
         for d, s in zip(traj.frobenius_direct, traj.frobenius_spectral):
             assert abs(d ** 2 - s ** 2) <= 1e-6 * max(d ** 2, s ** 2, 1e-9)
@@ -200,7 +200,7 @@ class TestSmoothingReport:
     def test_rank_one_distance_nonincreasing(self):
         g = random_connected_graph(25, 0.15, seed=9)
         x = np.random.default_rng(9).standard_normal((25, 3))
-        traj = smoothing_report(base_operator(g, "augmented"), x, t_max=12)
+        traj = smoothing_report(base_operator(g), x, t_max=12)
         r = traj.rank_one_distance
         assert np.all(r[1:] <= r[:-1] + 1e-10)
 
@@ -209,7 +209,7 @@ class TestSmoothingReport:
         # it; the distance and the cosines are taken against all of them
         g = SparseGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4),
                                        (4, 5), (5, 6)])
-        p = base_operator(g, "augmented")
+        p = base_operator(g)
         x = np.random.default_rng(3).standard_normal((7, 4))
         traj = smoothing_report(p, x, t_max=6)
         proj = np.zeros((7, 7))
@@ -233,13 +233,13 @@ class TestSmoothingReport:
         g = random_connected_graph(6, 0.5, seed=1)
         x = np.random.default_rng(1).standard_normal((6, 2))
         with pytest.raises(ValueError, match=r"N = 6, got shape \(2, 6\)"):
-            smoothing_report(base_operator(g, "augmented"), x.T, t_max=2)
+            smoothing_report(base_operator(g), x.T, t_max=2)
         with pytest.raises(ValueError, match=r"got shape \(6,\)"):
-            smoothing_report(base_operator(g, "augmented"), x[:, 0], t_max=2)
+            smoothing_report(base_operator(g), x[:, 0], t_max=2)
 
     def test_csv_emission(self, tmp_path):
         g = SparseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        traj = smoothing_report(base_operator(g, "augmented"), np.eye(3),
+        traj = smoothing_report(base_operator(g), np.eye(3),
                                 t_max=2)
         path = tmp_path / "spectral.csv"
         traj.write_csv(path)
@@ -256,7 +256,7 @@ class TestSmoothingReport:
                                        (4, 5), (5, 6)])
         x = np.random.default_rng(3).standard_normal((7, 2))
         path = tmp_path / "spectral.csv"
-        smoothing_report(base_operator(g, "augmented"), x,
+        smoothing_report(base_operator(g), x,
                          t_max=3).write_csv(path)
         assert path.read_text() == (
             "t,frob_direct,frob_spectral,cos_xi1_max,rank1_dist\n"
@@ -335,18 +335,17 @@ class TestTheoryReport:
             assert entry["op_norm"] == pytest.approx(
                 np.linalg.norm(dense, 2), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("kind,base", [
-        ("fixed", "augmented"), ("fixed", "normalized"),
-        ("input_injection", "augmented")])
-    def test_op_norm_in_closed_form(self, kind, base):
-        # both bases have spectrum in [-1, 1] containing 1: a fixed chain
-        # has norm 1; an injection chain has ||Q_t|| = 1 at every t, so
-        # its learner's input [Q_t X, X] has norm sqrt(2)
+    @pytest.mark.parametrize("kind", ["fixed", "input_injection"],
+                             ids=["fixed-augmented",
+                                  "input_injection-augmented"])
+    def test_op_norm_in_closed_form(self, kind):
+        # the augmented operator has spectrum in (-1, 1] containing 1: a
+        # fixed chain has norm 1; an injection chain has ||Q_t|| = 1 at
+        # every t, so its learner's input [Q_t X, X] has norm sqrt(2)
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
         model, _ = run_samme(ds, SammeConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
-            aggregator=AggregatorSpec(kind=kind, base=base, rho=0.5),
-            seed=5))
+            aggregator=AggregatorSpec(kind=kind, rho=0.5), seed=5))
         report = build_theory_report(model, ds)
         closed = math.sqrt(2.0) if kind == "input_injection" else 1.0
         for entry, dense in zip(report["complexity"],
@@ -366,7 +365,7 @@ class TestTheoryReport:
         coefs[1] = -0.5
         stage.aggregator = replace(stage.aggregator, coefs=coefs)
         report = build_theory_report(model, ds)
-        p = base_operator(ds.graph, "augmented").matrix.toarray()
+        p = base_operator(ds.graph).matrix.toarray()
         powers = [np.eye(ds.n)] + [np.linalg.matrix_power(p, 2 ** k)
                                    for k in range(4)]
         product = np.eye(ds.n)
@@ -446,7 +445,7 @@ class TestProp4MonteCarloVsClosedForm:
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_mc_below_bound(self, n_layers):
         ds = synthesize_two_block(12, 0.7, 0.2, seed=0)
-        operator = base_operator(ds.graph, "augmented")
+        operator = base_operator(ds.graph)
         x = np.random.default_rng(1).standard_normal((12, 3))
         b_tilde, c_tilde = 1.5, 1.0
         m = u = 6
@@ -464,7 +463,7 @@ class TestProp4MonteCarloVsClosedForm:
         # the closed form on ||P X||_F falls below them, the one on the
         # learner's real input [P X, 1] stays above
         ds = synthesize_two_block(12, 0.7, 0.2, seed=0)
-        operator = base_operator(ds.graph, "augmented")
+        operator = base_operator(ds.graph)
         x = 0.01 * np.random.default_rng(1).standard_normal((12, 3))
         b_tilde, c_tilde = 1.5, 1.0
         m = u = 6
