@@ -4,10 +4,10 @@ The functional driver grows a stack of (aggregate, transform) stages by
 fitting each transformation to the negative surrogate-loss gradient, checks
 the weak-learning condition ||Z - alpha g||_2 <= beta ||g||_2 online by
 fitting (alpha, beta) in closed form, and steps with eta = 4 / alpha.
-SAMME and SAMME.R drive the same representation stack with multiclass
-reweighting instead. Vectors entering the w.l.c. follow the full-length
-convention: Z = f(X)/M over all N nodes, g = -grad restricted to train
-(zero elsewhere).
+SAMME drives the same representation stack with multiclass reweighting
+instead. Vectors entering the w.l.c. follow the full-length convention:
+Z = f(X)/M over all N nodes, g = -grad restricted to train (zero
+elsewhere).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -96,7 +97,7 @@ class StageRecord:
 
 @dataclass
 class EnsembleModel:
-    mode: str                      # functional | samme | samme_r
+    mode: str                      # functional | samme
     n_classes: int
     stages: list
     t_star: int | None = None      # 1-based stage index (functional only)
@@ -138,13 +139,6 @@ def samme_model_weight(err, k):
     e = 1 - 1/K."""
     e = float(np.clip(err, 1e-12, 1.0 - 1e-12))
     return float(np.log((1.0 - e) / e) + np.log(k - 1.0))
-
-
-def samme_r_contribution(logp):
-    """(K-1) (log p_k - mean_j log p_j) per row."""
-    logp = np.asarray(logp, dtype=float)
-    k = logp.shape[1]
-    return (k - 1.0) * (logp - logp.mean(axis=1, keepdims=True))
 
 
 class AllRoundsRejected(RuntimeError):
@@ -284,9 +278,14 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
 
 
 # ---------------------------------------------------------------------------
-# SAMME / SAMME.R (multiclass)
+# SAMME (multiclass)
 
-def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
+def run_samme(dataset: NodeDataset, cfg: SammeConfig):
+    """Multiclass boosting with hard class votes: model weight
+    lambda_t = log((1-e_t)/e_t) + log(K-1), multiplicative reweighting.
+    A weak learner with weighted error >= 1 - 1/K is retrained once; a
+    second failure records a zero-weight placeholder stage, lists the round
+    in ``flags["skipped"]`` and boosting goes on."""
     y = dataset.labels
     split = dataset.split
     k = dataset.n_classes
@@ -308,9 +307,9 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
             b_t, werr = fit_classifier(
                 (rep.shape[1], *cfg.hidden, k), cfg.learner, rep, y, weights,
                 split.train, seed=int(rng.integers(2 ** 31)) + attempt)
-            if real_valued or werr < 1.0 - 1.0 / k:
+            if werr < 1.0 - 1.0 / k:
                 break
-        rejected = not real_valued and werr >= 1.0 - 1.0 / k
+        rejected = werr >= 1.0 - 1.0 / k
         logits = None if rejected else forward(b_t, rep)[0]
         rep = None  # the stage's input is not held through the next advance
         g = -surrogate_grad(score, y, split)
@@ -321,23 +320,11 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
             b_t, weight = None, 0.0
             contrib = np.zeros_like(score)
         else:
-            if real_valued:
-                proba = np.clip(softmax(logits), DEFAULT_CLIP, 1.0)
-                if not np.all(np.isfinite(proba)):
-                    raise FloatingPointError("NaN class probabilities")
-                logp = np.log(proba)
-                contrib = samme_r_contribution(logp)
-                coding = np.full((dataset.n, k), -1.0 / (k - 1.0))
-                coding[np.arange(dataset.n), y.clip(min=0)] = 1.0
-                upd = np.exp(-((k - 1.0) / k) * (coding * logp).sum(axis=1))
-                weights[split.train] *= upd[split.train]
-                weight = 1.0
-            else:
-                weight = samme_model_weight(werr, k)
-                pred = np.argmax(logits, axis=1)
-                contrib = weight * one_hot(pred, k)
-                bad = pred[split.train] != y[split.train]
-                weights[split.train] *= np.exp(weight * bad)
+            weight = samme_model_weight(werr, k)
+            pred = np.argmax(logits, axis=1)
+            contrib = weight * one_hot(pred, k)
+            bad = pred[split.train] != y[split.train]
+            weights[split.train] *= np.exp(weight * bad)
             weights /= weights.sum()
             score = score + contrib
         fit = (wlc_fit((contrib / split.m).ravel(), g.ravel())
@@ -350,25 +337,9 @@ def _run_samme_family(dataset: NodeDataset, cfg: SammeConfig, real_valued):
         raise AllRoundsRejected(
             "no weak learner beat chance in any round; nothing to predict "
             "with")
-    mode = "samme_r" if real_valued else "samme"
-    model = EnsembleModel(mode=mode, n_classes=k, stages=stages, t_star=None,
+    model = EnsembleModel(mode="samme", n_classes=k, stages=stages,
                           aggregator_kind=cfg.aggregator.kind, flags=flags)
     return model, trace
-
-
-def run_samme(dataset, cfg: SammeConfig):
-    """Multiclass boosting with hard class votes: model weight
-    lambda_t = log((1-e_t)/e_t) + log(K-1), multiplicative reweighting.
-    A weak learner with weighted error >= 1 - 1/K is retrained once; a
-    second failure records a zero-weight placeholder stage, lists the round
-    in ``flags["skipped"]`` and boosting goes on."""
-    return _run_samme_family(dataset, cfg, real_valued=False)
-
-
-def run_samme_r(dataset, cfg: SammeConfig):
-    """Real-valued variant: per-node contribution
-    (K-1)(log p_k - mean_j log p_j) with clipped probabilities."""
-    return _run_samme_family(dataset, cfg, real_valued=True)
 
 
 # ---------------------------------------------------------------------------
@@ -415,30 +386,21 @@ def _replay(model: EnsembleModel, reps, caches=None):
 
 def _vote(model: EnsembleModel, weight, out, soft=False):
     """One stage's term of the score from its raw learner output ``out``:
-    eta f for functional, lambda times the argmax vote for SAMME (the
+    eta f for functional, and lambda times the argmax vote for SAMME (the
     softmax vote when ``soft``, the differentiable head fine-tuning trains
-    through), and the clipped log-probability contribution for SAMME.R."""
+    through)."""
     if model.mode == "functional":
         return weight * out[:, 0]
-    if model.mode == "samme":
-        return weight * (softmax(out) if soft else
-                         one_hot(np.argmax(out, axis=1), model.n_classes))
-    return samme_r_contribution(np.log(np.clip(softmax(out), DEFAULT_CLIP,
-                                               1.0)))
+    return weight * (softmax(out) if soft else
+                     one_hot(np.argmax(out, axis=1), model.n_classes))
 
 
 def _vote_grad(model: EnsembleModel, weight, out, dscore):
-    """Gradient in ``out`` of <dscore, _vote(model, weight, out, soft=True)>.
-    SAMME.R's clipped probabilities pass no gradient."""
+    """Gradient in ``out`` of <dscore, _vote(model, weight, out, True)>."""
     if model.mode == "functional":
         return weight * dscore[:, None]
     p = softmax(out)
-    if model.mode == "samme":
-        return weight * p * (dscore - (dscore * p).sum(axis=1, keepdims=True))
-    dlogp = (model.n_classes - 1.0) * (dscore
-                                       - dscore.mean(axis=1, keepdims=True))
-    dlogp[p < DEFAULT_CLIP] = 0.0
-    return dlogp - p * dlogp.sum(axis=1, keepdims=True)
+    return weight * p * (dscore - (dscore * p).sum(axis=1, keepdims=True))
 
 
 def _scores(model: EnsembleModel, outputs, n_rows, soft=False):
@@ -455,10 +417,10 @@ def _scores(model: EnsembleModel, outputs, n_rows, soft=False):
 
 def replay_scores(model: EnsembleModel, dataset: NodeDataset, reps=None):
     """Score trajectory by stage: functional gives the running sum of
-    eta_s f_s; SAMME gives the running vote score; SAMME.R the running
-    contribution sum. ``reps`` (from ``stage_representations`` with
-    ``rows``) scores those rows instead of the whole graph; without it the
-    stage chain is streamed and only the learner outputs are kept."""
+    eta_s f_s, SAMME the running vote score. ``reps`` (from
+    ``stage_representations`` with ``rows``) scores those rows instead of
+    the whole graph; without it the stage chain is streamed and only the
+    learner outputs are kept."""
     if reps is None:
         return _scores(model, _replay(model, stage_inputs(model, dataset)),
                        dataset.n)
@@ -680,22 +642,43 @@ def model_to_json(model: EnsembleModel) -> dict:
     }
 
 
+def _is_number(value, kind=numbers.Real):
+    """Whether ``value`` is an instance of ``kind``; a bool never is."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def model_from_json(blob: dict, graph) -> EnsembleModel:
     """Read a manifest of either format version. Version 1, written
     without a ``format_version`` key, holds each weight as a list of
-    numbers; version 2 as base64 ``'<f8'`` bytes. A model with another
-    base or clip, or a learner with another activation or without a bias,
+    numbers; version 2 as base64 ``'<f8'`` bytes. A mode other than
+    functional or SAMME, another base or clip, fewer than two classes, no
+    stage, a stage weight that is not a finite number, a t* that is not a
+    stage index, or a learner with another activation or without a bias,
     raises ValueError."""
     version = blob.get("format_version", 1)
     if version not in (1, 2):
         raise ValueError(f"unknown model format_version {version!r}")
+    if blob["mode"] not in ("functional", "samme"):
+        raise ValueError(f"mode {blob['mode']!r}: only 'functional' or "
+                         "'samme' is read")
     if (blob["base"], blob["clip"]) != ("augmented", DEFAULT_CLIP):
         raise ValueError(
             f"base {blob['base']!r} with clip {blob['clip']!r}: only "
             f"'augmented' with clip {DEFAULT_CLIP!r} is read")
+    k, t_star, blob_stages = blob["n_classes"], blob["t_star"], blob["stages"]
+    if not (_is_number(k, numbers.Integral) and k >= 2):
+        raise ValueError(f"n_classes {k!r}: not an integer >= 2")
+    if not (isinstance(blob_stages, list) and blob_stages):
+        raise ValueError("stages: not a non-empty list")
+    if t_star is not None and not (_is_number(t_star, numbers.Integral)
+                                   and 1 <= t_star <= len(blob_stages)):
+        raise ValueError(f"t_star {t_star!r}: not null or a stage index")
     operator = base_operator(graph)
     stages = []
-    for st in blob["stages"]:
+    for st in blob_stages:
+        weight = st["weight"]
+        if not (_is_number(weight) and math.isfinite(weight)):
+            raise ValueError(f"stage weight {weight!r}: not a finite number")
         lrn = st["learner"]
         if lrn is None:
             params = None
@@ -712,9 +695,9 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
         agg = st["aggregator"]
         stages.append(StageRecord(
             None if agg is None else _aggregator(operator, **agg), params,
-            st["weight"], wlc))
-    return EnsembleModel(mode=blob["mode"], n_classes=blob["n_classes"],
-                         stages=stages, t_star=blob["t_star"],
+            weight, wlc))
+    return EnsembleModel(mode=blob["mode"], n_classes=k, stages=stages,
+                         t_star=t_star,
                          aggregator_kind=blob["aggregator_kind"],
                          flags=blob.get("flags", {}))
 

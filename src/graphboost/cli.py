@@ -12,6 +12,7 @@ import glob as globmod
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -22,15 +23,15 @@ import numpy as np
 from .aggregate import AlignmentConfig
 from .boost import (TRACE_COLUMNS, AggregatorSpec, AllRoundsRejected,
                     FineTuneConfig, FunctionalGBConfig, SammeConfig,
-                    fine_tune, load_model, predict, read_trace_csv,
-                    run_functional_gb, run_samme, run_samme_r, save_model,
+                    _is_number, fine_tune, load_model, predict,
+                    read_trace_csv, run_functional_gb, run_samme, save_model,
                     write_trace_csv)
 from .data import DataError, load_planetoid, read_file
 from .graph import DENSE_EIGEN_CAP, base_operator
 from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
-VARIANTS = ("adj", "kta", "input_injection", "samme_r")
+VARIANTS = ("adj", "kta", "input_injection")
 _ANY = object()
 # fields older config.json files carry, each with the one value training
 # now always uses (_ANY: no value was read): dropped on load at that value,
@@ -47,31 +48,30 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_types(cfg, prefix=""):
-    """A float or bool in a field annotated ``int``, a bool or non-number in
-    one annotated ``float``, or anything but true or false in one annotated
-    ``bool``, is a ConfigError (the config modules keep annotations as
-    strings)."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type == "bool" and not isinstance(value, bool):
+def _require_types(cls, values, prefix=""):
+    """A float or bool in a field of dataclass ``cls`` annotated ``int``, a
+    bool or non-number in one annotated ``float``, or anything but true or
+    false in one annotated ``bool``, is a ConfigError; ``values`` maps field
+    names to values (the config modules keep annotations as strings)."""
+    types = {f.name: f.type for f in fields(cls)}
+    for name, value in values.items():
+        kind = types.get(name)
+        if kind == "bool" and not isinstance(value, bool):
             raise ConfigError(
-                f"{prefix}{f.name}: must be true or false, got {value!r}")
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(
-                value, (int, np.integer))):
+                f"{prefix}{name}: must be true or false, got {value!r}")
+        if kind == "int" and not _is_number(value, numbers.Integral):
             raise ConfigError(
-                f"{prefix}{f.name}: must be an integer, got {value!r}")
-        if f.type == "float" and (isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating))):
+                f"{prefix}{name}: must be an integer, got {value!r}")
+        if kind == "float" and not _is_number(value):
             raise ConfigError(
-                f"{prefix}{f.name}: must be a number, got {value!r}")
+                f"{prefix}{name}: must be a number, got {value!r}")
 
 
 @dataclass
 class ExperimentConfig:
     dataset: str = ""
     variant: str = "adj"
-    mode: str = ""                  # samme | samme_r | functional; derived
+    mode: str = "samme"             # samme | functional
     hidden_layers: int = 1          # 0..4 hidden layers
     hidden_width: int = 64
     n_rounds: int = 100
@@ -86,16 +86,10 @@ class ExperimentConfig:
     normalize_features: bool = True
 
     def __post_init__(self):
-        for cfg, prefix in ((self, ""), (self.learner, "learner."),
-                            (self.kta, "kta."),
-                            (self.fine_tune_cfg, "fine_tune_cfg.")):
-            _require_types(cfg, prefix)
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant: '{self.variant}' not one of {VARIANTS}")
-        if not self.mode:
-            self.mode = "samme_r" if self.variant == "samme_r" else "samme"
-        if self.mode not in ("samme", "samme_r", "functional"):
+        if self.mode not in ("samme", "functional"):
             raise ConfigError(f"mode: unknown boosting mode '{self.mode}'")
         if not 0 <= self.hidden_layers <= 4:
             raise ConfigError("hidden_layers: must be in 0..4")
@@ -111,8 +105,8 @@ class ExperimentConfig:
             raise ConfigError(f"delta: must be finite and >= 0, got "
                               f"{self.delta}")
         if not (isinstance(self.seeds, list) and self.seeds and all(
-                isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-                and s >= 0 for s in self.seeds)):
+                _is_number(s, numbers.Integral) and s >= 0
+                for s in self.seeds)):
             raise ConfigError(
                 "seeds: need a non-empty list of non-negative integers")
         if len(set(self.seeds)) < len(self.seeds):
@@ -125,8 +119,7 @@ class ExperimentConfig:
 
     def aggregator_spec(self):
         kind = {"adj": "fixed", "kta": "kta",
-                "input_injection": "input_injection",
-                "samme_r": "fixed"}[self.variant]
+                "input_injection": "input_injection"}[self.variant]
         return AggregatorSpec(kind=kind, rho=self.rho, n_deg=self.n_deg,
                               alignment=self.kta)
 
@@ -150,13 +143,16 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
                     f"{name}: retired; training always uses {kept!r}, "
                     f"got {value!r}")
             print(f"config: ignoring retired field {name}", file=sys.stderr)
+    # typed before built, since every __post_init__ compares numbers
     try:
         for key, cls in (("learner", TrainConfig), ("kta", AlignmentConfig),
                          ("fine_tune_cfg", FineTuneConfig)):
             if key in blob:
                 if not isinstance(blob[key], dict):
                     raise ConfigError(f"{key}: must be a JSON object")
+                _require_types(cls, blob[key], f"{key}.")
                 blob[key] = cls(**blob[key])
+        _require_types(ExperimentConfig, blob)
         return ExperimentConfig(**blob)
     except ConfigError:
         raise
@@ -200,10 +196,9 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
             n_rounds=cfg.n_rounds, hidden=cfg.hidden, learner=cfg.learner,
             aggregator=spec, delta=cfg.delta, seed=seed)
     else:
-        runner = run_samme_r if cfg.mode == "samme_r" else run_samme
-        run_cfg = SammeConfig(n_rounds=cfg.n_rounds, hidden=cfg.hidden,
-                              learner=cfg.learner, aggregator=spec,
-                              seed=seed)
+        runner, run_cfg = run_samme, SammeConfig(
+            n_rounds=cfg.n_rounds, hidden=cfg.hidden, learner=cfg.learner,
+            aggregator=spec, seed=seed)
     model, trace = runner(dataset, run_cfg)
     if cfg.fine_tune:
         model, _ = fine_tune(model, dataset, cfg.fine_tune_cfg)
@@ -230,6 +225,13 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     return summary
 
 
+def _mean_std(vals):
+    """{"mean", "std"} of ``vals``: the std is the sample std (ddof=1), and
+    0.0 for one value."""
+    return {"mean": float(np.mean(vals)),
+            "std": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0}
+
+
 def cmd_train(config_path, out_root, jobs=1):
     cfg = load_config(config_path)
     if not os.path.isdir(cfg.dataset):
@@ -252,10 +254,7 @@ def cmd_train(config_path, out_root, jobs=1):
 
     def agg(key):
         vals = [s[key] for s in summaries if s[key] is not None]
-        if not vals:
-            return None
-        return {"mean": float(np.mean(vals)),
-                "std": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0}
+        return _mean_std(vals) if vals else None
 
     aggregate = {
         "n_seeds": len(summaries),
@@ -362,9 +361,8 @@ def cmd_curves(pattern, out_path):
                 if np.isfinite(val):
                     by_key.setdefault((row["t"], metric), []).append(val)
     for (t, metric), vals in sorted(by_key.items()):
-        rows.append(("mean", t, metric, float(np.mean(vals))))
-        rows.append(("std", t, metric,
-                     float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0))
+        rows += [(stat, t, metric, val)
+                 for stat, val in _mean_std(vals).items()]
     with open(out_path, "w") as fh:
         fh.write("seed,t,metric,value\n")
         for seed, t, metric, val in rows:

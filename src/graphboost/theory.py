@@ -255,9 +255,9 @@ def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
     the stage chain on the train rows gives the initial surrogate L(1) (of
     the stage-1 score) and the train error the generalization bound adds
     (the margin bound's right-hand side for functional runs, the 0-1 error
-    of the final score for SAMME and SAMME.R), so both describe the model
-    whose complexity the bound counts; the per-stage (alpha, beta) are the
-    stages' stored w.l.c. fits.
+    of the final score for SAMME), so both describe the model whose
+    complexity the bound counts; the per-stage (alpha, beta) are the stages'
+    stored w.l.c. fits.
 
     The optimization section applies to functional (binary) runs only;
     gamma_t of iterations that failed the weak-learning check contribute 0

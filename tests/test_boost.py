@@ -11,9 +11,9 @@ from graphboost.boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
                               WlcParams, fine_tune, load_model,
                               model_from_json, model_to_json, predict,
                               read_trace_csv, replay_scores,
-                              run_functional_gb, run_samme, run_samme_r,
-                              samme_model_weight, samme_r_contribution,
-                              save_model, wlc_fit, write_trace_csv)
+                              run_functional_gb, run_samme,
+                              samme_model_weight, save_model, wlc_fit,
+                              write_trace_csv)
 from graphboost.data import synthesize_two_block
 from graphboost.graph import base_operator
 from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
@@ -238,17 +238,6 @@ class TestSammeFormulas:
     def test_quarter_error_binary(self):
         assert samme_model_weight(0.25, 2) == pytest.approx(np.log(3.0))
 
-    def test_uniform_probabilities_zero_contribution(self):
-        logp = np.log(np.full((5, 4), 0.25))
-        assert np.allclose(samme_r_contribution(logp), 0.0)
-
-    def test_clipped_confident_prediction_bounded(self):
-        clip = 1e-7
-        proba = np.clip(np.array([[1.0, 0.0, 0.0]]), clip, 1.0)
-        h = samme_r_contribution(np.log(proba))
-        assert np.all(np.isfinite(h))
-        assert np.max(np.abs(h)) <= (3 - 1) * (-np.log(clip))
-
 
 class TestSammeRuns:
     def test_single_learner_predicts_like_it(self):
@@ -334,36 +323,12 @@ class TestSammeRuns:
         ds = NodeDataset(graph=graph, features=features,
                          labels=labels.astype(np.int64), split=split,
                          n_classes=k)
-        for runner in (run_samme, run_samme_r):
-            model, trace = runner(ds, SammeConfig(
-                n_rounds=4, hidden=(16,),
-                learner=TrainConfig(epochs=50), seed=3))
-            _, classes = predict(model, ds)
-            acc = np.mean(classes[split.test] == labels[split.test])
-            assert acc > 0.8, (runner.__name__, acc)
-            assert trace[-1]["train_err"] <= trace[0]["train_err"]
-
-    def test_samme_r_zero_logits_zero_score(self):
-        ds = synthesize_two_block(8, 0.9, 0.1, seed=10)
-        zero = MlpParams(weights=[np.zeros((3, 2))])
-        model = EnsembleModel(mode="samme_r", n_classes=2,
-                              stages=[StageRecord(None, zero, 1.0)])
-        scores = replay_scores(model, ds)
-        assert np.allclose(scores[0], 0.0)
-
-    def test_samme_r_binary_reduction(self):
-        # with K = 2 and no clipping active, the contribution difference
-        # h_1 - h_0 equals the logit difference exactly
-        ds = synthesize_two_block(12, 0.9, 0.1, seed=11)
-        cfg = SammeConfig(n_rounds=2, hidden=(4,),
-                          learner=TrainConfig(epochs=30), seed=13)
-        model, _ = run_samme_r(ds, cfg)
-        scores = replay_scores(model, ds)
-        from graphboost.boost import _replay, stage_representations
-        outputs = _replay(model, stage_representations(model, ds))
-        logit_diff = sum(out[:, 1] - out[:, 0] for out in outputs)
-        score_diff = scores[-1][:, 1] - scores[-1][:, 0]
-        assert np.allclose(score_diff, logit_diff, atol=1e-8)
+        model, trace = run_samme(ds, SammeConfig(
+            n_rounds=4, hidden=(16,), learner=TrainConfig(epochs=50), seed=3))
+        _, classes = predict(model, ds)
+        acc = np.mean(classes[split.test] == labels[split.test])
+        assert acc > 0.8, acc
+        assert trace[-1]["train_err"] <= trace[0]["train_err"]
 
 
 def hand_built_models():
@@ -622,9 +587,9 @@ class TestSerialization:
 # SHA-256 of (model.json, trace.csv) as the trainers wrote them before both
 # drivers drew their stage inputs from one chain generator; model.json in
 # format version 1, which version_1_json renders. Every run uses seed 1;
-# the last SAMME run skips rounds 3-6. The SAMME and SAMME.R model hashes
-# were taken again when those drivers began to keep each stage's w.l.c.
-# fit in ``wlc``; nothing else in those files changed.
+# the last SAMME run skips rounds 3-6. The SAMME model hashes were taken
+# again when that driver began to keep each stage's w.l.c. fit in ``wlc``;
+# nothing else in those files changed.
 TRAINED_BYTES = {
     "functional-fixed": (
         "db6c33e2694b8ef7e19f1ba1f0b4105e51b49e8bf370cf07d78efbdcd0073c60",
@@ -632,27 +597,18 @@ TRAINED_BYTES = {
     "samme-fixed": (
         "8257daf64e34cd06d0f20f6c4fa4314df29cf6f98762d53d59b5c64c3b85458a",
         "42e189aee1e6141e53df8040935a804207bd4665e7743dd369d59aa204d9665a"),
-    "samme_r-fixed": (
-        "60f66e8b6d0fa281b8545bfe7124121b9f95e0391ab973b3a5d817fd25a62353",
-        "d7c5dc0a81636ad1c146087b5e748afe7d2ae00bbd5c1c02903ff31844aa8871"),
     "functional-input_injection": (
         "cbb19e48b6cc570b350b0d262997acdb9256ccb5cc439b51b2d2e9f55f39eef2",
         "72f912310970e51049382d5d89f4889931d9dc847b39a746466cb61aceecede4"),
     "samme-input_injection": (
         "35b63ebc6f86ea8c897d209f56496a6a81d3fd1a23b3d52f06c58cc5353a1339",
         "4bd820c76fb0e0e97011d9cd8b64390bd60552532a0335e1c98daa2cbc9b9ef4"),
-    "samme_r-input_injection": (
-        "1ea6c6c9e31057146d9c00f5ef7a4ab4bbf64267da9634097fbff8b2d26026c0",
-        "abe71f7cb4966a495f3c98110d5c3890ed3184b824a8604f0f2d999801fb079b"),
     "functional-kta": (
         "9a689d6408dedf93c112efdf8a3255b708c05dd070b794017b24a41042d42ca4",
         "d94565f1f0cbc0b0c4ebe273ee11634754db32b4c8fa979157b22ef30fc63253"),
     "samme-kta": (
         "217394abca2cc5b405545215df5ff6133c3b08001d5f42d0372cbe7f407c14aa",
         "959d8f667f91cd4adec65d88e4b224e0371c31d75ff156ab7317a06e2dbf2698"),
-    "samme_r-kta": (
-        "0beec9c4a5dc9c8eef42dd33d76f2a85a9671f5ad27fd965cbfab59b85fef96f",
-        "d663a91e3e3ef81d59b88468592ef85765df7a2a21d83d4a24d03b01a58950af"),
     "samme-kta-skips": (
         "59a17fb18af3686a638f61656826455ba44e0bf99a1f501780c2e37de31e0679",
         "5ce44409a68492adf440f175d504cac24da65e0408ad519b6761c3b7a2f3dc05"),
@@ -662,8 +618,7 @@ TRAINED_BYTES = {
 def version_1_json(model):
     """model.json as format version 1 wrote it: no format_version, each
     weight a decimal list, and a learner head named by the mode."""
-    head = {"functional": "identity", "samme": "argmax",
-            "samme_r": "softmax"}[model.mode]
+    head = {"functional": "identity", "samme": "argmax"}[model.mode]
     blob = model_to_json(model)
     del blob["format_version"]
     for st, record in zip(blob["stages"], model.stages):
@@ -681,7 +636,7 @@ def version_1_json(model):
 
 def trained_bytes_cases():
     for kind in ("fixed", "input_injection", "kta"):
-        for mode in ("functional", "samme", "samme_r"):
+        for mode in ("functional", "samme"):
             yield f"{mode}-{kind}", mode, kind, 5
     yield "samme-kta-skips", "samme", "kta", 6
 
@@ -701,8 +656,7 @@ class TestTrainedBytes:
         if mode == "functional":
             model, trace = run_functional_gb(ds, FunctionalGBConfig(**common))
         else:
-            runner = run_samme if mode == "samme" else run_samme_r
-            model, trace = runner(ds, SammeConfig(**common))
+            model, trace = run_samme(ds, SammeConfig(**common))
         # the pin sees the model through a version-2 save and load
         save_model(model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json", ds.graph)
@@ -721,8 +675,7 @@ class TestTrainedBytes:
         # model.json keeps each stage's (alpha, beta) as trace.csv records
         # it, and null where the trace has no fit
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
-        runner = run_samme if mode == "samme" else run_samme_r
-        model, trace = runner(ds, SammeConfig(
+        model, trace = run_samme(ds, SammeConfig(
             n_rounds=n_rounds, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind), seed=1))
         save_model(model, tmp_path / "model.json")
@@ -784,40 +737,6 @@ class TestFineTune:
         tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=30, lr=1e-2))
         assert loss(tuned) < before
 
-    def test_samme_r_stack_gradient_matches_fd(self):
-        # the probability-head path has its own logits chain (clipped
-        # log-softmax); check it end to end
-        from graphboost.boost import (_stack_forward, _stack_gradients,
-                                      _stack_replay)
-        from graphboost.losses import softmax_ce, surrogate
-        ds = synthesize_two_block(10, 0.8, 0.1, seed=20, noise=0.5)
-        model, _ = run_samme_r(ds, SammeConfig(
-            n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=8),
-            seed=22))
-        tr = ds.split.train
-
-        def loss_of(m):
-            s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
-            return float(np.mean(softmax_ce(s, ds.labels[tr])))
-
-        inputs, chain = _stack_replay(model, ds, tr)
-        score, caches, logits = _stack_forward(model, inputs)
-        _, dscore = surrogate(score, ds.labels[tr])
-        mlp_grads, _ = _stack_gradients(model, ds, dscore, caches, logits,
-                                        chain)
-        eps = 1e-6
-        for si, stage in enumerate(model.stages):
-            for li, w in enumerate(stage.learner.weights):
-                for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1)]:
-                    w[idx] += eps
-                    plus = loss_of(model)
-                    w[idx] -= 2 * eps
-                    minus = loss_of(model)
-                    w[idx] += eps
-                    fd = (plus - minus) / (2 * eps)
-                    an = mlp_grads[si][li][idx]
-                    assert abs(an - fd) <= 1e-4 * max(abs(fd), 1e-6)
-
     def test_divergence_leaves_input_untouched(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
         model, _ = run_samme(ds, SammeConfig(
@@ -853,9 +772,8 @@ def full_graph_adam(model, ds, epochs, lr):
     dense powers of the operator applied to each stage's input."""
     from dataclasses import replace
 
-    from graphboost.boost import (StageRecord, samme_r_contribution,
-                                  stage_representations)
-    from graphboost.losses import DEFAULT_CLIP, softmax, surrogate_grad
+    from graphboost.boost import StageRecord, stage_representations
+    from graphboost.losses import softmax, surrogate_grad
     from graphboost.mlp import backward
 
     stages = [StageRecord(st.aggregator,
@@ -872,7 +790,6 @@ def full_graph_adam(model, ds, epochs, lr):
     params = [w for st in stages if st.learner for w in st.learner.weights]
     params += [stages[s].aggregator.coefs for s in kta_ids]
     opt = AllocatingAdam(lr, 0.0, [p.shape for p in params])
-    k = model.n_classes
     for _ in range(epochs):
         reps = stage_representations(work, ds)
         outs, caches = [], []
@@ -886,11 +803,8 @@ def full_graph_adam(model, ds, epochs, lr):
                 continue
             if work.mode == "functional":
                 score = score + st.weight * out[:, 0]
-            elif work.mode == "samme":
-                score = score + st.weight * softmax(out)
             else:
-                score = score + samme_r_contribution(
-                    np.log(np.clip(softmax(out), DEFAULT_CLIP, 1.0)))
+                score = score + st.weight * softmax(out)
         dscore = surrogate_grad(score, ds.labels, ds.split)
         adjoint = [np.zeros((ds.n, ds.n_features)) for _ in reps]
         grads = []
@@ -899,16 +813,10 @@ def full_graph_adam(model, ds, epochs, lr):
                 continue
             if work.mode == "functional":
                 dlogits = st.weight * dscore[:, None]
-            elif work.mode == "samme":
+            else:
                 p = softmax(out)
                 dlogits = st.weight * p * (
                     dscore - (dscore * p).sum(axis=1, keepdims=True))
-            else:
-                p = softmax(out)
-                dlogp = (k - 1.0) * (dscore
-                                     - dscore.mean(axis=1, keepdims=True))
-                dlogp[p < DEFAULT_CLIP] = 0.0
-                dlogits = dlogp - p * dlogp.sum(axis=1, keepdims=True)
             stage_grads, dx = backward(st.learner, caches[s], dlogits)
             grads += stage_grads
             adjoint[s] += dx[:, :ds.n_features]
@@ -945,8 +853,7 @@ def unsaturated_run(kind, mode):
             n_rounds=2, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     else:
-        runner = run_samme if mode == "samme" else run_samme_r
-        model, _ = runner(ds, SammeConfig(
+        model, _ = run_samme(ds, SammeConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     return ds, model
@@ -957,7 +864,7 @@ class TestFineTuneEquivalence:
     full-graph reference, and the errors ``predict`` gives."""
 
     @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
-    @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
     def test_matches_full_graph_sgd(self, kind, mode):
         ds, model = unsaturated_run(kind, mode)
         epochs, lr = 3, 0.05
@@ -988,8 +895,8 @@ class TestFineTuneEquivalence:
 # SHA-256 of (the fine-tuned model's save_model bytes, the trained model's
 # predict scores, the fine-tuned model's predict scores) for each
 # unsaturated_run, recorded before the vote and its gradient were written
-# once per mode; the SAMME and SAMME.R save hashes were taken again when
-# those drivers began to keep each stage's w.l.c. fit in ``wlc``
+# once per mode; the SAMME save hashes were taken again when that driver
+# began to keep each stage's w.l.c. fit in ``wlc``
 FINE_TUNE_BYTES = {
     "functional-fixed": (
         "6dde81575b714abf5c7a4ca262aee0b3ada7357fc1af23ab285f44e321b485c7",
@@ -999,10 +906,6 @@ FINE_TUNE_BYTES = {
         "015b4d4d75bc0094d5535cf1bf5dc5eff55f654afb8c437f4eca6a3a7e4e4d07",
         "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
         "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
-    "samme_r-fixed": (
-        "af5992aff2d61538dcdb6237dfa5212e1a5ab60e876aa7f77bd32df038ca445e",
-        "75796f29f15c0e13be6b1e9e1dc5b473e186dc9dd3bc771dc9e14c4143486710",
-        "ebdcc65b0d3ebd6432d694a5879abf3f05dc9c3ef0177c60da56373d57f203eb"),
     "functional-input_injection": (
         "a032275be134d46e9c2a46372c64a7ab1ed5ab38b8dc7e7b5c6ae1e7dc67b904",
         "591f9723f94d27c5338d5d163c77d109f9bd018d8b682ee64bac67a6bcb0c33a",
@@ -1011,10 +914,6 @@ FINE_TUNE_BYTES = {
         "e23fad710960d722e200ae394fe3dff59aa6015377c5df09f8d75a4c592ca30b",
         "75d87e4c07e4ae6a2383423bc77041e7ac31388f1c15792a9e8311c3fc0b00c0",
         "70861760461fed59bbbcd5f5729dbfcf16fd5538fe435e9906e1795e3ad8c94e"),
-    "samme_r-input_injection": (
-        "95328899d9a65d87246ddec866534be7749d0cbf08312644601e2306c809545d",
-        "4d1be36868066581ab5df96971f50b9e5716b98605827e7a15cb0fb750475f37",
-        "1c18898c5cd1525480ac9dc59afab671b8183e76cd38b5b805ab09cea5d0ebe2"),
     "functional-kta": (
         "bdcb7498a1a69f7cfab3538908e30225de99de42b6b0234675b73f7de121d329",
         "fea44b036e17a7e2b0282edac370784bdbc769dfe5fa957cf6ccd65cb743139c",
@@ -1023,16 +922,12 @@ FINE_TUNE_BYTES = {
         "573f939dd58359dd02fbaa0d19ec2df96bd63db2764314cc5ca86815d8656086",
         "a707c9a3bc80239971dca8fad6da9ba7c6bd00c111a879f9e423a659adc3491e",
         "1d0bd44676386c9375366769f722fa657f38c96561ea713e78f247f59b7267c7"),
-    "samme_r-kta": (
-        "8f96e3a0b739a66b16f05af3e8794a9b03c541013fbd61c3c86ecffbab4c52a6",
-        "d7d2467151c7fd45529ceea7670007724844ead2af5ddb664e54c3fc973746bd",
-        "7353407230f58e310fd9cc47efbb0f749f931a005e614babe9b2fdfc0b79ef57"),
 }
 
 
 class TestFineTuneBytes:
     @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
-    @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
     def test_fine_tune_and_predict_bytes_pinned(self, tmp_path, kind, mode):
         import hashlib
 
@@ -1056,8 +951,7 @@ def noisy_run(kind, mode):
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     else:
-        runner = run_samme if mode == "samme" else run_samme_r
-        model, trace = runner(ds, SammeConfig(
+        model, trace = run_samme(ds, SammeConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     return ds, model, trace
@@ -1114,11 +1008,11 @@ class TestPredict:
         assert len(scores) == len(model.stages)
 
     @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
-    @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
     def test_reproduces_trace_errors(self, kind, mode):
         # predict on a freshly trained model gives exactly the errors the
         # trace recorded for the stage it predicts from: t* for functional,
-        # the last stage for SAMME and SAMME.R
+        # the last stage for SAMME
         ds, model, trace = noisy_run(kind, mode)
         row = trace[(model.t_star or len(trace)) - 1]
         _, classes = predict(model, ds)
@@ -1127,7 +1021,7 @@ class TestPredict:
         assert row["test_err"] == np.mean(wrong[ds.split.test])
 
     @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
-    @pytest.mark.parametrize("mode", ["functional", "samme", "samme_r"])
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
     def test_streamed_equals_materialised(self, kind, mode):
         from graphboost.boost import stage_representations
         ds, model, _ = noisy_run(kind, mode)

@@ -55,9 +55,13 @@ class TestConfig:
             config_from_dict(base_config(dataset_dir,
                                          learner={"epochs": 0}))
 
-    def test_mode_derived_from_variant(self, dataset_dir):
-        cfg = config_from_dict(base_config(dataset_dir, variant="samme_r"))
-        assert cfg.mode == "samme_r"
+    def test_mode_defaults_to_samme(self, dataset_dir):
+        assert config_from_dict(base_config(dataset_dir)).mode == "samme"
+        # samme_r is neither a variant nor a mode; an empty mode is refused
+        for name, value in (("variant", "samme_r"), ("mode", "samme_r"),
+                            ("mode", "")):
+            with pytest.raises(ConfigError, match=f"^{name}: "):
+                config_from_dict(base_config(dataset_dir, **{name: value}))
 
     def test_hidden_layers_range(self, dataset_dir):
         with pytest.raises(ConfigError, match="hidden_layers"):
@@ -84,6 +88,18 @@ class TestConfig:
     def test_bool_for_float_field_is_named(self, dataset_dir, name, field):
         with pytest.raises(ConfigError, match=f"^{name}: must be a number"):
             config_from_dict(base_config(dataset_dir, **field))
+
+    @pytest.mark.parametrize("outer,key,kind", [
+        ("learner", "lr", "a number"), ("kta", "lr", "a number"),
+        ("fine_tune_cfg", "weight_decay", "a number"),
+        ("learner", "epochs", "an integer"),
+        ("fine_tune_cfg", "epochs", "an integer")])
+    def test_non_number_in_nested_field_is_named(self, dataset_dir, outer,
+                                                 key, kind):
+        # typed before the nested config's own checks compare the value
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(base_config(dataset_dir, **{outer: {key: "x"}}))
+        assert str(exc.value) == f"{outer}.{key}: must be {kind}, got 'x'"
 
 
 class TestTrain:
@@ -360,6 +376,15 @@ class TestCurvesCommand:
         assert std_rows  # per-t std columns present
 
 
+# model.json headers theory refuses: a mode no driver writes, fewer than two
+# classes, no stage, or a t* that names no stage
+HEADER_EDITS = {
+    "mode_samme_r": {"mode": "samme_r"}, "mode_bogus": {"mode": "bogus"},
+    "n_classes_x": {"n_classes": "x"}, "stages_empty": {"stages": []},
+    "t_star_x": {"t_star": "x"}, "t_star_99": {"t_star": 99},
+    "t_star_1.5": {"t_star": 1.5}, "t_star_0": {"t_star": 0}}
+
+
 class TestExitCodes:
     def test_ok(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -498,11 +523,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "model_missing", "model_not_json", "model_without_mode",
         "format_version_3", "weights_not_base64", "weights_wrong_length",
-        "activation_sigmoid", "bias_false", "base_normalized", "clip_other"])
+        "activation_sigmoid", "bias_false", "base_normalized", "clip_other",
+        "weight_x", *HEADER_EDITS])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
+        # t* is a functional model's field
+        mode = "functional" if case.startswith("t_star") else "samme"
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0],
+                                                   mode=mode)))
         cmd_train(str(cfg_path), str(tmp_path / "run"))
         model = tmp_path / "run" / "seed_0" / "model.json"
         args = ["theory", "--model", str(model), "--data", dataset_dir]
@@ -518,7 +547,11 @@ class TestExitCodes:
             blob = json.loads(model.read_text())
             learner = blob["stages"][0]["learner"]
             weights = learner["weights"]
-            if case == "format_version_3":
+            if case in HEADER_EDITS:
+                blob.update(HEADER_EDITS[case])
+            elif case == "weight_x":
+                blob["stages"][0]["weight"] = "x"
+            elif case == "format_version_3":
                 blob["format_version"] = 3
             elif case == "weights_not_base64":
                 weights[0] = "%" + weights[0][1:]
