@@ -4,10 +4,12 @@
 Repeatedly applying the GCN operator D~^{-1/2}(A + I)D~^{-1/2} shrinks every
 eigencomponent except the top one, so the features collapse toward the
 rank-one space spanned by the top eigenvector (whose entries follow
-sqrt(degree + 1)).
-The trajectory below tracks the feature norm two independent ways (direct
-multiplication vs the eigenvalue identity) together with the distance to
-that rank-one space.
+sqrt(degree + 1); a graph with several connected components has one such
+vector per component).
+The trajectory below tracks the distance to that space, the norm of
+P^t X minus its projection onto it, and the feature norm two ways: by
+direct multiplication, and as the projection's norm, which propagation
+keeps, combined with that distance.
 """
 
 import numpy as np

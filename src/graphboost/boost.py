@@ -653,8 +653,11 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
     numbers; version 2 as base64 ``'<f8'`` bytes. A mode other than
     functional or SAMME, another base or clip, fewer than two classes, no
     stage, a stage weight that is not a finite number, a t* that is not a
-    stage index, or a learner with another activation or without a bias,
-    raises ValueError."""
+    stage index, an unknown ``aggregator_kind``, flags that are not an
+    object, an aggregator on the first stage or a missing one on a later
+    stage, a stage aggregator of another kind than ``aggregator_kind``, or
+    a learner with another activation, without a bias, or whose weight
+    shapes do not chain as matrices, raises ValueError."""
     version = blob.get("format_version", 1)
     if version not in (1, 2):
         raise ValueError(f"unknown model format_version {version!r}")
@@ -673,33 +676,50 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
     if t_star is not None and not (_is_number(t_star, numbers.Integral)
                                    and 1 <= t_star <= len(blob_stages)):
         raise ValueError(f"t_star {t_star!r}: not null or a stage index")
+    kind, flags = blob["aggregator_kind"], blob.get("flags", {})
+    if kind not in ("fixed", "input_injection", "kta"):
+        raise ValueError(f"aggregator_kind {kind!r}: not 'fixed', "
+                         "'input_injection' or 'kta'")
+    if not isinstance(flags, dict):
+        raise ValueError(f"flags {flags!r}: not an object")
     operator = base_operator(graph)
     stages = []
-    for st in blob_stages:
+    for idx, st in enumerate(blob_stages):
         weight = st["weight"]
         if not (_is_number(weight) and math.isfinite(weight)):
             raise ValueError(f"stage weight {weight!r}: not a finite number")
+        agg = st["aggregator"]
+        if idx == 0 and agg is not None:
+            raise ValueError(f"stage 1 aggregator {agg!r}: the first stage "
+                             "reads the features as they are")
+        if idx > 0 and not (isinstance(agg, dict) and agg.get("kind") == kind):
+            raise ValueError(f"stage {idx + 1} aggregator {agg!r}: not one "
+                             f"of aggregator_kind {kind!r}")
         lrn = st["learner"]
         if lrn is None:
             params = None
         else:
+            shapes = lrn["shapes"]
             weights = [np.asarray(w, dtype=float).reshape(shape)
                        if version == 1 else _decode_weight(w, shape)
-                       for w, shape in zip(lrn["weights"], lrn["shapes"])]
+                       for w, shape in zip(lrn["weights"], shapes)]
+            if not (0 < len(shapes) == len(lrn["weights"])
+                    and all(w.ndim == 2 for w in weights)
+                    and all(a.shape[1] == b.shape[0]
+                            for a, b in zip(weights, weights[1:]))):
+                raise ValueError(f"learner shapes {shapes!r}: not a chain "
+                                 "of matrices")
             if (lrn["activation"], lrn["bias"]) != ("relu", True):
                 raise ValueError(
                     f"learner activation {lrn['activation']!r} with bias "
                     f"{lrn['bias']!r}: only 'relu' with bias true is read")
             params = MlpParams(weights=weights)
         wlc = (WlcParams(**st["wlc"]) if st["wlc"] else None)
-        agg = st["aggregator"]
         stages.append(StageRecord(
             None if agg is None else _aggregator(operator, **agg), params,
             weight, wlc))
     return EnsembleModel(mode=blob["mode"], n_classes=k, stages=stages,
-                         t_star=t_star,
-                         aggregator_kind=blob["aggregator_kind"],
-                         flags=blob.get("flags", {}))
+                         t_star=t_star, aggregator_kind=kind, flags=flags)
 
 
 def save_model(model, path):

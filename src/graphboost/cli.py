@@ -320,14 +320,14 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
         raise DataError(
             f"{model_path} scores {model.n_classes} classes, but the train "
             f"or test labels in {data_dir} reach {top}")
-    # the dense eigendecomposition is theory's memory peak; running it
-    # before the bound report keeps the report's freed N x C temporaries,
-    # which the allocator may still hold, from adding to that peak
+    # the spectral report holds a few N x C arrays at a time (the features,
+    # one power, its projection onto the top eigenspace and their
+    # difference); a graph over eigen_cap nodes skips it
     trajectory = None
     if dataset.n <= eigen_cap:
         trajectory = smoothing_report(
             base_operator(dataset.graph), dataset.features,
-            t_max=min(32, 2 * len(model.stages)), cap=eigen_cap)
+            t_max=min(32, 2 * len(model.stages)))
     report = build_theory_report(model, dataset, c0=c0,
                                  delta_prime=delta_prime, delta=delta)
 

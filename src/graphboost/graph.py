@@ -2,9 +2,10 @@
 
 An operator is one sparse matrix P; powers and polynomials of it are
 applied by repeated sparse matvec (see ``aggregate.Polynomial``), never
-materialized densely. Spectral analysis (used by the over-smoothing
-diagnostics) densifies the operator, so it is gated behind a configurable
-size cap.
+materialized densely. The over-smoothing report needs only P's
+eigenvalue-1 space, one sqrt(deg + 1) vector per connected component, so
+no program path densifies P; ``eigendecompose``, which does, is there to
+inspect the full spectrum and refuses graphs above a size cap.
 """
 
 from __future__ import annotations

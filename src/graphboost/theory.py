@@ -15,19 +15,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .aggregate import Polynomial
 from .boost import replay_scores, stage_inputs
 from .data import partition_constants
-from .graph import DENSE_EIGEN_CAP, PropagationMatrix, eigendecompose
+from .graph import PropagationMatrix
 from .losses import margin_loss, surrogate
 from .mlp import max_column_l1
 
 MC_DEFAULT_SAMPLES = 20000
 MC_BLOCK = 1000
-# eigenvalues this close to 1 span the top eigenspace: one per connected
-# component, the space repeated propagation collapses the features onto
-TOP_EIGEN_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -160,10 +158,11 @@ def wlc_complexity_lower_bound(alpha, beta):
 @dataclass(frozen=True)
 class SpectralTrajectory:
     """Per-step record of ||P^t X||_F computed two ways, the largest
-    per-column cosine with the top eigenspace (eigenvalue 1, one dimension
-    per connected component), and the Frobenius distance to that space.
-    The CSV keeps the names ``cos_xi1_max`` and ``rank1_dist``; on a
-    connected graph the space is the line of the top eigenvector xi_1."""
+    per-column cosine with the top eigenspace V_1 (eigenvalue 1, spanned by
+    sqrt(deg + 1) on each connected component), and the Frobenius distance
+    to that space. The CSV keeps the names ``cos_xi1_max`` and
+    ``rank1_dist``; on a connected graph V_1 is the line of the top
+    eigenvector xi_1."""
 
     steps: np.ndarray
     frobenius_direct: np.ndarray
@@ -191,30 +190,39 @@ class SpectralTrajectory:
                     f"{row['rank1_dist']!r}\n")
 
 
-def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
-                     cap=DENSE_EIGEN_CAP) -> SpectralTrajectory:
+def smoothing_report(p: PropagationMatrix, x, t_max,
+                     rtol=1e-6) -> SpectralTrajectory:
     """Trajectory of repeatedly propagated features for t = 0..t_max.
 
-    The Frobenius norm is computed both by direct multiplication and by the
-    eigenbasis identity ||X||_F^2 - sum_{n>=2} (1 - lambda_n^{2t}) a_nc^2
-    (valid for ``base_operator(g)``, whose top eigenvalue is 1 on every
-    graph by construction); a relative gap above ``rtol`` raises. The top
-    eigenspace V_1 is spanned by the eigenvectors whose eigenvalues lie
-    within ``TOP_EIGEN_TOL`` of 1, and V_1^T P^t X = V_1^T X. So the
-    squared distance of P^t X to V_1 is sum_{n off V_1} lambda_n^{2t}
-    a_nc^2, a sum of nonnegative terms, and the cosine of column c is
-    ||V_1^T X_c|| / ||P^t X_c||. ``x`` is N x C.
+    ``p`` is ``base_operator(g)``, whose eigenvalue-1 space V_1 has one
+    orthonormal basis vector per connected component: 1 / sqrt(P_ii) =
+    sqrt(deg + 1) on the component, normalised, and zero off it. P fixes
+    V_1, so V_1^T P^t X = V_1^T X at every t, and the projection of P^t X
+    onto V_1 is the one N x C matrix V_1 V_1^T X. The distance to V_1 is
+    the norm of the subtraction P^t X - V_1 V_1^T X, which stays accurate
+    as it decays (a difference of squared norms would cancel). The norm is
+    computed a second time as sqrt(||V_1^T X||^2 + distance^2), which
+    holds only if P fixes V_1, so a relative gap above ``rtol`` from the
+    direct ||P^t X||_F raises. The cosine of column c is ||V_1^T X_c|| /
+    ||P^t X_c||. ``x`` is N x C.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != p.n:
         raise ValueError(f"smoothing_report needs an N x C feature matrix "
                          f"with N = {p.n}, got shape {x.shape}")
-    lam, vecs = eigendecompose(p, cap=cap)
-    coeff = vecs.T @ x  # a_nc, with x = vecs @ coeff
-    k = int(np.sum(np.abs(lam - 1.0) <= TOP_EIGEN_TOL))
-    top_col_norms = np.linalg.norm(coeff[:k], axis=0)
+    # imported here: scipy.sparse.csgraph adds about 60 ms to every CLI
+    # start, and only the spectral report needs it
+    from scipy.sparse.csgraph import connected_components
+
+    k, comp = connected_components(p.matrix, directed=False)
+    u = 1.0 / np.sqrt(p.matrix.diagonal())
+    u /= np.sqrt(np.bincount(comp, weights=u * u, minlength=k))[comp]
+    v1 = sp.csr_matrix((u, (np.arange(p.n), comp)), shape=(p.n, k))
+    top = v1.T @ x
+    top_col_norms = np.linalg.norm(top, axis=0)
+    top_sq = float(np.sum(top * top))
     x_sq = float(np.sum(x * x))
-    mass = (coeff ** 2).sum(axis=1)  # per-eigenvector mass sum_c a_nc^2
+    proj = v1 @ top
 
     steps = np.arange(t_max + 1)
     direct = np.empty(t_max + 1)
@@ -226,16 +234,16 @@ def smoothing_report(p: PropagationMatrix, x, t_max, rtol=1e-6,
     powers = Polynomial(p, tuple(steps), np.ones(len(steps))).terms(x)
     for t, cur in zip(steps, powers):
         direct[t] = np.linalg.norm(cur)
-        decay = (1.0 - lam[1:] ** (2 * t)) @ mass[1:]
-        spectral[t] = math.sqrt(max(x_sq - decay, 0.0))
-        rank1[t] = math.sqrt(lam[k:] ** (2 * t) @ mass[k:])
+        rank1[t] = np.linalg.norm(cur - proj)
+        spectral[t] = math.sqrt(top_sq + rank1[t] ** 2)
         col_norms = np.linalg.norm(cur, axis=0)
         safe = np.where(col_norms == 0.0, 1.0, col_norms)
         cos_top[t] = float(np.max(top_col_norms / safe))
-        # compare squared norms; mass below rtol ||X||^2 is numerically zero
+        # compare squared norms; mass below rtol ||X||^2 is numerically
+        # zero, and a NaN gap (an operator with a zero diagonal) also raises
         d2, s2 = direct[t] ** 2, spectral[t] ** 2
         gap = abs(d2 - s2) / max(d2, s2, rtol * x_sq, 1e-300)
-        if gap > rtol:
+        if not gap <= rtol:
             raise NumericalError(
                 f"direct and spectral norms disagree at t={t}: "
                 f"{direct[t]} vs {spectral[t]}")

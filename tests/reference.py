@@ -1,13 +1,18 @@
 """Reference forms that the tests check the program against and no program
 path calls: the literal weak-learning norm test, its weighted-classification
 reformulation for sign-valued learners, the training-block Gram matrix and
-the kernel-target alignment that ``fit_kta`` ascends, and the textbook Adam
-step that every weight is trained by."""
+the kernel-target alignment that ``fit_kta`` ascends, the textbook Adam
+step that every weight is trained by, and the over-smoothing trajectory
+read off P's full eigendecomposition."""
+
+import math
 
 import numpy as np
 
-from graphboost.aggregate import ALIGNMENT_EPS
+from graphboost.aggregate import ALIGNMENT_EPS, Polynomial
 from graphboost.boost import WlcParams
+from graphboost.graph import eigendecompose
+from graphboost.theory import SpectralTrajectory
 
 
 def wlc_check(z, g, params: WlcParams) -> bool:
@@ -80,3 +85,35 @@ class AllocatingAdam:
             mhat = st["m"] / (1 - b1 ** self.t)
             shat = st["s"] / (1 - b2 ** self.t)
             w -= self.lr * mhat / (np.sqrt(shat) + eps)
+
+
+def dense_smoothing_report(p, x, t_max, top_tol=1e-9):
+    """``smoothing_report``'s four columns from the dense eigendecomposition
+    of P, with a_nc = xi_n^T X_c. The norm is the eigenbasis identity
+    ||X||_F^2 - sum_{n>=2} (1 - lambda_n^{2t}) sum_c a_nc^2 (P's top
+    eigenvalue is 1), V_1 is spanned by the eigenvectors whose eigenvalue
+    lies within ``top_tol`` of 1, the squared distance to V_1 is
+    sum_{n off V_1} lambda_n^{2t} sum_c a_nc^2, and the cosine of column c
+    is ||V_1^T X_c|| / ||P^t X_c||."""
+    x = np.asarray(x, dtype=float)
+    lam, vecs = eigendecompose(p)
+    coeff = vecs.T @ x
+    k = int(np.sum(np.abs(lam - 1.0) <= top_tol))
+    top_col_norms = np.linalg.norm(coeff[:k], axis=0)
+    x_sq = float(np.sum(x * x))
+    mass = (coeff ** 2).sum(axis=1)
+
+    steps = np.arange(t_max + 1)
+    direct, spectral, cos_top, rank1 = (np.empty(t_max + 1) for _ in range(4))
+    powers = Polynomial(p, tuple(steps), np.ones(len(steps))).terms(x)
+    for t, cur in zip(steps, powers):
+        direct[t] = np.linalg.norm(cur)
+        decay = (1.0 - lam[1:] ** (2 * t)) @ mass[1:]
+        spectral[t] = math.sqrt(max(x_sq - decay, 0.0))
+        rank1[t] = math.sqrt(lam[k:] ** (2 * t) @ mass[k:])
+        col_norms = np.linalg.norm(cur, axis=0)
+        safe = np.where(col_norms == 0.0, 1.0, col_norms)
+        cos_top[t] = float(np.max(top_col_norms / safe))
+    return SpectralTrajectory(steps=steps, frobenius_direct=direct,
+                              frobenius_spectral=spectral, cos_top=cos_top,
+                              rank_one_distance=rank1)

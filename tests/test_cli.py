@@ -348,6 +348,26 @@ class TestTheoryCommand:
         assert not (run / "seed_0" / "spectral.csv").exists()
         assert (run / "seed_0" / "theory.json").exists()
 
+    def test_spectral_report_runs_no_eigendecomposition(
+            self, dataset_dir, tmp_path, monkeypatch):
+        import scipy.linalg
+
+        import graphboost.graph
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigendecomposition called")
+
+        monkeypatch.setattr(graphboost.graph, "eigendecompose", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        run = tmp_path / "run"
+        cmd_train(str(cfg_path), str(run))
+        report = cmd_theory(str(run / "seed_0" / "model.json"), dataset_dir,
+                            out_dir=str(run / "seed_0"))
+        assert report["spectral"] == "written"
+        assert (run / "seed_0" / "spectral.csv").exists()
+
 
 class TestCurvesCommand:
     def test_single_trace_passthrough(self, dataset_dir, tmp_path):
@@ -382,7 +402,10 @@ HEADER_EDITS = {
     "mode_samme_r": {"mode": "samme_r"}, "mode_bogus": {"mode": "bogus"},
     "n_classes_x": {"n_classes": "x"}, "stages_empty": {"stages": []},
     "t_star_x": {"t_star": "x"}, "t_star_99": {"t_star": 99},
-    "t_star_1.5": {"t_star": 1.5}, "t_star_0": {"t_star": 0}}
+    "t_star_1.5": {"t_star": 1.5}, "t_star_0": {"t_star": 0},
+    "aggregator_kind_kta": {"aggregator_kind": "kta"},
+    "aggregator_kind_bogus": {"aggregator_kind": "bogus"},
+    "flags_list": {"flags": []}}
 
 
 class TestExitCodes:
@@ -524,7 +547,8 @@ class TestExitCodes:
         "model_missing", "model_not_json", "model_without_mode",
         "format_version_3", "weights_not_base64", "weights_wrong_length",
         "activation_sigmoid", "bias_false", "base_normalized", "clip_other",
-        "weight_x", *HEADER_EDITS])
+        "weight_x", "first_stage_aggregator", "later_stage_aggregator_null",
+        "shapes_unchained", *HEADER_EDITS])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
         # t* is a functional model's field
@@ -551,6 +575,13 @@ class TestExitCodes:
                 blob.update(HEADER_EDITS[case])
             elif case == "weight_x":
                 blob["stages"][0]["weight"] = "x"
+            elif case == "first_stage_aggregator":
+                blob["stages"][0]["aggregator"] = {"kind": "fixed"}
+            elif case == "later_stage_aggregator_null":
+                blob["stages"][1]["aggregator"] = None
+            elif case == "shapes_unchained":
+                # the 8 x 2 output layer's 16 entries read as 4 x 4
+                blob["stages"][0]["learner"]["shapes"][1] = [4, 4]
             elif case == "format_version_3":
                 blob["format_version"] = 3
             elif case == "weights_not_base64":

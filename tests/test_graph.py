@@ -264,7 +264,8 @@ class TestEigendecompose:
         got_vals, got_vecs = eigendecompose(p)
         assert np.array_equal(got_vals, vals)
         assert np.array_equal(got_vecs, vecs)
-        # smoothing_report's coefficients, taken on the reversed view
+        # the dense reference report's coefficients, taken on the
+        # reversed view
         x = np.random.default_rng(0).standard_normal((p.n, 3))
         assert np.array_equal(got_vecs.T @ x, vecs.T @ x)
 

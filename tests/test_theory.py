@@ -1,22 +1,53 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
                               SammeConfig, run_functional_gb, run_samme,
                               stage_inputs)
 from graphboost.data import partition_constants, synthesize_two_block
-from graphboost.graph import SparseGraph, base_operator
+from graphboost.graph import PropagationMatrix, SparseGraph, base_operator
 from graphboost.mlp import MlpParams, TrainConfig, project_l1_columns
-from graphboost.theory import (ComplexityConstants,
+from graphboost.theory import (ComplexityConstants, NumericalError,
                                build_theory_report, generalization_bound,
                                mc_transductive_rademacher,
                                optimization_bound, rademacher_bound,
                                smoothing_report, wlc_complexity_lower_bound)
-from test_graph import random_connected_graph
+from reference import dense_smoothing_report
+from test_graph import random_connected_graph, two_component_graph
+
+
+# peak resident growth of one smoothing_report in a fresh process, in N x N
+# float64 arrays; a first call on a small graph loads the modules it imports
+_REPORT_PEAK_SCRIPT = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from graphboost.graph import SparseGraph, base_operator
+    from graphboost.theory import smoothing_report
+    def operator(n):
+        rng = np.random.default_rng(0)
+        path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        extra = rng.integers(0, n, size=(2 * n, 2))
+        extra = extra[extra[:, 0] != extra[:, 1]]
+        return base_operator(SparseGraph.from_edges(n, np.vstack([path,
+                                                                  extra])))
+    smoothing_report(operator(10), np.ones((10, 4)), t_max=2)
+    n = int(sys.argv[1])
+    p = operator(n)
+    x = np.random.default_rng(1).standard_normal((n, 4))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    smoothing_report(p, x, t_max=32)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print((after - before) * 1024 / (8.0 * n * n))
+""")
 
 
 def dense_stage_maps(model, ds):
@@ -229,7 +260,7 @@ class TestSmoothingReport:
 
     def test_requires_n_rows(self):
         # a C x N input is refused, not transposed, before any
-        # eigendecomposition
+        # propagation
         g = random_connected_graph(6, 0.5, seed=1)
         x = np.random.default_rng(1).standard_normal((6, 2))
         with pytest.raises(ValueError, match=r"N = 6, got shape \(2, 6\)"):
@@ -249,25 +280,85 @@ class TestSmoothingReport:
 
 
     def test_spectral_csv_bytes_unchanged(self, tmp_path):
-        # the expected bytes were written by the dense path that densified
-        # through apply(eye) and ran numpy's eigh; any rework of the
-        # spectral path must reproduce them
+        # the expected bytes are those of the component-basis report; each
+        # value is also held within 1e-15 relative of the bytes the dense
+        # eigendecomposition path wrote before it (t and frob_direct equal)
         g = SparseGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4),
                                        (4, 5), (5, 6)])
         x = np.random.default_rng(3).standard_normal((7, 2))
         path = tmp_path / "spectral.csv"
         smoothing_report(base_operator(g), x,
                          t_max=3).write_csv(path)
-        assert path.read_text() == (
+        text = path.read_text()
+        assert text == (
             "t,frob_direct,frob_spectral,cos_xi1_max,rank1_dist\n"
-            "0,5.298217601296804,5.298217601296804,0.5842815582515349,"
-            "4.428418294869634\n"
-            "1,3.3447927284979455,3.3447927284979446,0.8757587510998754,"
-            "1.6514894005889196\n"
-            "2,3.1203468865529596,3.1203468865529587,0.9403241861715008,"
-            "1.129753750188758\n"
-            "3,3.0216645349688602,3.0216645349688585,0.9675655373713867,"
-            "0.8186790613747182\n")
+            "0,5.298217601296804,5.2982176012968045,0.5842815582515349,"
+            "4.428418294869635\n"
+            "1,3.3447927284979455,3.3447927284979446,0.8757587510998751,"
+            "1.6514894005889198\n"
+            "2,3.1203468865529596,3.120346886552958,0.9403241861715005,"
+            "1.1297537501887582\n"
+            "3,3.0216645349688602,3.0216645349688585,0.9675655373713864,"
+            "0.8186790613747185\n")
+        dense = np.array([
+            [0, 5.298217601296804, 5.298217601296804, 0.5842815582515349,
+             4.428418294869634],
+            [1, 3.3447927284979455, 3.3447927284979446, 0.8757587510998754,
+             1.6514894005889196],
+            [2, 3.1203468865529596, 3.1203468865529587, 0.9403241861715008,
+             1.129753750188758],
+            [3, 3.0216645349688602, 3.0216645349688585, 0.9675655373713867,
+             0.8186790613747182]])
+        got = np.array([[float(v) for v in line.split(",")]
+                        for line in text.splitlines()[1:]])
+        assert np.array_equal(got[:, :2], dense[:, :2])
+        np.testing.assert_allclose(got, dense, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_connected_graph(40, 0.1, seed=3),
+        lambda: two_component_graph(41, seed=12),
+        # a connected block of 30 nodes and 6 isolated ones
+        lambda: SparseGraph.from_edges(
+            36, random_connected_graph(30, 0.1, seed=5).edges),
+    ], ids=["connected", "two_components", "isolated_nodes"])
+    def test_matches_dense_eigendecomposition(self, make):
+        g = make()
+        x = np.random.default_rng(g.n_nodes).standard_normal((g.n_nodes, 4))
+        got = smoothing_report(base_operator(g), x, t_max=16)
+        want = dense_smoothing_report(base_operator(g), x, t_max=16)
+        for name in ("frobenius_direct", "frobenius_spectral", "cos_top",
+                     "rank_one_distance"):
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(want, name), rtol=1e-12,
+                                       atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("edit,first_t", [
+        (lambda m: 0.5 * m, 1),
+        (lambda m: m - sp.diags(m.diagonal()), 0),
+    ], ids=["half", "zero_diagonal"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_operator_that_does_not_fix_top_space_raises(self, edit,
+                                                         first_t):
+        # 0.5 P is symmetric with the same components, but it halves V_1 at
+        # every step, so the second computation of the norm disagrees; with
+        # a zero diagonal, 1 / sqrt(P_ii) gives no basis and the gap is NaN
+        g = random_connected_graph(20, 0.15, seed=4)
+        m = sp.csr_matrix(edit(base_operator(g).matrix))
+        x = np.random.default_rng(4).standard_normal((20, 3))
+        with pytest.raises(NumericalError, match=f"disagree at t={first_t}"):
+            smoothing_report(PropagationMatrix(m), x, t_max=4)
+
+    def test_peak_memory_holds_no_n_by_n_array(self):
+        # the dense eigendecomposition grew the peak by about 3.4 N x N
+        # float64 arrays; the component basis holds N x C ones
+        n = 3000
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", _REPORT_PEAK_SCRIPT, str(n)], env=env,
+            capture_output=True, text=True, check=True, timeout=120)
+        assert float(out.stdout) < 0.5
 
 
 class TestTheoryReport:
