@@ -119,6 +119,10 @@ class Polynomial:
         adjoint = self._combine(dotted(self.terms(d)))
         return adjoint, np.array(grad)
 
+    def coef_grad(self, d, x):
+        """``pullback``'s coefficient gradient <P^p d, x> alone."""
+        return np.array([float(np.vdot(term, x)) for term in self.terms(d)])
+
 
 def fixed(operator):
     """x -> P x."""

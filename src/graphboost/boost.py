@@ -509,8 +509,11 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     for s in range(len(model.stages) - 1, 0, -1):
         if dxs[s] is not None:
             d[train] += dxs[s]
-        d, kta_grads[s] = model.stages[s].aggregator.pullback(d,
-                                                              chain[s - 1])
+        aggregator = model.stages[s].aggregator
+        if s == 1:  # the first aggregator's adjoint reaches no weight
+            kta_grads[s] = aggregator.coef_grad(d, chain[0])
+        else:
+            d, kta_grads[s] = aggregator.pullback(d, chain[s - 1])
     return mlp_grads, kta_grads
 
 
@@ -647,10 +650,11 @@ def _is_number(value, kind=numbers.Real):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def model_from_json(blob: dict, graph) -> EnsembleModel:
-    """Read a manifest of either format version. Version 1, written
-    without a ``format_version`` key, holds each weight as a list of
-    numbers; version 2 as base64 ``'<f8'`` bytes. A mode other than
+def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
+    """Read a manifest of either format version, its aggregators over
+    ``operator``, which is ``base_operator(graph)`` when None. Version 1,
+    written without a ``format_version`` key, holds each weight as a list
+    of numbers; version 2 as base64 ``'<f8'`` bytes. A mode other than
     functional or SAMME, another base or clip, fewer than two classes, no
     stage, a stage weight that is not a finite number, a t* that is not a
     stage index, an unknown ``aggregator_kind``, flags that are not an
@@ -682,7 +686,8 @@ def model_from_json(blob: dict, graph) -> EnsembleModel:
                          "'input_injection' or 'kta'")
     if not isinstance(flags, dict):
         raise ValueError(f"flags {flags!r}: not an object")
-    operator = base_operator(graph)
+    if operator is None:
+        operator = base_operator(graph)
     stages = []
     for idx, st in enumerate(blob_stages):
         weight = st["weight"]
@@ -729,9 +734,9 @@ def save_model(model, path):
         fh.write(json.dumps(model_to_json(model)))
 
 
-def load_model(path, graph):
+def load_model(path, graph, operator=None):
     with open(path) as fh:
-        return model_from_json(json.load(fh), graph)
+        return model_from_json(json.load(fh), graph, operator)
 
 
 def write_trace_csv(trace, path):

@@ -302,7 +302,10 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
                 raise DataError(
                     f"{os.path.join(data_dir, fname)} is not the file the "
                     f"model was trained on (see {inputs_path})")
-    model = read_file(model_path, load_model, graph=dataset.graph)
+    # one operator serves the model's aggregators and the spectral report
+    operator = base_operator(dataset.graph)
+    model = read_file(model_path, load_model, graph=dataset.graph,
+                      operator=operator)
     # without inputs.json nothing above ties the data to the model, so
     # check that its learners can read the data's features and that it
     # scores every class the train and test labels name
@@ -326,7 +329,7 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     trajectory = None
     if dataset.n <= eigen_cap:
         trajectory = smoothing_report(
-            base_operator(dataset.graph), dataset.features,
+            operator, dataset.features,
             t_max=min(32, 2 * len(model.stages)))
     report = build_theory_report(model, dataset, c0=c0,
                                  delta_prime=delta_prime, delta=delta)

@@ -6,16 +6,42 @@ materialized densely. The over-smoothing report needs only P's
 eigenvalue-1 space, one sqrt(deg + 1) vector per connected component, so
 no program path densifies P; ``eigendecompose``, which does, is there to
 inspect the full spectrum and refuses graphs above a size cap.
+
+P x is computed by contiguous row blocks of about equal nonzero count, one
+per CPU the process may run on, in a thread pool started at the first
+product large enough to split. Every output row is summed over the same
+entries in the same order as the serial product, so the result is
+``matrix @ x`` bit for bit. The kernel is scipy's CSR multivector loop, not
+BLAS, so the BLAS thread variables do not govern it.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 DENSE_EIGEN_CAP = 5000
+# row blocks P x is split into: the CPUs in the process's affinity mask
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+# least work (stored entries x columns) per block worth a thread hand-off;
+# a smaller product runs as one block on the caller's thread
+MIN_BLOCK_WORK = 1 << 19
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers):
+    return ThreadPoolExecutor(workers, thread_name_prefix="graphboost-apply")
+
+
+# a forked child inherits the pool object but not its threads
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 class GraphError(ValueError):
@@ -103,33 +129,70 @@ def write_edge_list(path, graph):
 @dataclass(frozen=True)
 class PropagationMatrix:
     """Sparse node-mixing operator P, applied by sparse matvec. P must be
-    square and exactly symmetric, so P^T x is P x."""
+    square and exactly symmetric, so P^T x is P x. ``matrix`` is held as
+    canonical CSR (sorted indices, no duplicates) with float64 data."""
 
     matrix: sp.csr_matrix
 
     def __post_init__(self):
-        m = self.matrix
+        m = sp.csr_matrix(self.matrix, dtype=np.float64)
+        if not m.has_canonical_format:
+            m = m.copy()
+            m.sum_duplicates()
         if m.shape[0] != m.shape[1] or (m != m.T).nnz:
             raise GraphError(
                 f"operator is not square and symmetric: {m.shape}")
+        object.__setattr__(self, "matrix", m)
+        # row bounds cutting the nonzeros into WORKERS near-equal parts
+        bounds = np.unique(np.concatenate([
+            [0], np.searchsorted(m.indptr, np.arange(1, WORKERS) * m.nnz
+                                 // WORKERS), [m.shape[0]]]))
+        object.__setattr__(self, "_blocks", [
+            self._block(r0, r1) for r0, r1 in zip(bounds, bounds[1:])])
+        object.__setattr__(self, "_whole", [self._block(0, m.shape[0])])
+
+    def _block(self, r0, r1):
+        """Rows [r0, r1) of P as (r0, r1, indptr, indices, data), the
+        indptr rebased to the block's first entry."""
+        ptr = self.matrix.indptr[r0:r1 + 1]
+        lo, hi = ptr[0], ptr[-1]
+        return (r0, r1, ptr - lo, self.matrix.indices[lo:hi],
+                self.matrix.data[lo:hi])
 
     @property
     def n(self):
         return self.matrix.shape[0]
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
+    def apply(self, x):
+        """P x for x of shape (N,) or (N, C), by row blocks: the caller's
+        thread runs the first, the pool the rest."""
+        x = np.ascontiguousarray(x, dtype=float)
         if x.shape[0] != self.n:
             raise GraphError(
                 f"row count {x.shape[0]} does not match operator size {self.n}"
             )
-        return x
+        out = np.empty(x.shape)
+        width = x.size // self.n
+        blocks = self._blocks
+        if self.matrix.nnz * width < MIN_BLOCK_WORK * len(blocks):
+            blocks = self._whole
+        flat = x.reshape(-1)
+        pending = [_pool(len(blocks) - 1).submit(
+            self._run, block, width, flat, out) for block in blocks[1:]]
+        self._run(blocks[0], width, flat, out)
+        for job in pending:
+            job.result()
+        return out
 
-    def apply(self, x):
-        return self.matrix @ self._check(x)
+    def _run(self, block, width, x, out):
+        """Zero the block's rows of ``out`` and add its P x into them."""
+        r0, r1, indptr, indices, data = block
+        rows = out[r0:r1]
+        rows.fill(0.0)
+        csr_matvecs(r1 - r0, self.n, width, indptr, indices, data, x,
+                    rows.reshape(-1))
 
-    def apply_transpose(self, x):
-        return self.matrix.T @ self._check(x)
+    apply_transpose = apply  # P is symmetric
 
 
 def base_operator(g: SparseGraph) -> PropagationMatrix:

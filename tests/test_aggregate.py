@@ -5,7 +5,7 @@ from graphboost.aggregate import (INJECT_BLOCK, AlignmentConfig, Polynomial,
                                   _alignment_value_grad, fit_kta, fixed,
                                   injection, kta)
 from graphboost.data import one_hot
-from graphboost.graph import SparseGraph, base_operator
+from graphboost.graph import PropagationMatrix, SparseGraph, base_operator
 from reference import alignment, gram
 
 
@@ -108,6 +108,40 @@ class TestPolynomial:
         x, d = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
         agg = make(ring_operator)
         assert np.array_equal(agg.pullback(d, x)[0], agg.linear(d))
+
+    @pytest.mark.parametrize("make", [
+        fixed, lambda op: injection(op, 0.4),
+        lambda op: kta(op, 3, [1.1, 0.5, -0.3, 2.0, 0.7])],
+        ids=["fixed", "injection", "kta"])
+    def test_coef_grad_is_the_pullback_gradient(self, ring_operator, make):
+        rng = np.random.default_rng(19)
+        x, d = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+        agg = make(ring_operator)
+        assert np.array_equal(agg.coef_grad(d, x), agg.pullback(d, x)[1])
+
+    def test_every_matvec_is_one_operator_apply(self, ring_operator,
+                                                monkeypatch):
+        # per-layer profiles count P x by wrapping PropagationMatrix.apply
+        # on the class, so every power must be reached through it
+        calls = []
+        apply = PropagationMatrix.apply
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return apply(self, x)
+        monkeypatch.setattr(PropagationMatrix, "apply", counted)
+        agg = kta(ring_operator, 3, [1.1, 0.5, -0.3, 2.0, 0.7])
+        x = np.random.default_rng(20).standard_normal((6, 2))
+        # the top power, P^8 x, takes 8 matvecs
+        for run, matvecs in [(lambda: list(agg.terms(x)), 8),
+                             (lambda: agg.linear(x), 8),
+                             (lambda: agg.pullback(x, x), 8),
+                             (lambda: agg.coef_grad(x, x), 8),
+                             (lambda: injection(ring_operator, 0.4)
+                              .apply(x, x), 1)]:
+            calls.clear()
+            run()
+            assert calls == [(6, 2)] * matvecs
 
     def test_linear_drops_the_injected_term(self, ring_operator):
         x = np.random.default_rng(14).standard_normal((6, 3))

@@ -184,6 +184,27 @@ class TestTheoryCommand:
         assert "optimization" not in report  # samme run
         assert report["complexity"]
 
+    @pytest.mark.parametrize("n_rounds", [1, 3])
+    def test_builds_the_base_operator_once(self, dataset_dir, tmp_path,
+                                           monkeypatch, n_rounds):
+        # the model's aggregators and the spectral report share one P; a
+        # one-stage model holds no aggregator
+        from graphboost import boost, cli
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            dataset_dir, variant="kta", seeds=[0], n_rounds=n_rounds)))
+        run = tmp_path / "run"
+        cmd_train(str(cfg_path), str(run))
+        built = []
+        for module in (boost, cli):
+            original = module.base_operator
+            monkeypatch.setattr(module, "base_operator",
+                                lambda g, f=original: built.append(g) or f(g))
+        report = cmd_theory(str(run / "seed_0" / "model.json"), dataset_dir,
+                            out_dir=str(run / "seed_0"))
+        assert len(built) == 1
+        assert report["spectral"] == "written"
+
     def test_functional_report_has_optimization(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from graphboost import graph
 from graphboost.graph import (ConvergenceError, GraphError,
                               PropagationMatrix, SparseGraph, base_operator,
                               eigendecompose, operator_norm, read_edge_list)
@@ -142,6 +143,214 @@ class TestPropagate:
     def test_dimension_mismatch(self):
         with pytest.raises(GraphError):
             identity(3).apply(np.ones((4, 2)))
+
+
+def empty_rows_matrix():
+    """Symmetric, with its first 10 and last 5 rows (and columns) empty."""
+    rng = np.random.default_rng(4)
+    inner = sp.random(25, 25, density=0.2, random_state=rng)
+    block = sp.block_diag([sp.csr_matrix((10, 10)), inner + inner.T,
+                           sp.csr_matrix((5, 5))])
+    return sp.csr_matrix(block)
+
+
+def integer_matrix():
+    a = np.random.default_rng(5).integers(-3, 4, size=(30, 30))
+    return sp.csr_matrix(np.triu(a) + np.triu(a, 1).T)
+
+
+@pytest.fixture
+def split_three(monkeypatch):
+    """Three row blocks, each run on the pool at any size."""
+    monkeypatch.setattr(graph, "WORKERS", 3)
+    monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
+
+
+def pool_calls(monkeypatch):
+    """The worker counts apply asks the pool for, call by call."""
+    calls, pool = [], graph._pool
+    monkeypatch.setattr(graph, "_pool",
+                        lambda n: calls.append(n) or pool(n))
+    return calls
+
+
+class TestRowBlockApply:
+    """P x by row blocks is ``matrix @ x`` bit for bit."""
+
+    @pytest.mark.parametrize("make_matrix,make_x", [
+        (lambda: base_operator(random_connected_graph(40, 0.1, 1)).matrix,
+         lambda rng, n: rng.standard_normal(n)),
+        (lambda: base_operator(random_connected_graph(40, 0.1, 2)).matrix,
+         lambda rng, n: rng.standard_normal((n, 1))),
+        (lambda: base_operator(random_connected_graph(40, 0.1, 3)).matrix,
+         lambda rng, n: np.asfortranarray(rng.standard_normal((n, 6)))),
+        (lambda: base_operator(random_connected_graph(40, 0.1, 4)).matrix,
+         lambda rng, n: rng.standard_normal((n, 10))[:, ::2]),
+        (integer_matrix, lambda rng, n: rng.standard_normal((n, 3))),
+        (empty_rows_matrix, lambda rng, n: rng.standard_normal((n, 4))),
+    ], ids=["1d", "one_column", "f_order", "strided_view", "integer",
+            "empty_rows"])
+    def test_matches_serial_product(self, split_three, monkeypatch,
+                                    make_matrix, make_x):
+        calls = pool_calls(monkeypatch)
+        m = make_matrix()
+        x = make_x(np.random.default_rng(0), m.shape[0])
+        p = PropagationMatrix(m)
+        got = p.apply(x)
+        assert len(p._blocks) == 3 and set(calls) == {2}
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(got, m @ x)
+        assert np.array_equal(got, p.matrix @ x)
+
+    def test_width_above_work_threshold(self, monkeypatch):
+        monkeypatch.setattr(graph, "WORKERS", 2)
+        calls = pool_calls(monkeypatch)
+        p = base_operator(random_connected_graph(200, 0.05, seed=8))
+        width = (2 * graph.MIN_BLOCK_WORK - 1) // p.matrix.nnz
+        x = np.random.default_rng(1).standard_normal((p.n, width))
+        assert np.array_equal(p.apply(x), p.matrix @ x)
+        assert calls == []  # just below the threshold: one inline block
+        x = np.random.default_rng(1).standard_normal((p.n, width + 1))
+        assert np.array_equal(p.apply(x), p.matrix @ x)
+        assert calls == [1]
+
+    def test_canonical_float64_matrix(self, split_three):
+        # unsorted indices with a duplicate entry, as integers; the
+        # caller's matrix is left as it was
+        m = sp.csr_matrix((np.array([2, 1, 1, 3, 2]),
+                           np.array([1, 0, 0, 1, 0]),
+                           np.array([0, 3, 5])), shape=(2, 2))
+        p = PropagationMatrix(m)
+        assert p.matrix.has_canonical_format
+        assert p.matrix.dtype == np.float64
+        assert np.array_equal(p.matrix.toarray(), [[2.0, 2.0], [2.0, 3.0]])
+        assert np.array_equal(m.indices, [1, 0, 0, 1, 0])
+        x = np.array([[1.0, -1.0], [0.5, 2.0]])
+        assert np.array_equal(p.apply(x), [[3.0, 2.0], [3.5, 4.0]])
+
+    def test_concurrent_callers(self, split_three):
+        # four callers share the pool's two threads; each gets its own
+        # product, bit for bit
+        import threading
+        p = base_operator(random_connected_graph(60, 0.1, seed=9))
+        xs = [np.random.default_rng(i).standard_normal((p.n, 5))
+              for i in range(4)]
+        results = [None] * 4
+
+        def call(i):
+            for _ in range(50):
+                results[i] = p.apply(xs[i])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for x, got in zip(xs, results):
+            assert np.array_equal(got, p.matrix @ x)
+
+    def test_zero_matrix_is_one_block(self, split_three):
+        p = PropagationMatrix(sp.csr_matrix((5, 5)))
+        assert len(p._blocks) == 1
+        assert np.array_equal(p.apply(np.ones((5, 2))), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_trained_kta_bytes_do_not_depend_on_workers(
+            self, tmp_path, monkeypatch, workers):
+        import hashlib
+
+        from graphboost.boost import (AggregatorSpec, FineTuneConfig,
+                                      SammeConfig, fine_tune, run_samme,
+                                      save_model, write_trace_csv)
+        from graphboost.data import synthesize_two_block
+        from graphboost.mlp import TrainConfig
+        from test_boost import (FINE_TUNE_BYTES, TRAINED_BYTES,
+                                unsaturated_run, version_1_json)
+        monkeypatch.setattr(graph, "WORKERS", workers)
+        monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
+        calls = pool_calls(monkeypatch)
+
+        ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
+        model, trace = run_samme(ds, SammeConfig(
+            n_rounds=5, hidden=(4,), learner=TrainConfig(epochs=5),
+            aggregator=AggregatorSpec(kind="kta"), seed=1))
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        got = (hashlib.sha256(version_1_json(model).encode()).hexdigest(),
+               hashlib.sha256((tmp_path / "trace.csv").read_bytes())
+               .hexdigest())
+        assert got == TRAINED_BYTES["samme-kta"]
+
+        ds, model = unsaturated_run("kta", "samme")
+        tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=3, lr=1e-2))
+        save_model(tuned, tmp_path / "tuned.json")
+        assert (hashlib.sha256((tmp_path / "tuned.json").read_bytes())
+                .hexdigest() == FINE_TUNE_BYTES["samme-kta"][0])
+        assert set(calls) == ({workers - 1} if workers > 1 else set())
+
+
+# the process's thread count on import, after a small apply, and after
+# one large enough to split over WORKERS=2
+_THREAD_COUNT_SCRIPT = textwrap.dedent("""
+    import threading
+    counts = [threading.active_count()]
+    import numpy as np
+    import graphboost
+    from graphboost import graph
+    counts.append(threading.active_count())
+    g = graph.SparseGraph.from_edges(50, [(i, i + 1) for i in range(49)])
+    graph.WORKERS = 2
+    p = graph.base_operator(g)
+    p.apply(np.ones((50, 8)))
+    counts.append(threading.active_count())
+    p.apply(np.ones((50, graph.MIN_BLOCK_WORK)))
+    counts.append(threading.active_count())
+    print(*counts)
+""")
+
+
+def test_pool_starts_at_first_split_apply():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _THREAD_COUNT_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True, timeout=120)
+    start, imported, small, large = map(int, out.stdout.split())
+    assert imported == small == start
+    assert large == start + 1
+
+
+# a forked child inherits the parent's pool object but none of its threads
+_FORK_SCRIPT = textwrap.dedent("""
+    import os
+    import numpy as np
+    from graphboost import graph
+    g = graph.SparseGraph.from_edges(50, [(i, i + 1) for i in range(49)])
+    graph.WORKERS = 2
+    p = graph.base_operator(g)
+    x = np.ones((50, graph.MIN_BLOCK_WORK))
+    want = p.apply(x)
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if np.array_equal(p.apply(x), want) else 1)
+    _, status = os.waitpid(pid, 0)
+    print(os.waitstatus_to_exitcode(status))
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_starts_its_own_pool():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _FORK_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["0"]
 
 
 class TestOperatorNorm:
