@@ -5,7 +5,8 @@ injected x0 term. Three families are built from it: multiplication by P,
 input injection (rho * P x + (1 - rho) * x_init), and KTA, a learnable
 polynomial in the powers P^{2^k} whose weights are trained by gradient
 ascent on the kernel target alignment between the training-block Gram
-matrix of the aggregated features and the Gram matrix of one-hot labels.
+matrix of the aggregated features and the Gram matrix of one-hot labels,
+then scaled to sum to 1.
 All three are linear in the current representation.
 """
 
@@ -138,7 +139,8 @@ def injection(operator, rho):
 
 def kta(operator, n_deg=DEFAULT_N_DEG, weights=None):
     """x -> w_0 x + sum_k w_{k+1} P^{2^k} x, k = 0..n_deg; the weights
-    start at 1 by protocol."""
+    start at 1 by protocol, and ``fit_kta`` returns them scaled so that
+    q(1) = sum_i w_i = 1."""
     if n_deg < 0:
         raise ValueError("n_deg must be >= 0")
     powers = (0,) + tuple(2 ** k for k in range(n_deg + 1))
@@ -175,7 +177,12 @@ def fit_kta(aggregator: Polynomial, x_t, labels_onehot_train, train_ids,
     """Gradient ascent on the alignment between the aggregated features and
     the one-hot label Gram matrix; only train-restricted labels enter.
 
-    Returns (fitted aggregator, achieved alignment).
+    The ascent starts from the aggregator's weights (all 1 for ``kta``).
+    The fitted weights are divided by q(1) = sum_i theta_i when it is
+    positive, so that a chain of fitted stages does not grow like q(1)^t;
+    a positive scale leaves the alignment, a cosine, unchanged.
+
+    Returns (fitted aggregator, alignment of the unscaled weights).
     """
     train_ids = np.asarray(train_ids)
     y = np.asarray(labels_onehot_train, dtype=float)
@@ -183,11 +190,13 @@ def fit_kta(aggregator: Polynomial, x_t, labels_onehot_train, train_ids,
         raise ValueError("labels must be restricted to the train rows")
     basis_train = [b[train_ids] for b in aggregator.terms(x_t)]
     k_target = y @ y.T
-    theta = aggregator.coefs.astype(float).copy()
+    theta = aggregator.coefs.astype(float)
     opt = _Adam(cfg.lr, 0.0, [theta.shape])
-    rho = None
     for _ in range(cfg.epochs):
-        rho, grad = _alignment_value_grad(basis_train, theta, k_target)
+        _, grad = _alignment_value_grad(basis_train, theta, k_target)
         opt.step([theta], [-grad])  # ascent
     rho_final, _ = _alignment_value_grad(basis_train, theta, k_target)
+    q1 = theta.sum()
+    if q1 > 0:
+        theta /= q1
     return replace(aggregator, coefs=theta), float(rho_final)

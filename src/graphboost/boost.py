@@ -614,8 +614,8 @@ def model_to_json(model: EnsembleModel) -> dict:
     params, learner weights (base64 of row-major little-endian float64
     bytes) with their shapes, and the eta/lambda sequence. The constant
     keys ``"base": "augmented"`` and ``"clip": 1e-07`` (``DEFAULT_CLIP``),
-    and each learner's ``"activation": "relu"`` and ``"bias": true``, are
-    ones older releases read."""
+    and each learner's ``"activation": "relu"`` and ``"bias": true``, name
+    the one model this release builds; the reader refuses any other."""
     return {
         "format_version": FORMAT_VERSION,
         "mode": model.mode,
@@ -651,20 +651,20 @@ def _is_number(value, kind=numbers.Real):
 
 
 def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
-    """Read a manifest of either format version, its aggregators over
-    ``operator``, which is ``base_operator(graph)`` when None. Version 1,
-    written without a ``format_version`` key, holds each weight as a list
-    of numbers; version 2 as base64 ``'<f8'`` bytes. A mode other than
-    functional or SAMME, another base or clip, fewer than two classes, no
-    stage, a stage weight that is not a finite number, a t* that is not a
-    stage index, an unknown ``aggregator_kind``, flags that are not an
-    object, an aggregator on the first stage or a missing one on a later
-    stage, a stage aggregator of another kind than ``aggregator_kind``, or
-    a learner with another activation, without a bias, or whose weight
-    shapes do not chain as matrices, raises ValueError."""
-    version = blob.get("format_version", 1)
-    if version not in (1, 2):
-        raise ValueError(f"unknown model format_version {version!r}")
+    """Read a format-version-2 manifest, its aggregators over ``operator``,
+    which is ``base_operator(graph)`` when None. A missing or other
+    ``format_version``, a mode other than functional or SAMME, another base
+    or clip, fewer than two classes, no stage, a stage weight that is not a
+    finite number, a t* that is not a stage index, an unknown
+    ``aggregator_kind``, flags that are not an object, an aggregator on the
+    first stage or a missing one on a later stage, a stage aggregator of
+    another kind than ``aggregator_kind``, or a learner with another
+    activation, without a bias, or whose weight shapes do not chain as
+    matrices, raises ValueError."""
+    version = blob.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"model format_version {version!r}: only "
+                         f"{FORMAT_VERSION} is read")
     if blob["mode"] not in ("functional", "samme"):
         raise ValueError(f"mode {blob['mode']!r}: only 'functional' or "
                          "'samme' is read")
@@ -705,8 +705,7 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
             params = None
         else:
             shapes = lrn["shapes"]
-            weights = [np.asarray(w, dtype=float).reshape(shape)
-                       if version == 1 else _decode_weight(w, shape)
+            weights = [_decode_weight(w, shape)
                        for w, shape in zip(lrn["weights"], shapes)]
             if not (0 < len(shapes) == len(lrn["weights"])
                     and all(w.ndim == 2 for w in weights)

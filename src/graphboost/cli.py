@@ -32,16 +32,6 @@ from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
 VARIANTS = ("adj", "kta", "input_injection")
-_ANY = object()
-# fields older config.json files carry, each with the one value training
-# now always uses (_ANY: no value was read): dropped on load at that value,
-# refused at any other, which would ask for a different model
-RETIRED_FIELDS = {
-    "dataset_name": _ANY, "learner.seed": _ANY, "fine_tune_cfg.seed": _ANY,
-    "learner.momentum": _ANY, "fine_tune_cfg.momentum": _ANY,
-    "learner.batch_size": None, "learner.dropout": False,
-    "learner.optimizer": "adam", "kta.optimizer": "adam",
-    "fine_tune_cfg.optimizer": "adam", "base": "augmented"}
 
 
 class ConfigError(ValueError):
@@ -49,13 +39,16 @@ class ConfigError(ValueError):
 
 
 def _require_types(cls, values, prefix=""):
-    """A float or bool in a field of dataclass ``cls`` annotated ``int``, a
-    bool or non-number in one annotated ``float``, or anything but true or
-    false in one annotated ``bool``, is a ConfigError; ``values`` maps field
-    names to values (the config modules keep annotations as strings)."""
+    """A name that is no field of dataclass ``cls``, a float or bool in a
+    field annotated ``int``, a bool or non-number in one annotated
+    ``float``, or anything but true or false in one annotated ``bool``, is
+    a ConfigError; ``values`` maps field names to values (the config
+    modules keep annotations as strings)."""
     types = {f.name: f.type for f in fields(cls)}
     for name, value in values.items():
-        kind = types.get(name)
+        if name not in types:
+            raise ConfigError(f"{prefix}{name}: unknown field")
+        kind = types[name]
         if kind == "bool" and not isinstance(value, bool):
             raise ConfigError(
                 f"{prefix}{name}: must be true or false, got {value!r}")
@@ -131,18 +124,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_from_dict(blob: dict) -> ExperimentConfig:
     if not isinstance(blob, dict):
         raise ConfigError("a config is a JSON object")
-    blob = {k: dict(v) if isinstance(v, dict) else v for k, v in blob.items()}
-    for name, kept in RETIRED_FIELDS.items():
-        outer, _, key = name.rpartition(".")
-        holder = blob.get(outer) if outer else blob
-        if isinstance(holder, dict) and key in holder:
-            value = holder.pop(key)
-            if kept is not _ANY and (type(value) is not type(kept)
-                                    or value != kept):
-                raise ConfigError(
-                    f"{name}: retired; training always uses {kept!r}, "
-                    f"got {value!r}")
-            print(f"config: ignoring retired field {name}", file=sys.stderr)
+    blob = dict(blob)
     # typed before built, since every __post_init__ compares numbers
     try:
         for key, cls in (("learner", TrainConfig), ("kta", AlignmentConfig),

@@ -9,9 +9,10 @@ output rows identically.
 Trainers cover both uses in boosting: regression onto a gradient target
 (functional boosting) and weighted multiclass classification (SAMME-style).
 Both step every weight by full-batch Adam with coupled weight decay, the
-one update rule in the package. Training is soft-constrained (weight decay
-only); ``project_l1_columns`` builds members of the hard-constrained class
-the complexity bound assumes.
+one update rule in the package, on the train rows in their given order; a
+fit's seed draws only its initial weights. Training is soft-constrained
+(weight decay only); ``project_l1_columns`` builds members of the
+hard-constrained class the complexity bound assumes.
 """
 
 from __future__ import annotations
@@ -195,18 +196,15 @@ class _Adam:
             w -= np.divide(b, a, out=b)
 
 
-def _fit_loop(params, cfg, x_train, loss_grad_fn, seed):
-    """``cfg.epochs`` full-batch Adam steps; ``loss_grad_fn(ids, out)`` gives
-    (loss, upstream gradient) of the forward output on train rows ``ids``."""
-    rng = np.random.default_rng(seed + 1)
-    n = x_train.shape[0]
+def _fit_loop(params, cfg, x_train, loss_grad_fn):
+    """``cfg.epochs`` full-batch Adam steps on the train rows in their given
+    order; ``loss_grad_fn(out)`` gives (loss, upstream gradient) of the
+    forward output."""
     opt = _Adam(cfg.lr, cfg.weight_decay, [w.shape for w in params.weights])
     last_loss = None
     for epoch in range(1, cfg.epochs + 1):
-        # full batch, but the row order fixes the gradients' summation order
-        ids = rng.permutation(n)
-        out, cache = forward(params, x_train[ids])
-        loss, upstream = loss_grad_fn(ids, out)
+        out, cache = forward(params, x_train)
+        loss, upstream = loss_grad_fn(out)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"loss became non-finite at step {epoch}", last_loss)
@@ -219,9 +217,9 @@ def _fit_loop(params, cfg, x_train, loss_grad_fn, seed):
 def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids, seed=0):
     """Train an MLP to the gradient target by full-batch MSE on train nodes.
 
-    ``target`` is an N-vector supported on ``train_ids``; ``seed`` draws the
-    initial weights and each epoch's row order. Returns the fitted params
-    and the final full-train MSE.
+    ``target`` is an N-vector supported on ``train_ids``; ``seed`` draws
+    only the initial weights. Returns the fitted params and the final
+    full-train MSE.
     """
     target = np.asarray(target, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -230,14 +228,13 @@ def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids, seed=0):
     params = init_mlp(widths, seed=seed)
     xt = x[train_ids]
     tt = target[train_ids]
+    scale = 2.0 / len(tt)
 
-    def loss_grad(ids, out):
-        resid = out[:, 0] - tt[ids]
-        loss = float(np.mean(resid ** 2))
-        upstream = (2.0 / len(ids)) * resid[:, None]
-        return loss, upstream
+    def loss_grad(out):
+        resid = out[:, 0] - tt
+        return float(np.mean(resid ** 2)), scale * resid[:, None]
 
-    params = _fit_loop(params, cfg, xt, loss_grad, seed)
+    params = _fit_loop(params, cfg, xt, loss_grad)
     final_out, _ = forward(params, xt)
     mse = float(np.mean((final_out[:, 0] - tt) ** 2))
     return params, mse
@@ -247,7 +244,7 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
                    train_ids, seed=0):
     """Minimize weight-scaled multiclass cross-entropy on train nodes.
 
-    ``seed`` acts as in ``fit_to_gradient``. Returns the fitted params and
+    ``seed`` draws only the initial weights. Returns the fitted params and
     the weighted 0-1 train error.
     """
     x = np.asarray(x, dtype=float)
@@ -255,28 +252,26 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
     w = np.asarray(sample_weights, dtype=float)
     if np.any(w < 0):
         raise ValueError("sample weights must be nonnegative")
-    if w[train_ids].sum() <= 0:
+    wt = w[train_ids]
+    wsum = wt.sum()
+    if wsum <= 0:
         raise ValueError("sample weights sum to zero on the train set")
     params = init_mlp(widths, seed=seed)
     xt = x[train_ids]
     yt = labels[train_ids]
-    wt = w[train_ids]
+    rows = np.arange(len(yt))
+    row_scale = (wt / wsum)[:, None]
 
-    def loss_grad(ids, out):
-        p = softmax(out)
-        rows = np.arange(len(ids))
-        wb = wt[ids]
-        wsum = wb.sum()
+    def loss_grad(out):
         logp = out - out.max(axis=1, keepdims=True)
         logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-        loss = float(-(wb * logp[rows, yt[ids]]).sum() / wsum)
-        upstream = p
-        upstream[rows, yt[ids]] -= 1.0
-        upstream *= (wb / wsum)[:, None]
-        return loss, upstream
+        upstream = softmax(out)
+        upstream[rows, yt] -= 1.0
+        upstream *= row_scale
+        return float(-(wt * logp[rows, yt]).sum() / wsum), upstream
 
-    params = _fit_loop(params, cfg, xt, loss_grad, seed)
+    params = _fit_loop(params, cfg, xt, loss_grad)
     out, _ = forward(params, xt)
     pred = np.argmax(out, axis=1)
-    werr = float((wt * (pred != yt)).sum() / wt.sum())
+    werr = float((wt * (pred != yt)).sum() / wsum)
     return params, werr

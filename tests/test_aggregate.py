@@ -338,6 +338,33 @@ class TestFitKta:
             fit_kta(kta(ring_operator), x, y_full, np.arange(4),
                     AlignmentConfig(epochs=2))
 
+    @pytest.mark.parametrize("seed", [13, 14, 15])
+    def test_fitted_weights_sum_to_one_at_the_same_alignment(
+            self, ring_operator, seed):
+        # a positive scale of the weights leaves the alignment, a cosine of
+        # Gram matrices, as the ascent reached it
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((6, 3))
+        y = one_hot([0, 1, 0, 1], 2)
+        train = np.arange(4)
+        agg = kta(ring_operator)
+        fitted, achieved = fit_kta(agg, x, y, train,
+                                   AlignmentConfig(epochs=20, lr=0.05))
+        assert fitted.coefs.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+        basis = [b[train] for b in agg.terms(x)]
+        scaled, _ = _alignment_value_grad(basis, fitted.coefs, y @ y.T)
+        assert abs(scaled - achieved) <= 1e-12
+        assert abs(alignment(fitted.apply(x), y, train) - achieved) <= 1e-12
+
+    def test_nonpositive_sum_is_left_unscaled(self, ring_operator):
+        # q(1) <= 0 has no positive scale that makes it 1
+        x = np.random.default_rng(16).standard_normal((6, 3))
+        y = one_hot([0, 1, 0, 1], 2)
+        agg = kta(ring_operator, weights=-np.ones(5))
+        fitted, _ = fit_kta(agg, x, y, np.arange(4),
+                            AlignmentConfig(epochs=1, lr=1e-3))
+        assert fitted.coefs.sum() == pytest.approx(-5.0, abs=0.01)
+
     def test_initial_weights_are_ones(self, ring_operator):
         agg = kta(ring_operator)
         assert np.array_equal(agg.coefs, np.ones(5))

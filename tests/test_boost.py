@@ -12,8 +12,8 @@ from graphboost.boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
                               model_from_json, model_to_json, predict,
                               read_trace_csv, replay_scores,
                               run_functional_gb, run_samme,
-                              samme_model_weight, save_model, wlc_fit,
-                              write_trace_csv)
+                              samme_model_weight, save_model,
+                              stage_inputs, wlc_fit, write_trace_csv)
 from graphboost.data import synthesize_two_block
 from graphboost.graph import base_operator
 from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
@@ -305,6 +305,20 @@ class TestSammeRuns:
         with pytest.raises(RuntimeError, match="beat chance"):
             run_samme(flat, cfg)
 
+    def test_deep_kta_chain_stays_bounded(self):
+        # each fitted polynomial has nonnegative weights summing to 1, so
+        # ||q_t(P)|| <= 1 and no stage input outgrows the features
+        ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=0.4)
+        model, _ = run_samme(ds, SammeConfig(
+            n_rounds=12, hidden=(4,), learner=TrainConfig(epochs=50, lr=0.05),
+            aggregator=AggregatorSpec(kind="kta"), seed=1))
+        assert "skipped" not in model.flags
+        for st in model.stages[1:]:
+            assert np.all(st.aggregator.coefs >= 0.0)
+        x_norm = np.linalg.norm(ds.features)
+        for rep in stage_inputs(model, ds):
+            assert np.linalg.norm(rep) <= x_norm * (1.0 + 1e-12)
+
     def test_three_class_blocks(self):
         # K = 3 exercises the multiclass vote/coding paths beyond binary
         from graphboost.data import NodeDataset, Split
@@ -395,8 +409,8 @@ _V1_LEARNER = ('"learner": {"shapes": [[3, 1]], "weights": [[-0.5, 3.0, '
                '"bias": true}')
 
 # model.json bytes of hand_built_models() as format version 1 wrote them:
-# no format_version, weights as decimal lists, and a "head" key that
-# nothing reads
+# no format_version, weights as decimal lists, and a "head" key. No reader
+# of this format is left
 VERSION_1_BYTES = {
     "fixed": (
         '{"mode": "samme", "n_classes": 2, "t_star": null, '
@@ -502,35 +516,36 @@ class TestSerialization:
             save_model(model, path)
             assert path.read_text() == VERSION_2_BYTES[name], name
 
-    def test_version_1_files_read_bit_for_bit(self):
-        # the version-1 bytes were written by the code before aggregators
-        # became one polynomial type
+    def test_version_2_files_read_bit_for_bit(self):
         ds, models = hand_built_models()
         for name, model in models.items():
-            blob = json.loads(VERSION_1_BYTES[name])
-            assert "format_version" not in blob
+            blob = json.loads(VERSION_2_BYTES[name])
             assert_same_model(model_from_json(blob, ds.graph), model)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_other_learner_refused(self, version):
+    @pytest.mark.parametrize("name", sorted(VERSION_1_BYTES))
+    def test_version_1_files_refused(self, name):
+        # a file without format_version is refused by that key, before any
+        # of its other fields is read
+        ds, _ = hand_built_models()
+        with pytest.raises(ValueError, match="^model format_version None"):
+            model_from_json(json.loads(VERSION_1_BYTES[name]), ds.graph)
+
+    def test_other_learner_refused(self):
         # the kta model's second learner as pinned before the learner had
         # one architecture: sigmoid, with no bias row
         ds, _ = hand_built_models()
-        blob = json.loads(
-            (VERSION_1_BYTES if version == 1 else VERSION_2_BYTES)["kta"])
+        blob = json.loads(VERSION_2_BYTES["kta"])
         blob["stages"][1]["learner"].update(activation="sigmoid", bias=False)
         with pytest.raises(ValueError, match="'sigmoid' with bias False"):
             model_from_json(blob, ds.graph)
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("key,value", [("base", "normalized"),
                                            ("clip", 1e-6)])
-    def test_other_base_or_clip_refused(self, version, key, value):
+    def test_other_base_or_clip_refused(self, key, value):
         # the input-injection model as older releases could write it: on
         # the normalized base, or with another probability floor
         ds, _ = hand_built_models()
-        blob = json.loads((VERSION_1_BYTES if version == 1
-                           else VERSION_2_BYTES)["input_injection"])
+        blob = json.loads(VERSION_2_BYTES["input_injection"])
         blob[key] = value
         with pytest.raises(ValueError, match=f"{value!r}"):
             model_from_json(blob, ds.graph)
@@ -559,13 +574,9 @@ class TestSerialization:
         assert (tmp_path / "a.json").read_bytes() == (
             tmp_path / "b.json").read_bytes()
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_loaded_weights_writable(self, tmp_path, version):
+    def test_loaded_weights_writable(self, tmp_path):
         ds, models = hand_built_models()
-        if version == 1:
-            blob = json.loads(VERSION_1_BYTES["kta"])
-        else:
-            blob = json.loads(json.dumps(model_to_json(models["kta"])))
+        blob = json.loads(json.dumps(model_to_json(models["kta"])))
         loaded = model_from_json(blob, ds.graph)
         for w in loaded.stages[1].learner.weights:
             assert w.flags.writeable and w.flags.c_contiguous
@@ -584,54 +595,33 @@ class TestSerialization:
             assert b["wlc_pass"] == a["wlc_pass"]
 
 
-# SHA-256 of (model.json, trace.csv) as the trainers wrote them before both
-# drivers drew their stage inputs from one chain generator; model.json in
-# format version 1, which version_1_json renders. Every run uses seed 1;
-# the last SAMME run skips rounds 3-6. The SAMME model hashes were taken
-# again when that driver began to keep each stage's w.l.c. fit in ``wlc``;
-# nothing else in those files changed.
+# SHA-256 of (model.json, trace.csv) as the trainers write them. Every run
+# uses seed 1; the two SAMME KTA runs skip rounds 3 and 4. Taken when each
+# learner fit became one full-batch step per epoch on the train rows in
+# their given order, and each fitted KTA polynomial was scaled to q(1) = 1
 TRAINED_BYTES = {
     "functional-fixed": (
-        "db6c33e2694b8ef7e19f1ba1f0b4105e51b49e8bf370cf07d78efbdcd0073c60",
-        "824d405e4757d0ff691ff84a5d06f5b4f7c03845bdf0fc4e5e560109b3d792ac"),
+        "a1306c0c4879de4d40b93890b0284e3b97acf3c04b2d24fb614caf158539ea2e",
+        "da0a31639d3682af21e31b3172504e0b2f311e4d3f530c72766361dee4bcaeb2"),
     "samme-fixed": (
-        "8257daf64e34cd06d0f20f6c4fa4314df29cf6f98762d53d59b5c64c3b85458a",
+        "a5eae0ff5096f54746ea628f2cf5e4f334d9d19525d3379be83db15980594ed0",
         "42e189aee1e6141e53df8040935a804207bd4665e7743dd369d59aa204d9665a"),
     "functional-input_injection": (
-        "cbb19e48b6cc570b350b0d262997acdb9256ccb5cc439b51b2d2e9f55f39eef2",
-        "72f912310970e51049382d5d89f4889931d9dc847b39a746466cb61aceecede4"),
+        "6329a7994e936a569ed1a05202bd65edd5f735316ca1f5ded2d37ae56b11da5d",
+        "2f8deb51ed6e14c5d776d6e3ef6b3f17afd47fb24989fac916ada3a3379d978b"),
     "samme-input_injection": (
-        "35b63ebc6f86ea8c897d209f56496a6a81d3fd1a23b3d52f06c58cc5353a1339",
+        "a3183f70e5cc29c443b7d34a9af2510cf22818c29a27b8250c1a147fc950e776",
         "4bd820c76fb0e0e97011d9cd8b64390bd60552532a0335e1c98daa2cbc9b9ef4"),
     "functional-kta": (
-        "9a689d6408dedf93c112efdf8a3255b708c05dd070b794017b24a41042d42ca4",
-        "d94565f1f0cbc0b0c4ebe273ee11634754db32b4c8fa979157b22ef30fc63253"),
+        "fd6656ac45b41ee81ec7758107f2b729ef38af61a328f69c650dc964b00ced09",
+        "dcda41e13535ac6fa8a068cf91b628621e4fbfc9664a4c532f0aecadd1c6f182"),
     "samme-kta": (
-        "217394abca2cc5b405545215df5ff6133c3b08001d5f42d0372cbe7f407c14aa",
-        "959d8f667f91cd4adec65d88e4b224e0371c31d75ff156ab7317a06e2dbf2698"),
+        "b8abb5ee90826689bfdb1a56b627e0bfa74d20d87726046a5183f84a7ddd5047",
+        "bff7e9904e91e40b19e0c2b7d8cc05b43d6ae35f9eb8bd794df7c3e18e6df588"),
     "samme-kta-skips": (
-        "59a17fb18af3686a638f61656826455ba44e0bf99a1f501780c2e37de31e0679",
-        "5ce44409a68492adf440f175d504cac24da65e0408ad519b6761c3b7a2f3dc05"),
+        "cb76399fc3b4079625845fcbd5819e0ef7eb4cb20769405a0fcd17c92be9762f",
+        "0cee401956bc4a8d7af2eb132d3f189310a5df6f0b29959e6ec8003e60e2a96c"),
 }
-
-
-def version_1_json(model):
-    """model.json as format version 1 wrote it: no format_version, each
-    weight a decimal list, and a learner head named by the mode."""
-    head = {"functional": "identity", "samme": "argmax"}[model.mode]
-    blob = model_to_json(model)
-    del blob["format_version"]
-    for st, record in zip(blob["stages"], model.stages):
-        if record.learner is not None:
-            st["learner"] = {
-                "shapes": [list(w.shape) for w in record.learner.weights],
-                "weights": [w.ravel().tolist()
-                            for w in record.learner.weights],
-                "activation": "relu",
-                "head": head,
-                "bias": True,
-            }
-    return json.dumps(blob)
 
 
 def trained_bytes_cases():
@@ -657,14 +647,16 @@ class TestTrainedBytes:
             model, trace = run_functional_gb(ds, FunctionalGBConfig(**common))
         else:
             model, trace = run_samme(ds, SammeConfig(**common))
-        # the pin sees the model through a version-2 save and load
         save_model(model, tmp_path / "model.json")
-        loaded = load_model(tmp_path / "model.json", ds.graph)
         write_trace_csv(trace, tmp_path / "trace.csv")
-        got = (hashlib.sha256(version_1_json(loaded).encode()).hexdigest(),
-               hashlib.sha256((tmp_path / "trace.csv").read_bytes())
-               .hexdigest())
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("model.json", "trace.csv"))
         assert got == TRAINED_BYTES[name]
+        # and a load gives back a model that saves to the same bytes
+        loaded = load_model(tmp_path / "model.json", ds.graph)
+        save_model(loaded, tmp_path / "again.json")
+        assert ((tmp_path / "again.json").read_bytes()
+                == (tmp_path / "model.json").read_bytes())
 
     @pytest.mark.parametrize("name,mode,kind,n_rounds",
                              [pytest.param(*case, id=case[0])
@@ -894,34 +886,34 @@ class TestFineTuneEquivalence:
 
 # SHA-256 of (the fine-tuned model's save_model bytes, the trained model's
 # predict scores, the fine-tuned model's predict scores) for each
-# unsaturated_run, recorded before the vote and its gradient were written
-# once per mode; the SAMME save hashes were taken again when that driver
-# began to keep each stage's w.l.c. fit in ``wlc``
+# unsaturated_run. Taken when each learner fit became one full-batch step
+# per epoch on the train rows in their given order, and each fitted KTA
+# polynomial was scaled to q(1) = 1
 FINE_TUNE_BYTES = {
     "functional-fixed": (
-        "6dde81575b714abf5c7a4ca262aee0b3ada7357fc1af23ab285f44e321b485c7",
-        "d5b71fec91577eddc51223aefb6a6cc55718d3b71135cc7c9b7b60b9bcbf0a28",
-        "bf28b99619d3574a267698c6d5890525ad2ab46d007952cbf6a76aa84bcfa9b5"),
+        "1af2df066576fa5d634b9a28cc8978daf3bbcbaa328f1b473812f90fd64df88e",
+        "cc74fb72fa5c597274b66aea36e86d0d9de0c213e1ba149ca01185d3e48fa3a4",
+        "676e29edd201ec51e497fb015fdca45519ae7b14daf10d29e8fcbb98b51dcd4d"),
     "samme-fixed": (
-        "015b4d4d75bc0094d5535cf1bf5dc5eff55f654afb8c437f4eca6a3a7e4e4d07",
+        "23796326c4597b535497a963ff5ceed220cf65a13678a7d1a9797b6b782bbfa6",
         "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
         "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
     "functional-input_injection": (
-        "a032275be134d46e9c2a46372c64a7ab1ed5ab38b8dc7e7b5c6ae1e7dc67b904",
-        "591f9723f94d27c5338d5d163c77d109f9bd018d8b682ee64bac67a6bcb0c33a",
-        "5a15d8d11fb7e0960b69cd6d091da5c5836399ab6c548101ebeb44da52a3b7da"),
+        "fbddbf08b0ec544be9d5bbc0650a8888526cb49a1dd481a843577f0e71d742b9",
+        "34d2e874e69fe423a787b9f9d3705e1ea42123ed861fccca72c2c2cf1a404270",
+        "bb6aae3db8bdc7d704171bf80fd2a7d7808c7d7a906e82d77b09e9cfe589a953"),
     "samme-input_injection": (
-        "e23fad710960d722e200ae394fe3dff59aa6015377c5df09f8d75a4c592ca30b",
+        "d6ace37830ecae78168ee0cf037956ab9316dc431c5c875fa90deaeb509aa4bc",
         "75d87e4c07e4ae6a2383423bc77041e7ac31388f1c15792a9e8311c3fc0b00c0",
         "70861760461fed59bbbcd5f5729dbfcf16fd5538fe435e9906e1795e3ad8c94e"),
     "functional-kta": (
-        "bdcb7498a1a69f7cfab3538908e30225de99de42b6b0234675b73f7de121d329",
-        "fea44b036e17a7e2b0282edac370784bdbc769dfe5fa957cf6ccd65cb743139c",
-        "91ee13215b2351e826132344055c6a587dd0b0cf21fdf2ded33b0310da392f8c"),
+        "a81b8a6f20872dc06177e7fc5b50bbf3c4810d40b3d53285770888ec9fb948dd",
+        "7b82c06cc283c7b3efcde584f1acb4777fe4d00a294d1ae46a4da9f4fe94d597",
+        "7936b9d0f9099f751b539be4eef08695f444c18c82719227bafa9fb894142ed0"),
     "samme-kta": (
-        "573f939dd58359dd02fbaa0d19ec2df96bd63db2764314cc5ca86815d8656086",
-        "a707c9a3bc80239971dca8fad6da9ba7c6bd00c111a879f9e423a659adc3491e",
-        "1d0bd44676386c9375366769f722fa657f38c96561ea713e78f247f59b7267c7"),
+        "9dc900ab1cdc688d57b668815b94f294b80040a2b923e4ae36fa34aa6abcb371",
+        "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
+        "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
 }
 
 

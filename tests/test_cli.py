@@ -74,9 +74,10 @@ class TestConfig:
         ("fine_tune_cfg", "optimizer", "momentum")])
     def test_retired_field_at_another_value_is_named(self, dataset_dir,
                                                      outer, key, value):
-        # training always steps by full-batch Adam without dropout, so a
-        # retired field asking for anything else would change the model
-        with pytest.raises(ConfigError, match=f"^{outer}.{key}: retired"):
+        # training always steps by full-batch Adam without dropout; a field
+        # that once chose otherwise is refused like any unknown name
+        with pytest.raises(ConfigError,
+                           match=f"^{outer}.{key}: unknown field$"):
             config_from_dict(base_config(dataset_dir, **{outer: {key: value}}))
 
     @pytest.mark.parametrize("name,field", [
@@ -266,56 +267,37 @@ class TestTheoryCommand:
         assert (out / "theory.json").exists()
         assert (out / "spectral.csv").exists()
 
-    def test_version_1_run_directory(self, dataset_dir, tmp_path, capsys):
-        # a run directory whose model.json is format version 1 (decimal
-        # weight lists, no format_version) and whose config.json carries
-        # the retired fields gives the same report, with one note per field
-        import base64
+    def test_old_run_directory_refused_by_name(self, dataset_dir, tmp_path,
+                                               capsys):
+        # a run directory written before format version 2, or whose
+        # config.json carries a field of an older release, no longer loads:
+        # theory exits 3 or 2 and names the key
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
         seed_dir = tmp_path / "run" / "seed_0"
         cmd_train(str(cfg_path), str(tmp_path / "run"))
-        cmd_theory(str(seed_dir / "model.json"), dataset_dir)
-        version_2 = (seed_dir / "theory.json").read_bytes()
-        assert capsys.readouterr().err == ""
+        args = ["theory", "--model", str(seed_dir / "model.json"),
+                "--data", dataset_dir]
+        model = json.loads((seed_dir / "model.json").read_text())
+        del model["format_version"]
+        (seed_dir / "model.json").write_text(json.dumps(model))
+        assert main(args) == 3
+        assert capsys.readouterr().err.endswith(
+            "ValueError: model format_version None: only 2 is read\n")
+
         run_cfg = tmp_path / "run" / "config.json"
-        old = json.loads(run_cfg.read_text())
-        old["dataset_name"] = "toy"
-        old["learner"]["seed"] = 0
-        old["fine_tune_cfg"]["seed"] = 0
-        # the training recipe's switches, at the defaults they were written
-        # with before full-batch Adam became the only recipe
-        old["learner"].update(optimizer="adam", momentum=0.9,
-                              batch_size=None, dropout=False)
-        old["kta"]["optimizer"] = "adam"
-        old["fine_tune_cfg"].update(optimizer="adam", momentum=0.9)
-        # and the base operator, before the augmented one became the only P
-        old["base"] = "augmented"
-        run_cfg.write_text(json.dumps(old, indent=1))
-        blob = json.loads((seed_dir / "model.json").read_text())
-        assert blob.pop("format_version") == 2
-        for st in blob["stages"]:
-            lrn = st["learner"]
-            lrn["weights"] = [
-                np.frombuffer(base64.b64decode(w), "<f8").tolist()
-                for w in lrn["weights"]]
-            lrn["head"] = "argmax"
-        (seed_dir / "model.json").write_text(json.dumps(blob))
-        (seed_dir / "theory.json").unlink()
-        cmd_theory(str(seed_dir / "model.json"), dataset_dir)
-        assert (seed_dir / "theory.json").read_bytes() == version_2
-        notes = capsys.readouterr().err.splitlines()
-        assert notes == [f"config: ignoring retired field {name}" for name in
-                         ("dataset_name", "learner.seed",
-                          "fine_tune_cfg.seed", "learner.momentum",
-                          "fine_tune_cfg.momentum", "learner.batch_size",
-                          "learner.dropout", "learner.optimizer",
-                          "kta.optimizer", "fine_tune_cfg.optimizer",
-                          "base")]
-        # and the old config still trains the same run
-        cmd_train(str(run_cfg), str(tmp_path / "again"))
-        assert ((tmp_path / "again" / "seed_0" / "trace.csv").read_bytes()
-                == (seed_dir / "trace.csv").read_bytes())
+        current = json.loads(run_cfg.read_text())
+        for name, value in (("dataset_name", "toy"), ("learner.seed", 0),
+                            ("fine_tune_cfg.momentum", 0.9),
+                            ("kta.optimizer", "adam"), ("base", "augmented")):
+            old = json.loads(json.dumps(current))
+            outer, _, key = name.rpartition(".")
+            (old[outer] if outer else old)[key] = value
+            run_cfg.write_text(json.dumps(old))
+            assert main(args) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {name}: unknown field\n")
+        assert not (seed_dir / "theory.json").exists()
 
     @pytest.mark.parametrize("mode", ["functional", "samme"])
     @pytest.mark.parametrize("case", ["deleted", "garbled"])
@@ -561,7 +543,7 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "n")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: base: retired")
+        assert err.startswith("config error: base: unknown field")
         assert not (tmp_path / "n").exists()
 
     @pytest.mark.parametrize("case", [

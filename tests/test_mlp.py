@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphboost.losses import softmax
 from graphboost.mlp import (MlpParams, TrainConfig, TrainingDiverged,
                             _Adam, backward, fit_classifier,
                             fit_to_gradient, forward, init_mlp,
@@ -289,6 +290,80 @@ class TestFitClassifier:
         with pytest.raises(ValueError):
             fit_classifier((2, 2), TrainConfig(epochs=1), np.ones((4, 2)),
                            np.zeros(4, dtype=int), np.zeros(4), np.arange(4))
+
+
+def reference_fit(widths, cfg, x, upstream_of, seed):
+    """``init_mlp(widths, seed)`` stepped ``cfg.epochs`` times by the
+    textbook Adam on the full-batch gradient of the rows of ``x`` in their
+    given order; ``upstream_of(out)`` is the loss gradient in the output."""
+    params = init_mlp(widths, seed=seed)
+    opt = AllocatingAdam(cfg.lr, cfg.weight_decay,
+                         [w.shape for w in params.weights])
+    for _ in range(cfg.epochs):
+        out, cache = forward(params, x)
+        grads, _ = backward(params, cache, upstream_of(out))
+        opt.step(params.weights, grads)
+    return params
+
+
+class TestFullBatchFit:
+    """Each epoch is one full-batch step on the train rows as given: the
+    fit equals the reference bit for bit, and its seed draws nothing but
+    the initial weights."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((40, 5))
+        train = np.array([3, 17, 0, 29, 8, 11, 36, 22, 5, 14, 31, 26])
+        return rng, x, train
+
+    @pytest.mark.parametrize("epochs", [1, 5])
+    def test_fit_to_gradient_matches_reference(self, epochs):
+        rng, x, train = self.problem()
+        target = rng.standard_normal(40)
+        cfg = TrainConfig(epochs=epochs, lr=0.05)
+        got, _ = fit_to_gradient((5, 7, 1), cfg, x, target, train, seed=4)
+        tt = target[train]
+        want = reference_fit(
+            (5, 7, 1), cfg, x[train],
+            lambda out: 2.0 / len(tt) * (out[:, 0] - tt)[:, None], seed=4)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.weights, want.weights))
+
+    @pytest.mark.parametrize("epochs", [1, 5])
+    def test_fit_classifier_matches_reference(self, epochs):
+        rng, x, train = self.problem()
+        labels = rng.integers(0, 3, 40)
+        w = rng.random(40)
+        cfg = TrainConfig(epochs=epochs, lr=0.05)
+        got, _ = fit_classifier((5, 7, 3), cfg, x, labels, w, train, seed=4)
+        wt = w[train]
+        onehot = np.eye(3)[labels[train]]
+
+        def upstream(out):
+            return (softmax(out) - onehot) * (wt / wt.sum())[:, None]
+        want = reference_fit((5, 7, 3), cfg, x[train], upstream, seed=4)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.weights, want.weights))
+
+    @pytest.mark.parametrize("fit", ["gradient", "classifier"])
+    def test_one_generator_per_fit(self, monkeypatch, fit):
+        rng, x, train = self.problem()
+        seeds = []
+        make = np.random.default_rng
+
+        def counted(seed=None):
+            seeds.append(seed)
+            return make(seed)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        cfg = TrainConfig(epochs=3)
+        if fit == "gradient":
+            fit_to_gradient((5, 4, 1), cfg, x, np.ones(40), train, seed=9)
+        else:
+            fit_classifier((5, 4, 2), cfg, x, np.arange(40) % 2,
+                           np.ones(40), train, seed=9)
+        assert seeds == [9]
 
 
 class TestOptimizer:

@@ -56,7 +56,7 @@ def test_tour_identifiers_resolve():
 
 def test_config_example_loads_without_notes(tmp_path, capsys):
     # the README's config example is a current config: it loads with no
-    # retired field and no other note on stderr
+    # note on stderr
     from graphboost.cli import config_from_dict
     from graphboost.data import export_dataset, synthesize_two_block
     with open(README) as fh:

@@ -446,6 +446,21 @@ class TestTheoryReport:
                 np.linalg.norm(dense, 2), rel=1e-12, abs=0)
             assert "op_norm_upper_bound" not in entry
 
+    def test_fitted_kta_chain_has_unit_op_norm(self):
+        # every fitted stage's weights sum to 1, so each stage's q_t(1) = 1
+        ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
+        model, _ = run_samme(ds, SammeConfig(
+            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
+            aggregator=AggregatorSpec(kind="kta"), seed=5))
+        report = build_theory_report(model, ds)
+        for stage in model.stages[1:]:
+            assert np.all(stage.aggregator.coefs > 0.0)
+            assert stage.aggregator.coefs.sum() == pytest.approx(
+                1.0, rel=0, abs=1e-15)
+        for entry in report["complexity"]:
+            assert entry["op_norm"] == pytest.approx(1.0, rel=1e-14, abs=0)
+            assert "op_norm_upper_bound" not in entry
+
     def test_negative_kta_coefficient_flags_upper_bound(self):
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
         model, _ = run_samme(ds, SammeConfig(
