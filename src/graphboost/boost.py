@@ -28,8 +28,7 @@ from .losses import DEFAULT_CLIP, errors, softmax, surrogate, surrogate_grad
 from .mlp import (MlpParams, TrainConfig, _Adam, backward, check_step,
                   fit_classifier, fit_to_gradient, forward)
 
-# model.json layout written by save_model; model_from_json also reads
-# version 1, whose weights are lists of numbers
+# the one model.json layout: save_model writes it, model_from_json reads it
 FORMAT_VERSION = 2
 
 TRACE_COLUMNS = ("t", "train_loss", "train_err", "test_err", "cos_theta",
@@ -365,25 +364,6 @@ def stage_representations(model: EnsembleModel, dataset: NodeDataset,
     return list(stage_inputs(model, dataset, rows))
 
 
-def _replay(model: EnsembleModel, reps, caches=None):
-    """Raw learner outputs on the rows of the per-stage inputs ``reps``, a
-    list or a ``stage_inputs`` stream; a skipped stage yields None. Given a
-    ``caches`` list, each stage's forward cache (None when skipped) is
-    appended to it. Otherwise each input is released before the next is
-    drawn (a ``zip`` would hold the last one while the stream advances, and
-    a cache holds its input)."""
-    outputs = []
-    for rep in reps:
-        learner = model.stages[len(outputs)].learner
-        out, cache = ((None, None) if learner is None
-                      else forward(learner, rep))
-        outputs.append(out)
-        if caches is not None:
-            caches.append(cache)
-        del rep, cache
-    return outputs
-
-
 def _vote(model: EnsembleModel, weight, out, soft=False):
     """One stage's term of the score from its raw learner output ``out``:
     eta f for functional, and lambda times the argmax vote for SAMME (the
@@ -403,28 +383,41 @@ def _vote_grad(model: EnsembleModel, weight, out, dscore):
     return weight * p * (dscore - (dscore * p).sum(axis=1, keepdims=True))
 
 
-def _scores(model: EnsembleModel, outputs, n_rows, soft=False):
-    """Running score by stage from raw learner outputs (see ``_vote``)."""
-    scores = []
-    acc = np.zeros(n_rows if model.mode == "functional"
-                   else (n_rows, model.n_classes))
-    for stage, out in zip(model.stages, outputs):
-        if out is not None:
-            acc = acc + _vote(model, stage.weight, out, soft)
-        scores.append(acc.copy())
-    return scores
+def _stack_scores(model: EnsembleModel, inputs, soft=False, caches=None):
+    """The one forward pass over the stage stack, on the rows of the
+    per-stage learner inputs ``inputs`` (a list or a ``stage_inputs``
+    stream): returns (running score by stage, raw learner outputs, None at
+    a skipped stage). Each ``_vote`` (softmax when ``soft``) adds onto a
+    score sized from the first input, so a skipped first stage scores
+    zeros. A ``caches`` list gets each stage's forward cache (None when
+    skipped), which holds its input; otherwise each input is released
+    before the next is drawn, which a ``zip`` would not do."""
+    scores, outputs = [], []
+    for rep in inputs:
+        stage = model.stages[len(outputs)]
+        if not outputs:
+            score = np.zeros(len(rep) if model.mode == "functional"
+                             else (len(rep), model.n_classes))
+        out = cache = None
+        if stage.learner is not None:
+            out, cache = forward(stage.learner, rep)
+            score = score + _vote(model, stage.weight, out, soft)
+        scores.append(score)
+        outputs.append(out)
+        if caches is not None:
+            caches.append(cache)
+        del rep, cache
+    return scores, outputs
 
 
 def replay_scores(model: EnsembleModel, dataset: NodeDataset, reps=None):
     """Score trajectory by stage: functional gives the running sum of
     eta_s f_s, SAMME the running vote score. ``reps`` (from
     ``stage_representations`` with ``rows``) scores those rows instead of
-    the whole graph; without it the stage chain is streamed and only the
-    learner outputs are kept."""
-    if reps is None:
-        return _scores(model, _replay(model, stage_inputs(model, dataset)),
-                       dataset.n)
-    return _scores(model, _replay(model, reps), len(reps[0]))
+    the whole graph; without it the stage chain is streamed and no stage
+    input is kept (see ``_stack_scores``)."""
+    return _stack_scores(model, stage_inputs(model, dataset)
+                         if reps is None else reps)[0]
 
 
 def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
@@ -471,16 +464,6 @@ def _stack_replay(model, dataset, rows):
         return stage_representations(model, dataset, rows), None
     chain = stage_representations(model, dataset)
     return [rep[rows] for rep in chain], chain
-
-
-def _stack_forward(model, inputs):
-    """Softened stack score on the rows of the per-stage learner inputs,
-    with the caches backprop needs. SAMME's argmax becomes softmax;
-    functional stays the identity. Returns (score, caches, logits_list)."""
-    caches = []
-    logits_list = _replay(model, inputs, caches)
-    score = _scores(model, logits_list, len(inputs[0]), soft=True)[-1]
-    return score, caches, logits_list
 
 
 def _stack_gradients(model, dataset, dscore, caches, logits_list,
@@ -563,9 +546,10 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     opt = _Adam(cfg.lr, cfg.weight_decay, [p.shape for p in params])
 
     for _ in range(cfg.epochs):
-        score, caches, logits_list = _stack_forward(
-            work, [x[:m] for x in inputs])
-        loss, dscore = surrogate(score, y_rows[:m])
+        caches = []
+        scores, logits_list = _stack_scores(work, [x[:m] for x in inputs],
+                                            soft=True, caches=caches)
+        loss, dscore = surrogate(scores[-1], y_rows[:m])
         if not np.isfinite(loss):
             flags = {**model.flags, "fine_tune_diverged": True}
             return (replace(model, stages=list(model.stages), flags=flags),
@@ -658,9 +642,10 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
     finite number, a t* that is not a stage index, an unknown
     ``aggregator_kind``, flags that are not an object, an aggregator on the
     first stage or a missing one on a later stage, a stage aggregator of
-    another kind than ``aggregator_kind``, or a learner with another
-    activation, without a bias, or whose weight shapes do not chain as
-    matrices, raises ValueError."""
+    another kind than ``aggregator_kind``, a KTA aggregator weight, a wlc
+    alpha or beta, or a learner weight that is not finite, or a learner
+    with another activation, without a bias, or whose weight shapes do not
+    chain as matrices, raises ValueError naming the field."""
     version = blob.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"model format_version {version!r}: only "
@@ -713,15 +698,25 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
                             for a, b in zip(weights, weights[1:]))):
                 raise ValueError(f"learner shapes {shapes!r}: not a chain "
                                  "of matrices")
+            if not all(np.isfinite(w).all() for w in weights):
+                raise ValueError(f"stage {idx + 1} learner weights: not all "
+                                 "finite")
             if (lrn["activation"], lrn["bias"]) != ("relu", True):
                 raise ValueError(
                     f"learner activation {lrn['activation']!r} with bias "
                     f"{lrn['bias']!r}: only 'relu' with bias true is read")
             params = MlpParams(weights=weights)
-        wlc = (WlcParams(**st["wlc"]) if st["wlc"] else None)
-        stages.append(StageRecord(
-            None if agg is None else _aggregator(operator, **agg), params,
-            weight, wlc))
+        wlc = st["wlc"]
+        if wlc and not (math.isfinite(wlc["alpha"])
+                        and math.isfinite(wlc["beta"])):
+            raise ValueError(f"stage {idx + 1} wlc {wlc!r}: alpha and beta "
+                             "not both finite")
+        aggregator = None if agg is None else _aggregator(operator, **agg)
+        if aggregator is not None and not np.isfinite(aggregator.coefs).all():
+            raise ValueError(f"stage {idx + 1} aggregator weights: not all "
+                             "finite")
+        stages.append(StageRecord(aggregator, params, weight,
+                                  WlcParams(**wlc) if wlc else None))
     return EnsembleModel(mode=blob["mode"], n_classes=k, stages=stages,
                          t_star=t_star, aggregator_kind=kind, flags=flags)
 

@@ -393,7 +393,7 @@ def main(argv=None):
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, TrainingDiverged, AllRoundsRejected,
-            FloatingPointError, ArithmeticError) as exc:
+            ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -106,8 +106,8 @@ def _layer_grad(p, l, h, d):
 
 
 def forward(p: MlpParams, x):
-    """Full forward pass; returns (output, cache) with everything backward
-    needs."""
+    """Full forward pass; returns (output, cache), the cache holding the
+    input and every hidden activation, all that backward reads."""
     h = np.asarray(x, dtype=float)
     if h.shape[1] + 1 != p.weights[0].shape[0]:
         raise ValueError(
@@ -115,30 +115,29 @@ def forward(p: MlpParams, x):
             f"W^(1) rows {p.weights[0].shape[0]}"
         )
     hiddens = [h]
-    preacts = []
     for l in range(p.n_layers - 1):
-        z = _layer(p, l, h)
-        preacts.append(z)
-        h = np.maximum(z, 0.0)
+        h = np.maximum(_layer(p, l, h), 0.0)
         hiddens.append(h)
     out = _layer(p, p.n_layers - 1, h)
-    return out, {"hiddens": hiddens, "preacts": preacts}
+    return out, {"hiddens": hiddens}
 
 
 def backward(p: MlpParams, cache, upstream, input_grad=True):
     """Exact gradients of the forward map (the ReLU subgradient at 0 is 0).
 
-    Returns (per-layer weight gradients, gradient w.r.t. the input x, or
-    None when ``input_grad`` is off).
+    A hidden unit is active where its activation max(z, 0) is > 0, which
+    is exactly where z > 0 (-0.0 and NaN included), so no pre-activation is
+    kept. Returns (per-layer weight gradients, gradient w.r.t. the input x,
+    or None when ``input_grad`` is off).
     """
     grads = [None] * p.n_layers
-    hiddens, preacts = cache["hiddens"], cache["preacts"]
+    hiddens = cache["hiddens"]
     d = np.asarray(upstream, dtype=float)
     last = p.n_layers - 1
     grads[last] = _layer_grad(p, last, hiddens[last], d)
     for l in range(last - 1, -1, -1):
         d = d @ p.weights[l + 1].T
-        d = d * (preacts[l] > 0.0).astype(float)
+        d = d * (hiddens[l + 1] > 0.0).astype(float)
         grads[l] = _layer_grad(p, l, hiddens[l], d)
     if not input_grad:
         return grads, None

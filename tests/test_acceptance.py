@@ -15,8 +15,8 @@ import pytest
 
 from graphboost.aggregate import _alignment_value_grad, kta
 from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
-                              SammeConfig, _stack_forward, _stack_gradients,
-                              _stack_replay, predict,
+                              SammeConfig, _stack_gradients, _stack_replay,
+                              _stack_scores, predict,
                               run_functional_gb, run_samme, wlc_fit,
                               write_trace_csv)
 from graphboost.cli import cmd_curves
@@ -305,12 +305,13 @@ def test_criterion_8_gradient_integrity():
     tr = ds.split.train
 
     def stack_loss(m):
-        s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
+        s = _stack_scores(m, _stack_replay(m, ds, tr)[0], soft=True)[0][-1]
         return float(np.mean(softmax_ce(s, ds.labels[tr])))
 
     inputs, chain = _stack_replay(model, ds, tr)
-    score, caches, logits = _stack_forward(model, inputs)
-    _, dscore = surrogate(score, ds.labels[tr])
+    caches = []
+    scores, logits = _stack_scores(model, inputs, soft=True, caches=caches)
+    _, dscore = surrogate(scores[-1], ds.labels[tr])
     mlp_grads, kta_grads = _stack_gradients(model, ds, dscore, caches,
                                             logits, chain)
     worst_stack, smallest_fd = 0.0, np.inf

@@ -717,12 +717,12 @@ class TestFineTune:
         model, _ = run_samme(ds, SammeConfig(
             n_rounds=3, hidden=(6,), learner=TrainConfig(epochs=3),
             seed=7))
-        from graphboost.boost import _stack_forward, _stack_replay
+        from graphboost.boost import _stack_replay, _stack_scores
         from graphboost.losses import softmax_ce
         tr = ds.split.train
 
         def loss(m):
-            s, *_ = _stack_forward(m, _stack_replay(m, ds, tr)[0])
+            s = _stack_scores(m, _stack_replay(m, ds, tr)[0], soft=True)[0][-1]
             return float(np.mean(softmax_ce(s, ds.labels[tr])))
 
         before = loss(model)
@@ -1025,6 +1025,29 @@ class TestPredict:
         streamed = replay_scores(model, ds)
         for a, b in zip(streamed, replay_scores(model, ds, reps)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["fixed", "kta"])
+    def test_skipped_first_stage_scores_zeros(self, kind):
+        # the placeholder run_samme records when round 1 is rejected twice:
+        # no learner and weight 0, so the score by stage starts from zeros
+        from graphboost.boost import stage_representations
+        ds, model, _ = noisy_run(kind, "samme")
+        model.stages[0] = StageRecord(None, None, 0.0)
+        model.flags["skipped"] = [1]
+        train = ds.split.train
+        streamed = replay_scores(model, ds)
+        on_train = replay_scores(
+            model, ds, stage_representations(model, ds, train))
+        assert np.array_equal(streamed[0], np.zeros((ds.n, ds.n_classes)))
+        assert np.array_equal(on_train[0],
+                              np.zeros((len(train), ds.n_classes)))
+        assert len(streamed) == len(on_train) == len(model.stages)
+        for a, b in zip(streamed, on_train):
+            assert np.array_equal(a[train], b)
+        tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=1))
+        assert tuned.stages[0].learner is None
+        assert "fine_tune_diverged" not in tuned.flags
+        assert np.isfinite(info["train_err"]).all()
 
     def test_streamed_predict_holds_one_stage_input(self):
         # an injection chain of T = 8 stages: streamed, predict peaks below

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 from dataclasses import replace
@@ -409,6 +410,13 @@ HEADER_EDITS = {
     "aggregator_kind_kta": {"aggregator_kind": "kta"},
     "aggregator_kind_bogus": {"aggregator_kind": "bogus"},
     "flags_list": {"flags": []}}
+# model.json values that are not finite: case -> (the stage and field the
+# error names, value)
+NON_FINITE = {
+    "kta_weight_nan": ("stage 2 aggregator weights", float("nan")),
+    "kta_weight_inf": ("stage 2 aggregator weights", float("inf")),
+    "learner_weight_nan": ("stage 1 learner weights", float("nan")),
+    "wlc_alpha_inf": ("stage 2 wlc", float("inf"))}
 
 
 class TestExitCodes:
@@ -551,14 +559,16 @@ class TestExitCodes:
         "format_version_3", "weights_not_base64", "weights_wrong_length",
         "activation_sigmoid", "bias_false", "base_normalized", "clip_other",
         "weight_x", "first_stage_aggregator", "later_stage_aggregator_null",
-        "shapes_unchained", *HEADER_EDITS])
+        "shapes_unchained", *HEADER_EDITS, *NON_FINITE])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
-        # t* is a functional model's field
+        # t* is a functional model's field, and aggregator weights a KTA
+        # model's
         mode = "functional" if case.startswith("t_star") else "samme"
+        variant = "kta" if case.startswith("kta") else "adj"
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0],
-                                                   mode=mode)))
+        cfg_path.write_text(json.dumps(base_config(
+            dataset_dir, seeds=[0], mode=mode, variant=variant)))
         cmd_train(str(cfg_path), str(tmp_path / "run"))
         model = tmp_path / "run" / "seed_0" / "model.json"
         args = ["theory", "--model", str(model), "--data", dataset_dir]
@@ -585,6 +595,17 @@ class TestExitCodes:
             elif case == "shapes_unchained":
                 # the 8 x 2 output layer's 16 entries read as 4 x 4
                 blob["stages"][0]["learner"]["shapes"][1] = [4, 4]
+            elif case in NON_FINITE:
+                # each value JSON writes as NaN or Infinity
+                value = NON_FINITE[case][1]
+                if case.startswith("kta"):
+                    blob["stages"][1]["aggregator"]["weights"][2] = value
+                elif case.startswith("wlc"):
+                    blob["stages"][1]["wlc"] = {"alpha": value, "beta": 0.5}
+                else:
+                    raw = bytearray(base64.b64decode(weights[0]))
+                    raw[8:16] = np.array([value], dtype="<f8").tobytes()
+                    weights[0] = base64.b64encode(raw).decode()
             elif case == "format_version_3":
                 blob["format_version"] = 3
             elif case == "weights_not_base64":
@@ -601,7 +622,10 @@ class TestExitCodes:
                 learner["bias"] = False
             model.write_text(json.dumps(blob))
         assert main(args) == 3
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        if case in NON_FINITE:
+            assert NON_FINITE[case][0] in err and "finite" in err
 
     def test_trace_flag_is_2(self, dataset_dir, tmp_path, capsys):
         # theory reads no trace, so --trace is an unknown flag
