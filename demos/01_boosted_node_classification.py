@@ -9,7 +9,7 @@ records.
 
 import numpy as np
 
-from graphboost import (AggregatorSpec, SammeConfig, TrainConfig, predict,
+from graphboost import (AggregatorSpec, BoostConfig, TrainConfig, predict,
                         run_samme, synthesize_two_block)
 
 dataset = synthesize_two_block(n=120, p_in=0.14, p_out=0.06, seed=7,
@@ -17,7 +17,7 @@ dataset = synthesize_two_block(n=120, p_in=0.14, p_out=0.06, seed=7,
 print(f"two-block graph: {dataset.n} nodes, {dataset.graph.n_edges} edges, "
       f"{dataset.split.m} train / {dataset.split.u} test")
 
-cfg = SammeConfig(
+cfg = BoostConfig(
     n_rounds=8,
     hidden=(16,),
     learner=TrainConfig(epochs=60, lr=1e-2, weight_decay=5e-4),

@@ -14,16 +14,15 @@ The cap shrinks like 1/T as long as every iteration stays weakly learnable.
 
 import numpy as np
 
-from graphboost import (FunctionalGBConfig, TrainConfig, optimization_bound,
+from graphboost import (BoostConfig, TrainConfig, optimization_bound,
                         predict, run_functional_gb, synthesize_two_block)
 from graphboost.losses import margin_loss
 
 dataset = synthesize_two_block(n=60, p_in=0.8, p_out=0.05, seed=3)
-cfg = FunctionalGBConfig(
+cfg = BoostConfig(
     n_rounds=10,
     hidden=(),  # linear learners are plenty for separable communities
     learner=TrainConfig(epochs=60, lr=0.05, weight_decay=0.0),
-    delta=0.0,
     seed=1,
 )
 model, trace = run_functional_gb(dataset, cfg)
@@ -38,7 +37,7 @@ for row in trace:
 
 gammas = [st.wlc.gamma for st in model.stages[1:] if st.wlc]
 bound, curve = optimization_bound(trace[0]["train_loss"], dataset.split.m,
-                                  gammas, delta=cfg.delta)
+                                  gammas)
 yhat, _ = predict(model, dataset)
 realized = float(np.mean(margin_loss(yhat[dataset.split.train],
                                      dataset.labels[dataset.split.train])))

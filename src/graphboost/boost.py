@@ -115,17 +115,10 @@ class AggregatorSpec:
 
 
 @dataclass
-class FunctionalGBConfig:
-    n_rounds: int = 10             # the loop runs n_rounds times (t=2..T+1)
-    hidden: tuple = (64,)
-    learner: TrainConfig = field(default_factory=TrainConfig)
-    aggregator: AggregatorSpec = field(default_factory=AggregatorSpec)
-    delta: float = 0.0
-    seed: int = 0
+class BoostConfig:
+    """One boosting run: SAMME grows ``n_rounds`` stages, the functional
+    driver ``n_rounds + 1`` (its first stage fits the raw features)."""
 
-
-@dataclass
-class SammeConfig:
     n_rounds: int = 100
     hidden: tuple = (64,)
     learner: TrainConfig = field(default_factory=TrainConfig)
@@ -199,13 +192,14 @@ def _cos(a, b):
     return float(np.vdot(a, b) / (na * nb))
 
 
-def _trace_row(t, dataset, score, cos_theta, fit, passed, delta=0.0):
-    """Per-stage record: losses and errors of the updated score, the angle
-    and fitted w.l.c. of the stage's contribution against the negative
-    gradient taken before the update, and the L1 norm of the gradient at
-    the updated score. A score vector is binary, a matrix multiclass."""
+def _trace_row(t, dataset, score, cos_theta, fit, passed):
+    """Per-stage record: losses and margin-0 errors of the updated score,
+    the angle and fitted w.l.c. of the stage's contribution against the
+    negative gradient taken before the update, and the L1 norm of the
+    gradient at the updated score. A score vector is binary, a matrix
+    multiclass."""
     y, split = dataset.labels, dataset.split
-    e = errors(score, y, split, delta=delta)
+    e = errors(score, y, split)
     return {
         "t": t,
         "train_loss": e["surrogate"],
@@ -223,7 +217,7 @@ def _trace_row(t, dataset, score, cos_theta, fit, passed, delta=0.0):
 # ---------------------------------------------------------------------------
 # functional gradient boosting (binary)
 
-def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
+def run_functional_gb(dataset: NodeDataset, cfg: BoostConfig):
     """Binary functional gradient boosting with online w.l.c. verification.
 
     Returns (EnsembleModel, trace rows). The first stage fits the raw
@@ -265,8 +259,7 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
                 flags.setdefault("wlc_failures", []).append(t)
         yhat = yhat + eta_t * f_t
         stages.append(StageRecord(aggregator, b_t, eta_t, fit))
-        trace.append(_trace_row(t, dataset, yhat, _cos(z, g), fit, passed,
-                                cfg.delta))
+        trace.append(_trace_row(t, dataset, yhat, _cos(z, g), fit, passed))
 
     t_star = min(trace, key=lambda r: r["grad_l1"])["t"]
 
@@ -279,7 +272,7 @@ def run_functional_gb(dataset: NodeDataset, cfg: FunctionalGBConfig):
 # ---------------------------------------------------------------------------
 # SAMME (multiclass)
 
-def run_samme(dataset: NodeDataset, cfg: SammeConfig):
+def run_samme(dataset: NodeDataset, cfg: BoostConfig):
     """Multiclass boosting with hard class votes: model weight
     lambda_t = log((1-e_t)/e_t) + log(K-1), multiplicative reweighting.
     A weak learner with weighted error >= 1 - 1/K is retrained once; a
@@ -638,21 +631,24 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
     """Read a format-version-2 manifest, its aggregators over ``operator``,
     which is ``base_operator(graph)`` when None. A missing or other
     ``format_version``, a mode other than functional or SAMME, another base
-    or clip, fewer than two classes, no stage, a stage weight that is not a
-    finite number, a t* that is not a stage index, an unknown
-    ``aggregator_kind``, flags that are not an object, an aggregator on the
-    first stage or a missing one on a later stage, a stage aggregator of
-    another kind than ``aggregator_kind``, a KTA aggregator weight, a wlc
-    alpha or beta, or a learner weight that is not finite, or a learner
-    with another activation, without a bias, or whose weight shapes do not
-    chain as matrices, raises ValueError naming the field."""
+    or clip, fewer than two classes, a functional model of other than two,
+    no stage, a stage weight that is not a finite number, a t* that is not
+    a stage index, an unknown ``aggregator_kind``, flags that are not an
+    object, an aggregator on the first stage or a missing one on a later
+    stage, a stage aggregator of another kind than ``aggregator_kind``, a
+    KTA aggregator weight, a wlc alpha or beta, or a learner weight that is
+    not finite, or a learner with another activation, without a bias, whose
+    weight shapes do not chain as matrices, or whose output width is not 1
+    (functional) or n_classes (SAMME), raises ValueError naming the field
+    and, for a stage's field, the stage."""
     version = blob.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"model format_version {version!r}: only "
                          f"{FORMAT_VERSION} is read")
-    if blob["mode"] not in ("functional", "samme"):
-        raise ValueError(f"mode {blob['mode']!r}: only 'functional' or "
-                         "'samme' is read")
+    mode = blob["mode"]
+    if mode not in ("functional", "samme"):
+        raise ValueError(f"mode {mode!r}: only 'functional' or 'samme' is "
+                         "read")
     if (blob["base"], blob["clip"]) != ("augmented", DEFAULT_CLIP):
         raise ValueError(
             f"base {blob['base']!r} with clip {blob['clip']!r}: only "
@@ -660,6 +656,9 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
     k, t_star, blob_stages = blob["n_classes"], blob["t_star"], blob["stages"]
     if not (_is_number(k, numbers.Integral) and k >= 2):
         raise ValueError(f"n_classes {k!r}: not an integer >= 2")
+    if mode == "functional" and k != 2:
+        raise ValueError(f"n_classes {k!r}: a functional model scores 2")
+    out_width = 1 if mode == "functional" else k
     if not (isinstance(blob_stages, list) and blob_stages):
         raise ValueError("stages: not a non-empty list")
     if t_star is not None and not (_is_number(t_star, numbers.Integral)
@@ -698,6 +697,11 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
                             for a, b in zip(weights, weights[1:]))):
                 raise ValueError(f"learner shapes {shapes!r}: not a chain "
                                  "of matrices")
+            if weights[-1].shape[1] != out_width:
+                raise ValueError(
+                    f"stage {idx + 1} learner output width "
+                    f"{weights[-1].shape[1]}: a {mode} model with n_classes "
+                    f"{k} needs {out_width}")
             if not all(np.isfinite(w).all() for w in weights):
                 raise ValueError(f"stage {idx + 1} learner weights: not all "
                                  "finite")
@@ -717,7 +721,7 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
                              "finite")
         stages.append(StageRecord(aggregator, params, weight,
                                   WlcParams(**wlc) if wlc else None))
-    return EnsembleModel(mode=blob["mode"], n_classes=k, stages=stages,
+    return EnsembleModel(mode=mode, n_classes=k, stages=stages,
                          t_star=t_star, aggregator_kind=kind, flags=flags)
 
 

@@ -22,10 +22,9 @@ import numpy as np
 
 from .aggregate import AlignmentConfig
 from .boost import (TRACE_COLUMNS, AggregatorSpec, AllRoundsRejected,
-                    FineTuneConfig, FunctionalGBConfig, SammeConfig,
-                    _is_number, fine_tune, load_model, predict,
-                    read_trace_csv, run_functional_gb, run_samme, save_model,
-                    write_trace_csv)
+                    BoostConfig, FineTuneConfig, _is_number, fine_tune,
+                    load_model, predict, read_trace_csv, run_functional_gb,
+                    run_samme, save_model, write_trace_csv)
 from .data import DataError, load_planetoid, read_file
 from .graph import DENSE_EIGEN_CAP, base_operator
 from .mlp import TrainConfig, TrainingDiverged
@@ -70,7 +69,6 @@ class ExperimentConfig:
     n_rounds: int = 100
     rho: float = 0.5
     n_deg: int = 3
-    delta: float = 0.0
     seeds: list = field(default_factory=lambda: [0])
     learner: TrainConfig = field(default_factory=TrainConfig)
     kta: AlignmentConfig = field(default_factory=AlignmentConfig)
@@ -94,9 +92,6 @@ class ExperimentConfig:
             raise ConfigError("n_deg: must be >= 0")
         if self.n_rounds < 1:
             raise ConfigError("n_rounds: must be >= 1")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ConfigError(f"delta: must be finite and >= 0, got "
-                              f"{self.delta}")
         if not (isinstance(self.seeds, list) and self.seeds and all(
                 _is_number(s, numbers.Integral) and s >= 0
                 for s in self.seeds)):
@@ -109,16 +104,6 @@ class ExperimentConfig:
     @property
     def hidden(self):
         return (self.hidden_width,) * self.hidden_layers
-
-    def aggregator_spec(self):
-        kind = {"adj": "fixed", "kta": "kta",
-                "input_injection": "input_injection"}[self.variant]
-        return AggregatorSpec(kind=kind, rho=self.rho, n_deg=self.n_deg,
-                              alignment=self.kta)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
 
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
@@ -172,16 +157,13 @@ def _dataset_hashes(directory):
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     """Train one model; write model.json, trace.csv, summary.json."""
     dataset = load_planetoid(cfg.dataset, normalize=cfg.normalize_features)
-    spec = cfg.aggregator_spec()
-    if cfg.mode == "functional":
-        runner, run_cfg = run_functional_gb, FunctionalGBConfig(
-            n_rounds=cfg.n_rounds, hidden=cfg.hidden, learner=cfg.learner,
-            aggregator=spec, delta=cfg.delta, seed=seed)
-    else:
-        runner, run_cfg = run_samme, SammeConfig(
-            n_rounds=cfg.n_rounds, hidden=cfg.hidden, learner=cfg.learner,
-            aggregator=spec, seed=seed)
-    model, trace = runner(dataset, run_cfg)
+    # every variant names its aggregator kind except adj, the fixed one
+    spec = AggregatorSpec(kind={"adj": "fixed"}.get(cfg.variant, cfg.variant),
+                          rho=cfg.rho, n_deg=cfg.n_deg, alignment=cfg.kta)
+    runner = run_functional_gb if cfg.mode == "functional" else run_samme
+    model, trace = runner(dataset, BoostConfig(
+        n_rounds=cfg.n_rounds, hidden=cfg.hidden, learner=cfg.learner,
+        aggregator=spec, seed=seed))
     if cfg.fine_tune:
         model, _ = fine_tune(model, dataset, cfg.fine_tune_cfg)
 
@@ -220,7 +202,7 @@ def cmd_train(config_path, out_root, jobs=1):
         raise DataError(f"dataset directory not found: {cfg.dataset}")
     os.makedirs(out_root, exist_ok=True)
     with open(os.path.join(out_root, "config.json"), "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=1)
+        json.dump(asdict(cfg), fh, indent=1)
     with open(os.path.join(out_root, "inputs.json"), "w") as fh:
         json.dump(_dataset_hashes(cfg.dataset), fh, indent=1)
 

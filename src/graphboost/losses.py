@@ -35,9 +35,10 @@ def margin_loss(score, label, delta=0.0):
     return ((2.0 * p - 1.0) * ysharp < delta).astype(float)
 
 
-def sigmoid_ce(score, label, clip=DEFAULT_CLIP):
-    """-y log p - (1-y) log(1-p), with p and 1-p clipped below at ``clip``."""
-    p = np.clip(sigmoid(score), clip, 1.0 - clip)
+def sigmoid_ce(score, label):
+    """-y log p - (1-y) log(1-p), with p and 1-p clipped below at
+    ``DEFAULT_CLIP``."""
+    p = np.clip(sigmoid(score), DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
     y = np.asarray(label, dtype=float)
     return -y * np.log(p) - (1.0 - y) * np.log(1.0 - p)
 
@@ -49,26 +50,27 @@ def softmax(scores):
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce(scores, labels, clip=DEFAULT_CLIP):
-    """Multiclass cross-entropy of softmax(scores) rows vs integer labels."""
-    p = np.clip(softmax(scores), clip, 1.0)
+def softmax_ce(scores, labels):
+    """Multiclass cross-entropy of softmax(scores) rows vs integer labels,
+    with p clipped below at ``DEFAULT_CLIP``."""
+    p = np.clip(softmax(scores), DEFAULT_CLIP, 1.0)
     rows = np.arange(len(labels))
     return -np.log(p[rows, np.asarray(labels, dtype=np.int64)])
 
 
-def surrogate(score, labels, clip=DEFAULT_CLIP):
+def surrogate(score, labels):
     """The surrogate averaged over the given rows, and its gradient in
     ``score``: sigmoid cross-entropy of a binary score vector, with gradient
     (1/M)(sigmoid(s) - y), or softmax cross-entropy of a multiclass score
-    matrix, with gradient (1/M)(softmax(S) - onehot(y)). ``clip`` bounds the
-    probabilities inside the logarithm only."""
+    matrix, with gradient (1/M)(softmax(S) - onehot(y)). ``DEFAULT_CLIP``
+    bounds the probabilities inside the logarithm only."""
     score = np.asarray(score, dtype=float)
     m = len(labels)
     if score.ndim == 1:
-        loss = float(np.mean(sigmoid_ce(score, labels, clip)))
+        loss = float(np.mean(sigmoid_ce(score, labels)))
         return loss, (sigmoid(score) - labels) / m
     labels = np.asarray(labels, dtype=np.int64)
-    loss = float(np.mean(softmax_ce(score, labels, clip)))
+    loss = float(np.mean(softmax_ce(score, labels)))
     grad = softmax(score)
     grad[np.arange(m), labels] -= 1.0
     return loss, grad / m
@@ -86,11 +88,11 @@ def surrogate_grad(score, labels, split):
     return g
 
 
-def errors(yhat, labels, split, delta=0.0):
+def errors(yhat, labels, split):
     """Train error, test error, and train surrogate loss.
 
-    Binary scores use the margin loss; multiclass scores use argmax-vs-label
-    0-1 error (np.argmax breaks ties toward the lowest index).
+    Binary scores use the margin loss at delta = 0, multiclass scores the
+    argmax-vs-label 0-1 error (np.argmax breaks ties toward the lowest index).
     """
     yhat = np.asarray(yhat, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
@@ -98,7 +100,7 @@ def errors(yhat, labels, split, delta=0.0):
         raise ValueError("errors need nonempty train and test sets")
     tr, te = split.train, split.test
     if yhat.ndim == 1:
-        per_node = margin_loss(yhat, labels, delta)
+        per_node = margin_loss(yhat, labels)
     else:
         per_node = (np.argmax(yhat, axis=1) != labels).astype(float)
     return {

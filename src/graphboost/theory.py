@@ -190,8 +190,7 @@ class SpectralTrajectory:
                     f"{row['rank1_dist']!r}\n")
 
 
-def smoothing_report(p: PropagationMatrix, x, t_max,
-                     rtol=1e-6) -> SpectralTrajectory:
+def smoothing_report(p: PropagationMatrix, x, t_max) -> SpectralTrajectory:
     """Trajectory of repeatedly propagated features for t = 0..t_max.
 
     ``p`` is ``base_operator(g)``, whose eigenvalue-1 space V_1 has one
@@ -202,7 +201,7 @@ def smoothing_report(p: PropagationMatrix, x, t_max,
     the norm of the subtraction P^t X - V_1 V_1^T X, which stays accurate
     as it decays (a difference of squared norms would cancel). The norm is
     computed a second time as sqrt(||V_1^T X||^2 + distance^2), which
-    holds only if P fixes V_1, so a relative gap above ``rtol`` from the
+    holds only if P fixes V_1, so a relative gap above 1e-6 from the
     direct ||P^t X||_F raises. The cosine of column c is ||V_1^T X_c|| /
     ||P^t X_c||. ``x`` is N x C.
     """
@@ -239,11 +238,11 @@ def smoothing_report(p: PropagationMatrix, x, t_max,
         col_norms = np.linalg.norm(cur, axis=0)
         safe = np.where(col_norms == 0.0, 1.0, col_norms)
         cos_top[t] = float(np.max(top_col_norms / safe))
-        # compare squared norms; mass below rtol ||X||^2 is numerically
+        # compare squared norms; mass below 1e-6 ||X||^2 is numerically
         # zero, and a NaN gap (an operator with a zero diagonal) also raises
         d2, s2 = direct[t] ** 2, spectral[t] ** 2
-        gap = abs(d2 - s2) / max(d2, s2, rtol * x_sq, 1e-300)
-        if not gap <= rtol:
+        gap = abs(d2 - s2) / max(d2, s2, 1e-6 * x_sq, 1e-300)
+        if not gap <= 1e-6:
             raise NumericalError(
                 f"direct and spectral norms disagree at t={t}: "
                 f"{direct[t]} vs {spectral[t]}")

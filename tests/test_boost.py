@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphboost.aggregate import Polynomial, fixed, injection, kta
-from graphboost.boost import (AggregatorSpec, EnsembleModel, FineTuneConfig,
-                              FunctionalGBConfig, SammeConfig, StageRecord,
+from graphboost.boost import (AggregatorSpec, BoostConfig, EnsembleModel,
+                              FineTuneConfig, StageRecord,
                               WlcParams, fine_tune, load_model,
                               model_from_json, model_to_json, predict,
                               read_trace_csv, replay_scores,
@@ -124,7 +124,7 @@ class TestProp2Equivalence:
 
 
 def small_functional_cfg(n_rounds=3, seed=0, **kw):
-    return FunctionalGBConfig(
+    return BoostConfig(
         n_rounds=n_rounds, hidden=(8,),
         learner=TrainConfig(epochs=30, lr=0.02, weight_decay=0.0),
         seed=seed, **kw)
@@ -193,7 +193,7 @@ class TestFunctionalGB:
 
     def test_functional_with_input_injection(self):
         ds = synthesize_two_block(20, 0.8, 0.1, seed=14)
-        cfg = FunctionalGBConfig(
+        cfg = BoostConfig(
             n_rounds=3, hidden=(8,),
             learner=TrainConfig(epochs=25, lr=0.02, weight_decay=0.0),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.6),
@@ -211,7 +211,7 @@ class TestFunctionalGB:
         # rise beyond a 5%-of-initial band while the angle stays acute
         # (noisy enough that boosting takes several rounds to saturate)
         ds = synthesize_two_block(120, 0.14, 0.05, seed=16, noise=1.5)
-        cfg = SammeConfig(n_rounds=10, hidden=(8,),
+        cfg = BoostConfig(n_rounds=10, hidden=(8,),
                           learner=TrainConfig(epochs=10), seed=17)
         model, trace = run_samme(ds, cfg)
         write_trace_csv(trace, tmp_path / "trace.csv")
@@ -242,7 +242,7 @@ class TestSammeFormulas:
 class TestSammeRuns:
     def test_single_learner_predicts_like_it(self):
         ds = synthesize_two_block(20, 0.9, 0.1, seed=0)
-        cfg = SammeConfig(n_rounds=1, hidden=(8,),
+        cfg = BoostConfig(n_rounds=1, hidden=(8,),
                           learner=TrainConfig(epochs=50), seed=2)
         model, _ = run_samme(ds, cfg)
         assert len(model.stages) == 1
@@ -268,14 +268,14 @@ class TestSammeRuns:
 
     def test_multiclass_run_improves_over_chance(self):
         ds = synthesize_two_block(40, 0.8, 0.05, seed=4)
-        cfg = SammeConfig(n_rounds=5, hidden=(8,),
+        cfg = BoostConfig(n_rounds=5, hidden=(8,),
                           learner=TrainConfig(epochs=40), seed=6)
         model, trace = run_samme(ds, cfg)
         assert trace[-1]["test_err"] < 0.5
 
     def test_rejected_rounds_are_skipped_placeholders(self):
         ds = synthesize_two_block(16, 0.6, 0.4, seed=7, noise=3.0)
-        cfg = SammeConfig(
+        cfg = BoostConfig(
             n_rounds=6, hidden=(2,),
             learner=TrainConfig(epochs=1, lr=1e-9), seed=9)
         try:
@@ -300,7 +300,7 @@ class TestSammeRuns:
         flat = NodeDataset(graph=base.graph,
                            features=np.ones((16, 2)), labels=base.labels,
                            split=split, n_classes=2)
-        cfg = SammeConfig(n_rounds=3, hidden=(4,),
+        cfg = BoostConfig(n_rounds=3, hidden=(4,),
                           learner=TrainConfig(epochs=5), seed=1)
         with pytest.raises(RuntimeError, match="beat chance"):
             run_samme(flat, cfg)
@@ -309,7 +309,7 @@ class TestSammeRuns:
         # each fitted polynomial has nonnegative weights summing to 1, so
         # ||q_t(P)|| <= 1 and no stage input outgrows the features
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=0.4)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=12, hidden=(4,), learner=TrainConfig(epochs=50, lr=0.05),
             aggregator=AggregatorSpec(kind="kta"), seed=1))
         assert "skipped" not in model.flags
@@ -337,7 +337,7 @@ class TestSammeRuns:
         ds = NodeDataset(graph=graph, features=features,
                          labels=labels.astype(np.int64), split=split,
                          n_classes=k)
-        model, trace = run_samme(ds, SammeConfig(
+        model, trace = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(16,), learner=TrainConfig(epochs=50), seed=3))
         _, classes = predict(model, ds)
         acc = np.mean(classes[split.test] == labels[split.test])
@@ -353,7 +353,7 @@ def hand_built_models():
     first = MlpParams(weights=[np.array(
         [[0.5, -1.25], [0.1, 2.0], [1e-17, 1.0 / 3.0]])])
     second = MlpParams(weights=[np.array([[1.5], [-0.2], [0.0]]),
-                                np.array([[2.0 ** -30]])])
+                                np.array([[2.0 ** -30, -0.0]])])
     third = MlpParams(weights=[np.array([[-0.5], [3.0], [0.25]])])
     models = {
         "fixed": EnsembleModel(
@@ -441,8 +441,8 @@ VERSION_1_BYTES = {
         '{"aggregator": {"kind": "kta", "weights": [1.0, 0.5, 0.25, '
         '0.125, 0.14285714285714285], "n_deg": 3}, "weight": 1.5, '
         '"wlc": {"alpha": 2.0, "beta": 0.5}, "learner": {"shapes": '
-        '[[3, 1], [1, 1]], "weights": [[1.5, -0.2, 0.0], '
-        '[9.313225746154785e-10]], "activation": "relu", '
+        '[[3, 1], [1, 2]], "weights": [[1.5, -0.2, 0.0], '
+        '[9.313225746154785e-10, -0.0]], "activation": "relu", '
         '"head": "identity", "bias": true}}, {"aggregator": {"kind": '
         '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
         '"weight": 0.0, "wlc": null, "learner": null}]}'),
@@ -485,8 +485,8 @@ VERSION_2_BYTES = {
         '"bias": true}}, {"aggregator": {"kind": "kta", "weights": '
         '[1.0, 0.5, 0.25, 0.125, 0.14285714285714285], "n_deg": 3}, '
         '"weight": 1.5, "wlc": {"alpha": 2.0, "beta": 0.5}, "learner": '
-        '{"shapes": [[3, 1], [1, 1]], "weights": '
-        '["AAAAAAAA+D+amZmZmZnJvwAAAAAAAAAA", "AAAAAAAAED4="], '
+        '{"shapes": [[3, 1], [1, 2]], "weights": '
+        '["AAAAAAAA+D+amZmZmZnJvwAAAAAAAAAA", "AAAAAAAAED4AAAAAAAAAgA=="], '
         '"activation": "relu", "bias": true}}, {"aggregator": {"kind": '
         '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
         '"weight": 0.0, "wlc": null, "learner": null}]}'),
@@ -496,7 +496,7 @@ VERSION_2_BYTES = {
 class TestSerialization:
     def test_model_round_trip_bit_for_bit(self, tmp_path):
         ds = synthesize_two_block(20, 0.8, 0.1, seed=0)
-        cfg = SammeConfig(n_rounds=3, hidden=(6,),
+        cfg = BoostConfig(n_rounds=3, hidden=(6,),
                           learner=TrainConfig(epochs=20),
                           aggregator=AggregatorSpec(kind="kta"), seed=2)
         model, _ = run_samme(ds, cfg)
@@ -556,7 +556,7 @@ class TestSerialization:
         first = np.asfortranarray(
             [[-0.0, 5e-324], [1e308, 1.0 / 3.0], [-1e308, -5e-324]])
         learner = MlpParams(weights=[first, np.array([[1.0 / 3.0], [-0.0]])])
-        model = EnsembleModel(mode="samme", n_classes=2,
+        model = EnsembleModel(mode="functional", n_classes=2,
                               stages=[StageRecord(None, learner, 0.5)])
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -644,9 +644,9 @@ class TestTrainedBytes:
                       learner=TrainConfig(epochs=5),
                       aggregator=AggregatorSpec(kind=kind), seed=1)
         if mode == "functional":
-            model, trace = run_functional_gb(ds, FunctionalGBConfig(**common))
+            model, trace = run_functional_gb(ds, BoostConfig(**common))
         else:
-            model, trace = run_samme(ds, SammeConfig(**common))
+            model, trace = run_samme(ds, BoostConfig(**common))
         save_model(model, tmp_path / "model.json")
         write_trace_csv(trace, tmp_path / "trace.csv")
         got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
@@ -667,7 +667,7 @@ class TestTrainedBytes:
         # model.json keeps each stage's (alpha, beta) as trace.csv records
         # it, and null where the trace has no fit
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
-        model, trace = run_samme(ds, SammeConfig(
+        model, trace = run_samme(ds, BoostConfig(
             n_rounds=n_rounds, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind), seed=1))
         save_model(model, tmp_path / "model.json")
@@ -687,7 +687,7 @@ class TestTrainedBytes:
 class TestFineTune:
     def test_zero_epochs_identity(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=20),
             seed=2))
         tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=0))
@@ -702,7 +702,7 @@ class TestFineTune:
 
     def test_perfect_fit_stays_perfect(self):
         ds = synthesize_two_block(24, 1.0, 0.0, seed=2, noise=0.02)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=2, hidden=(8,),
             learner=TrainConfig(epochs=150, lr=0.05, weight_decay=0.0),
             seed=4))
@@ -714,7 +714,7 @@ class TestFineTune:
 
     def test_loss_decreases_on_underfit_model(self):
         ds = synthesize_two_block(30, 0.9, 0.05, seed=5)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=TrainConfig(epochs=3),
             seed=7))
         from graphboost.boost import _stack_replay, _stack_scores
@@ -731,7 +731,7 @@ class TestFineTune:
 
     def test_divergence_leaves_input_untouched(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=5),
             seed=2))
         model.stages[0].learner.weights[0][0, 0] = np.nan
@@ -746,7 +746,7 @@ class TestFineTune:
         # needs an imperfectly fitted model: a saturated ensemble has
         # near-zero loss gradient and nothing for fine-tuning to do
         ds = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(16,), learner=TrainConfig(epochs=8),
             aggregator=AggregatorSpec(kind="kta"), seed=10))
         assert len(model.stages) == 3, model.flags
@@ -841,11 +841,11 @@ def unsaturated_run(kind, mode):
     spec = AggregatorSpec(kind=kind)
     learner = TrainConfig(epochs=4)
     if mode == "functional":
-        model, _ = run_functional_gb(ds, FunctionalGBConfig(
+        model, _ = run_functional_gb(ds, BoostConfig(
             n_rounds=2, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     else:
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     return ds, model
@@ -939,11 +939,11 @@ def noisy_run(kind, mode):
     spec = AggregatorSpec(kind=kind, rho=0.3)
     learner = TrainConfig(epochs=4)
     if mode == "functional":
-        model, trace = run_functional_gb(ds, FunctionalGBConfig(
+        model, trace = run_functional_gb(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     else:
-        model, trace = run_samme(ds, SammeConfig(
+        model, trace = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     return ds, model, trace
@@ -960,7 +960,7 @@ class TestPredict:
 
     def test_input_injection_variant_runs_and_replays(self):
         ds = synthesize_two_block(20, 0.8, 0.1, seed=1)
-        cfg = SammeConfig(
+        cfg = BoostConfig(
             n_rounds=3, hidden=(4,), learner=TrainConfig(epochs=15),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.7),
             seed=3)
@@ -973,7 +973,7 @@ class TestPredict:
         # the raw features ride along, so learners see 2C inputs
         from graphboost.boost import stage_representations
         ds = synthesize_two_block(12, 0.9, 0.1, seed=4)
-        cfg = SammeConfig(
+        cfg = BoostConfig(
             n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=10),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.5),
             seed=6)
@@ -985,7 +985,7 @@ class TestPredict:
 
     def test_functional_with_kta_aggregator(self):
         ds = synthesize_two_block(30, 0.8, 0.1, seed=7)
-        cfg = FunctionalGBConfig(
+        cfg = BoostConfig(
             n_rounds=3, hidden=(8,),
             learner=TrainConfig(epochs=30, lr=0.02, weight_decay=0.0),
             aggregator=AggregatorSpec(kind="kta"), seed=8)
@@ -1108,10 +1108,10 @@ class TestPredict:
         tracemalloc.start()
         try:
             if mode == "functional":
-                run_functional_gb(ds, FunctionalGBConfig(
+                run_functional_gb(ds, BoostConfig(
                     n_rounds=n_stages - 1, **common))
             else:
-                run_samme(ds, SammeConfig(n_rounds=n_stages, **common))
+                run_samme(ds, BoostConfig(n_rounds=n_stages, **common))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

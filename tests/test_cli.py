@@ -1,14 +1,13 @@
 import base64
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from graphboost.cli import (ConfigError, cmd_curves, cmd_theory,
-                            cmd_train, config_from_dict, config_to_dict,
-                            main)
+                            cmd_train, config_from_dict, main)
 from graphboost.data import NodeDataset, Split, export_dataset, synthesize_two_block
 from graphboost.graph import SparseGraph
 
@@ -44,8 +43,8 @@ def base_config(dataset_dir, **kw):
 class TestConfig:
     def test_round_trip_identical(self, dataset_dir):
         cfg = config_from_dict(base_config(dataset_dir))
-        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
-        assert config_to_dict(again) == config_to_dict(cfg)
+        again = config_from_dict(json.loads(json.dumps(asdict(cfg))))
+        assert asdict(again) == asdict(cfg)
 
     def test_bad_variant_reports_field(self, dataset_dir):
         with pytest.raises(ConfigError, match="variant"):
@@ -82,7 +81,8 @@ class TestConfig:
             config_from_dict(base_config(dataset_dir, **{outer: {key: value}}))
 
     @pytest.mark.parametrize("name,field", [
-        ("rho", {"rho": True}), ("delta", {"delta": False}),
+        ("rho", {"rho": True}),
+        ("learner.weight_decay", {"learner": {"weight_decay": False}}),
         ("learner.lr", {"learner": {"lr": True}}),
         ("kta.lr", {"kta": {"lr": True}}),
         ("fine_tune_cfg.weight_decay",
@@ -290,7 +290,8 @@ class TestTheoryCommand:
         current = json.loads(run_cfg.read_text())
         for name, value in (("dataset_name", "toy"), ("learner.seed", 0),
                             ("fine_tune_cfg.momentum", 0.9),
-                            ("kta.optimizer", "adam"), ("base", "augmented")):
+                            ("kta.optimizer", "adam"), ("base", "augmented"),
+                            ("delta", 0.0)):
             old = json.loads(json.dumps(current))
             outer, _, key = name.rpartition(".")
             (old[outer] if outer else old)[key] = value
@@ -409,7 +410,7 @@ HEADER_EDITS = {
     "t_star_1.5": {"t_star": 1.5}, "t_star_0": {"t_star": 0},
     "aggregator_kind_kta": {"aggregator_kind": "kta"},
     "aggregator_kind_bogus": {"aggregator_kind": "bogus"},
-    "flags_list": {"flags": []}}
+    "flags_list": {"flags": []}, "functional_n_classes_5": {"n_classes": 5}}
 # model.json values that are not finite: case -> (the stage and field the
 # error names, value)
 NON_FINITE = {
@@ -417,6 +418,10 @@ NON_FINITE = {
     "kta_weight_inf": ("stage 2 aggregator weights", float("inf")),
     "learner_weight_nan": ("stage 1 learner weights", float("nan")),
     "wlc_alpha_inf": ("stage 2 wlc", float("inf"))}
+# stage 1 learner output widths that no driver writes: a functional
+# learner outputs one column, a SAMME learner one per class (here 2)
+OUTPUT_WIDTH = {"functional_output_width_3": 3, "samme_output_width_1": 1,
+                "samme_output_width_3": 3}
 
 
 class TestExitCodes:
@@ -559,12 +564,13 @@ class TestExitCodes:
         "format_version_3", "weights_not_base64", "weights_wrong_length",
         "activation_sigmoid", "bias_false", "base_normalized", "clip_other",
         "weight_x", "first_stage_aggregator", "later_stage_aggregator_null",
-        "shapes_unchained", *HEADER_EDITS, *NON_FINITE])
+        "shapes_unchained", *HEADER_EDITS, *NON_FINITE, *OUTPUT_WIDTH])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
         # t* is a functional model's field, and aggregator weights a KTA
         # model's
-        mode = "functional" if case.startswith("t_star") else "samme"
+        mode = ("functional" if case.startswith(("t_star", "functional"))
+                else "samme")
         variant = "kta" if case.startswith("kta") else "adj"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(
@@ -595,6 +601,12 @@ class TestExitCodes:
             elif case == "shapes_unchained":
                 # the 8 x 2 output layer's 16 entries read as 4 x 4
                 blob["stages"][0]["learner"]["shapes"][1] = [4, 4]
+            elif case in OUTPUT_WIDTH:
+                # the output layer, zeroed, at another width
+                rows, cols = learner["shapes"][-1][0], OUTPUT_WIDTH[case]
+                learner["shapes"][-1] = [rows, cols]
+                weights[-1] = base64.b64encode(
+                    np.zeros(rows * cols, dtype="<f8").tobytes()).decode()
             elif case in NON_FINITE:
                 # each value JSON writes as NaN or Infinity
                 value = NON_FINITE[case][1]
@@ -626,6 +638,10 @@ class TestExitCodes:
         assert "data error" in err
         if case in NON_FINITE:
             assert NON_FINITE[case][0] in err and "finite" in err
+        if case in OUTPUT_WIDTH:
+            assert f"stage 1 learner output width {OUTPUT_WIDTH[case]}:" in err
+        if case == "functional_n_classes_5":
+            assert "n_classes 5:" in err
 
     def test_trace_flag_is_2(self, dataset_dir, tmp_path, capsys):
         # theory reads no trace, so --trace is an unknown flag
@@ -750,7 +766,7 @@ class TestExitCodes:
         {"kta": {"lr": 0}},
         {"fine_tune": True, "fine_tune_cfg": {"optimizer": "sgd"}},
         {"fine_tune": True, "fine_tune_cfg": {"lr": -1}},
-        {"mode": "functional", "delta": -1},
+        {"mode": "functional", "delta": 0.0},
         {"seeds": [True]},
         {"learner": {"weight_decay": -1}},
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": -1}},
@@ -764,20 +780,18 @@ class TestExitCodes:
         {"kta": {"lr": float("inf")}},
         {"fine_tune": True, "fine_tune_cfg": {"lr": float("nan")}},
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": float("nan")}},
-        {"mode": "functional", "delta": float("nan")},
         {"rho": True},
-        {"mode": "functional", "delta": True},
         {"learner": {"lr": True}},
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": True}},
         {"seeds": [0, 0]},
     ], ids=["kta_optimizer", "kta_lr", "fine_tune_optimizer", "fine_tune_lr",
-            "delta_negative", "seeds_bool", "learner_weight_decay",
+            "delta_retired", "seeds_bool", "learner_weight_decay",
             "fine_tune_weight_decay", "normalize_features_string",
             "fine_tune_string", "learner_optimizer", "learner_dropout",
             "learner_batch_size", "learner_lr_nan",
             "learner_weight_decay_inf", "kta_lr_inf", "fine_tune_lr_nan",
-            "fine_tune_weight_decay_nan", "delta_nan", "rho_true",
-            "delta_true", "learner_lr_true", "fine_tune_weight_decay_true",
+            "fine_tune_weight_decay_nan", "rho_true",
+            "learner_lr_true", "fine_tune_weight_decay_true",
             "seeds_repeated"])
     def test_config_out_of_range_is_2(self, dataset_dir, tmp_path, capsys,
                                       field):

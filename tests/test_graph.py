@@ -265,8 +265,8 @@ class TestRowBlockApply:
             self, tmp_path, monkeypatch, workers):
         import hashlib
 
-        from graphboost.boost import (AggregatorSpec, FineTuneConfig,
-                                      SammeConfig, fine_tune, run_samme,
+        from graphboost.boost import (AggregatorSpec, BoostConfig,
+                                      FineTuneConfig, fine_tune, run_samme,
                                       save_model, write_trace_csv)
         from graphboost.data import synthesize_two_block
         from graphboost.mlp import TrainConfig
@@ -277,7 +277,7 @@ class TestRowBlockApply:
         calls = pool_calls(monkeypatch)
 
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
-        model, trace = run_samme(ds, SammeConfig(
+        model, trace = run_samme(ds, BoostConfig(
             n_rounds=5, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind="kta"), seed=1))
         save_model(model, tmp_path / "model.json")

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphboost.boost import (AggregatorSpec, FunctionalGBConfig,
-                              SammeConfig, run_functional_gb, run_samme,
+from graphboost.boost import (AggregatorSpec, BoostConfig,
+                              run_functional_gb, run_samme,
                               stage_inputs)
 from graphboost.data import partition_constants, synthesize_two_block
 from graphboost.graph import PropagationMatrix, SparseGraph, base_operator
@@ -364,7 +364,7 @@ class TestSmoothingReport:
 class TestTheoryReport:
     def test_functional_report_asserts_bound(self):
         ds = synthesize_two_block(40, 0.8, 0.05, seed=0)
-        cfg = FunctionalGBConfig(
+        cfg = BoostConfig(
             n_rounds=4, hidden=(8,),
             learner=TrainConfig(epochs=40, lr=0.02, weight_decay=0.0),
             seed=1)
@@ -378,7 +378,7 @@ class TestTheoryReport:
 
     def test_samme_report_omits_optimization_section(self):
         ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=2, hidden=(8,), learner=TrainConfig(epochs=30),
             seed=4))
         report = build_theory_report(model, ds)
@@ -387,7 +387,7 @@ class TestTheoryReport:
 
     def test_two_node_toy_all_addends_finite(self):
         ds = synthesize_two_block(4, 1.0, 0.0, seed=5)
-        cfg = FunctionalGBConfig(n_rounds=1, hidden=(),
+        cfg = BoostConfig(n_rounds=1, hidden=(),
                                  learner=TrainConfig(epochs=10),
                                  seed=6)
         model, _ = run_functional_gb(ds, cfg)
@@ -400,7 +400,7 @@ class TestTheoryReport:
     def test_report_over_skipped_rounds(self):
         # placeholder stages contribute the zero function: zero complexity
         ds = synthesize_two_block(16, 0.6, 0.4, seed=7, noise=3.0)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=6, hidden=(2,),
             learner=TrainConfig(epochs=1, lr=1e-9), seed=9))
         assert model.flags.get("skipped"), "pilot seed should skip rounds"
@@ -417,7 +417,7 @@ class TestTheoryReport:
         # read off the chain applied to the identity; under injection the
         # learner reads [Q_t X, X]
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind, rho=0.3), seed=5))
         report = build_theory_report(model, ds)
@@ -434,7 +434,7 @@ class TestTheoryReport:
         # fixed chain has norm 1; an injection chain has ||Q_t|| = 1 at
         # every t, so its learner's input [Q_t X, X] has norm sqrt(2)
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind, rho=0.5), seed=5))
         report = build_theory_report(model, ds)
@@ -449,7 +449,7 @@ class TestTheoryReport:
     def test_fitted_kta_chain_has_unit_op_norm(self):
         # every fitted stage's weights sum to 1, so each stage's q_t(1) = 1
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind="kta"), seed=5))
         report = build_theory_report(model, ds)
@@ -463,7 +463,7 @@ class TestTheoryReport:
 
     def test_negative_kta_coefficient_flags_upper_bound(self):
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind="kta"), seed=5))
         stage = model.stages[2]
@@ -481,14 +481,13 @@ class TestTheoryReport:
             assert entry.get("op_norm_upper_bound", False) == (entry["t"] >= 3)
             assert entry["op_norm"] >= np.linalg.norm(product, 2) * (1 - 1e-12)
 
-    @pytest.mark.parametrize("runner,config", [
-        (run_functional_gb, FunctionalGBConfig), (run_samme, SammeConfig)],
-        ids=["functional", "samme"])
-    def test_learner_bound_reads_the_bias_column(self, runner, config):
+    @pytest.mark.parametrize("runner", [run_functional_gb, run_samme],
+                             ids=["functional", "samme"])
+    def test_learner_bound_reads_the_bias_column(self, runner):
         # every learner's first layer ends in a bias row, so the bound
         # reads [P^(t) X, 1], of norm sqrt(||P^(t) X||_F^2 + N)
         ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
-        model, _ = runner(ds, config(
+        model, _ = runner(ds, BoostConfig(
             n_rounds=3, hidden=(8,), learner=TrainConfig(epochs=30),
             seed=4))
         report = build_theory_report(model, ds)
@@ -502,7 +501,7 @@ class TestTheoryReport:
     def test_hand_assembled_generalization_terms(self):
         # reproduce the four addends by hand from the report constants
         ds = synthesize_two_block(8, 0.9, 0.1, seed=7)
-        model, _ = run_samme(ds, SammeConfig(
+        model, _ = run_samme(ds, BoostConfig(
             n_rounds=1, hidden=(4,), learner=TrainConfig(epochs=10),
             seed=2))
         report = build_theory_report(model, ds, c0=2.0, delta_prime=0.1)
