@@ -766,7 +766,7 @@ class TestExitCodes:
         {"kta": {"lr": 0}},
         {"fine_tune": True, "fine_tune_cfg": {"optimizer": "sgd"}},
         {"fine_tune": True, "fine_tune_cfg": {"lr": -1}},
-        {"mode": "functional", "delta": 0.0},
+        {"mode": "functional", "delta": -1},
         {"seeds": [True]},
         {"learner": {"weight_decay": -1}},
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": -1}},
@@ -780,19 +780,24 @@ class TestExitCodes:
         {"kta": {"lr": float("inf")}},
         {"fine_tune": True, "fine_tune_cfg": {"lr": float("nan")}},
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": float("nan")}},
+        {"mode": "functional", "delta": float("nan")},
         {"rho": True},
+        {"mode": "functional", "delta": True},
         {"learner": {"lr": True}},
         {"fine_tune": True, "fine_tune_cfg": {"weight_decay": True}},
         {"seeds": [0, 0]},
+        # delta is no longer a config field: in range or not, it is refused
+        # as an unknown field
+        {"mode": "functional", "delta": 0.0},
     ], ids=["kta_optimizer", "kta_lr", "fine_tune_optimizer", "fine_tune_lr",
-            "delta_retired", "seeds_bool", "learner_weight_decay",
+            "delta_negative", "seeds_bool", "learner_weight_decay",
             "fine_tune_weight_decay", "normalize_features_string",
             "fine_tune_string", "learner_optimizer", "learner_dropout",
             "learner_batch_size", "learner_lr_nan",
             "learner_weight_decay_inf", "kta_lr_inf", "fine_tune_lr_nan",
-            "fine_tune_weight_decay_nan", "rho_true",
-            "learner_lr_true", "fine_tune_weight_decay_true",
-            "seeds_repeated"])
+            "fine_tune_weight_decay_nan", "delta_nan", "rho_true",
+            "delta_true", "learner_lr_true", "fine_tune_weight_decay_true",
+            "seeds_repeated", "delta_retired"])
     def test_config_out_of_range_is_2(self, dataset_dir, tmp_path, capsys,
                                       field):
         # refused when the config loads, before a run directory exists
