@@ -9,8 +9,8 @@ records.
 
 import numpy as np
 
-from graphboost import (AggregatorSpec, BoostConfig, TrainConfig, predict,
-                        run_samme, synthesize_two_block)
+from graphboost import (AggregatorSpec, BoostConfig, TrainConfig, run_samme,
+                        synthesize_two_block)
 
 dataset = synthesize_two_block(n=120, p_in=0.14, p_out=0.06, seed=7,
                                noise=1.1)
@@ -24,7 +24,7 @@ cfg = BoostConfig(
     aggregator=AggregatorSpec(kind="fixed"),
     seed=0,
 )
-model, trace = run_samme(dataset, cfg)
+model, trace, score = run_samme(dataset, cfg)
 
 print(f"\n{'t':>3} {'train_loss':>11} {'train_err':>10} {'test_err':>9} "
       f"{'cos':>6} {'lambda':>7}")
@@ -33,7 +33,8 @@ for row, stage in zip(trace, model.stages):
           f"{row['train_err']:>10.3f} {row['test_err']:>9.3f} "
           f"{row['cos_theta']:>6.2f} {stage.weight:>7.3f}")
 
-_, classes = predict(model, dataset)
+# the driver returns the ensemble's final vote score over every node
+classes = np.argmax(score, axis=1)
 test_acc = np.mean(classes[dataset.split.test]
                    == dataset.labels[dataset.split.test])
 print(f"\nensemble of {len(model.stages)} weak learners, "

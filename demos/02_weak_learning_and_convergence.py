@@ -15,7 +15,7 @@ The cap shrinks like 1/T as long as every iteration stays weakly learnable.
 import numpy as np
 
 from graphboost import (BoostConfig, TrainConfig, optimization_bound,
-                        predict, run_functional_gb, synthesize_two_block)
+                        run_functional_gb, synthesize_two_block)
 from graphboost.losses import margin_loss
 
 dataset = synthesize_two_block(n=60, p_in=0.8, p_out=0.05, seed=3)
@@ -25,7 +25,8 @@ cfg = BoostConfig(
     learner=TrainConfig(epochs=60, lr=0.05, weight_decay=0.0),
     seed=1,
 )
-model, trace = run_functional_gb(dataset, cfg)
+# the driver also returns the score at the selected iterate t*
+model, trace, yhat = run_functional_gb(dataset, cfg)
 
 print(f"{'t':>3} {'surrogate':>10} {'train_err':>10} {'cos':>6} "
       f"{'alpha':>7} {'gamma':>6} {'|grad|_1':>9}")
@@ -38,7 +39,6 @@ for row in trace:
 gammas = [st.wlc.gamma for st in model.stages[1:] if st.wlc]
 bound, curve = optimization_bound(trace[0]["train_loss"], dataset.split.m,
                                   gammas)
-yhat, _ = predict(model, dataset)
 realized = float(np.mean(margin_loss(yhat[dataset.split.train],
                                      dataset.labels[dataset.split.train])))
 

@@ -6,9 +6,10 @@ from .aggregate import (AlignmentConfig, Polynomial, fit_kta, fixed,
                         injection, kta)
 from .boost import (AggregatorSpec, AllRoundsRejected, BoostConfig,
                     EnsembleModel, FineTuneConfig, StageRecord, WlcParams,
-                    fine_tune, load_model, model_from_json, model_to_json,
-                    predict, replay_scores, run_functional_gb, run_samme,
-                    save_model, stage_inputs, stage_representations, wlc_fit)
+                    classes_of, fine_tune, load_model, model_from_json,
+                    model_to_json, predict, replay_scores, run_functional_gb,
+                    run_samme, save_model, stage_inputs,
+                    stage_representations, wlc_fit)
 from .data import (DataError, NodeDataset, Split, export_dataset,
                    load_planetoid, one_hot, partition_constants,
                    random_partition, row_normalize, synthesize_two_block)

@@ -153,15 +153,18 @@ def _stage_chain(features, injected, advance_by, rows=slice(None)):
     """The one walk of the stage chain, for training and replay: yields
     (aggregator, learner input on ``rows``) stage by stage, the first with
     no aggregator; ``advance_by(current)`` gives the aggregator that
-    advances the current representation. Input injection carries the raw
-    features alongside. Only the chain state is held, so a consumer that
-    drops each input before the next ``next()`` keeps one stage's input
-    alive at a time; ``for aggregator, rep in chain`` holds two."""
+    advances the current representation. A learner input is a tuple of
+    column blocks (see ``mlp.forward``): ``(current,)``, or ``(current,
+    x0)`` under input injection, whose raw features ride along unconcatenated
+    (on all rows, ``x0`` is the features array itself). Only the chain state
+    is held, so a consumer that drops each input before the next ``next()``
+    keeps one stage's input alive at a time; ``for aggregator, blocks in
+    chain`` holds two."""
     x0 = np.asarray(features, dtype=float)
+    extra = (x0[rows],) if injected else ()
     current, aggregator = x0, None
     while True:
-        yield aggregator, (np.hstack([current[rows], x0[rows]]) if injected
-                           else current[rows])
+        yield aggregator, (current[rows], *extra)
         aggregator = advance_by(current)
         current = aggregator.apply(current, x0)
 
@@ -183,6 +186,11 @@ def _training_chain(dataset: NodeDataset, spec: AggregatorSpec):
         return aggregator
     return _stage_chain(dataset.features, spec.kind == "input_injection",
                         advance_by)
+
+
+def _width(blocks):
+    """Column count of a learner input given as blocks."""
+    return sum(block.shape[1] for block in blocks)
 
 
 def _cos(a, b):
@@ -220,13 +228,14 @@ def _trace_row(t, dataset, score, cos_theta, fit, passed):
 def run_functional_gb(dataset: NodeDataset, cfg: BoostConfig):
     """Binary functional gradient boosting with online w.l.c. verification.
 
-    Returns (EnsembleModel, trace rows). The first stage fits the raw
-    features and steps with eta_1 = 1; each of the ``n_rounds`` further
-    stages aggregates, fits the scaled negative gradient, fits (alpha, beta)
-    by ``wlc_fit``, and steps with eta = 4 / alpha, or with eta = 4 when no
-    fit exists; such a stage is kept and its round listed in the
-    ``wlc_failures`` flag. t* is the stage whose score has the smallest
-    train-gradient L1 norm.
+    Returns (EnsembleModel, trace rows, score): the score is yhat at t*,
+    over all N nodes, bit for bit the one ``predict`` replays. The first
+    stage fits the raw features and steps with eta_1 = 1; each of the
+    ``n_rounds`` further stages aggregates, fits the scaled negative
+    gradient, fits (alpha, beta) by ``wlc_fit``, and steps with eta = 4 /
+    alpha, or with eta = 4 when no fit exists; such a stage is kept and its
+    round listed in the ``wlc_failures`` flag. t* is the first stage whose
+    score has the smallest train-gradient L1 norm.
     """
     if dataset.n_classes != 2:
         raise ValueError("functional boosting is binary-only")
@@ -242,12 +251,12 @@ def run_functional_gb(dataset: NodeDataset, cfg: BoostConfig):
 
     for t in range(1, cfg.n_rounds + 2):
         g = -surrogate_grad(yhat, y, split)
-        aggregator, rep = next(chain)
-        b_t, _ = fit_to_gradient((rep.shape[1], *cfg.hidden, 1), cfg.learner,
-                                 rep, m * g, split.train,
+        aggregator, blocks = next(chain)
+        b_t, _ = fit_to_gradient((_width(blocks), *cfg.hidden, 1),
+                                 cfg.learner, blocks, m * g, split.train,
                                  seed=int(rng.integers(2 ** 31)))
-        f_t = forward(b_t, rep)[0][:, 0]
-        rep = None  # the stage's input is not held through the next advance
+        f_t = forward(b_t, *blocks)[0][:, 0]
+        blocks = None  # the stage's input is not held through the next advance
         z = f_t / m
         if t == 1:
             fit, passed, eta_t = None, None, 1.0
@@ -260,13 +269,14 @@ def run_functional_gb(dataset: NodeDataset, cfg: BoostConfig):
         yhat = yhat + eta_t * f_t
         stages.append(StageRecord(aggregator, b_t, eta_t, fit))
         trace.append(_trace_row(t, dataset, yhat, _cos(z, g), fit, passed))
-
-    t_star = min(trace, key=lambda r: r["grad_l1"])["t"]
+        # min()'s rule: a later stage replaces t* only when strictly smaller
+        if t == 1 or trace[-1]["grad_l1"] < trace[t_star - 1]["grad_l1"]:
+            t_star, score = t, yhat
 
     model = EnsembleModel(mode="functional", n_classes=2, stages=stages,
                           t_star=t_star, aggregator_kind=cfg.aggregator.kind,
                           flags=flags)
-    return model, trace
+    return model, trace, score
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +287,9 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
     lambda_t = log((1-e_t)/e_t) + log(K-1), multiplicative reweighting.
     A weak learner with weighted error >= 1 - 1/K is retrained once; a
     second failure records a zero-weight placeholder stage, lists the round
-    in ``flags["skipped"]`` and boosting goes on."""
+    in ``flags["skipped"]`` and boosting goes on. Returns (EnsembleModel,
+    trace rows, score): the vote score after the last stage over all N
+    nodes, bit for bit the one ``predict`` replays."""
     y = dataset.labels
     split = dataset.split
     k = dataset.n_classes
@@ -294,16 +306,17 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
     flags = {}
 
     for t in range(1, cfg.n_rounds + 1):
-        aggregator, rep = next(chain)
+        aggregator, blocks = next(chain)
         for attempt in range(2):
             b_t, werr = fit_classifier(
-                (rep.shape[1], *cfg.hidden, k), cfg.learner, rep, y, weights,
-                split.train, seed=int(rng.integers(2 ** 31)) + attempt)
+                (_width(blocks), *cfg.hidden, k), cfg.learner, blocks, y,
+                weights, split.train,
+                seed=int(rng.integers(2 ** 31)) + attempt)
             if werr < 1.0 - 1.0 / k:
                 break
         rejected = werr >= 1.0 - 1.0 / k
-        logits = None if rejected else forward(b_t, rep)[0]
-        rep = None  # the stage's input is not held through the next advance
+        logits = None if rejected else forward(b_t, *blocks)[0]
+        blocks = None  # the stage's input is not held through the next advance
         g = -surrogate_grad(score, y, split)
         if rejected:
             # rejected twice: this round contributes no member, but the
@@ -331,7 +344,7 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
             "with")
     model = EnsembleModel(mode="samme", n_classes=k, stages=stages,
                           aggregator_kind=cfg.aggregator.kind, flags=flags)
-    return model, trace
+    return model, trace, score
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +353,10 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
 def stage_inputs(model: EnsembleModel, dataset: NodeDataset,
                  rows=slice(None)):
     """Yield every stage's learner input (the aggregated features the
-    transformation function saw), restricted to ``rows``, in stage order:
-    the model's aggregators drive the chain the trainers grew, and each
-    input is handed on without being held (see ``_stage_chain``)."""
+    transformation function saw, as the tuple of column blocks
+    ``_stage_chain`` gives), restricted to ``rows``, in stage order: the
+    model's aggregators drive the chain the trainers grew, and each input
+    is handed on without being held."""
     aggregators = (st.aggregator for st in model.stages[1:])
     chain = _stage_chain(dataset.features,
                          model.aggregator_kind == "input_injection",
@@ -353,7 +367,7 @@ def stage_inputs(model: EnsembleModel, dataset: NodeDataset,
 
 def stage_representations(model: EnsembleModel, dataset: NodeDataset,
                           rows=slice(None)):
-    """Learner-input matrix at every stage, restricted to ``rows``."""
+    """Learner-input blocks at every stage, restricted to ``rows``."""
     return list(stage_inputs(model, dataset, rows))
 
 
@@ -379,27 +393,28 @@ def _vote_grad(model: EnsembleModel, weight, out, dscore):
 def _stack_scores(model: EnsembleModel, inputs, soft=False, caches=None):
     """The one forward pass over the stage stack, on the rows of the
     per-stage learner inputs ``inputs`` (a list or a ``stage_inputs``
-    stream): returns (running score by stage, raw learner outputs, None at
-    a skipped stage). Each ``_vote`` (softmax when ``soft``) adds onto a
-    score sized from the first input, so a skipped first stage scores
-    zeros. A ``caches`` list gets each stage's forward cache (None when
-    skipped), which holds its input; otherwise each input is released
-    before the next is drawn, which a ``zip`` would not do."""
+    stream of block tuples): returns (running score by stage, raw learner
+    outputs, None at a skipped stage). Each ``_vote`` (softmax when
+    ``soft``) adds onto a score sized from the first input, so a skipped
+    first stage scores zeros. A ``caches`` list gets each stage's forward
+    cache (None when skipped), which holds its input; otherwise each input
+    is released before the next is drawn, which a ``zip`` would not do."""
     scores, outputs = [], []
-    for rep in inputs:
+    for blocks in inputs:
         stage = model.stages[len(outputs)]
         if not outputs:
-            score = np.zeros(len(rep) if model.mode == "functional"
-                             else (len(rep), model.n_classes))
+            n = len(blocks[0])
+            score = np.zeros(n if model.mode == "functional"
+                             else (n, model.n_classes))
         out = cache = None
         if stage.learner is not None:
-            out, cache = forward(stage.learner, rep)
+            out, cache = forward(stage.learner, *blocks)
             score = score + _vote(model, stage.weight, out, soft)
         scores.append(score)
         outputs.append(out)
         if caches is not None:
             caches.append(cache)
-        del rep, cache
+        del blocks, cache
     return scores, outputs
 
 
@@ -422,8 +437,17 @@ def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
     scores = replay_scores(model, dataset, reps)
     if model.mode == "functional":
         final = scores[(model.t_star or len(scores)) - 1]
-        return final, (final > 0.0).astype(np.int64)
-    return scores[-1], np.argmax(scores[-1], axis=1)
+    else:
+        final = scores[-1]
+    return final, classes_of(model, final)
+
+
+def classes_of(model: EnsembleModel, score):
+    """Class ids of a final score: its sign for functional models, and the
+    argmax (ties toward the lowest index) for SAMME."""
+    if model.mode == "functional":
+        return (score > 0.0).astype(np.int64)
+    return np.argmax(score, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +475,12 @@ class FineTuneConfig:
 def _stack_replay(model, dataset, rows):
     """One replay of the stage chain: every stage's learner input on
     ``rows`` and, for chains with learnable aggregation, the full-length
-    learner inputs (KTA chains carry no injected channels, so these are the
-    representations the pullback pairs with), else None."""
+    representations the pullback pairs with (a KTA input is the one block
+    of its representation), else None."""
     if model.aggregator_kind != "kta":
         return stage_representations(model, dataset, rows), None
-    chain = stage_representations(model, dataset)
-    return [rep[rows] for rep in chain], chain
+    chain = [rep for rep, in stage_representations(model, dataset)]
+    return [(rep[rows],) for rep in chain], chain
 
 
 def _stack_gradients(model, dataset, dscore, caches, logits_list,
@@ -540,8 +564,9 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
 
     for _ in range(cfg.epochs):
         caches = []
-        scores, logits_list = _stack_scores(work, [x[:m] for x in inputs],
-                                            soft=True, caches=caches)
+        scores, logits_list = _stack_scores(
+            work, [tuple(b[:m] for b in blocks) for blocks in inputs],
+            soft=True, caches=caches)
         loss, dscore = surrogate(scores[-1], y_rows[:m])
         if not np.isfinite(loss):
             flags = {**model.flags, "fine_tune_diverged": True}

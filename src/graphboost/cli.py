@@ -22,9 +22,10 @@ import numpy as np
 
 from .aggregate import AlignmentConfig
 from .boost import (TRACE_COLUMNS, AggregatorSpec, AllRoundsRejected,
-                    BoostConfig, FineTuneConfig, _is_number, fine_tune,
-                    load_model, predict, read_trace_csv, run_functional_gb,
-                    run_samme, save_model, write_trace_csv)
+                    BoostConfig, FineTuneConfig, _is_number, classes_of,
+                    fine_tune, load_model, predict, read_trace_csv,
+                    run_functional_gb, run_samme, save_model,
+                    write_trace_csv)
 from .data import DataError, load_planetoid, read_file
 from .graph import DENSE_EIGEN_CAP, base_operator
 from .mlp import TrainConfig, TrainingDiverged
@@ -155,23 +156,26 @@ def _dataset_hashes(directory):
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
-    """Train one model; write model.json, trace.csv, summary.json."""
+    """Train one model; write model.json, trace.csv, summary.json. The
+    summary's classes come from the driver's score, or, after fine-tuning,
+    from the tuned model's ``predict``."""
     dataset = load_planetoid(cfg.dataset, normalize=cfg.normalize_features)
     # every variant names its aggregator kind except adj, the fixed one
     spec = AggregatorSpec(kind={"adj": "fixed"}.get(cfg.variant, cfg.variant),
                           rho=cfg.rho, n_deg=cfg.n_deg, alignment=cfg.kta)
     runner = run_functional_gb if cfg.mode == "functional" else run_samme
-    model, trace = runner(dataset, BoostConfig(
+    model, trace, score = runner(dataset, BoostConfig(
         n_rounds=cfg.n_rounds, hidden=cfg.hidden, learner=cfg.learner,
         aggregator=spec, seed=seed))
     if cfg.fine_tune:
         model, _ = fine_tune(model, dataset, cfg.fine_tune_cfg)
+        score, _ = predict(model, dataset)
 
     os.makedirs(out_dir, exist_ok=True)
     save_model(model, os.path.join(out_dir, "model.json"))
     write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
 
-    _, classes = predict(model, dataset)
+    classes = classes_of(model, score)
     y = dataset.labels
     sp = dataset.split
     summary = {

@@ -3,8 +3,10 @@
 The one architecture is a chain of weight matrices with ReLU between them
 and no activation on the output; the bias is the last row of W^(1), added
 to x @ W^(1)[:-1] with no copy of the input (hidden layers are bias-free).
-The same map is broadcast to every row, so permuting input rows permutes
-output rows identically.
+An input may come as column blocks, x = [x_1, ..., x_B]; the first layer
+then sums x_b @ W^(1)[rows_b] and never builds x. The same map is
+broadcast to every row, so permuting input rows permutes output rows
+identically.
 
 Trainers cover both uses in boosting: regression onto a gradient target
 (functional boosting) and weighted multiclass classification (SAMME-style).
@@ -83,35 +85,52 @@ def init_mlp(widths, seed=0) -> MlpParams:
     return MlpParams(weights=weights)
 
 
+def _block_rows(blocks):
+    """The rows of W^(1) that multiply each input block, in block order."""
+    stop = 0
+    for block in blocks:
+        start, stop = stop, stop + block.shape[1]
+        yield slice(start, stop)
+
+
 def _layer(p, l, h):
-    """h @ W^(l), plus the bias row when l is the first layer."""
+    """h @ W^(l). The first layer's h is the tuple of input blocks: it
+    computes sum_b block_b @ W^(1)[rows_b], then adds the bias row, so the
+    blocks are never concatenated."""
     w = p.weights[l]
     if l:
         return h @ w
-    z = h @ w[:-1]
+    parts = (block @ w[rows] for block, rows in zip(h, _block_rows(h)))
+    z = next(parts)
+    for part in parts:
+        z += part
     z += w[-1]
     return z
 
 
 def _layer_grad(p, l, h, d):
-    """Gradient of <d, _layer(p, l, h)> in W^(l): [h^T d ; sum of d's rows]
-    for the first layer, written into one array; stacking two fresh arrays
-    tripled the cost of a train-row backward pass."""
+    """Gradient of <d, _layer(p, l, h)> in W^(l): [block_b^T d for each
+    block ; sum of d's rows] for the first layer, written into one array;
+    stacking fresh arrays tripled the cost of a train-row backward pass."""
     if l:
         return h.T @ d
-    grad = np.empty((h.shape[1] + 1, d.shape[1]))
-    np.matmul(h.T, d, out=grad[:-1])
+    grad = np.empty((p.weights[0].shape[0], d.shape[1]))
+    for block, rows in zip(h, _block_rows(h)):
+        np.matmul(block.T, d, out=grad[rows])
     d.sum(axis=0, out=grad[-1])
     return grad
 
 
-def forward(p: MlpParams, x):
-    """Full forward pass; returns (output, cache), the cache holding the
-    input and every hidden activation, all that backward reads."""
-    h = np.asarray(x, dtype=float)
-    if h.shape[1] + 1 != p.weights[0].shape[0]:
+def forward(p: MlpParams, *blocks):
+    """Full forward pass on an input given as column blocks (one array, or
+    e.g. the representation and the injected features); returns (output,
+    cache), the cache holding the blocks and every hidden activation, all
+    that backward reads."""
+    h = tuple(np.asarray(b, dtype=float) for b in blocks)
+    width = sum(b.shape[1] for b in h)
+    if width + 1 != p.weights[0].shape[0]:
         raise ValueError(
-            f"input width {h.shape[1]} (+1 bias) does not match "
+            f"input width {width} (+1 bias) does not match "
             f"W^(1) rows {p.weights[0].shape[0]}"
         )
     hiddens = [h]
@@ -127,8 +146,9 @@ def backward(p: MlpParams, cache, upstream, input_grad=True):
 
     A hidden unit is active where its activation max(z, 0) is > 0, which
     is exactly where z > 0 (-0.0 and NaN included), so no pre-activation is
-    kept. Returns (per-layer weight gradients, gradient w.r.t. the input x,
-    or None when ``input_grad`` is off).
+    kept. Returns (per-layer weight gradients, gradient w.r.t. the input
+    columns, every block's side by side, or None when ``input_grad`` is
+    off).
     """
     grads = [None] * p.n_layers
     hiddens = cache["hiddens"]
@@ -195,14 +215,19 @@ class _Adam:
             w -= np.divide(b, a, out=b)
 
 
+def _train_blocks(blocks, train_ids):
+    """Every input block restricted to the train rows."""
+    return tuple(np.asarray(b, dtype=float)[train_ids] for b in blocks)
+
+
 def _fit_loop(params, cfg, x_train, loss_grad_fn):
-    """``cfg.epochs`` full-batch Adam steps on the train rows in their given
-    order; ``loss_grad_fn(out)`` gives (loss, upstream gradient) of the
-    forward output."""
+    """``cfg.epochs`` full-batch Adam steps on the train rows (a tuple of
+    input blocks) in their given order; ``loss_grad_fn(out)`` gives (loss,
+    upstream gradient) of the forward output."""
     opt = _Adam(cfg.lr, cfg.weight_decay, [w.shape for w in params.weights])
     last_loss = None
     for epoch in range(1, cfg.epochs + 1):
-        out, cache = forward(params, x_train)
+        out, cache = forward(params, *x_train)
         loss, upstream = loss_grad_fn(out)
         if not np.isfinite(loss):
             raise TrainingDiverged(
@@ -213,19 +238,20 @@ def _fit_loop(params, cfg, x_train, loss_grad_fn):
     return params
 
 
-def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids, seed=0):
+def fit_to_gradient(widths, cfg: TrainConfig, blocks, target, train_ids,
+                    seed=0):
     """Train an MLP to the gradient target by full-batch MSE on train nodes.
 
+    ``blocks`` is the tuple of the input's column blocks (see ``forward``);
     ``target`` is an N-vector supported on ``train_ids``; ``seed`` draws
     only the initial weights. Returns the fitted params and the final
     full-train MSE.
     """
     target = np.asarray(target, dtype=float)
-    x = np.asarray(x, dtype=float)
     if widths[-1] != 1:
         raise ValueError("gradient fitting needs a single output column")
     params = init_mlp(widths, seed=seed)
-    xt = x[train_ids]
+    xt = _train_blocks(blocks, train_ids)
     tt = target[train_ids]
     scale = 2.0 / len(tt)
 
@@ -234,19 +260,19 @@ def fit_to_gradient(widths, cfg: TrainConfig, x, target, train_ids, seed=0):
         return float(np.mean(resid ** 2)), scale * resid[:, None]
 
     params = _fit_loop(params, cfg, xt, loss_grad)
-    final_out, _ = forward(params, xt)
+    final_out, _ = forward(params, *xt)
     mse = float(np.mean((final_out[:, 0] - tt) ** 2))
     return params, mse
 
 
-def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
+def fit_classifier(widths, cfg: TrainConfig, blocks, labels, sample_weights,
                    train_ids, seed=0):
     """Minimize weight-scaled multiclass cross-entropy on train nodes.
 
+    ``blocks`` is the tuple of the input's column blocks (see ``forward``);
     ``seed`` draws only the initial weights. Returns the fitted params and
     the weighted 0-1 train error.
     """
-    x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     w = np.asarray(sample_weights, dtype=float)
     if np.any(w < 0):
@@ -256,7 +282,7 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
     if wsum <= 0:
         raise ValueError("sample weights sum to zero on the train set")
     params = init_mlp(widths, seed=seed)
-    xt = x[train_ids]
+    xt = _train_blocks(blocks, train_ids)
     yt = labels[train_ids]
     rows = np.arange(len(yt))
     row_scale = (wt / wsum)[:, None]
@@ -270,7 +296,7 @@ def fit_classifier(widths, cfg: TrainConfig, x, labels, sample_weights,
         return float(-(wt * logp[rows, yt]).sum() / wsum), upstream
 
     params = _fit_loop(params, cfg, xt, loss_grad)
-    out, _ = forward(params, xt)
+    out, _ = forward(params, *xt)
     pred = np.argmax(out, axis=1)
     werr = float((wt * (pred != yt)).sum() / wsum)
     return params, werr

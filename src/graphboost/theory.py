@@ -283,12 +283,17 @@ def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
     }
 
     # one streamed pass over the stage chain: each stage's ||P^(t) X||_F
-    # and its train rows, then the score by stage on those rows
+    # and its train rows, then the score by stage on those rows. Under
+    # injection the learner input is [cur, x0], of norm hypot(||cur||,
+    # ||x0||), and hypot of the one norm of any other input is that norm
+    injected = model.aggregator_kind == "input_injection"
+    x0_norm = (float(np.linalg.norm(dataset.features)),) if injected else ()
     px_norms, train_reps = [], []
-    for rep in stage_inputs(model, dataset):
-        px_norms.append(float(np.linalg.norm(rep)))
-        train_reps.append(rep[split.train])
-        del rep
+    for blocks in stage_inputs(model, dataset):
+        px_norms.append(math.hypot(float(np.linalg.norm(blocks[0])),
+                                   *x0_norm))
+        train_reps.append(tuple(b[split.train] for b in blocks))
+        del blocks
     scores = replay_scores(model, dataset, train_reps)
     y_train = dataset.labels[split.train]
     if model.mode == "functional":
@@ -324,7 +329,6 @@ def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
     # |Q_t(lambda)| over P's spectrum, in [-1, 1] and containing 1: with no
     # negative coefficient it is a_t, the value at lambda = 1; otherwise a_t
     # is an upper bound
-    injected = model.aggregator_kind == "input_injection"
     a_t, upper_bound = 1.0, False
     for idx, (stage, px) in enumerate(zip(model.stages, px_norms)):
         t = idx + 1

@@ -70,7 +70,7 @@ def test_criterion_1_accuracy_reproduction(name):
     dataset = dataset_or_skip(name)
     accs = []
     for seed in range(10):
-        model, _ = run_samme(dataset, reference_run_config(seed=seed))
+        model, _, _ = run_samme(dataset, reference_run_config(seed=seed))
         _, classes = predict(model, dataset)
         te = dataset.split.test
         accs.append(float(np.mean(classes[te] == dataset.labels[te])))
@@ -86,8 +86,8 @@ def test_criterion_1_accuracy_reproduction(name):
 @pytest.mark.acceptance
 def test_criterion_2_curve_reproduction(tmp_path):
     dataset = dataset_or_skip("citeseer")
-    model, trace = run_samme(dataset, reference_run_config(n_rounds=60,
-                                                           seed=0))
+    model, trace, _ = run_samme(dataset, reference_run_config(n_rounds=60,
+                                                              seed=0))
     run_dir = tmp_path / "seed_0"
     run_dir.mkdir()
     write_trace_csv(trace, run_dir / "trace.csv")
@@ -127,7 +127,7 @@ def test_criterion_3_optimization_bound():
             n_rounds=8, hidden=(),
             learner=TrainConfig(epochs=60, lr=0.05, weight_decay=0.0),
             seed=seed)
-        model, trace = run_functional_gb(ds, cfg)
+        model, trace, _ = run_functional_gb(ds, cfg)
         assert len(model.stages) == 9 and all(
             st.wlc is not None for st in model.stages[1:]), (
             f"seed {seed}: an iteration failed the weak-learning check")
@@ -299,7 +299,7 @@ def test_criterion_8_gradient_integrity():
     cfg = BoostConfig(n_rounds=3, hidden=(6,),
                       learner=TrainConfig(epochs=4),
                       aggregator=AggregatorSpec(kind="kta"), seed=10)
-    model, _ = run_samme(ds, cfg)
+    model, _, _ = run_samme(ds, cfg)
     assert len(model.stages) == 3, model.flags
     tr = ds.split.train
 
@@ -357,7 +357,7 @@ def test_criterion_9_depth_trend():
     for layers in (0, 1, 4):
         accs = []
         for seed in range(10):
-            model, _ = run_samme(dataset, reference_run_config(
+            model, _, _ = run_samme(dataset, reference_run_config(
                 hidden_layers=layers, seed=seed))
             _, classes = predict(model, dataset)
             te = dataset.split.test

@@ -134,7 +134,7 @@ class TestFunctionalGB:
     def test_t1_only_first_stage(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
         cfg = small_functional_cfg(n_rounds=1)
-        model, trace = run_functional_gb(ds, cfg)
+        model, trace, _ = run_functional_gb(ds, cfg)
         assert len(model.stages) == 2  # stage 1 plus the single loop pass
         assert trace[0]["t"] == 1
         first = replay_scores(model, ds)[0]
@@ -150,7 +150,7 @@ class TestFunctionalGB:
 
     def test_two_block_training_error_nonincreasing(self):
         ds = synthesize_two_block(40, 0.8, 0.05, seed=2)
-        model, trace = run_functional_gb(ds, small_functional_cfg(
+        model, trace, _ = run_functional_gb(ds, small_functional_cfg(
             n_rounds=6, seed=3))
         errs = [r["train_err"] for r in trace]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
@@ -158,7 +158,7 @@ class TestFunctionalGB:
 
     def test_theorem_bound_on_clean_run(self):
         ds = synthesize_two_block(40, 0.8, 0.05, seed=4)
-        model, trace = run_functional_gb(ds, small_functional_cfg(
+        model, trace, _ = run_functional_gb(ds, small_functional_cfg(
             n_rounds=6, seed=5))
         assert all(st.wlc is not None for st in model.stages[1:])
         gamma_total = sum(st.wlc.gamma for st in model.stages[1:])
@@ -173,7 +173,7 @@ class TestFunctionalGB:
     def test_replay_invariant(self):
         # the recorded score trajectory is reproducible from the history
         ds = synthesize_two_block(24, 0.8, 0.1, seed=6)
-        model, trace = run_functional_gb(ds, small_functional_cfg(
+        model, trace, _ = run_functional_gb(ds, small_functional_cfg(
             n_rounds=4, seed=7))
         scores = replay_scores(model, ds)
         assert len(scores) == len(model.stages)
@@ -186,7 +186,7 @@ class TestFunctionalGB:
 
     def test_cos_theta_positive_iff_wlc_pass(self):
         ds = synthesize_two_block(30, 0.7, 0.2, seed=8)
-        _, trace = run_functional_gb(ds, small_functional_cfg(
+        _, trace, _ = run_functional_gb(ds, small_functional_cfg(
             n_rounds=5, seed=9))
         for row in trace[1:]:
             assert (row["cos_theta"] > 0) == bool(row["wlc_pass"])
@@ -198,7 +198,7 @@ class TestFunctionalGB:
             learner=TrainConfig(epochs=25, lr=0.02, weight_decay=0.0),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.6),
             seed=15)
-        model, trace = run_functional_gb(ds, cfg)
+        model, trace, _ = run_functional_gb(ds, cfg)
         scores = replay_scores(model, ds)
         assert len(scores) == len(model.stages) == 4
         from graphboost.losses import surrogate_grad
@@ -213,7 +213,7 @@ class TestFunctionalGB:
         ds = synthesize_two_block(120, 0.14, 0.05, seed=16, noise=1.5)
         cfg = BoostConfig(n_rounds=10, hidden=(8,),
                           learner=TrainConfig(epochs=10), seed=17)
-        model, trace = run_samme(ds, cfg)
+        model, trace, _ = run_samme(ds, cfg)
         write_trace_csv(trace, tmp_path / "trace.csv")
         back = read_trace_csv(tmp_path / "trace.csv")
         prefix = 0
@@ -244,7 +244,7 @@ class TestSammeRuns:
         ds = synthesize_two_block(20, 0.9, 0.1, seed=0)
         cfg = BoostConfig(n_rounds=1, hidden=(8,),
                           learner=TrainConfig(epochs=50), seed=2)
-        model, _ = run_samme(ds, cfg)
+        model, _, _ = run_samme(ds, cfg)
         assert len(model.stages) == 1
         _, classes = predict(model, ds)
         learner_pred = np.argmax(
@@ -270,7 +270,7 @@ class TestSammeRuns:
         ds = synthesize_two_block(40, 0.8, 0.05, seed=4)
         cfg = BoostConfig(n_rounds=5, hidden=(8,),
                           learner=TrainConfig(epochs=40), seed=6)
-        model, trace = run_samme(ds, cfg)
+        model, trace, _ = run_samme(ds, cfg)
         assert trace[-1]["test_err"] < 0.5
 
     def test_rejected_rounds_are_skipped_placeholders(self):
@@ -279,7 +279,7 @@ class TestSammeRuns:
             n_rounds=6, hidden=(2,),
             learner=TrainConfig(epochs=1, lr=1e-9), seed=9)
         try:
-            model, trace = run_samme(ds, cfg)
+            model, trace, _ = run_samme(ds, cfg)
         except RuntimeError:
             return  # every round rejected; covered below deterministically
         assert len(model.stages) == 6
@@ -309,14 +309,14 @@ class TestSammeRuns:
         # each fitted polynomial has nonnegative weights summing to 1, so
         # ||q_t(P)|| <= 1 and no stage input outgrows the features
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=0.4)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=12, hidden=(4,), learner=TrainConfig(epochs=50, lr=0.05),
             aggregator=AggregatorSpec(kind="kta"), seed=1))
         assert "skipped" not in model.flags
         for st in model.stages[1:]:
             assert np.all(st.aggregator.coefs >= 0.0)
         x_norm = np.linalg.norm(ds.features)
-        for rep in stage_inputs(model, ds):
+        for rep, in stage_inputs(model, ds):
             assert np.linalg.norm(rep) <= x_norm * (1.0 + 1e-12)
 
     def test_three_class_blocks(self):
@@ -337,7 +337,7 @@ class TestSammeRuns:
         ds = NodeDataset(graph=graph, features=features,
                          labels=labels.astype(np.int64), split=split,
                          n_classes=k)
-        model, trace = run_samme(ds, BoostConfig(
+        model, trace, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(16,), learner=TrainConfig(epochs=50), seed=3))
         _, classes = predict(model, ds)
         acc = np.mean(classes[split.test] == labels[split.test])
@@ -499,7 +499,7 @@ class TestSerialization:
         cfg = BoostConfig(n_rounds=3, hidden=(6,),
                           learner=TrainConfig(epochs=20),
                           aggregator=AggregatorSpec(kind="kta"), seed=2)
-        model, _ = run_samme(ds, cfg)
+        model, _, _ = run_samme(ds, cfg)
         blob = model_to_json(model)
         rebuilt = model_from_json(json.loads(json.dumps(blob)), ds.graph)
         _, direct = predict(model, ds)
@@ -585,7 +585,7 @@ class TestSerialization:
 
     def test_trace_csv_round_trip(self, tmp_path):
         ds = synthesize_two_block(16, 0.8, 0.1, seed=3)
-        _, trace = run_functional_gb(ds, small_functional_cfg(n_rounds=2))
+        _, trace, _ = run_functional_gb(ds, small_functional_cfg(n_rounds=2))
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         back = read_trace_csv(path)
@@ -598,7 +598,10 @@ class TestSerialization:
 # SHA-256 of (model.json, trace.csv) as the trainers write them. Every run
 # uses seed 1; the two SAMME KTA runs skip rounds 3 and 4. Taken when each
 # learner fit became one full-batch step per epoch on the train rows in
-# their given order, and each fitted KTA polynomial was scaled to q(1) = 1
+# their given order, and each fitted KTA polynomial was scaled to q(1) = 1;
+# the input_injection pins were retaken when the learners began to read
+# the injected features as a second input block, summing the two blocks'
+# products in place of one product of the concatenation
 TRAINED_BYTES = {
     "functional-fixed": (
         "a1306c0c4879de4d40b93890b0284e3b97acf3c04b2d24fb614caf158539ea2e",
@@ -607,10 +610,10 @@ TRAINED_BYTES = {
         "a5eae0ff5096f54746ea628f2cf5e4f334d9d19525d3379be83db15980594ed0",
         "42e189aee1e6141e53df8040935a804207bd4665e7743dd369d59aa204d9665a"),
     "functional-input_injection": (
-        "6329a7994e936a569ed1a05202bd65edd5f735316ca1f5ded2d37ae56b11da5d",
-        "2f8deb51ed6e14c5d776d6e3ef6b3f17afd47fb24989fac916ada3a3379d978b"),
+        "c4bfd61aa1baca1d6786a58c34f63a974502fb5425f0ab24a771a500b2e12afd",
+        "b32326e7245e5d279177723dfbb3c4ec6997e3ea93bcfa9f92c959a628a3251d"),
     "samme-input_injection": (
-        "a3183f70e5cc29c443b7d34a9af2510cf22818c29a27b8250c1a147fc950e776",
+        "4b8b715f4473b69b0258925622ae9512d7ee7b183fd70aadfda952f6144db17a",
         "4bd820c76fb0e0e97011d9cd8b64390bd60552532a0335e1c98daa2cbc9b9ef4"),
     "functional-kta": (
         "fd6656ac45b41ee81ec7758107f2b729ef38af61a328f69c650dc964b00ced09",
@@ -644,9 +647,9 @@ class TestTrainedBytes:
                       learner=TrainConfig(epochs=5),
                       aggregator=AggregatorSpec(kind=kind), seed=1)
         if mode == "functional":
-            model, trace = run_functional_gb(ds, BoostConfig(**common))
+            model, trace, _ = run_functional_gb(ds, BoostConfig(**common))
         else:
-            model, trace = run_samme(ds, BoostConfig(**common))
+            model, trace, _ = run_samme(ds, BoostConfig(**common))
         save_model(model, tmp_path / "model.json")
         write_trace_csv(trace, tmp_path / "trace.csv")
         got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
@@ -667,7 +670,7 @@ class TestTrainedBytes:
         # model.json keeps each stage's (alpha, beta) as trace.csv records
         # it, and null where the trace has no fit
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
-        model, trace = run_samme(ds, BoostConfig(
+        model, trace, _ = run_samme(ds, BoostConfig(
             n_rounds=n_rounds, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind), seed=1))
         save_model(model, tmp_path / "model.json")
@@ -684,10 +687,48 @@ class TestTrainedBytes:
         assert any(stage["wlc"] for stage in stages)
 
 
+class TestDriverScore:
+    """A driver returns the score ``predict`` replays from its model, bit
+    for bit, so ``train`` need not replay the stack it just built."""
+
+    @pytest.mark.parametrize("name,mode,kind,n_rounds",
+                             [pytest.param(*case, id=case[0])
+                              for case in trained_bytes_cases()])
+    def test_returned_score_is_predicts(self, name, mode, kind, n_rounds):
+        ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
+        runner = run_functional_gb if mode == "functional" else run_samme
+        model, trace, score = runner(ds, BoostConfig(
+            n_rounds=n_rounds, hidden=(4,), learner=TrainConfig(epochs=5),
+            aggregator=AggregatorSpec(kind=kind), seed=1))
+        assert np.array_equal(score, predict(model, ds)[0])
+        if mode == "functional":
+            # t* is the first stage of least train-gradient L1 norm
+            assert model.t_star == min(trace, key=lambda r: r["grad_l1"])["t"]
+        # the cases hold a SAMME run with skipped rounds and a functional
+        # run whose t* is not its last stage
+        if name == "samme-kta-skips":
+            assert model.flags["skipped"] == [3, 4]
+        if name == "functional-fixed":
+            assert model.t_star < len(model.stages)
+
+    def test_injected_block_is_the_features(self):
+        # a full-length injection input reads the features in place: no
+        # N x 2C array is built
+        ds = synthesize_two_block(20, 0.8, 0.1, seed=1)
+        model, _, _ = run_samme(ds, BoostConfig(
+            n_rounds=3, hidden=(4,), learner=TrainConfig(epochs=5),
+            aggregator=AggregatorSpec(kind="input_injection"), seed=3))
+        inputs = list(stage_inputs(model, ds))
+        assert len(inputs) == 3
+        for cur, x0 in inputs:
+            assert cur.shape == x0.shape == ds.features.shape
+            assert np.shares_memory(x0, ds.features)
+
+
 class TestFineTune:
     def test_zero_epochs_identity(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=20),
             seed=2))
         tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=0))
@@ -702,7 +743,7 @@ class TestFineTune:
 
     def test_perfect_fit_stays_perfect(self):
         ds = synthesize_two_block(24, 1.0, 0.0, seed=2, noise=0.02)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=2, hidden=(8,),
             learner=TrainConfig(epochs=150, lr=0.05, weight_decay=0.0),
             seed=4))
@@ -714,7 +755,7 @@ class TestFineTune:
 
     def test_loss_decreases_on_underfit_model(self):
         ds = synthesize_two_block(30, 0.9, 0.05, seed=5)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=TrainConfig(epochs=3),
             seed=7))
         from graphboost.boost import _stack_replay, _stack_scores
@@ -731,7 +772,7 @@ class TestFineTune:
 
     def test_divergence_leaves_input_untouched(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=5),
             seed=2))
         model.stages[0].learner.weights[0][0, 0] = np.nan
@@ -746,7 +787,7 @@ class TestFineTune:
         # needs an imperfectly fitted model: a saturated ensemble has
         # near-zero loss gradient and nothing for fine-tuning to do
         ds = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(16,), learner=TrainConfig(epochs=8),
             aggregator=AggregatorSpec(kind="kta"), seed=10))
         assert len(model.stages) == 3, model.flags
@@ -783,7 +824,9 @@ def full_graph_adam(model, ds, epochs, lr):
     params += [stages[s].aggregator.coefs for s in kta_ids]
     opt = AllocatingAdam(lr, 0.0, [p.shape for p in params])
     for _ in range(epochs):
-        reps = stage_representations(work, ds)
+        # each stage's learner input as one concatenated array
+        reps = [np.hstack(blocks)
+                for blocks in stage_representations(work, ds)]
         outs, caches = [], []
         score = 0.0
         for st, rep in zip(work.stages, reps):
@@ -841,11 +884,11 @@ def unsaturated_run(kind, mode):
     spec = AggregatorSpec(kind=kind)
     learner = TrainConfig(epochs=4)
     if mode == "functional":
-        model, _ = run_functional_gb(ds, BoostConfig(
+        model, _, _ = run_functional_gb(ds, BoostConfig(
             n_rounds=2, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     else:
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     return ds, model
@@ -888,7 +931,9 @@ class TestFineTuneEquivalence:
 # predict scores, the fine-tuned model's predict scores) for each
 # unsaturated_run. Taken when each learner fit became one full-batch step
 # per epoch on the train rows in their given order, and each fitted KTA
-# polynomial was scaled to q(1) = 1
+# polynomial was scaled to q(1) = 1; the input_injection pins were retaken
+# when the learners began to read the injected features as a second input
+# block
 FINE_TUNE_BYTES = {
     "functional-fixed": (
         "1af2df066576fa5d634b9a28cc8978daf3bbcbaa328f1b473812f90fd64df88e",
@@ -899,11 +944,11 @@ FINE_TUNE_BYTES = {
         "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
         "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
     "functional-input_injection": (
-        "fbddbf08b0ec544be9d5bbc0650a8888526cb49a1dd481a843577f0e71d742b9",
-        "34d2e874e69fe423a787b9f9d3705e1ea42123ed861fccca72c2c2cf1a404270",
-        "bb6aae3db8bdc7d704171bf80fd2a7d7808c7d7a906e82d77b09e9cfe589a953"),
+        "5efc6f6462e7f62e063043b24447d9dda214bd503b4156e2cff68d2c690f19f9",
+        "44b584dbb0b8cb9162cfb8f391cf6edb3061dfb82380068006fad6e56d5a150d",
+        "c005a771f0e039136c0133a9203351ca81d90c8f848edd1c66b86e470ceae22d"),
     "samme-input_injection": (
-        "d6ace37830ecae78168ee0cf037956ab9316dc431c5c875fa90deaeb509aa4bc",
+        "6d0900557c8b61c2a00d7b042ee9edb80e7927ec8cad22c1a39b07c8717ad0e2",
         "75d87e4c07e4ae6a2383423bc77041e7ac31388f1c15792a9e8311c3fc0b00c0",
         "70861760461fed59bbbcd5f5729dbfcf16fd5538fe435e9906e1795e3ad8c94e"),
     "functional-kta": (
@@ -939,11 +984,11 @@ def noisy_run(kind, mode):
     spec = AggregatorSpec(kind=kind, rho=0.3)
     learner = TrainConfig(epochs=4)
     if mode == "functional":
-        model, trace = run_functional_gb(ds, BoostConfig(
+        model, trace, _ = run_functional_gb(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     else:
-        model, trace = run_samme(ds, BoostConfig(
+        model, trace, _ = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=learner, aggregator=spec,
             seed=10))
     return ds, model, trace
@@ -952,7 +997,7 @@ def noisy_run(kind, mode):
 class TestPredict:
     def test_functional_tstar_one(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
-        model, _ = run_functional_gb(ds, small_functional_cfg(n_rounds=2))
+        model, _, _ = run_functional_gb(ds, small_functional_cfg(n_rounds=2))
         model.t_star = 1
         yhat, _ = predict(model, ds)
         b1 = forward(model.stages[0].learner, ds.features)[0][:, 0]
@@ -964,24 +1009,26 @@ class TestPredict:
             n_rounds=3, hidden=(4,), learner=TrainConfig(epochs=15),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.7),
             seed=3)
-        model, trace = run_samme(ds, cfg)
+        model, trace, _ = run_samme(ds, cfg)
         assert len(trace) == len(model.stages)
         _, classes = predict(model, ds)
         assert classes.shape == (20,)
 
     def test_input_injection_doubles_learner_channels(self):
-        # the raw features ride along, so learners see 2C inputs
+        # the raw features ride along as a second block, so learners see
+        # 2C inputs
         from graphboost.boost import stage_representations
         ds = synthesize_two_block(12, 0.9, 0.1, seed=4)
         cfg = BoostConfig(
             n_rounds=2, hidden=(4,), learner=TrainConfig(epochs=10),
             aggregator=AggregatorSpec(kind="input_injection", rho=0.5),
             seed=6)
-        model, _ = run_samme(ds, cfg)
+        model, _, _ = run_samme(ds, cfg)
         reps = stage_representations(model, ds)
-        assert all(r.shape == (12, 4) for r in reps)
-        assert np.array_equal(reps[0][:, 2:], ds.features)
-        assert np.array_equal(reps[1][:, 2:], ds.features)
+        assert all([b.shape for b in r] == [(12, 2), (12, 2)] for r in reps)
+        assert all(st.learner.weights[0].shape[0] == 5 for st in model.stages)
+        assert np.array_equal(reps[0][1], ds.features)
+        assert np.array_equal(reps[1][1], ds.features)
 
     def test_functional_with_kta_aggregator(self):
         ds = synthesize_two_block(30, 0.8, 0.1, seed=7)
@@ -989,7 +1036,7 @@ class TestPredict:
             n_rounds=3, hidden=(8,),
             learner=TrainConfig(epochs=30, lr=0.02, weight_decay=0.0),
             aggregator=AggregatorSpec(kind="kta"), seed=8)
-        model, trace = run_functional_gb(ds, cfg)
+        model, trace, _ = run_functional_gb(ds, cfg)
         assert all(isinstance(st.aggregator, Polynomial)
                    and st.aggregator.powers == (0, 1, 2, 4, 8)
                    for st in model.stages[1:])
@@ -1050,8 +1097,10 @@ class TestPredict:
         assert np.isfinite(info["train_err"]).all()
 
     def test_streamed_predict_holds_one_stage_input(self):
-        # an injection chain of T = 8 stages: streamed, predict peaks below
-        # two learner inputs (N x 2C each); materialised, it holds all T
+        # an injection chain of T = 8 stages, whose learner inputs are a
+        # fresh N x C block each beside the shared features: streamed,
+        # predict peaks below 4 N x C (two concatenated N x 2C inputs);
+        # materialised, it holds all T blocks
         import tracemalloc
 
         from graphboost.boost import stage_representations
@@ -1071,7 +1120,7 @@ class TestPredict:
                   for s in range(n_stages)]
         model = EnsembleModel(mode="samme", n_classes=k, stages=stages,
                               aggregator_kind="input_injection")
-        stage_input = n * 2 * c * 8
+        block = n * c * 8
 
         def peak(fn):
             tracemalloc.start()
@@ -1080,10 +1129,10 @@ class TestPredict:
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak(lambda: predict(model, ds)) < 2 * stage_input
+        assert peak(lambda: predict(model, ds)) < 4 * block
         materialised = peak(
             lambda: predict(model, ds, stage_representations(model, ds)))
-        assert materialised > (n_stages - 1) * stage_input
+        assert materialised > (n_stages - 1) * block
 
     @pytest.mark.parametrize("mode", ["functional", "samme"])
     def test_training_drops_each_stage_input(self, mode):

@@ -161,6 +161,70 @@ class TestTrain:
         aggregate = cmd_train(str(cfg_path), str(out))
         assert aggregate["n_seeds"] == 1
 
+    @pytest.mark.parametrize("mode", ["samme", "functional"])
+    def test_fine_tuned_summary_is_the_tuned_models(self, tmp_path, mode):
+        # the driver's score describes the model before fine-tuning; the
+        # summary must count the tuned model's classes, as predict gives
+        # them for the saved model
+        from graphboost.boost import load_model, predict
+        from graphboost.data import load_planetoid
+        ds = synthesize_two_block(60, 0.3, 0.1, seed=3, noise=1.5)
+        export_dataset(ds, tmp_path / "data")
+        summaries = {}
+        for fine in (False, True):
+            cfg_path = tmp_path / f"cfg_{fine}.json"
+            cfg_path.write_text(json.dumps({
+                "dataset": str(tmp_path / "data"), "variant": "adj",
+                "mode": mode, "n_rounds": 3, "hidden_width": 4,
+                "seeds": [0], "learner": {"epochs": 3, "lr": 0.01},
+                "fine_tune": fine,
+                "fine_tune_cfg": {"epochs": 60, "lr": 0.05}}))
+            run = tmp_path / f"run_{fine}"
+            cmd_train(str(cfg_path), str(run))
+            summaries[fine] = json.loads(
+                (run / "seed_0" / "summary.json").read_text())
+        data = load_planetoid(str(tmp_path / "data"))
+        tuned = load_model(run / "seed_0" / "model.json", data.graph)
+        classes = predict(tuned, data)[1]
+        y, split = data.labels, data.split
+        for key, ids in (("train_acc", split.train), ("test_acc", split.test)):
+            assert summaries[True][key] == float(np.mean(classes[ids]
+                                                         == y[ids]))
+        assert summaries[True]["train_acc"] != summaries[False]["train_acc"]
+
+    @pytest.mark.parametrize("variant", ["adj", "input_injection", "kta"])
+    @pytest.mark.parametrize("mode", ["samme", "functional"])
+    def test_train_propagates_no_more_than_the_driver(
+            self, dataset_dir, tmp_path, monkeypatch, variant, mode):
+        # without fine-tuning, train takes its summary from the driver's
+        # score, so it applies P exactly as often as the driver alone
+        from graphboost import boost
+        from graphboost.data import load_planetoid
+        from graphboost.graph import PropagationMatrix
+        calls = []
+        original = PropagationMatrix.apply
+        monkeypatch.setattr(PropagationMatrix, "apply",
+                            lambda self, *a, **k: calls.append(1)
+                            or original(self, *a, **k))
+        blob = base_config(dataset_dir, variant=variant, mode=mode,
+                           seeds=[0], n_rounds=3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        in_train = len(calls)
+        calls.clear()
+        cfg = config_from_dict(blob)
+        runner = (boost.run_functional_gb if mode == "functional"
+                  else boost.run_samme)
+        runner(load_planetoid(dataset_dir, normalize=False),
+               boost.BoostConfig(
+                   n_rounds=3, hidden=cfg.hidden, learner=cfg.learner,
+                   aggregator=boost.AggregatorSpec(
+                       kind={"adj": "fixed"}.get(variant, variant),
+                       alignment=cfg.kta),
+                   seed=0))
+        assert calls and in_train == len(calls)
+
     def test_parallel_jobs_match_sequential(self, dataset_dir, tmp_path):
         for name, jobs in (("seq", 1), ("par", 2)):
             cfg_path = tmp_path / f"cfg_{name}.json"

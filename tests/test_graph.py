@@ -277,7 +277,7 @@ class TestRowBlockApply:
         calls = pool_calls(monkeypatch)
 
         ds = synthesize_two_block(40, 0.5, 0.2, seed=3, noise=1.0)
-        model, trace = run_samme(ds, BoostConfig(
+        model, trace, _ = run_samme(ds, BoostConfig(
             n_rounds=5, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind="kta"), seed=1))
         save_model(model, tmp_path / "model.json")

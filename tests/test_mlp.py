@@ -59,7 +59,7 @@ class TestFoldedBias:
         upstream = rng.standard_normal(out.shape)
         grads, dx = backward(p, cache, upstream, input_grad=input_grad)
         ref_out, ref_grads, ref_dx = augmented_reference(p, x, upstream)
-        assert cache["hiddens"][0] is x
+        assert cache["hiddens"][0][0] is x
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
         for g, r in zip(grads, ref_grads):
             assert g.shape == r.shape
@@ -76,6 +76,57 @@ class TestFoldedBias:
         p = init_mlp((3, 2), seed=0)
         with pytest.raises(ValueError, match="width"):
             forward(p, np.ones((2, 4 if wide else 2)))
+
+
+class TestBlockInput:
+    """An input given as column blocks is read in place: the first layer
+    sums each block's product with its rows of W^(1)."""
+
+    @pytest.mark.parametrize("hidden", [(), (5, 4)])
+    def test_two_blocks_match_concatenated_reference(self, hidden):
+        rng = np.random.default_rng(len(hidden))
+        cur, x0 = rng.standard_normal((9, 3)), rng.standard_normal((9, 2))
+        p = init_mlp((5, *hidden, 2), seed=22)
+        out, cache = forward(p, cur, x0)
+        upstream = rng.standard_normal(out.shape)
+        grads, dx = backward(p, cache, upstream)
+        ref_out, ref_grads, ref_dx = augmented_reference(
+            p, np.hstack([cur, x0]), upstream)
+
+        def close(a, b):
+            scale = np.max(np.abs(b))
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale
+        close(out, ref_out)
+        assert grads[0].shape == ref_grads[0].shape
+        close(grads[0], ref_grads[0])
+        close(dx, ref_dx)
+
+    @pytest.mark.parametrize("hidden", [(), (5,)])
+    def test_one_block_is_the_single_array_formula(self, hidden):
+        rng = np.random.default_rng(7 + len(hidden))
+        x = rng.standard_normal((9, 3))
+        p = init_mlp((3, *hidden, 2), seed=23)
+        w = p.weights
+        z = x @ w[0][:-1]
+        z += w[0][-1]
+        if hidden:
+            h = np.maximum(z, 0.0)
+            want = h @ w[1]
+        else:
+            want = z
+        out, cache = forward(p, x)
+        assert np.array_equal(out, want)
+        upstream = rng.standard_normal(out.shape)
+        d = upstream @ w[1].T * (h > 0.0) if hidden else upstream
+        grads, dx = backward(p, cache, upstream)
+        assert np.array_equal(grads[0], np.vstack([x.T @ d, d.sum(axis=0)]))
+        assert np.array_equal(dx, d @ w[0][:-1].T)
+
+    def test_width_counts_every_block(self):
+        p = init_mlp((5, 2), seed=0)
+        forward(p, np.ones((2, 3)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="width 6"):
+            forward(p, np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestForward:
@@ -191,7 +242,7 @@ class TestFitToGradient:
         w_true = rng.standard_normal(4)
         target = x @ w_true + 0.3
         cfg = TrainConfig(epochs=400, lr=0.05, weight_decay=0.0)
-        params, mse = fit_to_gradient((4, 1), cfg, x, target, np.arange(30),
+        params, mse = fit_to_gradient((4, 1), cfg, (x,), target, np.arange(30),
                                       seed=2)
         assert mse < 1e-6
 
@@ -202,7 +253,8 @@ class TestFitToGradient:
         target = 1e3 * rng.standard_normal(10)
         cfg = TrainConfig(epochs=200, lr=1e100, weight_decay=0.0)
         with pytest.raises(TrainingDiverged) as err:
-            fit_to_gradient((2, 8, 1), cfg, x, target, np.arange(10), seed=4)
+            fit_to_gradient((2, 8, 1), cfg, (x,), target, np.arange(10),
+                            seed=4)
         assert err.value.last_loss is None or np.isfinite(err.value.last_loss)
 
     def test_determinism_bit_identical(self):
@@ -210,11 +262,11 @@ class TestFitToGradient:
         x = rng.standard_normal((20, 3))
         target = rng.standard_normal(20)
         cfg = TrainConfig(epochs=10)
-        a, _ = fit_to_gradient((3, 8, 1), cfg, x, target, np.arange(15),
+        a, _ = fit_to_gradient((3, 8, 1), cfg, (x,), target, np.arange(15),
                                seed=6)
-        b, _ = fit_to_gradient((3, 8, 1), cfg, x, target, np.arange(15),
+        b, _ = fit_to_gradient((3, 8, 1), cfg, (x,), target, np.arange(15),
                                seed=6)
-        c, _ = fit_to_gradient((3, 8, 1), cfg, x, target, np.arange(15),
+        c, _ = fit_to_gradient((3, 8, 1), cfg, (x,), target, np.arange(15),
                                seed=7)
         assert all(np.array_equal(wa, wb)
                    for wa, wb in zip(a.weights, b.weights))
@@ -225,7 +277,7 @@ class TestFitToGradient:
         x = rng.standard_normal((30, 4))
         target = x @ rng.standard_normal(4)
         cfg = TrainConfig(epochs=80, lr=0.05, weight_decay=0.0)
-        params, mse = fit_to_gradient((4, 1), cfg, x, target, np.arange(30),
+        params, mse = fit_to_gradient((4, 1), cfg, (x,), target, np.arange(30),
                                       seed=10)
         baseline = float(np.mean(target ** 2))
         assert mse < 0.5 * baseline
@@ -240,7 +292,7 @@ class TestFitToGradient:
                            + 0.1 * rng.standard_normal((20, 2))])
             target = np.repeat([0.5, -0.5], 10)
             cfg = TrainConfig(epochs=30, lr=0.05, weight_decay=0.0)
-            params, _ = fit_to_gradient((2, 1), cfg, x, target,
+            params, _ = fit_to_gradient((2, 1), cfg, (x,), target,
                                         np.arange(20), seed=seed)
             out = forward(params, x)[0][:, 0]
             cos = out @ target / (np.linalg.norm(out)
@@ -257,7 +309,7 @@ class TestFitClassifier:
         y = np.repeat([0, 1], 20)
         w = np.ones(40) / 40
         cfg = TrainConfig(epochs=100, lr=0.05, weight_decay=0.0)
-        params, werr = fit_classifier((2, 2), cfg, x, y, w, np.arange(40),
+        params, werr = fit_classifier((2, 2), cfg, (x,), y, w, np.arange(40),
                                       seed=1)
         assert werr < 0.2
 
@@ -268,7 +320,7 @@ class TestFitClassifier:
         w = np.zeros(10)
         w[4] = 1.0
         cfg = TrainConfig(epochs=300, lr=0.1, weight_decay=0.0)
-        params, werr = fit_classifier((3, 3), cfg, x, y, w, np.arange(10),
+        params, werr = fit_classifier((3, 3), cfg, (x,), y, w, np.arange(10),
                                       seed=3)
         pred = np.argmax(forward(params, x)[0], axis=1)
         assert pred[4] == y[4]
@@ -281,14 +333,14 @@ class TestFitClassifier:
         w = rng.random(30)
         w /= w.sum()
         cfg = TrainConfig(epochs=50)
-        params, werr = fit_classifier((2, 3), cfg, x, y, w, np.arange(30),
+        params, werr = fit_classifier((2, 3), cfg, (x,), y, w, np.arange(30),
                                       seed=5)
         class_mass = np.array([w[y == k].sum() for k in range(3)])
         assert werr >= 1.0 - class_mass.max() - 1e-12
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
-            fit_classifier((2, 2), TrainConfig(epochs=1), np.ones((4, 2)),
+            fit_classifier((2, 2), TrainConfig(epochs=1), (np.ones((4, 2)),),
                            np.zeros(4, dtype=int), np.zeros(4), np.arange(4))
 
 
@@ -323,7 +375,7 @@ class TestFullBatchFit:
         rng, x, train = self.problem()
         target = rng.standard_normal(40)
         cfg = TrainConfig(epochs=epochs, lr=0.05)
-        got, _ = fit_to_gradient((5, 7, 1), cfg, x, target, train, seed=4)
+        got, _ = fit_to_gradient((5, 7, 1), cfg, (x,), target, train, seed=4)
         tt = target[train]
         want = reference_fit(
             (5, 7, 1), cfg, x[train],
@@ -337,7 +389,7 @@ class TestFullBatchFit:
         labels = rng.integers(0, 3, 40)
         w = rng.random(40)
         cfg = TrainConfig(epochs=epochs, lr=0.05)
-        got, _ = fit_classifier((5, 7, 3), cfg, x, labels, w, train, seed=4)
+        got, _ = fit_classifier((5, 7, 3), cfg, (x,), labels, w, train, seed=4)
         wt = w[train]
         onehot = np.eye(3)[labels[train]]
 
@@ -359,9 +411,9 @@ class TestFullBatchFit:
         monkeypatch.setattr(np.random, "default_rng", counted)
         cfg = TrainConfig(epochs=3)
         if fit == "gradient":
-            fit_to_gradient((5, 4, 1), cfg, x, np.ones(40), train, seed=9)
+            fit_to_gradient((5, 4, 1), cfg, (x,), np.ones(40), train, seed=9)
         else:
-            fit_classifier((5, 4, 2), cfg, x, np.arange(40) % 2,
+            fit_classifier((5, 4, 2), cfg, (x,), np.arange(40) % 2,
                            np.ones(40), train, seed=9)
         assert seeds == [9]
 

@@ -52,8 +52,9 @@ _REPORT_PEAK_SCRIPT = textwrap.dedent("""
 
 def dense_stage_maps(model, ds):
     """Every stage's map X -> learner input, as the dense matrix the stage
-    chain gives on identity features."""
-    return stage_inputs(model, replace(ds, features=np.eye(ds.n)))
+    chain gives on identity features (its blocks side by side)."""
+    return (np.hstack(blocks) for blocks in
+            stage_inputs(model, replace(ds, features=np.eye(ds.n))))
 
 
 class TestOptimizationBound:
@@ -368,7 +369,7 @@ class TestTheoryReport:
             n_rounds=4, hidden=(8,),
             learner=TrainConfig(epochs=40, lr=0.02, weight_decay=0.0),
             seed=1)
-        model, _ = run_functional_gb(ds, cfg)
+        model, _, _ = run_functional_gb(ds, cfg)
         report = build_theory_report(model, ds)
         opt = report["optimization"]
         if opt["guaranteed"]:
@@ -378,7 +379,7 @@ class TestTheoryReport:
 
     def test_samme_report_omits_optimization_section(self):
         ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=2, hidden=(8,), learner=TrainConfig(epochs=30),
             seed=4))
         report = build_theory_report(model, ds)
@@ -390,7 +391,7 @@ class TestTheoryReport:
         cfg = BoostConfig(n_rounds=1, hidden=(),
                                  learner=TrainConfig(epochs=10),
                                  seed=6)
-        model, _ = run_functional_gb(ds, cfg)
+        model, _, _ = run_functional_gb(ds, cfg)
         report = build_theory_report(model, ds)
         parts = report["generalization"]
         for key in ("train_err", "complexity", "partition_slack",
@@ -400,7 +401,7 @@ class TestTheoryReport:
     def test_report_over_skipped_rounds(self):
         # placeholder stages contribute the zero function: zero complexity
         ds = synthesize_two_block(16, 0.6, 0.4, seed=7, noise=3.0)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=6, hidden=(2,),
             learner=TrainConfig(epochs=1, lr=1e-9), seed=9))
         assert model.flags.get("skipped"), "pilot seed should skip rounds"
@@ -412,12 +413,30 @@ class TestTheoryReport:
         assert np.isfinite(report["generalization"]["total"])
 
     @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
+    def test_px_frobenius_is_the_learner_inputs_norm(self, kind):
+        # the report takes ||[cur, x0]||_F as hypot(||cur||, ||x0||); a
+        # one-block input's norm is read as it is
+        ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
+        model, _, _ = run_samme(ds, BoostConfig(
+            n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
+            aggregator=AggregatorSpec(kind=kind, rho=0.3), seed=5))
+        report = build_theory_report(model, ds)
+        for entry, blocks in zip(report["complexity"],
+                                 stage_inputs(model, ds)):
+            want = float(np.linalg.norm(np.hstack(blocks)))
+            if len(blocks) == 1:
+                assert entry["px_frobenius"] == want
+            else:
+                assert entry["px_frobenius"] == pytest.approx(
+                    want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
     def test_op_norm_matches_dense_chain(self, kind):
         # dense oracle: the spectral norm of the map X -> learner input,
         # read off the chain applied to the identity; under injection the
         # learner reads [Q_t X, X]
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind, rho=0.3), seed=5))
         report = build_theory_report(model, ds)
@@ -434,7 +453,7 @@ class TestTheoryReport:
         # fixed chain has norm 1; an injection chain has ||Q_t|| = 1 at
         # every t, so its learner's input [Q_t X, X] has norm sqrt(2)
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind=kind, rho=0.5), seed=5))
         report = build_theory_report(model, ds)
@@ -449,7 +468,7 @@ class TestTheoryReport:
     def test_fitted_kta_chain_has_unit_op_norm(self):
         # every fitted stage's weights sum to 1, so each stage's q_t(1) = 1
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind="kta"), seed=5))
         report = build_theory_report(model, ds)
@@ -463,7 +482,7 @@ class TestTheoryReport:
 
     def test_negative_kta_coefficient_flags_upper_bound(self):
         ds = synthesize_two_block(16, 0.7, 0.2, seed=3, noise=0.5)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=4, hidden=(4,), learner=TrainConfig(epochs=5),
             aggregator=AggregatorSpec(kind="kta"), seed=5))
         stage = model.stages[2]
@@ -487,7 +506,7 @@ class TestTheoryReport:
         # every learner's first layer ends in a bias row, so the bound
         # reads [P^(t) X, 1], of norm sqrt(||P^(t) X||_F^2 + N)
         ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
-        model, _ = runner(ds, BoostConfig(
+        model, _, _ = runner(ds, BoostConfig(
             n_rounds=3, hidden=(8,), learner=TrainConfig(epochs=30),
             seed=4))
         report = build_theory_report(model, ds)
@@ -501,7 +520,7 @@ class TestTheoryReport:
     def test_hand_assembled_generalization_terms(self):
         # reproduce the four addends by hand from the report constants
         ds = synthesize_two_block(8, 0.9, 0.1, seed=7)
-        model, _ = run_samme(ds, BoostConfig(
+        model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=1, hidden=(4,), learner=TrainConfig(epochs=10),
             seed=2))
         report = build_theory_report(model, ds, c0=2.0, delta_prime=0.1)
