@@ -6,12 +6,15 @@ input injection (rho * P x + (1 - rho) * x_init), and KTA, a learnable
 polynomial in the powers P^{2^k} whose weights are trained by gradient
 ascent on the kernel target alignment between the training-block Gram
 matrix of the aggregated features and the Gram matrix of one-hot labels,
-then scaled to sum to 1.
+then scaled to sum to 1. A KTA fit walks the powers once and holds them:
+the ascent runs on the Gram matrix of their train rows, and the fitted
+polynomial's output is summed from the same powers.
 All three are linear in the current representation.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +24,7 @@ from .mlp import _Adam, check_step
 
 ALIGNMENT_EPS = 1e-12
 DEFAULT_N_DEG = 3
+MAX_N_DEG = 10  # P^1024: the top power costs 2^n_deg sparse products
 INJECT_BLOCK = 1 << 16  # elements of the injection buffer: 512 KiB
 
 
@@ -67,14 +71,15 @@ class Polynomial:
             reached = p
             yield x
 
-    def _combine(self, terms):
+    def _combine(self, terms, held=False):
         """sum_i coefs[i] terms[i] with no more arrays than the sum needs:
         a unit coefficient is skipped, which is exact, and a term nothing
-        else reads (a product just made, or the last power when positive)
-        takes the product and the running sum in place."""
+        else reads (a product just made, or the last power when positive;
+        every positive power when the terms are ``held``, made and kept
+        by the caller) takes the product and the running sum in place."""
         acc, last = None, len(self.powers) - 1
         for i, (c, term) in enumerate(zip(self.coefs, terms)):
-            owned = i == last and self.powers[i] > 0
+            owned = (held or i == last) and self.powers[i] > 0
             if c != 1.0:
                 term = np.multiply(c, term, out=term if owned else None)
                 owned = True
@@ -140,36 +145,38 @@ def injection(operator, rho):
 def kta(operator, n_deg=DEFAULT_N_DEG, weights=None):
     """x -> w_0 x + sum_k w_{k+1} P^{2^k} x, k = 0..n_deg; the weights
     start at 1 by protocol, and ``fit_kta`` returns them scaled so that
-    q(1) = sum_i w_i = 1."""
-    if n_deg < 0:
-        raise ValueError("n_deg must be >= 0")
+    q(1) = sum_i w_i = 1. ``n_deg`` is an integer in 0..MAX_N_DEG; a bool
+    is refused."""
+    if not (isinstance(n_deg, numbers.Integral) and not isinstance(n_deg, bool)
+            and 0 <= n_deg <= MAX_N_DEG):
+        raise ValueError(f"n_deg {n_deg!r}: not an integer in 0..{MAX_N_DEG}")
     powers = (0,) + tuple(2 ** k for k in range(n_deg + 1))
     if weights is None:
         weights = np.ones(len(powers))
     return Polynomial(operator, powers, np.asarray(weights, dtype=float))
 
 
-def _alignment_value_grad(basis_train, theta, k_target, eps=ALIGNMENT_EPS):
-    """Alignment of sum_i theta_i B_i against a fixed target Gram matrix,
-    plus its exact gradient in theta.
+def _alignment_value_grad(gram, theta, k_target, eps=ALIGNMENT_EPS):
+    """Alignment of Z = sum_i theta_i B_i against a fixed target Gram matrix
+    K_Y, plus its exact gradient in theta.
 
-    ``basis_train`` holds the train-row blocks of the basis outputs.
+    ``gram`` is the basis Gram B B^T of the stacked train-row blocks B =
+    [B_0; B_1; ...], each m x C. With S_i = sum_j theta_j B_i B_j^T, the
+    Gram of Z is K = sum_i theta_i S_i, and <B_i, M Z> = <S_i, M> for any
+    m x m matrix M, so a call costs O(len(theta)^2 m^2) and nothing in C.
     """
-    zt = sum(t * b for t, b in zip(theta, basis_train))
-    k = zt @ zt.T
-    u = float(np.vdot(k, k_target))
+    n, m = len(theta), len(k_target)
+    s = (theta @ gram.reshape(n * m, n, m)).reshape(n, m * m)
+    k = theta @ s
+    ky = k_target.ravel()
+    u = float(k @ ky)
     v = float(np.linalg.norm(k))
-    c = float(np.linalg.norm(k_target))
+    c = float(np.linalg.norm(ky))
     denom = v * c + eps
     rho = u / denom
-    kz = k @ zt          # for d||K||
-    kyz = k_target @ zt  # for d<K, K_Y>
-    grad = np.empty(len(theta))
-    for i, b in enumerate(basis_train):
-        du = 2.0 * float(np.vdot(b, kyz))
-        dv = 2.0 * float(np.vdot(b, kz)) / v if v > 0 else 0.0
-        grad[i] = (du - rho * c * dv) / denom
-    return rho, grad
+    du = 2.0 * (s @ ky)                                # d<K, K_Y>
+    dv = 2.0 * (s @ k) / v if v > 0 else np.zeros(n)  # d||K||
+    return rho, (du - rho * c * dv) / denom
 
 
 def fit_kta(aggregator: Polynomial, x_t, labels_onehot_train, train_ids,
@@ -177,26 +184,37 @@ def fit_kta(aggregator: Polynomial, x_t, labels_onehot_train, train_ids,
     """Gradient ascent on the alignment between the aggregated features and
     the one-hot label Gram matrix; only train-restricted labels enter.
 
+    One walk of the powers serves the fit and the stage's output. It holds
+    the n_deg + 1 new powers P^{2^k} x_t, each the size of ``x_t`` (P^0 x_t
+    is ``x_t`` itself). The train rows of all n_deg + 2, stacked into B,
+    give the basis Gram B B^T, of side (n_deg + 2) m, formed once; each
+    ascent step on it costs O((n_deg + 2)^2 m^2) and nothing in C.
     The ascent starts from the aggregator's weights (all 1 for ``kta``).
     The fitted weights are divided by q(1) = sum_i theta_i when it is
     positive, so that a chain of fitted stages does not grow like q(1)^t;
-    a positive scale leaves the alignment, a cosine, unchanged.
+    a positive scale leaves the alignment, a cosine, unchanged. The fitted
+    polynomial then sums the held powers in place.
 
-    Returns (fitted aggregator, alignment of the unscaled weights).
+    Returns (fitted aggregator, its output on ``x_t``, bit for bit
+    ``fitted.apply(x_t)``, alignment of the unscaled weights).
     """
     train_ids = np.asarray(train_ids)
     y = np.asarray(labels_onehot_train, dtype=float)
     if y.shape[0] != len(train_ids):
         raise ValueError("labels must be restricted to the train rows")
-    basis_train = [b[train_ids] for b in aggregator.terms(x_t)]
+    terms = list(aggregator.terms(x_t))
+    basis = np.concatenate([term[train_ids] for term in terms])
+    gram = basis @ basis.T
     k_target = y @ y.T
     theta = aggregator.coefs.astype(float)
     opt = _Adam(cfg.lr, 0.0, [theta.shape])
     for _ in range(cfg.epochs):
-        _, grad = _alignment_value_grad(basis_train, theta, k_target)
+        _, grad = _alignment_value_grad(gram, theta, k_target)
         opt.step([theta], [-grad])  # ascent
-    rho_final, _ = _alignment_value_grad(basis_train, theta, k_target)
+    rho_final, _ = _alignment_value_grad(gram, theta, k_target)
+    del basis, gram  # the sum below peaks: every power and one product
     q1 = theta.sum()
     if q1 > 0:
         theta /= q1
-    return replace(aggregator, coefs=theta), float(rho_final)
+    fitted = replace(aggregator, coefs=theta)
+    return fitted, fitted._combine(terms, held=True), float(rho_final)

@@ -152,38 +152,38 @@ def _aggregator(operator, kind, rho=None, n_deg=None, weights=None):
 def _stage_chain(features, injected, advance_by, rows=slice(None)):
     """The one walk of the stage chain, for training and replay: yields
     (aggregator, learner input on ``rows``) stage by stage, the first with
-    no aggregator; ``advance_by(current)`` gives the aggregator that
-    advances the current representation. A learner input is a tuple of
-    column blocks (see ``mlp.forward``): ``(current,)``, or ``(current,
-    x0)`` under input injection, whose raw features ride along unconcatenated
-    (on all rows, ``x0`` is the features array itself). Only the chain state
-    is held, so a consumer that drops each input before the next ``next()``
-    keeps one stage's input alive at a time; ``for aggregator, blocks in
-    chain`` holds two."""
+    no aggregator; ``advance_by(current, x0)`` gives the aggregator that
+    advances the current representation and the representation it advances
+    to. A learner input is a tuple of column blocks (see ``mlp.forward``):
+    ``(current,)``, or ``(current, x0)`` under input injection, whose raw
+    features ride along unconcatenated (on all rows, ``x0`` is the features
+    array itself). Only the chain state is held, so a consumer that drops
+    each input before the next ``next()`` keeps one stage's input alive at
+    a time; ``for aggregator, blocks in chain`` holds two."""
     x0 = np.asarray(features, dtype=float)
     extra = (x0[rows],) if injected else ()
     current, aggregator = x0, None
     while True:
         yield aggregator, (current[rows], *extra)
-        aggregator = advance_by(current)
-        current = aggregator.apply(current, x0)
+        aggregator, current = advance_by(current, x0)
 
 
 def _training_chain(dataset: NodeDataset, spec: AggregatorSpec):
     """The stage chain a boosting driver grows: every stage draws its
     aggregator from ``spec``, and a KTA aggregator is fitted on the
-    representation it advances."""
+    representation it advances, on the powers its output is summed from."""
     operator = base_operator(dataset.graph)
     train = dataset.split.train
 
-    def advance_by(current):
+    def advance_by(current, x0):
         aggregator = _aggregator(operator, spec.kind, rho=spec.rho,
                                  n_deg=spec.n_deg)
-        if spec.kind == "kta":
-            y_tr = one_hot(dataset.labels[train], dataset.n_classes)
-            aggregator, _ = agg_mod.fit_kta(aggregator, current, y_tr, train,
-                                            spec.alignment)
-        return aggregator
+        if spec.kind != "kta":
+            return aggregator, aggregator.apply(current, x0)
+        y_tr = one_hot(dataset.labels[train], dataset.n_classes)
+        aggregator, advanced, _ = agg_mod.fit_kta(aggregator, current, y_tr,
+                                                  train, spec.alignment)
+        return aggregator, advanced
     return _stage_chain(dataset.features, spec.kind == "input_injection",
                         advance_by)
 
@@ -358,9 +358,13 @@ def stage_inputs(model: EnsembleModel, dataset: NodeDataset,
     model's aggregators drive the chain the trainers grew, and each input
     is handed on without being held."""
     aggregators = (st.aggregator for st in model.stages[1:])
+
+    def advance_by(current, x0):
+        aggregator = next(aggregators)
+        return aggregator, aggregator.apply(current, x0)
     chain = _stage_chain(dataset.features,
                          model.aggregator_kind == "input_injection",
-                         lambda _: next(aggregators), rows)
+                         advance_by, rows)
     for _ in model.stages:
         yield next(chain)[1]
 
@@ -577,6 +581,8 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
         opt.step(params, [g for gs in mlp_grads if gs for g in gs]
                  + [kta_grads[s] for s in kta_ids])
         if kta_ids:
+            # the old chain is let go before the replay builds the new one
+            inputs = chain = caches = None
             inputs, chain = _stack_replay(work, dataset, rows)
 
     return work, report(eval_errors(work, inputs))
@@ -660,12 +666,14 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
     no stage, a stage weight that is not a finite number, a t* that is not
     a stage index, an unknown ``aggregator_kind``, flags that are not an
     object, an aggregator on the first stage or a missing one on a later
-    stage, a stage aggregator of another kind than ``aggregator_kind``, a
-    KTA aggregator weight, a wlc alpha or beta, or a learner weight that is
-    not finite, or a learner with another activation, without a bias, whose
-    weight shapes do not chain as matrices, or whose output width is not 1
-    (functional) or n_classes (SAMME), raises ValueError naming the field
-    and, for a stage's field, the stage."""
+    stage, a stage aggregator of another kind than ``aggregator_kind`` or
+    with parameters its family refuses (a KTA ``n_deg`` that is not an
+    integer in 0..``MAX_N_DEG``, a bool included), a KTA aggregator weight,
+    a wlc alpha or beta, or a learner weight that is not finite, or a
+    learner with another activation, without a bias, whose weight shapes do
+    not chain as matrices, or whose output width is not 1 (functional) or
+    n_classes (SAMME), raises ValueError naming the field and, for a
+    stage's field, the stage."""
     version = blob.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"model format_version {version!r}: only "
@@ -740,7 +748,10 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
                         and math.isfinite(wlc["beta"])):
             raise ValueError(f"stage {idx + 1} wlc {wlc!r}: alpha and beta "
                              "not both finite")
-        aggregator = None if agg is None else _aggregator(operator, **agg)
+        try:
+            aggregator = None if agg is None else _aggregator(operator, **agg)
+        except ValueError as exc:
+            raise ValueError(f"stage {idx + 1} aggregator: {exc}") from exc
         if aggregator is not None and not np.isfinite(aggregator.coefs).all():
             raise ValueError(f"stage {idx + 1} aggregator weights: not all "
                              "finite")

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .aggregate import AlignmentConfig
+from .aggregate import MAX_N_DEG, AlignmentConfig
 from .boost import (TRACE_COLUMNS, AggregatorSpec, AllRoundsRejected,
                     BoostConfig, FineTuneConfig, _is_number, classes_of,
                     fine_tune, load_model, predict, read_trace_csv,
@@ -89,8 +89,8 @@ class ExperimentConfig:
             raise ConfigError("hidden_width: must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho: must lie in [0, 1]")
-        if self.n_deg < 0:
-            raise ConfigError("n_deg: must be >= 0")
+        if not 0 <= self.n_deg <= MAX_N_DEG:
+            raise ConfigError(f"n_deg: must be in 0..{MAX_N_DEG}")
         if self.n_rounds < 1:
             raise ConfigError("n_rounds: must be >= 1")
         if not (isinstance(self.seeds, list) and self.seeds and all(

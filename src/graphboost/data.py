@@ -112,12 +112,13 @@ def one_hot(labels, k):
     return out
 
 
-def row_normalize(x):
-    """Scale each row to unit L1 norm; zero rows are left untouched."""
+def row_normalize(x, out=None):
+    """Scale each row to unit L1 norm; zero rows are left untouched. The
+    result is a new array, or ``out`` (``x`` itself normalises in place)."""
     x = np.asarray(x, dtype=float)
     norms = np.abs(x).sum(axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return x / norms
+    return np.divide(x, norms, out=out)
 
 
 def synthesize_two_block(n, p_in, p_out, seed, noise=0.1) -> NodeDataset:
@@ -237,8 +238,8 @@ def load_planetoid(directory, normalize=True) -> NodeDataset:
             raise DataError(f"{part} split contains unlabeled nodes")
     if not np.all(np.isfinite(features)):
         raise DataError("features contain non-finite values")
-    if normalize:
-        features = row_normalize(features)
+    if normalize:  # the array was read here, so no copy is needed
+        row_normalize(features, out=features)
     return NodeDataset(graph=graph, features=features, labels=labels,
                        split=split, n_classes=int(meta["k"]),
                        name=meta.get("name", ""))

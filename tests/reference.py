@@ -1,9 +1,10 @@
 """Reference forms that the tests check the program against and no program
 path calls: the literal weak-learning norm test, its weighted-classification
 reformulation for sign-valued learners, the training-block Gram matrix and
-the kernel-target alignment that ``fit_kta`` ascends, the textbook Adam
-step that every weight is trained by, and the over-smoothing trajectory
-read off P's full eigendecomposition."""
+the kernel-target alignment that ``fit_kta`` ascends, with its gradient
+taken straight from the basis blocks, the textbook Adam step that every
+weight is trained by, and the over-smoothing trajectory read off P's full
+eigendecomposition."""
 
 import math
 
@@ -117,3 +118,32 @@ def dense_smoothing_report(p, x, t_max, top_tol=1e-9):
     return SpectralTrajectory(steps=steps, frobenius_direct=direct,
                               frobenius_spectral=spectral, cos_top=cos_top,
                               rank_one_distance=rank1)
+
+
+def basis_gram(basis_train):
+    """B B^T of the stacked train-row blocks B = [B_0; B_1; ...], the
+    matrix ``fit_kta`` ascends the alignment on."""
+    flat = np.concatenate(basis_train)
+    return flat @ flat.T
+
+
+def alignment_value_grad(basis_train, theta, k_target, eps=ALIGNMENT_EPS):
+    """Alignment of Z = sum_i theta_i B_i against a fixed target Gram matrix
+    K_Y, and its gradient in theta, straight from the train-row blocks
+    ``basis_train``: K = Z Z^T, d<K, K_Y>/dtheta_i = 2 <B_i, K_Y Z> and
+    d||K||/dtheta_i = 2 <B_i, K Z> / ||K||."""
+    zt = sum(t * b for t, b in zip(theta, basis_train))
+    k = zt @ zt.T
+    u = float(np.vdot(k, k_target))
+    v = float(np.linalg.norm(k))
+    c = float(np.linalg.norm(k_target))
+    denom = v * c + eps
+    rho = u / denom
+    kz = k @ zt
+    kyz = k_target @ zt
+    grad = np.empty(len(theta))
+    for i, b in enumerate(basis_train):
+        du = 2.0 * float(np.vdot(b, kyz))
+        dv = 2.0 * float(np.vdot(b, kz)) / v if v > 0 else 0.0
+        grad[i] = (du - rho * c * dv) / denom
+    return rho, grad

@@ -28,7 +28,7 @@ from graphboost.mlp import (MlpParams, TrainConfig, backward, forward,
 from graphboost.theory import (ComplexityConstants, mc_transductive_rademacher,
                                rademacher_bound, smoothing_report,
                                wlc_complexity_lower_bound)
-from reference import weighted_error_form
+from reference import basis_gram, weighted_error_form
 from test_graph import random_connected_graph
 
 DATA_ROOT = os.environ.get("GRAPHBOOST_DATA", "")
@@ -277,17 +277,17 @@ def test_criterion_8_gradient_integrity():
     x8 = rng.standard_normal((8, 3))
     train = np.arange(5)
     y = one_hot(rng.integers(0, 2, 5), 2)
-    basis = [b[train] for b in agg.terms(x8)]
+    b_gram = basis_gram([b[train] for b in agg.terms(x8)])
     k_target = y @ y.T
     theta = rng.standard_normal(5)
-    _, grad = _alignment_value_grad(basis, theta, k_target)
+    _, grad = _alignment_value_grad(b_gram, theta, k_target)
     worst_kta = 0.0
     for i in range(5):
         tp, tm = theta.copy(), theta.copy()
         tp[i] += eps
         tm[i] -= eps
-        fp, _ = _alignment_value_grad(basis, tp, k_target)
-        fm, _ = _alignment_value_grad(basis, tm, k_target)
+        fp, _ = _alignment_value_grad(b_gram, tp, k_target)
+        fm, _ = _alignment_value_grad(b_gram, tm, k_target)
         fd = (fp - fm) / (2 * eps)
         worst_kta = max(worst_kta, abs(grad[i] - fd) / max(abs(fd), 1e-8))
     assert worst_kta < 1e-4

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from graphboost.aggregate import (INJECT_BLOCK, AlignmentConfig, Polynomial,
-                                  _alignment_value_grad, fit_kta, fixed,
-                                  injection, kta)
+from graphboost.aggregate import (INJECT_BLOCK, MAX_N_DEG, AlignmentConfig,
+                                  Polynomial, _alignment_value_grad, fit_kta,
+                                  fixed, injection, kta)
 from graphboost.data import one_hot
 from graphboost.graph import PropagationMatrix, SparseGraph, base_operator
-from reference import alignment, gram
+from reference import alignment, alignment_value_grad, basis_gram, gram
 
 
 @pytest.fixture
@@ -208,6 +208,18 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="n_deg"):
             kta(ring_operator, -1)
 
+    @pytest.mark.parametrize("n_deg", [MAX_N_DEG + 1, True, 2.0])
+    def test_kta_degree_beyond_the_bound_refused(self, ring_operator, n_deg):
+        # P^1024 at most: a larger degree asks for 2^n_deg products, and a
+        # bool or float is no degree (a huge degree is the CLI test's, under
+        # an alarm)
+        with pytest.raises(ValueError, match="n_deg"):
+            kta(ring_operator, n_deg)
+
+    def test_kta_degree_bound_is_reached(self, ring_operator):
+        agg = kta(ring_operator, MAX_N_DEG)
+        assert agg.powers[-1] == 2 ** MAX_N_DEG == 1024
+
 
 class TestGram:
     def test_orthonormal_rows_identity(self):
@@ -280,17 +292,17 @@ class TestFitKta:
         y = one_hot([0, 1, 0, 1], 2)
         train = np.arange(4)
         agg = kta(ring_operator)
-        basis = [b[train] for b in agg.terms(x)]
+        g = basis_gram([b[train] for b in agg.terms(x)])
         k_target = y @ y.T
         theta = rng.standard_normal(5)
-        rho, grad = _alignment_value_grad(basis, theta, k_target)
+        rho, grad = _alignment_value_grad(g, theta, k_target)
         eps = 1e-6
         for i in range(5):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += eps
             tm[i] -= eps
-            fp, _ = _alignment_value_grad(basis, tp, k_target)
-            fm, _ = _alignment_value_grad(basis, tm, k_target)
+            fp, _ = _alignment_value_grad(g, tp, k_target)
+            fm, _ = _alignment_value_grad(g, tm, k_target)
             fd = (fp - fm) / (2 * eps)
             assert abs(grad[i] - fd) / max(abs(fd), 1e-10) < 1e-5
 
@@ -304,8 +316,8 @@ class TestFitKta:
         y = one_hot(labels, 2)
         agg = kta(ring_operator)
         initial = alignment(agg.apply(x), y, train)
-        fitted, achieved = fit_kta(agg, x, y, train,
-                                   AlignmentConfig(epochs=30, lr=0.05))
+        fitted, _, achieved = fit_kta(agg, x, y, train,
+                                      AlignmentConfig(epochs=30, lr=0.05))
         assert achieved > initial
 
     def test_random_labels_barely_improve(self):
@@ -324,8 +336,8 @@ class TestFitKta:
             train = np.arange(n)
             agg = kta(op)
             initial = alignment(agg.apply(x), y, train)
-            _, achieved = fit_kta(agg, x, y, train,
-                                  AlignmentConfig(epochs=30, lr=1e-2))
+            _, _, achieved = fit_kta(agg, x, y, train,
+                                     AlignmentConfig(epochs=30, lr=1e-2))
             hits += (achieved - initial) < 0.05
         assert hits >= 90
 
@@ -348,11 +360,11 @@ class TestFitKta:
         y = one_hot([0, 1, 0, 1], 2)
         train = np.arange(4)
         agg = kta(ring_operator)
-        fitted, achieved = fit_kta(agg, x, y, train,
-                                   AlignmentConfig(epochs=20, lr=0.05))
+        fitted, _, achieved = fit_kta(agg, x, y, train,
+                                      AlignmentConfig(epochs=20, lr=0.05))
         assert fitted.coefs.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
-        basis = [b[train] for b in agg.terms(x)]
-        scaled, _ = _alignment_value_grad(basis, fitted.coefs, y @ y.T)
+        g = basis_gram([b[train] for b in agg.terms(x)])
+        scaled, _ = _alignment_value_grad(g, fitted.coefs, y @ y.T)
         assert abs(scaled - achieved) <= 1e-12
         assert abs(alignment(fitted.apply(x), y, train) - achieved) <= 1e-12
 
@@ -361,9 +373,42 @@ class TestFitKta:
         x = np.random.default_rng(16).standard_normal((6, 3))
         y = one_hot([0, 1, 0, 1], 2)
         agg = kta(ring_operator, weights=-np.ones(5))
-        fitted, _ = fit_kta(agg, x, y, np.arange(4),
-                            AlignmentConfig(epochs=1, lr=1e-3))
+        fitted, _, _ = fit_kta(agg, x, y, np.arange(4),
+                               AlignmentConfig(epochs=1, lr=1e-3))
         assert fitted.coefs.sum() == pytest.approx(-5.0, abs=0.01)
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_gram_matches_the_direct_formula(self, seed):
+        # the ascent's value and gradient from the basis Gram B B^T are the
+        # direct ones, from Z = sum_i theta_i B_i, up to rounding; basis
+        # blocks of falling scale, as repeated smoothing gives
+        rng = np.random.default_rng(seed)
+        m, c = 12, 30
+        basis = [0.5 ** i * rng.standard_normal((m, c)) for i in range(6)]
+        y = one_hot(rng.integers(0, 3, m), 3)
+        theta = rng.standard_normal(6)
+        rho, grad = _alignment_value_grad(basis_gram(basis), theta, y @ y.T)
+        rho_ref, grad_ref = alignment_value_grad(basis, theta, y @ y.T)
+        assert abs(rho - rho_ref) <= 1e-12 * abs(rho_ref)
+        assert (np.linalg.norm(grad - grad_ref)
+                <= 1e-12 * np.linalg.norm(grad_ref))
+
+    @pytest.mark.parametrize("n_deg", [0, 1, 3])
+    def test_output_is_the_fitted_apply(self, n_deg):
+        # the powers walked for the fit are summed into the stage's output,
+        # bit for bit the fitted polynomial's own apply; the input is left
+        n = 30
+        g = SparseGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]
+                                   + [(i, (i + 7) % n) for i in range(n)])
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((n, 4))
+        saved = x.copy()
+        train = np.arange(0, n, 3)
+        y = one_hot(rng.integers(0, 2, len(train)), 2)
+        fitted, out, _ = fit_kta(kta(base_operator(g), n_deg), x, y, train,
+                                 AlignmentConfig(epochs=5, lr=0.05))
+        assert np.array_equal(out, fitted.apply(x))
+        assert np.array_equal(x, saved)
 
     def test_initial_weights_are_ones(self, ring_operator):
         agg = kta(ring_operator)

@@ -601,7 +601,8 @@ class TestSerialization:
 # their given order, and each fitted KTA polynomial was scaled to q(1) = 1;
 # the input_injection pins were retaken when the learners began to read
 # the injected features as a second input block, summing the two blocks'
-# products in place of one product of the concatenation
+# products in place of one product of the concatenation, and the KTA pins
+# when the alignment ascent moved onto the basis Gram B B^T
 TRAINED_BYTES = {
     "functional-fixed": (
         "a1306c0c4879de4d40b93890b0284e3b97acf3c04b2d24fb614caf158539ea2e",
@@ -616,13 +617,13 @@ TRAINED_BYTES = {
         "4b8b715f4473b69b0258925622ae9512d7ee7b183fd70aadfda952f6144db17a",
         "4bd820c76fb0e0e97011d9cd8b64390bd60552532a0335e1c98daa2cbc9b9ef4"),
     "functional-kta": (
-        "fd6656ac45b41ee81ec7758107f2b729ef38af61a328f69c650dc964b00ced09",
-        "dcda41e13535ac6fa8a068cf91b628621e4fbfc9664a4c532f0aecadd1c6f182"),
+        "183737b7609cf9670e2e5fe77d2c9ae8b45dfffa30917cea951936c62a204bac",
+        "8f91d60b6382f373a6363c8e550e20444fd3009f068cc6548e54a4afa8d9e200"),
     "samme-kta": (
-        "b8abb5ee90826689bfdb1a56b627e0bfa74d20d87726046a5183f84a7ddd5047",
+        "4fec1566894f4743600cde01a7ab3029f7062f748be65a0505d5e9d5c1adb9b7",
         "bff7e9904e91e40b19e0c2b7d8cc05b43d6ae35f9eb8bd794df7c3e18e6df588"),
     "samme-kta-skips": (
-        "cb76399fc3b4079625845fcbd5819e0ef7eb4cb20769405a0fcd17c92be9762f",
+        "316f73a0031df5b92bbcb9c7440f7cd991ee7a34e5ef7b2442e6af1ea77fe427",
         "0cee401956bc4a8d7af2eb132d3f189310a5df6f0b29959e6ec8003e60e2a96c"),
 }
 
@@ -933,7 +934,8 @@ class TestFineTuneEquivalence:
 # per epoch on the train rows in their given order, and each fitted KTA
 # polynomial was scaled to q(1) = 1; the input_injection pins were retaken
 # when the learners began to read the injected features as a second input
-# block
+# block, and the KTA pins when the alignment ascent moved onto the basis
+# Gram B B^T
 FINE_TUNE_BYTES = {
     "functional-fixed": (
         "1af2df066576fa5d634b9a28cc8978daf3bbcbaa328f1b473812f90fd64df88e",
@@ -952,11 +954,11 @@ FINE_TUNE_BYTES = {
         "75d87e4c07e4ae6a2383423bc77041e7ac31388f1c15792a9e8311c3fc0b00c0",
         "70861760461fed59bbbcd5f5729dbfcf16fd5538fe435e9906e1795e3ad8c94e"),
     "functional-kta": (
-        "a81b8a6f20872dc06177e7fc5b50bbf3c4810d40b3d53285770888ec9fb948dd",
-        "7b82c06cc283c7b3efcde584f1acb4777fe4d00a294d1ae46a4da9f4fe94d597",
-        "7936b9d0f9099f751b539be4eef08695f444c18c82719227bafa9fb894142ed0"),
+        "f521f5d678cfcb408aecad6dc443bc5aedd29676aaa91d41e1e108ae4776b683",
+        "bfbf5c979ca570bf8e02732dfc88eca0c94086c8d40f516b8d5d2ace7025a890",
+        "061f508ead8bb0b3f27706d743076972065be3f7cb80aa6997ecd121da6a096e"),
     "samme-kta": (
-        "9dc900ab1cdc688d57b668815b94f294b80040a2b923e4ae36fa34aa6abcb371",
+        "5e2bd3bcd33d8f9be52a4f2a7e0cc99aa123c226fbf493d869677acd5d470adc",
         "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
         "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
 }
@@ -976,6 +978,43 @@ class TestFineTuneBytes:
             predict(model, ds)[0].tobytes(),
             predict(tuned, ds)[0].tobytes()))
         assert got == FINE_TUNE_BYTES[f"{mode}-{kind}"]
+
+
+def memory_toy():
+    """A 600-node graph with 200 random features and 30 train nodes, so
+    that the chain's N x C arrays and not the learners set the peak."""
+    from graphboost.data import NodeDataset, Split
+    from graphboost.graph import SparseGraph
+    n, c = 600, 200
+    rng = np.random.default_rng(0)
+    graph = SparseGraph.from_edges(
+        n, [p for p in rng.integers(0, n, size=(1800, 2)) if p[0] != p[1]])
+    return NodeDataset(graph=graph, features=rng.random((n, c)),
+                       labels=rng.integers(0, 2, size=n), n_classes=2,
+                       split=Split(train=np.arange(30), val=[],
+                                   test=np.arange(30, n)))
+
+
+def train_toy(ds, mode, kind, n_stages):
+    """A run of ``n_stages`` stages with tiny learners on ``ds``."""
+    common = dict(hidden=(4,), learner=TrainConfig(epochs=2),
+                  aggregator=AggregatorSpec(kind=kind))
+    if mode == "functional":
+        return run_functional_gb(ds, BoostConfig(n_rounds=n_stages - 1,
+                                                 **common))
+    return run_samme(ds, BoostConfig(n_rounds=n_stages, **common))
+
+
+def peak_blocks(fn):
+    """tracemalloc's peak over ``fn()``, in feature matrices of the toy
+    (600 x 200 float64); the features themselves predate the trace."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (600 * 200 * 8)
+    finally:
+        tracemalloc.stop()
 
 
 def noisy_run(kind, mode):
@@ -1140,28 +1179,26 @@ class TestPredict:
         # advance and not the learner fit sets the peak: dropping each
         # stage's learner input before the chain advances peaks near 3.6
         # feature matrices (N x C), holding it through the advance near 5.2
-        import tracemalloc
+        ds = memory_toy()
+        assert peak_blocks(lambda: train_toy(ds, mode, "input_injection",
+                                             n_stages=8)) < 4.4
 
-        from graphboost.data import NodeDataset, Split
-        from graphboost.graph import SparseGraph
-        n, c, n_stages = 600, 200, 8
-        rng = np.random.default_rng(0)
-        graph = SparseGraph.from_edges(
-            n, [p for p in rng.integers(0, n, size=(1800, 2)) if p[0] != p[1]])
-        ds = NodeDataset(graph=graph, features=rng.random((n, c)),
-                         labels=rng.integers(0, 2, size=n), n_classes=2,
-                         split=Split(train=np.arange(30), val=[],
-                                     test=np.arange(30, n)))
-        common = dict(hidden=(4,), learner=TrainConfig(epochs=2),
-                      aggregator=AggregatorSpec(kind="input_injection"))
-        tracemalloc.start()
-        try:
-            if mode == "functional":
-                run_functional_gb(ds, BoostConfig(
-                    n_rounds=n_stages - 1, **common))
-            else:
-                run_samme(ds, BoostConfig(n_rounds=n_stages, **common))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.4 * n * c * 8
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
+    def test_kta_training_sums_the_held_powers_in_place(self, mode):
+        # a KTA stage holds its input and the four powers P^{2^k} x of one
+        # walk, then sums them in place with one product of P^0 x: the
+        # advance peaks near 6.15 N x C; summing into fresh arrays reads
+        # about 7.15
+        ds = memory_toy()
+        assert peak_blocks(lambda: train_toy(ds, mode, "kta",
+                                             n_stages=4)) < 6.5
+
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
+    def test_kta_fine_tune_holds_one_chain(self, mode):
+        # every KTA fine-tune step replays the full-length chain; letting
+        # the old one go first peaks near 9.3-9.6 N x C over two epochs,
+        # and holding both chains through the replay near 10.3-10.4
+        ds = memory_toy()
+        model, _, _ = train_toy(ds, mode, "kta", n_stages=4)
+        assert peak_blocks(lambda: fine_tune(
+            model, ds, FineTuneConfig(epochs=2))) < 9.9

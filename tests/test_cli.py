@@ -197,7 +197,9 @@ class TestTrain:
     def test_train_propagates_no_more_than_the_driver(
             self, dataset_dir, tmp_path, monkeypatch, variant, mode):
         # without fine-tuning, train takes its summary from the driver's
-        # score, so it applies P exactly as often as the driver alone
+        # score, so it applies P exactly as often as the driver alone: once
+        # per aggregated stage, and 2^n_deg = 8 times for a KTA stage,
+        # whose fit and output share one walk of the powers
         from graphboost import boost
         from graphboost.data import load_planetoid
         from graphboost.graph import PropagationMatrix
@@ -224,6 +226,8 @@ class TestTrain:
                        alignment=cfg.kta),
                    seed=0))
         assert calls and in_train == len(calls)
+        aggregated = 3 if mode == "functional" else 2
+        assert in_train == aggregated * (8 if variant == "kta" else 1)
 
     def test_parallel_jobs_match_sequential(self, dataset_dir, tmp_path):
         for name, jobs in (("seq", 1), ("par", 2)):
@@ -516,8 +520,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("field", [
         {"variant": "input_injection", "rho": 2.0},
         {"variant": "kta", "n_deg": -1},
+        {"variant": "kta", "n_deg": 11},
         {"hidden_width": 0},
-    ], ids=["rho", "n_deg", "hidden_width"])
+    ], ids=["rho", "n_deg", "n_deg_over_max", "hidden_width"])
     def test_bad_model_field_is_2(self, dataset_dir, tmp_path, capsys,
                                   field):
         cfg_path = tmp_path / "bad.json"
@@ -706,6 +711,37 @@ class TestExitCodes:
             assert f"stage 1 learner output width {OUTPUT_WIDTH[case]}:" in err
         if case == "functional_n_classes_5":
             assert "n_classes 5:" in err
+
+    @pytest.mark.parametrize("n_deg", [10 ** 20, True],
+                             ids=["huge", "bool"])
+    def test_kta_stage_degree_out_of_range_is_3(self, dataset_dir, tmp_path,
+                                                capsys, n_deg):
+        # a degree of 10^20 asks for 2^(10^20) products, and true reads as
+        # 1: both are refused before any power is taken, and the alarm
+        # turns a hang into a failure
+        import signal
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            dataset_dir, seeds=[0], variant="kta")))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        blob = json.loads(model.read_text())
+        blob["stages"][2]["aggregator"]["n_deg"] = n_deg
+        model.write_text(json.dumps(blob))
+
+        def hang(*_):
+            raise TimeoutError("theory did not refuse the degree in 1 s")
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(1)
+        try:
+            code = main(["theory", "--model", str(model),
+                         "--data", dataset_dir])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "stage 3 aggregator: n_deg" in err
 
     def test_trace_flag_is_2(self, dataset_dir, tmp_path, capsys):
         # theory reads no trace, so --trace is an unknown flag

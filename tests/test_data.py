@@ -214,6 +214,16 @@ class TestLoader:
         assert np.allclose(sums[sums > 0], 1.0)
         assert not np.allclose(raw.features, norm.features)
 
+    def test_loaded_features_are_row_normalize_of_the_file(self, tmp_path):
+        # the loader divides the array it read in place; the public
+        # row_normalize gives the same bits in a new array
+        write_tiny_dataset(tmp_path)
+        raw = np.loadtxt(tmp_path / "features.tsv", delimiter="\t", ndmin=2)
+        saved = raw.copy()
+        assert np.array_equal(load_planetoid(tmp_path).features,
+                              row_normalize(raw))
+        assert np.array_equal(raw, saved)
+
 
 REFERENCE_COUNTS = {
     # node count, feature width, class count of the converted datasets
