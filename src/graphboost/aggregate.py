@@ -136,9 +136,9 @@ def fixed(operator):
 
 
 def injection(operator, rho):
-    """x -> rho P x + (1 - rho) x0."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    """x -> rho P x + (1 - rho) x0, rho a number (not a bool) in [0, 1]."""
+    if isinstance(rho, bool) or not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho {rho!r}: must lie in [0, 1]")
     return Polynomial(operator, (1,), (rho,), inject=1.0 - rho)
 
 
@@ -146,13 +146,15 @@ def kta(operator, n_deg=DEFAULT_N_DEG, weights=None):
     """x -> w_0 x + sum_k w_{k+1} P^{2^k} x, k = 0..n_deg; the weights
     start at 1 by protocol, and ``fit_kta`` returns them scaled so that
     q(1) = sum_i w_i = 1. ``n_deg`` is an integer in 0..MAX_N_DEG; a bool
-    is refused."""
+    is refused, for ``n_deg`` and for a weight."""
     if not (isinstance(n_deg, numbers.Integral) and not isinstance(n_deg, bool)
             and 0 <= n_deg <= MAX_N_DEG):
         raise ValueError(f"n_deg {n_deg!r}: not an integer in 0..{MAX_N_DEG}")
     powers = (0,) + tuple(2 ** k for k in range(n_deg + 1))
     if weights is None:
         weights = np.ones(len(powers))
+    elif any(isinstance(w, bool) for w in weights):
+        raise ValueError(f"weights {weights!r}: a bool is not a weight")
     return Polynomial(operator, powers, np.asarray(weights, dtype=float))
 
 

@@ -29,7 +29,7 @@ from .mlp import (MlpParams, TrainConfig, _Adam, backward, check_step,
                   fit_classifier, fit_to_gradient, forward)
 
 # the one model.json layout: save_model writes it, model_from_json reads it
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 TRACE_COLUMNS = ("t", "train_loss", "train_err", "test_err", "cos_theta",
                  "alpha", "beta", "gamma", "grad_l1", "wlc_pass")
@@ -622,8 +622,8 @@ def model_to_json(model: EnsembleModel) -> dict:
     params, learner weights (base64 of row-major little-endian float64
     bytes) with their shapes, and the eta/lambda sequence. The constant
     keys ``"base": "augmented"`` and ``"clip": 1e-07`` (``DEFAULT_CLIP``),
-    and each learner's ``"activation": "relu"`` and ``"bias": true``, name
-    the one model this release builds; the reader refuses any other."""
+    and each learner's ``"activation": "relu"`` (with no bias), name the
+    one model this release builds; the reader refuses any other."""
     return {
         "format_version": FORMAT_VERSION,
         "mode": model.mode,
@@ -645,7 +645,6 @@ def model_to_json(model: EnsembleModel) -> dict:
                     "weights": [_encode_weight(w)
                                 for w in st.learner.weights],
                     "activation": "relu",
-                    "bias": True,
                 },
             }
             for st in model.stages
@@ -659,21 +658,21 @@ def _is_number(value, kind=numbers.Real):
 
 
 def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
-    """Read a format-version-2 manifest, its aggregators over ``operator``,
+    """Read a format-version-3 manifest, its aggregators over ``operator``,
     which is ``base_operator(graph)`` when None. A missing or other
-    ``format_version``, a mode other than functional or SAMME, another base
-    or clip, fewer than two classes, a functional model of other than two,
-    no stage, a stage weight that is not a finite number, a t* that is not
-    a stage index, an unknown ``aggregator_kind``, flags that are not an
-    object, an aggregator on the first stage or a missing one on a later
-    stage, a stage aggregator of another kind than ``aggregator_kind`` or
-    with parameters its family refuses (a KTA ``n_deg`` that is not an
-    integer in 0..``MAX_N_DEG``, a bool included), a KTA aggregator weight,
-    a wlc alpha or beta, or a learner weight that is not finite, or a
-    learner with another activation, without a bias, whose weight shapes do
-    not chain as matrices, or whose output width is not 1 (functional) or
-    n_classes (SAMME), raises ValueError naming the field and, for a
-    stage's field, the stage."""
+    ``format_version`` (version-2 learners had a bias row), a mode other
+    than functional or SAMME, another base or clip, fewer than two classes,
+    a functional model of other than two, no stage, a stage weight that is
+    not a finite number >= 0, a t* that is not a stage index, an unknown
+    ``aggregator_kind``, flags that are not an object, an aggregator on the
+    first stage or a missing one on a later stage, a stage aggregator of
+    another kind than ``aggregator_kind`` or with parameters its family
+    refuses (a bool, or a KTA ``n_deg`` outside 0..``MAX_N_DEG``), a wlc
+    other than null or finite numbers alpha and beta, a KTA aggregator or
+    learner weight that is not finite, or a learner with another
+    activation, whose weight shapes do not chain as matrices, or whose
+    output width is not 1 (functional) or n_classes (SAMME), raises
+    ValueError naming the field and, for a stage's field, the stage."""
     version = blob.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"model format_version {version!r}: only "
@@ -708,8 +707,9 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
     stages = []
     for idx, st in enumerate(blob_stages):
         weight = st["weight"]
-        if not (_is_number(weight) and math.isfinite(weight)):
-            raise ValueError(f"stage weight {weight!r}: not a finite number")
+        if not (_is_number(weight) and math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"stage {idx + 1} weight {weight!r}: not a "
+                             "finite number >= 0")
         agg = st["aggregator"]
         if idx == 0 and agg is not None:
             raise ValueError(f"stage 1 aggregator {agg!r}: the first stage "
@@ -738,16 +738,16 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
             if not all(np.isfinite(w).all() for w in weights):
                 raise ValueError(f"stage {idx + 1} learner weights: not all "
                                  "finite")
-            if (lrn["activation"], lrn["bias"]) != ("relu", True):
-                raise ValueError(
-                    f"learner activation {lrn['activation']!r} with bias "
-                    f"{lrn['bias']!r}: only 'relu' with bias true is read")
+            if lrn["activation"] != "relu":
+                raise ValueError(f"learner activation {lrn['activation']!r}: "
+                                 "only 'relu' is read")
             params = MlpParams(weights=weights)
         wlc = st["wlc"]
-        if wlc and not (math.isfinite(wlc["alpha"])
-                        and math.isfinite(wlc["beta"])):
-            raise ValueError(f"stage {idx + 1} wlc {wlc!r}: alpha and beta "
-                             "not both finite")
+        if wlc is not None and not (isinstance(wlc, dict) and all(
+                _is_number(wlc.get(k)) and math.isfinite(wlc[k])
+                for k in ("alpha", "beta"))):
+            raise ValueError(f"stage {idx + 1} wlc {wlc!r}: not null or "
+                             "finite numbers alpha and beta")
         try:
             aggregator = None if agg is None else _aggregator(operator, **agg)
         except ValueError as exc:
@@ -756,7 +756,7 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
             raise ValueError(f"stage {idx + 1} aggregator weights: not all "
                              "finite")
         stages.append(StageRecord(aggregator, params, weight,
-                                  WlcParams(**wlc) if wlc else None))
+                                  None if wlc is None else WlcParams(**wlc)))
     return EnsembleModel(mode=mode, n_classes=k, stages=stages,
                          t_star=t_star, aggregator_kind=kind, flags=flags)
 

@@ -15,7 +15,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -200,7 +199,7 @@ def _mean_std(vals):
             "std": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0}
 
 
-def cmd_train(config_path, out_root, jobs=1):
+def cmd_train(config_path, out_root):
     cfg = load_config(config_path)
     if not os.path.isdir(cfg.dataset):
         raise DataError(f"dataset directory not found: {cfg.dataset}")
@@ -210,15 +209,9 @@ def cmd_train(config_path, out_root, jobs=1):
     with open(os.path.join(out_root, "inputs.json"), "w") as fh:
         json.dump(_dataset_hashes(cfg.dataset), fh, indent=1)
 
-    seed_dirs = [os.path.join(out_root, f"seed_{s}") for s in cfg.seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(run_single_seed,
-                                      [cfg] * len(cfg.seeds), cfg.seeds,
-                                      seed_dirs))
-    else:
-        summaries = [run_single_seed(cfg, s, d)
-                     for s, d in zip(cfg.seeds, seed_dirs)]
+    summaries = [run_single_seed(cfg, s,
+                                 os.path.join(out_root, f"seed_{s}"))
+                 for s in cfg.seeds]
 
     def agg(key):
         vals = [s[key] for s in summaries if s[key] is not None]
@@ -280,10 +273,10 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     width = dataset.features.shape[1] * (
         2 if model.aggregator_kind == "input_injection" else 1)
     for stage in model.stages:
-        if stage.learner and stage.learner.weights[0].shape[0] != 1 + width:
+        if stage.learner and stage.learner.weights[0].shape[0] != width:
             raise DataError(
                 f"{model_path} has learners that read "
-                f"{stage.learner.weights[0].shape[0] - 1} input columns, "
+                f"{stage.learner.weights[0].shape[0]} input columns, "
                 f"but the features in {data_dir} give {width}")
     split = dataset.split
     top = int(dataset.labels[np.concatenate([split.train, split.test])].max())
@@ -348,7 +341,6 @@ def main(argv=None):
     p_train = sub.add_parser("train", help="run a boosting experiment")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--jobs", type=int, default=1)
 
     p_theory = sub.add_parser("theory", help="bound report for a run")
     p_theory.add_argument("--model", required=True)
@@ -365,7 +357,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "train":
-            cmd_train(args.config, args.out, jobs=args.jobs)
+            cmd_train(args.config, args.out)
         elif args.command == "theory":
             cmd_theory(args.model, args.data, out_dir=args.out,
                        c0=args.c0, delta_prime=args.delta_prime,

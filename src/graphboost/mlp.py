@@ -1,10 +1,9 @@
 """MLP transformation functions with hand-written forward/backward passes.
 
-The one architecture is a chain of weight matrices with ReLU between them
-and no activation on the output; the bias is the last row of W^(1), added
-to x @ W^(1)[:-1] with no copy of the input (hidden layers are bias-free).
-An input may come as column blocks, x = [x_1, ..., x_B]; the first layer
-then sums x_b @ W^(1)[rows_b] and never builds x. The same map is
+The one architecture is a chain of weight matrices with ReLU between them,
+no activation on the output and no bias (the class the complexity bound
+is stated for). An input may come as column blocks, x = [x_1, ..., x_B];
+the first layer sums x_b @ W^(1)[rows_b] and never builds x. The same map is
 broadcast to every row, so permuting input rows permutes output rows
 identically.
 
@@ -61,8 +60,7 @@ class TrainConfig:
 @dataclass
 class MlpParams:
     """Weight matrices W^(l) of shape (fan_in, fan_out), applied left to
-    right with ReLU between them; the last row of W^(1) is the bias, so
-    the first layer computes x @ W^(1)[:-1] + W^(1)[-1]."""
+    right with ReLU between them and no bias."""
 
     weights: list = field(default_factory=list)
 
@@ -75,13 +73,12 @@ class MlpParams:
 
 
 def init_mlp(widths, seed=0) -> MlpParams:
-    """Uniform init in +-1/sqrt(fan_in), the bias row counted in fan_in."""
+    """Uniform init in +-1/sqrt(fan_in)."""
     rng = np.random.default_rng(seed)
     weights = []
     for l in range(len(widths) - 1):
-        fan_in = widths[l] + (l == 0)
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, widths[l + 1])))
+        bound = 1.0 / np.sqrt(widths[l])
+        weights.append(rng.uniform(-bound, bound, size=widths[l:l + 2]))
     return MlpParams(weights=weights)
 
 
@@ -95,8 +92,8 @@ def _block_rows(blocks):
 
 def _layer(p, l, h):
     """h @ W^(l). The first layer's h is the tuple of input blocks: it
-    computes sum_b block_b @ W^(1)[rows_b], then adds the bias row, so the
-    blocks are never concatenated."""
+    computes sum_b block_b @ W^(1)[rows_b], so the blocks are never
+    concatenated."""
     w = p.weights[l]
     if l:
         return h @ w
@@ -104,20 +101,18 @@ def _layer(p, l, h):
     z = next(parts)
     for part in parts:
         z += part
-    z += w[-1]
     return z
 
 
 def _layer_grad(p, l, h, d):
-    """Gradient of <d, _layer(p, l, h)> in W^(l): [block_b^T d for each
-    block ; sum of d's rows] for the first layer, written into one array;
-    stacking fresh arrays tripled the cost of a train-row backward pass."""
+    """Gradient of <d, _layer(p, l, h)> in W^(l): block_b^T d for each
+    block of the first layer, written into one array; stacking fresh
+    arrays tripled the cost of a train-row backward pass."""
     if l:
         return h.T @ d
     grad = np.empty((p.weights[0].shape[0], d.shape[1]))
     for block, rows in zip(h, _block_rows(h)):
         np.matmul(block.T, d, out=grad[rows])
-    d.sum(axis=0, out=grad[-1])
     return grad
 
 
@@ -128,11 +123,9 @@ def forward(p: MlpParams, *blocks):
     that backward reads."""
     h = tuple(np.asarray(b, dtype=float) for b in blocks)
     width = sum(b.shape[1] for b in h)
-    if width + 1 != p.weights[0].shape[0]:
-        raise ValueError(
-            f"input width {width} (+1 bias) does not match "
-            f"W^(1) rows {p.weights[0].shape[0]}"
-        )
+    if width != p.weights[0].shape[0]:
+        raise ValueError(f"input width {width} does not match W^(1) rows "
+                         f"{p.weights[0].shape[0]}")
     hiddens = [h]
     for l in range(p.n_layers - 1):
         h = np.maximum(_layer(p, l, h), 0.0)
@@ -161,7 +154,7 @@ def backward(p: MlpParams, cache, upstream, input_grad=True):
         grads[l] = _layer_grad(p, l, hiddens[l], d)
     if not input_grad:
         return grads, None
-    return grads, d @ p.weights[0][:-1].T
+    return grads, d @ p.weights[0].T
 
 
 def project_l1_columns(p: MlpParams, bound) -> MlpParams:

@@ -2,7 +2,7 @@
 
 Everything here is a plain computation over run outputs: the O(1/T)
 training-error bound from the per-iteration quality values gamma_t, the
-closed-form complexity bound D^(t) ||[P^(t) X, 1]||_F / sqrt(MU), the
+closed-form complexity bound D^(t) ||P^(t) X||_F / sqrt(MU), the
 random-partition generalization bound with its confidence terms, a
 Monte-Carlo estimator of the three-valued-sign complexity of finite vector
 sets, the quality/complexity trade-off lower bound, and the spectral decay
@@ -74,8 +74,8 @@ def optimization_bound(l1, m, gammas, delta=0.0):
 
 
 def rademacher_bound(constants: ComplexityConstants, input_frobenius):
-    """D^(t) ||H||_F / sqrt(M U) for the bias-free class on input H: P^(t) X,
-    or [P^(t) X, 1] for a learner whose last W^(1) row is its bias."""
+    """D^(t) ||H||_F / sqrt(M U) for the bias-free class on input H, the
+    learners' input P^(t) X."""
     return constants.d_constant * input_frobenius / math.sqrt(
         constants.m * constants.u)
 
@@ -270,8 +270,8 @@ def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
     gamma_t of iterations that failed the weak-learning check contribute 0
     and mark the bound "not guaranteed". Training sets no cap on the
     transformation class, so each stage's cap is the observed max column
-    L1 norm of its learner, bias row included; its bound reads the
-    learner's input [P^(t) X, 1], of norm sqrt(||P^(t) X||_F^2 + N).
+    L1 norm of its learner; its bound reads the learner's input P^(t) X
+    (the learners are bias-free).
     """
     split = dataset.split
     m, u = split.m, split.u
@@ -347,7 +347,7 @@ def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
             constants = ComplexityConstants(
                 n_layers=stage.learner.n_layers, b_tilde=bt,
                 c_tildes=(1.0,) * idx, m=m, u=u)
-            bound = rademacher_bound(constants, math.sqrt(px * px + dataset.n))
+            bound = rademacher_bound(constants, px)
             entry = {"t": t, "b_tilde": bt,
                      "d_constant": constants.d_constant,
                      "px_frobenius": px, "rademacher_bound": bound,

@@ -323,8 +323,12 @@ def test_criterion_8_gradient_integrity():
 
     for si, stage in enumerate(model.stages):
         for li, w in enumerate(stage.learner.weights):
-            # hidden unit 0 is dead in two stages, so its weights are skipped
-            for idx in [(1, 1), (w.shape[0] - 1, w.shape[1] - 1)]:
+            # hidden units 0, 1 and 3 are dead in stage 3, so the checked
+            # weights are those of unit 2, live in every stage: its first
+            # and last input weights and its first and last output weights
+            unit = 2
+            for idx in ([(0, unit), (w.shape[0] - 1, unit)] if li == 0
+                        else [(unit, 0), (unit, w.shape[1] - 1)]):
                 w[idx] += eps
                 plus = stack_loss(model)
                 w[idx] -= 2 * eps

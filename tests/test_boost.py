@@ -210,9 +210,9 @@ class TestFunctionalGB:
         # the same shape check the reference-data gate runs: losses may not
         # rise beyond a 5%-of-initial band while the angle stays acute
         # (noisy enough that boosting takes several rounds to saturate)
-        ds = synthesize_two_block(120, 0.14, 0.05, seed=16, noise=1.5)
+        ds = synthesize_two_block(120, 0.14, 0.05, seed=11, noise=1.5)
         cfg = BoostConfig(n_rounds=10, hidden=(8,),
-                          learner=TrainConfig(epochs=10), seed=17)
+                          learner=TrainConfig(epochs=10), seed=12)
         model, trace, _ = run_samme(ds, cfg)
         write_trace_csv(trace, tmp_path / "trace.csv")
         back = read_trace_csv(tmp_path / "trace.csv")
@@ -312,12 +312,20 @@ class TestSammeRuns:
         model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=12, hidden=(4,), learner=TrainConfig(epochs=50, lr=0.05),
             aggregator=AggregatorSpec(kind="kta"), seed=1))
-        assert "skipped" not in model.flags
         for st in model.stages[1:]:
             assert np.all(st.aggregator.coefs >= 0.0)
         x_norm = np.linalg.norm(ds.features)
+        collapse = []
         for rep, in stage_inputs(model, ds):
             assert np.linalg.norm(rep) <= x_norm * (1.0 + 1e-12)
+            sv = np.linalg.svd(rep, compute_uv=False)
+            collapse.append(sv[1] / sv[0])
+        # a bias-free learner is positively homogeneous, f(s x) = s f(x),
+        # so on rows that share one direction it gives every node one
+        # class: a round is skipped only once its input is within 1% of
+        # rank one
+        for t in model.flags.get("skipped", []):
+            assert collapse[t - 1] < 0.01, (t, collapse)
 
     def test_three_class_blocks(self):
         # K = 3 exercises the multiclass vote/coding paths beyond binary
@@ -453,7 +461,8 @@ _V2_LEARNER = ('"learner": {"shapes": [[3, 1]], "weights": '
                '"bias": true}')
 
 # the same models in format version 2: each weight is the base64 of its
-# row-major little-endian float64 bytes ("AAAAAAAA4D8" is 0.5)
+# row-major little-endian float64 bytes ("AAAAAAAA4D8" is 0.5), and each
+# learner's last W^(1) row was its bias. No reader of this format is left
 VERSION_2_BYTES = {
     "fixed": (
         '{"format_version": 2, "mode": "samme", "n_classes": 2, '
@@ -492,6 +501,50 @@ VERSION_2_BYTES = {
         '"weight": 0.0, "wlc": null, "learner": null}]}'),
 }
 
+_V3_LEARNER = ('"learner": {"shapes": [[3, 1]], "weights": '
+               '["AAAAAAAA4L8AAAAAAAAIQAAAAAAAANA/"], "activation": "relu"}')
+
+# the same models in format version 3, whose learners have no bias row:
+# the version-2 bytes without each learner's "bias" key. The learners read
+# three input columns
+VERSION_3_BYTES = {
+    "fixed": (
+        '{"format_version": 3, "mode": "samme", "n_classes": 2, '
+        '"t_star": null, "base": "augmented", "aggregator_kind": "fixed", '
+        '"clip": 1e-07, "flags": {}, "stages": [{"aggregator": null, '
+        '"weight": 0.75, "wlc": null, "learner": {"shapes": [[3, 2]], '
+        '"weights": ["AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAAAECX1EZG9Q5nPF'
+        'VVVVVVVdU/"], "activation": "relu"}}, '
+        '{"aggregator": {"kind": "fixed"}, "weight": 0.0, "wlc": null, '
+        '"learner": null}]}'),
+    "input_injection": (
+        '{"format_version": 3, "mode": "functional", "n_classes": 2, '
+        '"t_star": 2, "base": "augmented", '
+        '"aggregator_kind": "input_injection", "clip": 1e-07, "flags": {}, '
+        '"stages": [{"aggregator": null, '
+        f'"weight": 1.0, "wlc": null, {_V3_LEARNER}}}, {{"aggregator": '
+        '{"kind": "input_injection", "rho": 0.3}, '
+        '"weight": 1.3333333333333333, "wlc": {"alpha": 3.0, '
+        f'"beta": 1.0}}, {_V3_LEARNER}}}, {{"aggregator": {{"kind": '
+        f'"input_injection", "rho": 1}}, "weight": 2.5, "wlc": null, '
+        f'{_V3_LEARNER}}}]}}'),
+    "kta": (
+        '{"format_version": 3, "mode": "samme", "n_classes": 2, '
+        '"t_star": null, "base": "augmented", "aggregator_kind": "kta", '
+        '"clip": 1e-07, "flags": {"skipped": [3]}, "stages": '
+        '[{"aggregator": null, "weight": 0.75, "wlc": null, "learner": '
+        '{"shapes": [[3, 2]], "weights": ["AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/'
+        'AAAAAAAAAECX1EZG9Q5nPFVVVVVVVdU/"], "activation": "relu"}}, '
+        '{"aggregator": {"kind": "kta", "weights": '
+        '[1.0, 0.5, 0.25, 0.125, 0.14285714285714285], "n_deg": 3}, '
+        '"weight": 1.5, "wlc": {"alpha": 2.0, "beta": 0.5}, "learner": '
+        '{"shapes": [[3, 1], [1, 2]], "weights": '
+        '["AAAAAAAA+D+amZmZmZnJvwAAAAAAAAAA", "AAAAAAAAED4AAAAAAAAAgA=="], '
+        '"activation": "relu"}}, {"aggregator": {"kind": '
+        '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
+        '"weight": 0.0, "wlc": null, "learner": null}]}'),
+}
+
 
 class TestSerialization:
     def test_model_round_trip_bit_for_bit(self, tmp_path):
@@ -514,13 +567,22 @@ class TestSerialization:
         path = tmp_path / "model.json"
         for name, model in models.items():
             save_model(model, path)
-            assert path.read_text() == VERSION_2_BYTES[name], name
+            assert path.read_text() == VERSION_3_BYTES[name], name
 
-    def test_version_2_files_read_bit_for_bit(self):
+    def test_version_3_files_read_bit_for_bit(self):
         ds, models = hand_built_models()
         for name, model in models.items():
-            blob = json.loads(VERSION_2_BYTES[name])
+            blob = json.loads(VERSION_3_BYTES[name])
             assert_same_model(model_from_json(blob, ds.graph), model)
+
+    @pytest.mark.parametrize("name", sorted(VERSION_2_BYTES))
+    def test_version_2_files_refused(self, name):
+        # a version-2 learner has a bias row, which no learner has now: the
+        # file is refused by its version, before any other field is read
+        ds, _ = hand_built_models()
+        with pytest.raises(ValueError, match="^model format_version 2: only "
+                                             "3 is read"):
+            model_from_json(json.loads(VERSION_2_BYTES[name]), ds.graph)
 
     @pytest.mark.parametrize("name", sorted(VERSION_1_BYTES))
     def test_version_1_files_refused(self, name):
@@ -532,11 +594,11 @@ class TestSerialization:
 
     def test_other_learner_refused(self):
         # the kta model's second learner as pinned before the learner had
-        # one architecture: sigmoid, with no bias row
+        # one architecture: sigmoid
         ds, _ = hand_built_models()
-        blob = json.loads(VERSION_2_BYTES["kta"])
-        blob["stages"][1]["learner"].update(activation="sigmoid", bias=False)
-        with pytest.raises(ValueError, match="'sigmoid' with bias False"):
+        blob = json.loads(VERSION_3_BYTES["kta"])
+        blob["stages"][1]["learner"].update(activation="sigmoid")
+        with pytest.raises(ValueError, match="'sigmoid': only 'relu'"):
             model_from_json(blob, ds.graph)
 
     @pytest.mark.parametrize("key,value", [("base", "normalized"),
@@ -545,7 +607,7 @@ class TestSerialization:
         # the input-injection model as older releases could write it: on
         # the normalized base, or with another probability floor
         ds, _ = hand_built_models()
-        blob = json.loads(VERSION_2_BYTES["input_injection"])
+        blob = json.loads(VERSION_3_BYTES["input_injection"])
         blob[key] = value
         with pytest.raises(ValueError, match=f"{value!r}"):
             model_from_json(blob, ds.graph)
@@ -596,35 +658,30 @@ class TestSerialization:
 
 
 # SHA-256 of (model.json, trace.csv) as the trainers write them. Every run
-# uses seed 1; the two SAMME KTA runs skip rounds 3 and 4. Taken when each
-# learner fit became one full-batch step per epoch on the train rows in
-# their given order, and each fitted KTA polynomial was scaled to q(1) = 1;
-# the input_injection pins were retaken when the learners began to read
-# the injected features as a second input block, summing the two blocks'
-# products in place of one product of the concatenation, and the KTA pins
-# when the alignment ascent moved onto the basis Gram B B^T
+# uses seed 1; the eight-round SAMME KTA run skips rounds 7 and 8. Taken
+# when the learners lost their bias row (model format version 3)
 TRAINED_BYTES = {
     "functional-fixed": (
-        "a1306c0c4879de4d40b93890b0284e3b97acf3c04b2d24fb614caf158539ea2e",
-        "da0a31639d3682af21e31b3172504e0b2f311e4d3f530c72766361dee4bcaeb2"),
+        "7236083eedce3917af205a235e9db793d691c573f6191151e98aaf864cca519f",
+        "1f37b1c1ccf02f12c13c5645d7e813723b56724541a7242e445b83e9aee2e22a"),
     "samme-fixed": (
-        "a5eae0ff5096f54746ea628f2cf5e4f334d9d19525d3379be83db15980594ed0",
-        "42e189aee1e6141e53df8040935a804207bd4665e7743dd369d59aa204d9665a"),
+        "cc1704d39e294089436cf1ca0399b13c4aa5f564b6536c75cf5501eacf80985a",
+        "ea71b0f170662b0e1c9b7813d99e6735d5ed5dc4148624f315c779c87dbdf5ad"),
     "functional-input_injection": (
-        "c4bfd61aa1baca1d6786a58c34f63a974502fb5425f0ab24a771a500b2e12afd",
-        "b32326e7245e5d279177723dfbb3c4ec6997e3ea93bcfa9f92c959a628a3251d"),
+        "8120c268935bf7a9927c884b8017c249a995907fdc4e6a73f1b578354fb32990",
+        "8fb1699a00f8e83e9bf460d82bd927140cad416a6d44c5399dcc8b623e55ad45"),
     "samme-input_injection": (
-        "4b8b715f4473b69b0258925622ae9512d7ee7b183fd70aadfda952f6144db17a",
-        "4bd820c76fb0e0e97011d9cd8b64390bd60552532a0335e1c98daa2cbc9b9ef4"),
+        "ff457b85bcbf6b741c66ad97bd82f413b7142305da0109f96660800d667d737c",
+        "5e1af309b3e9d6ab12e4eadc87cd38042e9dad15f225c30113b1e0ad761772ba"),
     "functional-kta": (
-        "183737b7609cf9670e2e5fe77d2c9ae8b45dfffa30917cea951936c62a204bac",
-        "8f91d60b6382f373a6363c8e550e20444fd3009f068cc6548e54a4afa8d9e200"),
+        "25569482a6e9ed95bea31fcbd53ed81a2d04366de9da25327ebde6317b73c9ba",
+        "fa05afbc13a096787ae93817d1bd4f33f3862ed9c5865c1c9e9d509acc2be9ee"),
     "samme-kta": (
-        "4fec1566894f4743600cde01a7ab3029f7062f748be65a0505d5e9d5c1adb9b7",
-        "bff7e9904e91e40b19e0c2b7d8cc05b43d6ae35f9eb8bd794df7c3e18e6df588"),
+        "88407fbed5b0a35141a7efe27949f0c877b31a62ae7f16ae876eab2ceeee4467",
+        "ea71b0f170662b0e1c9b7813d99e6735d5ed5dc4148624f315c779c87dbdf5ad"),
     "samme-kta-skips": (
-        "316f73a0031df5b92bbcb9c7440f7cd991ee7a34e5ef7b2442e6af1ea77fe427",
-        "0cee401956bc4a8d7af2eb132d3f189310a5df6f0b29959e6ec8003e60e2a96c"),
+        "e7fd5cbd0b143220b00c1783184f3bf7c5874b896b6eb46e9bbe303c962165a6",
+        "2ff2b9ea530317e9763a035d6c88ac272f1aaa08321b1ee67c3e145782d924fe"),
 }
 
 
@@ -632,7 +689,7 @@ def trained_bytes_cases():
     for kind in ("fixed", "input_injection", "kta"):
         for mode in ("functional", "samme"):
             yield f"{mode}-{kind}", mode, kind, 5
-    yield "samme-kta-skips", "samme", "kta", 6
+    yield "samme-kta-skips", "samme", "kta", 8
 
 
 class TestTrainedBytes:
@@ -708,8 +765,8 @@ class TestDriverScore:
         # the cases hold a SAMME run with skipped rounds and a functional
         # run whose t* is not its last stage
         if name == "samme-kta-skips":
-            assert model.flags["skipped"] == [3, 4]
-        if name == "functional-fixed":
+            assert model.flags["skipped"] == [7, 8]
+        if name == "functional-kta":
             assert model.t_star < len(model.stages)
 
     def test_injected_block_is_the_features(self):
@@ -930,37 +987,33 @@ class TestFineTuneEquivalence:
 
 # SHA-256 of (the fine-tuned model's save_model bytes, the trained model's
 # predict scores, the fine-tuned model's predict scores) for each
-# unsaturated_run. Taken when each learner fit became one full-batch step
-# per epoch on the train rows in their given order, and each fitted KTA
-# polynomial was scaled to q(1) = 1; the input_injection pins were retaken
-# when the learners began to read the injected features as a second input
-# block, and the KTA pins when the alignment ascent moved onto the basis
-# Gram B B^T
+# unsaturated_run. Taken when the learners lost their bias row (model
+# format version 3)
 FINE_TUNE_BYTES = {
     "functional-fixed": (
-        "1af2df066576fa5d634b9a28cc8978daf3bbcbaa328f1b473812f90fd64df88e",
-        "cc74fb72fa5c597274b66aea36e86d0d9de0c213e1ba149ca01185d3e48fa3a4",
-        "676e29edd201ec51e497fb015fdca45519ae7b14daf10d29e8fcbb98b51dcd4d"),
+        "81c7c246f6eb5c6de620fa8cb623e94b0435d555b23f66753a0aa973b6e587af",
+        "9a648548a95d35e26a913b4673072c4b91c5101f69c963770a7ced7d7d1e7b0c",
+        "d805252ab44f7dc84c95d3241442e059b091c2a0b10f2475cb3d31dcc3e397b6"),
     "samme-fixed": (
-        "23796326c4597b535497a963ff5ceed220cf65a13678a7d1a9797b6b782bbfa6",
-        "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
-        "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
+        "66ad9c7f6d3731e7452f870a116a1e20f0109ab1658496788a9bd405c2b8ae24",
+        "9f25fd5c00172439e505ad9232eba8df2a19b97a65dd249f15f5a120143e8225",
+        "755c62782ccaee163d1006337929a74c8446ed96d51595a7abd9f5b50729b053"),
     "functional-input_injection": (
-        "5efc6f6462e7f62e063043b24447d9dda214bd503b4156e2cff68d2c690f19f9",
-        "44b584dbb0b8cb9162cfb8f391cf6edb3061dfb82380068006fad6e56d5a150d",
-        "c005a771f0e039136c0133a9203351ca81d90c8f848edd1c66b86e470ceae22d"),
+        "0a07a06ae0325fade40de5043f3ee117bcb23a3ab5779a36b44b49344693dd57",
+        "58a23b0a0229b6456568035f6e4e3199d82b9425a297b20b1a95cb9dabc8501f",
+        "767c63429b5984bd56b48514f30134d24d83b2456bb88fc5cbf150b6322dd2b6"),
     "samme-input_injection": (
-        "6d0900557c8b61c2a00d7b042ee9edb80e7927ec8cad22c1a39b07c8717ad0e2",
-        "75d87e4c07e4ae6a2383423bc77041e7ac31388f1c15792a9e8311c3fc0b00c0",
-        "70861760461fed59bbbcd5f5729dbfcf16fd5538fe435e9906e1795e3ad8c94e"),
+        "dcd7b340e875dad7449e84792b12fb58f1acb891d237f1f05f71b70055410f98",
+        "48524b25d30a6af46ced7d4dec008c910ae17b07fb41445fb2b436bdf4b6b92c",
+        "f14b4dfb937c36e3ec28360c78abdbb1ac29f199bf6a99cde3f40b4225e3fd8a"),
     "functional-kta": (
-        "f521f5d678cfcb408aecad6dc443bc5aedd29676aaa91d41e1e108ae4776b683",
-        "bfbf5c979ca570bf8e02732dfc88eca0c94086c8d40f516b8d5d2ace7025a890",
-        "061f508ead8bb0b3f27706d743076972065be3f7cb80aa6997ecd121da6a096e"),
+        "85d2f566178586c5db756ae50f8748b0ff43d273e71650b9204b33604faa39a7",
+        "c7f0f5768055a4455eff5e2ba8d3b593f13ee239bf1bf25a7597f59966a340ff",
+        "b1e8abe186f7c6a6e3cae52bdaa4a7740045b87e21d297c079176faa45a0aca7"),
     "samme-kta": (
-        "5e2bd3bcd33d8f9be52a4f2a7e0cc99aa123c226fbf493d869677acd5d470adc",
-        "a6c8ffcac47bbf44e47a1e1b96826978f31522305f19a8416897cb9c1cd7983f",
-        "2d04928bb0d1d3c7875d7c604da0c69e50302358ac4794c747e953c133e353d3"),
+        "87d7b6fe98e6211bacf560b65b97912ea55dba0069288644cbfd951a754c3b77",
+        "5f595173d19d8394d7427226d6050948138aa3ffb4e81d5f71f4d1bea922f5d9",
+        "9dffab24e91fd5f726dff5e662bcf9bb1204a6dce1cd86c516fe540e0843dd0e"),
 }
 
 
@@ -1065,7 +1118,7 @@ class TestPredict:
         model, _, _ = run_samme(ds, cfg)
         reps = stage_representations(model, ds)
         assert all([b.shape for b in r] == [(12, 2), (12, 2)] for r in reps)
-        assert all(st.learner.weights[0].shape[0] == 5 for st in model.stages)
+        assert all(st.learner.weights[0].shape[0] == 4 for st in model.stages)
         assert np.array_equal(reps[0][1], ds.features)
         assert np.array_equal(reps[1][1], ds.features)
 

@@ -1,10 +1,13 @@
 import base64
 import json
 import os
+import signal
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphboost.cli import (ConfigError, cmd_curves, cmd_theory,
                             cmd_train, config_from_dict, main)
@@ -229,16 +232,6 @@ class TestTrain:
         aggregated = 3 if mode == "functional" else 2
         assert in_train == aggregated * (8 if variant == "kta" else 1)
 
-    def test_parallel_jobs_match_sequential(self, dataset_dir, tmp_path):
-        for name, jobs in (("seq", 1), ("par", 2)):
-            cfg_path = tmp_path / f"cfg_{name}.json"
-            cfg_path.write_text(json.dumps(base_config(dataset_dir,
-                                                       seeds=[0, 1])))
-            cmd_train(str(cfg_path), str(tmp_path / name), jobs=jobs)
-        a = (tmp_path / "seq" / "seed_0" / "trace.csv").read_bytes()
-        b = (tmp_path / "par" / "seed_0" / "trace.csv").read_bytes()
-        assert a == b
-
 
 class TestTheoryCommand:
     def test_report_files(self, dataset_dir, tmp_path):
@@ -352,7 +345,7 @@ class TestTheoryCommand:
         (seed_dir / "model.json").write_text(json.dumps(model))
         assert main(args) == 3
         assert capsys.readouterr().err.endswith(
-            "ValueError: model format_version None: only 2 is read\n")
+            "ValueError: model format_version None: only 3 is read\n")
 
         run_cfg = tmp_path / "run" / "config.json"
         current = json.loads(run_cfg.read_text())
@@ -490,6 +483,21 @@ NON_FINITE = {
 # learner outputs one column, a SAMME learner one per class (here 2)
 OUTPUT_WIDTH = {"functional_output_width_3": 3, "samme_output_width_1": 1,
                 "samme_output_width_3": 3}
+# model.json values that no trainer writes, each refused naming its stage:
+# case -> (the stage and field the error names, stage index, key, value)
+UNWRITTEN = {
+    "wlc_alpha_true": ("stage 2 wlc", 1, "wlc", {"alpha": True, "beta": 0.5}),
+    "wlc_beta_true": ("stage 2 wlc", 1, "wlc", {"alpha": 2.0, "beta": True}),
+    "wlc_zero": ("stage 2 wlc", 1, "wlc", 0),
+    "wlc_empty_string": ("stage 2 wlc", 1, "wlc", ""),
+    "wlc_empty_list": ("stage 2 wlc", 1, "wlc", []),
+    "wlc_false": ("stage 2 wlc", 1, "wlc", False),
+    "kta_weight_true": ("stage 2 aggregator: weights", 1, "aggregator",
+                        {"kind": "kta", "weights": [1.0, 0.5, True, 0.25, 0.5],
+                         "n_deg": 3}),
+    "injection_rho_true": ("stage 2 aggregator: rho", 1, "aggregator",
+                           {"kind": "input_injection", "rho": True}),
+    "weight_negative": ("stage 2 weight", 1, "weight", -0.5)}
 
 
 class TestExitCodes:
@@ -630,17 +638,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", [
         "model_missing", "model_not_json", "model_without_mode",
-        "format_version_3", "weights_not_base64", "weights_wrong_length",
-        "activation_sigmoid", "bias_false", "base_normalized", "clip_other",
+        "format_version_2", "weights_not_base64", "weights_wrong_length",
+        "activation_sigmoid", "base_normalized", "clip_other",
         "weight_x", "first_stage_aggregator", "later_stage_aggregator_null",
-        "shapes_unchained", *HEADER_EDITS, *NON_FINITE, *OUTPUT_WIDTH])
+        "shapes_unchained", *HEADER_EDITS, *NON_FINITE, *OUTPUT_WIDTH,
+        *UNWRITTEN])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
-        # t* is a functional model's field, and aggregator weights a KTA
-        # model's
+        # t* is a functional model's field, aggregator weights a KTA
+        # model's and rho an injection model's
         mode = ("functional" if case.startswith(("t_star", "functional"))
                 else "samme")
-        variant = "kta" if case.startswith("kta") else "adj"
+        variant = {"kta": "kta", "injection": "input_injection"}.get(
+            case.split("_")[0], "adj")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(
             dataset_dir, seeds=[0], mode=mode, variant=variant)))
@@ -687,8 +697,9 @@ class TestExitCodes:
                     raw = bytearray(base64.b64decode(weights[0]))
                     raw[8:16] = np.array([value], dtype="<f8").tobytes()
                     weights[0] = base64.b64encode(raw).decode()
-            elif case == "format_version_3":
-                blob["format_version"] = 3
+            elif case == "format_version_2":
+                # a version-2 learner's last W^(1) row is a bias
+                blob["format_version"] = 2
             elif case == "weights_not_base64":
                 weights[0] = "%" + weights[0][1:]
             elif case == "weights_wrong_length":
@@ -700,13 +711,16 @@ class TestExitCodes:
             elif case == "clip_other":
                 blob["clip"] = 1e-6
             else:
-                learner["bias"] = False
+                _, stage, key, value = UNWRITTEN[case]
+                blob["stages"][stage][key] = value
             model.write_text(json.dumps(blob))
         assert main(args) == 3
         err = capsys.readouterr().err
         assert "data error" in err
         if case in NON_FINITE:
             assert NON_FINITE[case][0] in err and "finite" in err
+        if case in UNWRITTEN:
+            assert UNWRITTEN[case][0] in err
         if case in OUTPUT_WIDTH:
             assert f"stage 1 learner output width {OUTPUT_WIDTH[case]}:" in err
         if case == "functional_n_classes_5":
@@ -945,3 +959,82 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 4
         assert "numeric failure" in capsys.readouterr().err
+
+
+# values for one run-file field: every JSON type, bools, zero, negatives,
+# huge and non-finite numbers
+ODD_VALUES = (None, True, False, 0, 1, -1, 2.5, -0.5, 10 ** 20, 1e308,
+              float("nan"), float("inf"), "", "x", [], [1], {}, {"a": 1})
+
+
+def json_fields(node, path=()):
+    """The path of every value below a JSON object or array, containers
+    included."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield path + (key,)
+            yield from json_fields(child, path + (key,))
+
+
+class Hang(BaseException):
+    """Raised by the alarm; no handler of the CLI catches it."""
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """(data directory, run directories) of three runs trained on a 20-node
+    graph: SAMME on KTA, functional on input injection, SAMME on the fixed
+    operator."""
+    root = tmp_path_factory.mktemp("runs")
+    export_dataset(synthesize_two_block(20, 0.8, 0.1, seed=0), root / "data")
+    runs = []
+    for variant, mode in (("kta", "samme"), ("input_injection", "functional"),
+                          ("adj", "samme")):
+        cfg_path = root / f"{variant}.json"
+        cfg_path.write_text(json.dumps(base_config(
+            str(root / "data"), seeds=[0], variant=variant, mode=mode,
+            n_rounds=2, hidden_width=4, learner={"epochs": 3})))
+        cmd_train(str(cfg_path), str(root / variant))
+        runs.append(root / variant)
+    return root / "data", runs
+
+
+class TestRunFileProperty:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_one_changed_field_exits_with_a_documented_code(self, tiny_runs,
+                                                            data):
+        # one field of a run's model.json or config.json is set to an odd
+        # value or deleted; theory ends with exit 0, 2, 3 or 4, never a
+        # traceback, and within the alarm
+        data_dir, runs = tiny_runs
+        run = data.draw(st.sampled_from(runs))
+        model = run / "seed_0" / "model.json"
+        path = data.draw(st.sampled_from([model, run / "config.json"]))
+        original = path.read_text()
+        blob = json.loads(original)
+        *parents, key = data.draw(st.sampled_from(list(json_fields(blob))))
+        node = blob
+        for part in parents:
+            node = node[part]
+        value = data.draw(st.sampled_from(("delete",) + ODD_VALUES))
+        if value == "delete":
+            del node[key]
+        else:
+            node[key] = value
+        path.write_text(json.dumps(blob))
+
+        def hang(*_):
+            raise Hang(f"theory took over 10 s with {parents + [key]} = "
+                       f"{value!r}")
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            code = main(["theory", "--model", str(model), "--data",
+                         str(data_dir), "--out", str(run / "out")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            path.write_text(original)
+        assert code in (0, 2, 3, 4)

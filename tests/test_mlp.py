@@ -25,10 +25,10 @@ def fd_param_grads(params, x, upstream, eps=1e-4):
     return grads
 
 
-def augmented_reference(p, x, upstream):
-    """Forward output, weight gradients and input gradient of the map with
-    the bias as an explicit constant-1 input column: h = [x, 1] @ W^(1)."""
-    h = np.hstack([x, np.ones((len(x), 1))])
+def dense_reference(p, x, upstream):
+    """Forward output, weight gradients and input gradient of the map on
+    one input array x, by the textbook formulas: h = x @ W^(1)."""
+    h = x
     hiddens, preacts = [h], []
     for w in p.weights[:-1]:
         z = h @ w
@@ -42,37 +42,26 @@ def augmented_reference(p, x, upstream):
         d = (d @ p.weights[l + 1].T) * (preacts[l] > 0.0)
         grads.insert(0, hiddens[l].T @ d)
     dx = d @ p.weights[0].T
-    return out, grads, dx[:, :-1]
+    return out, grads, dx
 
 
-class TestFoldedBias:
-    """W^(1)'s last row added as the bias gives the map of the explicit
-    constant-1 column, with no copy of the input."""
+class TestNoBias:
+    """W^(1) has one row per input column and no bias row."""
 
-    @pytest.mark.parametrize("input_grad", [True, False])
-    @pytest.mark.parametrize("hidden", [(), (5, 4)])
-    def test_matches_augmented_reference(self, input_grad, hidden):
-        rng = np.random.default_rng(len(hidden) + 2 * input_grad)
-        x = rng.standard_normal((9, 3))
-        p = init_mlp((3, *hidden, 2), seed=21)
-        out, cache = forward(p, x)
-        upstream = rng.standard_normal(out.shape)
-        grads, dx = backward(p, cache, upstream, input_grad=input_grad)
-        ref_out, ref_grads, ref_dx = augmented_reference(p, x, upstream)
-        assert cache["hiddens"][0][0] is x
-        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
-        for g, r in zip(grads, ref_grads):
-            assert g.shape == r.shape
-            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
-        if input_grad:
-            np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
-        else:
-            assert dx is None
+    def test_first_layer_rows_are_the_input_width(self):
+        p = init_mlp((3, 5, 2), seed=0)
+        assert [w.shape for w in p.weights] == [(3, 5), (5, 2)]
+        # a bias-free map is positively homogeneous: f(s x) = s f(x)
+        x = np.random.default_rng(1).standard_normal((4, 3))
+        assert np.allclose(forward(p, 2.5 * x)[0], 2.5 * forward(p, x)[0],
+                           rtol=1e-14, atol=0)
+        assert np.array_equal(forward(p, np.zeros((4, 3)))[0],
+                              np.zeros((4, 2)))
 
     @pytest.mark.parametrize("wide", [True, False])
     def test_width_mismatch(self, wide):
-        # W^(1) has 4 rows, 3 features and the bias: neither the bias row
-        # counted as a feature (4 columns) nor one feature short (2) fits
+        # W^(1) has 3 rows, one per feature: neither a fourth column (the
+        # bias column of a version-2 learner) nor one feature short (2) fits
         p = init_mlp((3, 2), seed=0)
         with pytest.raises(ValueError, match="width"):
             forward(p, np.ones((2, 4 if wide else 2)))
@@ -88,9 +77,10 @@ class TestBlockInput:
         cur, x0 = rng.standard_normal((9, 3)), rng.standard_normal((9, 2))
         p = init_mlp((5, *hidden, 2), seed=22)
         out, cache = forward(p, cur, x0)
+        assert cache["hiddens"][0][0] is cur and cache["hiddens"][0][1] is x0
         upstream = rng.standard_normal(out.shape)
         grads, dx = backward(p, cache, upstream)
-        ref_out, ref_grads, ref_dx = augmented_reference(
+        ref_out, ref_grads, ref_dx = dense_reference(
             p, np.hstack([cur, x0]), upstream)
 
         def close(a, b):
@@ -107,8 +97,7 @@ class TestBlockInput:
         x = rng.standard_normal((9, 3))
         p = init_mlp((3, *hidden, 2), seed=23)
         w = p.weights
-        z = x @ w[0][:-1]
-        z += w[0][-1]
+        z = x @ w[0]
         if hidden:
             h = np.maximum(z, 0.0)
             want = h @ w[1]
@@ -119,8 +108,8 @@ class TestBlockInput:
         upstream = rng.standard_normal(out.shape)
         d = upstream @ w[1].T * (h > 0.0) if hidden else upstream
         grads, dx = backward(p, cache, upstream)
-        assert np.array_equal(grads[0], np.vstack([x.T @ d, d.sum(axis=0)]))
-        assert np.array_equal(dx, d @ w[0][:-1].T)
+        assert np.array_equal(grads[0], x.T @ d)
+        assert np.array_equal(dx, d @ w[0].T)
 
     def test_width_counts_every_block(self):
         p = init_mlp((5, 2), seed=0)
@@ -131,16 +120,16 @@ class TestBlockInput:
 
 class TestForward:
     def test_identity_extended_weights(self):
-        # (C+1) x C weight: identity on features, zero row for the bias
+        # C x C identity weight: the output is the input
         x = np.random.default_rng(0).standard_normal((5, 3))
-        w = np.vstack([np.eye(3), np.zeros((1, 3))])
+        w = np.eye(3)
         p = MlpParams(weights=[w])
         out, _ = forward(p, x)
         assert np.array_equal(out, x)
 
     def test_zero_weights_zero_output(self):
         x = np.random.default_rng(1).standard_normal((4, 2))
-        p = MlpParams(weights=[np.zeros((3, 3)), np.zeros((3, 1))])
+        p = MlpParams(weights=[np.zeros((2, 3)), np.zeros((3, 1))])
         out, _ = forward(p, x)
         assert np.all(out == 0.0)
 
@@ -148,8 +137,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 4))
         p = init_mlp((4, 5, 2), seed=3)
-        xa = np.hstack([x, np.ones((6, 1))])
-        expected = np.maximum(xa @ p.weights[0], 0.0) @ p.weights[1]
+        expected = np.maximum(x @ p.weights[0], 0.0) @ p.weights[1]
         out, _ = forward(p, x)
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -179,7 +167,7 @@ class TestBackward:
         assert np.all(dx == 0.0)
 
     def test_linear_least_squares_closed_form(self):
-        # single linear layer, squared loss: grad = x^T residual (x bias-augmented)
+        # single linear layer, squared loss: grad = x^T residual
         rng = np.random.default_rng(2)
         x = rng.standard_normal((10, 3))
         target = rng.standard_normal(10)
@@ -187,8 +175,7 @@ class TestBackward:
         out, cache = forward(p, x)
         resid = out[:, 0] - target
         grads, _ = backward(p, cache, resid[:, None])
-        xa = np.hstack([x, np.ones((10, 1))])
-        assert np.allclose(grads[0], xa.T @ resid[:, None])
+        assert np.allclose(grads[0], x.T @ resid[:, None])
 
     @pytest.mark.parametrize("widths", [
         (3, 1), (3, 4, 1), (3, 4, 4, 1), (3, 4, 4, 4, 1), (3, 4, 4, 4, 4, 1),
@@ -241,9 +228,11 @@ class TestFitToGradient:
         x = rng.standard_normal((30, 4))
         w_true = rng.standard_normal(4)
         target = x @ w_true + 0.3
+        # the learner has no bias, so the offset rides on a constant column
+        ones = np.ones((30, 1))
         cfg = TrainConfig(epochs=400, lr=0.05, weight_decay=0.0)
-        params, mse = fit_to_gradient((4, 1), cfg, (x,), target, np.arange(30),
-                                      seed=2)
+        params, mse = fit_to_gradient((5, 1), cfg, (x, ones), target,
+                                      np.arange(30), seed=2)
         assert mse < 1e-6
 
     @pytest.mark.filterwarnings("ignore:overflow")

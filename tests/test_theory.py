@@ -502,9 +502,10 @@ class TestTheoryReport:
 
     @pytest.mark.parametrize("runner", [run_functional_gb, run_samme],
                              ids=["functional", "samme"])
-    def test_learner_bound_reads_the_bias_column(self, runner):
-        # every learner's first layer ends in a bias row, so the bound
-        # reads [P^(t) X, 1], of norm sqrt(||P^(t) X||_F^2 + N)
+    def test_learner_bound_reads_the_stage_input(self, runner):
+        # the learners are bias-free, so the bound reads their input
+        # P^(t) X alone, with no ones column (whose norm sqrt(N) would
+        # add to every stage)
         ds = synthesize_two_block(24, 0.8, 0.1, seed=2)
         model, _, _ = runner(ds, BoostConfig(
             n_rounds=3, hidden=(8,), learner=TrainConfig(epochs=30),
@@ -513,9 +514,10 @@ class TestTheoryReport:
         root_mu = np.sqrt(ds.split.m * ds.split.u)
         for entry, stage in zip(report["complexity"], model.stages):
             assert stage.learner is not None
-            augmented = np.sqrt(entry["px_frobenius"] ** 2 + ds.n)
+            assert stage.learner.weights[0].shape[0] == ds.n_features
             assert entry["rademacher_bound"] == pytest.approx(
-                entry["d_constant"] * augmented / root_mu, rel=1e-12)
+                entry["d_constant"] * entry["px_frobenius"] / root_mu,
+                rel=1e-12)
 
     def test_hand_assembled_generalization_terms(self):
         # reproduce the four addends by hand from the report constants
@@ -542,8 +544,8 @@ class TestProp4MonteCarloVsClosedForm:
                                    x, operator, seed, bias=False):
         """Random members of the constrained two-stage class: aggregation
         X -> P X W (columns of W capped at c_tilde) followed by an MLP with
-        column caps b_tilde, bias-free or, with ``bias``, reading
-        [P X W, 1] as the trained learners do."""
+        column caps b_tilde, bias-free as the trained learners are or,
+        with ``bias``, reading [P X W, 1]."""
         rng = np.random.default_rng(seed)
         px = operator.apply(x)
         c = x.shape[1]
@@ -583,9 +585,10 @@ class TestProp4MonteCarloVsClosedForm:
         assert est + 3 * se <= bound
 
     def test_mc_with_bias_below_bound_on_augmented_input(self):
-        # on small features the bias row dominates the members' outputs:
-        # the closed form on ||P X||_F falls below them, the one on the
-        # learner's real input [P X, 1] stays above
+        # why the learners are bias-free: on small features a bias row
+        # dominates the members' outputs, so the closed form on ||P X||_F
+        # falls below them, and only the one on the input [P X, 1], of
+        # norm sqrt(||P X||_F^2 + N), stays above
         ds = synthesize_two_block(12, 0.7, 0.2, seed=0)
         operator = base_operator(ds.graph)
         x = 0.01 * np.random.default_rng(1).standard_normal((12, 3))
