@@ -188,11 +188,6 @@ def _training_chain(dataset: NodeDataset, spec: AggregatorSpec):
                         advance_by)
 
 
-def _width(blocks):
-    """Column count of a learner input given as blocks."""
-    return sum(block.shape[1] for block in blocks)
-
-
 def _cos(a, b):
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
@@ -252,7 +247,8 @@ def run_functional_gb(dataset: NodeDataset, cfg: BoostConfig):
     for t in range(1, cfg.n_rounds + 2):
         g = -surrogate_grad(yhat, y, split)
         aggregator, blocks = next(chain)
-        b_t, _ = fit_to_gradient((_width(blocks), *cfg.hidden, 1),
+        width = sum(block.shape[1] for block in blocks)
+        b_t, _ = fit_to_gradient((width, *cfg.hidden, 1),
                                  cfg.learner, blocks, m * g, split.train,
                                  seed=int(rng.integers(2 ** 31)))
         f_t = forward(b_t, *blocks)[0][:, 0]
@@ -285,7 +281,8 @@ def run_functional_gb(dataset: NodeDataset, cfg: BoostConfig):
 def run_samme(dataset: NodeDataset, cfg: BoostConfig):
     """Multiclass boosting with hard class votes: model weight
     lambda_t = log((1-e_t)/e_t) + log(K-1), multiplicative reweighting.
-    A weak learner with weighted error >= 1 - 1/K is retrained once; a
+    A weak learner with weighted error >= 1 - 1/K is retrained once on what
+    its input's leading direction leaves (``fit_classifier``'s deflate); a
     second failure records a zero-weight placeholder stage, lists the round
     in ``flags["skipped"]`` and boosting goes on. Returns (EnsembleModel,
     trace rows, score): the vote score after the last stage over all N
@@ -307,11 +304,13 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
 
     for t in range(1, cfg.n_rounds + 1):
         aggregator, blocks = next(chain)
+        width = sum(block.shape[1] for block in blocks)
         for attempt in range(2):
             b_t, werr = fit_classifier(
-                (_width(blocks), *cfg.hidden, k), cfg.learner, blocks, y,
+                (width, *cfg.hidden, k), cfg.learner, blocks, y,
                 weights, split.train,
-                seed=int(rng.integers(2 ** 31)) + attempt)
+                seed=int(rng.integers(2 ** 31)) + attempt,
+                deflate=bool(attempt))
             if werr < 1.0 - 1.0 / k:
                 break
         rejected = werr >= 1.0 - 1.0 / k

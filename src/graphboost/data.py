@@ -22,7 +22,6 @@ import numpy as np
 
 from .graph import GraphError, SparseGraph, read_edge_list, write_edge_list
 
-NORM_BLOCK = 1 << 16  # elements of row_normalize's |x| buffer: 512 KiB
 
 class DataError(ValueError):
     pass
@@ -115,18 +114,9 @@ def one_hot(labels, k):
 
 def row_normalize(x, out=None):
     """Scale each row to unit L1 norm; zero rows are left untouched. The
-    result is a new array, or ``out`` (``x`` itself normalises in place).
-    The sums of |x| are those of ``np.abs(x).sum(axis=1)``, taken through
-    one buffer laid out as ``x``, by blocks of about ``NORM_BLOCK``
-    elements and two rows or more (numpy sums a lone row pairwise, and the
-    rows of a Fortran-ordered array column by column)."""
+    result is a new array, or ``out`` (``x`` itself normalises in place)."""
     x = np.asarray(x, dtype=float)
-    n_blocks = max(1, len(x) // max(2, NORM_BLOCK // max(1, x.shape[1])))
-    bounds = [len(x) * i // n_blocks for i in range(n_blocks + 1)]
-    buf, norms = np.empty_like(x[bounds[-2]:]), np.empty((len(x), 1))
-    for start, stop in zip(bounds, bounds[1:]):
-        np.abs(x[start:stop], out=buf[:stop - start]).sum(
-            axis=1, keepdims=True, out=norms[start:stop])
+    norms = np.abs(x).sum(axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return np.divide(x, norms, out=out)
 

@@ -259,12 +259,14 @@ def fit_to_gradient(widths, cfg: TrainConfig, blocks, target, train_ids,
 
 
 def fit_classifier(widths, cfg: TrainConfig, blocks, labels, sample_weights,
-                   train_ids, seed=0):
+                   train_ids, seed=0, deflate=False):
     """Minimize weight-scaled multiclass cross-entropy on train nodes.
 
-    ``blocks`` is the tuple of the input's column blocks (see ``forward``);
-    ``seed`` draws only the initial weights. Returns the fitted params and
-    the weighted 0-1 train error.
+    ``blocks`` is the tuple of the input's column blocks; ``seed`` draws
+    only the initial weights. Train rows of RMS norm above 1 are read at 1,
+    bounding how far an Adam step moves the logits; ``deflate`` projects
+    out their leading direction and reads the rest at RMS norm 1. The scale
+    folds into W^(1). Returns the params and the weighted 0-1 train error.
     """
     labels = np.asarray(labels, dtype=np.int64)
     w = np.asarray(sample_weights, dtype=float)
@@ -276,6 +278,14 @@ def fit_classifier(widths, cfg: TrainConfig, blocks, labels, sample_weights,
         raise ValueError("sample weights sum to zero on the train set")
     params = init_mlp(widths, seed=seed)
     xt = _train_blocks(blocks, train_ids)
+    x = np.hstack(xt)
+    norm = np.linalg.norm(x)
+    target = min(norm, math.sqrt(len(x)))
+    if deflate:
+        v = np.linalg.svd(x, full_matrices=False)[2][0]
+        x -= np.outer(x @ v, v)
+        norm, target = np.linalg.norm(x), math.sqrt(len(x))
+    scale = target / norm if norm > 0 else 1.0
     yt = labels[train_ids]
     rows = np.arange(len(yt))
     row_scale = (wt / wsum)[:, None]
@@ -288,7 +298,10 @@ def fit_classifier(widths, cfg: TrainConfig, blocks, labels, sample_weights,
         upstream *= row_scale
         return float(-(wt * logp[rows, yt]).sum() / wsum), upstream
 
-    params = _fit_loop(params, cfg, xt, loss_grad)
+    params = _fit_loop(params, cfg, (x * scale,), loss_grad)
+    if deflate:
+        params.weights[0] -= np.outer(v, v @ params.weights[0])
+    params.weights[0] *= scale
     out, _ = forward(params, *xt)
     pred = np.argmax(out, axis=1)
     werr = float((wt * (pred != yt)).sum() / wsum)

@@ -3,8 +3,8 @@ path calls: the literal weak-learning norm test, its weighted-classification
 reformulation for sign-valued learners, the training-block Gram matrix and
 the kernel-target alignment that ``fit_kta`` ascends, with its gradient
 taken straight from the basis blocks, the textbook Adam step that every
-weight is trained by, the over-smoothing trajectory read off P's full
-eigendecomposition, and the row normalisation that allocates |x| whole."""
+weight is trained by, and the over-smoothing trajectory read off P's full
+eigendecomposition."""
 
 import math
 
@@ -147,12 +147,3 @@ def alignment_value_grad(basis_train, theta, k_target, eps=ALIGNMENT_EPS):
         dv = 2.0 * float(np.vdot(b, kz)) / v if v > 0 else 0.0
         grad[i] = (du - rho * c * dv) / denom
     return rho, grad
-
-
-def allocating_row_normalize(x):
-    """Unit-L1 rows from the row sums of one N x C array |x|, zero rows
-    left as they are."""
-    x = np.asarray(x, dtype=float)
-    norms = np.abs(x).sum(axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return x / norms

@@ -1,16 +1,14 @@
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from graphboost.data import (NORM_BLOCK, DataError, NodeDataset, Split,
-                             export_dataset, load_planetoid, one_hot,
-                             partition_constants, random_partition,
-                             row_normalize, synthesize_two_block)
+from graphboost.data import (DataError, NodeDataset, Split, export_dataset,
+                             load_planetoid, one_hot, partition_constants,
+                             random_partition, row_normalize,
+                             synthesize_two_block)
 from graphboost.graph import SparseGraph
-from reference import allocating_row_normalize
 
 
 class TestSplit:
@@ -146,42 +144,6 @@ class TestRowNormalize:
         out = row_normalize(x)
         assert np.allclose(np.abs(out).sum(axis=1), [1.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("layout", ["c", "fortran", "every_other_column",
-                                        "every_other_row", "integer"])
-    @pytest.mark.parametrize("shape", [(300, 7), (1000, 1433), (5, 70000),
-                                       (1, 70000), (0, 4), (6, 0)],
-                             ids=["narrow", "cora_width", "rows_over_block",
-                                  "one_row", "no_rows", "no_columns"])
-    def test_block_sums_are_the_whole_array_sums(self, shape, layout):
-        # every per-row sum of |x|, and so every normalised entry, is that
-        # of the formula on the whole array, in place or not; a row wider
-        # than NORM_BLOCK still goes two rows to a block
-        rng = np.random.default_rng(shape[0])
-        x = rng.standard_normal(shape) * rng.random(shape[1])
-        if shape[0] > 3:
-            x[2] = 0.0
-        x = {"c": x, "fortran": np.asfortranarray(x),
-             "every_other_column": x[:, ::2], "every_other_row": x[::2],
-             "integer": np.round(10 * x).astype(np.int64)}[layout]
-        want = allocating_row_normalize(x)
-        assert row_normalize(x).tobytes() == want.tobytes()
-        inplace = np.array(x, dtype=float, order="K")
-        assert row_normalize(inplace, out=inplace) is inplace
-        assert inplace.tobytes() == np.asarray(want, order="K").tobytes()
-
-    def test_in_place_peak_is_one_block(self):
-        # |x| is taken through one buffer of about NORM_BLOCK elements,
-        # not as a second N x C array
-        x = np.random.default_rng(0).random((3000, 300))  # 7.2 MB
-        tracemalloc.start()
-        try:
-            row_normalize(x, out=x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 8 * NORM_BLOCK + 8 * len(x) + 4096
-        assert peak < 0.1 * x.nbytes
-
 
 def write_tiny_dataset(directory, n=6, c=3, k=2):
     rng = np.random.default_rng(0)
@@ -261,25 +223,6 @@ class TestLoader:
         assert np.array_equal(load_planetoid(tmp_path).features,
                               row_normalize(raw))
         assert np.array_equal(raw, saved)
-
-    def test_normalising_adds_little_to_the_load_peak(self, tmp_path):
-        # the loader normalises the array it read in place, through one
-        # bounded buffer: a 3.2 MB feature array costs at most a tenth of
-        # itself more to load normalised than raw
-        base = synthesize_two_block(2000, 0.01, 0.002, seed=0)
-        features = np.random.default_rng(0).random((2000, 200))
-        export_dataset(NodeDataset(
-            graph=base.graph, features=features, labels=base.labels,
-            split=base.split, n_classes=2), tmp_path)
-        peaks = []
-        for normalize in (False, True):
-            tracemalloc.start()
-            try:
-                load_planetoid(tmp_path, normalize=normalize)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 0.1 * features.nbytes
 
 
 REFERENCE_COUNTS = {

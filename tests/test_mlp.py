@@ -332,18 +332,81 @@ class TestFitClassifier:
             fit_classifier((2, 2), TrainConfig(epochs=1), (np.ones((4, 2)),),
                            np.zeros(4, dtype=int), np.zeros(4), np.arange(4))
 
+    @pytest.mark.parametrize("s", [7.0, 1e4])
+    def test_rows_above_unit_norm_are_read_at_unit_norm(self, s):
+        # train rows of root-mean-square norm above 1 are read scaled down
+        # to 1: fitted on s x, W^(1) is W^(1) fitted on x divided by s, to
+        # rounding, and the classes are the same
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((30, 4))
+        assert np.linalg.norm(x) > np.sqrt(30)
+        y = rng.integers(0, 3, 30)
+        w = rng.random(30)
+        cfg = TrainConfig(epochs=20, lr=0.05)
+        base, werr = fit_classifier((4, 5, 3), cfg, (x,), y, w,
+                                    np.arange(30), seed=7)
+        got, werr_s = fit_classifier((4, 5, 3), cfg, (s * x,), y, w,
+                                     np.arange(30), seed=7)
+        assert np.allclose(s * got.weights[0], base.weights[0], rtol=1e-8,
+                           atol=1e-12)
+        assert np.allclose(got.weights[1], base.weights[1], rtol=1e-8,
+                           atol=1e-12)
+        assert werr_s == werr
 
-def reference_fit(widths, cfg, x, upstream_of, seed):
+    def test_rows_below_unit_norm_are_read_as_given(self):
+        # rows of root-mean-square norm at most 1 are not scaled up, so a
+        # deep stage's smaller input still makes a smaller learner output
+        rng, x, train = TestFullBatchFit.problem()
+        x = x / 100.0
+        labels = rng.integers(0, 3, 40)
+        cfg = TrainConfig(epochs=5, lr=0.05)
+        w = rng.random(40)
+        got, _ = fit_classifier((5, 7, 3), cfg, (x,), labels, w, train,
+                                seed=4)
+        wt = w[train]
+        onehot = np.eye(3)[labels[train]]
+
+        def upstream(out):
+            return (softmax(out) - onehot) * (wt / wt.sum())[:, None]
+        want = reference_fit((5, 7, 3), cfg, x[train], upstream, seed=4)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.weights, want.weights))
+
+    def test_deflated_fit_reads_what_the_leading_direction_leaves(self):
+        # rows c_i v + e_i u with every c_i > 0 and |e_i| <= 1e-3 c_i, the
+        # label the sign of e_i: W^(1) maps the rows' leading right
+        # singular direction (near v) to 0, and the learner reads the
+        # labels off the small residual, across two input blocks
+        rng = np.random.default_rng(8)
+        v, u = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+        y = np.repeat([0, 1], 20)
+        c = rng.uniform(1.0, 2.0, 40)
+        e = (2 * y - 1) * rng.uniform(2e-4, 1e-3, 40)
+        x = np.outer(c, v) + np.outer(e, u)
+        w = np.ones(40)
+        cfg = TrainConfig(epochs=50, lr=0.05)
+        params, werr = fit_classifier((3, 4, 2), cfg, (x[:, :1], x[:, 1:]),
+                                      y, w, np.arange(40), seed=2,
+                                      deflate=True)
+        w1 = params.weights[0]
+        lead = np.linalg.svd(x)[2][0]
+        assert np.abs(lead @ w1).max() <= 1e-12 * np.abs(w1).max()
+        assert werr == 0.0
+
+
+def reference_fit(widths, cfg, x, upstream_of, seed, s=1.0):
     """``init_mlp(widths, seed)`` stepped ``cfg.epochs`` times by the
-    textbook Adam on the full-batch gradient of the rows of ``x`` in their
-    given order; ``upstream_of(out)`` is the loss gradient in the output."""
+    textbook Adam on the full-batch gradient of the rows of ``s x`` in
+    their given order, and W^(1) then multiplied by s; ``upstream_of(out)``
+    is the loss gradient in the output."""
     params = init_mlp(widths, seed=seed)
     opt = AllocatingAdam(cfg.lr, cfg.weight_decay,
                          [w.shape for w in params.weights])
     for _ in range(cfg.epochs):
-        out, cache = forward(params, x)
+        out, cache = forward(params, x * s)
         grads, _ = backward(params, cache, upstream_of(out))
         opt.step(params.weights, grads)
+    params.weights[0] = params.weights[0] * s
     return params
 
 
@@ -384,7 +447,11 @@ class TestFullBatchFit:
 
         def upstream(out):
             return (softmax(out) - onehot) * (wt / wt.sum())[:, None]
-        want = reference_fit((5, 7, 3), cfg, x[train], upstream, seed=4)
+        # these train rows have root-mean-square norm above 1, so the
+        # classifier reads them scaled down to 1
+        s = np.sqrt(len(train)) / np.linalg.norm(x[train])
+        assert s < 1.0
+        want = reference_fit((5, 7, 3), cfg, x[train], upstream, seed=4, s=s)
         assert all(np.array_equal(a, b)
                    for a, b in zip(got.weights, want.weights))
 
