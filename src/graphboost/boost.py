@@ -87,7 +87,7 @@ def wlc_fit(z, g):
 @dataclass
 class StageRecord:
     aggregator: Polynomial | None  # None at the first stage
-    learner: MlpParams | None      # None marks a skipped round
+    learner: MlpParams             # kept at weight 0 by a rejected round
     weight: float                  # eta (functional) / lambda (SAMME)
     # (alpha, beta) fitted to the stage's contribution against the negative
     # gradient before it, in every mode; None where no fit exists
@@ -283,10 +283,11 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
     lambda_t = log((1-e_t)/e_t) + log(K-1), multiplicative reweighting.
     A weak learner with weighted error >= 1 - 1/K is retrained once on what
     its input's leading direction leaves (``fit_classifier``'s deflate); a
-    second failure records a zero-weight placeholder stage, lists the round
-    in ``flags["skipped"]`` and boosting goes on. Returns (EnsembleModel,
-    trace rows, score): the vote score after the last stage over all N
-    nodes, bit for bit the one ``predict`` replays."""
+    retry that also fails is kept with lambda = 0, the weight SAMME gives a
+    learner at chance, leaves the sample weights alone, and its round is
+    listed in ``flags["skipped"]``. Returns (EnsembleModel, trace rows,
+    score): the vote score after the last stage over all N nodes, bit for
+    bit the one ``predict`` replays."""
     y = dataset.labels
     split = dataset.split
     k = dataset.n_classes
@@ -311,33 +312,29 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
                 weights, split.train,
                 seed=int(rng.integers(2 ** 31)) + attempt,
                 deflate=bool(attempt))
-            if werr < 1.0 - 1.0 / k:
+            rejected = werr >= 1.0 - 1.0 / k
+            if not rejected:
                 break
-        rejected = werr >= 1.0 - 1.0 / k
-        logits = None if rejected else forward(b_t, *blocks)[0]
+        pred = np.argmax(forward(b_t, *blocks)[0], axis=1)
         blocks = None  # the stage's input is not held through the next advance
         g = -surrogate_grad(score, y, split)
         if rejected:
-            # rejected twice: this round contributes no member, but the
-            # representation already advanced, so record a placeholder
             flags.setdefault("skipped", []).append(t)
-            b_t, weight = None, 0.0
-            contrib = np.zeros_like(score)
+            weight = 0.0
         else:
             weight = samme_model_weight(werr, k)
-            pred = np.argmax(logits, axis=1)
-            contrib = weight * one_hot(pred, k)
             bad = pred[split.train] != y[split.train]
             weights[split.train] *= np.exp(weight * bad)
             weights /= weights.sum()
-            score = score + contrib
+        contrib = weight * one_hot(pred, k)
+        score = score + contrib
         fit = (wlc_fit((contrib / split.m).ravel(), g.ravel())
                if np.any(g) else None)
         stages.append(StageRecord(aggregator, b_t, weight, fit))
         trace.append(_trace_row(t, dataset, score, _cos(contrib, g), fit,
                                 fit is not None))
 
-    if not any(st.learner is not None for st in stages):
+    if len(flags.get("skipped", ())) == len(stages):
         raise AllRoundsRejected(
             "no weak learner beat chance in any round; nothing to predict "
             "with")
@@ -397,11 +394,11 @@ def _stack_scores(model: EnsembleModel, inputs, soft=False, caches=None):
     """The one forward pass over the stage stack, on the rows of the
     per-stage learner inputs ``inputs`` (a list or a ``stage_inputs``
     stream of block tuples): returns (running score by stage, raw learner
-    outputs, None at a skipped stage). Each ``_vote`` (softmax when
-    ``soft``) adds onto a score sized from the first input, so a skipped
-    first stage scores zeros. A ``caches`` list gets each stage's forward
-    cache (None when skipped), which holds its input; otherwise each input
-    is released before the next is drawn, which a ``zip`` would not do."""
+    outputs). Each ``_vote`` (softmax when ``soft``) adds onto a score of
+    zeros sized from the first input, as the drivers' scores start, so a
+    first stage of weight 0 scores zeros. A ``caches`` list gets each
+    stage's forward cache, which holds its input; otherwise each input is
+    released before the next is drawn, which a ``zip`` would not do."""
     scores, outputs = [], []
     for blocks in inputs:
         stage = model.stages[len(outputs)]
@@ -409,10 +406,8 @@ def _stack_scores(model: EnsembleModel, inputs, soft=False, caches=None):
             n = len(blocks[0])
             score = np.zeros(n if model.mode == "functional"
                              else (n, model.n_classes))
-        out = cache = None
-        if stage.learner is not None:
-            out, cache = forward(stage.learner, *blocks)
-            score = score + _vote(model, stage.weight, out, soft)
+        out, cache = forward(stage.learner, *blocks)
+        score = score + _vote(model, stage.weight, out, soft)
         scores.append(score)
         outputs.append(out)
         if caches is not None:
@@ -438,10 +433,7 @@ def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
     given (see ``replay_scores``).
     """
     scores = replay_scores(model, dataset, reps)
-    if model.mode == "functional":
-        final = scores[(model.t_star or len(scores)) - 1]
-    else:
-        final = scores[-1]
+    final = scores[(model.t_star or len(scores)) - 1]  # t* is functional's
     return final, classes_of(model, final)
 
 
@@ -497,9 +489,9 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     """
     mlp_grads, dxs = [], []
     for stage, cache, out in zip(model.stages, caches, logits_list):
-        grads, dx = ((None, None) if stage.learner is None else backward(
+        grads, dx = backward(
             stage.learner, cache, _vote_grad(model, stage.weight, out, dscore),
-            input_grad=chain is not None))
+            input_grad=chain is not None)
         mlp_grads.append(grads)
         dxs.append(dx)
 
@@ -510,8 +502,7 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     train = dataset.split.train
     d = np.zeros_like(chain[-1])
     for s in range(len(model.stages) - 1, 0, -1):
-        if dxs[s] is not None:
-            d[train] += dxs[s]
+        d[train] += dxs[s]
         aggregator = model.stages[s].aggregator
         if s == 1:  # the first aggregator's adjoint reaches no weight
             kta_grads[s] = aggregator.coef_grad(d, chain[0])
@@ -552,16 +543,14 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
         return model, report(before)
 
     work = replace(model, flags=dict(model.flags), stages=[
-        replace(st, learner=st.learner.copy() if st.learner else None)
-        for st in model.stages])
+        replace(st, learner=st.learner.copy()) for st in model.stages])
     kta_ids = (range(1, len(work.stages)) if work.aggregator_kind == "kta"
                else ())
     for s in kta_ids:
         # the copied KTA coefficient arrays are trained in place
         agg = work.stages[s].aggregator
         work.stages[s].aggregator = replace(agg, coefs=agg.coefs.astype(float))
-    params = [w for st in work.stages if st.learner
-              for w in st.learner.weights]
+    params = [w for st in work.stages for w in st.learner.weights]
     params += [work.stages[s].aggregator.coefs for s in kta_ids]
     opt = _Adam(cfg.lr, cfg.weight_decay, [p.shape for p in params])
 
@@ -577,7 +566,7 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
                     report(before))
         mlp_grads, kta_grads = _stack_gradients(work, dataset, dscore,
                                                 caches, logits_list, chain)
-        opt.step(params, [g for gs in mlp_grads if gs for g in gs]
+        opt.step(params, [g for gs in mlp_grads for g in gs]
                  + [kta_grads[s] for s in kta_ids])
         if kta_ids:
             # the old chain is let go before the replay builds the new one
@@ -639,7 +628,7 @@ def model_to_json(model: EnsembleModel) -> dict:
                 "weight": st.weight,
                 "wlc": ({"alpha": st.wlc.alpha, "beta": st.wlc.beta}
                         if st.wlc else None),
-                "learner": None if st.learner is None else {
+                "learner": {
                     "shapes": [list(w.shape) for w in st.learner.weights],
                     "weights": [_encode_weight(w)
                                 for w in st.learner.weights],
@@ -662,16 +651,20 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
     ``format_version`` (version-2 learners had a bias row), a mode other
     than functional or SAMME, another base or clip, fewer than two classes,
     a functional model of other than two, no stage, a stage weight that is
-    not a finite number >= 0, a t* that is not a stage index, an unknown
-    ``aggregator_kind``, flags that are not an object, an aggregator on the
-    first stage or a missing one on a later stage, a stage aggregator of
-    another kind than ``aggregator_kind`` or with parameters its family
-    refuses (a bool, or a KTA ``n_deg`` outside 0..``MAX_N_DEG``), a wlc
-    other than null or finite numbers alpha and beta, a KTA aggregator or
-    learner weight that is not finite, or a learner with another
-    activation, whose weight shapes do not chain as matrices, or whose
-    output width is not 1 (functional) or n_classes (SAMME), raises
-    ValueError naming the field and, for a stage's field, the stage."""
+    not a finite number >= 0, a t* that is not a stage index (functional)
+    or not null (SAMME), an unknown ``aggregator_kind``, flags that are not
+    an object or hold a flag other than a true ``fine_tune_diverged`` or a
+    non-empty, strictly ascending list of the rounds that a run lists in
+    ``skipped`` (SAMME) or ``wlc_failures`` (functional), an
+    aggregator on the first stage or a missing one on a later stage, a
+    stage aggregator of another kind than ``aggregator_kind`` or with
+    parameters its family refuses (a bool, or a KTA ``n_deg`` outside
+    0..``MAX_N_DEG``), a wlc other than null or finite numbers alpha and
+    beta, a KTA aggregator or learner weight that is not finite, or a
+    learner that is not an object, has another activation, whose weight
+    shapes do not chain as matrices, or whose output width is not 1
+    (functional) or n_classes (SAMME), raises ValueError naming the field
+    and, for a stage's field, the stage."""
     version = blob.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"model format_version {version!r}: only "
@@ -692,9 +685,11 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
     out_width = 1 if mode == "functional" else k
     if not (isinstance(blob_stages, list) and blob_stages):
         raise ValueError("stages: not a non-empty list")
-    if t_star is not None and not (_is_number(t_star, numbers.Integral)
-                                   and 1 <= t_star <= len(blob_stages)):
-        raise ValueError(f"t_star {t_star!r}: not null or a stage index")
+    if mode == "samme" and t_star is not None:
+        raise ValueError(f"t_star {t_star!r}: a samme model has none")
+    if mode == "functional" and not (_is_number(t_star, numbers.Integral)
+                                     and 1 <= t_star <= len(blob_stages)):
+        raise ValueError(f"t_star {t_star!r}: not a stage index")
     kind, flags = blob["aggregator_kind"], blob.get("flags", {})
     if kind not in ("fixed", "input_injection", "kta"):
         raise ValueError(f"aggregator_kind {kind!r}: not 'fixed', "
@@ -717,30 +712,29 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
             raise ValueError(f"stage {idx + 1} aggregator {agg!r}: not one "
                              f"of aggregator_kind {kind!r}")
         lrn = st["learner"]
-        if lrn is None:
-            params = None
-        else:
-            shapes = lrn["shapes"]
-            weights = [_decode_weight(w, shape)
-                       for w, shape in zip(lrn["weights"], shapes)]
-            if not (0 < len(shapes) == len(lrn["weights"])
-                    and all(w.ndim == 2 for w in weights)
-                    and all(a.shape[1] == b.shape[0]
-                            for a, b in zip(weights, weights[1:]))):
-                raise ValueError(f"learner shapes {shapes!r}: not a chain "
-                                 "of matrices")
-            if weights[-1].shape[1] != out_width:
-                raise ValueError(
-                    f"stage {idx + 1} learner output width "
-                    f"{weights[-1].shape[1]}: a {mode} model with n_classes "
-                    f"{k} needs {out_width}")
-            if not all(np.isfinite(w).all() for w in weights):
-                raise ValueError(f"stage {idx + 1} learner weights: not all "
-                                 "finite")
-            if lrn["activation"] != "relu":
-                raise ValueError(f"learner activation {lrn['activation']!r}: "
-                                 "only 'relu' is read")
-            params = MlpParams(weights=weights)
+        if not isinstance(lrn, dict):
+            raise ValueError(f"stage {idx + 1} learner {lrn!r}: not an "
+                             "object")
+        shapes = lrn["shapes"]
+        weights = [_decode_weight(w, shape)
+                   for w, shape in zip(lrn["weights"], shapes)]
+        if not (0 < len(shapes) == len(lrn["weights"])
+                and all(w.ndim == 2 for w in weights)
+                and all(a.shape[1] == b.shape[0]
+                        for a, b in zip(weights, weights[1:]))):
+            raise ValueError(f"stage {idx + 1} learner shapes {shapes!r}: "
+                             "not a chain of matrices")
+        if weights[-1].shape[1] != out_width:
+            raise ValueError(
+                f"stage {idx + 1} learner output width "
+                f"{weights[-1].shape[1]}: a {mode} model with n_classes {k} "
+                f"needs {out_width}")
+        if not all(np.isfinite(w).all() for w in weights):
+            raise ValueError(f"stage {idx + 1} learner weights: not all "
+                             "finite")
+        if lrn["activation"] != "relu":
+            raise ValueError(f"stage {idx + 1} learner activation "
+                             f"{lrn['activation']!r}: only 'relu' is read")
         wlc = st["wlc"]
         if wlc is not None and not (isinstance(wlc, dict) and all(
                 _is_number(wlc.get(k)) and math.isfinite(wlc[k])
@@ -754,8 +748,20 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
         if aggregator is not None and not np.isfinite(aggregator.coefs).all():
             raise ValueError(f"stage {idx + 1} aggregator weights: not all "
                              "finite")
-        stages.append(StageRecord(aggregator, params, weight,
-                                  None if wlc is None else WlcParams(**wlc)))
+        stages.append(StageRecord(
+            aggregator, MlpParams(weights=weights), weight,
+            None if wlc is None else WlcParams(**wlc)))
+    listed = "skipped" if mode == "samme" else "wlc_failures"
+    rounds = [t for t, st in enumerate(stages, 1)
+              if (st.weight == 0.0 if mode == "samme"
+                  else t > 1 and st.wlc is None)]
+    for key, value in flags.items():
+        if not ((value is True) if key == "fine_tune_diverged" else
+                key == listed and isinstance(value, list) and value
+                and all(_is_number(t, numbers.Integral) for t in value)
+                and value == [t for t in rounds if t in value]):
+            raise ValueError(f"flags {key!r} {value!r}: no {mode} run "
+                             "writes it")
     return EnsembleModel(mode=mode, n_classes=k, stages=stages,
                          t_star=t_star, aggregator_kind=kind, flags=flags)
 

@@ -273,7 +273,7 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     width = dataset.features.shape[1] * (
         2 if model.aggregator_kind == "input_injection" else 1)
     for stage in model.stages:
-        if stage.learner and stage.learner.weights[0].shape[0] != width:
+        if stage.learner.weights[0].shape[0] != width:
             raise DataError(
                 f"{model_path} has learners that read "
                 f"{stage.learner.weights[0].shape[0]} input columns, "

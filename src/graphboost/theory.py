@@ -337,22 +337,15 @@ def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
             a_t = (float(np.abs(coefs).sum()) * a_t
                    + abs(stage.aggregator.inject))
             upper_bound = upper_bound or bool(np.any(coefs < 0.0))
-        if stage.learner is None:
-            # skipped round: the stage contributes the zero function
-            entry = {"t": t, "b_tilde": 0.0, "d_constant": 0.0,
-                     "px_frobenius": px, "rademacher_bound": 0.0,
-                     "eta": 0.0, "eta_term": 0.0}
-        else:
-            bt = max_column_l1(stage.learner)
-            constants = ComplexityConstants(
-                n_layers=stage.learner.n_layers, b_tilde=bt,
-                c_tildes=(1.0,) * idx, m=m, u=u)
-            bound = rademacher_bound(constants, px)
-            entry = {"t": t, "b_tilde": bt,
-                     "d_constant": constants.d_constant,
-                     "px_frobenius": px, "rademacher_bound": bound,
-                     "eta": stage.weight,
-                     "eta_term": abs(stage.weight) * bound}
+        # a rejected SAMME round's weight 0 gives it eta_term 0
+        bt = max_column_l1(stage.learner)
+        constants = ComplexityConstants(
+            n_layers=stage.learner.n_layers, b_tilde=bt,
+            c_tildes=(1.0,) * idx, m=m, u=u)
+        bound = rademacher_bound(constants, px)
+        entry = {"t": t, "b_tilde": bt, "d_constant": constants.d_constant,
+                 "px_frobenius": px, "rademacher_bound": bound,
+                 "eta": stage.weight, "eta_term": abs(stage.weight) * bound}
         entry["op_norm"] = math.sqrt(1.0 + a_t * a_t) if injected else a_t
         if upper_bound:
             entry["op_norm_upper_bound"] = True

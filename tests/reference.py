@@ -3,8 +3,8 @@ path calls: the literal weak-learning norm test, its weighted-classification
 reformulation for sign-valued learners, the training-block Gram matrix and
 the kernel-target alignment that ``fit_kta`` ascends, with its gradient
 taken straight from the basis blocks, the textbook Adam step that every
-weight is trained by, and the over-smoothing trajectory read off P's full
-eigendecomposition."""
+weight is trained by, the over-smoothing trajectory read off P's full
+eigendecomposition, and the shape check of acceptance criterion 2."""
 
 import math
 
@@ -24,6 +24,23 @@ def wlc_check(z, g, params: WlcParams) -> bool:
     if gn == 0.0:
         raise ValueError("gradient vector must be nonzero")
     return bool(np.linalg.norm(z - params.alpha * g) <= params.beta * gn)
+
+
+def curve_shape(rows, band_share=0.05):
+    """Criterion 2's shape check on trace rows in round order (each with
+    ``cos_theta``, ``train_loss`` and ``test_err``): returns (prefix, risen),
+    where prefix counts the leading rounds of positive angle and risen
+    lists the metrics that, within that prefix, rise from one round to the
+    next by more than ``band_share`` of their value at the first round."""
+    prefix = 0
+    while prefix < len(rows) and rows[prefix]["cos_theta"] > 0:
+        prefix += 1
+    risen = []
+    for metric in ("train_loss", "test_err"):
+        vals = [row[metric] for row in rows[:prefix]]
+        if any(b > a + band_share * vals[0] for a, b in zip(vals, vals[1:])):
+            risen.append(metric)
+    return prefix, risen
 
 
 def weighted_error_form(z, g):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from graphboost.boost import (AggregatorSpec, BoostConfig, EnsembleModel,
 from graphboost.data import synthesize_two_block
 from graphboost.graph import base_operator
 from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
-from reference import AllocatingAdam, weighted_error_form, wlc_check
+from graphboost.theory import build_theory_report
+from reference import (AllocatingAdam, curve_shape, weighted_error_form,
+                       wlc_check)
 
 
 class TestWlcCheck:
@@ -215,18 +218,37 @@ class TestFunctionalGB:
                           learner=TrainConfig(epochs=10), seed=17)
         model, trace, _ = run_samme(ds, cfg)
         write_trace_csv(trace, tmp_path / "trace.csv")
-        back = read_trace_csv(tmp_path / "trace.csv")
-        prefix = 0
-        for row in back:
-            if row["cos_theta"] > 0:
-                prefix += 1
-            else:
-                break
+        prefix, risen = curve_shape(read_trace_csv(tmp_path / "trace.csv"))
         assert prefix >= 5
-        for metric in ("train_loss", "test_err"):
-            vals = [r[metric] for r in back[:prefix]]
-            band = 0.05 * vals[0]
-            assert all(b <= a + band for a, b in zip(vals, vals[1:]))
+        assert not risen
+
+
+class TestCurveShape:
+    """The criterion-2 shape check on hand-built traces."""
+
+    @staticmethod
+    def trace(cos, train_loss, test_err):
+        return [{"cos_theta": c, "train_loss": a, "test_err": b}
+                for c, a, b in zip(cos, train_loss, test_err)]
+
+    def test_rise_beyond_the_band_in_the_prefix_fails(self):
+        rows = self.trace([0.5, 0.4, 0.3, 0.2], [1.0, 0.8, 0.86, 0.7],
+                          [0.4, 0.3, 0.3, 0.2])
+        assert curve_shape(rows) == (4, ["train_loss"])
+
+    def test_rise_after_the_first_non_positive_angle_passes(self):
+        rows = self.trace([0.5, 0.4, 0.0, 0.3], [1.0, 0.8, 0.7, 5.0],
+                          [0.4, 0.3, 0.9, 0.9])
+        assert curve_shape(rows) == (2, [])
+
+    def test_rise_of_exactly_the_band_passes(self):
+        loss, err = [1.0, 0.8], [0.4, 0.3]
+        loss.append(loss[-1] + 0.05 * loss[0])
+        err.append(err[-1] + 0.05 * err[0])
+        rows = self.trace([0.5, 0.4, 0.3], loss, err)
+        assert curve_shape(rows) == (3, [])
+        rows[2]["test_err"] = np.nextafter(err[-1], 1.0)
+        assert curve_shape(rows) == (3, ["test_err"])
 
 
 class TestSammeFormulas:
@@ -237,6 +259,16 @@ class TestSammeFormulas:
 
     def test_quarter_error_binary(self):
         assert samme_model_weight(0.25, 2) == pytest.approx(np.log(3.0))
+
+
+def rejecting_run(kind):
+    """(dataset, model, trace) of a six-round SAMME run that rejects
+    rounds 2, 3, 5 and 6 (``fixed``) or 2, 4 and 5 (``kta``)."""
+    ds = synthesize_two_block(40, 0.8, 0.1, seed=3, noise=0.5)
+    model, trace, _ = run_samme(ds, BoostConfig(
+        n_rounds=6, hidden=(4,), learner=TrainConfig(epochs=5),
+        aggregator=AggregatorSpec(kind=kind), seed=0))
+    return ds, model, trace
 
 
 class TestSammeRuns:
@@ -273,22 +305,70 @@ class TestSammeRuns:
         model, trace, _ = run_samme(ds, cfg)
         assert trace[-1]["test_err"] < 0.5
 
-    def test_rejected_rounds_are_skipped_placeholders(self):
-        ds = synthesize_two_block(16, 0.6, 0.4, seed=7, noise=3.0)
-        cfg = BoostConfig(
-            n_rounds=6, hidden=(2,),
-            learner=TrainConfig(epochs=1, lr=1e-9), seed=9)
-        try:
-            model, trace, _ = run_samme(ds, cfg)
-        except RuntimeError:
-            return  # every round rejected; covered below deterministically
-        assert len(model.stages) == 6
-        for t in model.flags.get("skipped", []):
-            st = model.stages[t - 1]
-            assert st.learner is None and st.weight == 0.0
-        # replay still works across placeholders
-        _, classes = predict(model, ds)
-        assert classes.shape == (16,)
+    def test_rejected_rounds_keep_their_learner_at_weight_zero(
+            self, monkeypatch):
+        # a round rejected twice keeps its last fit at lambda = 0: it adds
+        # nothing to the score and leaves the sample weights the next
+        # round is fitted on as they were
+        from graphboost.mlp import fit_classifier
+        fits = []
+
+        def recording_fit(shape, cfg, blocks, y, weights, train, *,
+                          deflate, **kw):
+            if not deflate:  # the first fit of a round
+                fits.append(weights.copy())
+            return fit_classifier(shape, cfg, blocks, y, weights, train,
+                                  deflate=deflate, **kw)
+        monkeypatch.setattr("graphboost.boost.fit_classifier", recording_fit)
+        ds, model, trace = rejecting_run("fixed")
+        skipped = model.flags["skipped"]
+        assert skipped == [2, 3, 5, 6] and len(fits) == 6
+        width = ds.features.shape[1]
+        scores = replay_scores(model, ds)
+        for t, st in enumerate(model.stages, 1):
+            assert [w.shape for w in st.learner.weights] == [(width, 4),
+                                                             (4, 2)]
+            assert (st.weight == 0.0) == (t in skipped)
+            if t < len(fits):
+                assert np.array_equal(fits[t], fits[t - 1]) == (t in skipped)
+            if t in skipped:
+                assert np.array_equal(scores[t - 1], scores[t - 2])
+                assert trace[t - 1]["cos_theta"] == 0.0
+                assert model.stages[t - 1].wlc is None
+
+    @pytest.mark.parametrize("kind", ["fixed", "kta"])
+    def test_rejected_learner_is_inert(self, kind):
+        # random weights in place of each rejected round's learner change
+        # no score, no bound and, at weight decay 0, no fine-tuned weight:
+        # a weight-0 stage gets zero gradients
+        ds, model, _ = rejecting_run(kind)
+        skipped = model.flags["skipped"]
+        rng = np.random.default_rng(0)
+        other = replace(model, stages=[
+            replace(st, learner=MlpParams(weights=[
+                rng.standard_normal(w.shape) for w in st.learner.weights]))
+            if t in skipped else st
+            for t, st in enumerate(model.stages, 1)])
+        for a, b in zip(replay_scores(model, ds), replay_scores(other, ds)):
+            assert a.tobytes() == b.tobytes()
+        assert (predict(model, ds)[0].tobytes()
+                == predict(other, ds)[0].tobytes())
+        assert (build_theory_report(model, ds)["generalization"]["total"]
+                == build_theory_report(other, ds)["generalization"]["total"])
+        cfg = FineTuneConfig(epochs=3, weight_decay=0.0)
+        tuned, _ = fine_tune(model, ds, cfg)
+        tuned_other, _ = fine_tune(other, ds, cfg)
+        for t, st in enumerate(tuned_other.stages, 1):
+            want = (other if t in skipped else tuned).stages[t - 1]
+            for a, b in zip(st.learner.weights, want.learner.weights):
+                assert a.tobytes() == b.tobytes()
+            if kind == "kta" and t > 1:
+                assert (st.aggregator.coefs.tobytes()
+                        == tuned.stages[t - 1].aggregator.coefs.tobytes())
+        # while the accepted learners do train
+        assert any(not np.array_equal(a, b)
+                   for st, new in zip(model.stages, tuned.stages)
+                   for a, b in zip(st.learner.weights, new.learner.weights))
 
     def test_all_rounds_rejected_raises(self):
         # constant features force constant predictions; with a perfectly
@@ -347,7 +427,8 @@ class TestSammeRuns:
 
 def hand_built_models():
     """Three models whose saved bytes are pinned below, one per aggregator
-    kind, on an 8-node graph."""
+    kind, on an 8-node graph. The SAMME models' last stage has weight 0, as
+    a rejected round keeps its learner."""
     ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
     op = base_operator(ds.graph)
     first = MlpParams(weights=[np.array(
@@ -359,7 +440,7 @@ def hand_built_models():
         "fixed": EnsembleModel(
             mode="samme", n_classes=2, aggregator_kind="fixed",
             stages=[StageRecord(None, first, 0.75),
-                    StageRecord(fixed(op), None, 0.0)]),
+                    StageRecord(fixed(op), first, 0.0)]),
         "input_injection": EnsembleModel(
             mode="functional", n_classes=2, t_star=2,
             aggregator_kind="input_injection",
@@ -374,7 +455,7 @@ def hand_built_models():
                     StageRecord(kta(op, 3, np.array(
                         [1.0, 0.5, 0.25, 0.125, 1.0 / 7.0])), second, 1.5,
                         WlcParams(alpha=2.0, beta=0.5)),
-                    StageRecord(kta(op), None, 0.0)]),
+                    StageRecord(kta(op), second, 0.0)]),
     }
     return ds, models
 
@@ -394,9 +475,6 @@ def assert_same_model(got, want):
             assert a.aggregator.inject == b.aggregator.inject
             assert (np.asarray(a.aggregator.coefs, dtype=float).tobytes()
                     == np.asarray(b.aggregator.coefs, dtype=float).tobytes())
-        if b.learner is None:
-            assert a.learner is None
-            continue
         assert [w.shape for w in a.learner.weights] == [
             w.shape for w in b.learner.weights]
         for wa, wb in zip(a.learner.weights, b.learner.weights):
@@ -409,8 +487,8 @@ _V1_LEARNER = ('"learner": {"shapes": [[3, 1]], "weights": [[-0.5, 3.0, '
                '"bias": true}')
 
 # model.json bytes of hand_built_models() as format version 1 wrote them:
-# no format_version, weights as decimal lists, and a "head" key. No reader
-# of this format is left
+# no format_version, weights as decimal lists, a "head" key, and a null
+# learner at each weight-0 stage. No reader of this format is left
 VERSION_1_BYTES = {
     "fixed": (
         '{"mode": "samme", "n_classes": 2, "t_star": null, '
@@ -495,20 +573,25 @@ VERSION_2_BYTES = {
 
 _V3_LEARNER = ('"learner": {"shapes": [[3, 1]], "weights": '
                '["AAAAAAAA4L8AAAAAAAAIQAAAAAAAANA/"], "activation": "relu"}')
+_V3_FIRST = ('"learner": {"shapes": [[3, 2]], "weights": '
+             '["AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAAAECX1EZG9Q5nPFVVVVVVVd'
+             'U/"], "activation": "relu"}')
+_V3_SECOND = ('"learner": {"shapes": [[3, 1], [1, 2]], "weights": '
+              '["AAAAAAAA+D+amZmZmZnJvwAAAAAAAAAA", '
+              '"AAAAAAAAED4AAAAAAAAAgA=="], "activation": "relu"}')
 
 # the same models in format version 3, whose learners have no bias row:
-# the version-2 bytes without each learner's "bias" key. The learners read
+# the version-2 bytes without each learner's "bias" key, and with every
+# stage's learner written, the weight-0 stages' too. The learners read
 # three input columns
 VERSION_3_BYTES = {
     "fixed": (
         '{"format_version": 3, "mode": "samme", "n_classes": 2, '
         '"t_star": null, "base": "augmented", "aggregator_kind": "fixed", '
         '"clip": 1e-07, "flags": {}, "stages": [{"aggregator": null, '
-        '"weight": 0.75, "wlc": null, "learner": {"shapes": [[3, 2]], '
-        '"weights": ["AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAAAECX1EZG9Q5nPF'
-        'VVVVVVVdU/"], "activation": "relu"}}, '
+        f'"weight": 0.75, "wlc": null, {_V3_FIRST}}}, '
         '{"aggregator": {"kind": "fixed"}, "weight": 0.0, "wlc": null, '
-        '"learner": null}]}'),
+        f'{_V3_FIRST}}}]}}'),
     "input_injection": (
         '{"format_version": 3, "mode": "functional", "n_classes": 2, '
         '"t_star": 2, "base": "augmented", '
@@ -524,17 +607,13 @@ VERSION_3_BYTES = {
         '{"format_version": 3, "mode": "samme", "n_classes": 2, '
         '"t_star": null, "base": "augmented", "aggregator_kind": "kta", '
         '"clip": 1e-07, "flags": {"skipped": [3]}, "stages": '
-        '[{"aggregator": null, "weight": 0.75, "wlc": null, "learner": '
-        '{"shapes": [[3, 2]], "weights": ["AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/'
-        'AAAAAAAAAECX1EZG9Q5nPFVVVVVVVdU/"], "activation": "relu"}}, '
+        f'[{{"aggregator": null, "weight": 0.75, "wlc": null, {_V3_FIRST}}}, '
         '{"aggregator": {"kind": "kta", "weights": '
         '[1.0, 0.5, 0.25, 0.125, 0.14285714285714285], "n_deg": 3}, '
-        '"weight": 1.5, "wlc": {"alpha": 2.0, "beta": 0.5}, "learner": '
-        '{"shapes": [[3, 1], [1, 2]], "weights": '
-        '["AAAAAAAA+D+amZmZmZnJvwAAAAAAAAAA", "AAAAAAAAED4AAAAAAAAAgA=="], '
-        '"activation": "relu"}}, {"aggregator": {"kind": '
-        '"kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], "n_deg": 3}, '
-        '"weight": 0.0, "wlc": null, "learner": null}]}'),
+        '"weight": 1.5, "wlc": {"alpha": 2.0, "beta": 0.5}, '
+        f'{_V3_SECOND}}}, '
+        '{"aggregator": {"kind": "kta", "weights": [1.0, 1.0, 1.0, 1.0, 1.0], '
+        f'"n_deg": 3}}, "weight": 0.0, "wlc": null, {_V3_SECOND}}}]}}'),
 }
 
 
@@ -604,13 +683,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{value!r}"):
             model_from_json(blob, ds.graph)
 
+    def test_written_flags_read(self):
+        # every flag a run writes: the weight-0 SAMME stages as skipped, a
+        # functional stage after the first without a w.l.c. fit, and a
+        # diverged fine-tune
+        ds, models = hand_built_models()
+        for name, flags in (("fixed", {"skipped": [2]}),
+                            ("kta", {"skipped": [3],
+                                     "fine_tune_diverged": True}),
+                            ("input_injection", {"wlc_failures": [3],
+                                                 "fine_tune_diverged": True})):
+            model = replace(models[name], flags=flags)
+            blob = json.loads(json.dumps(model_to_json(model)))
+            assert_same_model(model_from_json(blob, ds.graph), model)
+
     def test_round_trip_extreme_values(self, tmp_path):
         ds = synthesize_two_block(8, 0.9, 0.1, seed=0)
         # a Fortran-ordered matrix checks that the bytes are row-major
         first = np.asfortranarray(
             [[-0.0, 5e-324], [1e308, 1.0 / 3.0], [-1e308, -5e-324]])
         learner = MlpParams(weights=[first, np.array([[1.0 / 3.0], [-0.0]])])
-        model = EnsembleModel(mode="functional", n_classes=2,
+        model = EnsembleModel(mode="functional", n_classes=2, t_star=1,
                               stages=[StageRecord(None, learner, 0.5)])
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -650,16 +743,18 @@ class TestSerialization:
 
 
 # SHA-256 of (model.json, trace.csv) as the trainers write them. Every run
-# uses seed 1; the nine-round SAMME KTA run skips round 8. Taken when the
-# learners lost their bias row (model format version 3) and the
-# classifier fit began to read train rows of root-mean-square norm above 1
-# scaled to 1
+# uses seed 1; the SAMME fixed-chain run skips round 4 and the nine-round
+# SAMME KTA run round 8. Taken when the learners lost their bias row (model
+# format version 3) and the classifier fit began to read train rows of
+# root-mean-square norm above 1 scaled to 1; the two SAMME runs with
+# skipped rounds took their model hash again when a skipped round began
+# to keep its learner
 TRAINED_BYTES = {
     "functional-fixed": (
         "7236083eedce3917af205a235e9db793d691c573f6191151e98aaf864cca519f",
         "1f37b1c1ccf02f12c13c5645d7e813723b56724541a7242e445b83e9aee2e22a"),
     "samme-fixed": (
-        "3524eca4b1ae733dcf78a330693ce0e0d93a2b2f000bbaec7d9e4acbd5e6ab16",
+        "45863bc88532b66acff849bfe8a542359c40ad44c362526228e1eb01b4794993",
         "61e55f4391c440a997bd588527116c11618f4a9f984760054878406841f66385"),
     "functional-input_injection": (
         "8120c268935bf7a9927c884b8017c249a995907fdc4e6a73f1b578354fb32990",
@@ -674,7 +769,7 @@ TRAINED_BYTES = {
         "12364e107465c2721f174c8f14dedd576faa7c09340901732ea589f24b14b080",
         "5cf867bb00eaab4aaf9ff156e88c59eb5091e003a341e76869760be343fc9627"),
     "samme-kta-skips": (
-        "24c29a6e1f6a02b54223d8ce8eefe2a455415f026c23e92659db0535bb7c349f",
+        "e7f5f4665189422295d088a549721aec3b88fe0091916c32166b7f604e7a5708",
         "92c432890aecf1a7bf72dceca8532a44494d19e244f99f754c5c21e90bf5c6e1"),
 }
 
@@ -1162,11 +1257,12 @@ class TestPredict:
 
     @pytest.mark.parametrize("kind", ["fixed", "kta"])
     def test_skipped_first_stage_scores_zeros(self, kind):
-        # the placeholder run_samme records when round 1 is rejected twice:
-        # no learner and weight 0, so the score by stage starts from zeros
+        # the stage run_samme records when round 1 is rejected twice: its
+        # learner at weight 0, so the score by stage starts from zeros
         from graphboost.boost import stage_representations
         ds, model, _ = noisy_run(kind, "samme")
-        model.stages[0] = StageRecord(None, None, 0.0)
+        first = model.stages[0].learner
+        model.stages[0] = StageRecord(None, first, 0.0)
         model.flags["skipped"] = [1]
         train = ds.split.train
         streamed = replay_scores(model, ds)
@@ -1179,7 +1275,8 @@ class TestPredict:
         for a, b in zip(streamed, on_train):
             assert np.array_equal(a[train], b)
         tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=1))
-        assert tuned.stages[0].learner is None
+        for a, b in zip(tuned.stages[0].learner.weights, first.weights):
+            assert a.tobytes() == b.tobytes()
         assert "fine_tune_diverged" not in tuned.flags
         assert np.isfinite(info["train_err"]).all()
 

@@ -471,7 +471,27 @@ HEADER_EDITS = {
     "t_star_1.5": {"t_star": 1.5}, "t_star_0": {"t_star": 0},
     "aggregator_kind_kta": {"aggregator_kind": "kta"},
     "aggregator_kind_bogus": {"aggregator_kind": "bogus"},
-    "flags_list": {"flags": []}, "functional_n_classes_5": {"n_classes": 5}}
+    "flags_list": {"flags": []}, "functional_n_classes_5": {"n_classes": 5},
+    "t_star_null": {"t_star": None}, "samme_t_star_1": {"t_star": 1}}
+# flags that no run writes, each refused naming its key: case -> (flags,
+# the stages, 1-based, set to weight 0 so that only the flag is wrong)
+FLAGS = {
+    "flags_key_other": ({"whatever": [1, 2]}, ()),
+    "flags_wlc_failures_on_samme": ({"wlc_failures": [2]}, ()),
+    "flags_skipped_string": ({"skipped": "x"}, ()),
+    "flags_skipped_empty": ({"skipped": []}, ()),
+    "flags_skipped_accepted_round": ({"skipped": [2]}, ()),
+    "flags_skipped_beyond_the_stages": ({"skipped": [4]}, ()),
+    "flags_skipped_descending": ({"skipped": [3, 2]}, (2, 3)),
+    "flags_skipped_repeated": ({"skipped": [2, 2]}, (2,)),
+    "flags_skipped_bool": ({"skipped": [True]}, (1,)),
+    "flags_skipped_float": ({"skipped": [2.0]}, (2,)),
+    "flags_diverged_no": ({"fine_tune_diverged": "no"}, ()),
+    "functional_flags_key_other": ({"whatever": [1, 2]}, ()),
+    "functional_flags_skipped": ({"skipped": [2]}, (2,)),
+    "functional_flags_wlc_failures_first_stage": ({"wlc_failures": [1]}, ()),
+    "functional_flags_wlc_failures_with_a_fit": ({"wlc_failures": [2]}, ()),
+    "functional_flags_diverged_false": ({"fine_tune_diverged": False}, ())}
 # model.json values that are not finite: case -> (the stage and field the
 # error names, value)
 NON_FINITE = {
@@ -497,7 +517,8 @@ UNWRITTEN = {
                          "n_deg": 3}),
     "injection_rho_true": ("stage 2 aggregator: rho", 1, "aggregator",
                            {"kind": "input_injection", "rho": True}),
-    "weight_negative": ("stage 2 weight", 1, "weight", -0.5)}
+    "weight_negative": ("stage 2 weight", 1, "weight", -0.5),
+    "learner_null": ("stage 2 learner", 1, "learner", None)}
 
 
 class TestExitCodes:
@@ -642,7 +663,7 @@ class TestExitCodes:
         "activation_sigmoid", "base_normalized", "clip_other",
         "weight_x", "first_stage_aggregator", "later_stage_aggregator_null",
         "shapes_unchained", *HEADER_EDITS, *NON_FINITE, *OUTPUT_WIDTH,
-        *UNWRITTEN])
+        *UNWRITTEN, *FLAGS])
     def test_unreadable_run_file_is_3(self, dataset_dir, tmp_path, capsys,
                                       case):
         # t* is a functional model's field, aggregator weights a KTA
@@ -710,6 +731,10 @@ class TestExitCodes:
                 blob["base"] = "normalized"
             elif case == "clip_other":
                 blob["clip"] = 1e-6
+            elif case in FLAGS:
+                blob["flags"], zeroed = FLAGS[case]
+                for t in zeroed:
+                    blob["stages"][t - 1]["weight"] = 0.0
             else:
                 _, stage, key, value = UNWRITTEN[case]
                 blob["stages"][stage][key] = value
@@ -721,6 +746,8 @@ class TestExitCodes:
             assert NON_FINITE[case][0] in err and "finite" in err
         if case in UNWRITTEN:
             assert UNWRITTEN[case][0] in err
+        if case in FLAGS:
+            assert f"flags {next(iter(FLAGS[case][0]))!r}" in err
         if case in OUTPUT_WIDTH:
             assert f"stage 1 learner output width {OUTPUT_WIDTH[case]}:" in err
         if case == "functional_n_classes_5":
