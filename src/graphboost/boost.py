@@ -451,7 +451,17 @@ def classes_of(model: EnsembleModel, score):
 # The loss reads the train rows only and every learner is row-wise, so the
 # learners run on the train rows. Chains without learnable aggregation keep
 # their train and validation rows from one replay; KTA chains are replayed
-# after every step, and their pullback runs on full-length arrays.
+# after every step. A learner's input gradient delta W^(1)^T has rank at
+# most W^(1)'s width h, so the chain's adjoint is pulled back factored at
+# width k = sum h (``_stack_gradients``) until k would pass FACTORED_SHARE
+# of the feature width C.
+
+# measured crossover of one stage's factored pullback, its x G product
+# included, and the dense one: k between 0.5 C and 0.55 C on the Cora shape
+# (N 2,708, C 1,433) and near 0.6 C on the PubMed shape (N 19,717, C 500),
+# one BLAS thread on a 2-core machine
+FACTORED_SHARE = 0.5
+
 
 @dataclass
 class FineTuneConfig:
@@ -484,27 +494,57 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     the full-length ``chain``, every learnable aggregation weight.
 
     ``dscore``, ``caches`` and ``logits_list`` cover the train rows in the
-    order of ``dataset.split.train``. Returns (per-stage MLP gradients,
-    {stage: KTA weight gradient}).
+    order of ``dataset.split.train``. The chain's adjoint at stage s is
+    F G^T: F (N x k) holds each later learner's delta on the train rows,
+    pulled back through the aggregators after it, and G (C x k) their
+    W^(1)s, so the coefficient gradient <P^p F G^T, x> is <P^p F, x G>. The
+    top stages whose widths sum to at most FACTORED_SHARE * C stay
+    factored; below them the adjoint is multiplied out and pulled back at
+    N x C. Returns (per-stage MLP gradients, {stage: KTA weight gradient}).
     """
-    mlp_grads, dxs = [], []
+    mlp_grads, deltas = [], []
     for stage, cache, out in zip(model.stages, caches, logits_list):
-        grads, dx = backward(
-            stage.learner, cache, _vote_grad(model, stage.weight, out, dscore),
-            input_grad=chain is not None)
+        grads, delta = backward(
+            stage.learner, cache, _vote_grad(model, stage.weight, out, dscore))
         mlp_grads.append(grads)
-        dxs.append(dx)
+        deltas.append(delta)
 
     kta_grads = {}
     if chain is None:
         return mlp_grads, kta_grads
-    # full-length adjoint of the chain; learners feed it on train rows only
-    train = dataset.split.train
-    d = np.zeros_like(chain[-1])
-    for s in range(len(model.stages) - 1, 0, -1):
-        d[train] += dxs[s]
-        aggregator = model.stages[s].aggregator
+    train, stages = dataset.split.train, model.stages
+    # stages low.. stay factored; F and G fill from their right edge down
+    low, k = len(stages), 0
+    while low > 1 and (k + deltas[low - 1].shape[1]
+                       <= FACTORED_SHARE * chain[0].shape[1]):
+        low -= 1
+        k += deltas[low].shape[1]
+    # the N x C adjoint is taken before the factors and the pullbacks'
+    # arrays: taken after them it lands above their freed blocks, and a
+    # T=16 KTA fine-tune on the Cora shape peaked 22 MB higher
+    d = np.empty_like(chain[-1]) if low > 1 else None
+    f, g = np.zeros((len(chain[0]), k)), np.empty((chain[0].shape[1], k))
+    for s in range(len(stages) - 1, low - 1, -1):
+        w1, aggregator = stages[s].learner.weights[0], stages[s].aggregator
+        k -= w1.shape[1]
+        f[train, k:k + w1.shape[1]] = deltas[s]
+        g[:, k:k + w1.shape[1]] = w1
         if s == 1:  # the first aggregator's adjoint reaches no weight
+            kta_grads[s] = aggregator.coef_grad(f, chain[0] @ g)
+        else:
+            f[:, k:], kta_grads[s] = aggregator.pullback(
+                f[:, k:], chain[s - 1] @ g[:, k:])
+    if low == 1:
+        return mlp_grads, kta_grads
+    if f.size:
+        np.matmul(f, g.T, out=d)
+    else:  # nothing was factored
+        d.fill(0.0)
+    del f, g
+    for s in range(low - 1, 0, -1):
+        d[train] += deltas[s] @ stages[s].learner.weights[0].T
+        aggregator = stages[s].aggregator
+        if s == 1:
             kta_grads[s] = aggregator.coef_grad(d, chain[0])
         else:
             d, kta_grads[s] = aggregator.pullback(d, chain[s - 1])
@@ -518,8 +558,10 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     All MLP weights and learnable aggregation weights train; stage weights
     (eta / lambda) and aggregator structure stay fixed. On divergence a
     flagged copy of the original model is returned; the input model is
-    never changed. Returns
-    (model, {"train_err": (before, after), "val_err": (before, after)}).
+    never changed. Returns (model, {"train_err": (before, after),
+    "val_err": (before, after), "max_rel_change": r}), r the largest
+    max|w_after - w_before| / max|w_before| over the trained arrays, 0.0
+    when nothing moved (no epoch, a divergence, or a saturated stack).
     """
     if not model.stages:
         raise ValueError("model history is empty")
@@ -533,9 +575,9 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
         return (float(np.mean(wrong[:m])),
                 float(np.mean(wrong[m:])) if len(split.val) else float("nan"))
 
-    def report(after):
+    def report(after, change=0.0):
         return {"train_err": (before[0], after[0]),
-                "val_err": (before[1], after[1])}
+                "val_err": (before[1], after[1]), "max_rel_change": change}
 
     inputs, chain = _stack_replay(model, dataset, rows)
     before = eval_errors(model, inputs)
@@ -573,7 +615,19 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
             inputs = chain = caches = None
             inputs, chain = _stack_replay(work, dataset, rows)
 
-    return work, report(eval_errors(work, inputs))
+    originals = [w for st in model.stages for w in st.learner.weights]
+    originals += [model.stages[s].aggregator.coefs for s in kta_ids]
+    return work, report(eval_errors(work, inputs),
+                        max(_rel_change(a, b) for a, b in
+                            zip(originals, params)))
+
+
+def _rel_change(before, after):
+    """max|after - before| / max|before|; inf when an array that was all
+    zeros moved."""
+    change = float(np.abs(after - before).max())
+    scale = float(np.abs(before).max())
+    return change / scale if scale else (math.inf if change else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +715,8 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
     parameters its family refuses (a bool, or a KTA ``n_deg`` outside
     0..``MAX_N_DEG``), a wlc other than null or finite numbers alpha and
     beta, a KTA aggregator or learner weight that is not finite, or a
-    learner that is not an object, has another activation, whose weight
+    learner that is not an object, has another activation, a weight that
+    is not base64 or whose bytes do not fill its shape, whose weight
     shapes do not chain as matrices, or whose output width is not 1
     (functional) or n_classes (SAMME), raises ValueError naming the field
     and, for a stage's field, the stage."""
@@ -716,8 +771,11 @@ def model_from_json(blob: dict, graph, operator=None) -> EnsembleModel:
             raise ValueError(f"stage {idx + 1} learner {lrn!r}: not an "
                              "object")
         shapes = lrn["shapes"]
-        weights = [_decode_weight(w, shape)
-                   for w, shape in zip(lrn["weights"], shapes)]
+        try:
+            weights = [_decode_weight(w, shape)
+                       for w, shape in zip(lrn["weights"], shapes)]
+        except ValueError as exc:  # binascii.Error, for text not base64
+            raise ValueError(f"stage {idx + 1} learner weights: {exc}") from exc
         if not (0 < len(shapes) == len(lrn["weights"])
                 and all(w.ndim == 2 for w in weights)
                 and all(a.shape[1] == b.shape[0]

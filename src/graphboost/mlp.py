@@ -134,14 +134,15 @@ def forward(p: MlpParams, *blocks):
     return out, {"hiddens": hiddens}
 
 
-def backward(p: MlpParams, cache, upstream, input_grad=True):
+def backward(p: MlpParams, cache, upstream):
     """Exact gradients of the forward map (the ReLU subgradient at 0 is 0).
 
     A hidden unit is active where its activation max(z, 0) is > 0, which
     is exactly where z > 0 (-0.0 and NaN included), so no pre-activation is
-    kept. Returns (per-layer weight gradients, gradient w.r.t. the input
-    columns, every block's side by side, or None when ``input_grad`` is
-    off).
+    kept. Returns (per-layer weight gradients, delta), delta the gradient
+    at W^(1)'s output, one row per input row; the gradient in the input
+    columns, every block's side by side, is the one product
+    delta @ W^(1)^T, which a caller that needs it forms (or keeps factored).
     """
     grads = [None] * p.n_layers
     hiddens = cache["hiddens"]
@@ -152,9 +153,7 @@ def backward(p: MlpParams, cache, upstream, input_grad=True):
         d = d @ p.weights[l + 1].T
         d = d * (hiddens[l + 1] > 0.0).astype(float)
         grads[l] = _layer_grad(p, l, hiddens[l], d)
-    if not input_grad:
-        return grads, None
-    return grads, d @ p.weights[0].T
+    return grads, d
 
 
 def project_l1_columns(p: MlpParams, bound) -> MlpParams:
@@ -226,7 +225,7 @@ def _fit_loop(params, cfg, x_train, loss_grad_fn):
             raise TrainingDiverged(
                 f"loss became non-finite at step {epoch}", last_loss)
         last_loss = float(loss)
-        grads, _ = backward(params, cache, upstream, input_grad=False)
+        grads, _ = backward(params, cache, upstream)
         opt.step(params.weights, grads)
     return params
 

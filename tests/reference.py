@@ -4,15 +4,17 @@ reformulation for sign-valued learners, the training-block Gram matrix and
 the kernel-target alignment that ``fit_kta`` ascends, with its gradient
 taken straight from the basis blocks, the textbook Adam step that every
 weight is trained by, the over-smoothing trajectory read off P's full
-eigendecomposition, and the shape check of acceptance criterion 2."""
+eigendecomposition, the shape check of acceptance criterion 2, and the
+fine-tune gradients with the chain's adjoint held dense."""
 
 import math
 
 import numpy as np
 
 from graphboost.aggregate import ALIGNMENT_EPS, Polynomial
-from graphboost.boost import WlcParams
+from graphboost.boost import WlcParams, _vote_grad
 from graphboost.graph import eigendecompose
+from graphboost.mlp import backward
 from graphboost.theory import SpectralTrajectory
 
 
@@ -164,3 +166,29 @@ def alignment_value_grad(basis_train, theta, k_target, eps=ALIGNMENT_EPS):
         dv = 2.0 * float(np.vdot(b, kz)) / v if v > 0 else 0.0
         grad[i] = (du - rho * c * dv) / denom
     return rho, grad
+
+
+def dense_stack_gradients(model, dataset, dscore, caches, logits_list,
+                          chain):
+    """``boost._stack_gradients`` of a KTA stack with the chain's adjoint
+    held dense: each learner's input gradient delta W^(1)^T is added on the
+    train rows of one full-length N x C adjoint, which every aggregator
+    pulls back in turn. Returns (per-stage MLP gradients, {stage: KTA
+    weight gradient})."""
+    mlp_grads, dxs = [], []
+    for stage, cache, out in zip(model.stages, caches, logits_list):
+        grads, delta = backward(
+            stage.learner, cache, _vote_grad(model, stage.weight, out, dscore))
+        mlp_grads.append(grads)
+        dxs.append(delta @ stage.learner.weights[0].T)
+    train = dataset.split.train
+    kta_grads = {}
+    d = np.zeros_like(chain[-1])
+    for s in range(len(model.stages) - 1, 0, -1):
+        d[train] += dxs[s]
+        aggregator = model.stages[s].aggregator
+        if s == 1:
+            kta_grads[s] = aggregator.coef_grad(d, chain[0])
+        else:
+            d, kta_grads[s] = aggregator.pullback(d, chain[s - 1])
+    return mlp_grads, kta_grads

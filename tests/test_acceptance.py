@@ -29,6 +29,7 @@ from graphboost.theory import (ComplexityConstants, mc_transductive_rademacher,
                                rademacher_bound, smoothing_report,
                                wlc_complexity_lower_bound)
 from reference import basis_gram, curve_shape, weighted_error_form
+from test_boost import WIDE_STACKS, wide_kta_run
 from test_graph import random_connected_graph
 
 DATA_ROOT = os.environ.get("GRAPHBOOST_DATA", "")
@@ -237,6 +238,56 @@ def test_criterion_7_spectral_identity():
           "rank-one distance is monotone on 20 graphs")
 
 
+def stack_gradient_check(ds, model, unit, eps=1e-5):
+    """Central differences of the softened train loss against
+    ``_stack_gradients`` on every KTA coefficient and, in each stage's
+    learner, the first and last input weights and the first and last output
+    weights of hidden unit ``unit``: returns (worst relative error, smallest
+    checked finite difference)."""
+    tr = ds.split.train
+
+    def stack_loss(m):
+        s = _stack_scores(m, _stack_replay(m, ds, tr)[0], soft=True)[0][-1]
+        return float(np.mean(softmax_ce(s, ds.labels[tr])))
+
+    inputs, chain = _stack_replay(model, ds, tr)
+    caches = []
+    scores, logits = _stack_scores(model, inputs, soft=True, caches=caches)
+    _, dscore = surrogate(scores[-1], ds.labels[tr])
+    mlp_grads, kta_grads = _stack_gradients(model, ds, dscore, caches,
+                                            logits, chain)
+    worst, smallest_fd = 0.0, np.inf
+
+    def check(analytic, fd):
+        nonlocal worst, smallest_fd
+        smallest_fd = min(smallest_fd, abs(fd))
+        worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-8))
+
+    for si, stage in enumerate(model.stages):
+        for li, w in enumerate(stage.learner.weights):
+            for idx in ([(0, unit), (w.shape[0] - 1, unit)] if li == 0
+                        else [(unit, 0), (unit, w.shape[1] - 1)]):
+                w[idx] += eps
+                plus = stack_loss(model)
+                w[idx] -= 2 * eps
+                minus = stack_loss(model)
+                w[idx] += eps
+                check(mlp_grads[si][li][idx], (plus - minus) / (2 * eps))
+        if stage.aggregator is not None:
+            agg = stage.aggregator
+            for wi in range(len(agg.coefs)):
+                wp, wm = agg.coefs.copy(), agg.coefs.copy()
+                wp[wi] += eps
+                wm[wi] -= eps
+                model.stages[si].aggregator = replace(agg, coefs=wp)
+                plus = stack_loss(model)
+                model.stages[si].aggregator = replace(agg, coefs=wm)
+                minus = stack_loss(model)
+                model.stages[si].aggregator = agg
+                check(kta_grads[si][wi], (plus - minus) / (2 * eps))
+    return worst, smallest_fd
+
+
 @pytest.mark.acceptance
 def test_criterion_8_gradient_integrity():
     rng = np.random.default_rng(0)
@@ -292,52 +343,17 @@ def test_criterion_8_gradient_integrity():
                       aggregator=AggregatorSpec(kind="kta"), seed=10)
     model, _, _ = run_samme(ds, cfg)
     assert len(model.stages) == 3, model.flags
-    tr = ds.split.train
-
-    def stack_loss(m):
-        s = _stack_scores(m, _stack_replay(m, ds, tr)[0], soft=True)[0][-1]
-        return float(np.mean(softmax_ce(s, ds.labels[tr])))
-
-    inputs, chain = _stack_replay(model, ds, tr)
-    caches = []
-    scores, logits = _stack_scores(model, inputs, soft=True, caches=caches)
-    _, dscore = surrogate(scores[-1], ds.labels[tr])
-    mlp_grads, kta_grads = _stack_gradients(model, ds, dscore, caches,
-                                            logits, chain)
-    worst_stack, smallest_fd = 0.0, np.inf
-
-    def check(analytic, fd):
-        nonlocal worst_stack, smallest_fd
-        smallest_fd = min(smallest_fd, abs(fd))
-        worst_stack = max(worst_stack,
-                          abs(analytic - fd) / max(abs(fd), 1e-8))
-
-    for si, stage in enumerate(model.stages):
-        for li, w in enumerate(stage.learner.weights):
-            # hidden units 0, 1 and 3 are dead in stage 3, so the checked
-            # weights are those of unit 2, live in every stage: its first
-            # and last input weights and its first and last output weights
-            unit = 2
-            for idx in ([(0, unit), (w.shape[0] - 1, unit)] if li == 0
-                        else [(unit, 0), (unit, w.shape[1] - 1)]):
-                w[idx] += eps
-                plus = stack_loss(model)
-                w[idx] -= 2 * eps
-                minus = stack_loss(model)
-                w[idx] += eps
-                check(mlp_grads[si][li][idx], (plus - minus) / (2 * eps))
-        if stage.aggregator is not None:
-            agg = stage.aggregator
-            for wi in range(len(agg.coefs)):
-                wp, wm = agg.coefs.copy(), agg.coefs.copy()
-                wp[wi] += eps
-                wm[wi] -= eps
-                model.stages[si].aggregator = replace(agg, coefs=wp)
-                plus = stack_loss(model)
-                model.stages[si].aggregator = replace(agg, coefs=wm)
-                minus = stack_loss(model)
-                model.stages[si].aggregator = agg
-                check(kta_grads[si][wi], (plus - minus) / (2 * eps))
+    # hidden units 0, 1 and 3 are dead in stage 3, so the checked weights
+    # are those of unit 2, live in every stage
+    worst_stack, smallest_fd = stack_gradient_check(ds, model, unit=2)
+    # the same check on stacks with C = 40 >> h, whose KTA adjoint is
+    # pulled back factored, on "crossing" multiplied out below its top two
+    # stages; the unit named is live in every stage
+    for stack, unit in (("factored", 2), ("crossing", 0)):
+        worst, smallest = stack_gradient_check(
+            *wide_kta_run(*WIDE_STACKS[stack]), unit)
+        worst_stack = max(worst_stack, worst)
+        smallest_fd = min(smallest_fd, smallest)
     assert smallest_fd > 1e-6, f"a checked gradient is only {smallest_fd}"
     assert worst_stack < 1e-4
     print(f"ACCEPTANCE 8 PASS: gradient checks at {worst_mlp:.1e} (mlp), "

@@ -750,6 +750,12 @@ class TestExitCodes:
             assert f"flags {next(iter(FLAGS[case][0]))!r}" in err
         if case in OUTPUT_WIDTH:
             assert f"stage 1 learner output width {OUTPUT_WIDTH[case]}:" in err
+        if case == "weights_not_base64":
+            assert ("stage 1 learner weights: Only base64 data is allowed"
+                    in err)
+        if case == "weights_wrong_length":
+            assert ("stage 1 learner weights: a weight of shape "
+                    f"{learner['shapes'][0]} needs") in err
         if case == "functional_n_classes_5":
             assert "n_classes 5:" in err
 

@@ -44,6 +44,23 @@ class TestSparseGraph:
         assert g.n_edges == 2
         assert np.array_equal(g.degrees, [1, 2, 1])
 
+    @pytest.mark.parametrize("n, n_pairs", [(7, 60), (300, 2000)])
+    def test_dedupe_is_the_sorted_unique_pairs(self, n, n_pairs):
+        # random pairs, many repeated and some given both ways round: the
+        # stored edges are those of the row-wise sort and the axis-0 unique
+        # of the pairs, bit for bit
+        rng = np.random.default_rng(n)
+        pairs = rng.integers(0, n, size=(n_pairs, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.concatenate([pairs, pairs[::3, ::-1], pairs[::5]])
+        rng.shuffle(pairs)
+        want = np.unique(np.sort(pairs, axis=1), axis=0)
+        got = SparseGraph.from_edges(n, pairs).edges
+        assert len(want) < len(pairs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError, match="self-loop at node 2"):
             SparseGraph.from_edges(3, [(2, 2)])

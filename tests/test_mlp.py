@@ -79,7 +79,8 @@ class TestBlockInput:
         out, cache = forward(p, cur, x0)
         assert cache["hiddens"][0][0] is cur and cache["hiddens"][0][1] is x0
         upstream = rng.standard_normal(out.shape)
-        grads, dx = backward(p, cache, upstream)
+        grads, delta = backward(p, cache, upstream)
+        dx = delta @ p.weights[0].T
         ref_out, ref_grads, ref_dx = dense_reference(
             p, np.hstack([cur, x0]), upstream)
 
@@ -107,9 +108,9 @@ class TestBlockInput:
         assert np.array_equal(out, want)
         upstream = rng.standard_normal(out.shape)
         d = upstream @ w[1].T * (h > 0.0) if hidden else upstream
-        grads, dx = backward(p, cache, upstream)
+        grads, delta = backward(p, cache, upstream)
         assert np.array_equal(grads[0], x.T @ d)
-        assert np.array_equal(dx, d @ w[0].T)
+        assert np.array_equal(delta, d)
 
     def test_width_counts_every_block(self):
         p = init_mlp((5, 2), seed=0)
@@ -162,9 +163,9 @@ class TestBackward:
         x = rng.standard_normal((5, 3))
         p = init_mlp((3, 4, 2), seed=1)
         out, cache = forward(p, x)
-        grads, dx = backward(p, cache, np.zeros_like(out))
+        grads, delta = backward(p, cache, np.zeros_like(out))
         assert all(np.all(g == 0.0) for g in grads)
-        assert np.all(dx == 0.0)
+        assert np.all(delta == 0.0)
 
     def test_linear_least_squares_closed_form(self):
         # single linear layer, squared loss: grad = x^T residual
@@ -198,7 +199,8 @@ class TestBackward:
         p = init_mlp((3, 5, 2), seed=13)
         out, cache = forward(p, x)
         upstream = rng.standard_normal(out.shape)
-        _, dx = backward(p, cache, upstream)
+        _, delta = backward(p, cache, upstream)
+        dx = delta @ p.weights[0].T
         eps = 1e-6
         for idx in np.ndindex(x.shape):
             x[idx] += eps
@@ -211,15 +213,20 @@ class TestBackward:
 
     @pytest.mark.parametrize("widths", [(3, 2), (3, 5, 2), (3, 5, 4, 2)])
     def test_input_gradient_opt_out(self, widths):
+        # backward leaves the input gradient to the caller: it returns
+        # delta, the gradient at W^(1)'s output, with x^T delta as W^(1)'s
+        # gradient and delta W^(1)^T as the reference's input gradient
         rng = np.random.default_rng(14)
         x = rng.standard_normal((4, 3))
         p = init_mlp(widths, seed=15)
         out, cache = forward(p, x)
         upstream = rng.standard_normal(out.shape)
-        full, _ = backward(p, cache, upstream)
-        grads, dx = backward(p, cache, upstream, input_grad=False)
-        assert dx is None
-        assert all(np.array_equal(a, b) for a, b in zip(full, grads))
+        grads, delta = backward(p, cache, upstream)
+        _, ref_grads, ref_dx = dense_reference(p, x, upstream)
+        assert delta.shape == (len(x), p.weights[0].shape[1])
+        assert np.array_equal(grads[0], x.T @ delta)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
+        assert np.array_equal(delta @ p.weights[0].T, ref_dx)
 
 
 class TestFitToGradient:
