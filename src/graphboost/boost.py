@@ -494,13 +494,14 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     the full-length ``chain``, every learnable aggregation weight.
 
     ``dscore``, ``caches`` and ``logits_list`` cover the train rows in the
-    order of ``dataset.split.train``. The chain's adjoint at stage s is
-    F G^T: F (N x k) holds each later learner's delta on the train rows,
-    pulled back through the aggregators after it, and G (C x k) their
-    W^(1)s, so the coefficient gradient <P^p F G^T, x> is <P^p F, x G>. The
-    top stages whose widths sum to at most FACTORED_SHARE * C stay
-    factored; below them the adjoint is multiplied out and pulled back at
-    N x C. Returns (per-stage MLP gradients, {stage: KTA weight gradient}).
+    order of ``dataset.split.train``. One walk down the stages pulls the
+    chain's adjoint back as F G^T: F (N x k) holds each later learner's
+    delta on the train rows, pulled back through the aggregators after it,
+    and G (C x k) their W^(1)s, so the coefficient gradient <P^p F G^T, x>
+    is <P^p F, x G>. A stage whose W^(1) would take k past FACTORED_SHARE
+    * C multiplies the pair out once; from there G is None, F is the N x C
+    adjoint and each input gradient delta W^(1)^T is added to it. Returns
+    (per-stage MLP gradients, {stage: KTA weight gradient}).
     """
     mlp_grads, deltas = [], []
     for stage, cache, out in zip(model.stages, caches, logits_list):
@@ -513,41 +514,21 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     if chain is None:
         return mlp_grads, kta_grads
     train, stages = dataset.split.train, model.stages
-    # stages low.. stay factored; F and G fill from their right edge down
-    low, k = len(stages), 0
-    while low > 1 and (k + deltas[low - 1].shape[1]
-                       <= FACTORED_SHARE * chain[0].shape[1]):
-        low -= 1
-        k += deltas[low].shape[1]
-    # the N x C adjoint is taken before the factors and the pullbacks'
-    # arrays: taken after them it lands above their freed blocks, and a
-    # T=16 KTA fine-tune on the Cora shape peaked 22 MB higher
-    d = np.empty_like(chain[-1]) if low > 1 else None
-    f, g = np.zeros((len(chain[0]), k)), np.empty((chain[0].shape[1], k))
-    for s in range(len(stages) - 1, low - 1, -1):
-        w1, aggregator = stages[s].learner.weights[0], stages[s].aggregator
-        k -= w1.shape[1]
-        f[train, k:k + w1.shape[1]] = deltas[s]
-        g[:, k:k + w1.shape[1]] = w1
-        if s == 1:  # the first aggregator's adjoint reaches no weight
-            kta_grads[s] = aggregator.coef_grad(f, chain[0] @ g)
+    f, g = np.zeros((len(chain[0]), 0)), np.empty((chain[0].shape[1], 0))
+    for s in range(len(stages) - 1, 0, -1):
+        w1 = stages[s].learner.weights[0]
+        if g is not None and (g.shape[1] + w1.shape[1]
+                              <= FACTORED_SHARE * len(g)):
+            f = np.hstack([np.zeros((len(f), w1.shape[1])), f])
+            f[train, :w1.shape[1]] = deltas[s]
+            g = np.hstack([w1, g])
         else:
-            f[:, k:], kta_grads[s] = aggregator.pullback(
-                f[:, k:], chain[s - 1] @ g[:, k:])
-    if low == 1:
-        return mlp_grads, kta_grads
-    if f.size:
-        np.matmul(f, g.T, out=d)
-    else:  # nothing was factored
-        d.fill(0.0)
-    del f, g
-    for s in range(low - 1, 0, -1):
-        d[train] += deltas[s] @ stages[s].learner.weights[0].T
-        aggregator = stages[s].aggregator
-        if s == 1:
-            kta_grads[s] = aggregator.coef_grad(d, chain[0])
-        else:
-            d, kta_grads[s] = aggregator.pullback(d, chain[s - 1])
+            if g is not None:
+                f, g = f @ g.T, None
+            f[train] += deltas[s] @ w1.T
+        # stage 1's adjoint reaches no weight and is dropped
+        f, kta_grads[s] = stages[s].aggregator.pullback(
+            f, chain[s - 1] if g is None else chain[s - 1] @ g)
     return mlp_grads, kta_grads
 
 

@@ -295,15 +295,19 @@ def cmd_theory(model_path, data_dir, out_dir=None, c0=1.0, delta_prime=0.05,
     report = build_theory_report(model, dataset, c0=c0,
                                  delta_prime=delta_prime, delta=delta)
 
+    report["spectral"] = ("written" if trajectory is not None
+                          else f"skipped: N={dataset.n} over eigen cap")
+    # strict JSON, checked before either file is written
+    try:
+        text = json.dumps(report, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"theory.json would hold a value that is not "
+                             f"a finite number: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     if trajectory is not None:
         trajectory.write_csv(os.path.join(out_dir, "spectral.csv"))
-        report["spectral"] = "written"
-    else:
-        report["spectral"] = f"skipped: N={dataset.n} over eigen cap"
-
     with open(os.path.join(out_dir, "theory.json"), "w") as fh:
-        json.dump(report, fh, indent=1)
+        fh.write(text)
     return report
 
 

@@ -268,7 +268,8 @@ def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
 
     The optimization section applies to functional (binary) runs only;
     gamma_t of iterations that failed the weak-learning check contribute 0
-    and mark the bound "not guaranteed". Training sets no cap on the
+    and mark the bound "not guaranteed"; when every one failed, Gamma_T = 0
+    and the bound is vacuous, a NumericalError. Training sets no cap on the
     transformation class, so each stage's cap is the observed max column
     L1 norm of its learner; its bound reads the learner's input P^(t) X
     (the learners are bias-free).
@@ -299,27 +300,25 @@ def build_theory_report(model, dataset, *, c0=1.0, delta_prime=0.05,
     if model.mode == "functional":
         gammas = [(st.wlc.gamma if st.wlc else 0.0)
                   for st in model.stages[1:]]
-        guaranteed = all(st.wlc is not None for st in model.stages[1:])
         gamma_total = float(np.sum(gammas))
+        if not gamma_total > 0.0:
+            raise NumericalError("Gamma_T = 0: no round passed the "
+                                 "weak-learning check, so the optimization "
+                                 "bound is vacuous")
         l1_initial = surrogate(scores[0], y_train)[0]
         realized = float(np.mean(margin_loss(
             scores[(model.t_star or len(scores)) - 1], y_train, delta)))
-        section = {
+        rhs, _ = optimization_bound(l1_initial, m, gammas=[gamma_total],
+                                    delta=delta)
+        report["optimization"] = {
             "gammas": gammas,
             "gamma_total": gamma_total,
             "initial_surrogate": l1_initial,
             "realized_train_err": realized,
-            "guaranteed": guaranteed,
+            "guaranteed": all(st.wlc is not None for st in model.stages[1:]),
+            "rhs": rhs,
+            "holds": bool(realized <= rhs),
         }
-        if gamma_total > 0.0:
-            rhs, _ = optimization_bound(l1_initial, m, gammas=[gamma_total],
-                                        delta=delta)
-            section["rhs"] = rhs
-            section["holds"] = bool(realized <= rhs)
-        else:
-            section["rhs"] = float("inf")
-            section["holds"] = True
-        report["optimization"] = section
 
     # complexity section: one entry per stage
     entries = []

@@ -186,9 +186,6 @@ def dense_stack_gradients(model, dataset, dscore, caches, logits_list,
     d = np.zeros_like(chain[-1])
     for s in range(len(model.stages) - 1, 0, -1):
         d[train] += dxs[s]
-        aggregator = model.stages[s].aggregator
-        if s == 1:
-            kta_grads[s] = aggregator.coef_grad(d, chain[0])
-        else:
-            d, kta_grads[s] = aggregator.pullback(d, chain[s - 1])
+        d, kta_grads[s] = model.stages[s].aggregator.pullback(
+            d, chain[s - 1])
     return mlp_grads, kta_grads

@@ -109,16 +109,6 @@ class TestPolynomial:
         agg = make(ring_operator)
         assert np.array_equal(agg.pullback(d, x)[0], agg.linear(d))
 
-    @pytest.mark.parametrize("make", [
-        fixed, lambda op: injection(op, 0.4),
-        lambda op: kta(op, 3, [1.1, 0.5, -0.3, 2.0, 0.7])],
-        ids=["fixed", "injection", "kta"])
-    def test_coef_grad_is_the_pullback_gradient(self, ring_operator, make):
-        rng = np.random.default_rng(19)
-        x, d = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
-        agg = make(ring_operator)
-        assert np.array_equal(agg.coef_grad(d, x), agg.pullback(d, x)[1])
-
     def test_every_matvec_is_one_operator_apply(self, ring_operator,
                                                 monkeypatch):
         # per-layer profiles count P x by wrapping PropagationMatrix.apply
@@ -136,7 +126,6 @@ class TestPolynomial:
         for run, matvecs in [(lambda: list(agg.terms(x)), 8),
                              (lambda: agg.linear(x), 8),
                              (lambda: agg.pullback(x, x), 8),
-                             (lambda: agg.coef_grad(x, x), 8),
                              (lambda: injection(ring_operator, 0.4)
                               .apply(x, x), 1)]:
             calls.clear()

@@ -1,3 +1,4 @@
+import functools
 import json
 from dataclasses import replace
 
@@ -1144,10 +1145,12 @@ class TestFineTuneBytes:
         assert got == FINE_TUNE_BYTES[f"{mode}-{kind}"]
 
 
+@functools.cache
 def wide_kta_run(hidden, n_stages, seed):
     """(dataset, model) of a short SAMME KTA run on the noisy 40-node graph
     with 38 noise features added, C = 40: the chain's adjoint stays
-    factored while the stacked W^(1) widths sum to at most C / 2 = 20."""
+    factored while the stacked W^(1) widths sum to at most C / 2 = 20.
+    Cached: no caller changes the run."""
     base = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
     noise = np.random.default_rng(1).standard_normal((base.n, 38))
     ds = replace(base, features=np.hstack([base.features, 0.6 * noise]))
@@ -1177,14 +1180,13 @@ WIDE_STACKS = {"factored": (4, 4, 11), "at_share": (4, 6, 11),
 
 
 class TestFactoredAdjoint:
-    """KTA fine-tune pulls the chain's adjoint back as F G^T while the
-    stacked W^(1) widths stay within FACTORED_SHARE * C, and multiplied out
-    below: its gradients are the dense adjoint's."""
+    """KTA fine-tune walks the stages once, holding the chain's adjoint as
+    F G^T while the stacked W^(1) widths stay within FACTORED_SHARE * C and
+    multiplying it out at the first stage that would pass that: wherever
+    the crossing lands, its gradients are the dense adjoint's."""
 
-    @pytest.mark.parametrize("stack, widths", [
-        ("factored", [4, 8, 12]), ("at_share", [4, 8, 12, 16, 20]),
-        ("crossing", [8, 16, 40])])
-    def test_matches_dense_adjoint(self, monkeypatch, stack, widths):
+    @staticmethod
+    def check_against_dense(monkeypatch, stack, widths):
         import itertools
 
         from graphboost.boost import _stack_gradients
@@ -1198,10 +1200,10 @@ class TestFactoredAdjoint:
         def recorded(op, x):
             applied.append(x.shape[1])
             return apply(op, x)
-        monkeypatch.setattr(PropagationMatrix, "apply", recorded)
-        mlp_grads, kta_grads = _stack_gradients(*args)
-        monkeypatch.undo()
-        # each stage walks P^8 at the adjoint's width: k = 4, 8, ... while
+        with monkeypatch.context() as patch:
+            patch.setattr(PropagationMatrix, "apply", recorded)
+            mlp_grads, kta_grads = _stack_gradients(*args)
+        # each stage walks P^8 at the adjoint's width: k = h, 2h, ... while
         # factored, C = 40 once multiplied out
         assert [w for w, _ in itertools.groupby(applied)] == widths
         ref_mlp, ref_kta = dense_stack_gradients(*args)
@@ -1212,6 +1214,39 @@ class TestFactoredAdjoint:
             assert np.abs(want).max() > 0.0
             assert (np.abs(kta_grads[s] - want).max()
                     <= 1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("stack, widths", [
+        ("factored", [4, 8, 12]), ("at_share", [4, 8, 12, 16, 20]),
+        ("crossing", [8, 16, 40])])
+    def test_matches_dense_adjoint(self, monkeypatch, stack, widths):
+        self.check_against_dense(monkeypatch, stack, widths)
+
+    @pytest.mark.parametrize("share", [0.0, 0.1, 0.2, 0.3, 1.0])
+    @pytest.mark.parametrize("stack", ["factored", "at_share", "crossing"])
+    def test_matches_dense_adjoint_at_any_share(self, monkeypatch, stack,
+                                                share):
+        # the multiply-out lands at the top, part way down, or never
+        from graphboost import boost
+        hidden, n_stages, _ = WIDE_STACKS[stack]
+        monkeypatch.setattr(boost, "FACTORED_SHARE", share)
+        factored = min(n_stages - 1, int(share * 40) // hidden)
+        widths = [hidden * (i + 1) for i in range(factored)]
+        if factored < n_stages - 1:
+            widths.append(40)
+        self.check_against_dense(monkeypatch, stack, widths)
+
+    def test_one_stage_has_no_aggregation_gradient(self):
+        # one round: the chain is the features alone, with no aggregator
+        from graphboost.boost import _stack_gradients
+        ds, model = wide_kta_run(4, 1, 11)
+        assert [st.aggregator for st in model.stages] == [None]
+        args = stack_gradients_of(model, ds)
+        assert len(args[-1]) == 1
+        mlp_grads, kta_grads = _stack_gradients(*args)
+        assert kta_grads == {} and len(mlp_grads) == 1
+        tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=2, lr=0.05))
+        assert tuned.stages[0].aggregator is None
+        assert info["max_rel_change"] > 0.0
 
     @pytest.mark.parametrize("mode", ["functional", "samme"])
     def test_multiplied_out_at_once_is_the_dense_adjoint(self, mode):

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import shutil
 import signal
 from dataclasses import asdict, replace
 
@@ -993,6 +994,43 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_huge_stage_weight_is_4(self, dataset_dir, tmp_path, capsys):
+        # a finite weight of 1e308 takes the bound's total to infinity,
+        # which strict JSON cannot write; no output file is written
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        blob = json.loads(model.read_text())
+        blob["stages"][1]["weight"] = 1e308
+        model.write_text(json.dumps(blob))
+        out = tmp_path / "out"
+        assert main(["theory", "--model", str(model), "--data", dataset_dir,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "not a finite number" in err
+        assert not out.exists()
+
+    def test_functional_run_without_a_weak_learner_is_4(
+            self, dataset_dir, tmp_path, capsys):
+        # every round failed the weak-learning check: Gamma_T = 0 and the
+        # optimization bound is vacuous
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            dataset_dir, seeds=[0], mode="functional")))
+        cmd_train(str(cfg_path), str(tmp_path / "run"))
+        model = tmp_path / "run" / "seed_0" / "model.json"
+        blob = json.loads(model.read_text())
+        for stage in blob["stages"][1:]:
+            stage["wlc"] = None
+        blob["flags"]["wlc_failures"] = list(range(2, len(blob["stages"]) + 1))
+        model.write_text(json.dumps(blob))
+        assert main(["theory", "--model", str(model),
+                     "--data", dataset_dir]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "vacuous" in err
+        assert not (model.parent / "theory.json").exists()
+
 
 # values for one run-file field: every JSON type, bools, zero, negatives,
 # huge and non-finite numbers
@@ -1008,6 +1046,10 @@ def json_fields(node, path=()):
                            else enumerate(node)):
             yield path + (key,)
             yield from json_fields(child, path + (key,))
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 class Hang(BaseException):
@@ -1057,6 +1099,8 @@ class TestRunFileProperty:
         else:
             node[key] = value
         path.write_text(json.dumps(blob))
+        out = run / "out"
+        shutil.rmtree(out, ignore_errors=True)
 
         def hang(*_):
             raise Hang(f"theory took over 10 s with {parents + [key]} = "
@@ -1065,9 +1109,13 @@ class TestRunFileProperty:
         signal.alarm(10)
         try:
             code = main(["theory", "--model", str(model), "--data",
-                         str(data_dir), "--out", str(run / "out")])
+                         str(data_dir), "--out", str(out)])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
             path.write_text(original)
         assert code in (0, 2, 3, 4)
+        if code == 0:
+            # strict JSON: NaN and Infinity are refused
+            json.loads((out / "theory.json").read_text(),
+                       parse_constant=refuse_constant)
