@@ -24,7 +24,8 @@ from . import aggregate as agg_mod
 from .aggregate import AlignmentConfig, Polynomial
 from .data import NodeDataset, one_hot
 from .graph import base_operator
-from .losses import DEFAULT_CLIP, errors, softmax, surrogate, surrogate_grad
+from .losses import (DEFAULT_CLIP, class_ids, errors, softmax, surrogate,
+                     surrogate_grad)
 from .mlp import (MlpParams, TrainConfig, _Adam, backward, check_step,
                   fit_classifier, fit_to_gradient, forward)
 
@@ -434,15 +435,7 @@ def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
     """
     scores = replay_scores(model, dataset, reps)
     final = scores[(model.t_star or len(scores)) - 1]  # t* is functional's
-    return final, classes_of(model, final)
-
-
-def classes_of(model: EnsembleModel, score):
-    """Class ids of a final score: its sign for functional models, and the
-    argmax (ties toward the lowest index) for SAMME."""
-    if model.mode == "functional":
-        return (score > 0.0).astype(np.int64)
-    return np.argmax(score, axis=1)
+    return final, class_ids(final)
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +529,20 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
               cfg: FineTuneConfig):
     """End-to-end full-batch Adam training of the stacked composition.
 
-    All MLP weights and learnable aggregation weights train; stage weights
-    (eta / lambda) and aggregator structure stay fixed. On divergence a
-    flagged copy of the original model is returned; the input model is
-    never changed. Returns (model, {"train_err": (before, after),
-    "val_err": (before, after), "max_rel_change": r}), r the largest
-    max|w_after - w_before| / max|w_before| over the trained arrays, 0.0
-    when nothing moved (no epoch, a divergence, or a saturated stack).
+    The MLP and learnable aggregation weights of stages 1..t* train on the
+    loss of stage t*'s score, the one ``predict`` reads (for SAMME, t* is
+    the last stage); later stages, stage weights (eta / lambda) and
+    aggregator structure stay fixed. On divergence a flagged copy of the
+    original model is returned; the input model is never changed. Returns
+    (model, {"train_err": (before, after), "val_err": (before, after),
+    "max_rel_change": r}), r the largest max|w_after - w_before| /
+    max|w_before| over the trained arrays, 0.0 when nothing moved (no
+    epoch, a divergence, or a saturated stack).
     """
     if not model.stages:
         raise ValueError("model history is empty")
+    n_tuned = model.t_star or len(model.stages)
+    head = replace(model, stages=model.stages[:n_tuned])
     split = dataset.split
     m = split.m
     rows = np.concatenate([split.train, split.val])
@@ -560,13 +557,13 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
         return {"train_err": (before[0], after[0]),
                 "val_err": (before[1], after[1]), "max_rel_change": change}
 
-    inputs, chain = _stack_replay(model, dataset, rows)
-    before = eval_errors(model, inputs)
+    inputs, chain = _stack_replay(head, dataset, rows)
+    before = eval_errors(head, inputs)
     if cfg.epochs == 0:
         return model, report(before)
 
-    work = replace(model, flags=dict(model.flags), stages=[
-        replace(st, learner=st.learner.copy()) for st in model.stages])
+    work = replace(head, flags=dict(model.flags), stages=[
+        replace(st, learner=st.learner.copy()) for st in head.stages])
     kta_ids = (range(1, len(work.stages)) if work.aggregator_kind == "kta"
                else ())
     for s in kta_ids:
@@ -596,11 +593,12 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
             inputs = chain = caches = None
             inputs, chain = _stack_replay(work, dataset, rows)
 
-    originals = [w for st in model.stages for w in st.learner.weights]
-    originals += [model.stages[s].aggregator.coefs for s in kta_ids]
-    return work, report(eval_errors(work, inputs),
-                        max(_rel_change(a, b) for a, b in
-                            zip(originals, params)))
+    originals = [w for st in head.stages for w in st.learner.weights]
+    originals += [head.stages[s].aggregator.coefs for s in kta_ids]
+    after = eval_errors(work, inputs)
+    work.stages += model.stages[n_tuned:]
+    return work, report(after, max(_rel_change(a, b) for a, b in
+                                   zip(originals, params)))
 
 
 def _rel_change(before, after):

@@ -21,12 +21,12 @@ import numpy as np
 
 from .aggregate import MAX_N_DEG, AlignmentConfig
 from .boost import (TRACE_COLUMNS, AggregatorSpec, AllRoundsRejected,
-                    BoostConfig, FineTuneConfig, _is_number, classes_of,
-                    fine_tune, load_model, predict, read_trace_csv,
-                    run_functional_gb, run_samme, save_model,
-                    write_trace_csv)
+                    BoostConfig, FineTuneConfig, _is_number, fine_tune,
+                    load_model, predict, read_trace_csv, run_functional_gb,
+                    run_samme, save_model, write_trace_csv)
 from .data import DataError, load_planetoid, read_file
 from .graph import DENSE_EIGEN_CAP, base_operator
+from .losses import class_ids
 from .mlp import TrainConfig, TrainingDiverged
 from .theory import NumericalError, build_theory_report, smoothing_report
 
@@ -154,11 +154,12 @@ def _dataset_hashes(directory):
     return out
 
 
-def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
-    """Train one model; write model.json, trace.csv, summary.json. The
-    summary's classes come from the driver's score, or, after fine-tuning,
-    from the tuned model's ``predict``."""
-    dataset = load_planetoid(cfg.dataset, normalize=cfg.normalize_features)
+def run_single_seed(cfg: ExperimentConfig, dataset, seed: int,
+                    out_dir: str) -> dict:
+    """Train one model on ``dataset``, which no step writes into; write
+    model.json, trace.csv, summary.json. The summary's classes come from
+    the driver's score, or, after fine-tuning, from the tuned model's
+    ``predict``."""
     # every variant names its aggregator kind except adj, the fixed one
     spec = AggregatorSpec(kind={"adj": "fixed"}.get(cfg.variant, cfg.variant),
                           rho=cfg.rho, n_deg=cfg.n_deg, alignment=cfg.kta)
@@ -174,7 +175,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     save_model(model, os.path.join(out_dir, "model.json"))
     write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
 
-    classes = classes_of(model, score)
+    classes = class_ids(score)
     y = dataset.labels
     sp = dataset.split
     summary = {
@@ -209,7 +210,8 @@ def cmd_train(config_path, out_root):
     with open(os.path.join(out_root, "inputs.json"), "w") as fh:
         json.dump(_dataset_hashes(cfg.dataset), fh, indent=1)
 
-    summaries = [run_single_seed(cfg, s,
+    dataset = load_planetoid(cfg.dataset, normalize=cfg.normalize_features)
+    summaries = [run_single_seed(cfg, dataset, s,
                                  os.path.join(out_root, f"seed_{s}"))
                  for s in cfg.seeds]
 

@@ -4,8 +4,9 @@ An operator is one sparse matrix P; powers and polynomials of it are
 applied by repeated sparse matvec (see ``aggregate.Polynomial``), never
 materialized densely. The over-smoothing report needs only P's
 eigenvalue-1 space, one sqrt(deg + 1) vector per connected component, so
-no program path densifies P; ``eigendecompose``, which does, is there to
-inspect the full spectrum and refuses graphs above a size cap.
+no program path densifies P. ``eigendecompose``, which does, is there to
+inspect the full spectrum, and ``operator_norm`` reads it; both refuse
+graphs above a size cap.
 
 P x is computed by contiguous row blocks of about equal nonzero count, one
 per CPU the process may run on, in a thread pool started at the first
@@ -46,14 +47,6 @@ os.register_at_fork(after_in_child=_pool.cache_clear)
 
 class GraphError(ValueError):
     pass
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration hit its iteration cap; carries the last estimate."""
-
-    def __init__(self, message, last_estimate):
-        super().__init__(message)
-        self.last_estimate = last_estimate
 
 
 @dataclass(frozen=True)
@@ -210,55 +203,18 @@ def base_operator(g: SparseGraph) -> PropagationMatrix:
         (a.data * w[a.row] * w[a.col], (a.row, a.col)), shape=a.shape))
 
 
-def operator_norm(p: PropagationMatrix, tol=1e-8):
-    """Largest singular value by power iteration on P^T P.
-
-    ``p`` is anything with ``n``, ``apply`` and ``apply_transpose``. For
-    a PropagationMatrix, which is symmetric, this equals max |lambda_n|.
-    Deterministic start vector; raises ConvergenceError carrying the last
-    estimate after 10*N iterations.
-    """
-    n = p.n
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = None
-    max_iter = 10 * n
-    for _ in range(max_iter):
-        u = p.apply(v)
-        w = p.apply_transpose(u)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        new_sigma = float(np.linalg.norm(u))
-        v = w / nrm
-        if sigma is not None and abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations",
-        last_estimate=sigma,
-    )
+def operator_norm(p: PropagationMatrix):
+    """Largest singular value of P: max |lambda| over ``eigendecompose``'s
+    eigenvalues, since P is symmetric; refused above ``DENSE_EIGEN_CAP``
+    nodes, as ``eigendecompose`` is."""
+    return float(np.abs(eigendecompose(p)[0]).max())
 
 
 def eigendecompose(p: PropagationMatrix, cap=DENSE_EIGEN_CAP):
     """Dense eigendecomposition of the symmetric P, refused above the size
     cap: (eigenvalues in descending order, orthonormal eigenvectors as
-    columns).
-
-    P is densified once, and LAPACK's divide-and-conquer driver (dsyevd)
-    overwrites that one N x N buffer with the eigenvectors; the descending
-    order is a reversed view. The peak is about 3.4 N x N float64 arrays:
-    the buffer plus dsyevd's workspace of 1 + 6N + 2N^2 doubles.
-    """
+    columns, in Fortran order)."""
     if p.n > cap:
         raise GraphError(f"eigendecompose refused: N={p.n} exceeds cap {cap}")
-    # imported here: scipy.linalg adds about 80 ms to every CLI start, and
-    # only the spectral report needs it
-    from scipy.linalg import eigh
-
-    dense = p.matrix.toarray()
-    # dense.T is the Fortran-ordered view LAPACK can overwrite without a copy
-    vals, vecs = eigh(dense.T, overwrite_a=True, check_finite=False,
-                      driver="evd")
-    return vals[::-1], vecs[:, ::-1]
+    vals, vecs = np.linalg.eigh(p.matrix.toarray())
+    return vals[::-1], np.asfortranarray(vecs[:, ::-1])

@@ -88,21 +88,25 @@ def surrogate_grad(score, labels, split):
     return g
 
 
-def errors(yhat, labels, split):
-    """Train error, test error, and train surrogate loss.
+def class_ids(score):
+    """Predicted class ids: class 1 where a binary score vector is > 0 (a
+    score of exactly 0 is class 0), and each row's argmax of a multiclass
+    score matrix (ties toward the lowest index)."""
+    score = np.asarray(score)
+    if score.ndim == 1:
+        return (score > 0.0).astype(np.int64)
+    return np.argmax(score, axis=1)
 
-    Binary scores use the margin loss at delta = 0, multiclass scores the
-    argmax-vs-label 0-1 error (np.argmax breaks ties toward the lowest index).
-    """
+
+def errors(yhat, labels, split):
+    """Train error, test error, and train surrogate loss; the errors are
+    0-1 errors of ``class_ids``, the classes ``boost.predict`` gives."""
     yhat = np.asarray(yhat, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
     if split.m == 0 or split.u == 0:
         raise ValueError("errors need nonempty train and test sets")
     tr, te = split.train, split.test
-    if yhat.ndim == 1:
-        per_node = margin_loss(yhat, labels)
-    else:
-        per_node = (np.argmax(yhat, axis=1) != labels).astype(float)
+    per_node = (class_ids(yhat) != labels).astype(float)
     return {
         "train_err": float(np.mean(per_node[tr])),
         "test_err": float(np.mean(per_node[te])),

@@ -16,8 +16,8 @@ from graphboost.boost import (AggregatorSpec, BoostConfig, EnsembleModel,
                               run_functional_gb, run_samme,
                               samme_model_weight, save_model,
                               stage_inputs, wlc_fit, write_trace_csv)
-from graphboost.data import synthesize_two_block
-from graphboost.graph import base_operator
+from graphboost.data import NodeDataset, Split, synthesize_two_block
+from graphboost.graph import SparseGraph, base_operator
 from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
 from graphboost.theory import build_theory_report
 from reference import (AllocatingAdam, curve_shape, weighted_error_form,
@@ -927,6 +927,25 @@ class TestFineTune:
         tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=30, lr=1e-2))
         assert loss(tuned) < before
 
+    def test_functional_trains_the_stages_it_predicts_from(self):
+        # t* = 5 of 7 stages: the loss reads stage 5's score, the one
+        # predict reads, and stages 6 and 7 come back bit for bit
+        from graphboost.losses import surrogate
+        ds = synthesize_two_block(40, 0.7, 0.25, seed=1, noise=0.6)
+        model, _, _ = run_functional_gb(ds, BoostConfig(
+            n_rounds=6, hidden=(6,), learner=TrainConfig(epochs=20), seed=1))
+        assert (model.t_star, len(model.stages)) == (5, 7)
+        tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=30, lr=0.01))
+        assert (tuned.t_star, len(tuned.stages)) == (5, 7)
+        for st, tu in zip(model.stages[5:], tuned.stages[5:]):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(st.learner.weights, tu.learner.weights))
+        tr = ds.split.train
+
+        def loss(m):
+            return surrogate(predict(m, ds)[0][tr], ds.labels[tr])[0]
+        assert loss(tuned) < loss(model)
+
     def test_divergence_leaves_input_untouched(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
         model, _, _ = run_samme(ds, BoostConfig(
@@ -1330,6 +1349,23 @@ def noisy_run(kind, mode):
     return ds, model, trace
 
 
+def zero_score_run():
+    """(dataset, model, trace) of a functional run on a 41-node graph whose
+    last node, a test node of label 1, is isolated and has zero features,
+    so that every bias-free learner scores it exactly 0."""
+    ds = synthesize_two_block(40, 0.8, 0.1, seed=3, noise=0.3)
+    n, split = ds.n, ds.split
+    ds = NodeDataset(
+        graph=SparseGraph.from_edges(n + 1, ds.graph.edges),
+        features=np.vstack([ds.features, np.zeros((1, 2))]),
+        labels=np.append(ds.labels, 1),
+        split=Split(split.train, split.val, np.append(split.test, n)),
+        n_classes=2)
+    model, trace, _ = run_functional_gb(ds, BoostConfig(
+        n_rounds=3, hidden=(8,), learner=TrainConfig(epochs=30)))
+    return ds, model, trace
+
+
 class TestPredict:
     def test_functional_tstar_one(self):
         ds = synthesize_two_block(16, 0.9, 0.1, seed=0)
@@ -1382,13 +1418,17 @@ class TestPredict:
         scores = replay_scores(model, ds)
         assert len(scores) == len(model.stages)
 
-    @pytest.mark.parametrize("kind", ["fixed", "input_injection", "kta"])
-    @pytest.mark.parametrize("mode", ["functional", "samme"])
-    def test_reproduces_trace_errors(self, kind, mode):
+    @pytest.mark.parametrize("run", [
+        *(pytest.param(functools.partial(noisy_run, kind, mode),
+                       id=f"{mode}-{kind}")
+          for mode in ("functional", "samme")
+          for kind in ("fixed", "input_injection", "kta")),
+        pytest.param(zero_score_run, id="functional-zero_score")])
+    def test_reproduces_trace_errors(self, run):
         # predict on a freshly trained model gives exactly the errors the
         # trace recorded for the stage it predicts from: t* for functional,
-        # the last stage for SAMME
-        ds, model, trace = noisy_run(kind, mode)
+        # the last stage for SAMME; a score of exactly 0 is class 0 in both
+        ds, model, trace = run()
         row = trace[(model.t_star or len(trace)) - 1]
         _, classes = predict(model, ds)
         wrong = classes != ds.labels

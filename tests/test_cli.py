@@ -147,6 +147,40 @@ class TestTrain:
             results.append((out / "seed_7" / "trace.csv").read_bytes())
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("mode", ["samme", "functional"])
+    def test_seeds_share_one_read_only_dataset(self, dataset_dir, tmp_path,
+                                               monkeypatch, mode):
+        # the dataset is loaded once per run, and every seed's artifacts
+        # are those of a run of that seed alone: no driver, fine-tune or
+        # replay writes into the shared arrays, which are made read-only
+        import graphboost.cli as cli
+        from graphboost.data import load_planetoid
+        loads = []
+
+        def load_read_only(*args, **kw):
+            ds = load_planetoid(*args, **kw)
+            for a in (ds.features, ds.labels, ds.graph.edges,
+                      ds.split.train, ds.split.val, ds.split.test):
+                a.flags.writeable = False
+            loads.append(ds)
+            return ds
+        monkeypatch.setattr(cli, "load_planetoid", load_read_only)
+        blob = base_config(dataset_dir, variant="kta", mode=mode,
+                           seeds=[0, 1, 2], fine_tune=True,
+                           fine_tune_cfg={"epochs": 3, "lr": 1e-2})
+        (tmp_path / "cfg.json").write_text(json.dumps(blob))
+        cmd_train(str(tmp_path / "cfg.json"), str(tmp_path / "all"))
+        assert len(loads) == 1
+        for seed in blob["seeds"]:
+            cfg_path = tmp_path / f"cfg_{seed}.json"
+            cfg_path.write_text(json.dumps({**blob, "seeds": [seed]}))
+            cmd_train(str(cfg_path), str(tmp_path / f"one_{seed}"))
+            for name in ("model.json", "trace.csv", "summary.json"):
+                assert ((tmp_path / "all" / f"seed_{seed}" / name)
+                        .read_bytes() == (tmp_path / f"one_{seed}"
+                                          / f"seed_{seed}" / name)
+                        .read_bytes()), (seed, name)
+
     def test_functional_mode_runs(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(

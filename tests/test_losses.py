@@ -108,11 +108,13 @@ class TestErrors:
         e = errors(yhat, y, split)
         assert e["train_err"] == 0.0 and e["test_err"] == 0.0
 
-    def test_zero_scores_count_correct_at_zero_margin(self):
+    def test_zero_scores_are_class_zero(self):
+        # the class predict gives: a binary score is class 1 iff > 0
         split = random_partition(8, 4, seed=1)
         y = np.array([0, 1] * 4)
         e = errors(np.zeros(8), y, split)
-        assert e["train_err"] == 0.0 and e["test_err"] == 0.0
+        assert e["train_err"] == np.mean(y[split.train] == 1)
+        assert e["test_err"] == np.mean(y[split.test] == 1)
 
     def test_multiclass_argmax_with_tie_break(self):
         split = random_partition(4, 2, seed=3)
