@@ -27,7 +27,7 @@ from .graph import base_operator
 from .losses import (DEFAULT_CLIP, class_ids, errors, softmax, surrogate,
                      surrogate_grad)
 from .mlp import (MlpParams, TrainConfig, _Adam, backward, check_step,
-                  fit_classifier, fit_to_gradient, forward)
+                  fit_classifier, fit_to_gradient, forward, resume)
 
 # the one model.json layout: save_model writes it, model_from_json reads it
 FORMAT_VERSION = 3
@@ -225,7 +225,10 @@ def run_functional_gb(dataset: NodeDataset, cfg: BoostConfig):
     """Binary functional gradient boosting with online w.l.c. verification.
 
     Returns (EnsembleModel, trace rows, score): the score is yhat at t*,
-    over all N nodes, bit for bit the one ``predict`` replays. The first
+    over all N nodes, with the classes ``predict`` gives; its values are
+    ``predict``'s bit for bit while the replay is dense, and to rounding
+    past the stage where it turns to the learners' width (see
+    ``replay_scores``). The first
     stage fits the raw features and steps with eta_1 = 1; each of the
     ``n_rounds`` further stages aggregates, fits the scaled negative
     gradient, fits (alpha, beta) by ``wlc_fit``, and steps with eta = 4 /
@@ -287,8 +290,10 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
     retry that also fails is kept with lambda = 0, the weight SAMME gives a
     learner at chance, leaves the sample weights alone, and its round is
     listed in ``flags["skipped"]``. Returns (EnsembleModel, trace rows,
-    score): the vote score after the last stage over all N nodes, bit for
-    bit the one ``predict`` replays."""
+    score): the vote score after the last stage over all N nodes, with the
+    classes ``predict`` gives; its values are ``predict``'s bit for bit
+    while the replay is dense, and to rounding past the stage where it
+    turns to the learners' width (see ``replay_scores``)."""
     y = dataset.labels
     split = dataset.split
     k = dataset.n_classes
@@ -347,6 +352,16 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
 # ---------------------------------------------------------------------------
 # replay / prediction
 
+# the share of the feature width C up to which the summed W^(1) widths k of
+# a run of learners are carried in place of C columns, by predict's walk
+# (``_learner_width_inputs``) and fine-tuning's adjoint
+# (``_stack_gradients``); the measured crossover of one stage's factored
+# pullback, its x G product included, and the dense one: k between 0.5 C
+# and 0.55 C on the Cora shape (N 2,708, C 1,433) and near 0.6 C on the
+# PubMed shape (N 19,717, C 500), one BLAS thread on a 2-core machine
+FACTORED_SHARE = 0.5
+
+
 def stage_inputs(model: EnsembleModel, dataset: NodeDataset,
                  rows=slice(None)):
     """Yield every stage's learner input (the aggregated features the
@@ -372,6 +387,59 @@ def stage_representations(model: EnsembleModel, dataset: NodeDataset,
     return list(stage_inputs(model, dataset, rows))
 
 
+def _learner_width_inputs(model: EnsembleModel, dataset: NodeDataset):
+    """Every stage's learner input on all rows, for ``_stack_scores``: the
+    blocks of ``stage_inputs`` up to and including the first stage s whose
+    later learners' W^(1) widths sum to k <= FACTORED_SHARE * C, then each
+    later stage's W^(1) output. The representation at s is multiplied once
+    by G = [W^(1)[:C] of every later stage], and only those k columns are
+    propagated from there; each stage reads its h columns, which are then
+    dropped. Under injection a stage maps Y to rho P Y + (1 - rho) X G, so
+    the walk carries X G, and each stage adds its columns of X [W^(1)[C:]
+    of every later stage]. The walk sums in another order than the dense
+    one, so the outputs after s match it to rounding."""
+    stages, c = model.stages, dataset.features.shape[1]
+    widths = [st.learner.weights[0].shape[1] for st in stages]
+    switch = next(s for s in range(len(stages))
+                  if sum(widths[s + 1:]) <= FACTORED_SHARE * c)
+    dense = stage_inputs(model, dataset)
+    for _ in range(switch):
+        yield next(dense)
+    blocks = next(dense)
+    del dense  # the dense chain is let go with its representation
+    yield blocks
+    later = stages[switch + 1:]
+    if not later:
+        return
+    g = np.hstack([st.learner.weights[0][:c] for st in later])
+    cur, *injected = blocks
+    del blocks
+    if injected:
+        # two products of width k, not one of 2k: on the PubMed shape
+        # (k = 128) the 2k-wide one left 10 MB more resident after predict
+        x_g = injected[0] @ g
+        x_inj = injected[0] @ np.hstack([st.learner.weights[0][c:]
+                                         for st in later])
+        # at the first stage the representation is the features themselves
+        y = x_g if switch == 0 else cur @ g
+    else:
+        x_g, y = None, cur @ g
+    del cur
+    for st, h in zip(later, widths[switch + 1:]):
+        # the aggregator's output is fresh, so its h columns, dropped next,
+        # take the injected term and the learner's ReLU in place: a stage
+        # allocates no N x h array of its own
+        y = st.aggregator.apply(y, x_g)
+        z = y[:, :h]
+        if injected:
+            z += x_inj[:, :h]
+        yield z
+        del z
+        y = y[:, h:]
+        if injected:
+            x_g, x_inj = x_g[:, h:], x_inj[:, h:]
+
+
 def _vote(model: EnsembleModel, weight, out, soft=False):
     """One stage's term of the score from its raw learner output ``out``:
     eta f for functional, and lambda times the argmax vote for SAMME (the
@@ -394,12 +462,14 @@ def _vote_grad(model: EnsembleModel, weight, out, dscore):
 def _stack_scores(model: EnsembleModel, inputs, soft=False, caches=None):
     """The one forward pass over the stage stack, on the rows of the
     per-stage learner inputs ``inputs`` (a list or a ``stage_inputs``
-    stream of block tuples): returns (running score by stage, raw learner
-    outputs). Each ``_vote`` (softmax when ``soft``) adds onto a score of
-    zeros sized from the first input, as the drivers' scores start, so a
-    first stage of weight 0 scores zeros. A ``caches`` list gets each
-    stage's forward cache, which holds its input; otherwise each input is
-    released before the next is drawn, which a ``zip`` would not do."""
+    stream of block tuples; a stage's input may instead be its W^(1)
+    output, as ``_learner_width_inputs`` gives): returns (running score by
+    stage, raw learner outputs). Each ``_vote`` (softmax when ``soft``)
+    adds onto a score of zeros sized from the first input, as the drivers'
+    scores start, so a first stage of weight 0 scores zeros. A ``caches``
+    list gets each stage's forward cache, which holds its input; otherwise
+    each input is released before the next is drawn, which a ``zip`` would
+    not do."""
     scores, outputs = [], []
     for blocks in inputs:
         stage = model.stages[len(outputs)]
@@ -407,7 +477,10 @@ def _stack_scores(model: EnsembleModel, inputs, soft=False, caches=None):
             n = len(blocks[0])
             score = np.zeros(n if model.mode == "functional"
                              else (n, model.n_classes))
-        out, cache = forward(stage.learner, *blocks)
+        if isinstance(blocks, tuple):
+            out, cache = forward(stage.learner, *blocks)
+        else:  # W^(1)'s output, propagated at the learner's width
+            out, cache = resume(stage.learner, blocks)[0], None
         score = score + _vote(model, stage.weight, out, soft)
         scores.append(score)
         outputs.append(out)
@@ -419,11 +492,14 @@ def _stack_scores(model: EnsembleModel, inputs, soft=False, caches=None):
 
 def replay_scores(model: EnsembleModel, dataset: NodeDataset, reps=None):
     """Score trajectory by stage: functional gives the running sum of
-    eta_s f_s, SAMME the running vote score. ``reps`` (from
-    ``stage_representations`` with ``rows``) scores those rows instead of
-    the whole graph; without it the stage chain is streamed and no stage
-    input is kept (see ``_stack_scores``)."""
-    return _stack_scores(model, stage_inputs(model, dataset)
+    eta_s f_s, SAMME the running vote score. ``reps``, the learner inputs
+    of every stage on some rows (``stage_representations(model, dataset,
+    rows)``), scores those rows on the dense chain. Without it the whole
+    graph is scored by ``_learner_width_inputs``'s walk: the dense chain's
+    scores bit for bit up to the stage where it turns to the learners'
+    width, and from there the same classes, with scores within 1e-12
+    relative on the tests' graphs."""
+    return _stack_scores(model, _learner_width_inputs(model, dataset)
                          if reps is None else reps)[0]
 
 
@@ -448,12 +524,6 @@ def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
 # most W^(1)'s width h, so the chain's adjoint is pulled back factored at
 # width k = sum h (``_stack_gradients``) until k would pass FACTORED_SHARE
 # of the feature width C.
-
-# measured crossover of one stage's factored pullback, its x G product
-# included, and the dense one: k between 0.5 C and 0.55 C on the Cora shape
-# (N 2,708, C 1,433) and near 0.6 C on the PubMed shape (N 19,717, C 500),
-# one BLAS thread on a 2-core machine
-FACTORED_SHARE = 0.5
 
 
 @dataclass

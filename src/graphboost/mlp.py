@@ -120,18 +120,28 @@ def forward(p: MlpParams, *blocks):
     """Full forward pass on an input given as column blocks (one array, or
     e.g. the representation and the injected features); returns (output,
     cache), the cache holding the blocks and every hidden activation, all
-    that backward reads."""
+    that backward reads. The layers after the first run in ``resume``."""
     h = tuple(np.asarray(b, dtype=float) for b in blocks)
     width = sum(b.shape[1] for b in h)
     if width != p.weights[0].shape[0]:
         raise ValueError(f"input width {width} does not match W^(1) rows "
                          f"{p.weights[0].shape[0]}")
-    hiddens = [h]
-    for l in range(p.n_layers - 1):
-        h = np.maximum(_layer(p, l, h), 0.0)
+    out, hiddens = resume(p, _layer(p, 0, h))
+    return out, {"hiddens": [h, *hiddens]}
+
+
+def resume(p: MlpParams, z):
+    """The forward pass on from ``z``, W^(1)'s output on some input: returns
+    (output, every hidden activation). ``forward`` is ``resume`` of its
+    first layer, so a caller that forms W^(1)'s output some other way, as
+    a product propagated at the learner's width, gets the same map. Each
+    pre-activation, ``z`` included, is overwritten by its ReLU."""
+    hiddens = []
+    for l in range(1, p.n_layers):
+        h = np.maximum(z, 0.0, out=z)
         hiddens.append(h)
-    out = _layer(p, p.n_layers - 1, h)
-    return out, {"hiddens": hiddens}
+        z = _layer(p, l, h)
+    return z, hiddens
 
 
 def backward(p: MlpParams, cache, upstream):

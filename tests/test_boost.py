@@ -18,6 +18,7 @@ from graphboost.boost import (AggregatorSpec, BoostConfig, EnsembleModel,
                               stage_inputs, wlc_fit, write_trace_csv)
 from graphboost.data import NodeDataset, Split, synthesize_two_block
 from graphboost.graph import SparseGraph, base_operator
+from graphboost.losses import class_ids
 from graphboost.mlp import MlpParams, TrainConfig, forward, init_mlp
 from graphboost.theory import build_theory_report
 from reference import (AllocatingAdam, curve_shape, weighted_error_form,
@@ -836,8 +837,10 @@ class TestTrainedBytes:
 
 
 class TestDriverScore:
-    """A driver returns the score ``predict`` replays from its model, bit
-    for bit, so ``train`` need not replay the stack it just built."""
+    """A driver returns the score ``predict`` replays from its model, so
+    ``train`` need not replay the stack it just built: bit for bit here,
+    where two features keep the replay dense, and with the same classes
+    where it turns to the learners' width (``TestLearnerWidthPredict``)."""
 
     @pytest.mark.parametrize("name,mode,kind,n_rounds",
                              [pytest.param(*case, id=case[0])
@@ -1164,15 +1167,19 @@ class TestFineTuneBytes:
         assert got == FINE_TUNE_BYTES[f"{mode}-{kind}"]
 
 
-@functools.cache
-def wide_kta_run(hidden, n_stages, seed):
-    """(dataset, model) of a short SAMME KTA run on the noisy 40-node graph
-    with 38 noise features added, C = 40: the chain's adjoint stays
-    factored while the stacked W^(1) widths sum to at most C / 2 = 20.
-    Cached: no caller changes the run."""
+def wide_dataset():
+    """The noisy 40-node graph with 38 noise features added, C = 40."""
     base = synthesize_two_block(40, 0.7, 0.25, seed=8, noise=0.6)
     noise = np.random.default_rng(1).standard_normal((base.n, 38))
-    ds = replace(base, features=np.hstack([base.features, 0.6 * noise]))
+    return replace(base, features=np.hstack([base.features, 0.6 * noise]))
+
+
+@functools.cache
+def wide_kta_run(hidden, n_stages, seed):
+    """(dataset, model) of a short SAMME KTA run on ``wide_dataset``: the
+    chain's adjoint stays factored while the stacked W^(1) widths sum to at
+    most C / 2 = 20. Cached: no caller changes the run."""
+    ds = wide_dataset()
     model, _, _ = run_samme(ds, BoostConfig(
         n_rounds=n_stages, hidden=(hidden,), learner=TrainConfig(epochs=4),
         aggregator=AggregatorSpec(kind="kta"), seed=seed))
@@ -1294,6 +1301,132 @@ class TestFactoredAdjoint:
                                            want.aggregator.coefs,
                                            rtol=0, atol=1e-12)
         assert info["max_rel_change"] > 1e-3
+
+
+def wide_split(ds):
+    """``ds`` with the train, validation and test rows of
+    ``unsaturated_run``, and its extra nodes, if any, added to the test
+    rows."""
+    ids = np.random.default_rng(0).permutation(40)
+    return replace(ds, split=Split(train=ids[:14], val=ids[14:24],
+                                   test=np.r_[ids[24:], 40:ds.n]))
+
+
+def wide_boost(ds, kind, mode, n_stages=7):
+    """(model, trace, score) of a run of ``n_stages`` stages of hidden width
+    4 on ``ds``: with C = 40, FACTORED_SHARE 0, 0.1, 0.3, 0.5 and 1.0 put
+    the predict walk's switch at stages 7, 6, 4, 2 and 1."""
+    common = dict(hidden=(4,), learner=TrainConfig(epochs=4),
+                  aggregator=AggregatorSpec(kind=kind, rho=0.3), seed=10)
+    if mode == "functional":
+        return run_functional_gb(ds, BoostConfig(n_rounds=n_stages - 1,
+                                                 **common))
+    return run_samme(ds, BoostConfig(n_rounds=n_stages, **common))
+
+
+@functools.cache
+def wide_run(kind, mode):
+    """(dataset, model, trace, score) of ``wide_boost`` on the wide
+    graph with a validation split. Cached: no caller changes the run."""
+    ds = wide_split(wide_dataset())
+    return (ds, *wide_boost(ds, kind, mode))
+
+
+def wide_zero_score_run(kind):
+    """(dataset, model, trace) of a functional ``wide_boost`` on the wide
+    graph with a 41st node, a test node of label 1 that is isolated and has
+    zero features, so that every bias-free learner scores it exactly 0."""
+    ds = wide_dataset()
+    ds = wide_split(replace(
+        ds, graph=SparseGraph.from_edges(ds.n + 1, ds.graph.edges),
+        features=np.vstack([ds.features, np.zeros((1, 40))]),
+        labels=np.append(ds.labels, 1)))
+    return (ds, *wide_boost(ds, kind, "functional")[:2])
+
+
+WIDE_KINDS = ["fixed", "input_injection", "kta"]
+SHARES = [0.0, 0.1, 0.3, 0.5, 1.0]
+
+
+class TestLearnerWidthPredict:
+    """``predict`` walks the chain densely up to the first stage whose later
+    learners' W^(1) widths sum to at most FACTORED_SHARE * C, and from there
+    propagates those columns of X W^(1) alone: the dense replay's classes,
+    and its scores to rounding."""
+
+    @pytest.mark.parametrize("share", SHARES)
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
+    @pytest.mark.parametrize("kind", WIDE_KINDS)
+    def test_matches_dense_replay(self, monkeypatch, kind, mode, share):
+        from graphboost import boost
+        from graphboost.boost import stage_representations
+        from graphboost.graph import PropagationMatrix
+        ds, model, _, _ = wide_run(kind, mode)
+        monkeypatch.setattr(boost, "FACTORED_SHARE", share)
+        applied = []
+        apply = PropagationMatrix.apply
+
+        def recorded(op, x):
+            applied.append(x.shape[1])
+            return apply(op, x)
+        with monkeypatch.context() as patch:
+            patch.setattr(PropagationMatrix, "apply", recorded)
+            walked = replay_scores(model, ds)
+        dense = replay_scores(model, ds, stage_representations(model, ds))
+        # the walk is dense through stage s, and each later stage applies
+        # its aggregator at the remaining widths: 4 for each stage left
+        s = {0.0: 7, 0.1: 6, 0.3: 4, 0.5: 2, 1.0: 1}[share]
+        assert [st.learner.weights[0].shape[1] for st in model.stages] \
+            == [4] * 7
+        n_apply = 8 if kind == "kta" else 1
+        assert applied == [w for t in range(2, 8) for w in
+                           [40 if t <= s else 4 * (8 - t)] * n_apply]
+        assert len(walked) == len(dense) == 7
+        for t, (got, want) in enumerate(zip(walked, dense), 1):
+            if share == 0.0 or t <= s:
+                assert np.array_equal(got, want)
+            else:
+                assert (np.abs(got - want).max()
+                        <= 1e-12 * np.abs(want).max())
+            assert np.array_equal(class_ids(got), class_ids(want))
+
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
+    @pytest.mark.parametrize("kind", WIDE_KINDS)
+    def test_driver_classes_are_predicts(self, kind, mode):
+        # train's summary counts the classes of the driver's dense score,
+        # the benchmark those of predict: they must agree on every node
+        ds, model, _, score = wide_run(kind, mode)
+        assert np.array_equal(class_ids(score), predict(model, ds)[1])
+
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
+    @pytest.mark.parametrize("kind", WIDE_KINDS)
+    def test_fine_tune_reports_predicts_errors(self, kind, mode):
+        # fine_tune scores its train and validation rows on the dense
+        # chain; a full-graph predict of either model gives the same errors
+        ds, model, _, _ = wide_run(kind, mode)
+        tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=2, lr=0.05))
+        tr, va, y = ds.split.train, ds.split.val, ds.labels
+        for i, m in enumerate((model, tuned)):
+            classes = predict(m, ds)[1]
+            assert info["train_err"][i] == np.mean(classes[tr] != y[tr])
+            assert info["val_err"][i] == np.mean(classes[va] != y[va])
+
+    @pytest.mark.parametrize("share", [0.3, 1.0])
+    @pytest.mark.parametrize("kind", WIDE_KINDS)
+    def test_zero_score_stays_exact(self, monkeypatch, kind, share):
+        # an isolated, zero-feature node has a zero row in X W^(1) and in
+        # every propagated column, so it scores exactly 0, class 0
+        from graphboost import boost
+        ds, model, trace = wide_zero_score_run(kind)
+        monkeypatch.setattr(boost, "FACTORED_SHARE", share)
+        scores = replay_scores(model, ds)
+        assert all(score[-1] == 0.0 for score in scores)
+        row = trace[model.t_star - 1]
+        _, classes = predict(model, ds)
+        assert classes[-1] == 0
+        wrong = classes != ds.labels
+        assert row["train_err"] == np.mean(wrong[ds.split.train])
+        assert row["test_err"] == np.mean(wrong[ds.split.test])
 
 
 def memory_toy():

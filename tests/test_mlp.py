@@ -5,7 +5,7 @@ from graphboost.losses import softmax
 from graphboost.mlp import (MlpParams, TrainConfig, TrainingDiverged,
                             _Adam, backward, fit_classifier,
                             fit_to_gradient, forward, init_mlp,
-                            max_column_l1, project_l1_columns)
+                            max_column_l1, project_l1_columns, resume)
 from reference import AllocatingAdam
 
 
@@ -155,6 +155,18 @@ class TestForward:
         out, _ = forward(p, x)
         out_perm, _ = forward(p, x[perm])
         assert np.array_equal(out[perm], out_perm)
+
+    @pytest.mark.parametrize("widths", [(3, 2), (3, 4, 2), (3, 4, 5, 2)])
+    def test_resumes_from_the_first_layer(self, widths):
+        # the forward pass is its first layer and then resume, at any depth
+        x = np.random.default_rng(6).standard_normal((7, 3))
+        p = init_mlp(widths, seed=7)
+        out, cache = forward(p, x)
+        got, hiddens = resume(p, x @ p.weights[0])
+        assert np.array_equal(got, out)
+        assert len(hiddens) == len(widths) - 2
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(hiddens, cache["hiddens"][1:]))
 
 
 class TestBackward:
