@@ -1174,6 +1174,21 @@ def wide_dataset():
     return replace(base, features=np.hstack([base.features, 0.6 * noise]))
 
 
+def applied_widths(monkeypatch, fn, *args):
+    """(the column count of every ``PropagationMatrix.apply`` call in
+    order, ``fn(*args)``)."""
+    from graphboost.graph import PropagationMatrix
+    applied = []
+    apply = PropagationMatrix.apply
+
+    def recorded(op, x):
+        applied.append(x.shape[1])
+        return apply(op, x)
+    with monkeypatch.context() as patch:
+        patch.setattr(PropagationMatrix, "apply", recorded)
+        return applied, fn(*args)
+
+
 @functools.cache
 def wide_kta_run(hidden, n_stages, seed):
     """(dataset, model) of a short SAMME KTA run on ``wide_dataset``: the
@@ -1216,19 +1231,11 @@ class TestFactoredAdjoint:
         import itertools
 
         from graphboost.boost import _stack_gradients
-        from graphboost.graph import PropagationMatrix
         from reference import dense_stack_gradients
         ds, model = wide_kta_run(*WIDE_STACKS[stack])
         args = stack_gradients_of(model, ds)
-        applied = []
-        apply = PropagationMatrix.apply
-
-        def recorded(op, x):
-            applied.append(x.shape[1])
-            return apply(op, x)
-        with monkeypatch.context() as patch:
-            patch.setattr(PropagationMatrix, "apply", recorded)
-            mlp_grads, kta_grads = _stack_gradients(*args)
+        applied, (mlp_grads, kta_grads) = applied_widths(
+            monkeypatch, _stack_gradients, *args)
         # each stage walks P^8 at the adjoint's width: k = h, 2h, ... while
         # factored, C = 40 once multiplied out
         assert [w for w, _ in itertools.groupby(applied)] == widths
@@ -1360,18 +1367,10 @@ class TestLearnerWidthPredict:
     def test_matches_dense_replay(self, monkeypatch, kind, mode, share):
         from graphboost import boost
         from graphboost.boost import stage_representations
-        from graphboost.graph import PropagationMatrix
         ds, model, _, _ = wide_run(kind, mode)
         monkeypatch.setattr(boost, "FACTORED_SHARE", share)
-        applied = []
-        apply = PropagationMatrix.apply
-
-        def recorded(op, x):
-            applied.append(x.shape[1])
-            return apply(op, x)
-        with monkeypatch.context() as patch:
-            patch.setattr(PropagationMatrix, "apply", recorded)
-            walked = replay_scores(model, ds)
+        applied, walked = applied_widths(monkeypatch, replay_scores, model,
+                                         ds)
         dense = replay_scores(model, ds, stage_representations(model, ds))
         # the walk is dense through stage s, and each later stage applies
         # its aggregator at the remaining widths: 4 for each stage left
