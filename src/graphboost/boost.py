@@ -353,12 +353,14 @@ def run_samme(dataset: NodeDataset, cfg: BoostConfig):
 # replay / prediction
 
 # the share of the feature width C up to which the summed W^(1) widths k of
-# a run of learners are carried in place of C columns, by predict's walk
-# (``_learner_width_inputs``) and fine-tuning's adjoint
-# (``_stack_gradients``); the measured crossover of one stage's factored
-# pullback, its x G product included, and the dense one: k between 0.5 C
-# and 0.55 C on the Cora shape (N 2,708, C 1,433) and near 0.6 C on the
-# PubMed shape (N 19,717, C 500), one BLAS thread on a 2-core machine
+# a run of learners are carried in place of C columns, by the learner-width
+# walk (``_learner_width_inputs``, which predict and a KTA fine-tune epoch
+# run) and fine-tuning's adjoint (``_stack_gradients``), both from the
+# stage ``_switch_stage`` gives; the measured crossover of one stage's
+# factored pullback, its x G product included, and the dense one: k
+# between 0.5 C and 0.55 C on the Cora shape (N 2,708, C 1,433) and near
+# 0.6 C on the PubMed shape (N 19,717, C 500), one BLAS thread on a 2-core
+# machine
 FACTORED_SHARE = 0.5
 
 
@@ -387,27 +389,41 @@ def stage_representations(model: EnsembleModel, dataset: NodeDataset,
     return list(stage_inputs(model, dataset, rows))
 
 
-def _learner_width_inputs(model: EnsembleModel, dataset: NodeDataset):
-    """Every stage's learner input on all rows, for ``_stack_scores``: the
-    blocks of ``stage_inputs`` up to and including the first stage s whose
-    later learners' W^(1) widths sum to k <= FACTORED_SHARE * C, then each
-    later stage's W^(1) output. The representation at s is multiplied once
-    by G = [W^(1)[:C] of every later stage], and only those k columns are
-    propagated from there; each stage reads its h columns, which are then
-    dropped. Under injection a stage maps Y to rho P Y + (1 - rho) X G, so
-    the walk carries X G, and each stage adds its columns of X [W^(1)[C:]
-    of every later stage]. The walk sums in another order than the dense
-    one, so the outputs after s match it to rounding."""
-    stages, c = model.stages, dataset.features.shape[1]
+def _switch_stage(stages, c):
+    """The first stage whose later learners' W^(1) widths sum to k <=
+    FACTORED_SHARE * c: the learner-width walk is dense through it, and
+    fine-tuning's adjoint is factored above it."""
     widths = [st.learner.weights[0].shape[1] for st in stages]
-    switch = next(s for s in range(len(stages))
-                  if sum(widths[s + 1:]) <= FACTORED_SHARE * c)
+    return next(s for s in range(len(stages))
+                if sum(widths[s + 1:]) <= FACTORED_SHARE * c)
+
+
+def _learner_width_inputs(model: EnsembleModel, dataset: NodeDataset,
+                          rows=slice(None), chain=None):
+    """Every stage's learner input on ``rows``, for ``_stack_scores``: the
+    blocks of ``stage_inputs`` up to and including the switch stage s
+    (``_switch_stage``), then each later stage's W^(1) output. The
+    representation at s is multiplied once by G = [W^(1)[:C] of every
+    later stage], and only those k columns are propagated from there, on
+    all rows; each stage reads its h columns, which are then dropped.
+    Under injection a stage maps Y to rho P Y + (1 - rho) X G, so the walk
+    carries X G, and each stage adds its columns of X [W^(1)[C:] of every
+    later stage]. The walk sums in another order than the dense one, so
+    the outputs after s match it to rounding.
+
+    A ``chain`` list gets what fine-tuning's pullback pairs with, one
+    array per stage on all rows: the representation of each stage through
+    s, then the k-wide y each later aggregator reads, the representation
+    before it times the W^(1)[:C] of it and the stages after it."""
+    stages, c = model.stages, dataset.features.shape[1]
+    switch = _switch_stage(stages, c)
     dense = stage_inputs(model, dataset)
-    for _ in range(switch):
-        yield next(dense)
-    blocks = next(dense)
+    for _ in range(switch + 1):
+        blocks = next(dense)
+        if chain is not None:
+            chain.append(blocks[0])
+        yield tuple(block[rows] for block in blocks)
     del dense  # the dense chain is let go with its representation
-    yield blocks
     later = stages[switch + 1:]
     if not later:
         return
@@ -425,14 +441,17 @@ def _learner_width_inputs(model: EnsembleModel, dataset: NodeDataset):
     else:
         x_g, y = None, cur @ g
     del cur
-    for st, h in zip(later, widths[switch + 1:]):
+    for st in later:
+        h = st.learner.weights[0].shape[1]
+        if chain is not None:
+            chain.append(y)
         # the aggregator's output is fresh, so its h columns, dropped next,
         # take the injected term and the learner's ReLU in place: a stage
-        # allocates no N x h array of its own
+        # allocates no N x h array of its own on all rows
         y = st.aggregator.apply(y, x_g)
-        z = y[:, :h]
+        z = y[rows, :h]
         if injected:
-            z += x_inj[:, :h]
+            z += x_inj[rows, :h]
         yield z
         del z
         y = y[:, h:]
@@ -461,33 +480,34 @@ def _vote_grad(model: EnsembleModel, weight, out, dscore):
 
 def _stack_scores(model: EnsembleModel, inputs, soft=False, caches=None):
     """The one forward pass over the stage stack, on the rows of the
-    per-stage learner inputs ``inputs`` (a list or a ``stage_inputs``
-    stream of block tuples; a stage's input may instead be its W^(1)
-    output, as ``_learner_width_inputs`` gives): returns (running score by
-    stage, raw learner outputs). Each ``_vote`` (softmax when ``soft``)
-    adds onto a score of zeros sized from the first input, as the drivers'
-    scores start, so a first stage of weight 0 scores zeros. A ``caches``
-    list gets each stage's forward cache, which holds its input; otherwise
-    each input is released before the next is drawn, which a ``zip`` would
-    not do."""
-    scores, outputs = [], []
-    for blocks in inputs:
-        stage = model.stages[len(outputs)]
-        if not outputs:
+    per-stage learner inputs ``inputs`` (a list or a stream of block tuples
+    with at least one per stage; a stage's input may instead be its W^(1)
+    output, as ``_learner_width_inputs`` gives): yields (running score,
+    raw learner output) stage by stage. Each ``_vote`` (softmax when
+    ``soft``) adds onto a score of zeros sized from the first input, as
+    the drivers' scores start, so a first stage of weight 0 scores zeros.
+    A ``caches`` list gets each stage's forward cache, which holds its
+    input, or none for a W^(1) output, whose W^(1) gradient ``backward``
+    leaves to the caller. Each input is released before the next is drawn,
+    which a ``zip`` would not do."""
+    inputs = iter(inputs)
+    for t, stage in enumerate(model.stages):
+        blocks = next(inputs)
+        if not t:
             n = len(blocks[0])
             score = np.zeros(n if model.mode == "functional"
                              else (n, model.n_classes))
         if isinstance(blocks, tuple):
             out, cache = forward(stage.learner, *blocks)
         else:  # W^(1)'s output, propagated at the learner's width
-            out, cache = resume(stage.learner, blocks)[0], None
-        score = score + _vote(model, stage.weight, out, soft)
-        scores.append(score)
-        outputs.append(out)
+            out, hiddens = resume(stage.learner, blocks)
+            cache = {"hiddens": [None, *hiddens]}
+        del blocks
         if caches is not None:
             caches.append(cache)
-        del blocks, cache
-    return scores, outputs
+        del cache
+        score = score + _vote(model, stage.weight, out, soft)
+        yield score, out
 
 
 def replay_scores(model: EnsembleModel, dataset: NodeDataset, reps=None):
@@ -499,19 +519,25 @@ def replay_scores(model: EnsembleModel, dataset: NodeDataset, reps=None):
     scores bit for bit up to the stage where it turns to the learners'
     width, and from there the same classes, with scores within 1e-12
     relative on the tests' graphs."""
-    return _stack_scores(model, _learner_width_inputs(model, dataset)
-                         if reps is None else reps)[0]
+    return [score for score, _ in _stack_scores(
+        model, _learner_width_inputs(model, dataset) if reps is None
+        else reps)]
 
 
 def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
     """Deterministic prediction; argmax ties break toward the lowest index.
 
-    Returns (score vector/matrix, class ids), on the rows of ``reps`` when
-    given (see ``replay_scores``).
+    Returns (score vector/matrix, class ids) of stage t* (functional; the
+    last stage for SAMME), on the rows of ``reps`` when given (see
+    ``replay_scores``). Only stages 1..t* are replayed, as a model of
+    those stages alone, and only the running score is held.
     """
-    scores = replay_scores(model, dataset, reps)
-    final = scores[(model.t_star or len(scores)) - 1]  # t* is functional's
-    return final, class_ids(final)
+    head = replace(model, stages=model.stages[:model.t_star
+                                              or len(model.stages)])
+    for score, _ in _stack_scores(head, _learner_width_inputs(head, dataset)
+                                  if reps is None else reps):
+        pass
+    return score, class_ids(score)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +545,14 @@ def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
 #
 # The loss reads the train rows only and every learner is row-wise, so the
 # learners run on the train rows. Chains without learnable aggregation keep
-# their train and validation rows from one replay; KTA chains are replayed
-# after every step. A learner's input gradient delta W^(1)^T has rank at
-# most W^(1)'s width h, so the chain's adjoint is pulled back factored at
-# width k = sum h (``_stack_gradients``) until k would pass FACTORED_SHARE
-# of the feature width C.
+# their train and validation rows from one replay. A KTA epoch runs
+# ``_learner_width_inputs``'s walk, which holds, on all rows, the dense
+# chain through the switch stage s and the k-wide input of every
+# aggregator above it, and the before and after errors are ``predict``'s.
+# A learner's input gradient delta W^(1)^T has rank at most W^(1)'s width
+# h, so the chain's adjoint is pulled back factored at width k = sum h
+# (``_stack_gradients``) down to s, which is where k would pass
+# FACTORED_SHARE of the feature width C.
 
 
 @dataclass
@@ -540,31 +569,24 @@ class FineTuneConfig:
         check_step(self.lr, self.weight_decay)
 
 
-def _stack_replay(model, dataset, rows):
-    """One replay of the stage chain: every stage's learner input on
-    ``rows`` and, for chains with learnable aggregation, the full-length
-    representations the pullback pairs with (a KTA input is the one block
-    of its representation), else None."""
-    if model.aggregator_kind != "kta":
-        return stage_representations(model, dataset, rows), None
-    chain = [rep for rep, in stage_representations(model, dataset)]
-    return [(rep[rows],) for rep in chain], chain
-
-
 def _stack_gradients(model, dataset, dscore, caches, logits_list,
                      chain=None):
     """Exact gradients of the train loss w.r.t. every MLP weight and, given
-    the full-length ``chain``, every learnable aggregation weight.
+    the ``chain`` that ``_learner_width_inputs`` holds, every learnable
+    aggregation weight.
 
     ``dscore``, ``caches`` and ``logits_list`` cover the train rows in the
-    order of ``dataset.split.train``. One walk down the stages pulls the
-    chain's adjoint back as F G^T: F (N x k) holds each later learner's
-    delta on the train rows, pulled back through the aggregators after it,
-    and G (C x k) their W^(1)s, so the coefficient gradient <P^p F G^T, x>
-    is <P^p F, x G>. A stage whose W^(1) would take k past FACTORED_SHARE
-    * C multiplies the pair out once; from there G is None, F is the N x C
-    adjoint and each input gradient delta W^(1)^T is added to it. Returns
-    (per-stage MLP gradients, {stage: KTA weight gradient}).
+    order of ``dataset.split.train``. One walk down the stages above the
+    switch stage s pulls the chain's adjoint back as F G^T: F (N x k)
+    holds each later learner's delta on the train rows, pulled back
+    through the aggregators after it, and G (C x k) their W^(1)s, so the
+    coefficient gradient <P^p F G^T, x> is <P^p F, x G>, x G the k-wide
+    input the walk held. Every aggregator is a symmetric polynomial in P,
+    so the W^(1) gradients of those learners are rep^T F, with F pulled
+    back to s and rep the representation at s. Below s the pair is
+    multiplied out once: F is the N x C adjoint, and each input gradient
+    delta W^(1)^T is added to it. Returns (per-stage MLP gradients,
+    {stage: KTA weight gradient}).
     """
     mlp_grads, deltas = [], []
     for stage, cache, out in zip(model.stages, caches, logits_list):
@@ -577,21 +599,25 @@ def _stack_gradients(model, dataset, dscore, caches, logits_list,
     if chain is None:
         return mlp_grads, kta_grads
     train, stages = dataset.split.train, model.stages
-    f, g = np.zeros((len(chain[0]), 0)), np.empty((chain[0].shape[1], 0))
-    for s in range(len(stages) - 1, 0, -1):
-        w1 = stages[s].learner.weights[0]
-        if g is not None and (g.shape[1] + w1.shape[1]
-                              <= FACTORED_SHARE * len(g)):
-            f = np.hstack([np.zeros((len(f), w1.shape[1])), f])
-            f[train, :w1.shape[1]] = deltas[s]
-            g = np.hstack([w1, g])
-        else:
-            if g is not None:
-                f, g = f @ g.T, None
-            f[train] += deltas[s] @ w1.T
-        # stage 1's adjoint reaches no weight and is dropped
-        f, kta_grads[s] = stages[s].aggregator.pullback(
-            f, chain[s - 1] if g is None else chain[s - 1] @ g)
+    switch = _switch_stage(stages, dataset.features.shape[1])
+    later = range(switch + 1, len(stages))
+    f = np.zeros((len(chain[0]), 0))
+    for s in reversed(later):
+        f = np.hstack([np.zeros((len(f), deltas[s].shape[1])), f])
+        f[train, :deltas[s].shape[1]] = deltas[s]
+        f, kta_grads[s] = stages[s].aggregator.pullback(f, chain[s])
+    if later:
+        cuts = np.cumsum([deltas[s].shape[1] for s in later])[:-1]
+        for s, grad in zip(later, np.hsplit(chain[switch].T @ f, cuts)):
+            mlp_grads[s][0] = grad
+    if switch:
+        # below the switch the pair is multiplied out once; at switch 0 no
+        # aggregator is left, so no N x C adjoint is formed
+        f = (f @ np.hstack([stages[s].learner.weights[0] for s in later]).T
+             if later else np.zeros(chain[0].shape))
+    for s in range(switch, 0, -1):
+        f[train] += deltas[s] @ stages[s].learner.weights[0].T
+        f, kta_grads[s] = stages[s].aggregator.pullback(f, chain[s - 1])
     return mlp_grads, kta_grads
 
 
@@ -617,9 +643,14 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     m = split.m
     rows = np.concatenate([split.train, split.val])
     y_rows = dataset.labels[rows]
+    kta = model.aggregator_kind == "kta"
+    if not kta:
+        inputs = stage_representations(head, dataset, rows)
 
-    def eval_errors(mdl, inputs):
-        wrong = predict(mdl, dataset, inputs)[1] != y_rows
+    def eval_errors(mdl):
+        classes = (predict(mdl, dataset)[1][rows] if kta
+                   else predict(mdl, dataset, inputs)[1])
+        wrong = classes != y_rows
         return (float(np.mean(wrong[:m])),
                 float(np.mean(wrong[m:])) if len(split.val) else float("nan"))
 
@@ -627,15 +658,13 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
         return {"train_err": (before[0], after[0]),
                 "val_err": (before[1], after[1]), "max_rel_change": change}
 
-    inputs, chain = _stack_replay(head, dataset, rows)
-    before = eval_errors(head, inputs)
+    before = eval_errors(head)
     if cfg.epochs == 0:
         return model, report(before)
 
     work = replace(head, flags=dict(model.flags), stages=[
         replace(st, learner=st.learner.copy()) for st in head.stages])
-    kta_ids = (range(1, len(work.stages)) if work.aggregator_kind == "kta"
-               else ())
+    kta_ids = range(1, len(work.stages)) if kta else ()
     for s in kta_ids:
         # the copied KTA coefficient arrays are trained in place
         agg = work.stages[s].aggregator
@@ -645,11 +674,15 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     opt = _Adam(cfg.lr, cfg.weight_decay, [p.shape for p in params])
 
     for _ in range(cfg.epochs):
-        caches = []
-        scores, logits_list = _stack_scores(
-            work, [tuple(b[:m] for b in blocks) for blocks in inputs],
-            soft=True, caches=caches)
-        loss, dscore = surrogate(scores[-1], y_rows[:m])
+        # the last epoch's chain is let go before the walk holds the next
+        chain, caches, logits_list = [] if kta else None, [], []
+        for score, out in _stack_scores(
+                work, _learner_width_inputs(work, dataset, split.train, chain)
+                if kta else [tuple(b[:m] for b in blocks)
+                             for blocks in inputs],
+                soft=True, caches=caches):
+            logits_list.append(out)
+        loss, dscore = surrogate(score, y_rows[:m])
         if not np.isfinite(loss):
             flags = {**model.flags, "fine_tune_diverged": True}
             return (replace(model, stages=list(model.stages), flags=flags),
@@ -658,14 +691,11 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
                                                 caches, logits_list, chain)
         opt.step(params, [g for gs in mlp_grads for g in gs]
                  + [kta_grads[s] for s in kta_ids])
-        if kta_ids:
-            # the old chain is let go before the replay builds the new one
-            inputs = chain = caches = None
-            inputs, chain = _stack_replay(work, dataset, rows)
 
     originals = [w for st in head.stages for w in st.learner.weights]
     originals += [head.stages[s].aggregator.coefs for s in kta_ids]
-    after = eval_errors(work, inputs)
+    chain = caches = None  # let go before predict walks the chain again
+    after = eval_errors(work)
     work.stages += model.stages[n_tuned:]
     return work, report(after, max(_rel_change(a, b) for a, b in
                                    zip(originals, params)))

@@ -153,16 +153,20 @@ def backward(p: MlpParams, cache, upstream):
     at W^(1)'s output, one row per input row; the gradient in the input
     columns, every block's side by side, is the one product
     delta @ W^(1)^T, which a caller that needs it forms (or keeps factored).
+    A cache that holds None in place of the input, as one for a pass
+    ``resume``d from W^(1)'s output does, leaves W^(1)'s gradient to the
+    caller: it is None.
     """
     grads = [None] * p.n_layers
     hiddens = cache["hiddens"]
     d = np.asarray(upstream, dtype=float)
     last = p.n_layers - 1
-    grads[last] = _layer_grad(p, last, hiddens[last], d)
-    for l in range(last - 1, -1, -1):
-        d = d @ p.weights[l + 1].T
-        d = d * (hiddens[l + 1] > 0.0).astype(float)
-        grads[l] = _layer_grad(p, l, hiddens[l], d)
+    for l in range(last, -1, -1):
+        if l < last:
+            d = d @ p.weights[l + 1].T
+            d = d * (hiddens[l + 1] > 0.0).astype(float)
+        if hiddens[l] is not None:
+            grads[l] = _layer_grad(p, l, hiddens[l], d)
     return grads, d
 
 

@@ -173,15 +173,20 @@ def dense_stack_gradients(model, dataset, dscore, caches, logits_list,
     """``boost._stack_gradients`` of a KTA stack with the chain's adjoint
     held dense: each learner's input gradient delta W^(1)^T is added on the
     train rows of one full-length N x C adjoint, which every aggregator
-    pulls back in turn. Returns (per-stage MLP gradients, {stage: KTA
-    weight gradient})."""
+    pulls back in turn; ``chain`` is every stage's full-length
+    representation. A learner whose cache holds no input gets its W^(1)
+    gradient from its representation's train rows. Returns (per-stage MLP
+    gradients, {stage: KTA weight gradient})."""
+    train = dataset.split.train
     mlp_grads, dxs = [], []
-    for stage, cache, out in zip(model.stages, caches, logits_list):
+    for rep, stage, cache, out in zip(chain, model.stages, caches,
+                                      logits_list):
         grads, delta = backward(
             stage.learner, cache, _vote_grad(model, stage.weight, out, dscore))
+        if grads[0] is None:
+            grads[0] = rep[train].T @ delta
         mlp_grads.append(grads)
         dxs.append(delta @ stage.learner.weights[0].T)
-    train = dataset.split.train
     kta_grads = {}
     d = np.zeros_like(chain[-1])
     for s in range(len(model.stages) - 1, 0, -1):

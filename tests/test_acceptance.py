@@ -15,21 +15,21 @@ import pytest
 
 from graphboost.aggregate import _alignment_value_grad, kta
 from graphboost.boost import (AggregatorSpec, BoostConfig,
-                              _stack_gradients, _stack_replay,
-                              _stack_scores, predict,
-                              run_functional_gb, run_samme, wlc_fit,
+                              _stack_gradients, _stack_scores, predict,
+                              run_functional_gb, run_samme,
+                              stage_representations, wlc_fit,
                               write_trace_csv)
 from graphboost.cli import cmd_curves
 from graphboost.data import load_planetoid, one_hot, synthesize_two_block
 from graphboost.graph import base_operator
-from graphboost.losses import margin_loss, softmax_ce, surrogate
+from graphboost.losses import margin_loss, softmax_ce
 from graphboost.mlp import (MlpParams, TrainConfig, backward, forward,
                             init_mlp, project_l1_columns)
 from graphboost.theory import (ComplexityConstants, mc_transductive_rademacher,
                                rademacher_bound, smoothing_report,
                                wlc_complexity_lower_bound)
 from reference import basis_gram, curve_shape, weighted_error_form
-from test_boost import WIDE_STACKS, wide_kta_run
+from test_boost import WIDE_STACKS, stack_gradients_of, wide_kta_run
 from test_graph import random_connected_graph
 
 DATA_ROOT = os.environ.get("GRAPHBOOST_DATA", "")
@@ -247,15 +247,11 @@ def stack_gradient_check(ds, model, unit, eps=1e-5):
     tr = ds.split.train
 
     def stack_loss(m):
-        s = _stack_scores(m, _stack_replay(m, ds, tr)[0], soft=True)[0][-1]
+        s = list(_stack_scores(m, stage_representations(m, ds, tr),
+                               soft=True))[-1][0]
         return float(np.mean(softmax_ce(s, ds.labels[tr])))
 
-    inputs, chain = _stack_replay(model, ds, tr)
-    caches = []
-    scores, logits = _stack_scores(model, inputs, soft=True, caches=caches)
-    _, dscore = surrogate(scores[-1], ds.labels[tr])
-    mlp_grads, kta_grads = _stack_gradients(model, ds, dscore, caches,
-                                            logits, chain)
+    mlp_grads, kta_grads = _stack_gradients(*stack_gradients_of(model, ds))
     worst, smallest_fd = 0.0, np.inf
 
     def check(analytic, fd):

@@ -918,12 +918,13 @@ class TestFineTune:
         model, _, _ = run_samme(ds, BoostConfig(
             n_rounds=3, hidden=(6,), learner=TrainConfig(epochs=3),
             seed=7))
-        from graphboost.boost import _stack_replay, _stack_scores
+        from graphboost.boost import _stack_scores, stage_representations
         from graphboost.losses import softmax_ce
         tr = ds.split.train
 
         def loss(m):
-            s = _stack_scores(m, _stack_replay(m, ds, tr)[0], soft=True)[0][-1]
+            s = list(_stack_scores(m, stage_representations(m, ds, tr),
+                                   soft=True))[-1][0]
             return float(np.mean(softmax_ce(s, ds.labels[tr])))
 
         before = loss(model)
@@ -1203,14 +1204,17 @@ def wide_kta_run(hidden, n_stages, seed):
 
 def stack_gradients_of(model, ds):
     """(model, dataset, dscore, caches, logits, chain): the arguments of
-    ``_stack_gradients`` for one fine-tune step on the train rows."""
-    from graphboost.boost import _stack_replay, _stack_scores
+    ``_stack_gradients`` for one KTA fine-tune step on the train rows, from
+    the learner-width walk the step runs."""
+    from graphboost.boost import _learner_width_inputs, _stack_scores
     from graphboost.losses import surrogate
     tr = ds.split.train
-    inputs, chain = _stack_replay(model, ds, tr)
-    caches = []
-    scores, logits = _stack_scores(model, inputs, soft=True, caches=caches)
-    _, dscore = surrogate(scores[-1], ds.labels[tr])
+    chain, caches, logits = [], [], []
+    for score, out in _stack_scores(
+            model, _learner_width_inputs(model, ds, tr, chain), soft=True,
+            caches=caches):
+        logits.append(out)
+    _, dscore = surrogate(score, ds.labels[tr])
     return model, ds, dscore, caches, logits, chain
 
 
@@ -1218,6 +1222,8 @@ def stack_gradients_of(model, ds):
 # leave every stage unsaturated, with a hidden unit live in all of them
 WIDE_STACKS = {"factored": (4, 4, 11), "at_share": (4, 6, 11),
                "crossing": (8, 5, 13)}
+# FACTORED_SHARE values the tests monkeypatch in
+SHARES = [0.0, 0.1, 0.3, 0.5, 1.0]
 
 
 class TestFactoredAdjoint:
@@ -1230,7 +1236,7 @@ class TestFactoredAdjoint:
     def check_against_dense(monkeypatch, stack, widths):
         import itertools
 
-        from graphboost.boost import _stack_gradients
+        from graphboost.boost import _stack_gradients, stage_representations
         from reference import dense_stack_gradients
         ds, model = wide_kta_run(*WIDE_STACKS[stack])
         args = stack_gradients_of(model, ds)
@@ -1239,9 +1245,19 @@ class TestFactoredAdjoint:
         # each stage walks P^8 at the adjoint's width: k = h, 2h, ... while
         # factored, C = 40 once multiplied out
         assert [w for w, _ in itertools.groupby(applied)] == widths
-        ref_mlp, ref_kta = dense_stack_gradients(*args)
-        for got, want in zip(mlp_grads, ref_mlp):
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        dense = [rep for rep, in stage_representations(model, ds)]
+        ref_mlp, ref_kta = dense_stack_gradients(*args[:-1], dense)
+        # a factored stage's W^(1) gradient is rep^T F at the switch, which
+        # sums in another order than its own input's train rows times delta
+        first_factored = len(model.stages) - sum(w < 40 for w in widths)
+        for s, (got, want) in enumerate(zip(mlp_grads, ref_mlp)):
+            exact = 1 if s >= first_factored else 0
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got[exact:], want[exact:]))
+            if exact:
+                assert np.abs(want[0]).max() > 0.0
+                assert (np.abs(got[0] - want[0]).max()
+                        <= 1e-12 * np.abs(want[0]).max())
         assert kta_grads.keys() == ref_kta.keys()
         for s, want in ref_kta.items():
             assert np.abs(want).max() > 0.0
@@ -1293,8 +1309,21 @@ class TestFactoredAdjoint:
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[s], want[s]) for s in want)
 
-    @pytest.mark.parametrize("stack", ["factored", "crossing"])
+    @pytest.mark.parametrize("stack", ["factored", "at_share", "crossing"])
     def test_fine_tune_matches_full_graph_sgd(self, stack):
+        self.check_fine_tune(stack)
+
+    @pytest.mark.parametrize("share", SHARES)
+    @pytest.mark.parametrize("stack", ["factored", "at_share", "crossing"])
+    def test_fine_tune_matches_full_graph_sgd_at_any_share(
+            self, monkeypatch, stack, share):
+        # the switch lands at the top, part way down, or at the first stage
+        from graphboost import boost
+        monkeypatch.setattr(boost, "FACTORED_SHARE", share)
+        self.check_fine_tune(stack)
+
+    @staticmethod
+    def check_fine_tune(stack):
         ds, model = wide_kta_run(*WIDE_STACKS[stack])
         epochs, lr = 3, 0.05
         tuned, info = fine_tune(model, ds, FineTuneConfig(
@@ -1308,6 +1337,22 @@ class TestFactoredAdjoint:
                                            want.aggregator.coefs,
                                            rtol=0, atol=1e-12)
         assert info["max_rel_change"] > 1e-3
+        # the errors fine_tune reports are predict's of either model
+        tr, y = ds.split.train, ds.labels
+        for i, m in enumerate((model, tuned)):
+            assert info["train_err"][i] == np.mean(predict(m, ds)[1][tr]
+                                                   != y[tr])
+
+    def test_fine_tune_epoch_runs_at_the_learners_width(self, monkeypatch):
+        # on the stack factored from its first stage up, every sparse
+        # product of a fine-tune epoch, its predicts of the model before
+        # and after included, is at most sum h = 16 columns wide, not C
+        ds, model = wide_kta_run(*WIDE_STACKS["factored"])
+        applied, (tuned, _) = applied_widths(
+            monkeypatch, fine_tune, model, ds, FineTuneConfig(epochs=1))
+        assert applied and max(applied) <= sum(
+            st.learner.weights[0].shape[1] for st in model.stages) == 16
+        assert not tuned.flags
 
 
 def wide_split(ds):
@@ -1352,7 +1397,6 @@ def wide_zero_score_run(kind):
 
 
 WIDE_KINDS = ["fixed", "input_injection", "kta"]
-SHARES = [0.0, 0.1, 0.3, 0.5, 1.0]
 
 
 class TestLearnerWidthPredict:
@@ -1400,8 +1444,9 @@ class TestLearnerWidthPredict:
     @pytest.mark.parametrize("mode", ["functional", "samme"])
     @pytest.mark.parametrize("kind", WIDE_KINDS)
     def test_fine_tune_reports_predicts_errors(self, kind, mode):
-        # fine_tune scores its train and validation rows on the dense
-        # chain; a full-graph predict of either model gives the same errors
+        # fine_tune scores a fixed or injection chain's train and
+        # validation rows on the dense chain, and a KTA chain by predict; a
+        # full-graph predict of either model gives the same errors
         ds, model, _, _ = wide_run(kind, mode)
         tuned, info = fine_tune(model, ds, FineTuneConfig(epochs=2, lr=0.05))
         tr, va, y = ds.split.train, ds.split.val, ds.labels
@@ -1666,11 +1711,10 @@ class TestPredict:
 
     @pytest.mark.parametrize("mode", ["functional", "samme"])
     def test_kta_fine_tune_holds_one_chain(self, mode):
-        # every KTA fine-tune step replays the full-length chain; letting
-        # the old one go first, with the adjoint pulled back factored at
-        # width 4-12 (the toy has C = 200 and h = 4), peaks near 7.19 N x C
-        # over two epochs; a dense N x C adjoint peaks near 9.62
+        # the toy's stages switch to the learners' width at the first
+        # (C = 200, h = 4), so two epochs, with the predicts before and
+        # after, hold no N x C array: the peak reads near 0.77 N x C
         ds = memory_toy()
         model, _, _ = train_toy(ds, mode, "kta", n_stages=4)
         assert peak_blocks(lambda: fine_tune(
-            model, ds, FineTuneConfig(epochs=2))) < 7.6
+            model, ds, FineTuneConfig(epochs=2))) < 0.85

@@ -240,6 +240,23 @@ class TestBackward:
         assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
         assert np.array_equal(delta @ p.weights[0].T, ref_dx)
 
+    @pytest.mark.parametrize("widths", [(3, 2), (3, 5, 2), (3, 5, 4, 2)])
+    def test_cache_without_input_leaves_first_gradient(self, widths):
+        # the cache of a pass resumed from W^(1)'s output holds no input:
+        # W^(1)'s gradient is left to the caller, every other gradient and
+        # delta are those of the full cache
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((4, 3))
+        p = init_mlp(widths, seed=17)
+        out, cache = forward(p, x)
+        upstream = rng.standard_normal(out.shape)
+        grads, delta = backward(p, cache, upstream)
+        _, hiddens = resume(p, x @ p.weights[0])
+        got, got_delta = backward(p, {"hiddens": [None, *hiddens]}, upstream)
+        assert got[0] is None
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], grads[1:]))
+        assert np.array_equal(got_delta, delta)
+
 
 class TestFitToGradient:
     def test_linearly_realizable(self):
