@@ -22,6 +22,9 @@ import numpy as np
 
 from .graph import GraphError, SparseGraph, read_edge_list, write_edge_list
 
+# entries per row block in which ``row_normalize`` takes |x|
+NORM_BLOCK = 1 << 16
+
 
 class DataError(ValueError):
     pass
@@ -114,9 +117,15 @@ def one_hot(labels, k):
 
 def row_normalize(x, out=None):
     """Scale each row to unit L1 norm; zero rows are left untouched. The
-    result is a new array, or ``out`` (``x`` itself normalises in place)."""
+    result is a new array, or ``out`` (``x`` itself normalises in place).
+    The row sums are taken in row blocks of about ``NORM_BLOCK`` entries, so
+    no N×C temporary is made; each row is summed as in one whole pass."""
     x = np.asarray(x, dtype=float)
-    norms = np.abs(x).sum(axis=1, keepdims=True)
+    norms = np.empty((len(x), 1))
+    step = max(1, NORM_BLOCK // max(x.shape[1], 1))
+    for r0 in range(0, len(x), step):
+        np.abs(x[r0:r0 + step]).sum(axis=1, keepdims=True,
+                                    out=norms[r0:r0 + step])
     norms[norms == 0.0] = 1.0
     return np.divide(x, norms, out=out)
 
@@ -143,8 +152,34 @@ def synthesize_two_block(n, p_in, p_out, seed, noise=0.1) -> NodeDataset:
                        n_classes=2, name="two_block")
 
 
+def _single_digit_matrix(raw):
+    """The N×C float64 matrix of the bytes ``raw`` if every line of them is
+    ``d\\td…\\td\\n``, one ASCII digit per field and every line as long as
+    the first; None otherwise."""
+    width = raw.find(b"\n") + 1
+    if not width or width % 2 or len(raw) % width:
+        return None
+    grid = np.frombuffer(raw, np.uint8).reshape(-1, width)
+    digits = grid[:, ::2]
+    if not ((grid[:, -1] == ord("\n")).all()
+            and (grid[:, 1:-1:2] == ord("\t")).all()
+            and digits.min() >= ord("0") and digits.max() <= ord("9")):
+        return None
+    return np.subtract(digits, float(ord("0")), out=np.empty(digits.shape))
+
+
 def _read_matrix(path):
-    return np.loadtxt(path, delimiter="\t", ndmin=2, dtype=float)
+    """The N×C float64 matrix of a tab-separated file. A file in the
+    single-digit layout of ``_single_digit_matrix``, which is how
+    ``np.savetxt(..., fmt="%.17g")`` writes binary bag-of-words features,
+    is parsed in bulk from its bytes, to the values ``np.loadtxt`` gives;
+    every other file goes to ``np.loadtxt``, whose values and errors
+    stand."""
+    with open(path, "rb") as fh:
+        matrix = _single_digit_matrix(fh.read())
+    if matrix is None:
+        matrix = np.loadtxt(path, delimiter="\t", ndmin=2, dtype=float)
+    return matrix
 
 
 def _read_json(path):
@@ -169,7 +204,10 @@ def load_planetoid(directory, normalize=True) -> NodeDataset:
 
     ``normalize`` row-normalizes features to unit L1 (the usual citation
     network preprocessing); meta.json counts are enforced and its
-    optional ``"name"`` names the dataset.
+    optional ``"name"`` names the dataset. A features.tsv of single-digit
+    fields is parsed in bulk and any other by ``np.loadtxt`` (see
+    ``_read_matrix``); edges.txt is read as one (E, 2) array by
+    ``read_edge_list``. No file is cached: every call reads the directory.
     """
     def path(fname):
         p = os.path.join(directory, fname)

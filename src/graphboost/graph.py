@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ class SparseGraph:
     def from_edges(cls, n_nodes, edges):
         if n_nodes < 1:
             raise GraphError("graph needs at least one node")
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= n_nodes:
                 raise GraphError(
@@ -104,16 +105,16 @@ class SparseGraph:
 
 
 def read_edge_list(path):
-    """Parse "i j" pairs, one per line; '#' starts a comment."""
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            i, j = line.split()
-            pairs.append((int(i), int(j)))
-    return pairs
+    """The (E, 2) int64 array of the "i j" pairs in a file, one per line;
+    '#' starts a comment. A line of any other field count is refused, and a
+    file holding no pair gives shape (0, 2)."""
+    with warnings.catch_warnings():
+        # a file of comments only is a graph without edges, not a fault
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        pairs = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+    if pairs.size and pairs.shape[1] != 2:
+        raise GraphError(f"edge lines hold {pairs.shape[1]} fields, not 2")
+    return pairs.reshape(-1, 2)
 
 
 def write_edge_list(path, graph):

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import signal
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -602,7 +603,10 @@ class TestExitCodes:
         "empty_train", "nan_feature", "label_below_minus_one",
         "edges_not_integer", "split_not_json", "ragged_features",
         "split_array", "split_ids_string", "edge_out_of_range",
-        "meta_count_string", "split_ids_float", "split_ids_bool"])
+        "meta_count_string", "split_ids_float", "split_ids_bool",
+        "ragged_digit_features", "non_digit_feature", "edges_three_fields",
+        "edges_three_fields_every_line", "edges_float_id",
+        "edge_id_beyond_int64"])
     def test_malformed_dataset_is_3(self, dataset_dir, tmp_path, capsys,
                                     case):
         split_path = os.path.join(dataset_dir, "split.json")
@@ -629,6 +633,18 @@ class TestExitCodes:
         elif case == "edge_out_of_range":
             with open(os.path.join(dataset_dir, "edges.txt"), "a") as fh:
                 fh.write("0 30\n")
+        elif case == "edges_three_fields":
+            with open(os.path.join(dataset_dir, "edges.txt"), "a") as fh:
+                fh.write("0 1 2\n")
+        elif case == "edges_three_fields_every_line":
+            with open(os.path.join(dataset_dir, "edges.txt"), "w") as fh:
+                fh.write("0 1 2\n1 2 3\n")
+        elif case == "edges_float_id":
+            with open(os.path.join(dataset_dir, "edges.txt"), "a") as fh:
+                fh.write("0 1.0\n")
+        elif case == "edge_id_beyond_int64":
+            with open(os.path.join(dataset_dir, "edges.txt"), "a") as fh:
+                fh.write(f"0 {2 ** 64}\n")
         elif case == "split_array":
             split = [split["train"], split["val"], split["test"]]
         elif case == "split_ids_string":
@@ -652,6 +668,16 @@ class TestExitCodes:
             lines[3] = lines[3].rsplit("\t", 1)[0]
             with open(feat_path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
+        elif case in ("ragged_digit_features", "non_digit_feature"):
+            # a file in the single-digit layout the loader reads in bulk,
+            # with one line spoiled
+            feat_path = os.path.join(dataset_dir, "features.tsv")
+            bits = np.loadtxt(feat_path, delimiter="\t", ndmin=2) > 0.5
+            lines = ["\t".join(map(str, row)) for row in bits.astype(int)]
+            lines[3] = (lines[3][:-2] if case == "ragged_digit_features"
+                        else "x" + lines[3][1:])
+            with open(feat_path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
         elif case == "nan_feature":
             feat_path = os.path.join(dataset_dir, "features.tsv")
             x = np.loadtxt(feat_path, delimiter="\t", ndmin=2)
@@ -666,6 +692,26 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_edge_file_of_comments_only_trains(self, dataset_dir, tmp_path,
+                                                capsys):
+        # a graph without edges, which meta.json states; no warning of an
+        # empty edge file reaches stderr
+        with open(os.path.join(dataset_dir, "edges.txt"), "w") as fh:
+            fh.write("# no edges\n")
+        meta_path = os.path.join(dataset_dir, "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        with open(meta_path, "w") as fh:
+            json.dump({**meta, "e": 0}, fh)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset_dir, seeds=[0])))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
     def test_isolated_node_trains_and_normalized_base_is_2(self, tmp_path,
                                                            capsys):

@@ -1,12 +1,18 @@
 import json
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from graphboost import data
 from graphboost.data import (DataError, NodeDataset, Split, export_dataset,
                              load_planetoid, one_hot, partition_constants,
-                             random_partition, row_normalize,
+                             random_partition, read_file, row_normalize,
                              synthesize_two_block)
 from graphboost.graph import SparseGraph
 
@@ -144,6 +150,19 @@ class TestRowNormalize:
         out = row_normalize(x)
         assert np.allclose(np.abs(out).sum(axis=1), [1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("shape, order", [
+        ((700, 300), "C"), ((700, 300), "F"), ((3, 70000), "C"), ((5, 0), "C"),
+    ])
+    def test_blocked_sums_give_the_whole_array_division(self, shape, order):
+        # the row sums are taken by row blocks; each row's sum, and so the
+        # result, is that of one np.abs(x) over the whole array
+        rng = np.random.default_rng(shape[0])
+        x = np.asarray(rng.standard_normal(shape), order=order)
+        x[1] = 0.0
+        norms = np.abs(x).sum(axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        assert row_normalize(x).tobytes() == (x / norms).tobytes()
+
 
 def write_tiny_dataset(directory, n=6, c=3, k=2):
     rng = np.random.default_rng(0)
@@ -223,6 +242,84 @@ class TestLoader:
         assert np.array_equal(load_planetoid(tmp_path).features,
                               row_normalize(raw))
         assert np.array_equal(raw, saved)
+
+
+def read_with_loadtxt(path):
+    """The reference reading of a feature file: np.loadtxt's array, or the
+    message of the DataError naming the file."""
+    try:
+        return read_file(path, np.loadtxt, delimiter="\t", ndmin=2,
+                         dtype=float)
+    except DataError as exc:
+        return str(exc)
+
+
+def read_features(path):
+    """The loader's reading of a feature file, in the same terms."""
+    try:
+        return read_file(path, data._read_matrix)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_reading(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+DIGIT_FILE = "0\t1\t0\t9\n1\t0\t0\t0\n0\t0\t5\t1\n"
+
+
+class TestFeatureFile:
+    @given(arrays(np.int8, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  elements=st.integers(0, 9)))
+    @example(np.array([[7]], dtype=np.int8))
+    @example(np.arange(10, dtype=np.int8)[None, :])
+    @example(np.arange(10, dtype=np.int8)[:, None])
+    @settings(max_examples=60, deadline=None)
+    def test_single_digit_file_is_read_without_loadtxt(self, digits):
+        # the README's conversion recipe writes a 0/1 (or 0-9) matrix as
+        # single-digit fields; it reads to np.loadtxt's array, bit for bit,
+        # and np.loadtxt is never called
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "features.tsv")
+            np.savetxt(path, digits.astype(float), delimiter="\t",
+                       fmt="%.17g")
+            want = read_with_loadtxt(path)
+            with mock.patch.object(np, "loadtxt",
+                                   side_effect=AssertionError("loadtxt")):
+                got = data._read_matrix(path)
+        assert_same_reading(got, want)
+
+    @pytest.mark.parametrize("text", [
+        DIGIT_FILE.replace("9", "12"),
+        DIGIT_FILE.replace("\n", "\r\n"),
+        DIGIT_FILE[:-1],
+        DIGIT_FILE.replace("\n", "\n\n", 1),
+        "# a comment line\n" + DIGIT_FILE,
+        DIGIT_FILE.replace("\n", "\t\n", 1),
+        DIGIT_FILE.replace("\t1\n", "\n"),
+        "\ufeff" + DIGIT_FILE,
+        DIGIT_FILE.replace("5", "x"),
+        "",
+        # as long as the single-digit lines: they pass the length checks
+        DIGIT_FILE[:-2] + "12",
+        DIGIT_FILE.replace("1\t0\t0\t0", "100\t0\t0"),
+        DIGIT_FILE.replace("5", " "),
+    ], ids=["two_digit_field", "crlf", "no_final_newline", "blank_line",
+            "comment_line", "trailing_tab", "short_row", "utf8_bom",
+            "non_digit", "empty", "two_digit_last_field_unterminated",
+            "three_digit_field", "space_field"])
+    @pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
+    def test_near_miss_reads_as_loadtxt_reads_it(self, tmp_path, text):
+        path = tmp_path / "features.tsv"
+        path.write_bytes(text.encode())
+        assert_same_reading(read_features(path), read_with_loadtxt(path))
 
 
 REFERENCE_COUNTS = {

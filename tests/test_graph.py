@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -69,11 +70,35 @@ class TestSparseGraph:
         with pytest.raises(GraphError):
             SparseGraph.from_edges(2, [(0, 2)])
 
+    def test_edge_array_refusals_name_the_fault(self):
+        # the (E, 2) array read_edge_list returns is taken as it is
+        with pytest.raises(GraphError, match="self-loop at node 2"):
+            SparseGraph.from_edges(3, np.array([[0, 1], [2, 2]]))
+        with pytest.raises(GraphError, match=r"out of range \[0, 2\)"):
+            SparseGraph.from_edges(2, np.array([[0, 2]]))
+
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("# comment\n0 1\n1 2  # trailing\n\n")
         pairs = read_edge_list(path)
-        assert pairs == [(0, 1), (1, 2)]
+        assert pairs.dtype == np.int64 and pairs.shape == (2, 2)
+        assert pairs.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("text", ["5\n6\n", "0 1 2\n1 2 3\n"])
+    def test_edge_list_of_other_field_count_refused(self, tmp_path, text):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError, match="fields, not 2"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("text", ["", "# no edges\n\n# at all\n"])
+    def test_edge_list_without_pairs_is_empty(self, tmp_path, text):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = read_edge_list(path)
+        assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
 
 
 class TestAugmentedAdjacency:
