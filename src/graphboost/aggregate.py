@@ -62,14 +62,27 @@ class Polynomial:
         if any(a >= b for a, b in zip(self.powers, self.powers[1:])):
             raise ValueError("powers must strictly ascend")
 
-    def terms(self, x):
-        """Yield P^p x for each power p, by repeated sparse matvec."""
+    def terms(self, x, reach=None):
+        """Yield P^p x for each power p, by repeated sparse matvec.
+
+        ``reach`` restricts the walk to a receptive field: max(powers) + 1
+        row sets, each sorted node ids (None for every node) holding every
+        neighbour of the next, the last never None. x then holds the rows
+        ``reach[0]``, the j-th product is taken on the rows ``reach[j]``
+        only (``PropagationMatrix.apply``), and every term is yielded on the
+        rows ``reach[-1]``, each row the unrestricted term's bit for bit."""
         reached = 0
         for p in self.powers:
             for _ in range(p - reached):
-                x = self.operator.apply(x)
-            reached = p
-            yield x
+                reached += 1
+                x = (self.operator.apply(x) if reach is None else
+                     self.operator.apply(x, reach[reached],
+                                         reach[reached - 1]))
+            if reach is None or reach[p] is reach[-1]:
+                yield x
+            else:
+                yield x[reach[-1] if reach[p] is None
+                        else np.searchsorted(reach[p], reach[-1])]
 
     def _combine(self, terms, held=False):
         """sum_i coefs[i] terms[i] with no more arrays than the sum needs:
@@ -88,28 +101,33 @@ class Polynomial:
             acc = term
         return acc
 
-    def linear(self, x):
-        """The homogeneous part sum_i coefs[i] P^{powers[i]} x."""
-        return self._combine(self.terms(x))
+    def linear(self, x, reach=None):
+        """The homogeneous part sum_i coefs[i] P^{powers[i]} x, on the rows
+        ``reach[-1]`` when ``reach`` is given (see ``terms``)."""
+        return self._combine(self.terms(x, reach))
 
-    def apply(self, x, x0=None):
+    def apply(self, x, x0=None, reach=None):
+        """The polynomial at x, on every row, or on the rows ``reach[-1]``
+        of a receptive field ``reach`` (see ``terms``); x0 holds every
+        row."""
         if not self.inject:
-            return self.linear(x)
+            return self.linear(x, reach)
         if x0 is None:
             raise ValueError("input injection needs the initial features")
-        out = self.linear(x)
+        out = self.linear(x, reach)
         if out is x:  # the identity polynomial hands back its input
             out = out.copy()
         # inject * x0 goes through one bounded buffer, row block by row
         # block: the sums are those of out + inject * x0 without an N x C
-        # temporary
+        # temporary, x0's rows gathered a block at a time
         width = max(1, int(np.prod(out.shape[1:])))
         rows = max(1, INJECT_BLOCK // width)
         buf = np.empty((min(rows, len(out)),) + out.shape[1:])
         for start in range(0, len(out), rows):
             part = out[start:start + rows]
-            part += np.multiply(self.inject, x0[start:start + rows],
-                                out=buf[:len(part)])
+            block = (slice(start, start + rows) if reach is None
+                     else reach[-1][start:start + rows])
+            part += np.multiply(self.inject, x0[block], out=buf[:len(part)])
         return out
 
     def pullback(self, d, x):

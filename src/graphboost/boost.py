@@ -150,22 +150,22 @@ def _aggregator(operator, kind, rho=None, n_deg=None, weights=None):
     raise ValueError(f"unknown aggregator kind '{kind}'")
 
 
-def _stage_chain(features, injected, advance_by, rows=slice(None)):
+def _stage_chain(features, injected, advance_by):
     """The one walk of the stage chain, for training and replay: yields
-    (aggregator, learner input on ``rows``) stage by stage, the first with
-    no aggregator; ``advance_by(current, x0)`` gives the aggregator that
+    (aggregator, learner input) stage by stage, the first with no
+    aggregator; ``advance_by(current, x0)`` gives the aggregator that
     advances the current representation and the representation it advances
     to. A learner input is a tuple of column blocks (see ``mlp.forward``):
     ``(current,)``, or ``(current, x0)`` under input injection, whose raw
-    features ride along unconcatenated (on all rows, ``x0`` is the features
-    array itself). Only the chain state is held, so a consumer that drops
-    each input before the next ``next()`` keeps one stage's input alive at
-    a time; ``for aggregator, blocks in chain`` holds two."""
+    features, the features array itself, ride along unconcatenated. Only
+    the chain state is held, so a consumer that drops each input before the
+    next ``next()`` keeps one stage's input alive at a time; ``for
+    aggregator, blocks in chain`` holds two."""
     x0 = np.asarray(features, dtype=float)
-    extra = (x0[rows],) if injected else ()
+    extra = (x0,) if injected else ()
     current, aggregator = x0, None
     while True:
-        yield aggregator, (current[rows], *extra)
+        yield aggregator, (current, *extra)
         aggregator, current = advance_by(current, x0)
 
 
@@ -370,22 +370,51 @@ def stage_inputs(model: EnsembleModel, dataset: NodeDataset,
     transformation function saw, as the tuple of column blocks
     ``_stage_chain`` gives), restricted to ``rows``, in stage order: the
     model's aggregators drive the chain the trainers grew, and each input
-    is handed on without being held."""
-    aggregators = (st.aggregator for st in model.stages[1:])
+    is handed on without being held.
+
+    Each stage is computed only on its receptive field, the rows the later
+    stages read. Backward from ``rows``, every product of P reads the rows
+    it is taken on and their neighbours (``PropagationMatrix.reach``), so
+    a stage of top power p reads the p-hop neighbourhood of its output
+    rows. Once a row set covers the graph, it and every earlier one is the
+    whole graph, and on all rows every set is. Each input row is the
+    whole-graph walk's bit for bit."""
+    aggregators = [st.aggregator for st in model.stages[1:]]
+    ids = np.arange(dataset.n)[rows]
+    # hops[j]: the sorted rows the j-th product of P is taken on, None for
+    # every row, built backward from the rows asked for
+    last = np.unique(ids)
+    hops = [None if len(last) == dataset.n else last]
+    for aggregator in reversed(aggregators):
+        for _ in range(aggregator.powers[-1]):
+            hops.append(None if hops[-1] is None
+                        else aggregator.operator.reach(hops[-1]))
+    hops[-1] = None  # the first product reads the features, on every row
+    hops.reverse()
+    # stage t's representation is on hops[ends[t]]
+    ends = np.cumsum([0] + [a.powers[-1] for a in aggregators])
+    steps = iter([(a, None if hops[end] is None else hops[start:end + 1])
+                  for a, start, end in zip(aggregators, ends, ends[1:])])
 
     def advance_by(current, x0):
-        aggregator = next(aggregators)
-        return aggregator, aggregator.apply(current, x0)
+        aggregator, field = next(steps)
+        return aggregator, aggregator.apply(current, x0, field)
     chain = _stage_chain(dataset.features,
                          model.aggregator_kind == "input_injection",
-                         advance_by, rows)
-    for _ in model.stages:
-        yield next(chain)[1]
+                         advance_by)
+    _, (x0, *extra) = next(chain)
+    extra = tuple(block[rows] for block in extra)
+    yield (x0[rows], *extra)
+    for end in ends[1:]:
+        current = next(chain)[1][0]
+        yield (current[rows if hops[end] is None
+                       else np.searchsorted(hops[end], ids)], *extra)
 
 
 def stage_representations(model: EnsembleModel, dataset: NodeDataset,
                           rows=slice(None)):
-    """Learner-input blocks at every stage, restricted to ``rows``."""
+    """Learner-input blocks at every stage, restricted to ``rows``, from
+    ``stage_inputs``'s walk of the receptive field of ``rows``."""
     return list(stage_inputs(model, dataset, rows))
 
 
@@ -545,7 +574,10 @@ def predict(model: EnsembleModel, dataset: NodeDataset, reps=None):
 #
 # The loss reads the train rows only and every learner is row-wise, so the
 # learners run on the train rows. Chains without learnable aggregation keep
-# their train and validation rows from one replay. A KTA epoch runs
+# their train and validation rows from one replay, which walks only those
+# rows' receptive field (``stage_inputs``): with T - 1 aggregators of one
+# hop each, stage t is computed on the nodes within T - t hops of them, and
+# the whole graph only where that covers it. A KTA epoch runs
 # ``_learner_width_inputs``'s walk, which holds, on all rows, the dense
 # chain through the switch stage s and the k-wide input of every
 # aggregator above it, and the before and after errors are ``predict``'s.
@@ -634,6 +666,12 @@ def fine_tune(model: EnsembleModel, dataset: NodeDataset,
     "max_rel_change": r}), r the largest max|w_after - w_before| /
     max|w_before| over the trained arrays, 0.0 when nothing moved (no
     epoch, a divergence, or a saturated stack).
+
+    A fixed or injection chain is replayed once, by
+    ``stage_representations`` on the train and validation rows, and so on
+    their receptive field alone; its errors are read from those rows. A
+    KTA chain is walked on the whole graph every epoch, and its errors are
+    ``predict``'s.
     """
     if not model.stages:
         raise ValueError("model history is empty")

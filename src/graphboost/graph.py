@@ -14,6 +14,13 @@ product large enough to split. Every output row is summed over the same
 entries in the same order as the serial product, so the result is
 ``matrix @ x`` bit for bit. The kernel is scipy's CSR multivector loop, not
 BLAS, so the BLAS thread variables do not govern it.
+
+A product may be restricted to some rows of P x, reading x only on those
+rows' neighbours (``PropagationMatrix.apply``'s ``rows`` and ``cols``,
+with ``reach`` giving the neighbours): the same kernel runs on P's rows
+with their columns re-indexed, so each row is still the full product's
+bit for bit. A stage chain replayed on a few rows walks only their
+receptive field this way (``boost.stage_inputs``).
 """
 
 from __future__ import annotations
@@ -123,6 +130,32 @@ def write_edge_list(path, graph):
             fh.write(f"{i} {j}\n")
 
 
+def _row_blocks(m, parts):
+    """The rows of the CSR matrix ``m`` in at most ``parts`` contiguous
+    blocks of near-equal nonzero count, each as (r0, r1, indptr, indices,
+    data) of rows [r0, r1), the indptr rebased to the block's first
+    entry."""
+    bounds = np.unique(np.concatenate([
+        [0], np.searchsorted(m.indptr, np.arange(1, parts) * m.nnz // parts),
+        [m.shape[0]]]))
+    blocks = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        ptr = m.indptr[r0:r1 + 1]
+        lo, hi = ptr[0], ptr[-1]
+        blocks.append((r0, r1, ptr - lo, m.indices[lo:hi], m.data[lo:hi]))
+    return blocks
+
+
+def _run(block, n_in, width, x, out):
+    """Zero the block's rows of ``out`` and add its rows of P x into them,
+    x holding ``n_in`` rows of ``width`` columns."""
+    r0, r1, indptr, indices, data = block
+    rows = out[r0:r1]
+    rows.fill(0.0)
+    csr_matvecs(r1 - r0, n_in, width, indptr, indices, data, x,
+                rows.reshape(-1))
+
+
 @dataclass(frozen=True)
 class PropagationMatrix:
     """Sparse node-mixing operator P, applied by sparse matvec. P must be
@@ -140,54 +173,62 @@ class PropagationMatrix:
             raise GraphError(
                 f"operator is not square and symmetric: {m.shape}")
         object.__setattr__(self, "matrix", m)
-        # row bounds cutting the nonzeros into WORKERS near-equal parts
-        bounds = np.unique(np.concatenate([
-            [0], np.searchsorted(m.indptr, np.arange(1, WORKERS) * m.nnz
-                                 // WORKERS), [m.shape[0]]]))
-        object.__setattr__(self, "_blocks", [
-            self._block(r0, r1) for r0, r1 in zip(bounds, bounds[1:])])
-        object.__setattr__(self, "_whole", [self._block(0, m.shape[0])])
-
-    def _block(self, r0, r1):
-        """Rows [r0, r1) of P as (r0, r1, indptr, indices, data), the
-        indptr rebased to the block's first entry."""
-        ptr = self.matrix.indptr[r0:r1 + 1]
-        lo, hi = ptr[0], ptr[-1]
-        return (r0, r1, ptr - lo, self.matrix.indices[lo:hi],
-                self.matrix.data[lo:hi])
+        object.__setattr__(self, "_blocks", _row_blocks(m, WORKERS))
 
     @property
     def n(self):
         return self.matrix.shape[0]
 
-    def apply(self, x):
+    def apply(self, x, rows=None, cols=None):
         """P x for x of shape (N,) or (N, C), by row blocks: the caller's
-        thread runs the first, the pool the rest."""
+        thread runs the first, the pool the rest.
+
+        Given ``rows``, sorted node ids, only those rows of P x are taken;
+        given ``cols`` as well, sorted node ids holding every neighbour of
+        ``rows``, x holds only the rows ``cols`` of a full x. P's rows keep
+        their entries in order, and ``cols`` re-indexes their columns
+        monotonely, so each row is the full product's bit for bit."""
         x = np.ascontiguousarray(x, dtype=float)
-        if x.shape[0] != self.n:
+        n_in = self.n if cols is None else len(cols)
+        if x.shape[0] != n_in:
             raise GraphError(
-                f"row count {x.shape[0]} does not match operator size {self.n}"
+                f"row count {x.shape[0]} does not match operator size {n_in}"
             )
-        out = np.empty(x.shape)
-        width = x.size // self.n
-        blocks = self._blocks
-        if self.matrix.nnz * width < MIN_BLOCK_WORK * len(blocks):
-            blocks = self._whole
+        if rows is None:
+            m, blocks = self.matrix, self._blocks
+        else:
+            m = self.matrix[rows]
+            if cols is not None:
+                at = np.searchsorted(cols, m.indices)
+                if not np.array_equal(cols[np.minimum(at, n_in - 1)],
+                                      m.indices):
+                    raise GraphError("cols lack a neighbour of rows")
+                m.indices = at.astype(m.indices.dtype)
+            blocks = _row_blocks(m, WORKERS)
+        out = np.empty((m.shape[0],) + x.shape[1:])
+        if not blocks:  # no row asked for
+            return out
+        width = x.size // max(n_in, 1)
+        if m.nnz * width < MIN_BLOCK_WORK * len(blocks):
+            blocks = _row_blocks(m, 1)
         flat = x.reshape(-1)
-        pending = [_pool(len(blocks) - 1).submit(
-            self._run, block, width, flat, out) for block in blocks[1:]]
-        self._run(blocks[0], width, flat, out)
+        # one pool serves every product: a row subset may split into fewer
+        # blocks than WORKERS
+        pending = [_pool(WORKERS - 1).submit(
+            _run, block, n_in, width, flat, out) for block in blocks[1:]]
+        _run(blocks[0], n_in, width, flat, out)
         for job in pending:
             job.result()
         return out
 
-    def _run(self, block, width, x, out):
-        """Zero the block's rows of ``out`` and add its P x into them."""
-        r0, r1, indptr, indices, data = block
-        rows = out[r0:r1]
-        rows.fill(0.0)
-        csr_matvecs(r1 - r0, self.n, width, indptr, indices, data, x,
-                    rows.reshape(-1))
+    def reach(self, rows):
+        """The sorted ids of ``rows`` (sorted node ids) and of their
+        neighbours on P's pattern, the nodes whose x the rows ``rows`` of
+        P x read; None when that is every node."""
+        hit = np.zeros(self.n, dtype=bool)
+        hit[rows] = True
+        hit[self.matrix[rows].indices] = True
+        return None if hit.all() else np.flatnonzero(hit)
 
     apply_transpose = apply  # P is symmetric
 

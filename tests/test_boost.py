@@ -1175,16 +1175,19 @@ def wide_dataset():
     return replace(base, features=np.hstack([base.features, 0.6 * noise]))
 
 
-def applied_widths(monkeypatch, fn, *args):
+def applied_widths(monkeypatch, fn, *args, fields=None):
     """(the column count of every ``PropagationMatrix.apply`` call in
-    order, ``fn(*args)``)."""
+    order, ``fn(*args)``); a ``fields`` list gets each call's (rows, cols),
+    the row sets it was restricted to, None for every row."""
     from graphboost.graph import PropagationMatrix
     applied = []
     apply = PropagationMatrix.apply
 
-    def recorded(op, x):
+    def recorded(op, x, rows=None, cols=None):
         applied.append(x.shape[1])
-        return apply(op, x)
+        if fields is not None:
+            fields.append((rows, cols))
+        return apply(op, x, rows, cols)
     with monkeypatch.context() as patch:
         patch.setattr(PropagationMatrix, "apply", recorded)
         return applied, fn(*args)
@@ -1471,6 +1474,107 @@ class TestLearnerWidthPredict:
         wrong = classes != ds.labels
         assert row["train_err"] == np.mean(wrong[ds.split.train])
         assert row["test_err"] == np.mean(wrong[ds.split.test])
+
+
+@functools.cache
+def field_run(kind, mode):
+    """(dataset, model) of a short run on a 45-node graph of a 30-node
+    path (0..29), a 14-node ring (30..43) and an isolated node (44), so
+    that a few rows reach only part of it; train and validation rows lie
+    on all three. Cached: no caller changes the run."""
+    path = [(i, i + 1) for i in range(29)]
+    ring = [(30 + i, 30 + (i + 1) % 14) for i in range(14)]
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 2, size=45)
+    ids = rng.permutation(44)
+    ds = NodeDataset(
+        graph=SparseGraph.from_edges(45, path + ring),
+        features=np.eye(2)[labels] + 0.8 * rng.standard_normal((45, 2)),
+        labels=labels, n_classes=2,
+        split=Split(train=np.append(ids[:12], 44), val=ids[12:20],
+                    test=ids[20:]))
+    spec = AggregatorSpec(kind=kind, rho=0.3)
+    common = dict(hidden=(4,), learner=TrainConfig(epochs=4), aggregator=spec,
+                  seed=2)
+    if mode == "functional":
+        model, _, _ = run_functional_gb(ds, BoostConfig(n_rounds=3, **common))
+    else:
+        model, _, _ = run_samme(ds, BoostConfig(n_rounds=4, **common))
+    return ds, model
+
+
+FIELD_ROWS = {
+    "unsorted": [20, 3, 33, 3],
+    "one_row": [0],
+    "isolated_node": [44],
+    "both_components": [29, 40],
+    "train_and_val": None,  # the rows fine-tuning replays
+    "covering": np.random.default_rng(0).permutation(45),
+}
+
+
+def hop_distances(ds, rows):
+    """Each node's distance in hops from the nearest of ``rows``, inf off
+    their components."""
+    from scipy.sparse.csgraph import shortest_path
+    return shortest_path(ds.graph.adjacency(), unweighted=True,
+                         indices=np.unique(rows)).min(axis=0)
+
+
+class TestReceptiveField:
+    """``stage_inputs`` on some rows computes each stage only on the rows
+    the later stages read, and gives the whole-graph walk's rows bit for
+    bit."""
+
+    @pytest.mark.parametrize("case", FIELD_ROWS)
+    @pytest.mark.parametrize("mode", ["functional", "samme"])
+    @pytest.mark.parametrize("kind", WIDE_KINDS)
+    def test_rows_are_the_whole_walks(self, kind, mode, case):
+        ds, model = field_run(kind, mode)
+        rows = FIELD_ROWS[case]
+        if rows is None:
+            rows = np.concatenate([ds.split.train, ds.split.val])
+        for stages in (model.stages, model.stages[:1]):  # T and T = 1
+            m = replace(model, stages=stages)
+            got = list(stage_inputs(m, ds, rows))
+            want = [tuple(b[rows] for b in blocks)
+                    for blocks in stage_inputs(m, ds)]
+            assert len(got) == len(want) == len(stages)
+            for g, w in zip(got, want):
+                assert len(g) == len(w)
+                for a, b in zip(g, w):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rows", [[0], [15, 37, 44]],
+                             ids=["path_end", "every_component"])
+    @pytest.mark.parametrize("kind", WIDE_KINDS)
+    def test_products_stay_in_the_receptive_field(self, monkeypatch, kind,
+                                                  rows):
+        # the j-th of the walk's H products is taken on the nodes within
+        # H - j hops of the rows, and reads the rows the one before it was
+        # taken on; where those are every node, it is the whole-graph
+        # product. From node 0 no product covers the path; from the path's
+        # middle, a KTA walk of 3 x 8 hops covers the graph for its first 9
+        ds, model = field_run(kind, "samme")
+        dist = hop_distances(ds, rows)
+        fields = []
+        applied_widths(monkeypatch, list, stage_inputs(model, ds, rows),
+                       fields=fields)
+        total = sum(st.aggregator.powers[-1] for st in model.stages[1:])
+        assert len(fields) == total == (24 if kind == "kta" else 3)
+        before = None
+        for j, (got_rows, got_cols) in enumerate(fields, 1):
+            near = np.flatnonzero(dist <= total - j)
+            if len(near) == ds.n:
+                assert got_rows is None
+            else:
+                assert np.array_equal(got_rows, near)
+            assert (got_cols is None if before is None
+                    else np.array_equal(got_cols, before))
+            before = got_rows
+        whole = sum(rows is None for rows, _ in fields)
+        assert whole == (9 if kind == "kta" and len(rows) > 1 else 0)
+        assert fields[-1][0].tolist() == sorted(rows)
 
 
 def memory_toy():

@@ -244,6 +244,41 @@ class TestRowBlockApply:
         assert np.array_equal(got, m @ x)
         assert np.array_equal(got, p.matrix @ x)
 
+    @pytest.mark.parametrize("make_matrix", [
+        lambda: base_operator(random_connected_graph(40, 0.03, 1)).matrix,
+        lambda: base_operator(SparseGraph.from_edges(
+            40, [(i, i + 1) for i in range(39)])).matrix,
+        empty_rows_matrix],
+        ids=["base_operator", "path", "empty_rows"])
+    def test_restricted_rows_are_the_full_products(self, split_three,
+                                                   monkeypatch, make_matrix):
+        # rows of P x alone, reading x on every node or on the rows' reach
+        # only: each row is the full product's bit for bit, on the pool
+        calls = pool_calls(monkeypatch)
+        m = make_matrix()
+        p = PropagationMatrix(m)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((p.n, 3))
+        full = m @ x
+        rows = np.sort(rng.choice(p.n, 9, replace=False))
+        cols = p.reach(rows)
+        hit = np.zeros(p.n, dtype=bool)
+        hit[rows] = True
+        hit[m[rows].indices] = True
+        assert np.array_equal(cols, np.flatnonzero(hit))
+        assert np.array_equal(p.apply(x, rows), full[rows])
+        assert np.array_equal(p.apply(x[cols], rows, cols), full[rows])
+        assert p.apply(x[cols], rows[:0], cols).shape == (0, 3)
+        assert set(calls) == {2}
+        # x must hold every neighbour of the rows
+        lacking = np.setdiff1d(m[rows].indices, rows)[:1]
+        if len(lacking):
+            with pytest.raises(GraphError, match="neighbour"):
+                p.apply(x[np.setdiff1d(cols, lacking)], rows,
+                        np.setdiff1d(cols, lacking))
+        with pytest.raises(GraphError, match="row count"):
+            p.apply(x, rows, cols)
+
     def test_width_above_work_threshold(self, monkeypatch):
         monkeypatch.setattr(graph, "WORKERS", 2)
         calls = pool_calls(monkeypatch)
@@ -328,11 +363,14 @@ class TestRowBlockApply:
                     for f in ("model.json", "trace.csv"))
         assert got == TRAINED_BYTES["samme-kta"]
 
-        ds, model = unsaturated_run("kta", "samme")
-        tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=3, lr=1e-2))
-        save_model(tuned, tmp_path / "tuned.json")
-        assert (hashlib.sha256((tmp_path / "tuned.json").read_bytes())
-                .hexdigest() == FINE_TUNE_BYTES["samme-kta"][0])
+        # a fixed or injection fine-tune replays its rows on their
+        # receptive field, by products restricted to row subsets
+        for kind in ("kta", "fixed", "input_injection"):
+            ds, model = unsaturated_run(kind, "samme")
+            tuned, _ = fine_tune(model, ds, FineTuneConfig(epochs=3, lr=1e-2))
+            save_model(tuned, tmp_path / "tuned.json")
+            assert (hashlib.sha256((tmp_path / "tuned.json").read_bytes())
+                    .hexdigest() == FINE_TUNE_BYTES[f"samme-{kind}"][0])
         assert set(calls) == ({workers - 1} if workers > 1 else set())
 
 
